@@ -1,96 +1,16 @@
-# Verification tiers for the Jade reproduction. `make check` is what CI (and
-# every PR) must pass: static checks, the full test suite, and the
-# race-hardened concurrency tier over the packages that do real parallelism.
+# Every target but clean is a tier of scripts/check.sh, which holds the
+# tier table: `make check` runs them all, `make race artifact` those two.
 
-GO ?= go
-
-.PHONY: check vet build test race determinism fault live live-fault tenant obs bench live-bench tenant-bench serve-bench clean
-
-check: vet build test race determinism fault live live-fault tenant obs bench live-bench tenant-bench serve-bench
-
-vet:
-	$(GO) vet ./...
-
-build:
-	$(GO) build ./...
-
-test:
-	$(GO) test ./...
-
-# The concurrency tier: the dependency engine, both executors and the public
-# API under the race detector, twice, to shake out schedule-dependent bugs
-# in the sharded (per-object-lock) engine.
-race:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/exec/... ./jade/...
-
-# The determinism tier: simulated runs must produce bit-identical makespans,
-# byte counts and traces across repeated runs — the property every golden
-# count in the test suite rests on.
-determinism:
-	$(GO) test -run Determin -count=2 ./internal/sim/... ./internal/exec/dist/...
-
-# The fault tier: failure injection, detection and deterministic recovery,
-# under the race detector — crashes, loss, duplication and partitions must
-# leave every application bit-identical to its failure-free run.
-fault:
-	$(GO) test -race -count=2 -run Fault ./internal/fault/... ./internal/exec/dist/... ./jade/... ./internal/experiments/...
-
-# The live tier: the message-passing transports (inproc pipes, TCP framing
-# with reconnect and heartbeats), the wire codec, and the live executor —
-# real concurrency over real sockets, under the race detector, twice.
-live:
-	$(GO) test -race -count=2 ./internal/transport/... ./internal/exec/live/...
-
-# The live-fault tier: fault tolerance and elastic membership on the live
-# executor — session fencing, chaos-scripted kills/drains/joins, and the L2
-# experiment (mid-run kill + joins, bit-identical to the serial oracle) —
-# under the race detector, twice (DESIGN.md §4.13).
-live-fault:
-	$(GO) test -race -count=2 -run 'Chaos|Fence|Redial|Session|Cadence|Elastic|Membership|Leave|Evict|Drain|Admit|L2' ./internal/transport/... ./internal/exec/live/... ./internal/fault/... ./internal/experiments/...
-
-# The tenant tier: the multi-tenant session service — session mux and
-# namespace isolation on the wire, admission control and per-tenant slot
-# quotas, cross-tenant isolation properties, chaos-scripted daemon kills
-# with sessions from several tenants resident, and the MT1 experiment —
-# under the race detector, twice (DESIGN.md §4.15).
-tenant:
-	$(GO) test -race -count=2 -run 'Tenant|Mux|MultiServ|Service|SlotStats|MT1' ./internal/transport/mux/... ./internal/exec/live/... ./jade/... ./internal/experiments/...
-
-# The obs tier: the observability subsystem — trace export determinism and
-# structure, histogram merging, the Prometheus endpoint, ring sizing, the
-# serving workload and an SV1 smoke at low rate — under the race detector,
-# twice, plus a structural gate on an actual `jadebench -trace-out` artifact
-# (DESIGN.md §4.16).
-obs:
-	$(GO) test -race -count=2 ./internal/obs/... ./internal/apps/serve/...
-	$(GO) test -race -count=2 -run 'Obs|Export|Latency|TraceRing|RingCap|WorkerCaps|Serve|SV1' ./jade/... ./internal/exec/live/... ./internal/experiments/...
-	go run ./cmd/jadebench -exp l3 -quick -trace-out /tmp/jade_l3_trace.json >/dev/null
-	go run ./scripts/tracecheck -min-tasks 100 -want-flows /tmp/jade_l3_trace.json
-
-# The benchmark-snapshot tier: engine throughput plus the S1 profiler sweep,
-# recorded to BENCH_profile.json as a reviewable performance artifact.
-bench:
-	scripts/bench_snapshot.sh
-
-# The live-bench tier: sustained wire-path throughput on the live executor
-# (L3: tasks/sec + frames/sec over inproc and TCP loopback, best-of-N,
-# bit-identity-checked every round), recorded to BENCH_live.json with the
-# pre-overhaul baseline embedded (DESIGN.md §4.14).
-live-bench:
-	scripts/bench_snapshot.sh --live
-
-# The tenant-bench tier: the multi-tenant serving stream (MT1: 100 mixed
-# sessions through the admission gate on inproc and TCP loopback, every
-# session bit-identity-checked), recorded to BENCH_tenant.json.
-tenant-bench:
-	scripts/bench_snapshot.sh --tenant
-
-# The serve-bench tier: the serving-latency bench (SV1: open-loop
-# request-DAG stream at three arrival rates on inproc and TCP loopback,
-# p50/p90/p99/max from the log-bucketed histograms, every run
-# bit-identity-checked), recorded to BENCH_serve.json (DESIGN.md §4.16).
-serve-bench:
-	scripts/bench_snapshot.sh --serve
+check:
+	@scripts/check.sh
 
 clean:
-	$(GO) clean ./...
+	go clean ./...
+
+# Keep make from trying to rebuild this file through the rule below.
+Makefile: ;
+
+%:
+	@scripts/check.sh $@
+
+.PHONY: check clean

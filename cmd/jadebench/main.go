@@ -13,13 +13,16 @@
 //	jadebench -exp l3 -trace-out t.json    # Perfetto trace of a live round
 //	                                       # (open in https://ui.perfetto.dev)
 //	jadebench -exp sv1 -flame-out f.txt    # flamegraph collapsed stacks
-//	jadebench -exp sv1 -servejson sv1.json # raw serving-latency points
+//
+// It prints the paper's figures and tables; performance numbers that gate
+// a change come from the benchmark instead (bench/README.md).
 //
 // Experiments (see DESIGN.md §3 and §4.10): run jadebench -list.
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,444 +34,320 @@ import (
 	"repro/jade"
 )
 
-// catalog lists every experiment id with a one-line description, in the
-// order jadebench runs them. -list prints it; -exp accepts the ids.
-var catalog = []struct{ id, desc string }{
-	{"f4", "Figure 4: sparse Cholesky dynamic task graph"},
-	{"f7", "Figure 7: message-passing execution narrative (iPSC/860)"},
-	{"f9", "Figure 9: Water running time vs machines"},
-	{"f10", "Figure 10: Water speedup vs machines"},
-	{"s1", "speedup vs critical-path ceiling on modeled DASH (profiler validation)"},
-	{"t1", "Table: Jade construct counts in the Water source (§7.3)"},
-	{"c1", "comparison: Jade vs DSM-style execution (§6)"},
-	{"c2", "comparison: Jade vs tuple-space (Linda-style) Water (§6)"},
-	{"a1", "ablation: locality scheduling heuristic on/off"},
-	{"a2", "ablation: prefetch / latency hiding on/off"},
-	{"a3", "ablation: live-task throttle bounds"},
-	{"a4", "ablation: pipelined HRV video with heterogeneity machinery"},
-	{"d1", "delta transfers + dispatch coalescing vs full images (§5)"},
-	{"f1", "fault injection: crashes, loss, duplication + deterministic recovery (§4.10)"},
-	{"h1", "HRV video pipeline across heterogeneous machines (§7.2)"},
-	{"m1", "parallel make (pmake) task graph"},
-	{"g1", "granularity: Cholesky column vs supernode tasks"},
-	{"g2", "commuting accumulation (Acc) semantics"},
-	{"g3", "granularity: Water task-count sweep"},
-	{"k1", "Barnes-Hut N-body on the simulated platforms"},
-	{"l1", "live execution: Cholesky over in-process and TCP worker endpoints"},
-	{"l2", "elastic fault tolerance: live Cholesky with a mid-run kill + joins"},
-	{"l3", "live wire-path throughput: tasks/sec and frames/sec, best-of-N (§4.14)"},
-	{"mt1", "multi-tenant serving: 100+ mixed sessions over one shared fleet (§4.15)"},
-	{"sv1", "serving latency: open-loop request-DAG stream, p50/p99 vs arrival rate (§4.16)"},
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// options are the parsed command-line flags.
+type options struct {
+	exp                string
+	list, quick        bool
+	dot, csv           bool
+	narr, gantt        bool
+	chrome, waterSrc   string
+	profText           bool
+	traceOut, flameOut string
+	disabled           []jade.Feature // parsed -disable
 }
 
-func main() {
-	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment ids (see -list) or 'all'")
-		list     = flag.Bool("list", false, "list experiment ids with descriptions and exit")
-		quick    = flag.Bool("quick", false, "reduced problem sizes")
-		dot      = flag.Bool("dot", false, "print the Figure 4 task graph in DOT format")
-		csv      = flag.Bool("csv", false, "also print tables as CSV")
-		narr     = flag.Bool("narrative", false, "print the Figure 7 event narrative")
-		gantt    = flag.Bool("gantt", false, "print a per-machine Gantt timeline for Figure 7")
-		chrome   = flag.String("chrome", "", "write the Figure 7 execution as Chrome trace-event JSON to this file")
-		waterSrc = flag.String("watersrc", "internal/apps/water/water.go", "path to the water source for the T1 construct count")
-		profText = flag.Bool("profile", false, "print each S1 point's full profile (phases, utilization, critical path, hotspots)")
-		profJSON = flag.String("profilejson", "", "write the S1 points with their profiles as JSON to this file")
-		liveJSON = flag.String("livejson", "", "write the L3 live-throughput points as JSON to this file")
-		tenJSON  = flag.String("tenantjson", "", "write the MT1 multi-tenant points as JSON to this file")
-		srvJSON  = flag.String("servejson", "", "write the SV1 serving-latency points as JSON to this file")
-		traceOut = flag.String("trace-out", "", "with -exp l3 or sv1: write an instrumented live round as Perfetto trace JSON to this file")
-		flameOut = flag.String("flame-out", "", "with -exp l3 or sv1: write an instrumented live round as flamegraph collapsed stacks to this file")
-		disable  = flag.String("disable", "", "comma-separated runtime features to turn off in S1 (prefetch,locality,delta)")
-	)
-	flag.Parse()
+// experiment is one row of the catalog: -list prints id and desc, -exp
+// selects by id, and a run without -exp executes every row in order.
+type experiment struct {
+	id, desc string
+	run      func() error
+}
 
-	var disabled []jade.Feature
+// run is main without the process exit: 0 on success, 1 when an
+// experiment fails, 2 on a usage error (bad flag, unknown -exp id).
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("jadebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment ids (see -list) or 'all'")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids with descriptions and exit")
+	fs.BoolVar(&o.quick, "quick", false, "reduced problem sizes")
+	fs.BoolVar(&o.dot, "dot", false, "print the Figure 4 task graph in DOT format")
+	fs.BoolVar(&o.csv, "csv", false, "also print tables as CSV")
+	fs.BoolVar(&o.narr, "narrative", false, "print the Figure 7 event narrative")
+	fs.BoolVar(&o.gantt, "gantt", false, "print a per-machine Gantt timeline for Figure 7")
+	fs.StringVar(&o.chrome, "chrome", "", "write the Figure 7 execution as Perfetto/Chrome trace JSON to this file")
+	fs.StringVar(&o.waterSrc, "watersrc", "internal/apps/water/water.go", "path to the water source for the T1 construct count")
+	fs.BoolVar(&o.profText, "profile", false, "print each S1 point's full profile (phases, utilization, critical path, hotspots)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "with -exp l3 or sv1: write an instrumented live round as Perfetto trace JSON to this file")
+	fs.StringVar(&o.flameOut, "flame-out", "", "with -exp l3 or sv1: write an instrumented live round as flamegraph collapsed stacks to this file")
+	disable := fs.String("disable", "", "comma-separated runtime features to turn off in S1 (prefetch,locality,delta)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
 	if *disable != "" {
 		for _, s := range strings.Split(*disable, ",") {
 			f, err := jade.ParseFeature(strings.TrimSpace(s))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "jadebench: -disable: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "jadebench: -disable: %v\n", err)
+				return 2
 			}
-			disabled = append(disabled, f)
+			o.disabled = append(o.disabled, f)
 		}
 	}
 
-	if *list {
-		for _, e := range catalog {
-			fmt.Printf("  %-4s %s\n", e.id, e.desc)
+	table := catalog(&o, stdout, stderr)
+	if o.list {
+		for _, e := range table {
+			fmt.Fprintf(stdout, "  %-4s %s\n", e.id, e.desc)
 		}
-		return
+		return 0
 	}
 
+	known := map[string]bool{"all": true}
+	for _, e := range table {
+		known[e.id] = true
+	}
 	want := map[string]bool{}
-	for _, id := range strings.Split(*expFlag, ",") {
-		want[strings.ToLower(strings.TrimSpace(id))] = true
+	for _, id := range strings.Split(o.exp, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		if !known[id] {
+			fmt.Fprintf(stderr, "jadebench: -exp: unknown experiment %q (see -list)\n", id)
+			return 2
+		}
+		want[id] = true
 	}
-	all := want["all"]
-	selected := func(id string) bool { return all || want[strings.ToLower(id)] }
-
-	show := func(tb *experiments.Table) {
-		fmt.Println(tb)
-		if *csv {
-			fmt.Println(tb.CSV())
+	for _, e := range table {
+		if !want["all"] && !want[e.id] {
+			continue
+		}
+		if err := e.run(); err != nil {
+			fmt.Fprintf(stderr, "jadebench: %s: %v\n", e.id, err)
+			return 1
 		}
 	}
-	fail := func(id string, err error) {
-		fmt.Fprintf(os.Stderr, "jadebench: %s: %v\n", id, err)
-		os.Exit(1)
+	return 0
+}
+
+// catalog builds the experiment table, in the order jadebench runs it.
+func catalog(o *options, stdout, stderr io.Writer) []experiment {
+	show := func(tb *experiments.Table) {
+		fmt.Fprintln(stdout, tb)
+		if o.csv {
+			fmt.Fprintln(stdout, tb.CSV())
+		}
+	}
+	// sized picks the full or the -quick problem size.
+	sized := func(full, quick int) int {
+		if o.quick {
+			return quick
+		}
+		return full
+	}
+	// tabled adapts an experiment that yields one table.
+	tabled := func(f func() (*experiments.Table, error)) func() error {
+		return func() error {
+			tb, err := f()
+			if err != nil {
+				return err
+			}
+			show(tb)
+			return nil
+		}
 	}
 	// exportRound runs one extra instrumented live round of an experiment
 	// and writes its -trace-out / -flame-out files. When several traced
 	// experiments are selected, the last one's files win.
-	exportRound := func(id string, run func(traceW, flameW io.Writer) error) {
-		if *traceOut == "" && *flameOut == "" {
-			return
+	exportRound := func(round func(traceW, flameW io.Writer) error) error {
+		var traceBuf, flameBuf bytes.Buffer
+		var traceW, flameW io.Writer // nil = not requested
+		if o.traceOut != "" {
+			traceW = &traceBuf
 		}
-		var traceW, flameW io.Writer
-		var open []*os.File
-		create := func(path string) io.Writer {
-			f, err := os.Create(path)
-			if err != nil {
-				fail(id, err)
+		if o.flameOut != "" {
+			flameW = &flameBuf
+		}
+		if traceW == nil && flameW == nil {
+			return nil
+		}
+		if err := round(traceW, flameW); err != nil {
+			return err
+		}
+		if traceW != nil {
+			if err := os.WriteFile(o.traceOut, traceBuf.Bytes(), 0o644); err != nil {
+				return err
 			}
-			open = append(open, f)
-			return f
+			fmt.Fprintf(stdout, "wrote Perfetto trace to %s (open in https://ui.perfetto.dev)\n\n", o.traceOut)
 		}
-		if *traceOut != "" {
-			traceW = create(*traceOut)
-		}
-		if *flameOut != "" {
-			flameW = create(*flameOut)
-		}
-		if err := run(traceW, flameW); err != nil {
-			fail(id, err)
-		}
-		for _, f := range open {
-			if err := f.Close(); err != nil {
-				fail(id, err)
+		if flameW != nil {
+			if err := os.WriteFile(o.flameOut, flameBuf.Bytes(), 0o644); err != nil {
+				return err
 			}
+			fmt.Fprintf(stdout, "wrote flame stacks to %s\n\n", o.flameOut)
 		}
-		if *traceOut != "" {
-			fmt.Printf("wrote Perfetto trace to %s (open in https://ui.perfetto.dev)\n\n", *traceOut)
-		}
-		if *flameOut != "" {
-			fmt.Printf("wrote flame stacks to %s\n\n", *flameOut)
-		}
+		return nil
 	}
-
-	if selected("f4") {
-		tb, dotStr, err := experiments.Fig4()
-		if err != nil {
-			fail("f4", err)
+	// Figures 9 and 10 are two views of one sweep; whichever is selected
+	// first runs it.
+	var f9, f10 *experiments.Table
+	waterSweep := func() error {
+		if f9 != nil {
+			return nil
 		}
-		show(tb)
-		if *dot {
-			fmt.Println(dotStr)
-		}
-	}
-	if selected("f7") {
-		res, err := experiments.Fig7()
-		if err != nil {
-			fail("f7", err)
-		}
-		show(res.Table)
-		if *narr {
-			for _, l := range res.Narrative {
-				fmt.Println(l)
-			}
-			fmt.Println()
-		}
-		if *gantt {
-			fmt.Println(res.Gantt)
-		}
-		if *chrome != "" {
-			if err := os.WriteFile(*chrome, res.Chrome, 0o644); err != nil {
-				fail("f7", err)
-			}
-			fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing)\n\n", *chrome)
-		}
-	}
-	if selected("f9") || selected("f10") {
 		sweep := experiments.WaterSweep{}
-		if *quick {
+		if o.quick {
 			sweep = experiments.WaterSweep{Molecules: 729, Steps: 1, MaxMachines: 16}
 		}
-		f9, f10, err := experiments.Fig9and10(sweep)
-		if err != nil {
-			fail("f9/f10", err)
-		}
-		if selected("f9") {
-			show(f9)
-		}
-		if selected("f10") {
-			show(f10)
-		}
+		var err error
+		f9, f10, err = experiments.Fig9and10(sweep)
+		return err
 	}
-	if selected("s1") {
-		cfg := experiments.S1Config{Disable: disabled}
-		if *quick {
-			cfg.Grid, cfg.Molecules, cfg.Steps = 8, 64, 1
-		}
-		res, err := experiments.S1Speedup(cfg)
-		if err != nil {
-			fail("s1", err)
-		}
-		show(res.Table)
-		if *profText {
-			for _, pt := range res.Points {
-				fmt.Printf("-- %s on DASH-%d --\n%s\n", pt.App, pt.Procs, pt.Profile.Text())
-			}
-		}
-		if *profJSON != "" {
-			data, err := json.MarshalIndent(res.Points, "", "  ")
+
+	return []experiment{
+		{"f4", "Figure 4: sparse Cholesky dynamic task graph", func() error {
+			tb, dotStr, err := experiments.Fig4()
 			if err != nil {
-				fail("s1", err)
+				return err
 			}
-			if err := os.WriteFile(*profJSON, data, 0o644); err != nil {
-				fail("s1", err)
-			}
-			fmt.Printf("wrote S1 profiles to %s\n\n", *profJSON)
-		}
-	}
-	if selected("t1") {
-		tb, err := experiments.T1Constructs(*waterSrc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jadebench: t1 skipped (%v)\n", err)
-		} else {
 			show(tb)
-		}
-	}
-	if selected("c1") {
-		grid := 10
-		if *quick {
-			grid = 6
-		}
-		tb, err := experiments.C1DSM(grid)
-		if err != nil {
-			fail("c1", err)
-		}
-		show(tb)
-	}
-	if selected("c2") {
-		cfg := water.Config{N: 216, Steps: 2, Tasks: 4, Seed: 5}
-		if *quick {
-			cfg.N = 60
-		}
-		tb, err := experiments.C2Linda(cfg)
-		if err != nil {
-			fail("c2", err)
-		}
-		show(tb)
-	}
-	if selected("a1") {
-		grid := 12
-		if *quick {
-			grid = 8
-		}
-		tb, err := experiments.A1Locality(grid)
-		if err != nil {
-			fail("a1", err)
-		}
-		show(tb)
-	}
-	if selected("a2") {
-		tb, err := experiments.A2Prefetch()
-		if err != nil {
-			fail("a2", err)
-		}
-		show(tb)
-	}
-	if selected("a3") {
-		grid := 10
-		if *quick {
-			grid = 8
-		}
-		tb, err := experiments.A3Throttle(grid)
-		if err != nil {
-			fail("a3", err)
-		}
-		show(tb)
-	}
-	if selected("a4") {
-		grid := 8
-		if *quick {
-			grid = 6
-		}
-		tb, err := experiments.A4Pipeline(grid)
-		if err != nil {
-			fail("a4", err)
-		}
-		show(tb)
-	}
-	if selected("d1") {
-		grid := 16
-		if *quick {
-			grid = 12
-		}
-		tb, err := experiments.D1Delta(grid)
-		if err != nil {
-			fail("d1", err)
-		}
-		show(tb)
-	}
-	if selected("f1") {
-		grid := 12
-		if *quick {
-			grid = 8
-		}
-		tb, err := experiments.F1Fault(grid)
-		if err != nil {
-			fail("f1", err)
-		}
-		show(tb)
-	}
-	if selected("h1") {
-		frames := 32
-		if *quick {
-			frames = 12
-		}
-		tb, err := experiments.H1Video(frames)
-		if err != nil {
-			fail("h1", err)
-		}
-		show(tb)
-	}
-	if selected("m1") {
-		targets := 24
-		if *quick {
-			targets = 12
-		}
-		tb, err := experiments.M1Make(targets)
-		if err != nil {
-			fail("m1", err)
-		}
-		show(tb)
-	}
-	if selected("g1") {
-		grid := 12
-		if *quick {
-			grid = 8
-		}
-		tb, err := experiments.G1Grain(grid)
-		if err != nil {
-			fail("g1", err)
-		}
-		show(tb)
-	}
-	if selected("g2") {
-		tb, err := experiments.G2Commute()
-		if err != nil {
-			fail("g2", err)
-		}
-		show(tb)
-	}
-	if selected("g3") {
-		tb, err := experiments.WaterGrainSweep()
-		if err != nil {
-			fail("g3", err)
-		}
-		show(tb)
-	}
-	if selected("k1") {
-		tb, err := experiments.K1BarnesHut()
-		if err != nil {
-			fail("k1", err)
-		}
-		show(tb)
-	}
-	if selected("l1") {
-		grid := 16
-		if *quick {
-			grid = 8
-		}
-		tb, err := experiments.L1Live(grid, 4)
-		if err != nil {
-			fail("l1", err)
-		}
-		show(tb)
-	}
-	if selected("l2") {
-		grid := 16
-		if *quick {
-			grid = 8
-		}
-		tb, err := experiments.L2Elastic(grid, 3)
-		if err != nil {
-			fail("l2", err)
-		}
-		show(tb)
-	}
-	if selected("l3") {
-		grid, rounds := 16, 5
-		if *quick {
-			grid, rounds = 12, 3
-		}
-		res, err := experiments.L3Throughput(grid, 4, rounds)
-		if err != nil {
-			fail("l3", err)
-		}
-		show(res.Table)
-		if *liveJSON != "" {
-			data, err := json.MarshalIndent(res.Points, "", "  ")
+			if o.dot {
+				fmt.Fprintln(stdout, dotStr)
+			}
+			return nil
+		}},
+		{"f7", "Figure 7: message-passing execution narrative (iPSC/860)", func() error {
+			res, err := experiments.Fig7()
 			if err != nil {
-				fail("l3", err)
+				return err
 			}
-			if err := os.WriteFile(*liveJSON, data, 0o644); err != nil {
-				fail("l3", err)
+			show(res.Table)
+			if o.narr {
+				for _, l := range res.Narrative {
+					fmt.Fprintln(stdout, l)
+				}
+				fmt.Fprintln(stdout)
 			}
-			fmt.Printf("wrote live throughput points to %s\n\n", *liveJSON)
-		}
-		exportRound("l3", func(tw, fw io.Writer) error {
-			return experiments.L3Traced(grid, 4, tw, fw)
-		})
-	}
-	if selected("mt1") {
-		sessions, workers, cap := 100, 4, 16
-		if *quick {
-			sessions, workers, cap = 24, 2, 6
-		}
-		res, err := experiments.MT1Tenant(sessions, workers, cap)
-		if err != nil {
-			fail("mt1", err)
-		}
-		show(res.Table)
-		if *tenJSON != "" {
-			data, err := json.MarshalIndent(res.Points, "", "  ")
+			if o.gantt {
+				fmt.Fprintln(stdout, res.Gantt)
+			}
+			if o.chrome != "" {
+				if err := os.WriteFile(o.chrome, res.Chrome, 0o644); err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n\n", o.chrome)
+			}
+			return nil
+		}},
+		{"f9", "Figure 9: Water running time vs machines", func() error {
+			if err := waterSweep(); err != nil {
+				return err
+			}
+			show(f9)
+			return nil
+		}},
+		{"f10", "Figure 10: Water speedup vs machines", func() error {
+			if err := waterSweep(); err != nil {
+				return err
+			}
+			show(f10)
+			return nil
+		}},
+		{"s1", "speedup vs critical-path ceiling on modeled DASH (profiler validation)", func() error {
+			cfg := experiments.S1Config{Disable: o.disabled}
+			if o.quick {
+				cfg.Grid, cfg.Molecules, cfg.Steps = 8, 64, 1
+			}
+			res, err := experiments.S1Speedup(cfg)
 			if err != nil {
-				fail("mt1", err)
+				return err
 			}
-			if err := os.WriteFile(*tenJSON, data, 0o644); err != nil {
-				fail("mt1", err)
+			show(res.Table)
+			if o.profText {
+				for _, pt := range res.Points {
+					fmt.Fprintf(stdout, "-- %s on DASH-%d --\n%s\n", pt.App, pt.Procs, pt.Profile.Text())
+				}
 			}
-			fmt.Printf("wrote multi-tenant serving points to %s\n\n", *tenJSON)
-		}
-	}
-	if selected("sv1") {
-		requests, workers := 64, 4
-		rates := []float64{100, 400, 1600}
-		if *quick {
-			requests, workers = 16, 3
-			rates = []float64{400, 1600, 6400}
-		}
-		res, err := experiments.SV1Serving(requests, workers, rates)
-		if err != nil {
-			fail("sv1", err)
-		}
-		show(res.Table)
-		if *srvJSON != "" {
-			data, err := json.MarshalIndent(res.Points, "", "  ")
+			return nil
+		}},
+		{"t1", "Table: Jade construct counts in the Water source (§7.3)", func() error {
+			tb, err := experiments.T1Constructs(o.waterSrc)
 			if err != nil {
-				fail("sv1", err)
+				// The count needs the source tree; elsewhere it is skipped.
+				fmt.Fprintf(stderr, "jadebench: t1 skipped (%v)\n", err)
+				return nil
 			}
-			if err := os.WriteFile(*srvJSON, data, 0o644); err != nil {
-				fail("sv1", err)
+			show(tb)
+			return nil
+		}},
+		{"c1", "comparison: Jade vs DSM-style execution (§6)", tabled(func() (*experiments.Table, error) {
+			return experiments.C1DSM(sized(10, 6))
+		})},
+		{"c2", "comparison: Jade vs tuple-space (Linda-style) Water (§6)", tabled(func() (*experiments.Table, error) {
+			return experiments.C2Linda(water.Config{N: sized(216, 60), Steps: 2, Tasks: 4, Seed: 5})
+		})},
+		{"a1", "ablation: locality scheduling heuristic on/off", tabled(func() (*experiments.Table, error) {
+			return experiments.A1Locality(sized(12, 8))
+		})},
+		{"a2", "ablation: prefetch / latency hiding on/off", tabled(experiments.A2Prefetch)},
+		{"a3", "ablation: live-task throttle bounds", tabled(func() (*experiments.Table, error) {
+			return experiments.A3Throttle(sized(10, 8))
+		})},
+		{"a4", "ablation: pipelined HRV video with heterogeneity machinery", tabled(func() (*experiments.Table, error) {
+			return experiments.A4Pipeline(sized(8, 6))
+		})},
+		{"d1", "delta transfers + dispatch coalescing vs full images (§5)", tabled(func() (*experiments.Table, error) {
+			return experiments.D1Delta(sized(16, 12))
+		})},
+		{"f1", "fault injection: crashes, loss, duplication + deterministic recovery (§4.10)", tabled(func() (*experiments.Table, error) {
+			return experiments.F1Fault(sized(12, 8))
+		})},
+		{"h1", "HRV video pipeline across heterogeneous machines (§7.2)", tabled(func() (*experiments.Table, error) {
+			return experiments.H1Video(sized(32, 12))
+		})},
+		{"m1", "parallel make (pmake) task graph", tabled(func() (*experiments.Table, error) {
+			return experiments.M1Make(sized(24, 12))
+		})},
+		{"g1", "granularity: Cholesky column vs supernode tasks", tabled(func() (*experiments.Table, error) {
+			return experiments.G1Grain(sized(12, 8))
+		})},
+		{"g2", "commuting accumulation (Acc) semantics", tabled(experiments.G2Commute)},
+		{"g3", "granularity: Water task-count sweep", tabled(experiments.WaterGrainSweep)},
+		{"k1", "Barnes-Hut N-body on the simulated platforms", tabled(experiments.K1BarnesHut)},
+		{"l1", "live execution: Cholesky over in-process and TCP worker endpoints", tabled(func() (*experiments.Table, error) {
+			return experiments.L1Live(sized(16, 8), 4)
+		})},
+		{"l2", "elastic fault tolerance: live Cholesky with a mid-run kill + joins", tabled(func() (*experiments.Table, error) {
+			return experiments.L2Elastic(sized(16, 8), 3)
+		})},
+		{"l3", "live wire-path throughput: tasks/sec and frames/sec, best-of-N (§4.14)", func() error {
+			grid := sized(16, 12)
+			res, err := experiments.L3Throughput(grid, 4, sized(5, 3))
+			if err != nil {
+				return err
 			}
-			fmt.Printf("wrote serving latency points to %s\n\n", *srvJSON)
-		}
-		exportRound("sv1", func(tw, fw io.Writer) error {
-			return experiments.SV1Traced(requests, workers, rates[len(rates)-1], tw, fw)
-		})
+			show(res.Table)
+			return exportRound(func(tw, fw io.Writer) error {
+				return experiments.L3Traced(grid, 4, tw, fw)
+			})
+		}},
+		{"mt1", "multi-tenant serving: 100+ mixed sessions over one shared fleet (§4.15)", func() error {
+			res, err := experiments.MT1Tenant(sized(100, 24), sized(4, 2), sized(16, 6))
+			if err != nil {
+				return err
+			}
+			show(res.Table)
+			return nil
+		}},
+		{"sv1", "serving latency: open-loop request-DAG stream, p50/p99 vs arrival rate (§4.16)", func() error {
+			requests, workers := sized(64, 16), sized(4, 3)
+			rates := []float64{100, 400, 1600}
+			if o.quick {
+				rates = []float64{400, 1600, 6400}
+			}
+			res, err := experiments.SV1Serving(requests, workers, rates)
+			if err != nil {
+				return err
+			}
+			show(res.Table)
+			return exportRound(func(tw, fw io.Writer) error {
+				return experiments.SV1Traced(requests, workers, rates[len(rates)-1], tw, fw)
+			})
+		}},
 	}
 }

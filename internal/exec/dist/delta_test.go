@@ -57,20 +57,20 @@ func TestDeltaTransferReducesBytes(t *testing.T) {
 				t.Fatalf("results differ at %d: %v vs %v", i, gotWith[i], gotWithout[i])
 			}
 		}
-		wb, wob := with.NetStats().Bytes, without.NetStats().Bytes
+		wb, wob := with.Stats().Net.Bytes, without.Stats().Net.Bytes
 		if wb >= wob*3/4 {
 			t.Fatalf("delta should cut bytes by >=25%%: with=%d without=%d", wb, wob)
 		}
-		ds := with.DeltaStats()
+		ds := with.Stats().Delta
 		if ds.DeltaTransfers == 0 || ds.SavedBytes == 0 {
 			t.Fatalf("delta stats not recorded: %+v", ds)
 		}
-		if off := without.DeltaStats(); off.DeltaTransfers != 0 || off.CoalescedDispatches != 0 {
+		if off := without.Stats().Delta; off.DeltaTransfers != 0 || off.CoalescedDispatches != 0 {
 			t.Fatalf("NoDelta run should record no deltas: %+v", off)
 		}
 		// Delta makespan must not be worse: fewer bytes on the same network.
-		if with.Makespan() > without.Makespan() {
-			t.Fatalf("delta should not slow the run: %v vs %v", with.Makespan(), without.Makespan())
+		if with.Stats().Makespan > without.Stats().Makespan {
+			t.Fatalf("delta should not slow the run: %v vs %v", with.Stats().Makespan, without.Stats().Makespan)
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestDeltaAcrossHeterogeneousFormats(t *testing.T) {
 	// Workstations alternates big- and little-endian machines, so patches
 	// are byte-swapped in flight like full images.
 	x, got := pingPong(t, Options{Platform: machine.Workstations(4), Trace: true})
-	if x.DeltaStats().DeltaTransfers == 0 {
+	if x.Stats().Delta.DeltaTransfers == 0 {
 		t.Fatal("heterogeneous run should use delta transfers")
 	}
 	for i := 0; i < 8; i++ {
@@ -104,11 +104,11 @@ func TestDeltaRunIsDeterministic(t *testing.T) {
 	first, _ := pingPong(t, Options{Platform: machine.Mica(3)})
 	for i := 0; i < 2; i++ {
 		again, _ := pingPong(t, Options{Platform: machine.Mica(3)})
-		if again.Makespan() != first.Makespan() {
-			t.Fatalf("nondeterministic delta makespan: %v vs %v", again.Makespan(), first.Makespan())
+		if again.Stats().Makespan != first.Stats().Makespan {
+			t.Fatalf("nondeterministic delta makespan: %v vs %v", again.Stats().Makespan, first.Stats().Makespan)
 		}
-		if again.NetStats().Bytes != first.NetStats().Bytes {
-			t.Fatalf("nondeterministic delta bytes: %d vs %d", again.NetStats().Bytes, first.NetStats().Bytes)
+		if again.Stats().Net.Bytes != first.Stats().Net.Bytes {
+			t.Fatalf("nondeterministic delta bytes: %d vs %d", again.Stats().Net.Bytes, first.Stats().Net.Bytes)
 		}
 	}
 }
@@ -140,20 +140,20 @@ func TestDispatchCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if with.DeltaStats().CoalescedDispatches == 0 {
+	if with.Stats().Delta.CoalescedDispatches == 0 {
 		t.Fatal("dispatches should coalesce onto object transfers")
 	}
-	if len(with.Log().Filter(trace.DispatchCoalesced)) != with.DeltaStats().CoalescedDispatches {
+	if len(with.Log().Filter(trace.DispatchCoalesced)) != with.Stats().Delta.CoalescedDispatches {
 		t.Fatal("trace and stats disagree on coalesced dispatches")
 	}
-	dm, dwo := with.NetStats().Messages, without.NetStats().Messages
+	dm, dwo := with.Stats().Net.Messages, without.Stats().Net.Messages
 	if dm >= dwo {
 		t.Fatalf("coalescing should reduce message count: %d vs %d", dm, dwo)
 	}
 	// A piggybacked dispatch shares the carrier's message envelope, so each
 	// coalesced dispatch saves MsgEnvelopeBytes of framing on the wire.
-	if with.NetStats().Bytes >= without.NetStats().Bytes {
-		t.Fatalf("coalescing should save envelope bytes: %d vs %d", with.NetStats().Bytes, without.NetStats().Bytes)
+	if with.Stats().Net.Bytes >= without.Stats().Net.Bytes {
+		t.Fatalf("coalescing should save envelope bytes: %d vs %d", with.Stats().Net.Bytes, without.Stats().Net.Bytes)
 	}
 }
 

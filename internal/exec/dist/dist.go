@@ -103,10 +103,10 @@ type Exec struct {
 	// convWords counts data words format-converted in transit between
 	// heterogeneous machines (always-on, like tasksRun).
 	convWords int
-	stores   []map[access.ObjectID]any
-	dir     map[access.ObjectID]*objDir
-	labels  map[access.ObjectID]string
-	nextObj access.ObjectID
+	stores    []map[access.ObjectID]any
+	dir       map[access.ObjectID]*objDir
+	labels    map[access.ObjectID]string
+	nextObj   access.ObjectID
 	// fetches tracks in-flight read replications per object, enabling the
 	// wave (binomial-tree) distribution of hot read-shared objects.
 	fetches map[access.ObjectID]*objFetch
@@ -116,7 +116,7 @@ type Exec struct {
 	// only the changed words. A landing transfer (delta or full) clears the
 	// shadow. Unused when Options.NoDelta.
 	shadows []map[access.ObjectID]shadow
-	dstats  DeltaStats
+	dstats  rt.DeltaStats
 
 	// testHookPreStart, when set, runs just before the engine Start of a
 	// scheduled (non-inline) task. Tests use it to force Start failures.
@@ -194,24 +194,6 @@ type objDir struct {
 type shadow struct {
 	val     any
 	version uint64
-}
-
-// DeltaStats summarizes the delta-transfer and message-coalescing layer.
-type DeltaStats struct {
-	// FullTransfers and FullBytes count object transfers shipped as
-	// complete wire images (no usable shadow at the destination, or the
-	// patch would not have been smaller).
-	FullTransfers int
-	FullBytes     int64
-	// DeltaTransfers and DeltaBytes count transfers satisfied as patches
-	// against the destination's shadow; SavedBytes is the full-image bytes
-	// those patches avoided.
-	DeltaTransfers int
-	DeltaBytes     int64
-	SavedBytes     int64
-	// CoalescedDispatches counts task-dispatch control messages folded into
-	// an object transfer on the same link instead of sent standalone.
-	CoalescedDispatches int
 }
 
 // dispatchMsg is a pending task-dispatch control message that would like to
@@ -389,18 +371,23 @@ func (x *Exec) Engine() *core.Engine { return x.eng }
 // Log returns the trace log (nil unless Options.Trace).
 func (x *Exec) Log() *trace.Log { return x.log }
 
-// Makespan returns the virtual time at which the program finished.
-func (x *Exec) Makespan() time.Duration { return time.Duration(x.seng.Now()) }
-
-// NetStats returns cumulative network transfer counters.
-func (x *Exec) NetStats() netmodel.Stats { return x.net.Stats() }
-
-// DeltaStats returns cumulative delta-transfer and coalescing counters.
-func (x *Exec) DeltaStats() DeltaStats { return x.dstats }
-
-// ConvertedWords returns the total data words format-converted in transit
-// (heterogeneous platforms only; always-on).
-func (x *Exec) ConvertedWords() int { return x.convWords }
+// Stats implements rt.Exec: virtual makespan, modeled network traffic, the
+// delta ledger, and the fault counters — the network wrapper's injection
+// side merged with the executor's detection/recovery side (zero-valued for
+// fault-free runs).
+func (x *Exec) Stats() rt.Stats {
+	fs := x.fstats
+	if x.fnet != nil {
+		fs = fs.Add(x.fnet.FaultStats())
+	}
+	return rt.Stats{
+		Makespan:       time.Duration(x.seng.Now()),
+		Net:            x.net.Stats(),
+		Delta:          x.dstats,
+		Fault:          fs,
+		ConvertedWords: x.convWords,
+	}
+}
 
 func (x *Exec) record(ev trace.Event) {
 	if x.log == nil {

@@ -90,7 +90,7 @@ func runIndependent(t *testing.T, opts Options, n int, cost float64) time.Durati
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x.Makespan()
+	return x.Stats().Makespan
 }
 
 func TestSpeedupWithMoreMachines(t *testing.T) {
@@ -281,7 +281,7 @@ func transferHeavy(t *testing.T, opts Options) (time.Duration, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x.Makespan(), x.NetStats().Messages
+	return x.Stats().Makespan, x.Stats().Net.Messages
 }
 
 func TestPrefetchHidesLatency(t *testing.T) {
@@ -312,7 +312,7 @@ func TestLocalityHeuristicSavesMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return x.NetStats().Messages
+		return x.Stats().Net.Messages
 	}
 	withLoc := run(false)
 	withoutLoc := run(true)

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/format"
 	"repro/internal/rt"
 	"repro/internal/sim"
@@ -459,16 +458,6 @@ func (x *Exec) redispatchOrphans(m int) {
 			x.runTask(p, t, pl, attempt)
 		})
 	}
-}
-
-// FaultStats returns cumulative failure-injection and recovery counters:
-// the network wrapper's injection side merged with the executor's
-// detection/recovery side. Zero-valued for fault-free runs.
-func (x *Exec) FaultStats() fault.Stats {
-	if x.fnet == nil {
-		return x.fstats
-	}
-	return x.fstats.Add(x.fnet.FaultStats())
 }
 
 // replayCtx is the minimal rt.TC used to re-run a committed task's body

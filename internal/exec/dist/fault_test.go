@@ -125,7 +125,7 @@ func runFaultProg(t *testing.T, opts Options) ([][]float64, fault.Stats, time.Du
 	for i, id := range ids {
 		out[i] = append([]float64(nil), x.ObjectValue(id).([]float64)...)
 	}
-	return out, x.FaultStats(), x.Makespan()
+	return out, x.Stats().Fault, x.Stats().Makespan
 }
 
 // TestFaultCrashRecovery crashes machines mid-run and checks the program

@@ -114,8 +114,8 @@ func TestReadFanOutFormsDistributionTree(t *testing.T) {
 	// Tree: ~3 waves ≈ 123ms (+ overheads).
 	perXfer := time.Millisecond + time.Duration(float64(8*elems)/10e6*1e9)
 	serial := 7 * perXfer
-	if x.Makespan() > serial*2/3 {
-		t.Fatalf("fan-out should beat serial distribution: makespan %v vs serial %v", x.Makespan(), serial)
+	if x.Stats().Makespan > serial*2/3 {
+		t.Fatalf("fan-out should beat serial distribution: makespan %v vs serial %v", x.Stats().Makespan, serial)
 	}
 	// And the copies must not all come from machine 0.
 	srcs := map[int]bool{}

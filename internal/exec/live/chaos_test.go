@@ -305,7 +305,7 @@ func TestChaosMembershipStress(t *testing.T) {
 		if fired := c.Fired(); fired != len(script) {
 			t.Fatalf("%s: only %d of %d script steps fired", name, fired, len(script))
 		}
-		fs := c.X.FaultStats()
+		fs := c.X.Stats().Fault
 		if int(fs.CrashesInjected) != kills {
 			t.Fatalf("%s: CrashesInjected = %d, want %d", name, fs.CrashesInjected, kills)
 		}
@@ -329,11 +329,11 @@ func TestChaosDrain(t *testing.T) {
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if fs := c.X.FaultStats(); fs.WorkersDrained == 1 {
+		if fs := c.X.Stats().Fault; fs.WorkersDrained == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("WorkersDrained = %d, want 1", c.X.FaultStats().WorkersDrained)
+			t.Fatalf("WorkersDrained = %d, want 1", c.X.Stats().Fault.WorkersDrained)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -355,7 +355,7 @@ func TestChaosKillAndRecover(t *testing.T) {
 		Workers: 2,
 		Script:  []livetest.Step{{AfterDone: 4, Kill: 2}},
 	})
-	fs := c.X.FaultStats()
+	fs := c.X.Stats().Fault
 	if fs.CrashesInjected != 1 || fs.CrashesDetected != 1 {
 		t.Fatalf("crash counters = (%d injected, %d detected), want (1, 1)", fs.CrashesInjected, fs.CrashesDetected)
 	}

@@ -115,31 +115,13 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 		// dies after consuming the key, the re-dispatch re-registers it.
 		pl.body = body
 	}
-	x.mu.Lock()
-	if x.liveUser >= x.opts.MaxLiveTasks {
-		pl.inline = true
-		pl.readyCh = make(chan struct{})
-	} else {
-		x.liveUser++
-	}
-	x.mu.Unlock()
-
-	t, err := x.eng.Create(tc.t, decls, pl)
+	t, err := x.createTask(tc.t, decls, pl)
 	if err != nil {
 		if pl.bodyKey != 0 {
 			x.bodies.drop(pl.bodyKey)
 		}
-		if !pl.inline {
-			x.mu.Lock()
-			x.liveUser--
-			x.mu.Unlock()
-		}
 		return err
 	}
-	x.mu.Lock()
-	x.tasks[t.ID] = t
-	x.mu.Unlock()
-	x.record(trace.Event{Kind: trace.TaskCreated, Task: uint64(t.ID), Label: opts.Label})
 	if !pl.inline {
 		return nil
 	}
@@ -178,9 +160,7 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 		return err
 	}
 	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(t.ID), Dst: 0})
-	x.mu.Lock()
-	delete(x.tasks, t.ID)
-	x.mu.Unlock()
+	x.unregister(t)
 	x.statMu.Lock()
 	x.tasksRun++
 	x.statMu.Unlock()

@@ -424,10 +424,7 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	var orphans []orphaned
 	x.mu.Lock()
 	for _, t := range x.tasks {
-		pl, ok := t.Payload.(*payload)
-		if !ok || pl == nil {
-			continue
-		}
+		pl := t.Payload.(*payload)
 		if pl.sent && pl.machine == w.m && t.State() != core.Done {
 			pl.sent = false
 			pl.machine = -1
@@ -523,7 +520,7 @@ func (rc *replayCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
 }
 
 func (rc *replayCtx) EndAccess(access.ObjectID, access.Mode) {}
-func (rc *replayCtx) ClearAccess(access.ObjectID)           {}
+func (rc *replayCtx) ClearAccess(access.ObjectID)            {}
 
 func (rc *replayCtx) Convert(access.ObjectID, access.Mode) error { return nil }
 func (rc *replayCtx) Retract(access.ObjectID, access.Mode) error { return nil }

@@ -20,6 +20,60 @@ func (x *Exec) task(id uint64) *core.Task {
 	return x.tasks[core.TaskID(id)]
 }
 
+// register enters a task in the table that task resolves wire ids
+// against. A task's id leaves the coordinator in exactly one frame — the
+// dispatch frame of a scheduled task, the create reply of an inline one —
+// and the task must be in the table before that frame exists, or the
+// worker's first message about it (a pre-grant notify, its completion)
+// finds nothing. So each task is registered exactly once, by the step
+// that precedes its frame: onReady before it starts the dispatch
+// goroutine, createTask before it returns an inline child. A creator
+// returning from eng.Create after its scheduled child already ran and
+// retired registers nothing, so a retired task is never put back for the
+// recovery sweep to mistake for one in flight.
+func (x *Exec) register(t *core.Task) {
+	x.mu.Lock()
+	x.tasks[t.ID] = t
+	x.mu.Unlock()
+}
+
+// unregister retires a task's table entry.
+func (x *Exec) unregister(t *core.Task) {
+	x.mu.Lock()
+	delete(x.tasks, t.ID)
+	x.mu.Unlock()
+}
+
+// createTask is the one path by which a withonly-do enters the engine,
+// whether its creator runs on the coordinator (mainCtx.Create) or on a
+// worker (handleCreate): decide inline-vs-dispatch under the creation
+// throttle, create, and give the throttle count back if the engine
+// refuses the task.
+func (x *Exec) createTask(parent *core.Task, decls []access.Decl, pl *payload) (*core.Task, error) {
+	x.mu.Lock()
+	if x.liveUser >= x.opts.MaxLiveTasks {
+		pl.inline = true
+		pl.readyCh = make(chan struct{})
+	} else {
+		x.liveUser++
+	}
+	x.mu.Unlock()
+	t, err := x.eng.Create(parent, decls, pl)
+	if err != nil {
+		if !pl.inline {
+			x.mu.Lock()
+			x.liveUser--
+			x.mu.Unlock()
+		}
+		return nil, err
+	}
+	if pl.inline {
+		x.register(t)
+	}
+	x.record(trace.Event{Kind: trace.TaskCreated, Task: uint64(t.ID), Label: pl.opts.Label})
+	return t, nil
+}
+
 // recvLoop drains one worker's connection for the whole run. Handlers
 // that can block (waiting for an access grant, task readiness, or the
 // coherence lock) run in goroutines; everything handled inline must
@@ -128,9 +182,7 @@ func (x *Exec) handleTaskDone(w *workerLink, f *wire.Frame, errText string) {
 	if pl.inline {
 		// Inline children are not throttle-counted or wg-tracked; only
 		// the bookkeeping map and the run counter need updating.
-		x.mu.Lock()
-		delete(x.tasks, t.ID)
-		x.mu.Unlock()
+		x.unregister(t)
 		x.statMu.Lock()
 		if errText == "" {
 			x.tasksRun++
@@ -270,28 +322,11 @@ func (x *Exec) handleCreate(w *workerLink, f *wire.Frame) {
 		// the closure so a crash of the executing worker can re-run it.
 		pl.body, _ = x.bodies.peek(f.A)
 	}
-	x.mu.Lock()
-	if x.liveUser >= x.opts.MaxLiveTasks {
-		pl.inline = true
-		pl.readyCh = make(chan struct{})
-	} else {
-		x.liveUser++
-	}
-	x.mu.Unlock()
-	t, err := x.eng.Create(parent, c.decls, pl)
+	t, err := x.createTask(parent, c.decls, pl)
 	if err != nil {
-		if !pl.inline {
-			x.mu.Lock()
-			x.liveUser--
-			x.mu.Unlock()
-		}
 		w.reply(f.Req, err.Error(), 0, 0)
 		return
 	}
-	x.mu.Lock()
-	x.tasks[t.ID] = t
-	x.mu.Unlock()
-	x.record(trace.Event{Kind: trace.TaskCreated, Task: uint64(t.ID), Label: f.Label})
 	var inlineFlag uint64
 	if pl.inline {
 		inlineFlag = 1
@@ -328,9 +363,7 @@ func (x *Exec) handleStart(w *workerLink, f *wire.Frame) {
 		if cerr := x.eng.Complete(t); cerr != nil {
 			x.fail(cerr)
 		}
-		x.mu.Lock()
-		delete(x.tasks, t.ID)
-		x.mu.Unlock()
+		x.unregister(t)
 		w.reply(f.Req, err.Error(), 0, 0)
 		return
 	}

@@ -40,9 +40,8 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/exec/dist"
-	"repro/internal/format"
 	"repro/internal/fault"
+	"repro/internal/format"
 	"repro/internal/netmodel"
 	"repro/internal/rt"
 	"repro/internal/trace"
@@ -175,7 +174,7 @@ type workerLink struct {
 	fmt   format.ByteOrder
 	group uint64
 	// slots is the concurrent task capacity the worker advertised in its
-	// hello; surfaced by SlotStats so quota starvation is debuggable.
+	// hello; surfaced by Stats so quota starvation is debuggable.
 	slots int
 
 	// Scheduler load estimate; guarded by x.mu.
@@ -193,7 +192,7 @@ type workerLink struct {
 
 	// Wire-traffic counters for this link, split by direction. Updated
 	// lock-free on the per-frame send/recv hot paths and read
-	// transiently by NetStats; the statMu-guarded global ledger keeps
+	// transiently by Stats; the statMu-guarded global ledger keeps
 	// only handshake traffic, which flows before the link exists.
 	outMsgs, outBytes, inMsgs, inBytes atomic.Int64
 	// recvDone closes when the worker's receive loop exits; recovery
@@ -227,18 +226,18 @@ type Exec struct {
 
 	// mu guards executor bookkeeping: task maps, throttle, RPC routing,
 	// scheduler load, membership state, first error.
-	mu       sync.Mutex
-	cond     *sync.Cond // on mu; broadcast on epoch bumps and fatal
-	started  bool
-	closing  bool
-	epoch    uint64 // membership epoch; parked operations retry on change
-	nextMachine int // next machine index to assign (indices never reused)
-	tasks    map[core.TaskID]*core.Task
-	liveUser int
-	nextObj  access.ObjectID
-	nextReq  uint64
-	pending  map[uint64]chan *wire.Frame // outstanding coordinator→worker RPCs
-	firstErr error
+	mu          sync.Mutex
+	cond        *sync.Cond // on mu; broadcast on epoch bumps and fatal
+	started     bool
+	closing     bool
+	epoch       uint64 // membership epoch; parked operations retry on change
+	nextMachine int    // next machine index to assign (indices never reused)
+	tasks       map[core.TaskID]*core.Task
+	liveUser    int
+	nextObj     access.ObjectID
+	nextReq     uint64
+	pending     map[uint64]chan *wire.Frame // outstanding coordinator→worker RPCs
+	firstErr    error
 
 	// coh serializes the coherence protocol: directory state, the
 	// coordinator's value cache, generation snapshots, and the pushes/
@@ -266,7 +265,7 @@ type Exec struct {
 	// statMu guards the metrics ledgers.
 	statMu    sync.Mutex
 	net       netmodel.Stats
-	dstats    dist.DeltaStats
+	dstats    rt.DeltaStats
 	fstats    fault.Stats
 	convWords int
 	busy      []time.Duration // per machine (0 = coordinator)
@@ -350,76 +349,68 @@ func (x *Exec) Counters() rt.Counters {
 	}
 }
 
-// NetStats returns the real frame traffic: every protocol frame counted
-// once per direction, with the coordinator as machine 0 in ByLink.
-func (x *Exec) NetStats() netmodel.Stats {
+// Stats implements rt.Exec. Every section is lock-protected or atomic,
+// so it is safe to call while the run is in flight (a metrics scrape).
+// Makespan stays zero: a live run's duration is wall time.
+func (x *Exec) Stats() rt.Stats {
 	x.mu.Lock()
 	links := append([]*workerLink(nil), x.workers...)
-	x.mu.Unlock()
-	x.statMu.Lock()
-	s := x.net
-	s.ByLink = make(map[netmodel.Link]netmodel.LinkStats, len(x.net.ByLink)+2*len(links))
-	for k, v := range x.net.ByLink {
-		s.ByLink[k] = v
-	}
-	x.statMu.Unlock()
-	// Fold in the lock-free per-link counters. Links are never removed
-	// from x.workers (departed members are state-marked), so departed
-	// traffic is still here.
+	slots := make([]rt.WorkerSlots, 0, len(links))
 	for _, w := range links {
-		if n := w.outMsgs.Load(); n > 0 {
-			l := netmodel.Link{Src: 0, Dst: w.m}
-			ls := s.ByLink[l]
-			ls.Messages += int(n)
-			ls.Bytes += w.outBytes.Load()
-			s.ByLink[l] = ls
-			s.Messages += int(n)
-			s.Bytes += w.outBytes.Load()
+		ws := rt.WorkerSlots{
+			Machine: w.m, Name: w.name, State: w.state.String(),
+			Slots: w.slots, Held: w.pendingTasks,
 		}
-		if n := w.inMsgs.Load(); n > 0 {
-			l := netmodel.Link{Src: w.m, Dst: 0}
-			ls := s.ByLink[l]
-			ls.Messages += int(n)
-			ls.Bytes += w.inBytes.Load()
-			s.ByLink[l] = ls
-			s.Messages += int(n)
-			s.Bytes += w.inBytes.Load()
+		if ws.Free = ws.Slots - ws.Held; ws.Free < 0 {
+			ws.Free = 0
 		}
+		slots = append(slots, ws)
 	}
-	return s
-}
+	x.mu.Unlock()
 
-// DeltaStats returns the delta-transfer ledger. CoalescedDispatches
-// counts dispatch frames that rode the task's first object push instead
-// of crossing the wire on their own (see dispatchCarrier).
-func (x *Exec) DeltaStats() dist.DeltaStats {
 	x.statMu.Lock()
-	defer x.statMu.Unlock()
-	return x.dstats
-}
-
-// FaultStats reports transport-level resilience work: heartbeats,
-// retransmits and duplicate drops from each worker session.
-func (x *Exec) FaultStats() fault.Stats {
-	x.statMu.Lock()
-	s := x.fstats
+	st := rt.Stats{
+		Net:            x.net,
+		Delta:          x.dstats,
+		Fault:          x.fstats,
+		ConvertedWords: x.convWords,
+		Workers:        slots,
+	}
+	st.Net.ByLink = make(map[netmodel.Link]netmodel.LinkStats, len(x.net.ByLink)+2*len(links))
+	for k, v := range x.net.ByLink {
+		st.Net.ByLink[k] = v
+	}
 	x.statMu.Unlock()
-	for _, w := range x.workerList() {
-		if ts, ok := w.conn.(transport.Statser); ok {
-			st := ts.Stats()
-			s.HeartbeatsSent += int(st.Heartbeats)
-			s.MessagesRetried += int(st.Retransmits)
-			s.DuplicatesDropped += int(st.DupsDropped)
+
+	// Net is the real frame traffic, every protocol frame counted once per
+	// direction with the coordinator as machine 0 in ByLink: fold in the
+	// lock-free per-link counters. Links are never removed from x.workers
+	// (departed members are state-marked), so departed traffic is still
+	// here.
+	fold := func(l netmodel.Link, msgs, bytes int64) {
+		if msgs == 0 {
+			return
+		}
+		ls := st.Net.ByLink[l]
+		ls.Messages += int(msgs)
+		ls.Bytes += bytes
+		st.Net.ByLink[l] = ls
+		st.Net.Messages += int(msgs)
+		st.Net.Bytes += bytes
+	}
+	for _, w := range links {
+		fold(netmodel.Link{Src: 0, Dst: w.m}, w.outMsgs.Load(), w.outBytes.Load())
+		fold(netmodel.Link{Src: w.m, Dst: 0}, w.inMsgs.Load(), w.inBytes.Load())
+		// Fault also reports transport-level resilience work: heartbeats,
+		// retransmits and duplicate drops from each worker session.
+		if sr, ok := w.conn.(transport.Statser); ok {
+			ts := sr.Stats()
+			st.Fault.HeartbeatsSent += int(ts.Heartbeats)
+			st.Fault.MessagesRetried += int(ts.Retransmits)
+			st.Fault.DuplicatesDropped += int(ts.DupsDropped)
 		}
 	}
-	return s
-}
-
-// ConvertedWords returns how many words crossed byte-order conversion.
-func (x *Exec) ConvertedWords() int {
-	x.statMu.Lock()
-	defer x.statMu.Unlock()
-	return x.convWords
+	return st
 }
 
 func (x *Exec) record(ev trace.Event) {
@@ -604,9 +595,6 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	}
 
 	rootT := x.eng.Root()
-	x.mu.Lock()
-	x.tasks[rootT.ID] = rootT
-	x.mu.Unlock()
 	tc := &mainCtx{x: x, t: rootT}
 	tc.heldSince = time.Now()
 	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(rootT.ID), Dst: 0, Label: "main"})
@@ -766,6 +754,7 @@ func (x *Exec) onReady(t *core.Task) {
 		close(pl.readyCh)
 		return
 	}
+	x.register(t)
 	x.wg.Add(1)
 	go x.dispatch(t, pl)
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +120,63 @@ func TestThrottleInline(t *testing.T) {
 	}
 }
 
+// TestCreateCompletionRace: a flat stream of near-empty tasks on several
+// processors, where a worker finishes a task (and sends its pre-grant
+// notify and its completion) while the creator is still returning from
+// eng.Create. Every run must be bit-identical to the serial order, raise no
+// fatal error, and leave the task table empty — a task registered after it
+// retired would stay there for the recovery sweep to find.
+func TestCreateCompletionRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const tasks, objects, runs = 2000, 8, 20
+	step := func(v int64, i int) int64 { return v*31 + int64(i) }
+	want := make([]int64, objects)
+	for i := 0; i < tasks; i++ {
+		want[i%objects] = step(want[i%objects], i)
+	}
+	for run := 0; run < runs; run++ {
+		x := newInproc(t, 4, Options{})
+		ids := make([]access.ObjectID, objects)
+		err := x.Run(func(tc rt.TC) {
+			for i := range ids {
+				id, err := tc.Alloc([]int64{0}, fmt.Sprintf("obj%d", i))
+				if err != nil {
+					panic(err)
+				}
+				ids[i] = id
+			}
+			for i := 0; i < tasks; i++ {
+				i, obj := i, ids[i%objects]
+				err := tc.Create([]access.Decl{{Object: obj, Mode: access.ReadWrite}}, rt.TaskOpts{Label: "step"}, func(body rt.TC) {
+					v, err := body.Access(obj, access.ReadWrite)
+					if err != nil {
+						panic(err)
+					}
+					s := v.([]int64)
+					s[0] = step(s[0], i)
+				})
+				if err != nil {
+					panic(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for k, id := range ids {
+			if got := x.ObjectValue(id).([]int64)[0]; got != want[k] {
+				t.Fatalf("run %d: object %d = %d, want %d", run, k, got, want[k])
+			}
+		}
+		x.mu.Lock()
+		left := len(x.tasks)
+		x.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("run %d: %d tasks left in the table after Run", run, left)
+		}
+	}
+}
+
 // TestStatsPopulated: a live run reports real traffic — frames on every
 // link, delta transfers once objects bounce between writers.
 func TestStatsPopulated(t *testing.T) {
@@ -127,9 +185,9 @@ func TestStatsPopulated(t *testing.T) {
 	if _, _, err := exectest.RunOn(x, spec); err != nil {
 		t.Fatal(err)
 	}
-	net := x.NetStats()
+	net := x.Stats().Net
 	if net.Messages == 0 || net.Bytes == 0 {
-		t.Fatalf("NetStats = %+v, want real traffic", net)
+		t.Fatalf("Stats().Net = %+v, want real traffic", net)
 	}
 	found := 0
 	for l := range net.ByLink {
@@ -138,9 +196,9 @@ func TestStatsPopulated(t *testing.T) {
 		}
 	}
 	if found == 0 {
-		t.Fatal("NetStats.ByLink has no coordinator links")
+		t.Fatal("Stats().Net.ByLink has no coordinator links")
 	}
-	d := x.DeltaStats()
+	d := x.Stats().Delta
 	if d.FullTransfers == 0 {
 		t.Fatalf("DeltaStats = %+v, want full transfers", d)
 	}

@@ -1,7 +1,7 @@
 package live_test
 
 // Regression test for the per-worker slot accounting surfaced through
-// SlotStats (and jade's Report.Workers): after a run with a mid-stream
+// Stats().Workers (and jade's Report.Workers): after a run with a mid-stream
 // graceful drain, the counts must be exact — advertised capacity
 // preserved, every held slot returned, the drained worker visible in
 // membership state "left" rather than silently dropped from the view.
@@ -57,9 +57,9 @@ func TestSlotStatsExactAfterDrain(t *testing.T) {
 		t.Fatalf("counter = %d, want %d", got, nTasks)
 	}
 
-	stats := c.X.SlotStats()
+	stats := c.X.Stats().Workers
 	if len(stats) != 2 {
-		t.Fatalf("SlotStats has %d workers, want 2", len(stats))
+		t.Fatalf("Stats().Workers has %d workers, want 2", len(stats))
 	}
 	for _, w := range stats {
 		if w.Machine != 1 && w.Machine != 2 {

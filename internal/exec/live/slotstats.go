@@ -28,38 +28,6 @@ func (x *Exec) loadOf(w *workerLink) int {
 	return w.pendingTasks
 }
 
-// WorkerSlots is the coordinator's slot-accounting view of one worker:
-// the capacity it advertised at handshake against the tasks currently
-// charged to it. Surfaced through Report() so quota starvation — a
-// worker with zero Free while its siblings idle — is debuggable rather
-// than invisible.
-type WorkerSlots struct {
-	Machine int    // machine index (1-based)
-	Name    string // worker's advertised name
-	State   string // membership state: active, draining, dead, left
-	Slots   int    // task slots advertised in the hello
-	Held    int    // tasks dispatched here and not yet retired
-	Free    int    // max(0, Slots-Held); held RPC-yielded slots count as free
-}
-
-// SlotStats snapshots per-worker slot accounting, in machine order.
-func (x *Exec) SlotStats() []WorkerSlots {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	out := make([]WorkerSlots, 0, len(x.workers))
-	for _, w := range x.workers {
-		s := WorkerSlots{
-			Machine: w.m, Name: w.name, State: w.state.String(),
-			Slots: w.slots, Held: w.pendingTasks,
-		}
-		if s.Free = s.Slots - s.Held; s.Free < 0 {
-			s.Free = 0
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // ObjectIDs snapshots every object id this coordinator tracks anywhere:
 // the directory, the machine-0 value cache, and the replay input logs.
 // The cross-tenant isolation tests assert that two sessions' snapshots

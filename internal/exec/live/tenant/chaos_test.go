@@ -177,7 +177,7 @@ func TestTenantChaosKillRecoversEverySession(t *testing.T) {
 		if anchors[i] != anchorMark {
 			t.Errorf("session %d anchor = %d, want %d (lost in recovery)", s.ID(), anchors[i], anchorMark)
 		}
-		if fs := s.X.FaultStats(); fs.CrashesDetected < 1 {
+		if fs := s.X.Stats().Fault; fs.CrashesDetected < 1 {
 			t.Errorf("session %d (tenant %s) never detected the daemon kill", s.ID(), s.Tenant())
 		}
 		inRange(t, "coordinator", s.ID(), s.X.ObjectIDs())

@@ -134,8 +134,7 @@ func (s *Service) Report() ServiceReport {
 	// s.mu so a busy session cannot stall OpenSession.
 	for _, sess := range resident {
 		cnt := sess.X.Counters()
-		net := sess.X.NetStats()
-		fst := sess.X.FaultStats()
+		st := sess.X.Stats()
 		tr := r.Tenants[sess.tenant]
 		if tr.Profile.Name == "" {
 			tr.Profile = s.profileFor(sess.tenant)
@@ -143,9 +142,9 @@ func (s *Service) Report() ServiceReport {
 		tr.Active++
 		tr.Sessions++
 		tr.TasksRun += cnt.TasksRun
-		tr.Frames += net.Messages
-		tr.Bytes += net.Bytes
-		tr.Crashes += fst.CrashesDetected
+		tr.Frames += st.Net.Messages
+		tr.Bytes += st.Net.Bytes
+		tr.Crashes += st.Fault.CrashesDetected
 		r.Tenants[sess.tenant] = tr
 		if lat := obs.LatencyByLabel(sess.X.Log().Events()); len(lat) > 0 {
 			if latAcc[sess.tenant] == nil {

@@ -109,7 +109,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	profiles  map[string]Profile // declared tenants (ShardManager's "profiles")
+	profiles  map[string]Profile  // declared tenants (ShardManager's "profiles")
 	active    map[uint64]*Session // admitted sessions ("active")
 	perTenant map[string]int      // admitted sessions per tenant
 	admitting int                 // admitted but not yet in active
@@ -366,8 +366,7 @@ func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile) (*Ses
 // per-tenant aggregate.
 func (s *Service) retire(sess *Session) {
 	cnt := sess.X.Counters()
-	net := sess.X.NetStats()
-	fst := sess.X.FaultStats()
+	st := sess.X.Stats()
 	log := sess.X.Log()
 	lat := obs.LatencyByLabel(log.Events())
 	s.mu.Lock()
@@ -377,9 +376,9 @@ func (s *Service) retire(sess *Session) {
 	tot := s.retired[sess.tenant]
 	tot.sessions++
 	tot.tasksRun += cnt.TasksRun
-	tot.frames += net.Messages
-	tot.bytes += net.Bytes
-	tot.crashes += fst.CrashesDetected
+	tot.frames += st.Net.Messages
+	tot.bytes += st.Net.Bytes
+	tot.crashes += st.Fault.CrashesDetected
 	if tot.latency == nil {
 		tot.latency = map[string]obs.LabelLatency{}
 	}

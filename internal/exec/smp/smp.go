@@ -151,6 +151,10 @@ func (x *Exec) Counters() rt.Counters {
 	}
 }
 
+// Stats implements rt.Exec: shared memory has no network, no delta layer,
+// no failures and no worker fleet to report.
+func (x *Exec) Stats() rt.Stats { return rt.Stats{} }
+
 // takeSlot claims a processor slot and starts its busy stopwatch.
 func (x *Exec) takeSlot() int {
 	slot := <-x.slots

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -64,7 +65,7 @@ type Fig7Result struct {
 	Narrative []string
 	// Gantt is a per-machine text timeline.
 	Gantt string
-	// Chrome is the execution in Chrome trace-event JSON.
+	// Chrome is the execution as Perfetto/Chrome trace JSON.
 	Chrome []byte
 }
 
@@ -109,15 +110,15 @@ func Fig7() (*Fig7Result, error) {
 			lines = append(lines, ev.String())
 		}
 	}
-	chrome, err := r.ChromeTraceJSON()
-	if err != nil {
+	var chrome bytes.Buffer
+	if err := r.ExportTrace(&chrome, jade.ObsOptions{}); err != nil {
 		return nil, err
 	}
 	return &Fig7Result{
 		Table:     tb,
 		Narrative: lines,
 		Gantt:     trace.Gantt(r.TraceLog()),
-		Chrome:    chrome,
+		Chrome:    chrome.Bytes(),
 	}, nil
 }
 

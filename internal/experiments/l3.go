@@ -9,24 +9,23 @@ import (
 	"repro/jade"
 )
 
-// L3Point is one measured transport in the live throughput bench,
-// shaped for the BENCH_live.json artifact.
+// L3Point is one measured transport in the live throughput bench.
 type L3Point struct {
-	Transport      string  `json:"transport"`
-	Workers        int     `json:"workers"`
-	Grid           int     `json:"grid"`
-	Rounds         int     `json:"rounds"`
-	BestWallNS     int64   `json:"best_wall_ns"`
-	Tasks          int     `json:"tasks"`
-	TasksPerSec    float64 `json:"tasks_per_sec"`
-	Frames         int     `json:"frames"`
-	FramesPerSec   float64 `json:"frames_per_sec"`
-	Bytes          int64   `json:"bytes"`
-	CoalescedDisp  int     `json:"coalesced_dispatches"`
-	DeltaTransfers int     `json:"delta_transfers"`
+	Transport      string
+	Workers        int
+	Grid           int
+	Rounds         int
+	BestWallNS     int64
+	Tasks          int
+	TasksPerSec    float64
+	Frames         int
+	FramesPerSec   float64
+	Bytes          int64
+	CoalescedDisp  int
+	DeltaTransfers int
 }
 
-// L3Result carries the rendered table plus the raw points for JSON.
+// L3Result carries the rendered table plus the raw points.
 type L3Result struct {
 	Table  *Table
 	Points []L3Point

@@ -12,24 +12,23 @@ import (
 	"repro/jade"
 )
 
-// MT1Point is one measured transport in the multi-tenant serving bench,
-// shaped for the BENCH_tenant.json artifact.
+// MT1Point is one measured transport in the multi-tenant serving bench.
 type MT1Point struct {
-	Transport     string  `json:"transport"`
-	Sessions      int     `json:"sessions"`
-	Tenants       int     `json:"tenants"`
-	Workers       int     `json:"workers"`
-	MaxConcurrent int     `json:"max_concurrent"`
-	WallNS        int64   `json:"wall_ns"`
-	Tasks         int     `json:"tasks"`
-	TasksPerSec   float64 `json:"tasks_per_sec"`
-	PeakActive    int     `json:"peak_active"`
-	Queued        int     `json:"queued"`
-	Frames        int     `json:"frames"`
-	Bytes         int64   `json:"bytes"`
+	Transport     string
+	Sessions      int
+	Tenants       int
+	Workers       int
+	MaxConcurrent int
+	WallNS        int64
+	Tasks         int
+	TasksPerSec   float64
+	PeakActive    int
+	Queued        int
+	Frames        int
+	Bytes         int64
 }
 
-// MT1Result carries the rendered table plus the raw points for JSON.
+// MT1Result carries the rendered table plus the raw points.
 type MT1Result struct {
 	Table  *Table
 	Points []MT1Point

@@ -37,12 +37,12 @@ func (c S1Config) WithDefaults() S1Config {
 }
 
 // S1Point is one (application, processor count) measurement with its full
-// profile, for jadebench's -profile rendering and -profilejson dump.
+// profile, for jadebench's -profile rendering.
 type S1Point struct {
-	App     string        `json:"app"`
-	Procs   int           `json:"procs"`
-	Makespan time.Duration `json:"makespan"`
-	Profile *jade.Profile `json:"profile"`
+	App      string
+	Procs    int
+	Makespan time.Duration
+	Profile  *jade.Profile
 }
 
 // S1Result is the sweep table plus the per-point profiles.

@@ -10,22 +10,22 @@ import (
 )
 
 // SV1Point is one (transport, arrival rate) measurement of the serving
-// workload, shaped for the BENCH_serve.json artifact.
+// workload.
 type SV1Point struct {
-	Transport    string  `json:"transport"`
-	Workers      int     `json:"workers"`
-	Rate         float64 `json:"rate_rps"`
-	Requests     int     `json:"requests"`
-	P50NS        int64   `json:"p50_ns"`
-	P90NS        int64   `json:"p90_ns"`
-	P99NS        int64   `json:"p99_ns"`
-	MaxNS        int64   `json:"max_ns"`
-	MeanNS       int64   `json:"mean_ns"`
-	WallNS       int64   `json:"wall_ns"`
-	AchievedRate float64 `json:"achieved_rps"`
+	Transport    string
+	Workers      int
+	Rate         float64
+	Requests     int
+	P50NS        int64
+	P90NS        int64
+	P99NS        int64
+	MaxNS        int64
+	MeanNS       int64
+	WallNS       int64
+	AchievedRate float64
 }
 
-// SV1Result carries the rendered table plus the raw points for JSON.
+// SV1Result carries the rendered table plus the raw points.
 type SV1Result struct {
 	Table  *Table
 	Points []SV1Point

@@ -127,6 +127,11 @@ func TestChromeTruncatedPartialExport(t *testing.T) {
 			t.Errorf("no exec slice for surviving task %d", id)
 		}
 	}
+	// Task 1 kept its completion but lost its start: an unpaired
+	// completion is ignored, not rendered from a made-up start.
+	if st.ExecTasks[1] {
+		t.Errorf("task 1 rendered without a surviving start event")
+	}
 	if !strings.Contains(string(data), `"droppedEvents":8`) {
 		t.Errorf("otherData does not record the dropped count")
 	}

@@ -20,7 +20,7 @@ type taskView struct {
 	label   string
 	machine int
 
-	created, assigned, fetched, scheduled, started, completed, committed             time.Duration
+	created, assigned, fetched, scheduled, started, completed, committed                      time.Duration
 	hasCreated, hasAssigned, hasFetched, hasScheduled, hasStarted, hasCompleted, hasCommitted bool
 
 	// Derived slice boundaries (valid when hasCompleted):

@@ -117,15 +117,15 @@ type Profile struct {
 // event wins: a crash-recovery re-execution re-emits the lifecycle, and the
 // completing attempt is the one that matters.
 type taskRec struct {
-	id                                    uint64
-	label                                 string
-	machine                               int
-	created, ready, assigned, fetched     time.Duration
-	scheduled, started, completed         time.Duration
-	hasCreated, hasReady, hasFetched      bool
+	id                                     uint64
+	label                                  string
+	machine                                int
+	created, ready, assigned, fetched      time.Duration
+	scheduled, started, completed          time.Duration
+	hasCreated, hasReady, hasFetched       bool
 	hasScheduled, hasStarted, hasCompleted bool
-	committed                             time.Duration
-	hasCommitted                          bool
+	committed                              time.Duration
+	hasCommitted                           bool
 
 	phases Phases
 	weight time.Duration

@@ -1,5 +1,6 @@
 // Package rt defines the contract between the public jade package and the
-// execution substrates (internal/exec/smp, internal/exec/dist). A Jade
+// execution substrates (internal/exec/smp, internal/exec/dist,
+// internal/exec/live). A Jade
 // program is written once against the TC interface; the paper's portability
 // claim — the same program runs unmodified on shared-memory machines,
 // message-passing machines and heterogeneous workstation networks — becomes
@@ -12,6 +13,8 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
 
@@ -26,6 +29,61 @@ type Counters struct {
 	// Busy is per-machine (per processor slot on the shared-memory
 	// executor) time spent holding the processor.
 	Busy []time.Duration
+}
+
+// DeltaStats summarizes the delta-transfer and message-coalescing layer.
+type DeltaStats struct {
+	// FullTransfers and FullBytes count object transfers shipped as
+	// complete wire images (no usable shadow at the destination, or the
+	// patch would not have been smaller).
+	FullTransfers int
+	FullBytes     int64
+	// DeltaTransfers and DeltaBytes count transfers satisfied as patches
+	// against the destination's shadow; SavedBytes is the full-image bytes
+	// those patches avoided.
+	DeltaTransfers int
+	DeltaBytes     int64
+	SavedBytes     int64
+	// CoalescedDispatches counts task-dispatch control messages folded into
+	// an object transfer on the same link instead of sent standalone.
+	CoalescedDispatches int
+}
+
+// WorkerSlots is the coordinator's slot-accounting view of one worker:
+// the capacity it advertised at handshake against the tasks currently
+// charged to it. Surfaced through the metrics report so quota starvation —
+// a worker with zero Free while its siblings idle — is debuggable rather
+// than invisible.
+type WorkerSlots struct {
+	Machine int    // machine index (1-based)
+	Name    string // worker's advertised name
+	State   string // membership state: active, draining, dead, left
+	Slots   int    // task slots advertised in the hello
+	Held    int    // tasks dispatched here and not yet retired
+	Free    int    // max(0, Slots-Held); held RPC-yielded slots count as free
+}
+
+// Stats are the sections of the metrics report that only a message-passing
+// executor can fill. The shared-memory executor returns the zero value; a
+// section an executor does not have (virtual time on a live run, worker
+// slots on a simulated one) stays zero.
+type Stats struct {
+	// Makespan is the virtual time at which the program finished, on an
+	// executor that runs in virtual time.
+	Makespan time.Duration
+	// Net counts network transfers: modeled messages on a simulated run,
+	// real frames on a live one.
+	Net netmodel.Stats
+	// Delta is the delta-transfer and dispatch-coalescing ledger.
+	Delta DeltaStats
+	// Fault counts injected or detected failures and the recovery work
+	// they caused.
+	Fault fault.Stats
+	// ConvertedWords counts data words format-converted in transit between
+	// heterogeneous machines.
+	ConvertedWords int
+	// Workers is per-worker slot accounting, in machine order.
+	Workers []WorkerSlots
 }
 
 // TaskOpts carries per-task scheduling information (§4.5 low-level control
@@ -115,6 +173,10 @@ type Exec interface {
 	Log() *trace.Log
 	// Counters returns the always-on execution counters. Valid after Run.
 	Counters() Counters
+	// Stats returns the message-passing sections of the metrics report.
+	// It is a snapshot for after Run or for a metrics scrape, not a
+	// per-task call.
+	Stats() Stats
 	// ObjectValue returns an object's final value after Run (the owner
 	// machine's version). It is intended for result verification.
 	ObjectValue(obj access.ObjectID) any

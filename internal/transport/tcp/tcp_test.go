@@ -190,14 +190,11 @@ func TestReconnectResumes(t *testing.T) {
 			t.Fatalf("msg %d = %q: stream did not resume at the next whole message", i, msg)
 		}
 	}
-	st := c.Stats()
-	if st.Reconnects == 0 {
+	// Whether frames were still unacked when the socket dropped is a timing
+	// accident, so Retransmits is not asserted here;
+	// TestDuplicateDroppedBySeq pins retransmission deterministically.
+	if st := c.Stats(); st.Reconnects == 0 {
 		t.Error("client Stats().Reconnects = 0, want > 0")
-	}
-	// The killed socket had frames in flight; the resume handshake must
-	// have retransmitted the unacked suffix.
-	if st.Retransmits == 0 {
-		t.Error("client Stats().Retransmits = 0, want > 0")
 	}
 }
 

@@ -64,7 +64,12 @@ type NetworkStats = netmodel.Stats
 
 // DeltaStats summarizes the simulated runtime's delta-transfer and
 // message-coalescing layer.
-type DeltaStats = dist.DeltaStats
+type DeltaStats = rt.DeltaStats
+
+// WorkerSlots is one live worker's slot accounting (capacity advertised
+// at handshake vs. tasks currently charged to it), surfaced in
+// Report.Workers.
+type WorkerSlots = rt.WorkerSlots
 
 // FaultPlan scripts failures for a simulated run: machine crashes at virtual
 // times, message loss/duplication rates, and timed link partitions. The
@@ -589,8 +594,8 @@ func (r *Runtime) Run(main func(t *Task)) error {
 // Makespan returns the program duration: virtual time for a simulated
 // runtime, wall-clock time for the SMP runtime.
 func (r *Runtime) Makespan() time.Duration {
-	if x, ok := r.ex.(*dist.Exec); ok {
-		return x.Makespan()
+	if r.simulated {
+		return r.ex.Stats().Makespan
 	}
 	return r.wall
 }
@@ -658,35 +663,29 @@ type Report struct {
 func (r *Runtime) Report() Report {
 	es := r.ex.Engine().Stats()
 	c := r.ex.Counters()
+	st := r.ex.Stats()
+	makespan := r.Makespan()
 	rep := Report{
-		Makespan: r.Makespan(),
+		Makespan: makespan,
 		Tasks: TaskStats{
 			Created:   es.TasksCreated,
 			Completed: es.TasksCompleted,
 			Run:       c.TasksRun,
 			Busy:      c.Busy,
 		},
-		Engine: es,
-	}
-	switch x := r.ex.(type) {
-	case *dist.Exec:
-		rep.Net = x.NetStats()
-		rep.Delta = x.DeltaStats()
-		rep.Fault = x.FaultStats()
-		rep.ConvertedWords = x.ConvertedWords()
-	case *live.Exec:
-		rep.Net = x.NetStats()
-		rep.Delta = x.DeltaStats()
-		rep.Fault = x.FaultStats()
-		rep.ConvertedWords = x.ConvertedWords()
-		rep.Workers = x.SlotStats()
+		Engine:         es,
+		Net:            st.Net,
+		Delta:          st.Delta,
+		Fault:          st.Fault,
+		ConvertedWords: st.ConvertedWords,
+		Workers:        st.Workers,
 	}
 	log := r.ex.Log()
 	events := log.Events()
 	rep.Profile = profile.Compute(profile.Input{
 		Events:      events,
 		Dropped:     log.Dropped(),
-		Makespan:    r.Makespan(),
+		Makespan:    makespan,
 		MachineBusy: c.Busy,
 	})
 	rep.Latency = obs.LatencyByLabel(events)
@@ -706,13 +705,6 @@ func (r *Runtime) TraceLog() *trace.Log {
 // (requires tracing) — the paper's Figure 4.
 func (r *Runtime) TaskGraphDOT(title string) string {
 	return trace.TaskGraphDOT(r.ex.Log(), title)
-}
-
-// ChromeTraceJSON renders the execution as Chrome trace-event JSON
-// (requires tracing): task spans per machine plus object-motion instants,
-// viewable in chrome://tracing or Perfetto.
-func (r *Runtime) ChromeTraceJSON() ([]byte, error) {
-	return trace.ChromeJSON(r.ex.Log())
 }
 
 // Task is the handle a running task body uses to declare children, refine

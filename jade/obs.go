@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/exec/live"
-	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/rt"
@@ -41,7 +39,7 @@ type ObsConfig struct {
 // startObs wires the runtime's own state into an obs endpoint.
 func (r *Runtime) startObs(cfg ObsConfig) error {
 	srv, err := obs.Serve(cfg.Addr, obs.Handlers{
-		Metrics: func(string) ([]obs.Metric, error) { return r.obsMetrics(), nil },
+		Metrics: func(string) ([]obs.Metric, error) { return execMetrics(r.ex, r.obsMakespan()), nil },
 		Trace:   func(_ string, w io.Writer) error { return r.ExportTrace(w, ObsOptions{}) },
 		Profile: func(_ string, w io.Writer) error {
 			log := r.ex.Log()
@@ -109,18 +107,13 @@ func (r *Runtime) ExportFlame(w io.Writer) error {
 	return obs.WriteFlame(w, obs.Input{Events: log.Events(), Dropped: log.Dropped()})
 }
 
-// obsMetrics renders the runtime's always-on counters as Prometheus
-// metric families. Safe mid-run: every source is lock-protected or
-// atomic.
-func (r *Runtime) obsMetrics() []obs.Metric {
-	return execMetrics(r.ex, r.liveX, r.obsMakespan())
-}
-
-// execMetrics builds the metric families for one executor (a dedicated
-// runtime, or one session of a service).
-func execMetrics(ex rt.Exec, liveX *live.Exec, makespan time.Duration) []obs.Metric {
+// execMetrics renders one executor's always-on counters (a dedicated
+// runtime, or one session of a service) as Prometheus metric families.
+// Safe mid-run: every source is lock-protected or atomic.
+func execMetrics(ex rt.Exec, makespan time.Duration) []obs.Metric {
 	es := ex.Engine().Stats()
 	c := ex.Counters()
+	st := ex.Stats()
 	log := ex.Log()
 
 	ms := []obs.Metric{
@@ -150,33 +143,27 @@ func execMetrics(ex rt.Exec, liveX *live.Exec, makespan time.Duration) []obs.Met
 			Help: "per-machine processor-held time", Samples: busy})
 	}
 
-	type netStatser interface{ NetStats() netmodel.Stats }
-	if x, ok := ex.(netStatser); ok {
-		nets := x.NetStats()
-		ms = append(ms,
-			obs.Metric{Name: "jade_net_messages_total", Type: "counter",
-				Help: "network messages (frames on a live runtime)",
-				Samples: []obs.Sample{{Value: float64(nets.Messages)}}},
-			obs.Metric{Name: "jade_net_bytes_total", Type: "counter",
-				Samples: []obs.Sample{{Value: float64(nets.Bytes)}}},
-		)
-	}
+	ms = append(ms,
+		obs.Metric{Name: "jade_net_messages_total", Type: "counter",
+			Help:    "network messages (frames on a live runtime)",
+			Samples: []obs.Sample{{Value: float64(st.Net.Messages)}}},
+		obs.Metric{Name: "jade_net_bytes_total", Type: "counter",
+			Samples: []obs.Sample{{Value: float64(st.Net.Bytes)}}},
+	)
 
-	if liveX != nil {
-		var slotSamples, heldSamples []obs.Sample
-		for _, ws := range liveX.SlotStats() {
-			l := [][2]string{{"machine", fmt.Sprint(ws.Machine)}, {"state", ws.State}}
-			slotSamples = append(slotSamples, obs.Sample{Labels: l, Value: float64(ws.Slots)})
-			heldSamples = append(heldSamples, obs.Sample{Labels: l, Value: float64(ws.Held)})
-		}
-		if len(slotSamples) > 0 {
-			ms = append(ms,
-				obs.Metric{Name: "jade_worker_slots", Type: "gauge",
-					Help: "advertised worker task slots", Samples: slotSamples},
-				obs.Metric{Name: "jade_worker_slots_held", Type: "gauge",
-					Help: "worker task slots currently charged", Samples: heldSamples},
-			)
-		}
+	var slotSamples, heldSamples []obs.Sample
+	for _, ws := range st.Workers {
+		l := [][2]string{{"machine", fmt.Sprint(ws.Machine)}, {"state", ws.State}}
+		slotSamples = append(slotSamples, obs.Sample{Labels: l, Value: float64(ws.Slots)})
+		heldSamples = append(heldSamples, obs.Sample{Labels: l, Value: float64(ws.Held)})
+	}
+	if len(slotSamples) > 0 {
+		ms = append(ms,
+			obs.Metric{Name: "jade_worker_slots", Type: "gauge",
+				Help: "advertised worker task slots", Samples: slotSamples},
+			obs.Metric{Name: "jade_worker_slots_held", Type: "gauge",
+				Help: "worker task slots currently charged", Samples: heldSamples},
+		)
 	}
 
 	for _, ll := range obs.LatencyByLabel(log.Events()) {

@@ -79,26 +79,70 @@ func TestReportPopulatedWithoutTracing(t *testing.T) {
 	}
 }
 
-// TestReportSections pins the Report sections on a traced simulated run;
-// Report is the single metrics entry point for every substrate.
+// TestReportSections pins which Report sections each substrate fills from
+// its executor's Stats: Report is the single metrics entry point, and the
+// same program must read the same way on all three.
 func TestReportSections(t *testing.T) {
-	r, err := jade.NewSimulated(jade.SimConfig{Platform: jade.Mica(4), Trace: true})
-	if err != nil {
-		t.Fatal(err)
+	newSim := func(t *testing.T) *jade.Runtime {
+		r, err := jade.NewSimulated(jade.SimConfig{Platform: jade.Mica(4), Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	runSum(t, r)
-	rep := r.Report()
-	if rep.Net.Messages == 0 || rep.Net.Bytes == 0 {
-		t.Errorf("Report().Net = %+v, want traffic", rep.Net)
+	for _, tc := range []struct {
+		name    string
+		new     func(t *testing.T) *jade.Runtime
+		net     bool // Net and Delta filled
+		workers int  // len(Workers)
+	}{
+		{name: "smp", new: func(*testing.T) *jade.Runtime { return jade.NewSMP(jade.SMPConfig{Procs: 2}) }},
+		{name: "sim", new: newSim, net: true},
+		{name: "live", new: func(t *testing.T) *jade.Runtime {
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}, net: true, workers: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.new(t)
+			runSum(t, r)
+			rep := r.Report()
+			if got := rep.Net.Messages != 0 && rep.Net.Bytes != 0; got != tc.net {
+				t.Errorf("Report().Net = %+v, want traffic: %v", rep.Net, tc.net)
+			}
+			if got := rep.Delta != (jade.DeltaStats{}); got != tc.net {
+				t.Errorf("Report().Delta = %+v, want transfers: %v", rep.Delta, tc.net)
+			}
+			if len(rep.Workers) != tc.workers {
+				t.Errorf("Report().Workers = %+v, want %d entries", rep.Workers, tc.workers)
+			}
+			if rep.Fault != (jade.FaultStats{}) {
+				t.Errorf("Report().Fault = %+v, want zero without failures", rep.Fault)
+			}
+			if rep.ConvertedWords != 0 {
+				t.Errorf("Report().ConvertedWords = %d on a homogeneous fleet", rep.ConvertedWords)
+			}
+			if rep.Engine.TasksCreated != 4 {
+				t.Errorf("Report().Engine = %+v, want 4 tasks created", rep.Engine)
+			}
+			if rep.Tasks.Run != 5 { // 4 tasks + main
+				t.Errorf("Report().Tasks.Run = %d, want 5", rep.Tasks.Run)
+			}
+			if rep.Makespan <= 0 || rep.Makespan != r.Makespan() {
+				t.Errorf("Report().Makespan = %v, Makespan() = %v", rep.Makespan, r.Makespan())
+			}
+		})
 	}
-	if rep.Engine.TasksCreated != 4 {
-		t.Errorf("Report().Engine = %+v, want 4 tasks created", rep.Engine)
-	}
-	if rep.Fault != (jade.FaultStats{}) {
-		t.Errorf("Report().Fault = %+v, want zero without a fault plan", rep.Fault)
-	}
-	if rep.Tasks.Run != 5 { // 4 tasks + main
-		t.Errorf("Report().Tasks.Run = %d, want 5", rep.Tasks.Run)
+	// Simulated makespan is virtual time: it repeats exactly, which wall
+	// time never does.
+	a, b := newSim(t), newSim(t)
+	runSum(t, a)
+	runSum(t, b)
+	if a.Makespan() != b.Makespan() {
+		t.Errorf("simulated makespans differ: %v vs %v", a.Makespan(), b.Makespan())
 	}
 }
 

@@ -11,11 +11,6 @@ import (
 	"repro/internal/profile"
 )
 
-// WorkerSlots is one live worker's slot accounting (capacity advertised
-// at handshake vs. tasks currently charged to it), surfaced in
-// Report.Workers.
-type WorkerSlots = live.WorkerSlots
-
 // TenantProfile declares one tenant's resource envelope for a session
 // service: per-worker slot quota and concurrent-session cap.
 type TenantProfile = tenant.Profile
@@ -134,7 +129,7 @@ func (s *Service) startObs(cfg ObsConfig) error {
 			if err != nil {
 				return nil, err
 			}
-			return execMetrics(x, x, 0), nil
+			return execMetrics(x, 0), nil
 		},
 		Trace: func(session string, w io.Writer) error {
 			if session == "" {

@@ -1,0 +1,87 @@
+// Import layering (the package dependency diagram in DESIGN.md §2): the
+// edges the design forbids, checked against the import clauses of every
+// non-test file in the module. Test files may reach upward for end-to-end
+// checks; the bench/ module is separate and not walked.
+package repro
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// forbidden lists the import edges that must not exist. from and to are
+// package paths below the module root "repro", each standing for the
+// package and everything under it ("" = the whole module); except names
+// importers the rule does not cover.
+var forbidden = []struct {
+	from, to string
+	except   []string
+	why      string
+}{
+	{from: "internal/exec/live", to: "internal/exec/dist",
+		why: "the live executor shares stat types through internal/rt, not through the simulated one"},
+	{from: "internal/trace", to: "internal/exec", why: "the event stream sits below the executors"},
+	{from: "internal/obs", to: "internal/exec", why: "exporters read events, not executors"},
+	{from: "internal/profile", to: "internal/exec", why: "the profiler reads events, not executors"},
+	{from: "internal/rt", to: "internal/exec", why: "the executor contract sits below its implementations"},
+	{from: "internal", to: "jade",
+		// Jade programs and their harnesses are written against the public
+		// API, like any user's program.
+		except: []string{"internal/apps", "internal/experiments", "internal/integration"},
+		why:    "the runtime sits below the public API"},
+	{from: "", to: "bench", why: "the benchmark measures this module from outside"},
+}
+
+func TestImportLayering(t *testing.T) {
+	under := func(path, prefix string) bool {
+		return prefix == "" || path == prefix || strings.HasPrefix(path, prefix+"/")
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		if pkg == "." {
+			pkg = ""
+		}
+		for _, spec := range f.Imports {
+			imp, _ := strconv.Unquote(spec.Path.Value)
+			if imp != "repro" && !strings.HasPrefix(imp, "repro/") {
+				continue
+			}
+			imp = strings.TrimPrefix(strings.TrimPrefix(imp, "repro"), "/")
+			for _, rule := range forbidden {
+				hit := under(pkg, rule.from) && under(imp, rule.to)
+				for _, ex := range rule.except {
+					hit = hit && !under(pkg, ex)
+				}
+				if hit {
+					t.Errorf("%s imports repro/%s: %s", path, imp, rule.why)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,41 +1,68 @@
 #!/bin/sh
-# Repo verification gate — equivalent to `make check`, for environments
-# without make. Runs static checks, the full test suite, the race-hardened
-# concurrency tier (dependency engine, executors, public API), and the
-# determinism tier (simulated makespans/bytes/traces are bit-identical
-# across repeated runs), the fault tier (failure injection, detection
-# and deterministic recovery under the race detector), the live tier
-# (transports, wire codec and live executor over real sockets under the
-# race detector), the live-fault tier (session fencing, chaos-scripted
-# membership churn and the L2 kill+join experiment under the race
-# detector), the tenant tier (multi-tenant session service: wire-level
-# session mux, admission control, per-tenant quotas, cross-tenant
-# isolation and multi-tenant chaos recovery under the race detector),
-# the obs tier (trace export determinism and structure, histogram
-# merging, the Prometheus endpoint, the serving workload, an SV1 smoke
-# and a structural gate on a real -trace-out artifact), the
-# benchmark-snapshot tier (engine throughput + S1 profiler sweep
-# recorded to BENCH_profile.json), the live-bench tier (sustained live
-# wire-path throughput recorded to BENCH_live.json), the tenant-bench
-# tier (the MT1 multi-tenant serving stream recorded to
-# BENCH_tenant.json), and the serve-bench tier (the SV1 serving-latency
-# curves recorded to BENCH_serve.json).
-set -eux
+# The verification gate, and the only place the tiers are listed.
+#
+#   scripts/check.sh                 every tier, in order (= make check)
+#   scripts/check.sh race artifact   only those (= make race artifact)
+#
+# The tiers partition the work: no package x test pair is raced twice.
+# Stops at the first failing tier, prints wall time per tier, writes
+# nothing into the checkout. GOMAXPROCS is inherited by every go command,
+# so `GOMAXPROCS=1 scripts/check.sh race` races on one processor.
+set -eu
+cd "$(dirname "$0")/.."
 
-go vet ./...
-go build ./...
-go test ./...
-go test -race -count=2 ./internal/core/... ./internal/exec/... ./jade/...
-go test -run Determin -count=2 ./internal/sim/... ./internal/exec/dist/...
-go test -race -count=2 -run Fault ./internal/fault/... ./internal/exec/dist/... ./jade/... ./internal/experiments/...
-go test -race -count=2 ./internal/transport/... ./internal/exec/live/...
-go test -race -count=2 -run 'Chaos|Fence|Redial|Session|Cadence|Elastic|Membership|Leave|Evict|Drain|Admit|L2' ./internal/transport/... ./internal/exec/live/... ./internal/fault/... ./internal/experiments/...
-go test -race -count=2 -run 'Tenant|Mux|MultiServ|Service|SlotStats|MT1' ./internal/transport/mux/... ./internal/exec/live/... ./jade/... ./internal/experiments/...
-go test -race -count=2 ./internal/obs/... ./internal/apps/serve/...
-go test -race -count=2 -run 'Obs|Export|Latency|TraceRing|RingCap|WorkerCaps|Serve|SV1' ./jade/... ./internal/exec/live/... ./internal/experiments/...
-go run ./cmd/jadebench -exp l3 -quick -trace-out /tmp/jade_l3_trace.json >/dev/null
-go run ./scripts/tracecheck -min-tasks 100 -want-flows /tmp/jade_l3_trace.json
-scripts/bench_snapshot.sh
-scripts/bench_snapshot.sh --live
-scripts/bench_snapshot.sh --tenant
-scripts/bench_snapshot.sh --serve
+TIERS="static unit race determinism artifact bench-smoke"
+
+tier() {
+	case "$1" in
+	static) # formatting, vet, and that everything builds
+		test -z "$(gofmt -l . | tee /dev/stderr)"
+		go vet ./...
+		go build ./...
+		;;
+	unit) # tier-1: the whole suite, once
+		go test ./...
+		;;
+	race) # everything that does real concurrency, under the race detector, twice
+		go test -race -count=2 ./internal/core/... ./internal/exec/... \
+			./internal/transport/... ./internal/fault/... ./internal/obs/... \
+			./internal/apps/serve/... ./jade/...
+		go test -race -count=2 -run 'Fault|L2|MT1|SV1' ./internal/experiments/...
+		;;
+	determinism) # simulated makespans, byte counts and traces repeat bit for bit
+		go test -run Determin -count=2 ./internal/sim/... ./internal/exec/dist/...
+		;;
+	artifact) # a real jadebench trace export passes the structural validator
+		out=$(mktemp -d)
+		trap 'rm -rf "$out"' EXIT
+		go run ./cmd/jadebench -exp l3 -quick -trace-out "$out/l3.json" >/dev/null
+		go run ./scripts/tracecheck -min-tasks 100 -want-flows "$out/l3.json"
+		;;
+	bench-smoke) # the benchmark module (bench/README.md) still builds against this one and runs
+		cd bench
+		go test ./...
+		;;
+	*)
+		echo "check.sh: unknown tier '$1' (tiers: $TIERS)" >&2
+		return 2
+		;;
+	esac
+}
+
+[ $# -gt 0 ] || set -- $TIERS
+summary=""
+for t in "$@"; do
+	echo "== $t"
+	start=$(date +%s)
+	# A plain subshell, so that set -e stops the tier at its first failing
+	# command (it would not inside an `if` or `||`).
+	set +e
+	(set -e; tier "$t")
+	status=$?
+	set -e
+	summary="$summary$(printf '%-12s %4ds  %s' "$t" $(($(date +%s) - start)) "$([ $status -eq 0 ] && echo ok || echo FAILED)")
+"
+	[ $status -eq 0 ] || break
+done
+printf '\n== summary (GOMAXPROCS=%s, %s CPUs)\n%s' "${GOMAXPROCS:-unset}" "$(getconf _NPROCESSORS_ONLN)" "$summary"
+exit $status

@@ -1,5 +1,5 @@
 // Command tracecheck validates Perfetto trace exports structurally
-// (used by the obs tier of make check to gate `jadebench -trace-out`
+// (used by the artifact tier of scripts/check.sh to gate `jadebench -trace-out`
 // artifacts): well-formed Chrome trace JSON, known phases, per-lane
 // monotonic timestamps, balanced B/E stacks, complete flow arrows.
 //
