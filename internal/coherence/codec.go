@@ -1,0 +1,66 @@
+package coherence
+
+import (
+	"fmt"
+
+	"repro/internal/format"
+)
+
+// Pack encodes val for a transfer from a machine of byte order `from` to
+// one of byte order `to`. With a non-nil base — the receiver's stale copy,
+// or the sender's record of it — the payload is a patch of the words that
+// changed since base, unless the patch would be no smaller than the full
+// image or the object was reallocated with another shape; then, and with a
+// nil base, it is the full image. Either way the payload leaves in the
+// receiver's byte order; words is the number of elements that had to be
+// swapped to get it there (for a patch, the dirty words only).
+func Pack(base, val any, from, to format.ByteOrder) (payload []byte, isPatch bool, words int, err error) {
+	if base != nil {
+		payload, _, isPatch = format.Diff(base, val, from)
+	}
+	if !isPatch {
+		if payload, err = format.Encode(val, from); err != nil {
+			return nil, false, 0, fmt.Errorf("encode: %w", err)
+		}
+	}
+	if payload, words, err = reorder(payload, isPatch, from, to); err != nil {
+		return nil, false, 0, err
+	}
+	return payload, isPatch, words, nil
+}
+
+// Unpack decodes a Pack payload that arrived in byte order `order` on a
+// machine whose own order is native: a patch is applied to base (which is
+// not modified), an image is decoded on its own. words counts the elements
+// swapped when the sender could not convert for us (order != native).
+func Unpack(base any, payload []byte, isPatch bool, order, native format.ByteOrder) (val any, words int, err error) {
+	if payload, words, err = reorder(payload, isPatch, order, native); err != nil {
+		return nil, 0, err
+	}
+	if isPatch {
+		val, err = format.ApplyPatch(base, payload, native)
+	} else {
+		val, err = format.Decode(payload, native)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("unpack: %w", err)
+	}
+	return val, words, nil
+}
+
+// reorder converts a patch or image between byte orders, returning the
+// number of elements swapped.
+func reorder(payload []byte, isPatch bool, from, to format.ByteOrder) (out []byte, words int, err error) {
+	switch {
+	case from == to:
+		return payload, 0, nil
+	case isPatch:
+		out, words, err = format.ConvertPatch(payload, from, to)
+	default:
+		out, words, err = format.Convert(payload, from, to)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("convert %v to %v: %w", from, to, err)
+	}
+	return out, words, nil
+}

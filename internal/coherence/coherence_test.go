@@ -1,0 +1,409 @@
+package coherence
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/core"
+	"repro/internal/format"
+	"repro/internal/rt"
+)
+
+// newTask returns a declaration-free task of eng, completed when done.
+func newTask(t *testing.T, eng *core.Engine, done bool) *core.Task {
+	t.Helper()
+	task, err := eng.Create(eng.Root(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done {
+		if err := eng.Start(task); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Complete(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return task
+}
+
+// checkDirectory asserts the invariants every host relies on between
+// transitions.
+func checkDirectory(t *testing.T, d *Directory, lost map[int]bool, lastVer map[access.ObjectID]uint64) {
+	t.Helper()
+	for _, e := range d.Entries() {
+		if !e.Holds(e.Owner) {
+			t.Fatalf("object #%d: owner %d not among holders %v", e.Object, e.Owner, e.Holders())
+		}
+		if !sort.IntsAreSorted(e.Holders()) {
+			t.Fatalf("object #%d: holders %v not ascending", e.Object, e.Holders())
+		}
+		for i, c := range e.Holders() {
+			if i > 0 && c == e.Holders()[i-1] {
+				t.Fatalf("object #%d: holder %d listed twice in %v", e.Object, c, e.Holders())
+			}
+			if lost[c] {
+				t.Fatalf("object #%d: lost machine %d still holds a copy", e.Object, c)
+			}
+			if gen, ok := e.ShadowGen(c); ok {
+				t.Fatalf("object #%d: holder %d also has a shadow (gen %d)", e.Object, c, gen)
+			}
+		}
+		if lost[e.Owner] {
+			t.Fatalf("object #%d: owned by lost machine %d", e.Object, e.Owner)
+		}
+		if e.Version < lastVer[e.Object] {
+			t.Fatalf("object #%d: version went back %d -> %d", e.Object, lastVer[e.Object], e.Version)
+		}
+		lastVer[e.Object] = e.Version
+		seen := map[int]bool{}
+		for _, s := range e.shadows {
+			if lost[s.machine] {
+				t.Fatalf("object #%d: lost machine %d still has a shadow", e.Object, s.machine)
+			}
+			if seen[s.machine] {
+				t.Fatalf("object #%d: machine %d has two shadows: %v", e.Object, s.machine, e.shadows)
+			}
+			seen[s.machine] = true
+			if s.gen >= e.Version {
+				t.Fatalf("object #%d: machine %d's shadow at generation %d, not below version %d", e.Object, s.machine, s.gen, e.Version)
+			}
+		}
+		for i, w := range e.hist {
+			if w.Version > e.Version {
+				t.Fatalf("object #%d: history generation %d above version %d", e.Object, w.Version, e.Version)
+			}
+			if i > 0 && w.Version <= e.hist[i-1].Version {
+				t.Fatalf("object #%d: history not strictly increasing: %v", e.Object, e.hist)
+			}
+		}
+	}
+}
+
+// TestDirectoryProperty drives seeded random transition sequences the way
+// a host does (lost owners are promoted away) and checks the invariants
+// after every step.
+func TestDirectoryProperty(t *testing.T) {
+	const machines = 6
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := core.New(core.Hooks{})
+		writer := eng.Root()
+		d := NewDirectory()
+		lost := map[int]bool{}
+		lastVer := map[access.ObjectID]uint64{}
+		alive := func() int {
+			for {
+				if m := rng.Intn(machines); !lost[m] {
+					return m
+				}
+			}
+		}
+		var next access.ObjectID = 1
+		for step := 0; step < 400; step++ {
+			op := rng.Intn(10)
+			if next == 1 {
+				op = 0
+			}
+			switch {
+			case op == 0:
+				d.Alloc(next, alive(), fmt.Sprintf("o%d", next))
+				next++
+			case op < 5:
+				e, m := d.Entry(access.ObjectID(1+rng.Intn(int(next-1)))), alive()
+				d.GrantRead(e, m)
+			case op < 9:
+				e, m := d.Entry(access.ObjectID(1+rng.Intn(int(next-1)))), alive()
+				want := []int{}
+				for _, c := range e.Holders() {
+					if c != m {
+						want = append(want, c)
+					}
+				}
+				ver := e.Version
+				got := d.GrantWrite(e, m, writer)
+				if !reflect.DeepEqual(append([]int{}, got...), want) {
+					t.Fatalf("seed %d step %d: GrantWrite invalidates %v, want %v", seed, step, got, want)
+				}
+				for _, c := range got {
+					if gen, ok := e.ShadowGen(c); !ok || gen != ver {
+						t.Fatalf("seed %d step %d: invalidated holder %d frozen at (%d, %v), want generation %d", seed, step, c, gen, ok, ver)
+					}
+					if rng.Intn(3) == 0 { // a host that does not keep the stale bytes
+						d.DropShadow(e, c)
+					}
+				}
+				if e.Owner != m || !reflect.DeepEqual(e.Holders(), []int{m}) || e.Version != ver+1 {
+					t.Fatalf("seed %d step %d: after write grant to %d: owner %d holders %v version %d (was %d)",
+						seed, step, m, e.Owner, e.Holders(), e.Version, ver)
+				}
+			default:
+				if len(lost) >= machines-2 {
+					continue
+				}
+				m := alive()
+				var want []access.ObjectID
+				for _, e := range d.Entries() {
+					if e.Owner == m {
+						want = append(want, e.Object)
+					}
+				}
+				owned := d.LoseMachine(m)
+				if !reflect.DeepEqual(owned, want) {
+					t.Fatalf("seed %d step %d: LoseMachine(%d) lists %v, want %v", seed, step, m, owned, want)
+				}
+				lost[m] = true
+				for _, obj := range owned {
+					e := d.Entry(obj)
+					to := alive()
+					if hs := e.Holders(); len(hs) > 0 {
+						to = hs[0]
+					}
+					d.Promote(e, to)
+				}
+				if again := d.LoseMachine(m); len(again) != 0 {
+					t.Fatalf("seed %d step %d: second LoseMachine(%d) still lists %v", seed, step, m, again)
+				}
+			}
+			checkDirectory(t, d, lost, lastVer)
+		}
+	}
+}
+
+// TestGrantWriteDoesNotAllocate pins the per-write-grant hot path: once an
+// object's holder set and history have their storage, migrating it between
+// two machines and trimming behind it allocates nothing.
+func TestGrantWriteDoesNotAllocate(t *testing.T) {
+	eng := core.New(core.Hooks{})
+	d := NewDirectory()
+	e := d.Alloc(1, 0, "o")
+	m := 0
+	grant := func() {
+		m = 1 - m
+		d.GrantWrite(e, m, eng.Root())
+		d.GrantRead(e, 2)
+		d.TrimHistory(e, e.Version)
+	}
+	grant()
+	grant()
+	if n := testing.AllocsPerRun(100, grant); n != 0 {
+		t.Fatalf("write grant allocates %v times per call, want 0", n)
+	}
+}
+
+// TestCommittedWriterAndRollback: recovery finds the newest completed
+// writer above the floor, and a rollback forgets exactly the uncommitted
+// generations above it.
+func TestCommittedWriterAndRollback(t *testing.T) {
+	eng := core.New(core.Hooks{})
+	done1, done2, running := newTask(t, eng, true), newTask(t, eng, true), newTask(t, eng, false)
+	d := NewDirectory()
+	e := d.Alloc(7, 1, "o")
+	if w, ver := d.LastCommittedWriter(e, 0); w != nil || ver != 0 {
+		t.Fatalf("fresh object: committed writer (%v, %d), want (nil, 0): generation 0 is the Alloc image", w, ver)
+	}
+	d.GrantWrite(e, 2, done1)   // generation 1
+	d.GrantWrite(e, 3, done2)   // generation 2
+	d.GrantWrite(e, 1, running) // generation 3, uncommitted
+	if w, ver := d.LastCommittedWriter(e, 0); w != done2 || ver != 2 {
+		t.Fatalf("committed writer = (task %v, %d), want (task %d, 2)", w, ver, done2.ID)
+	}
+	if w, ver := d.LastCommittedWriter(e, 2); w != nil || ver != 2 {
+		t.Fatalf("above floor 2: (%v, %d), want (nil, 2): only an uncommitted generation is newer", w, ver)
+	}
+	d.Rollback(e, 2)
+	if e.Version != 2 || len(e.hist) != 2 || e.hist[1].Task != done2 {
+		t.Fatalf("after rollback: version %d history %v, want version 2 with generations 1..2", e.Version, e.hist)
+	}
+	d.TrimHistory(e, 1)
+	if len(e.hist) != 1 || e.hist[0].Version != 2 {
+		t.Fatalf("after trim at 1: history %v, want generation 2 only", e.hist)
+	}
+	d.GrantWrite(e, 2, running)
+	if got := e.hist[len(e.hist)-1]; got.Version != 3 || got.Task != running {
+		t.Fatalf("re-executed writer recorded as %v, want generation 3", got)
+	}
+}
+
+// TestInputLogSharesOneClonePerGeneration: first encounter wins, tasks at
+// the same generation share one immutable clone, a new generation (or a
+// Forget after rollback) takes a new one, and fresh values are kept as is.
+func TestInputLogSharesOneClonePerGeneration(t *testing.T) {
+	l := NewInputLog()
+	live := []int64{1, 2, 3}
+	l.Log(10, 1, 0, live)
+	l.Log(11, 1, 0, live)
+	live[0] = 99 // the writer mutates its copy in place afterwards
+	a, b := l.Inputs(10)[1].([]int64), l.Inputs(11)[1].([]int64)
+	if &a[0] != &b[0] {
+		t.Fatal("two tasks at one generation got separate clones")
+	}
+	if a[0] != 1 {
+		t.Fatalf("logged value follows the live copy: %v", a)
+	}
+	l.Log(10, 1, 1, live) // not the first encounter: ignored
+	if got := l.Inputs(10)[1].([]int64); got[0] != 1 {
+		t.Fatalf("second encounter overwrote the log: %v", got)
+	}
+	l.Log(12, 1, 1, live)
+	if c := l.Inputs(12)[1].([]int64); &c[0] == &a[0] || c[0] != 99 {
+		t.Fatalf("generation 1 logged as %v sharing=%v, want a fresh clone of the new contents", c, &c[0] == &a[0])
+	}
+	l.Forget(1)
+	live[0] = 7
+	l.Log(13, 1, 1, live)
+	if c := l.Inputs(13)[1].([]int64); c[0] != 7 {
+		t.Fatalf("after Forget, generation 1 logged as %v, want the re-derived contents", c)
+	}
+	zero := make([]int64, 3)
+	l.LogFresh(14, 1, zero)
+	if z := l.Inputs(14)[1].([]int64); &z[0] != &zero[0] {
+		t.Fatal("LogFresh cloned a value it was handed")
+	}
+	if !l.Logged(14, 1) || l.Logged(14, 2) || l.Inputs(99) != nil {
+		t.Fatal("Logged/Inputs disagree with what was logged")
+	}
+}
+
+// TestReplay: the body runs against clones of the log, the structural
+// operations are refused with errors that say why, dynamic work reaches
+// the host's charge func, and a panic is an error.
+func TestReplay(t *testing.T) {
+	eng := core.New(core.Hooks{})
+	task := newTask(t, eng, true)
+	inputs := map[access.ObjectID]any{1: []int64{5}, 2: []int64{0}}
+
+	var charged float64
+	out, err := Replay(task, 3, inputs, func(tc rt.TC) {
+		if tc.CoreTask() != task || tc.Machine() != 3 {
+			t.Errorf("replay context reports task %v on machine %d", tc.CoreTask(), tc.Machine())
+		}
+		in, _ := tc.Access(1, access.Read)
+		dst, _ := tc.Access(2, access.ReadWrite)
+		dst.([]int64)[0] = in.([]int64)[0] * 2
+		tc.EndAccess(2, access.ReadWrite)
+		tc.Charge(1.5)
+		tc.Charge(0)
+	}, func(w float64) { charged += w }, 2)
+	if err != nil || out.([]int64)[0] != 10 {
+		t.Fatalf("replay = (%v, %v), want ([10], nil)", out, err)
+	}
+	if inputs[2].([]int64)[0] != 0 {
+		t.Fatal("replay mutated the log")
+	}
+	if charged != 1.5 {
+		t.Fatalf("charged %v work units, want 1.5", charged)
+	}
+
+	refused := func(name, want string, body func(rt.TC) error) {
+		t.Helper()
+		var got error
+		if _, err := Replay(task, 0, inputs, func(tc rt.TC) { got = body(tc) }, nil, 1); err != nil {
+			t.Fatalf("%s: replay itself failed: %v", name, err)
+		}
+		if got == nil || !strings.Contains(got.Error(), want) || !strings.Contains(got.Error(), fmt.Sprint(task.ID)) {
+			t.Fatalf("%s refused with %v, want an error naming task %d and %q", name, got, task.ID, want)
+		}
+	}
+	refused("Create", "creates child tasks", func(tc rt.TC) error { return tc.Create(nil, rt.TaskOpts{}, func(rt.TC) {}) })
+	refused("Alloc", "allocates objects", func(tc rt.TC) error { _, err := tc.Alloc([]int64{1}, "x"); return err })
+	refused("Access outside the log", "outside the logged input set", func(tc rt.TC) error { _, err := tc.Access(9, access.Read); return err })
+
+	if _, err := Replay(task, 0, inputs, func(rt.TC) { panic("boom") }, nil, 1); err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+		t.Fatalf("panicking body: err = %v, want a panic turned into an error", err)
+	}
+	if _, err := Replay(task, 0, inputs, func(rt.TC) {}, nil, 9); err == nil || !strings.Contains(err.Error(), "no value for object #9") {
+		t.Fatalf("unlogged output: err = %v", err)
+	}
+	if _, err := Replay(task, 0, nil, func(rt.TC) {}, nil, 1); err == nil || !strings.Contains(err.Error(), "no input log") {
+		t.Fatalf("missing log: err = %v", err)
+	}
+}
+
+// TestPackUnpack is the transfer codec's decision table: every case must
+// round-trip bit-identically, in every pairing of byte orders.
+func TestPackUnpack(t *testing.T) {
+	big := make([]float64, 256)
+	for i := range big {
+		big[i] = float64(i) * 1.5
+	}
+	touched := format.Clone(big).([]float64)
+	touched[17], touched[200] = -1, -2
+	rewritten := make([]float64, 256)
+	for i := range rewritten {
+		rewritten[i] = -float64(i) - 1
+	}
+	cases := []struct {
+		name      string
+		base, val any
+		wantPatch bool
+	}{
+		{"no base: image", nil, big, false},
+		{"few words changed: patch taken", big, touched, true},
+		{"every word changed: patch refused, image", big, rewritten, false},
+		{"reallocated with another length: image", big, []float64{1, 2, 3}, false},
+		{"reallocated with another kind: image", big, []int32{1, 2, 3}, false},
+		{"bytes have no byte order", []byte(strings.Repeat("a", 64)), []byte(strings.Repeat("a", 63) + "b"), true},
+	}
+	orders := []format.ByteOrder{format.LittleEndian, format.BigEndian}
+	for _, c := range cases {
+		for _, from := range orders {
+			for _, to := range orders {
+				name := fmt.Sprintf("%s/%v->%v", c.name, from, to)
+				payload, isPatch, words, err := Pack(c.base, c.val, from, to)
+				if err != nil {
+					t.Fatalf("%s: Pack: %v", name, err)
+				}
+				if isPatch != c.wantPatch {
+					t.Fatalf("%s: isPatch = %v, want %v", name, isPatch, c.wantPatch)
+				}
+				if isPatch && len(payload) >= format.WireSize(c.val) {
+					t.Fatalf("%s: patch of %d bytes is no smaller than the %d-byte image", name, len(payload), format.WireSize(c.val))
+				}
+				_, isBytes := c.val.([]byte)
+				if swapped := words > 0; swapped != (from != to && !isBytes) {
+					t.Fatalf("%s: %d words swapped", name, words)
+				}
+				if isPatch && !isBytes && from != to && words != 2 {
+					t.Fatalf("%s: patch swapped %d words, want the 2 dirty ones", name, words)
+				}
+				// Receiver in the order Pack targeted: nothing left to swap.
+				got, rwords, err := Unpack(c.base, payload, isPatch, to, to)
+				if err != nil || rwords != 0 {
+					t.Fatalf("%s: Unpack = (%d words, %v)", name, rwords, err)
+				}
+				if !reflect.DeepEqual(got, c.val) {
+					t.Fatalf("%s: round trip differs", name)
+				}
+				// Sender that could not convert (a pull reply): the receiver does.
+				raw, _, _, err := Pack(c.base, c.val, from, from)
+				if err != nil {
+					t.Fatalf("%s: Pack in own order: %v", name, err)
+				}
+				got, rwords, err = Unpack(c.base, raw, isPatch, from, to)
+				if err != nil || rwords != words {
+					t.Fatalf("%s: receiver-side conversion = (%d words, %v), want %d words", name, rwords, err, words)
+				}
+				if !reflect.DeepEqual(got, c.val) {
+					t.Fatalf("%s: receiver-converted round trip differs", name)
+				}
+				want, _ := format.Encode(c.val, to)
+				if back, _ := format.Encode(got, to); !bytes.Equal(back, want) {
+					t.Fatalf("%s: round trip not bit-identical", name)
+				}
+			}
+		}
+	}
+	if _, _, _, err := Pack(nil, struct{}{}, format.LittleEndian, format.LittleEndian); err == nil {
+		t.Fatal("Pack of an unencodable value succeeded")
+	}
+	if _, _, err := Unpack(big, []byte{1, 2}, true, format.LittleEndian, format.LittleEndian); err == nil {
+		t.Fatal("Unpack of a truncated patch succeeded")
+	}
+}

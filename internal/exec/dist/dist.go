@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/format"
@@ -69,18 +70,6 @@ type Options struct {
 	// runs a virtual-time heartbeat failure detector, retries lost
 	// messages, and recovers crashed machines' work by re-execution.
 	Fault *fault.Plan
-	// HeartbeatInterval is the failure detector's probe period
-	// (0 = 10ms of virtual time).
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the initial wait after a missed probe; it doubles
-	// on each consecutive miss (0 = 3ms).
-	HeartbeatTimeout time.Duration
-	// HeartbeatRetries is how many consecutive probe misses declare a
-	// machine dead (0 = 3).
-	HeartbeatRetries int
-	// RetryBackoff is the initial retransmission delay of the reliable
-	// data-plane send; it doubles per retry, capped at 16x (0 = 2ms).
-	RetryBackoff time.Duration
 }
 
 // Exec is the distributed executor. Create with New; each Exec runs one
@@ -104,19 +93,22 @@ type Exec struct {
 	// heterogeneous machines (always-on, like tasksRun).
 	convWords int
 	stores    []map[access.ObjectID]any
-	dir       map[access.ObjectID]*objDir
-	labels    map[access.ObjectID]string
-	nextObj   access.ObjectID
+	// dir is the object directory (owner, holders, generation, write
+	// history) and each machine's shadow generations; the bytes those
+	// describe live in stores and stale.
+	dir     *coherence.Directory
+	nextObj access.ObjectID
 	// fetches tracks in-flight read replications per object, enabling the
 	// wave (binomial-tree) distribution of hot read-shared objects.
 	fetches map[access.ObjectID]*objFetch
-	// shadows[m] holds machine m's invalidated copies: the value and the
-	// directory version it corresponded to. When m re-fetches the object,
-	// the sender diffs its current contents against the shadow and ships
-	// only the changed words. A landing transfer (delta or full) clears the
-	// shadow. Unused when Options.NoDelta.
-	shadows []map[access.ObjectID]shadow
-	dstats  rt.DeltaStats
+	// stale[m] holds machine m's invalidated copies, each frozen at the
+	// generation the directory records as m's shadow of the object. When m
+	// re-fetches the object, the sender diffs its current contents against
+	// the stale copy and ships only the changed words. A landing transfer
+	// (delta or full) clears it. Empty when Options.NoDelta and no fault
+	// plan: nothing would read it.
+	stale  []map[access.ObjectID]any
+	dstats rt.DeltaStats
 
 	// testHookPreStart, when set, runs just before the engine Start of a
 	// scheduled (non-inline) task. Tests use it to force Start failures.
@@ -153,47 +145,12 @@ type Exec struct {
 	// to completion, so recovery can find the in-flight tasks of a dead
 	// machine and re-dispatch them.
 	liveTasks map[*core.Task]*payload
-	// inputLogs[task] snapshots the value of each object as the task first
-	// fetched it (sender-based logging, homed at the creator's machine);
-	// a committed task can then be deterministically replayed to re-derive
-	// an object version that existed only on a crashed machine.
-	inputLogs map[core.TaskID]map[access.ObjectID]any
-	logHome   map[core.TaskID]int
-	// history[obj] records every content generation and the writer that
-	// produced it, so recovery can roll back uncommitted generations and
-	// identify the committed writer to replay.
-	history map[access.ObjectID][]verRec
-	fstats  fault.Stats
-
-	hbInterval, hbTimeout time.Duration
-	hbRetries             int
-	retryBackoff          time.Duration
-}
-
-// verRec is one content generation of an object: the directory version the
-// write produced and the task whose write produced it.
-type verRec struct {
-	version uint64
-	task    *core.Task
-}
-
-// objDir is the object directory entry: who owns the latest version and who
-// holds read copies of it. The owner is always in copies. version counts
-// content generations: it increments every time a writer takes the object,
-// so an invalidated copy knows exactly which generation it froze at and a
-// re-fetch can be satisfied with a patch against that generation.
-type objDir struct {
-	owner   int
-	copies  map[int]bool
-	label   string
-	version uint64
-}
-
-// shadow is a machine's retained stale copy of an object: the last value it
-// held before invalidation and the directory version that value belonged to.
-type shadow struct {
-	val     any
-	version uint64
+	// inputs snapshots the value of each object as a task first fetched it
+	// (sender-based logging, homed at the creator's machine); a committed
+	// task can then be deterministically replayed to re-derive an object
+	// generation that existed only on a crashed machine.
+	inputs *coherence.InputLog
+	fstats fault.Stats
 }
 
 // dispatchMsg is a pending task-dispatch control message that would like to
@@ -269,8 +226,7 @@ func New(opts Options) (*Exec, error) {
 		opts:         opts,
 		plat:         opts.Platform,
 		seng:         sim.New(),
-		dir:          map[access.ObjectID]*objDir{},
-		labels:       map[access.ObjectID]string{},
+		dir:          coherence.NewDirectory(),
 		nextObj:      1,
 		fetches:      map[access.ObjectID]*objFetch{},
 		pendingWork:  make([]float64, n),
@@ -292,36 +248,17 @@ func New(opts Options) (*Exec, error) {
 		x.crashedAt = make([]sim.Time, n)
 		x.recovered = x.seng.NewCond()
 		x.liveTasks = map[*core.Task]*payload{}
-		x.inputLogs = map[core.TaskID]map[access.ObjectID]any{}
-		x.logHome = map[core.TaskID]int{}
-		x.history = map[access.ObjectID][]verRec{}
-		cad := fault.DefaultCadence()
-		x.hbInterval = opts.HeartbeatInterval
-		if x.hbInterval <= 0 {
-			x.hbInterval = cad.HeartbeatInterval
-		}
-		x.hbTimeout = opts.HeartbeatTimeout
-		if x.hbTimeout <= 0 {
-			x.hbTimeout = cad.HeartbeatTimeout
-		}
-		x.hbRetries = opts.HeartbeatRetries
-		if x.hbRetries <= 0 {
-			x.hbRetries = cad.HeartbeatRetries
-		}
-		x.retryBackoff = opts.RetryBackoff
-		if x.retryBackoff <= 0 {
-			x.retryBackoff = cad.RetryBackoff
-		}
+		x.inputs = coherence.NewInputLog()
 	}
 	x.cpus = make([]*sim.Resource, n)
 	x.cpuAt = make([]sim.Time, n)
 	x.cpuBusy = make([]time.Duration, n)
 	x.stores = make([]map[access.ObjectID]any, n)
-	x.shadows = make([]map[access.ObjectID]shadow, n)
+	x.stale = make([]map[access.ObjectID]any, n)
 	for i := 0; i < n; i++ {
 		x.cpus[i] = x.seng.NewResource(1)
 		x.stores[i] = map[access.ObjectID]any{}
-		x.shadows[i] = map[access.ObjectID]shadow{}
+		x.stale[i] = map[access.ObjectID]any{}
 	}
 	if opts.Trace {
 		x.log = trace.New()
@@ -500,9 +437,9 @@ func (x *Exec) place(t *core.Task, pl *payload) (int, error) {
 				if x.planned[d.Object][m] {
 					continue
 				}
-				if dir := x.dir[d.Object]; dir != nil && !dir.copies[m] {
-					size := format.SizeOf(x.stores[dir.owner][d.Object])
-					if _, stale := x.shadows[m][d.Object]; stale && !x.opts.NoDelta {
+				if dir := x.dir.Entry(d.Object); dir != nil && !dir.Holds(m) {
+					size := format.SizeOf(x.stores[dir.Owner][d.Object])
+					if _, stale := x.stale[m][d.Object]; stale && !x.opts.NoDelta {
 						// The machine holds a stale shadow: a re-fetch
 						// travels as a patch of the changed words, typically
 						// a small fraction of the image. Weigh it as such so
@@ -697,7 +634,7 @@ func (x *Exec) unplan(obj access.ObjectID, m int) {
 // old contents, so they never cross the network — the writer gets a fresh
 // zeroed buffer.
 func (x *Exec) fetchObject(p *sim.Proc, t *core.Task, obj access.ObjectID, m int, read, write bool, pig *dispatchMsg) {
-	d := x.dir[obj]
+	d := x.dir.Entry(obj)
 	if d == nil {
 		// Access checking rejects undeclared objects before we get here,
 		// so a missing directory entry is an internal error.
@@ -705,23 +642,24 @@ func (x *Exec) fetchObject(p *sim.Proc, t *core.Task, obj access.ObjectID, m int
 		return
 	}
 	if write {
-		for d.owner != m {
+		zeroed := false
+		for d.Owner != m {
 			// A crashed owner cannot source the transfer: wait for recovery
 			// to rebuild the directory entry, then retry against the new
 			// owner. An errSourceDied from mid-transfer means the owner
 			// crashed while sending — same treatment.
-			x.waitOwnerAlive(p, obj, m)
-			if d.owner == m {
+			x.waitOwnerAlive(p, d, m)
+			if d.Owner == m {
 				break
 			}
-			src := d.owner
+			src := d.Owner
 			if read {
-				if err := x.transfer(p, t, src, m, obj, pig); err != nil {
+				if err := x.transfer(p, t, src, m, d, pig); err != nil {
 					continue
 				}
 				x.checkAlive(m)
 				x.record(trace.Event{Kind: trace.ObjectMoved, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: m,
-					Bytes: format.SizeOf(x.stores[m][obj]), Label: d.label})
+					Bytes: format.SizeOf(x.stores[m][obj]), Label: d.Label})
 			} else {
 				// Ownership transfer only: small control message (the task
 				// may not read the old contents, so no data moves). A
@@ -741,43 +679,37 @@ func (x *Exec) fetchObject(p *sim.Proc, t *core.Task, obj access.ObjectID, m int
 				}
 				x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: m, Bytes: ctl, Label: "ownership"})
 				x.stores[m][obj] = format.ZeroLike(x.stores[src][obj])
-				delete(x.shadows[m], obj)
+				delete(x.stale[m], obj)
+				zeroed = true
 				x.record(trace.Event{Kind: trace.ObjectMoved, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: m,
-					Bytes: 0, Label: d.label + " (write-only)"})
+					Bytes: 0, Label: d.Label + " (write-only)"})
 			}
 			break
 		}
 		x.checkAlive(m)
-		for c := range d.copies {
-			if c != m {
-				// Keep the invalidated value as a shadow: a later re-fetch
-				// by this machine can then be satisfied with a patch of
-				// just the words the writers changed — and recovery can
-				// restore the committed version from it if the owner dies.
-				if !x.opts.NoDelta || x.fplan != nil {
-					if old := x.stores[c][obj]; old != nil {
-						x.shadows[c][obj] = shadow{val: old, version: d.version}
-					}
-				}
-				delete(x.stores[c], obj)
-				x.record(trace.Event{Kind: trace.ObjectInvalidated, Object: uint64(obj), Src: c, Dst: c, Label: d.label})
+		// Log what the writer observes before the grant starts the next
+		// generation: the snapshot belongs to the outgoing one.
+		x.logInput(t, d, m, zeroed)
+		for _, c := range x.dir.GrantWrite(d, m, t) {
+			// Keep the invalidated value as a stale copy: a later re-fetch
+			// by this machine can then be satisfied with a patch of just
+			// the words the writers changed — and recovery can restore the
+			// committed version from it if the owner dies.
+			if old := x.stores[c][obj]; old != nil && (!x.opts.NoDelta || x.fplan != nil) {
+				x.stale[c][obj] = old
+			} else {
+				x.dir.DropShadow(d, c)
 			}
-		}
-		d.owner = m
-		d.copies = map[int]bool{m: true}
-		// The writer starts a new content generation.
-		d.version++
-		if x.history != nil {
-			x.history[obj] = append(x.history[obj], verRec{version: d.version, task: t})
+			delete(x.stores[c], obj)
+			x.record(trace.Event{Kind: trace.ObjectInvalidated, Object: uint64(obj), Src: c, Dst: c, Label: d.Label})
 		}
 		// Planned read copies of the old version are moot.
 		delete(x.planned, obj)
-		x.logInput(t, obj, m)
 		return
 	}
-	if d.copies[m] {
+	if d.Holds(m) {
 		x.unplan(obj, m)
-		x.logInput(t, obj, m)
+		x.logInput(t, d, m, false)
 		return
 	}
 	// Read replication. Concurrent fetches of a hot object coordinate so
@@ -789,19 +721,17 @@ func (x *Exec) fetchObject(p *sim.Proc, t *core.Task, obj access.ObjectID, m int
 		f = &objFetch{cond: x.seng.NewCond(), srcBusy: map[int]bool{}, dstBusy: map[int]bool{}}
 		x.fetches[obj] = f
 	}
-	for !d.copies[m] {
+	for !d.Holds(m) {
 		x.checkAlive(m)
 		if f.dstBusy[m] {
 			f.cond.Wait(p, "fetch-dup")
 			continue
 		}
 		src := -1
-		for c := range d.copies {
-			if x.dead != nil && x.dead[c] {
-				continue
-			}
-			if !f.srcBusy[c] && (src == -1 || c < src) {
+		for _, c := range d.Holders() {
+			if !(x.dead != nil && x.dead[c]) && !f.srcBusy[c] {
 				src = c
+				break
 			}
 		}
 		if src == -1 {
@@ -821,7 +751,7 @@ func (x *Exec) fetchObject(p *sim.Proc, t *core.Task, obj access.ObjectID, m int
 				delete(f.dstBusy, m)
 				f.cond.Broadcast()
 			}()
-			return x.transfer(p, t, src, m, obj, pig)
+			return x.transfer(p, t, src, m, d, pig)
 		}()
 		if err != nil {
 			// The source died mid-transfer; retry from another copy once
@@ -829,123 +759,77 @@ func (x *Exec) fetchObject(p *sim.Proc, t *core.Task, obj access.ObjectID, m int
 			continue
 		}
 		x.checkAlive(m)
-		d.copies[m] = true
+		x.dir.GrantRead(d, m)
 		x.unplan(obj, m)
 		x.record(trace.Event{Kind: trace.ObjectCopied, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: m,
-			Bytes: format.SizeOf(x.stores[m][obj]), Label: d.label})
+			Bytes: format.SizeOf(x.stores[m][obj]), Label: d.Label})
 	}
-	x.logInput(t, obj, m)
+	x.logInput(t, d, m, false)
 }
 
-// transfer moves the bytes of obj from machine src to machine dst: encode in
+// transfer moves the bytes of d from machine src to machine dst: encode in
 // src's format, send over the network, convert format if needed, decode into
 // dst's local store. The encode/convert/decode all really happen. When dst
-// still holds a shadow of the object (a stale copy retained at
-// invalidation), the transfer is attempted as a patch of just the changed
-// words; and a pending task-dispatch control message for this link is folded
-// into the data message instead of traveling alone. It returns errSourceDied
-// when src crashed before the data got out — the caller retries against the
-// recovered directory.
-func (x *Exec) transfer(p *sim.Proc, t *core.Task, src, dst int, obj access.ObjectID, pig *dispatchMsg) error {
+// still holds a stale copy of the object (retained at invalidation), the
+// codec ships a patch of just the changed words if that is smaller; and a
+// pending task-dispatch control message for this link is folded into the
+// data message instead of traveling alone. The payload converts like a full
+// image either way, but the swap cost is charged only for the words that
+// moved. It returns errSourceDied when src crashed before the data got out —
+// the caller retries against the recovered directory.
+func (x *Exec) transfer(p *sim.Proc, t *core.Task, src, dst int, d *coherence.Entry, pig *dispatchMsg) error {
 	if src == dst {
 		return nil
 	}
+	obj := d.Object
 	val := x.stores[src][obj]
 	if val == nil {
 		x.fail(fmt.Errorf("object #%d missing from owner machine %d's store", obj, src))
 		return nil
 	}
-	srcFmt := x.plat.Machines[src].Format
 	dstFmt := x.plat.Machines[dst].Format
 	extra, coalesced := pig.match(src, dst)
 	if coalesced {
 		x.dstats.CoalescedDispatches++
 		x.record(trace.Event{Kind: trace.DispatchCoalesced, Task: pig.task, Src: src, Dst: dst, Bytes: extra})
 	}
+	var base any
 	if !x.opts.NoDelta {
-		if sh, ok := x.shadows[dst][obj]; ok {
-			if done, err := x.deltaTransfer(p, t, src, dst, obj, val, sh, extra); done {
-				return err
-			}
-		}
+		base = x.stale[dst][obj]
 	}
-	img, err := format.Encode(val, srcFmt)
+	payload, isPatch, words, err := coherence.Pack(base, val, x.plat.Machines[src].Format, dstFmt)
 	if err != nil {
-		x.fail(fmt.Errorf("encode object #%d: %w", obj, err))
+		x.fail(fmt.Errorf("object #%d: %w", obj, err))
 		return nil
 	}
-	if err := x.send(p, src, dst, len(img)+extra); err != nil {
+	if err := x.send(p, src, dst, len(payload)+extra); err != nil {
 		return err
 	}
-	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: dst, Bytes: len(img), Label: "object"})
-	if srcFmt != dstFmt {
-		conv, words, err := format.Convert(img, srcFmt, dstFmt)
-		if err != nil {
-			x.fail(fmt.Errorf("convert object #%d: %w", obj, err))
-			return nil
-		}
-		img = conv
-		if words > 0 {
-			x.convWords += words
-			p.Sleep(time.Duration(words) * x.plat.ConvertPerWord)
-			x.record(trace.Event{Kind: trace.Converted, Object: uint64(obj), Src: src, Dst: dst, Bytes: words})
-		}
+	if isPatch {
+		saved := format.WireSize(val) - len(payload)
+		x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: dst, Bytes: len(payload), Label: "object-delta"})
+		x.record(trace.Event{Kind: trace.ObjectPatched, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: dst, Bytes: len(payload), Saved: saved})
+		x.dstats.DeltaTransfers++
+		x.dstats.DeltaBytes += int64(len(payload))
+		x.dstats.SavedBytes += int64(saved)
+	} else {
+		x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: dst, Bytes: len(payload), Label: "object"})
+		x.dstats.FullTransfers++
+		x.dstats.FullBytes += int64(len(payload))
 	}
-	decoded, err := format.Decode(img, dstFmt)
+	if words > 0 {
+		x.convWords += words
+		p.Sleep(time.Duration(words) * x.plat.ConvertPerWord)
+		x.record(trace.Event{Kind: trace.Converted, Object: uint64(obj), Src: src, Dst: dst, Bytes: words})
+	}
+	v, _, err := coherence.Unpack(base, payload, isPatch, dstFmt, dstFmt)
 	if err != nil {
-		x.fail(fmt.Errorf("decode object #%d: %w", obj, err))
+		x.fail(fmt.Errorf("object #%d: %w", obj, err))
 		return nil
 	}
-	x.stores[dst][obj] = decoded
-	delete(x.shadows[dst], obj)
-	x.dstats.FullTransfers++
-	x.dstats.FullBytes += int64(len(img))
+	x.stores[dst][obj] = v
+	delete(x.stale[dst], obj)
 	return nil
-}
-
-// deltaTransfer ships obj from src to dst as a patch against dst's shadow
-// copy. done=false means the diff was not worthwhile — same-size or larger
-// than the full image, or the object was reallocated — and the caller must
-// do a full transfer. The patch's run payloads travel in src's byte order
-// and are converted like a full image, but the swap cost is charged only for
-// the words that moved.
-func (x *Exec) deltaTransfer(p *sim.Proc, t *core.Task, src, dst int, obj access.ObjectID, val any, sh shadow, extra int) (done bool, err error) {
-	srcFmt := x.plat.Machines[src].Format
-	dstFmt := x.plat.Machines[dst].Format
-	patch, _, ok := format.Diff(sh.val, val, srcFmt)
-	if !ok {
-		return false, nil
-	}
-	saved := format.WireSize(val) - len(patch)
-	if err := x.send(p, src, dst, len(patch)+extra); err != nil {
-		return true, err
-	}
-	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: dst, Bytes: len(patch), Label: "object-delta"})
-	x.record(trace.Event{Kind: trace.ObjectPatched, Task: uint64(t.ID), Object: uint64(obj), Src: src, Dst: dst, Bytes: len(patch), Saved: saved})
-	if srcFmt != dstFmt {
-		conv, words, err := format.ConvertPatch(patch, srcFmt, dstFmt)
-		if err != nil {
-			x.fail(fmt.Errorf("convert patch for object #%d: %w", obj, err))
-			return true, nil
-		}
-		patch = conv
-		if words > 0 {
-			x.convWords += words
-			p.Sleep(time.Duration(words) * x.plat.ConvertPerWord)
-			x.record(trace.Event{Kind: trace.Converted, Object: uint64(obj), Src: src, Dst: dst, Bytes: words})
-		}
-	}
-	newVal, err := format.ApplyPatch(sh.val, patch, dstFmt)
-	if err != nil {
-		x.fail(fmt.Errorf("apply patch for object #%d: %w", obj, err))
-		return true, nil
-	}
-	x.stores[dst][obj] = newVal
-	delete(x.shadows[dst], obj)
-	x.dstats.DeltaTransfers++
-	x.dstats.DeltaBytes += int64(len(patch))
-	x.dstats.SavedBytes += int64(saved)
-	return true, nil
 }
 
 // Run implements rt.Exec: execute the main program on machine 0 and drive
@@ -992,11 +876,11 @@ func (x *Exec) Run(root func(rt.TC)) error {
 
 // ObjectValue implements rt.Exec: the owner machine's version after Run.
 func (x *Exec) ObjectValue(obj access.ObjectID) any {
-	d := x.dir[obj]
+	d := x.dir.Entry(obj)
 	if d == nil {
 		return nil
 	}
-	return x.stores[d.owner][obj]
+	return x.stores[d.Owner][obj]
 }
 
 // taskCtx implements rt.TC for one running task (or the main program).
@@ -1156,8 +1040,7 @@ func (tc *taskCtx) Alloc(initial any, label string) (access.ObjectID, error) {
 	id := tc.x.nextObj
 	tc.x.nextObj++
 	tc.x.stores[tc.machine][id] = initial
-	tc.x.dir[id] = &objDir{owner: tc.machine, copies: map[int]bool{tc.machine: true}, label: label}
-	tc.x.labels[id] = label
+	tc.x.dir.Alloc(id, tc.machine, label)
 	tc.x.eng.RegisterObject(tc.t, id)
 	return id, nil
 }

@@ -22,9 +22,10 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/format"
-	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -34,6 +35,10 @@ import (
 // runTask's unwind (which releases the processor and the per-attempt
 // accounting) and by recoverMachine (which retries the pass next round).
 type machineDied struct{ machine int }
+
+// cadence paces the failure detector's probes and the reliable send's
+// backoff: the same figures the tcp transport and the live executor use.
+var cadence = fault.DefaultCadence()
 
 // errSourceDied reports that the source of an in-progress transfer crashed
 // before the data got out. The fetch loops treat it as "wait for recovery to
@@ -61,8 +66,8 @@ func (x *Exec) send(p *sim.Proc, src, dst, size int) error {
 		x.net.Send(p, src, dst, size)
 		return nil
 	}
-	backoff := x.retryBackoff
-	maxBackoff := 16 * x.retryBackoff
+	backoff := cadence.RetryBackoff
+	maxBackoff := 16 * backoff
 	for {
 		x.checkAlive(dst)
 		if x.dead[src] {
@@ -80,46 +85,32 @@ func (x *Exec) send(p *sim.Proc, src, dst, size int) error {
 	}
 }
 
-// waitOwnerAlive parks the fetching process on machine m until obj's owner is
+// waitOwnerAlive parks the fetching process on machine m until d's owner is
 // a live machine (recovery broadcasts after each directory repair).
-func (x *Exec) waitOwnerAlive(p *sim.Proc, obj access.ObjectID, m int) {
+func (x *Exec) waitOwnerAlive(p *sim.Proc, d *coherence.Entry, m int) {
 	if x.fnet == nil {
 		return
 	}
-	for {
-		d := x.dir[obj]
-		if d == nil || !x.dead[d.owner] {
-			return
-		}
+	for x.dead[d.Owner] {
 		x.recovered.Wait(p, "owner-recovery")
 		x.checkAlive(m)
 	}
 }
 
-// logInput snapshots obj's value as task t first observed it on machine m —
+// logInput snapshots d's value as task t first observes it on machine m —
 // sender-based input logging, homed (conceptually) at the creator's machine.
-// Replaying t's body against these snapshots deterministically re-derives any
-// version t wrote, even after every copy of its outputs is lost with a crash.
-// Only the first encounter per (task, object) is kept: a re-executed attempt
-// re-fetches the same committed versions, so the first snapshot stays valid.
-func (x *Exec) logInput(t *core.Task, obj access.ObjectID, m int) {
-	if x.inputLogs == nil || t == x.eng.Root() {
+// Called before a write grant bumps the version, so the snapshot is filed
+// under the generation it shows. zeroed marks the fresh buffer of a
+// write-only migration, which is no generation's contents.
+func (x *Exec) logInput(t *core.Task, d *coherence.Entry, m int, zeroed bool) {
+	if x.inputs == nil || t == x.eng.Root() {
 		return
 	}
-	pl, ok := t.Payload.(*payload)
-	if !ok || pl == nil {
-		return
+	if zeroed {
+		x.inputs.LogFresh(t.ID, d.Object, format.ZeroLike(x.stores[m][d.Object]))
+	} else {
+		x.inputs.Log(t.ID, d.Object, d.Version, x.stores[m][d.Object])
 	}
-	lg := x.inputLogs[t.ID]
-	if lg == nil {
-		lg = map[access.ObjectID]any{}
-		x.inputLogs[t.ID] = lg
-		x.logHome[t.ID] = pl.creator
-	}
-	if _, done := lg[obj]; done {
-		return
-	}
-	lg[obj] = format.Clone(x.stores[m][obj])
 }
 
 // crashMachine makes machine m fail-stop at the current virtual time: its
@@ -135,7 +126,7 @@ func (x *Exec) crashMachine(m int, cause string) {
 	x.crashedAt[m] = x.seng.Now()
 	x.fnet.Kill(m)
 	x.stores[m] = map[access.ObjectID]any{}
-	x.shadows[m] = map[access.ObjectID]shadow{}
+	x.stale[m] = map[access.ObjectID]any{}
 	if cause == "injected" {
 		x.fstats.CrashesInjected++
 	}
@@ -151,7 +142,7 @@ func (x *Exec) monitor(p *sim.Proc) {
 		hb = 32
 	}
 	for x.eng.Live() > 0 && x.firstError() == nil {
-		p.Sleep(x.hbInterval)
+		p.Sleep(cadence.HeartbeatInterval)
 		for m := 1; m < len(x.plat.Machines); m++ {
 			if x.firstError() != nil {
 				return
@@ -173,11 +164,12 @@ func (x *Exec) monitor(p *sim.Proc) {
 	}
 }
 
-// probe pings machine m up to hbRetries times, doubling the timeout after
-// each miss, and reports whether any ping/ack round trip completed.
+// probe pings machine m up to the cadence's retry budget, doubling the
+// timeout after each miss, and reports whether any ping/ack round trip
+// completed.
 func (x *Exec) probe(p *sim.Proc, m, hb int) bool {
-	timeout := x.hbTimeout
-	for a := 0; a < x.hbRetries; a++ {
+	timeout := cadence.HeartbeatTimeout
+	for a := 0; a < cadence.HeartbeatRetries; a++ {
 		x.fstats.HeartbeatsSent++
 		ok := x.fnet.TrySend(p, 0, m, hb)
 		if ok {
@@ -252,114 +244,104 @@ func (x *Exec) recoverMachine(p *sim.Proc, m int) {
 // dead readers leave the copy sets, and entries owned by a dead machine get
 // a live owner holding the committed contents, reconstructed by — in order
 // of preference — promoting a surviving read copy, restoring a surviving
-// shadow of exactly the committed generation, or deterministically replaying
-// the committed writer from its logged inputs. Generations whose writer
-// never committed are rolled back first: the writer re-executes from
+// stale copy of exactly the committed generation, or deterministically
+// replaying the committed writer from its logged inputs. Generations whose
+// writer never committed are rolled back first: the writer re-executes from
 // scratch, so the directory must describe the last committed state.
 func (x *Exec) sweepDirectory(p *sim.Proc) {
-	objs := make([]access.ObjectID, 0, len(x.dir))
-	for obj := range x.dir {
-		objs = append(objs, obj)
+	var orphaned []access.ObjectID
+	for m, dead := range x.dead {
+		if dead {
+			orphaned = append(orphaned, x.dir.LoseMachine(m)...)
+		}
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	for _, obj := range objs {
-		d := x.dir[obj]
-		for c := range d.copies {
+	sort.Slice(orphaned, func(i, j int) bool { return orphaned[i] < orphaned[j] })
+	for obj, pm := range x.planned {
+		for c := range pm {
 			if x.dead[c] {
-				delete(d.copies, c)
+				delete(pm, c)
 			}
 		}
-		if pm := x.planned[obj]; pm != nil {
-			for c := range pm {
-				if x.dead[c] {
-					delete(pm, c)
-				}
-			}
-			if len(pm) == 0 {
-				delete(x.planned, obj)
-			}
+		if len(pm) == 0 {
+			delete(x.planned, obj)
 		}
-		if !x.dead[d.owner] {
-			continue
-		}
+	}
+	for _, obj := range orphaned {
+		d := x.dir.Entry(obj)
 		// Invariant 1: promote a surviving read copy — it holds the committed
 		// contents by construction (copies are invalidated before a writer
-		// starts a new generation).
+		// starts a new generation). A replay below may park, and a holder
+		// may have died since this pass lost the dead machines.
 		promo := -1
-		for c := range d.copies {
-			if promo == -1 || c < promo {
+		for _, c := range d.Holders() {
+			if !x.dead[c] {
 				promo = c
+				break
 			}
 		}
 		if promo >= 0 {
-			d.owner = promo
+			x.dir.Promote(d, promo)
 			x.fstats.ObjectsRebuilt++
-			x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Dst: promo, Label: d.label + " (promoted copy)"})
+			x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Dst: promo, Label: d.Label + " (promoted copy)"})
 			continue
 		}
 		// No live copy. Roll back uncommitted generations: their writer is
 		// being re-executed and will produce them again. What remains is the
 		// committed generation — a committed writer's output, or generation 0
 		// (the Alloc image) if no write ever committed.
-		hist := x.history[obj]
-		for len(hist) > 0 && hist[len(hist)-1].task.State() != core.Done {
-			hist = hist[:len(hist)-1]
-		}
-		x.history[obj] = hist
-		var committedVer uint64
-		var writer *core.Task
-		if len(hist) > 0 {
-			committedVer = hist[len(hist)-1].version
-			writer = hist[len(hist)-1].task
-		}
-		d.version = committedVer
-		// Invariant 2: a shadow frozen at exactly the committed generation is
-		// the committed contents (shadows record the pre-invalidation value
-		// and the generation it belonged to).
+		writer, committedVer := x.dir.LastCommittedWriter(d, 0)
+		x.dir.Rollback(d, committedVer)
+		x.inputs.Forget(obj)
+		// Invariant 2: a stale copy frozen at exactly the committed generation
+		// is the committed contents (it is the pre-invalidation value, and
+		// the directory recorded the generation it belonged to).
 		rest := -1
 		for c := range x.plat.Machines {
 			if x.dead[c] {
 				continue
 			}
-			if sh, ok := x.shadows[c][obj]; ok && sh.version == committedVer {
-				rest = c
-				break
+			if _, ok := x.stale[c][obj]; ok {
+				if gen, _ := d.ShadowGen(c); gen == committedVer {
+					rest = c
+					break
+				}
 			}
 		}
 		if rest >= 0 {
-			x.stores[rest][obj] = x.shadows[rest][obj].val
-			delete(x.shadows[rest], obj)
-			d.owner = rest
-			d.copies = map[int]bool{rest: true}
+			x.stores[rest][obj] = x.stale[rest][obj]
+			delete(x.stale[rest], obj)
+			x.dir.Promote(d, rest)
 			x.fstats.ObjectsRebuilt++
-			x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Dst: rest, Label: d.label + " (restored from shadow)"})
+			x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Dst: rest, Label: d.Label + " (restored from shadow)"})
 			continue
 		}
 		if writer == nil {
-			x.fail(fmt.Errorf("dist: object #%d (%s): initial contents lost with machine %d and no surviving copy, shadow or committed writer to reconstruct them", obj, d.label, d.owner))
+			x.fail(fmt.Errorf("dist: object #%d (%s): initial contents lost with machine %d and no surviving copy, shadow or committed writer to reconstruct them", obj, d.Label, d.Owner))
 			continue
 		}
 		// Invariant 3: the committed writer is a pure function of its logged
 		// inputs — replay it to re-derive the contents.
-		x.replayTask(p, writer, obj, d)
+		x.replayTask(p, writer, d)
 	}
 }
 
-// replayTask re-derives obj's committed contents by re-running its committed
+// replayTask re-derives d's committed contents by re-running its committed
 // writer's body against the writer's logged input snapshots on a surviving
 // machine. The replay is charged like the original execution (input shipping
 // plus the body's cost at the host's speed) and runs at recovery priority —
 // it does not queue for the host's processor.
-func (x *Exec) replayTask(p *sim.Proc, w *core.Task, obj access.ObjectID, d *objDir) {
-	lg := x.inputLogs[w.ID]
+func (x *Exec) replayTask(p *sim.Proc, w *core.Task, d *coherence.Entry) {
+	obj := d.Object
+	lg := x.inputs.Inputs(w.ID)
 	pl, _ := w.Payload.(*payload)
 	if lg == nil || pl == nil {
-		x.fail(fmt.Errorf("dist: cannot reconstruct object #%d (%s): committed writer task %d left no input log", obj, d.label, w.ID))
+		x.fail(fmt.Errorf("dist: cannot reconstruct object #%d (%s): committed writer task %d left no input log", obj, d.Label, w.ID))
 		return
 	}
-	home := x.logHome[w.ID]
+	// The log is homed where the task was created.
+	home := pl.creator
 	if x.dead[home] {
-		x.fail(fmt.Errorf("dist: cannot reconstruct object #%d (%s): input log of task %d was homed on crashed machine %d", obj, d.label, w.ID, home))
+		x.fail(fmt.Errorf("dist: cannot reconstruct object #%d (%s): input log of task %d was homed on crashed machine %d", obj, d.Label, w.ID, home))
 		return
 	}
 	// Host the replay on the least-loaded live machine (lowest index on ties).
@@ -372,14 +354,12 @@ func (x *Exec) replayTask(p *sim.Proc, w *core.Task, obj access.ObjectID, d *obj
 			r = c
 		}
 	}
-	// Ship the logged inputs home → r; the body mutates clones, so the log
-	// stays pristine for further replays.
+	// Ship the logged inputs home → r.
 	objs := make([]access.ObjectID, 0, len(lg))
 	for o := range lg {
 		objs = append(objs, o)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	vals := map[access.ObjectID]any{}
 	for _, o := range objs {
 		if home != r {
 			if err := x.send(p, home, r, format.WireSize(lg[o])); err != nil {
@@ -387,43 +367,30 @@ func (x *Exec) replayTask(p *sim.Proc, w *core.Task, obj access.ObjectID, d *obj
 				return
 			}
 		}
-		vals[o] = format.Clone(lg[o])
 	}
-	rc := &replayCtx{x: x, t: w, p: p, machine: r, vals: vals}
+	speed := x.plat.Machines[r].Speed
 	if pl.opts.Cost > 0 {
-		p.Sleep(time.Duration(pl.opts.Cost / x.plat.Machines[r].Speed * 1e9))
+		p.Sleep(time.Duration(pl.opts.Cost / speed * 1e9))
 		x.checkAlive(r)
 	}
-	panicked := true
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if md, ok := rec.(machineDied); ok {
-					panic(md)
-				}
-				x.fail(fmt.Errorf("dist: replay of task %d (%v) panicked: %v", w.ID, w.Seq, rec))
-				return
-			}
-			panicked = false
-		}()
-		pl.body(rc)
-	}()
-	if panicked {
-		return
-	}
+	// Dynamic work is billed at the host's speed until the host dies; the
+	// pass then unwinds at the checkpoint below, discarding the result.
+	out, err := coherence.Replay(w, r, lg, pl.body, func(work float64) {
+		if !x.dead[r] {
+			p.Sleep(time.Duration(work / speed * 1e9))
+		}
+	}, obj)
 	x.checkAlive(r)
-	out, ok := vals[obj]
-	if !ok {
-		x.fail(fmt.Errorf("dist: replay of task %d did not produce object #%d", w.ID, obj))
+	if err != nil {
+		x.fail(fmt.Errorf("dist: %w", err))
 		return
 	}
 	x.stores[r][obj] = out
-	d.owner = r
-	d.copies = map[int]bool{r: true}
+	x.dir.Promote(d, r)
 	x.fstats.TasksReplayed++
 	x.fstats.ObjectsRebuilt++
 	x.record(trace.Event{Kind: trace.TaskReexecuted, Task: uint64(w.ID), Object: uint64(obj), Dst: r, Label: "replay " + pl.opts.Label})
-	x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Dst: r, Label: d.label + " (replayed writer)"})
+	x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Dst: r, Label: d.Label + " (replayed writer)"})
 }
 
 // redispatchOrphans re-places every in-flight task that was assigned to the
@@ -459,50 +426,3 @@ func (x *Exec) redispatchOrphans(m int) {
 		})
 	}
 }
-
-// replayCtx is the minimal rt.TC used to re-run a committed task's body
-// during recovery. Accesses are served from the logged input snapshots;
-// structural operations (creating tasks, allocating objects) cannot be
-// replayed — bodies that perform them are beyond this recovery scheme, and
-// hitting one fails the run descriptively rather than diverging.
-type replayCtx struct {
-	x       *Exec
-	t       *core.Task
-	p       *sim.Proc
-	machine int
-	vals    map[access.ObjectID]any
-}
-
-func (rc *replayCtx) CoreTask() *core.Task { return rc.t }
-func (rc *replayCtx) Machine() int         { return rc.machine }
-
-func (rc *replayCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
-	v, ok := rc.vals[obj]
-	if !ok {
-		return nil, fmt.Errorf("dist: replay of task %d: access to object #%d outside the logged input set", rc.t.ID, obj)
-	}
-	return v, nil
-}
-
-func (rc *replayCtx) EndAccess(access.ObjectID, access.Mode) {}
-func (rc *replayCtx) ClearAccess(access.ObjectID)            {}
-
-func (rc *replayCtx) Convert(access.ObjectID, access.Mode) error { return nil }
-func (rc *replayCtx) Retract(access.ObjectID, access.Mode) error { return nil }
-
-func (rc *replayCtx) Create([]access.Decl, rt.TaskOpts, func(rt.TC)) error {
-	return fmt.Errorf("dist: fault recovery cannot replay task-creating bodies (task %d)", rc.t.ID)
-}
-
-func (rc *replayCtx) Alloc(any, string) (access.ObjectID, error) {
-	return 0, fmt.Errorf("dist: fault recovery cannot replay allocating bodies (task %d)", rc.t.ID)
-}
-
-func (rc *replayCtx) Charge(work float64) {
-	if work > 0 {
-		rc.p.Sleep(time.Duration(work / rc.x.plat.Machines[rc.machine].Speed * 1e9))
-		rc.x.checkAlive(rc.machine)
-	}
-}
-
-var _ rt.TC = (*replayCtx)(nil)

@@ -148,16 +148,16 @@ func TestDirectoryInvariantOwnerHoldsValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		d := x.dir[id]
+		d := x.dir.Entry(id)
 		if d == nil {
 			t.Fatalf("object %d missing directory entry", i)
 		}
-		if !d.copies[d.owner] {
-			t.Fatalf("object %d: owner %d not in copies %v", i, d.owner, d.copies)
+		if !d.Holds(d.Owner) {
+			t.Fatalf("object %d: owner %d not in copies %v", i, d.Owner, d.Holders())
 		}
-		v := x.stores[d.owner][id]
+		v := x.stores[d.Owner][id]
 		if v == nil {
-			t.Fatalf("object %d: owner %d holds no value", i, d.owner)
+			t.Fatalf("object %d: owner %d holds no value", i, d.Owner)
 		}
 		if got := v.([]int32)[0]; got != int32(i)+1 {
 			t.Fatalf("object %d: owner value %d, want %d", i, got, i+1)

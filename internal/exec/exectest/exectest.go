@@ -9,6 +9,8 @@ package exectest
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/rt"
@@ -238,12 +240,34 @@ func runGenerated(tc rt.TC, t taskSpec, ids []access.ObjectID) {
 	tc.Charge(1)
 }
 
+// AwaitGoroutines waits until the process has at most want goroutines —
+// the ones an executor and its workers started exit asynchronously once Run
+// returns — and reports the survivors' stacks if they outlive the deadline.
+func AwaitGoroutines(want int, within time.Duration) error {
+	deadline := time.Now().Add(within)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			return fmt.Errorf("%d goroutines still running %v after Run returned, want at most %d:\n%s",
+				runtime.NumGoroutine(), within, want, buf)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
 // Check runs spec on the executor built by mk and compares against the
-// serial reference, returning a descriptive error on any mismatch.
+// serial reference, returning a descriptive error on any mismatch — or on
+// a goroutine that mk or Run started and Run's return did not end.
 func Check(mk func() rt.Exec, spec ProgramSpec) error {
 	want := RunSerial(spec)
+	before := runtime.NumGoroutine()
 	got, acc, err := RunOn(mk(), spec)
 	if err != nil {
+		return fmt.Errorf("seed %d: %w", spec.Seed, err)
+	}
+	if err := AwaitGoroutines(before, 5*time.Second); err != nil {
 		return fmt.Errorf("seed %d: %w", spec.Seed, err)
 	}
 	for i := range want {

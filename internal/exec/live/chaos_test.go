@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/exec/live/livetest"
@@ -327,15 +326,9 @@ func TestChaosDrain(t *testing.T) {
 		Workers: 2,
 		Script:  []livetest.Step{{AfterDone: 3, Drain: 1}},
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if fs := c.X.Stats().Fault; fs.WorkersDrained == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("WorkersDrained = %d, want 1", c.X.Stats().Fault.WorkersDrained)
-		}
-		time.Sleep(time.Millisecond)
+	// No poll: Run joins the drain's completion before it returns.
+	if fs := c.X.Stats().Fault; fs.WorkersDrained != 1 {
+		t.Fatalf("WorkersDrained = %d right after Run, want 1", fs.WorkersDrained)
 	}
 	active, draining, dead, left := c.X.Members()
 	if left != 1 || draining != 0 || dead != 0 || active != 1 {
@@ -355,9 +348,14 @@ func TestChaosKillAndRecover(t *testing.T) {
 		Workers: 2,
 		Script:  []livetest.Step{{AfterDone: 4, Kill: 2}},
 	})
+	// No sleep, no poll: Run joins the recovery before it returns, so the
+	// counters are final the moment it does.
 	fs := c.X.Stats().Fault
-	if fs.CrashesInjected != 1 || fs.CrashesDetected != 1 {
+	if fs.CrashesInjected != 1 || fs.CrashesDetected != fs.CrashesInjected {
 		t.Fatalf("crash counters = (%d injected, %d detected), want (1, 1)", fs.CrashesInjected, fs.CrashesDetected)
+	}
+	if fs.RecoveryTime <= 0 {
+		t.Fatalf("RecoveryTime = %v right after Run, want > 0 (recovery still in flight?)", fs.RecoveryTime)
 	}
 	active, _, dead, _ := c.X.Members()
 	if active != 1 || dead != 1 {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,6 +11,113 @@ import (
 	"repro/internal/rt"
 	"repro/internal/trace"
 )
+
+// The coordinator-side rt.TC operations, each written once for "task t on
+// machine m". mainCtx calls them with m = 0 for the main program and the
+// children it inlines; the handle* frame handlers call them with m = w.m
+// for a worker's task and turn the result into the reply.
+
+// errUnwinding marks an operation abandoned because the run died while
+// it waited; a handler seeing it sends no reply — there is no run left
+// to continue.
+var errUnwinding = errors.New("live: run is unwinding")
+
+// engineWait runs one engine operation that may queue behind earlier
+// tasks (Access, Convert) and blocks until it is granted.
+func (x *Exec) engineWait(op func(wake func()) (bool, error)) error {
+	ch := make(chan struct{})
+	ok, err := op(func() { close(ch) })
+	if err != nil || ok {
+		return err
+	}
+	return x.await(ch)
+}
+
+// await blocks until ch closes, unless the run dies first.
+func (x *Exec) await(ch chan struct{}) error {
+	select {
+	case <-ch:
+		return nil
+	case <-x.fatal:
+		return fmt.Errorf("%w: %w", errUnwinding, x.firstError())
+	}
+}
+
+// access acquires t's checked view of obj and stages the object's current
+// value on machine m.
+func (x *Exec) access(t *core.Task, m int, obj access.ObjectID, mode access.Mode) error {
+	err := x.engineWait(func(wake func()) (bool, error) { return x.eng.Access(t, obj, mode, wake) })
+	if err != nil {
+		return err
+	}
+	read := mode.HasAny(access.Read | access.Commute)
+	write := mode.HasAny(access.Write | access.Commute)
+	return x.retryOnLoss(m, func() error { return x.fetchToLocked(t, obj, m, read, write, nil) })
+}
+
+// accessPregranted checks in an access the dispatch already granted and
+// staged: the worker proceeded on the promise that the engine cannot make
+// it wait. The engine still records the checkout (EndAccess bookkeeping,
+// violation detection) exactly as for access.
+func (x *Exec) accessPregranted(t *core.Task, obj access.ObjectID, mode access.Mode) {
+	ok, err := x.eng.Access(t, obj, mode, func() {})
+	if err != nil {
+		// The engine's Violation hook has already recorded the failure
+		// and is unwinding the run.
+		return
+	}
+	if !ok {
+		// The only legal wait causes (conflicting later child, commute
+		// lock) are excluded by the worker-side spawned/mode guards.
+		x.failFatal(fmt.Errorf("live: protocol invariant broken: pre-granted access of object #%d by task %d had to wait", obj, t.ID))
+	}
+}
+
+// convert promotes t's deferred rights on obj to immediate.
+func (x *Exec) convert(t *core.Task, obj access.ObjectID, which access.Mode) error {
+	return x.engineWait(func(wake func()) (bool, error) { return x.eng.Convert(t, obj, which, wake) })
+}
+
+// startInline starts inline child t on its creator's machine m: wait until
+// the child's declarations enable, stage its objects there, and start it
+// in the engine. A child the engine refuses to start is retired on the
+// spot, so its creator can carry on.
+func (x *Exec) startInline(t *core.Task, pl *payload, m int) error {
+	if err := x.await(pl.readyCh); err != nil {
+		return err
+	}
+	if err := x.stageRetry(t, m, nil); err != nil {
+		return err
+	}
+	if err := x.eng.Start(t); err != nil {
+		x.fail(err)
+		if cerr := x.eng.Complete(t); cerr != nil {
+			x.fail(cerr)
+		}
+		x.unregister(t)
+		return err
+	}
+	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
+	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
+	return nil
+}
+
+// alloc registers an object born on machine m holding v. The coordinator
+// keeps v in its cache either way: its own store when m = 0, the
+// generation-0 patch base for a worker that keeps the live value.
+func (x *Exec) alloc(t *core.Task, m int, v any, label string) access.ObjectID {
+	x.mu.Lock()
+	id := x.nextObj
+	x.nextObj++
+	x.mu.Unlock()
+	x.coh.Lock()
+	x.vals[id] = v
+	x.cacheVer[id] = 0
+	x.dir.Alloc(id, m, label)
+	x.coh.Unlock()
+	x.eng.RegisterObject(t, id)
+	return id
+}
 
 // mainCtx implements rt.TC for tasks executing on the coordinator
 // (machine 0): the main program and children it inlines under the
@@ -28,33 +136,10 @@ func (tc *mainCtx) CoreTask() *core.Task { return tc.t }
 // Machine implements rt.TC: the coordinator is machine 0.
 func (tc *mainCtx) Machine() int { return 0 }
 
-// await blocks until the engine wake fires, unless the run dies first.
-func (tc *mainCtx) await(ch chan struct{}) error {
-	select {
-	case <-ch:
-		return nil
-	case <-tc.x.fatal:
-		return tc.x.firstError()
-	}
-}
-
-// Access implements rt.TC: acquire the checked view, then stage the
-// object's current value in the coordinator cache.
+// Access implements rt.TC.
 func (tc *mainCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
-	ch := make(chan struct{})
-	ok, err := tc.x.eng.Access(tc.t, obj, m, func() { close(ch) })
-	if err != nil {
+	if err := tc.x.access(tc.t, 0, obj, m); err != nil {
 		return nil, err
-	}
-	if !ok {
-		if err := tc.await(ch); err != nil {
-			return nil, err
-		}
-	}
-	read := m.HasAny(access.Read | access.Commute)
-	write := m.HasAny(access.Write | access.Commute)
-	if ferr := tc.x.fetchOneRetry(tc.t, obj, 0, read, write); ferr != nil {
-		return nil, ferr
 	}
 	tc.x.coh.Lock()
 	v := tc.x.vals[obj]
@@ -77,15 +162,7 @@ func (tc *mainCtx) ClearAccess(obj access.ObjectID) {
 
 // Convert implements rt.TC.
 func (tc *mainCtx) Convert(obj access.ObjectID, which access.Mode) error {
-	ch := make(chan struct{})
-	ok, err := tc.x.eng.Convert(tc.t, obj, which, func() { close(ch) })
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return tc.await(ch)
-	}
-	return nil
+	return tc.x.convert(tc.t, obj, which)
 }
 
 // Retract implements rt.TC.
@@ -140,19 +217,10 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 			body = func(rt.TC) {}
 		}
 	}
-	if err := tc.await(pl.readyCh); err != nil {
-		return err
-	}
-	if ferr := x.fetchAllRetry(t, 0, nil); ferr != nil {
-		return ferr
-	}
-	if err := x.eng.Start(t); err != nil {
-		x.fail(err)
+	if err := x.startInline(t, pl, 0); err != nil {
 		return err
 	}
 	child := &mainCtx{x: x, t: t, heldSince: tc.heldSince}
-	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: 0, Label: opts.Label})
-	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: 0, Label: opts.Label})
 	x.runBody(child, body)
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID), Dst: 0})
 	if err := x.eng.Complete(t); err != nil {
@@ -169,21 +237,10 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 
 // Alloc implements rt.TC: the object is born owned by the coordinator.
 func (tc *mainCtx) Alloc(initial any, label string) (access.ObjectID, error) {
-	x := tc.x
 	if format.KindOf(initial) == format.KindInvalid {
 		return 0, fmt.Errorf("alloc %q: unsupported object type %T (portable Jade objects must be format-encodable)", label, initial)
 	}
-	x.mu.Lock()
-	id := x.nextObj
-	x.nextObj++
-	x.mu.Unlock()
-	x.coh.Lock()
-	x.vals[id] = initial
-	x.cacheVer[id] = 0
-	x.dir[id] = &objDir{owner: 0, copies: map[int]bool{0: true}, label: label}
-	x.coh.Unlock()
-	x.eng.RegisterObject(tc.t, id)
-	return id, nil
+	return tc.x.alloc(tc.t, 0, initial, label), nil
 }
 
 // Charge implements rt.TC: computation takes real time on a live run.

@@ -40,9 +40,9 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/format"
-	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
@@ -83,15 +83,6 @@ func (s memberState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// histEntry records one write grant on an object: the directory version
-// the grant created and the task it was granted to. The recovery sweep
-// replays the LAST completed writer in the window (cacheVer, version]
-// to re-derive a value that died with its owner.
-type histEntry struct {
-	ver  uint64
-	task *core.Task
-}
-
 // ---- membership accessors -------------------------------------------------
 
 // workerAtLocked returns the link for machine m. Requires x.mu.
@@ -125,22 +116,17 @@ func (x *Exec) machineCount() int {
 	return len(x.workers)
 }
 
-// memberUsable reports whether w may still carry coherence traffic
-// (active or draining — a draining worker finishes its tasks).
-func (x *Exec) memberUsable(w *workerLink) bool {
+// workerTarget resolves machine m as a target for coherence traffic,
+// refusing dead or departed members (a draining worker still carries it:
+// it finishes its tasks).
+func (x *Exec) workerTarget(m int) (*workerLink, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return w.state == memberActive || w.state == memberDraining
-}
-
-// workerTarget resolves machine m as a target for coherence traffic,
-// refusing dead or departed members.
-func (x *Exec) workerTarget(m int) (*workerLink, error) {
-	w := x.workerAt(m)
+	w := x.workerAtLocked(m)
 	if w == nil {
 		return nil, fmt.Errorf("live: no worker %d", m)
 	}
-	if !x.memberUsable(w) {
+	if w.state != memberActive && w.state != memberDraining {
 		return nil, fmt.Errorf("live: worker %d (%s) is gone: %w", m, w.name, errWorkerLost)
 	}
 	return w, nil
@@ -205,26 +191,25 @@ func (x *Exec) awaitEpoch(seen uint64) bool {
 	return x.epoch != seen
 }
 
-// ---- retrying coherence wrappers ------------------------------------------
+// ---- retrying coherence wrapper --------------------------------------------
 
-// fetchAllRetry stages t's declared objects on machine m, waiting out a
-// membership epoch whenever a crashed worker's recovery is in flight.
-// It returns errWorkerLost (wrapped) only when m itself is gone or the
-// run is unwinding; losses of OTHER workers are retried internally.
-// A non-nil car piggybacks the task's dispatch frame on the first push
-// to m; attachment survives internal retries (an attached frame either
-// reached m, or m is lost and the caller rebuilds the carrier).
-func (x *Exec) fetchAllRetry(t *core.Task, m int, car *dispatchCarrier) error {
+// retryOnLoss runs op — a coherence operation on behalf of machine m —
+// under x.coh, waiting out a membership epoch and retrying whenever op
+// fails because a crashed worker's recovery is in flight. It returns
+// errWorkerLost (wrapped) only when m itself is gone or the run is
+// unwinding; losses of OTHER workers are retried here. m == 0 is the
+// coordinator, which cannot be lost.
+func (x *Exec) retryOnLoss(m int, op func() error) error {
 	for {
 		seen := x.epochNow()
 		x.coh.Lock()
-		err := x.fetchAllLocked(t, m, car)
+		err := op()
 		x.coh.Unlock()
 		if err == nil || !errors.Is(err, errWorkerLost) {
 			return err
 		}
 		if m != 0 {
-			if w := x.workerAt(m); w == nil || !x.memberUsable(w) {
+			if _, gone := x.workerTarget(m); gone != nil {
 				return err
 			}
 		}
@@ -234,88 +219,50 @@ func (x *Exec) fetchAllRetry(t *core.Task, m int, car *dispatchCarrier) error {
 	}
 }
 
-// fetchOneRetry is fetchAllRetry for a single object (Access-time
-// staging).
-func (x *Exec) fetchOneRetry(t *core.Task, obj access.ObjectID, m int, read, write bool) error {
-	for {
-		seen := x.epochNow()
-		x.coh.Lock()
-		err := x.fetchToLocked(t, obj, m, read, write, nil)
-		x.coh.Unlock()
-		if err == nil || !errors.Is(err, errWorkerLost) {
-			return err
-		}
-		if m != 0 {
-			if w := x.workerAt(m); w == nil || !x.memberUsable(w) {
+// stageRetry stages every immediately-declared object of t on machine m
+// before the task starts. Commuting declarations are fetched at Access
+// time instead, like the simulated executor: another commuting task may
+// legitimately hold the object right now. A non-nil car piggybacks the
+// task's dispatch frame on the first push to m; attachment survives
+// retries (an attached frame either reached m, or m is lost and the caller
+// rebuilds the carrier).
+func (x *Exec) stageRetry(t *core.Task, m int, car *dispatchCarrier) error {
+	return x.retryOnLoss(m, func() error {
+		for _, d := range t.ImmediateDecls() {
+			if d.Mode.Has(access.Commute) {
+				continue
+			}
+			if err := x.fetchToLocked(t, d.Object, m, d.Mode.Has(access.Read), d.Mode.Has(access.Write), car); err != nil {
 				return err
 			}
 		}
-		if !x.awaitEpoch(seen) {
-			return err
-		}
-	}
+		return nil
+	})
 }
 
 // ---- input logging (write replay support) ---------------------------------
 
 // logInputLocked captures, first-encounter per (task, object), the
-// value a worker-bound task observes for obj: the coordinator-side
+// value a worker-bound task observes for d: the coordinator-side
 // input log that makes a completed task replayable after its worker
 // dies with the only copy of its output. Write-only grants log a
 // zeroed buffer (the task may not read the old contents); everything
-// else logs the cache value after syncing it to the current version.
-// Requires x.coh.
-func (x *Exec) logInputLocked(t *core.Task, obj access.ObjectID, m int, read, write bool) error {
-	ins := x.inputs[t.ID]
-	if ins == nil {
-		ins = map[access.ObjectID]any{}
-		x.inputs[t.ID] = ins
-	}
-	if _, ok := ins[obj]; ok {
+// else logs the cache value after syncing it to the current version —
+// so a log is always a valid replay base. Requires x.coh.
+func (x *Exec) logInputLocked(t *core.Task, d *coherence.Entry, m int, read, write bool) error {
+	if x.inputs.Logged(t.ID, d.Object) {
 		return nil
 	}
-	d := x.dir[obj]
-	if write && !read && !d.copies[m] {
+	if write && !read && !d.Holds(m) {
 		// Shape only: the grant ships a zeroed buffer.
-		ins[obj] = format.ZeroLike(x.vals[obj])
+		x.inputs.LogFresh(t.ID, d.Object, format.ZeroLike(x.vals[d.Object]))
 		return nil
 	}
-	if err := x.syncCacheLocked(obj); err != nil {
+	if err := x.syncCacheLocked(d); err != nil {
 		return err
 	}
-	// Logged inputs are immutable (replayLocked clones before running
-	// the body), so every task staged at the same object version shares
-	// one clone. Version transitions evict the cached snapshot: the
-	// directory bumps d.version on each write grant before any task can
-	// observe the new contents.
-	if s := x.inSnap[obj]; s != nil && s.ver == d.version {
-		ins[obj] = s.val
-		return nil
-	}
-	v := format.Clone(x.vals[obj])
-	x.inSnap[obj] = &inputSnap{ver: d.version, val: v}
-	ins[obj] = v
+	x.inputs.Log(t.ID, d.Object, d.Version, x.vals[d.Object])
 	return nil
-}
-
-// trimHistLocked drops write-history entries at or below the cached
-// version: the sweep only ever replays entries newer than the cache.
-// Requires x.coh.
-func (x *Exec) trimHistLocked(obj access.ObjectID) {
-	h := x.hist[obj]
-	if len(h) == 0 {
-		return
-	}
-	cv := x.cacheVer[obj]
-	i := 0
-	for i < len(h) && h[i].ver <= cv {
-		i++
-	}
-	if i == len(h) {
-		delete(x.hist, obj)
-	} else if i > 0 {
-		x.hist[obj] = append([]histEntry(nil), h[i:]...)
-	}
 }
 
 // ---- failure detection and recovery ---------------------------------------
@@ -334,6 +281,9 @@ func (x *Exec) workerLost(w *workerLink, cause error) {
 		}
 		w.state = memberDead
 		started := w.started
+		if started {
+			x.bg.Add(1) // under x.mu: see Exec.bg
+		}
 		x.mu.Unlock()
 		// Best effort, before fencing kills the session: a falsely-
 		// suspected worker learns it must rejoin as a new member.
@@ -357,6 +307,7 @@ func (x *Exec) workerLost(w *workerLink, cause error) {
 // entries it owned, then the in-flight tasks dispatched to it. Serial
 // per executor (recMu): concurrent deaths recover one at a time.
 func (x *Exec) recoverWorker(w *workerLink, cause error) {
+	defer x.bg.Done()
 	x.recMu.Lock()
 	defer x.recMu.Unlock()
 	t0 := time.Now()
@@ -370,44 +321,31 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	x.statMu.Unlock()
 
 	// 1) Rebuild directory entries owned by the dead worker.
-	var rebuilt, replayed int
+	var replayed int
 	x.coh.Lock()
-	for obj, d := range x.dir {
-		delete(d.copies, w.m)
-		x.dropShadowLocked(w.m, obj)
-		if d.owner != w.m {
-			continue
-		}
+	owned := x.loseMachineLocked(w.m)
+	for _, obj := range owned {
+		d := x.dir.Entry(obj)
 		how := "cache current"
-		if x.cacheVer[obj] != d.version {
+		if x.cacheVer[obj] != d.Version {
 			// The cache froze at an older generation. Replay the last
 			// COMPLETED writer in the window to re-derive the committed
 			// value; writers that had not completed are re-executed by
 			// the orphan pass and roll the object forward again.
-			var last *histEntry
-			for i := range x.hist[obj] {
-				e := &x.hist[obj][i]
-				if e.ver > x.cacheVer[obj] && e.task != nil && e.task.State() == core.Done {
-					last = e
-				}
-			}
-			if last != nil {
-				if err := x.replayLocked(last.task, obj); err != nil {
+			if writer, _ := x.dir.LastCommittedWriter(d, x.cacheVer[obj]); writer != nil {
+				if err := x.replayLocked(writer, obj); err != nil {
 					x.coh.Unlock()
-					x.failFatal(fmt.Errorf("live: recovering object #%d (%s) after worker %d died: %w", obj, d.label, w.m, err))
+					x.failFatal(fmt.Errorf("live: recovering object #%d (%s) after worker %d died: %w", obj, d.Label, w.m, err))
 					return
 				}
 				replayed++
-				how = fmt.Sprintf("replayed task %d", last.task.ID)
+				how = fmt.Sprintf("replayed task %d", writer.ID)
 			} else {
 				how = "restored committed cache"
 			}
 		}
-		x.cacheVer[obj] = d.version
-		d.owner = 0
-		d.copies[0] = true
-		delete(x.hist, obj)
-		rebuilt++
+		x.setCacheVerLocked(d, d.Version)
+		x.dir.Promote(d, 0)
 		x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Src: w.m, Dst: 0, Label: how})
 	}
 	x.coh.Unlock()
@@ -443,10 +381,21 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	x.statMu.Lock()
 	x.fstats.TasksReexecuted += len(orphans)
 	x.fstats.TasksReplayed += replayed
-	x.fstats.ObjectsRebuilt += rebuilt
+	x.fstats.ObjectsRebuilt += len(owned)
 	x.fstats.RecoveryTime += time.Since(t0)
 	x.statMu.Unlock()
 	x.bumpEpoch()
+}
+
+// loseMachineLocked drops machine m from the directory and from the
+// stale-copy images, and returns the objects it owned. Requires x.coh.
+func (x *Exec) loseMachineLocked(m int) []access.ObjectID {
+	for k := range x.stale {
+		if k.m == m {
+			delete(x.stale, k)
+		}
+	}
+	return x.dir.LoseMachine(m)
 }
 
 // replayLocked re-runs a completed task's body against its logged
@@ -459,10 +408,6 @@ func (x *Exec) replayLocked(t *core.Task, obj access.ObjectID) error {
 	if !ok || pl == nil {
 		return fmt.Errorf("task %d has no executor payload to replay", t.ID)
 	}
-	ins := x.inputs[t.ID]
-	if ins == nil {
-		return fmt.Errorf("task %d (%s) has no logged inputs to replay", t.ID, pl.opts.Label)
-	}
 	body := pl.body
 	if body == nil && pl.kind != "" {
 		body, _ = Kinds.resolve(pl.kind, pl.kindArgs)
@@ -470,72 +415,14 @@ func (x *Exec) replayLocked(t *core.Task, obj access.ObjectID) error {
 	if body == nil {
 		return fmt.Errorf("task %d (%s) has neither a retained closure nor a kind; cannot replay", t.ID, pl.opts.Label)
 	}
-	vals := make(map[access.ObjectID]any, len(ins))
-	for o, v := range ins {
-		vals[o] = format.Clone(v)
-	}
-	rc := &replayCtx{id: t.ID, vals: vals}
-	if err := runReplay(rc, body); err != nil {
+	out, err := coherence.Replay(t, 0, x.inputs.Inputs(t.ID), body, nil, obj)
+	if err != nil {
 		return err
-	}
-	out, ok := vals[obj]
-	if !ok {
-		return fmt.Errorf("replay of task %d (%s) produced no value for object #%d", t.ID, pl.opts.Label, obj)
 	}
 	x.vals[obj] = out
 	x.record(trace.Event{Kind: trace.TaskReexecuted, Task: uint64(t.ID), Label: fmt.Sprintf("replay object #%d", obj)})
 	return nil
 }
-
-// runReplay executes a body under the replay context, converting panics
-// into errors.
-func runReplay(rc *replayCtx, body func(rt.TC)) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("replayed body panicked: %v", r)
-		}
-	}()
-	body(rc)
-	return nil
-}
-
-// replayCtx implements rt.TC for crash replay: Access serves the logged
-// input values (bodies mutate the returned slices in place, so the vals
-// map accumulates the outputs); the structural operations a replayable
-// task must not perform are refused.
-type replayCtx struct {
-	id   core.TaskID
-	vals map[access.ObjectID]any
-}
-
-func (rc *replayCtx) CoreTask() *core.Task { return nil }
-func (rc *replayCtx) Machine() int         { return 0 }
-
-func (rc *replayCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
-	v, ok := rc.vals[obj]
-	if !ok {
-		return nil, fmt.Errorf("replay of task %d accessed object #%d, which was never logged", rc.id, obj)
-	}
-	return v, nil
-}
-
-func (rc *replayCtx) EndAccess(access.ObjectID, access.Mode) {}
-func (rc *replayCtx) ClearAccess(access.ObjectID)            {}
-
-func (rc *replayCtx) Convert(access.ObjectID, access.Mode) error { return nil }
-func (rc *replayCtx) Retract(access.ObjectID, access.Mode) error { return nil }
-
-func (rc *replayCtx) Create([]access.Decl, rt.TaskOpts, func(rt.TC)) error {
-	return fmt.Errorf("replay of task %d: a task that creates child tasks cannot be crash-replayed", rc.id)
-}
-
-func (rc *replayCtx) Alloc(any, string) (access.ObjectID, error) {
-	return 0, fmt.Errorf("replay of task %d: a task that allocates objects cannot be crash-replayed", rc.id)
-}
-
-func (rc *replayCtx) Charge(float64) {}
-
-var _ rt.TC = (*replayCtx)(nil)
 
 // ---- elastic membership ---------------------------------------------------
 
@@ -569,11 +456,6 @@ func (x *Exec) admit(conn transport.Conn, joined bool) (int, error) {
 		x.mu.Unlock()
 		return 0, err
 	}
-	x.coh.Lock()
-	for len(x.shadowVer) <= m {
-		x.shadowVer = append(x.shadowVer, map[access.ObjectID]uint64{})
-	}
-	x.coh.Unlock()
 	x.statMu.Lock()
 	for len(x.busy) <= m {
 		x.busy = append(x.busy, 0)
@@ -622,6 +504,10 @@ func (x *Exec) Drain(m int) error {
 		return fmt.Errorf("live: no worker %d to drain", m)
 	}
 	x.mu.Lock()
+	if x.closing {
+		x.mu.Unlock()
+		return fmt.Errorf("live: executor is shutting down")
+	}
 	if w.state != memberActive {
 		st := w.state
 		x.mu.Unlock()
@@ -629,6 +515,9 @@ func (x *Exec) Drain(m int) error {
 	}
 	w.state = memberDraining
 	idle := w.pendingTasks == 0
+	if idle {
+		x.bg.Add(1)
+	}
 	x.mu.Unlock()
 	x.bumpEpoch()
 	if idle {
@@ -642,20 +531,16 @@ func (x *Exec) Drain(m int) error {
 // ownership, release its copies and shadows, and say goodbye. Runs in
 // its own goroutine — the sync pulls need the worker's receive loop.
 func (x *Exec) completeDrain(w *workerLink) {
+	defer x.bg.Done()
 	x.coh.Lock()
-	for obj, d := range x.dir {
-		if d.owner == w.m {
-			if err := x.syncCacheLocked(obj); err != nil {
-				// It died mid-drain; crash recovery takes over.
-				x.coh.Unlock()
-				return
-			}
-			d.owner = 0
-			d.copies[0] = true
-			delete(x.hist, obj)
+	for _, obj := range x.loseMachineLocked(w.m) {
+		d := x.dir.Entry(obj)
+		if err := x.syncCacheLocked(d); err != nil {
+			// It died mid-drain; crash recovery re-lists what it still owns.
+			x.coh.Unlock()
+			return
 		}
-		delete(d.copies, w.m)
-		x.dropShadowLocked(w.m, obj)
+		x.dir.Promote(d, 0)
 	}
 	x.coh.Unlock()
 	x.mu.Lock()

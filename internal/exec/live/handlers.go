@@ -1,10 +1,12 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/rt"
@@ -109,6 +111,16 @@ func (x *Exec) recvLoop(w *workerLink) {
 			// traffic — release their buffer to the send pool here.
 			transport.PutBuf(msg)
 		}
+		// Every frame but a pull reply and a leave request is about one
+		// task: resolve it once, here.
+		var t *core.Task
+		if f.Type != wire.TObjData && f.Type != wire.TLeave {
+			if t = x.task(f.Task); t == nil {
+				x.unknownTask(w, f)
+				continue
+			}
+		}
+		obj, mode := access.ObjectID(f.Obj), access.Mode(f.A)
 		switch f.Type {
 		case wire.TObjData:
 			x.mu.Lock()
@@ -119,43 +131,41 @@ func (x *Exec) recvLoop(w *workerLink) {
 				ch <- f
 			}
 		case wire.TTaskDone:
-			x.handleTaskDone(w, f, "")
+			x.handleTaskDone(w, t, f, "")
 		case wire.TTaskFail:
-			x.handleTaskDone(w, f, f.Label)
+			x.handleTaskDone(w, t, f, f.Label)
 		case wire.TEndAccess:
-			if t := x.task(f.Task); t != nil {
-				x.eng.EndAccess(t, access.ObjectID(f.Obj), access.Mode(f.A))
-			}
+			x.eng.EndAccess(t, obj, mode)
 		case wire.TClearAccess:
-			if t := x.task(f.Task); t != nil {
-				x.eng.ClearAccess(t, access.ObjectID(f.Obj))
-			}
+			x.eng.ClearAccess(t, obj)
 		case wire.TRetractReq:
-			x.handleRetract(w, f)
+			w.replyErr(f.Req, x.eng.Retract(t, obj, mode)) // never blocks
 		case wire.TCreateReq:
 			// Inline: a task's successive creations must enter the engine
 			// in program order (creation order IS the serial order), and
 			// the connection's FIFO plus inline handling preserves it.
-			x.handleCreate(w, f)
+			x.handleCreate(w, t, f)
 		case wire.TAccessReq:
 			if f.B == 1 {
 				// Pre-granted access notify: must run inline so it
 				// enters the engine in FIFO order with this task's
 				// later TEndAccess/TTaskDone. It never takes x.coh.
-				x.handleAccessNotify(w, f)
+				x.accessPregranted(t, obj, mode)
 			} else {
-				go x.handleAccess(w, f)
+				go func() { w.replyErr(f.Req, x.access(t, w.m, obj, mode)) }()
 			}
 		case wire.TConvertReq:
-			go x.handleConvert(w, f)
+			go func() { w.replyErr(f.Req, x.convert(t, obj, mode)) }()
 		case wire.TAllocReq:
-			go x.handleAlloc(w, f)
+			go x.handleAlloc(w, t, f)
 		case wire.TStartReq:
-			go x.handleStart(w, f)
+			go x.handleStart(w, t, f)
 		case wire.TLeave:
-			// Graceful departure request; the drain completes asynchronously
-			// (it must not block this loop, which routes the sync pulls).
-			go x.Drain(w.m)
+			// Graceful departure request. Drain only flips the state; the
+			// departure completes in a goroutine of its own (it must not
+			// block this loop, which routes the sync pulls). A refusal
+			// (already draining, run shutting down) needs no answer.
+			_ = x.Drain(w.m)
 		default:
 			x.failFatal(fmt.Errorf("live: worker %d (%s): unexpected %s frame", w.m, w.name, wire.TypeName(f.Type)))
 			return
@@ -163,13 +173,21 @@ func (x *Exec) recvLoop(w *workerLink) {
 	}
 }
 
-// handleTaskDone retires a task the worker finished (or failed).
-func (x *Exec) handleTaskDone(w *workerLink, f *wire.Frame, errText string) {
-	t := x.task(f.Task)
-	if t == nil {
-		x.failFatal(fmt.Errorf("live: worker %d reported completion of unknown task %d", w.m, f.Task))
-		return
+// unknownTask answers a frame naming a task the table does not hold. A
+// request gets an error reply; a release of rights has nothing left to
+// release; a check-in or completion nobody asked for is a protocol error.
+func (x *Exec) unknownTask(w *workerLink, f *wire.Frame) {
+	switch {
+	case f.Req != 0:
+		w.reply(f.Req, fmt.Sprintf("%s request for unknown task %d", wire.TypeName(f.Type), f.Task), 0, 0)
+	case f.Type == wire.TEndAccess || f.Type == wire.TClearAccess:
+	default:
+		x.failFatal(fmt.Errorf("live: worker %d: %s for unknown task %d", w.m, wire.TypeName(f.Type), f.Task))
 	}
+}
+
+// handleTaskDone retires a task the worker finished (or failed).
+func (x *Exec) handleTaskDone(w *workerLink, t *core.Task, f *wire.Frame, errText string) {
 	pl := t.Payload.(*payload)
 	if errText != "" {
 		x.fail(fmt.Errorf("task %d (%s) on worker %d: %s", t.ID, pl.opts.Label, w.m, errText))
@@ -193,109 +211,20 @@ func (x *Exec) handleTaskDone(w *workerLink, f *wire.Frame, errText string) {
 	x.taskFinished(t, pl, time.Duration(f.A), errText == "")
 }
 
-// handleAccess grants a task's immediate access and stages the object
-// on the requesting worker before replying.
-func (x *Exec) handleAccess(w *workerLink, f *wire.Frame) {
-	t := x.task(f.Task)
-	if t == nil {
-		w.reply(f.Req, fmt.Sprintf("access request for unknown task %d", f.Task), 0, 0)
-		return
+// replyErr answers an RPC with err's text ("" for nil). An operation the
+// dying run abandoned gets no answer.
+func (w *workerLink) replyErr(req uint64, err error) {
+	switch {
+	case err == nil:
+		w.reply(req, "", 0, 0)
+	case !errors.Is(err, errUnwinding):
+		w.reply(req, err.Error(), 0, 0)
 	}
-	obj := access.ObjectID(f.Obj)
-	mode := access.Mode(f.A)
-	ch := make(chan struct{})
-	ok, err := x.eng.Access(t, obj, mode, func() { close(ch) })
-	if err != nil {
-		w.reply(f.Req, err.Error(), 0, 0)
-		return
-	}
-	if !ok {
-		select {
-		case <-ch:
-		case <-x.fatal:
-			return
-		}
-	}
-	read := mode.HasAny(access.Read | access.Commute)
-	write := mode.HasAny(access.Write | access.Commute)
-	ferr := x.fetchOneRetry(t, obj, w.m, read, write)
-	if ferr != nil {
-		w.reply(f.Req, ferr.Error(), 0, 0)
-		return
-	}
-	w.reply(f.Req, "", 0, 0)
-}
-
-// handleAccessNotify checks in a dispatch-time pre-granted access: the
-// worker already proceeded on the promise that the engine cannot make
-// this access wait, so there is no reply. The engine still records the
-// checkout (EndAccess bookkeeping, violation detection) exactly as for
-// a slow-path access.
-func (x *Exec) handleAccessNotify(w *workerLink, f *wire.Frame) {
-	t := x.task(f.Task)
-	if t == nil {
-		x.failFatal(fmt.Errorf("live: worker %d: access notify for unknown task %d", w.m, f.Task))
-		return
-	}
-	ok, err := x.eng.Access(t, access.ObjectID(f.Obj), access.Mode(f.A), func() {})
-	if err != nil {
-		// The engine's Violation hook has already recorded the failure
-		// and is unwinding the run; nothing to route back.
-		return
-	}
-	if !ok {
-		// The pre-grant contract promised this could not wait: the only
-		// legal wait causes (conflicting later child, commute lock) are
-		// excluded by the worker-side spawned/mode guards.
-		x.failFatal(fmt.Errorf("live: protocol invariant broken: pre-granted access of object #%d by task %d had to wait", f.Obj, f.Task))
-	}
-}
-
-// handleConvert promotes deferred rights to immediate.
-func (x *Exec) handleConvert(w *workerLink, f *wire.Frame) {
-	t := x.task(f.Task)
-	if t == nil {
-		w.reply(f.Req, fmt.Sprintf("convert request for unknown task %d", f.Task), 0, 0)
-		return
-	}
-	ch := make(chan struct{})
-	ok, err := x.eng.Convert(t, access.ObjectID(f.Obj), access.Mode(f.A), func() { close(ch) })
-	if err != nil {
-		w.reply(f.Req, err.Error(), 0, 0)
-		return
-	}
-	if !ok {
-		select {
-		case <-ch:
-		case <-x.fatal:
-			return
-		}
-	}
-	w.reply(f.Req, "", 0, 0)
-}
-
-// handleRetract drops rights; never blocks.
-func (x *Exec) handleRetract(w *workerLink, f *wire.Frame) {
-	t := x.task(f.Task)
-	if t == nil {
-		w.reply(f.Req, fmt.Sprintf("retract request for unknown task %d", f.Task), 0, 0)
-		return
-	}
-	if err := x.eng.Retract(t, access.ObjectID(f.Obj), access.Mode(f.A)); err != nil {
-		w.reply(f.Req, err.Error(), 0, 0)
-		return
-	}
-	w.reply(f.Req, "", 0, 0)
 }
 
 // handleCreate enters a worker-created child task into the engine and
 // decides inline-vs-dispatch under the creation throttle.
-func (x *Exec) handleCreate(w *workerLink, f *wire.Frame) {
-	parent := x.task(f.Task)
-	if parent == nil {
-		w.reply(f.Req, fmt.Sprintf("create request from unknown task %d", f.Task), 0, 0)
-		return
-	}
+func (x *Exec) handleCreate(w *workerLink, parent *core.Task, f *wire.Frame) {
 	c, err := unmarshalCreate(f.Payload)
 	if err != nil {
 		w.reply(f.Req, err.Error(), 0, 0)
@@ -334,78 +263,26 @@ func (x *Exec) handleCreate(w *workerLink, f *wire.Frame) {
 	w.reply(f.Req, "", uint64(t.ID), inlineFlag)
 }
 
-// handleStart serves an inline child's start request: wait until the
-// child's declarations enable, stage its objects on the creator's
-// machine, and start it in the engine.
-func (x *Exec) handleStart(w *workerLink, f *wire.Frame) {
-	t := x.task(f.Task)
-	if t == nil {
-		w.reply(f.Req, fmt.Sprintf("start request for unknown task %d", f.Task), 0, 0)
-		return
-	}
+// handleStart serves an inline child's start request.
+func (x *Exec) handleStart(w *workerLink, t *core.Task, f *wire.Frame) {
 	pl := t.Payload.(*payload)
 	if !pl.inline {
 		w.reply(f.Req, fmt.Sprintf("start request for non-inline task %d", f.Task), 0, 0)
 		return
 	}
-	select {
-	case <-pl.readyCh:
-	case <-x.fatal:
-		return
-	}
-	ferr := x.fetchAllRetry(t, w.m, nil)
-	if ferr != nil {
-		w.reply(f.Req, ferr.Error(), 0, 0)
-		return
-	}
-	if err := x.eng.Start(t); err != nil {
-		x.fail(err)
-		if cerr := x.eng.Complete(t); cerr != nil {
-			x.fail(cerr)
-		}
-		x.unregister(t)
-		w.reply(f.Req, err.Error(), 0, 0)
-		return
-	}
-	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-	w.reply(f.Req, "", 0, 0)
+	w.replyErr(f.Req, x.startInline(t, pl, w.m))
 }
 
 // handleAlloc registers a worker-allocated object: the worker keeps the
 // live value (it is the owner); the coordinator caches a decoded copy
 // as the generation-0 patch base.
-func (x *Exec) handleAlloc(w *workerLink, f *wire.Frame) {
-	t := x.task(f.Task)
-	if t == nil {
-		w.reply(f.Req, fmt.Sprintf("alloc request from unknown task %d", f.Task), 0, 0)
-		return
-	}
-	img := f.Payload
-	var words int
-	if ord := format.ByteOrder(f.A); ord != x.opts.Format {
-		conv, n, err := format.Convert(img, ord, x.opts.Format)
-		if err != nil {
-			w.reply(f.Req, err.Error(), 0, 0)
-			return
-		}
-		img, words = conv, n
-	}
-	v, err := format.Decode(img, x.opts.Format)
+func (x *Exec) handleAlloc(w *workerLink, t *core.Task, f *wire.Frame) {
+	v, words, err := coherence.Unpack(nil, f.Payload, false, format.ByteOrder(f.A), x.opts.Format)
 	if err != nil {
 		w.reply(f.Req, err.Error(), 0, 0)
 		return
 	}
-	x.mu.Lock()
-	id := x.nextObj
-	x.nextObj++
-	x.mu.Unlock()
-	x.coh.Lock()
-	x.vals[id] = v
-	x.cacheVer[id] = 0
-	x.dir[id] = &objDir{owner: w.m, copies: map[int]bool{w.m: true}, label: f.Label}
-	x.coh.Unlock()
+	id := x.alloc(t, w.m, v, f.Label)
 	x.noteConverted(id, w.m, 0, words)
-	x.eng.RegisterObject(t, id)
 	w.reply(f.Req, "", uint64(id), 0)
 }

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/format"
@@ -113,28 +114,10 @@ type FleetView interface {
 	Load(m int) int
 }
 
-// objDir is the coordinator's directory entry for one object, same
-// protocol as the simulated distributed executor.
-type objDir struct {
-	owner   int
-	copies  map[int]bool
-	label   string
-	version uint64
-}
-
-// snapshot is an immutable copy of an object at one content generation,
-// retained while any worker's shadow froze at that generation: it is the
-// diff base for delta pushes to those workers.
-type snapshot struct {
-	val  any
-	refs int
-}
-
-// inputSnap is the shared input-log clone of an object at one version
-// (see logInputLocked). val is immutable once stored.
-type inputSnap struct {
-	ver uint64
-	val any
+// staleKey names one worker's retained stale copy of one object.
+type staleKey struct {
+	m   int
+	obj access.ObjectID
 }
 
 // payload is the executor attachment on core tasks.
@@ -240,27 +223,25 @@ type Exec struct {
 	firstErr    error
 
 	// coh serializes the coherence protocol: directory state, the
-	// coordinator's value cache, generation snapshots, and the pushes/
+	// coordinator's value cache, the stale-copy images, and the pushes/
 	// pulls that move object bytes. Coarse by design — the protocol's
 	// invariants are stated against a serialized transition order, the
 	// same order the simulator got for free from virtual time.
-	coh       sync.Mutex
-	dir       map[access.ObjectID]*objDir
-	vals      map[access.ObjectID]any // machine-0 store and relay cache
-	cacheVer  map[access.ObjectID]uint64
-	verVals   map[access.ObjectID]map[uint64]*snapshot
-	shadowVer []map[access.ObjectID]uint64 // per machine: generation its shadow froze at
-	// hist is the per-object write-grant history above the cached
-	// version; inputs is the per-task input log. Together they make a
-	// completed task replayable when its worker dies with the only
-	// up-to-date copy of an object (see fault.go).
-	hist   map[access.ObjectID][]histEntry
-	inputs map[core.TaskID]map[access.ObjectID]any
-	// inSnap caches one immutable clone of each object's latest logged
-	// version, shared by every input-log entry taken at that version:
-	// logged inputs are read-only (replay clones before mutating), so
-	// the per-(task,object) clone the log used to take is pure waste.
-	inSnap map[access.ObjectID]*inputSnap
+	coh sync.Mutex
+	// dir is the object directory with each worker's shadow generations
+	// and the write-grant history above the cached version; inputs is the
+	// per-task input log. Together they make a completed task replayable
+	// when its worker dies with the only up-to-date copy of an object
+	// (see fault.go).
+	dir      *coherence.Directory
+	inputs   *coherence.InputLog
+	vals     map[access.ObjectID]any // machine-0 store and relay cache
+	cacheVer map[access.ObjectID]uint64
+	// stale[{m, obj}] is what worker m's invalidated copy of obj holds: an
+	// immutable clone of the cache at the generation the directory froze
+	// m's shadow at, shared by every worker invalidated by the same write
+	// grant. It is the diff base for the next push of obj to m.
+	stale map[staleKey]any
 
 	// statMu guards the metrics ledgers.
 	statMu    sync.Mutex
@@ -273,6 +254,10 @@ type Exec struct {
 	retired   int // dispatched tasks retired (drives Options.OnTaskDone)
 
 	wg sync.WaitGroup // dispatched (non-inline) tasks in flight
+	// bg tracks the recovery and drain-completion goroutines. Each is
+	// added under x.mu while !x.closing, and Run waits only after it has
+	// set closing, so every Add happens before the Wait.
+	bg sync.WaitGroup
 }
 
 // New returns a coordinator for the connected workers.
@@ -299,20 +284,14 @@ func New(opts Options) (*Exec, error) {
 		nextObj:     opts.FirstObjectID,
 		nextReq:     1,
 		pending:     map[uint64]chan *wire.Frame{},
-		dir:         map[access.ObjectID]*objDir{},
+		dir:         coherence.NewDirectory(),
+		inputs:      coherence.NewInputLog(),
 		vals:        map[access.ObjectID]any{},
 		cacheVer:    map[access.ObjectID]uint64{},
-		verVals:     map[access.ObjectID]map[uint64]*snapshot{},
-		shadowVer:   make([]map[access.ObjectID]uint64, n),
-		hist:        map[access.ObjectID][]histEntry{},
-		inputs:      map[core.TaskID]map[access.ObjectID]any{},
-		inSnap:      map[access.ObjectID]*inputSnap{},
+		stale:       map[staleKey]any{},
 		busy:        make([]time.Duration, n),
 	}
 	x.cond = sync.NewCond(&x.mu)
-	for i := range x.shadowVer {
-		x.shadowVer[i] = map[access.ObjectID]uint64{}
-	}
 	if opts.Trace {
 		x.log = trace.New()
 	} else if opts.TraceRingSize > 0 {
@@ -619,11 +598,15 @@ func (x *Exec) Run(root func(rt.TC)) error {
 		return x.firstError()
 	}
 
-	x.drain()
+	// Pull every final value home, then shut membership: from here no
+	// recovery or drain completion can start, and the ones in flight are
+	// joined before the counters they update are read.
+	x.retryOnLoss(0, x.drainBatchLocked)
 	x.mu.Lock()
 	x.closing = true
 	x.cond.Broadcast()
 	x.mu.Unlock()
+	x.bg.Wait()
 	for _, w := range x.workerList() {
 		x.mu.Lock()
 		st := w.state
@@ -637,46 +620,26 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	return x.firstError()
 }
 
-// drain pulls every object whose current version lives on a worker back
-// into the coordinator cache, so ObjectValue serves final results. A
-// worker death mid-drain parks on the membership epoch and retries
-// once recovery has promoted the dead worker's objects.
-func (x *Exec) drain() {
-	for {
-		seen := x.epochNow()
-		err := func() error {
-			x.coh.Lock()
-			defer x.coh.Unlock()
-			return x.drainBatchLocked()
-		}()
-		if err == nil || !errors.Is(err, errWorkerLost) {
-			return // success, or a non-membership failure (firstErr set)
-		}
-		if !x.awaitEpoch(seen) {
-			return
-		}
-	}
-}
-
 // drainInflight bounds the pulls the drain keeps outstanding at once.
 const drainInflight = 32
 
-// drainBatchLocked syncs every stale worker-owned object into the
-// coordinator cache with pipelined pulls: a wave of TPulls ships before
-// the first reply is awaited, so the drain pays wire latency once per
-// wave rather than once per object. Requires x.coh (held across the
-// whole drain; replies are routed by the receive loops, which never take
-// it).
+// drainBatchLocked pulls every object whose current version lives on a
+// worker back into the coordinator cache, so ObjectValue serves final
+// results — with pipelined pulls: a wave of TPulls ships before the first
+// reply is awaited, so the drain pays wire latency once per wave rather
+// than once per object. Requires x.coh (held across the whole drain;
+// replies are routed by the receive loops, which never take it). A worker
+// death mid-drain surfaces as errWorkerLost; the caller retries once
+// recovery has promoted the dead worker's objects.
 func (x *Exec) drainBatchLocked() error {
-	var stale []access.ObjectID
-	for obj, d := range x.dir {
-		if d.owner != 0 && x.cacheVer[obj] != d.version {
-			stale = append(stale, obj)
+	var stale []*coherence.Entry
+	for _, d := range x.dir.Entries() {
+		if d.Owner != 0 && x.cacheVer[d.Object] != d.Version {
+			stale = append(stale, d)
 		}
 	}
 	type pend struct {
-		obj access.ObjectID
-		d   *objDir
+		d   *coherence.Entry
 		w   *workerLink
 		ch  chan *wire.Frame
 		req uint64
@@ -688,19 +651,18 @@ func (x *Exec) drainBatchLocked() error {
 		}
 		pends := make([]pend, 0, end-start)
 		var firstErr error
-		for _, obj := range stale[start:end] {
-			d := x.dir[obj]
-			w, err := x.workerTarget(d.owner)
+		for _, d := range stale[start:end] {
+			w, err := x.workerTarget(d.Owner)
 			if err != nil {
 				firstErr = err
 				break
 			}
-			ch, req, err := x.rpcStart(w, &wire.Frame{Type: wire.TPull, Obj: uint64(obj), A: d.version, B: x.cacheVer[obj]})
+			ch, req, err := x.rpcStart(w, &wire.Frame{Type: wire.TPull, Obj: uint64(d.Object), A: d.Version, B: x.cacheVer[d.Object]})
 			if err != nil {
 				firstErr = err
 				break
 			}
-			pends = append(pends, pend{obj, d, w, ch, req})
+			pends = append(pends, pend{d, w, ch, req})
 		}
 		// Collect the whole wave even after a failure: every issued pull
 		// must be awaited (or its pending entry dropped) before retrying.
@@ -715,7 +677,7 @@ func (x *Exec) drainBatchLocked() error {
 			if firstErr != nil {
 				continue // late reply of a doomed wave; the retry re-pulls
 			}
-			if err := x.applyPullReplyLocked(p.obj, p.d, p.w, r); err != nil {
+			if err := x.applyPullReplyLocked(p.d, p.w, r); err != nil {
 				firstErr = err
 			}
 		}
@@ -852,8 +814,8 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 		held := make([]int, x.machineCount()+1)
 		x.coh.Lock()
 		for _, d := range t.ImmediateDecls() {
-			if dir := x.dir[d.Object]; dir != nil {
-				for c := range dir.copies {
+			if dir := x.dir.Entry(d.Object); dir != nil {
+				for _, c := range dir.Holders() {
 					if c < len(held) {
 						held[c]++
 					}
@@ -937,7 +899,7 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 		x.mu.Lock()
 		pl.sent = true
 		x.mu.Unlock()
-		ferr := x.fetchAllRetry(t, w.m, car)
+		ferr := x.stageRetry(t, w.m, car)
 		if ferr == nil && !car.attached {
 			// Nothing shipped to w during staging (its copies were all
 			// current): the dispatch crosses the wire on its own.
@@ -1009,6 +971,7 @@ func (x *Exec) taskFinished(t *core.Task, pl *payload, busy time.Duration, ran b
 			x.fleetUncharge(w.m)
 			if w.state == memberDraining && w.pendingTasks == 0 {
 				drained = w
+				x.bg.Add(1)
 			}
 		}
 	}
@@ -1109,22 +1072,6 @@ func (x *Exec) place(pl *payload, held []int) (*workerLink, error) {
 	return best, nil
 }
 
-// fetchAllLocked stages every immediately-declared object on machine m
-// before the task starts. Commuting declarations are fetched at Access
-// time instead, like the simulated executor: another commuting task may
-// legitimately hold the object right now.
-func (x *Exec) fetchAllLocked(t *core.Task, m int, car *dispatchCarrier) error {
-	for _, d := range t.ImmediateDecls() {
-		if d.Mode.Has(access.Commute) {
-			continue
-		}
-		if err := x.fetchToLocked(t, d.Object, m, d.Mode.Has(access.Read), d.Mode.Has(access.Write), car); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fetchToLocked implements the object-management protocol over the wire:
 // migrate on write (invalidating other copies, retaining them as delta
 // shadows), replicate on read, ship nothing for write-only grants.
@@ -1132,185 +1079,155 @@ func (x *Exec) fetchAllLocked(t *core.Task, m int, car *dispatchCarrier) error {
 // the dispatch target instead of crossing the wire on its own.
 // Requires x.coh.
 func (x *Exec) fetchToLocked(t *core.Task, obj access.ObjectID, m int, read, write bool, car *dispatchCarrier) error {
-	d := x.dir[obj]
+	d := x.dir.Entry(obj)
 	if d == nil {
 		err := fmt.Errorf("live: object #%d has no directory entry", obj)
 		x.fail(err)
 		return err
 	}
+	var w *workerLink // the target, when it is not the coordinator itself
 	if m != 0 {
 		// Refuse dead or departed targets. The check runs inside the coh
 		// critical section, and the recovery sweep also runs under coh
 		// after the state flips: every grant to a dying worker either
 		// precedes the sweep (and is cleaned up by it) or is refused.
-		if _, err := x.workerTarget(m); err != nil {
+		var err error
+		if w, err = x.workerTarget(m); err != nil {
 			return err
 		}
-		if t != nil {
-			// Input logging for crash replay: capture what this task
-			// will observe for obj, before the grant mutates the
-			// directory.
-			if err := x.logInputLocked(t, obj, m, read, write); err != nil {
-				return err
-			}
+		// Input logging for crash replay: capture what this task will
+		// observe for obj, before the grant mutates the directory.
+		if err := x.logInputLocked(t, d, m, read, write); err != nil {
+			return err
 		}
 	}
 	if write {
-		if d.owner != m {
-			if err := x.syncCacheLocked(obj); err != nil {
+		if d.Owner != m {
+			if err := x.syncCacheLocked(d); err != nil {
 				return err
 			}
-			if m != 0 && !d.copies[m] {
-				if read {
-					if err := x.pushLocked(t, obj, m, d, car); err != nil {
-						return err
-					}
-					x.record(trace.Event{Kind: trace.ObjectMoved, Task: uint64(t.ID), Object: uint64(obj), Src: d.owner, Dst: m,
-						Bytes: format.SizeOf(x.vals[obj]), Label: d.label})
-				} else {
+			if m != 0 {
+				var err error
+				moved, note := 0, ""
+				switch {
+				case d.Holds(m):
+					// The writer already holds a current replica: ownership
+					// moves without any data on the wire.
+					note = " (cached)"
+				case read:
+					err = x.pushLocked(t, d, w, car)
+					moved = format.SizeOf(x.vals[obj])
+				default:
 					// Write-only: ownership moves, data does not (§5: the
 					// task may not read the old contents).
-					if err := x.pushZeroLocked(t, obj, m, d, car); err != nil {
-						return err
-					}
-					x.record(trace.Event{Kind: trace.ObjectMoved, Task: uint64(t.ID), Object: uint64(obj), Src: d.owner, Dst: m,
-						Bytes: 0, Label: d.label + " (write-only)"})
+					err = x.pushZeroLocked(t, d, w, car)
+					note = " (write-only)"
 				}
-			} else if m != 0 {
-				// The writer already holds a current replica: ownership
-				// moves without any data on the wire.
-				x.record(trace.Event{Kind: trace.ObjectMoved, Task: uint64(t.ID), Object: uint64(obj), Src: d.owner, Dst: m,
-					Bytes: 0, Label: d.label + " (cached)"})
-			} else if !read {
-				x.vals[obj] = format.ZeroLike(x.vals[obj])
+				if err != nil {
+					return err
+				}
+				x.record(trace.Event{Kind: trace.ObjectMoved, Task: uint64(t.ID), Object: uint64(obj), Src: d.Owner, Dst: m,
+					Bytes: moved, Label: d.Label + note})
 			}
 		}
-		for c := range d.copies {
-			if c != m {
-				x.invalidateLocked(c, obj, d)
-			}
+		zero := m == 0 && !read && d.Owner != 0
+		x.invalidateLocked(d, x.dir.GrantWrite(d, m, t))
+		if zero {
+			// After the invalidations: they clone the cache as the
+			// outgoing generation's patch base.
+			x.vals[obj] = format.ZeroLike(x.vals[obj])
 		}
-		d.owner = m
-		// Reuse the map (this is the per-write-grant hot path).
-		for c := range d.copies {
-			delete(d.copies, c)
-		}
-		d.copies[m] = true
-		d.version++
 		if m == 0 {
 			// The coordinator's store is the authoritative copy.
-			x.cacheVer[obj] = d.version
-			x.trimHistLocked(obj)
-		} else if t != nil {
-			// Record the write grant so the recovery sweep can find the
-			// last completed writer of a version that died with m.
-			x.hist[obj] = append(x.hist[obj], histEntry{ver: d.version, task: t})
+			x.setCacheVerLocked(d, d.Version)
 		}
 		return nil
 	}
-	if d.copies[m] {
+	if d.Holds(m) {
 		return nil
 	}
-	if err := x.syncCacheLocked(obj); err != nil {
+	if err := x.syncCacheLocked(d); err != nil {
 		return err
 	}
 	if m != 0 {
-		if err := x.pushLocked(t, obj, m, d, car); err != nil {
+		if err := x.pushLocked(t, d, w, car); err != nil {
 			return err
 		}
 	}
-	d.copies[m] = true
-	x.record(trace.Event{Kind: trace.ObjectCopied, Task: uint64(t.ID), Object: uint64(obj), Src: d.owner, Dst: m,
-		Bytes: format.SizeOf(x.vals[obj]), Label: d.label})
+	x.record(trace.Event{Kind: trace.ObjectCopied, Task: uint64(t.ID), Object: uint64(obj), Src: d.Owner, Dst: m,
+		Bytes: format.SizeOf(x.vals[obj]), Label: d.Label})
+	x.dir.GrantRead(d, m)
 	return nil
 }
 
-// syncCacheLocked brings the coordinator's cached value of obj up to the
+// setCacheVerLocked records that the coordinator cache holds d at
+// generation ver, and forgets the write grants at or below it: the sweep
+// only ever replays generations newer than the cache. Requires x.coh.
+func (x *Exec) setCacheVerLocked(d *coherence.Entry, ver uint64) {
+	x.cacheVer[d.Object] = ver
+	x.dir.TrimHistory(d, ver)
+}
+
+// syncCacheLocked brings the coordinator's cached value of d up to the
 // directory's current generation, pulling a patch (or full image) from
 // the owning worker if the cache is stale. Requires x.coh.
-func (x *Exec) syncCacheLocked(obj access.ObjectID) error {
-	d := x.dir[obj]
-	if d.owner == 0 || x.cacheVer[obj] == d.version {
+func (x *Exec) syncCacheLocked(d *coherence.Entry) error {
+	if d.Owner == 0 || x.cacheVer[d.Object] == d.Version {
 		return nil
 	}
-	w, err := x.workerTarget(d.owner)
+	w, err := x.workerTarget(d.Owner)
 	if err != nil {
 		return err
 	}
-	r, err := x.rpc(w, &wire.Frame{Type: wire.TPull, Obj: uint64(obj), A: d.version, B: x.cacheVer[obj]})
+	r, err := x.rpc(w, &wire.Frame{Type: wire.TPull, Obj: uint64(d.Object), A: d.Version, B: x.cacheVer[d.Object]})
 	if err != nil {
 		return err
 	}
-	return x.applyPullReplyLocked(obj, d, w, r)
+	return x.applyPullReplyLocked(d, w, r)
 }
 
 // applyPullReplyLocked installs one pull reply — patch or full image —
 // into the coordinator cache and advances the cached generation to the
 // directory's. Requires x.coh, held since the pull was issued.
-func (x *Exec) applyPullReplyLocked(obj access.ObjectID, d *objDir, w *workerLink, r *wire.Frame) error {
-	have := x.cacheVer[obj]
-	x.countObjData(r, w)
-	if r.C > 0 {
-		base := r.C - 1
-		if base != have {
-			err := fmt.Errorf("live: pull of object #%d: patch base %d, cache holds %d", obj, base, have)
-			x.failFatal(err)
-			return err
-		}
-		patch := r.Payload
-		if ord := format.ByteOrder(r.B); ord != x.opts.Format {
-			conv, words, cerr := format.ConvertPatch(patch, ord, x.opts.Format)
-			if cerr != nil {
-				x.failFatal(fmt.Errorf("live: convert patch for object #%d: %w", obj, cerr))
-				return cerr
-			}
-			patch = conv
-			x.noteConverted(obj, w.m, 0, words)
-		}
-		nv, perr := format.ApplyPatch(x.vals[obj], patch, x.opts.Format)
-		if perr != nil {
-			x.failFatal(fmt.Errorf("live: apply patch for object #%d: %w", obj, perr))
-			return perr
-		}
-		x.vals[obj] = nv
-		x.record(trace.Event{Kind: trace.ObjectPatched, Object: uint64(obj), Src: w.m, Dst: 0,
-			Bytes: len(r.Payload), Saved: format.WireSize(nv) - len(r.Payload), Label: d.label})
-		x.statMu.Lock()
-		x.dstats.DeltaTransfers++
-		x.dstats.DeltaBytes += int64(len(r.Payload))
-		x.dstats.SavedBytes += int64(format.WireSize(nv) - len(r.Payload))
-		x.statMu.Unlock()
-	} else {
-		img := r.Payload
-		if ord := format.ByteOrder(r.B); ord != x.opts.Format {
-			conv, words, cerr := format.Convert(img, ord, x.opts.Format)
-			if cerr != nil {
-				x.failFatal(fmt.Errorf("live: convert object #%d: %w", obj, cerr))
-				return cerr
-			}
-			img = conv
-			x.noteConverted(obj, w.m, 0, words)
-		}
-		v, derr := format.Decode(img, x.opts.Format)
-		if derr != nil {
-			x.failFatal(fmt.Errorf("live: decode object #%d: %w", obj, derr))
-			return derr
-		}
-		x.vals[obj] = v
-		x.statMu.Lock()
-		x.dstats.FullTransfers++
-		x.dstats.FullBytes += int64(len(r.Payload))
-		x.statMu.Unlock()
+func (x *Exec) applyPullReplyLocked(d *coherence.Entry, w *workerLink, r *wire.Frame) error {
+	obj := d.Object
+	x.record(trace.Event{Kind: trace.MessageSent, Object: r.Obj, Src: w.m, Dst: 0,
+		Bytes: len(r.Payload), Label: "object-pull"})
+	isPatch := r.C > 0
+	if have := x.cacheVer[obj]; isPatch && r.C-1 != have {
+		err := fmt.Errorf("live: pull of object #%d: patch base %d, cache holds %d", obj, r.C-1, have)
+		x.failFatal(err)
+		return err
 	}
-	x.cacheVer[obj] = d.version
-	x.trimHistLocked(obj)
+	nv, words, err := coherence.Unpack(x.vals[obj], r.Payload, isPatch, format.ByteOrder(r.B), x.opts.Format)
+	if err != nil {
+		err = fmt.Errorf("live: pull of object #%d: %w", obj, err)
+		x.failFatal(err)
+		return err
+	}
+	x.noteConverted(obj, w.m, 0, words)
+	x.vals[obj] = nv
+	if isPatch {
+		x.record(trace.Event{Kind: trace.ObjectPatched, Object: uint64(obj), Src: w.m, Dst: 0,
+			Bytes: len(r.Payload), Saved: format.WireSize(nv) - len(r.Payload), Label: d.Label})
+	}
+	x.countTransfer(isPatch, len(r.Payload), format.WireSize(nv)-len(r.Payload))
+	x.setCacheVerLocked(d, d.Version)
 	return nil
 }
 
-// countObjData records the wire message for a pull reply.
-func (x *Exec) countObjData(r *wire.Frame, w *workerLink) {
-	x.record(trace.Event{Kind: trace.MessageSent, Object: r.Obj, Src: w.m, Dst: 0,
-		Bytes: len(r.Payload), Label: "object-pull"})
+// countTransfer charges one object transfer to the delta ledger.
+func (x *Exec) countTransfer(isPatch bool, bytes, saved int) {
+	x.statMu.Lock()
+	if isPatch {
+		x.dstats.DeltaTransfers++
+		x.dstats.DeltaBytes += int64(bytes)
+		x.dstats.SavedBytes += int64(saved)
+	} else {
+		x.dstats.FullTransfers++
+		x.dstats.FullBytes += int64(bytes)
+	}
+	x.statMu.Unlock()
 }
 
 func (x *Exec) noteConverted(obj access.ObjectID, src, dst, words int) {
@@ -1323,199 +1240,93 @@ func (x *Exec) noteConverted(obj access.ObjectID, src, dst, words int) {
 	x.record(trace.Event{Kind: trace.Converted, Object: uint64(obj), Src: src, Dst: dst, Bytes: words})
 }
 
-// pushLocked ships the current value of obj to worker m — as a patch
-// against the worker's shadow generation when the diff is worthwhile,
-// as a full image otherwise. Requires x.coh with the cache current.
-func (x *Exec) pushLocked(t *core.Task, obj access.ObjectID, m int, d *objDir, car *dispatchCarrier) error {
-	w, err := x.workerTarget(m)
-	if err != nil {
-		return err
-	}
-	gen := x.cacheVer[obj]
+// pushLocked ships the current value of d to worker w — as a patch
+// against the image of the worker's stale copy when the codec finds the
+// diff worthwhile, as a full image otherwise. Requires x.coh with the
+// cache current.
+func (x *Exec) pushLocked(t *core.Task, d *coherence.Entry, w *workerLink, car *dispatchCarrier) error {
+	obj, m := d.Object, w.m
 	val := x.vals[obj]
 	if val == nil {
 		err := fmt.Errorf("live: object #%d missing from coordinator cache", obj)
 		x.failFatal(err)
 		return err
 	}
-	if sv, ok := x.shadowVer[m][obj]; ok {
-		if snap := x.verVals[obj][sv]; snap != nil {
-			if patch, _, diffOK := format.Diff(snap.val, val, x.opts.Format); diffOK {
-				saved := format.WireSize(val) - len(patch)
-				wirePatch := patch
-				if w.fmt != x.opts.Format {
-					conv, words, err := format.ConvertPatch(patch, x.opts.Format, w.fmt)
-					if err != nil {
-						x.failFatal(fmt.Errorf("live: convert patch for object #%d: %w", obj, err))
-						return err
-					}
-					wirePatch = conv
-					x.noteConverted(obj, 0, m, words)
-				}
-				x.dropShadowLocked(m, obj)
-				pf := &wire.Frame{Type: wire.TObjPatch, Obj: uint64(obj),
-					A: gen, B: uint64(w.fmt), C: sv, Payload: wirePatch}
-				car.attachTo(pf, m)
-				if err := w.send(pf); err != nil {
-					return err
-				}
-				var tid uint64
-				if t != nil {
-					tid = uint64(t.ID)
-				}
-				x.record(trace.Event{Kind: trace.MessageSent, Task: tid, Object: uint64(obj), Src: 0, Dst: m, Bytes: len(wirePatch), Label: "object-delta"})
-				x.record(trace.Event{Kind: trace.ObjectPatched, Task: tid, Object: uint64(obj), Src: 0, Dst: m, Bytes: len(wirePatch), Saved: saved})
-				x.statMu.Lock()
-				x.dstats.DeltaTransfers++
-				x.dstats.DeltaBytes += int64(len(wirePatch))
-				x.dstats.SavedBytes += int64(saved)
-				x.statMu.Unlock()
-				return nil
-			}
-		}
-	}
-	img, err := format.Encode(val, x.opts.Format)
+	payload, isPatch, words, err := coherence.Pack(x.stale[staleKey{m, obj}], val, x.opts.Format, w.fmt)
 	if err != nil {
-		x.failFatal(fmt.Errorf("live: encode object #%d: %w", obj, err))
+		err = fmt.Errorf("live: push of object #%d: %w", obj, err)
+		x.failFatal(err)
 		return err
 	}
-	if w.fmt != x.opts.Format {
-		conv, words, cerr := format.Convert(img, x.opts.Format, w.fmt)
-		if cerr != nil {
-			x.failFatal(fmt.Errorf("live: convert object #%d: %w", obj, cerr))
-			return cerr
-		}
-		img = conv
-		x.noteConverted(obj, 0, m, words)
+	x.noteConverted(obj, 0, m, words)
+	f := &wire.Frame{Type: wire.TObjImage, Obj: uint64(obj),
+		A: x.cacheVer[obj], B: uint64(w.fmt), Payload: payload}
+	label, saved := "object", 0
+	if isPatch {
+		f.Type = wire.TObjPatch
+		f.C, _ = d.ShadowGen(m)
+		label, saved = "object-delta", format.WireSize(val)-len(payload)
 	}
-	x.dropShadowLocked(m, obj)
-	imf := &wire.Frame{Type: wire.TObjImage, Obj: uint64(obj),
-		A: gen, B: uint64(w.fmt), Payload: img}
-	car.attachTo(imf, m)
-	if err := w.send(imf); err != nil {
+	delete(x.stale, staleKey{m, obj})
+	car.attachTo(f, m)
+	if err := w.send(f); err != nil {
 		return err
 	}
-	var tid uint64
-	if t != nil {
-		tid = uint64(t.ID)
+	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: len(payload), Label: label})
+	if isPatch {
+		x.record(trace.Event{Kind: trace.ObjectPatched, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: len(payload), Saved: saved})
 	}
-	x.record(trace.Event{Kind: trace.MessageSent, Task: tid, Object: uint64(obj), Src: 0, Dst: m, Bytes: len(img), Label: "object"})
-	x.statMu.Lock()
-	x.dstats.FullTransfers++
-	x.dstats.FullBytes += int64(len(img))
-	x.statMu.Unlock()
+	x.countTransfer(isPatch, len(payload), saved)
 	return nil
 }
 
-// pushZeroLocked grants worker m a fresh zeroed buffer for obj: a
+// pushZeroLocked grants worker w a fresh zeroed buffer for d: a
 // write-only task may not read the old contents, so no data moves.
-func (x *Exec) pushZeroLocked(t *core.Task, obj access.ObjectID, m int, d *objDir, car *dispatchCarrier) error {
-	w, err := x.workerTarget(m)
-	if err != nil {
-		return err
-	}
-	kind, n := kindAndLen(x.vals[obj])
-	x.dropShadowLocked(m, obj)
-	zf := &wire.Frame{Type: wire.TObjZero, Obj: uint64(obj),
-		A: d.version, B: uint64(kind), C: uint64(n)}
+func (x *Exec) pushZeroLocked(t *core.Task, d *coherence.Entry, w *workerLink, car *dispatchCarrier) error {
+	m := w.m
+	kind, n := format.KindOf(x.vals[d.Object]), format.Len(x.vals[d.Object])
+	delete(x.stale, staleKey{m, d.Object})
+	zf := &wire.Frame{Type: wire.TObjZero, Obj: uint64(d.Object),
+		A: d.Version, B: uint64(kind), C: uint64(n)}
 	car.attachTo(zf, m)
 	if err := w.send(zf); err != nil {
 		return err
 	}
-	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: 0, Label: "ownership"})
+	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(d.Object), Src: 0, Dst: m, Bytes: 0, Label: "ownership"})
 	return nil
 }
 
-// invalidateLocked discards machine c's copy of obj, retaining it as a
-// shadow frozen at the current generation so later re-fetches can
-// travel as patches. Requires x.coh with the cache current when c != 0.
-func (x *Exec) invalidateLocked(c int, obj access.ObjectID, d *objDir) {
-	if c == 0 {
-		// The coordinator's cache stays as the patch base for its own
-		// re-fetches (cacheVer tracks which generation it froze at).
-		x.record(trace.Event{Kind: trace.ObjectInvalidated, Object: uint64(obj), Src: 0, Dst: 0, Label: d.label})
-		return
-	}
-	w, err := x.workerTarget(c)
-	if err != nil {
-		// The copy holder is dead or departed: nothing to invalidate and
-		// no shadow worth retaining (the sweep drops its state).
-		x.record(trace.Event{Kind: trace.ObjectInvalidated, Object: uint64(obj), Src: c, Dst: c, Label: d.label + " (member gone)"})
-		return
-	}
-	gen := x.cacheVer[obj]
-	vm := x.verVals[obj]
-	if vm == nil {
-		vm = map[uint64]*snapshot{}
-		x.verVals[obj] = vm
-	}
-	if _, ok := x.shadowVer[c][obj]; ok {
-		// Replacing an older shadow: release its snapshot first.
-		x.dropShadowLocked(c, obj)
-	}
-	snap := vm[gen]
-	if snap == nil {
-		snap = &snapshot{val: format.Clone(x.vals[obj])}
-		vm[gen] = snap
-	}
-	snap.refs++
-	x.shadowVer[c][obj] = gen
-	w.send(&wire.Frame{Type: wire.TInvalidate, Obj: uint64(obj), A: gen})
-	x.record(trace.Event{Kind: trace.ObjectInvalidated, Object: uint64(obj), Src: c, Dst: c, Label: d.label})
-}
-
-// dropShadowLocked releases machine m's shadow bookkeeping for obj.
-func (x *Exec) dropShadowLocked(m int, obj access.ObjectID) {
-	sv, ok := x.shadowVer[m][obj]
-	if !ok {
-		return
-	}
-	delete(x.shadowVer[m], obj)
-	if vm := x.verVals[obj]; vm != nil {
-		if snap := vm[sv]; snap != nil {
-			snap.refs--
-			if snap.refs <= 0 {
-				delete(vm, sv)
+// invalidateLocked discards the copies of d a write grant just froze:
+// a live worker keeps its stale bytes, so the coordinator keeps a clone of
+// that generation too and later re-fetches can travel as patches.
+// Requires x.coh with the cache still holding the outgoing generation.
+func (x *Exec) invalidateLocked(d *coherence.Entry, holders []int) {
+	obj := d.Object
+	var frozen any // the outgoing generation, cloned once for all holders
+	for _, c := range holders {
+		var w *workerLink
+		if c != 0 {
+			w, _ = x.workerTarget(c)
+		}
+		label := d.Label
+		if w == nil {
+			// The coordinator's cache stays as the patch base for its own
+			// re-fetches (cacheVer tracks which generation it froze at); a
+			// dead or departed holder has nothing to invalidate and no
+			// stale copy worth tracking (the sweep drops its state).
+			x.dir.DropShadow(d, c)
+			if c != 0 {
+				label += " (member gone)"
 			}
+		} else {
+			if frozen == nil {
+				frozen = format.Clone(x.vals[obj])
+			}
+			x.stale[staleKey{c, obj}] = frozen
+			w.send(&wire.Frame{Type: wire.TInvalidate, Obj: uint64(obj), A: d.Version - 1})
 		}
-		if len(vm) == 0 {
-			delete(x.verVals, obj)
-		}
+		x.record(trace.Event{Kind: trace.ObjectInvalidated, Object: uint64(obj), Src: c, Dst: c, Label: label})
 	}
-}
-
-// kindAndLen describes a value for a zero grant without shipping it.
-func kindAndLen(v any) (format.Kind, int) {
-	switch s := v.(type) {
-	case []byte:
-		return format.KindBytes, len(s)
-	case []int32:
-		return format.KindInt32s, len(s)
-	case []int64:
-		return format.KindInt64s, len(s)
-	case []float32:
-		return format.KindFloat32s, len(s)
-	case []float64:
-		return format.KindFloat64s, len(s)
-	}
-	return format.KindInvalid, 0
-}
-
-// makeZero materializes a zero value for a zero grant.
-func makeZero(k format.Kind, n int) any {
-	switch k {
-	case format.KindBytes:
-		return make([]byte, n)
-	case format.KindInt32s:
-		return make([]int32, n)
-	case format.KindInt64s:
-		return make([]int64, n)
-	case format.KindFloat32s:
-		return make([]float32, n)
-	case format.KindFloat64s:
-		return make([]float64, n)
-	}
-	return nil
 }
 
 // costBits round-trips a float64 cost through a frame scalar.

@@ -42,7 +42,9 @@ func newTCP(t *testing.T, n int, opts Options) *Exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
+	// Closed once the rendezvous below is complete: the run admits nobody
+	// else, and a listener outliving Run would read as a leak.
+	defer l.Close()
 	bodies := NewBodyTable()
 	for i := 0; i < n; i++ {
 		go func(i int) {

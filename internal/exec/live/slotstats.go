@@ -29,23 +29,18 @@ func (x *Exec) loadOf(w *workerLink) int {
 }
 
 // ObjectIDs snapshots every object id this coordinator tracks anywhere:
-// the directory, the machine-0 value cache, and the replay input logs.
-// The cross-tenant isolation tests assert that two sessions' snapshots
-// never intersect.
+// the directory and the machine-0 value cache (the replay input logs only
+// ever name objects the directory already holds). The cross-tenant
+// isolation tests assert that two sessions' snapshots never intersect.
 func (x *Exec) ObjectIDs() []access.ObjectID {
 	x.coh.Lock()
 	defer x.coh.Unlock()
 	seen := map[access.ObjectID]struct{}{}
-	for id := range x.dir {
-		seen[id] = struct{}{}
+	for _, d := range x.dir.Entries() {
+		seen[d.Object] = struct{}{}
 	}
 	for id := range x.vals {
 		seen[id] = struct{}{}
-	}
-	for _, in := range x.inputs {
-		for id := range in {
-			seen[id] = struct{}{}
-		}
 	}
 	ids := make([]access.ObjectID, 0, len(seen))
 	for id := range seen {

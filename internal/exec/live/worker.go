@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/format"
 	"repro/internal/rt"
@@ -294,9 +295,9 @@ func (w *worker) loop() error {
 			w.wg.Add(1)
 			go w.runTask(f)
 		case wire.TObjImage:
-			err = w.applyImage(f)
+			err = w.applyPush(f, false)
 		case wire.TObjPatch:
-			err = w.applyPatch(f)
+			err = w.applyPush(f, true)
 		case wire.TObjZero:
 			err = w.applyZero(f)
 		case wire.TInvalidate:
@@ -339,23 +340,32 @@ func (w *worker) loop() error {
 	}
 }
 
-// applyImage installs a full object image and records it as the new
-// sync base. The coordinator converts to this worker's byte order
-// before sending; the order check is defensive.
-func (w *worker) applyImage(f *wire.Frame) error {
-	img := f.Payload
-	if ord := format.ByteOrder(f.B); ord != w.opts.Format {
-		conv, _, err := format.Convert(img, ord, w.opts.Format)
-		if err != nil {
-			return fmt.Errorf("live worker %d: object #%d image: %w", w.m, f.Obj, err)
-		}
-		img = conv
-	}
-	v, err := format.Decode(img, w.opts.Format)
-	if err != nil {
-		return fmt.Errorf("live worker %d: object #%d image: %w", w.m, f.Obj, err)
-	}
+// applyPush installs a pushed object — a full image, or a patch that
+// advances the recorded sync base — and records the result as the new
+// sync base. The coordinator converts to this worker's byte order before
+// sending; Unpack's order handling is defensive. Decoding happens outside
+// w.mu (task goroutines look objects up under it): only this receive loop
+// replaces a sync base, and a base's value is never modified.
+func (w *worker) applyPush(f *wire.Frame, isPatch bool) error {
 	obj := access.ObjectID(f.Obj)
+	var base any
+	if isPatch {
+		w.mu.Lock()
+		b, ok := w.bases[obj]
+		w.mu.Unlock()
+		if !ok || b.ver != f.C {
+			have := "none"
+			if ok {
+				have = fmt.Sprint(b.ver)
+			}
+			return fmt.Errorf("live worker %d: patch for object #%d against base %d, have %s", w.m, f.Obj, f.C, have)
+		}
+		base = b.val
+	}
+	v, _, err := coherence.Unpack(base, f.Payload, isPatch, format.ByteOrder(f.B), w.opts.Format)
+	if err != nil {
+		return fmt.Errorf("live worker %d: push of object #%d: %w", w.m, f.Obj, err)
+	}
 	w.mu.Lock()
 	w.store[obj] = v
 	w.bases[obj] = syncBase{val: format.Clone(v), ver: f.A}
@@ -364,41 +374,10 @@ func (w *worker) applyImage(f *wire.Frame) error {
 	return nil
 }
 
-// applyPatch advances the object from the recorded sync base.
-func (w *worker) applyPatch(f *wire.Frame) error {
-	obj := access.ObjectID(f.Obj)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b, ok := w.bases[obj]
-	if !ok || b.ver != f.C {
-		have := "none"
-		if ok {
-			have = fmt.Sprint(b.ver)
-		}
-		return fmt.Errorf("live worker %d: patch for object #%d against base %d, have %s", w.m, f.Obj, f.C, have)
-	}
-	patch := f.Payload
-	if ord := format.ByteOrder(f.B); ord != w.opts.Format {
-		conv, _, err := format.ConvertPatch(patch, ord, w.opts.Format)
-		if err != nil {
-			return fmt.Errorf("live worker %d: object #%d patch: %w", w.m, f.Obj, err)
-		}
-		patch = conv
-	}
-	nv, err := format.ApplyPatch(b.val, patch, w.opts.Format)
-	if err != nil {
-		return fmt.Errorf("live worker %d: object #%d patch: %w", w.m, f.Obj, err)
-	}
-	w.store[obj] = nv
-	w.bases[obj] = syncBase{val: format.Clone(nv), ver: f.A}
-	w.storeCond.Broadcast()
-	return nil
-}
-
 // applyZero installs a fresh zeroed buffer: a write-only grant ships no
 // data, only the shape.
 func (w *worker) applyZero(f *wire.Frame) error {
-	v := makeZero(format.Kind(f.B), int(f.C))
+	v := format.Zero(format.Kind(f.B), int(f.C))
 	if v == nil {
 		return fmt.Errorf("live worker %d: zero grant for object #%d with invalid kind %d", w.m, f.Obj, f.B)
 	}
@@ -436,20 +415,20 @@ func (w *worker) answerPull(f *wire.Frame) error {
 		w.mu.Unlock()
 		return fmt.Errorf("live worker %d: pull of object #%d, which this worker does not hold", w.m, f.Obj)
 	}
-	out := &wire.Frame{Type: wire.TObjData, Req: f.Req, Obj: f.Obj, A: f.A, B: uint64(w.opts.Format)}
+	var base any
 	if b, ok := w.bases[obj]; ok && b.ver == f.B {
-		if patch, _, diffOK := format.Diff(b.val, v, w.opts.Format); diffOK {
-			out.C = f.B + 1
-			out.Payload = patch
-		}
+		base = b.val
 	}
-	if out.Payload == nil && out.C == 0 {
-		img, err := format.Encode(v, w.opts.Format)
-		if err != nil {
-			w.mu.Unlock()
-			return fmt.Errorf("live worker %d: pull of object #%d: %w", w.m, f.Obj, err)
-		}
-		out.Payload = img
+	// The reply leaves in this worker's own byte order (B says which); the
+	// coordinator converts.
+	payload, isPatch, _, err := coherence.Pack(base, v, w.opts.Format, w.opts.Format)
+	if err != nil {
+		w.mu.Unlock()
+		return fmt.Errorf("live worker %d: pull of object #%d: %w", w.m, f.Obj, err)
+	}
+	out := &wire.Frame{Type: wire.TObjData, Req: f.Req, Obj: f.Obj, A: f.A, B: uint64(w.opts.Format), Payload: payload}
+	if isPatch {
+		out.C = f.B + 1
 	}
 	w.bases[obj] = syncBase{val: format.Clone(v), ver: f.A}
 	w.mu.Unlock()

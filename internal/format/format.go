@@ -125,10 +125,11 @@ func SizeOf(v any) int {
 	if k == KindInvalid {
 		return 0
 	}
-	return headerSize + k.elemSize()*lengthOf(v)
+	return headerSize + k.elemSize()*Len(v)
 }
 
-func lengthOf(v any) int {
+// Len returns the element count of a supported value (0 otherwise).
+func Len(v any) int {
 	switch x := v.(type) {
 	case []byte:
 		return len(x)
@@ -167,19 +168,29 @@ func Clone(v any) any {
 // declared wr (without rd) gets ownership and a fresh buffer, and the stale
 // bytes never cross the network.
 func ZeroLike(v any) any {
-	switch x := v.(type) {
-	case []byte:
-		return make([]byte, len(x))
-	case []int32:
-		return make([]int32, len(x))
-	case []int64:
-		return make([]int64, len(x))
-	case []float32:
-		return make([]float32, len(x))
-	case []float64:
-		return make([]float64, len(x))
+	if z := Zero(KindOf(v), Len(v)); z != nil {
+		return z
 	}
 	panic(fmt.Sprintf("format: cannot zero unsupported type %T", v))
+}
+
+// Zero returns a zeroed value of kind k and length n — what ZeroLike makes,
+// for a receiver that is told the shape instead of shown a value — or nil
+// for an invalid kind.
+func Zero(k Kind, n int) any {
+	switch k {
+	case KindBytes:
+		return make([]byte, n)
+	case KindInt32s:
+		return make([]int32, n)
+	case KindInt64s:
+		return make([]int64, n)
+	case KindFloat32s:
+		return make([]float32, n)
+	case KindFloat64s:
+		return make([]float64, n)
+	}
+	return nil
 }
 
 // Encode produces the self-describing wire image of v in byte order ord.
@@ -188,7 +199,7 @@ func Encode(v any, ord ByteOrder) ([]byte, error) {
 	if k == KindInvalid {
 		return nil, fmt.Errorf("format: unsupported type %T", v)
 	}
-	n := lengthOf(v)
+	n := Len(v)
 	buf := make([]byte, headerSize, headerSize+n*k.elemSize())
 	buf[0] = byte(k)
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(n))

@@ -47,7 +47,7 @@ func TestEmptySlices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lengthOf(got) != 0 || KindOf(got) != KindOf(v) {
+		if Len(got) != 0 || KindOf(got) != KindOf(v) {
 			t.Fatalf("empty round trip: %#v -> %#v", v, got)
 		}
 	}

@@ -46,7 +46,7 @@ func WireSize(v any) int { return headerSize + SizeOf(v) }
 // pattern, so a float NaN is equal to itself and never re-sent.
 func Diff(old, new any, ord ByteOrder) (patch []byte, changed int, ok bool) {
 	k := KindOf(new)
-	if k == KindInvalid || KindOf(old) != k || lengthOf(old) != lengthOf(new) {
+	if k == KindInvalid || KindOf(old) != k || Len(old) != Len(new) {
 		return nil, 0, false
 	}
 	oldImg, err := Encode(old, ord)
@@ -57,7 +57,7 @@ func Diff(old, new any, ord ByteOrder) (patch []byte, changed int, ok bool) {
 	if err != nil {
 		return nil, 0, false
 	}
-	n := lengthOf(new)
+	n := Len(new)
 	es := k.elemSize()
 	op, np := oldImg[headerSize:], newImg[headerSize:]
 	differs := func(i int) bool {
@@ -178,8 +178,8 @@ func ApplyPatch(base any, patch []byte, ord ByteOrder) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pk != k || n != lengthOf(base) {
-		return nil, fmt.Errorf("format: patch %v[%d] does not match base %v[%d]", pk, n, k, lengthOf(base))
+	if pk != k || n != Len(base) {
+		return nil, fmt.Errorf("format: patch %v[%d] does not match base %v[%d]", pk, n, k, Len(base))
 	}
 	return out, nil
 }

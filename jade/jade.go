@@ -130,13 +130,16 @@ type Runtime struct {
 	obsSrv    *obs.Server
 
 	// Live-runtime elastic-membership state (nil/zero otherwise).
-	liveX       *live.Exec
-	liveBodies  *live.BodyTable
-	liveSlots   int
-	liveTCP     bool
-	liveElastic bool
-	liveMu      sync.Mutex
-	liveNext    int // counter for naming joined in-process workers
+	liveX      *live.Exec
+	liveBodies *live.BodyTable
+	liveSlots  int
+	// liveListener is the TCP rendezvous of a Transport "tcp" runtime. It
+	// stays open while the program runs (late dials are admitted when
+	// Elastic, turned away otherwise) and is closed when Run returns.
+	liveListener *tcp.Listener
+	liveElastic  bool
+	liveMu       sync.Mutex
+	liveNext     int // counter for naming joined in-process workers
 
 	// runWrap, when non-nil, brackets the executor run (service sessions
 	// use it to keep their lifecycle state truthful).
@@ -412,7 +415,7 @@ func NewLive(cfg LiveConfig) (*Runtime, error) {
 	r := &Runtime{
 		ex: x, traced: cfg.Trace, liveAddr: boundAddr,
 		liveX: x, liveBodies: bodies, liveSlots: cfg.WorkerSlots,
-		liveTCP: lateConns != nil, liveElastic: cfg.Elastic,
+		liveListener: lateConns, liveElastic: cfg.Elastic,
 		liveNext: cfg.Workers,
 	}
 	if cfg.Obs != nil {
@@ -458,7 +461,7 @@ func (r *Runtime) JoinWorkers(n int) error {
 		name := fmt.Sprintf("local-%d", r.liveNext)
 		r.liveMu.Unlock()
 		opts := live.WorkerOptions{Name: name, Bodies: r.liveBodies, Slots: r.liveSlots}
-		if r.liveTCP {
+		if r.liveListener != nil {
 			if !r.liveElastic {
 				return fmt.Errorf("jade: JoinWorkers on a tcp runtime requires LiveConfig.Elastic")
 			}
@@ -588,6 +591,11 @@ func (r *Runtime) Run(main func(t *Task)) error {
 		err = run()
 	}
 	r.wall = time.Since(start)
+	if r.liveListener != nil {
+		// Run is once-only: nobody can join a finished run, and an open
+		// listener would keep its socket and two goroutines for good.
+		r.liveListener.Close()
+	}
 	return err
 }
 

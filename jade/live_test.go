@@ -3,9 +3,11 @@ package jade_test
 import (
 	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/exec/exectest"
 	"repro/jade"
 )
 
@@ -30,6 +32,26 @@ func TestLiveRuntimes(t *testing.T) {
 				t.Fatalf("Report().Makespan = %v", rep.Makespan)
 			}
 		})
+	}
+}
+
+// TestLiveTCPRunLeavesNoGoroutines: a finished tcp run gives back everything
+// it started — in particular its listener, whose accept loop and
+// late-connection loop used to outlive every run (+2 goroutines and one
+// socket each). Elastic and non-elastic runtimes alike.
+func TestLiveTCPRunLeavesNoGoroutines(t *testing.T) {
+	for _, elastic := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		for run := 0; run < 3; run++ {
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 2, Transport: "tcp", Elastic: elastic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSum(t, r)
+		}
+		if err := exectest.AwaitGoroutines(before, 5*time.Second); err != nil {
+			t.Fatalf("elastic=%v, three runs: %v", elastic, err)
+		}
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // forbidden lists the import edges that must not exist. from and to are
 // package paths below the module root "repro", each standing for the
 // package and everything under it ("" = the whole module); except names
-// importers the rule does not cover.
+// importers the rule does not cover. A to that starts with "std:" names a
+// standard-library package instead.
 var forbidden = []struct {
 	from, to string
 	except   []string
@@ -25,6 +26,17 @@ var forbidden = []struct {
 }{
 	{from: "internal/exec/live", to: "internal/exec/dist",
 		why: "the live executor shares stat types through internal/rt, not through the simulated one"},
+	{from: "internal/coherence", to: "internal/exec", why: "the protocol's bookkeeping sits below its two hosts"},
+	{from: "internal/coherence", to: "internal/transport", why: "how bytes move is the host's business"},
+	{from: "internal/coherence", to: "internal/sim", why: "no time: the host supplies the clock"},
+	{from: "internal/coherence", to: "internal/trace", why: "events are emitted by the hosts, where they always were"},
+	{from: "internal/coherence", to: "internal/netmodel", why: "how bytes move is the host's business"},
+	{from: "internal/coherence", to: "internal/machine", why: "platforms belong to the simulated host"},
+	{from: "internal/coherence", to: "std:sync", why: "no locks: the host serialises calls"},
+	{from: "internal/coherence", to: "std:time", why: "no time: the host supplies the clock"},
+	{from: "", to: "internal/coherence",
+		except: []string{"internal/coherence", "internal/exec/dist", "internal/exec/live"},
+		why:    "only the two message-passing executors host the coherence protocol"},
 	{from: "internal/trace", to: "internal/exec", why: "the event stream sits below the executors"},
 	{from: "internal/obs", to: "internal/exec", why: "exporters read events, not executors"},
 	{from: "internal/profile", to: "internal/exec", why: "the profiler reads events, not executors"},
@@ -64,18 +76,18 @@ func TestImportLayering(t *testing.T) {
 			pkg = ""
 		}
 		for _, spec := range f.Imports {
-			imp, _ := strconv.Unquote(spec.Path.Value)
-			if imp != "repro" && !strings.HasPrefix(imp, "repro/") {
-				continue
+			full, _ := strconv.Unquote(spec.Path.Value)
+			imp := "std:" + full
+			if full == "repro" || strings.HasPrefix(full, "repro/") {
+				imp = strings.TrimPrefix(strings.TrimPrefix(full, "repro"), "/")
 			}
-			imp = strings.TrimPrefix(strings.TrimPrefix(imp, "repro"), "/")
 			for _, rule := range forbidden {
 				hit := under(pkg, rule.from) && under(imp, rule.to)
 				for _, ex := range rule.except {
 					hit = hit && !under(pkg, ex)
 				}
 				if hit {
-					t.Errorf("%s imports repro/%s: %s", path, imp, rule.why)
+					t.Errorf("%s imports %s: %s", path, full, rule.why)
 				}
 			}
 		}

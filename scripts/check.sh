@@ -24,13 +24,23 @@ tier() {
 		go test ./...
 		;;
 	race) # everything that does real concurrency, under the race detector, twice
-		go test -race -count=2 ./internal/core/... ./internal/exec/... \
-			./internal/transport/... ./internal/fault/... ./internal/obs/... \
-			./internal/apps/serve/... ./jade/...
+		go test -race -count=2 ./internal/core/... ./internal/coherence/... \
+			./internal/exec/... ./internal/transport/... ./internal/fault/... \
+			./internal/obs/... ./internal/apps/serve/... ./jade/...
 		go test -race -count=2 -run 'Fault|L2|MT1|SV1' ./internal/experiments/...
 		;;
 	determinism) # simulated makespans, byte counts and traces repeat bit for bit
-		go test -run Determin -count=2 ./internal/sim/... ./internal/exec/dist/...
+		go test -run 'Determin|Property' -count=2 ./internal/sim/... \
+			./internal/coherence/... ./internal/exec/dist/...
+		# ... and so does what a reader sees: two runs of the simulator-backed
+		# experiments print the same bytes, or a map-iteration order has
+		# leaked into a simulated run.
+		out=$(mktemp -d)
+		trap 'rm -rf "$out"' EXIT
+		go build -o "$out/jadebench" ./cmd/jadebench
+		"$out/jadebench" -quick -exp f7,f9,d1,f1,a1,a2,h1 >"$out/run1.txt"
+		"$out/jadebench" -quick -exp f7,f9,d1,f1,a1,a2,h1 >"$out/run2.txt"
+		diff "$out/run1.txt" "$out/run2.txt"
 		;;
 	artifact) # a real jadebench trace export passes the structural validator
 		out=$(mktemp -d)
