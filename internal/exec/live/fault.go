@@ -226,9 +226,25 @@ func (x *Exec) retryOnLoss(m int, op func() error) error {
 // task's dispatch frame on the first push to m; attachment survives
 // retries (an attached frame either reached m, or m is lost and the caller
 // rebuilds the carrier).
+//
+// Every input is logged before anything is pushed. The dispatch rides the
+// first push, so from then on the body may be running on m and writing the
+// objects m already owns; an input pulled from m after that would race the
+// body and log its half-done writes as what the task observed.
 func (x *Exec) stageRetry(t *core.Task, m int, car *dispatchCarrier) error {
 	return x.retryOnLoss(m, func() error {
-		for _, d := range t.ImmediateDecls() {
+		decls := t.ImmediateDecls()
+		for _, d := range decls {
+			if m == 0 || d.Mode.Has(access.Commute) {
+				continue // the coordinator's own inputs are not logged
+			}
+			if e := x.dir.Entry(d.Object); e != nil {
+				if err := x.logInputLocked(t, e, m, d.Mode.Has(access.Read), d.Mode.Has(access.Write)); err != nil {
+					return err
+				}
+			}
+		}
+		for _, d := range decls {
 			if d.Mode.Has(access.Commute) {
 				continue
 			}

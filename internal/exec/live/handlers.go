@@ -15,19 +15,23 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// task looks up a live task by wire identifier.
-func (x *Exec) task(id uint64) *core.Task {
+// taskFrom looks up the live task a frame from w names. gone reports that
+// w has been declared dead: between that verdict and the fence cutting the
+// connection its frames can still arrive — a failure its eviction caused, a
+// request from a body still running — and they are late traffic to drop,
+// not to apply to a task that is being re-executed elsewhere.
+func (x *Exec) taskFrom(w *workerLink, id uint64) (t *core.Task, gone bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.tasks[core.TaskID(id)]
+	return x.tasks[core.TaskID(id)], w.state == memberDead
 }
 
 // register enters a task in the table that task resolves wire ids
 // against. A task's id leaves the coordinator in exactly one frame — the
 // dispatch frame of a scheduled task, the create reply of an inline one —
 // and the task must be in the table before that frame exists, or the
-// worker's first message about it (a pre-grant notify, its completion)
-// finds nothing. So each task is registered exactly once, by the step
+// worker's first message about it (check-ins, its completion) finds
+// nothing. So each task is registered exactly once, by the step
 // that precedes its frame: onReady before it starts the dispatch
 // goroutine, createTask before it returns an inline child. A creator
 // returning from eng.Create after its scheduled child already ran and
@@ -105,20 +109,35 @@ func (x *Exec) recvLoop(w *workerLink) {
 			x.failFatal(fmt.Errorf("live: worker %d (%s): %w", w.m, w.name, err))
 			return
 		}
-		if len(f.Payload) == 0 {
-			// Payload is the only Frame field aliasing msg (strings are
-			// copies): payload-free frames — the vast majority of RPC
-			// traffic — release their buffer to the send pool here.
-			transport.PutBuf(msg)
-		}
 		// Every frame but a pull reply and a leave request is about one
 		// task: resolve it once, here.
 		var t *core.Task
 		if f.Type != wire.TObjData && f.Type != wire.TLeave {
-			if t = x.task(f.Task); t == nil {
+			var gone bool
+			if t, gone = x.taskFrom(w, f.Task); gone {
+				continue
+			} else if t == nil {
 				x.unknownTask(w, f)
 				continue
 			}
+		} else if len(f.Checkins) > 0 {
+			x.failFatal(fmt.Errorf("live: worker %d (%s): check-ins on a %s frame, which names no task", w.m, w.name, wire.TypeName(f.Type)))
+			return
+		}
+		// The task's pre-granted accesses since its previous frame enter the
+		// engine here, inline and before the frame that carries them: the
+		// FIFO position frames of their own would have had, so a release
+		// never precedes its check-out. accessPregranted never takes x.coh.
+		for c := f.Checkins; len(c) > 0; c = c[wire.AccessRecLen:] {
+			obj, mode := wire.AccessRec(c)
+			x.accessPregranted(t, access.ObjectID(obj), access.Mode(mode))
+		}
+		if len(f.Payload) == 0 {
+			// Checkins (consumed above) and Payload are the only Frame
+			// fields aliasing msg (strings are copies): payload-free frames
+			// — the vast majority of RPC traffic — release their buffer to
+			// the send pool here.
+			transport.PutBuf(msg)
 		}
 		obj, mode := access.ObjectID(f.Obj), access.Mode(f.A)
 		switch f.Type {
@@ -146,14 +165,7 @@ func (x *Exec) recvLoop(w *workerLink) {
 			// the connection's FIFO plus inline handling preserves it.
 			x.handleCreate(w, t, f)
 		case wire.TAccessReq:
-			if f.B == 1 {
-				// Pre-granted access notify: must run inline so it
-				// enters the engine in FIFO order with this task's
-				// later TEndAccess/TTaskDone. It never takes x.coh.
-				x.accessPregranted(t, obj, mode)
-			} else {
-				go func() { w.replyErr(f.Req, x.access(t, w.m, obj, mode)) }()
-			}
+			go func() { w.replyErr(f.Req, x.access(t, w.m, obj, mode)) }()
 		case wire.TConvertReq:
 			go func() { w.replyErr(f.Req, x.convert(t, obj, mode)) }()
 		case wire.TAllocReq:
@@ -174,10 +186,13 @@ func (x *Exec) recvLoop(w *workerLink) {
 }
 
 // unknownTask answers a frame naming a task the table does not hold. A
-// request gets an error reply; a release of rights has nothing left to
-// release; a check-in or completion nobody asked for is a protocol error.
+// check-in or completion nobody asked for is a protocol error; otherwise a
+// request gets an error reply and a release of rights has nothing left to
+// release.
 func (x *Exec) unknownTask(w *workerLink, f *wire.Frame) {
 	switch {
+	case len(f.Checkins) > 0:
+		x.failFatal(fmt.Errorf("live: worker %d: access check-in for unknown task %d", w.m, f.Task))
 	case f.Req != 0:
 		w.reply(f.Req, fmt.Sprintf("%s request for unknown task %d", wire.TypeName(f.Type), f.Task), 0, 0)
 	case f.Type == wire.TEndAccess || f.Type == wire.TClearAccess:

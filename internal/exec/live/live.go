@@ -29,7 +29,6 @@
 package live
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -746,11 +745,12 @@ func (c *dispatchCarrier) attachTo(f *wire.Frame, m int) {
 }
 
 // marshalDispatchPayload packs a dispatch payload: a pre-grant prefix
-// (1-byte count, then 8-byte object + 1-byte mode per grant) followed by
-// the kind args. The pre-grants name the immediate non-commuting
-// declarations the coordinator stages before the task starts; the worker
-// uses them to answer Access locally with a fire-and-forget notify
-// instead of a blocking RPC.
+// (1-byte count, then one wire access record per grant) followed by the
+// kind args. The pre-grants name the immediate non-commuting declarations
+// the coordinator stages before the task starts; the worker answers an
+// Access they cover locally and checks it in on the task's next frame
+// (wire.Frame.Checkins, the same record going the other way) instead of
+// paying a blocking RPC.
 func marshalDispatchPayload(decls []access.Decl, kindArgs []byte) []byte {
 	grants := decls[:0:0]
 	for _, d := range decls {
@@ -761,11 +761,10 @@ func marshalDispatchPayload(decls []access.Decl, kindArgs []byte) []byte {
 	if len(grants) > 255 {
 		grants = grants[:255] // 1-byte count; the rest take the slow path
 	}
-	buf := make([]byte, 0, 1+9*len(grants)+len(kindArgs))
+	buf := make([]byte, 0, 1+wire.AccessRecLen*len(grants)+len(kindArgs))
 	buf = append(buf, byte(len(grants)))
 	for _, d := range grants {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Object))
-		buf = append(buf, byte(d.Mode))
+		buf = wire.AppendAccessRec(buf, uint64(d.Object), byte(d.Mode))
 	}
 	return append(buf, kindArgs...)
 }
@@ -777,7 +776,7 @@ func unmarshalDispatchPayload(data []byte) (map[access.ObjectID]access.Mode, []b
 	}
 	n := int(data[0])
 	data = data[1:]
-	if 9*n > len(data) {
+	if wire.AccessRecLen*n > len(data) {
 		return nil, nil, fmt.Errorf("live: dispatch payload declares %d pre-grants in %d bytes", n, len(data))
 	}
 	var grants map[access.ObjectID]access.Mode
@@ -785,8 +784,9 @@ func unmarshalDispatchPayload(data []byte) (map[access.ObjectID]access.Mode, []b
 		grants = make(map[access.ObjectID]access.Mode, n)
 	}
 	for i := 0; i < n; i++ {
-		grants[access.ObjectID(binary.LittleEndian.Uint64(data))] = access.Mode(data[8])
-		data = data[9:]
+		obj, mode := wire.AccessRec(data)
+		grants[access.ObjectID(obj)] = access.Mode(mode)
+		data = data[wire.AccessRecLen:]
 	}
 	if len(data) == 0 {
 		data = nil
@@ -853,7 +853,7 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 		x.record(trace.Event{Kind: trace.TaskAssigned, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
 		// Start the task in the engine before staging: a coalesced
 		// dispatch reaches the worker with the first push, and the
-		// access notifies it triggers must find a Running task.
+		// check-ins of the accesses it triggers must find a Running task.
 		if pl.attempt == 0 || t.State() != core.Running {
 			if err := x.eng.Start(t); err != nil {
 				x.fail(err)

@@ -285,9 +285,10 @@ func (w *worker) loop() error {
 			return fmt.Errorf("live worker %d: %w", w.m, err)
 		}
 		if len(f.Payload) == 0 {
-			// Payload is the only Frame field that aliases msg (strings
-			// are copies): a payload-free frame releases its buffer to
-			// the send pool immediately.
+			// Payload is the only Frame field aliasing msg that a worker
+			// reads (strings are copies; check-ins flow the other way): a
+			// payload-free frame releases its buffer to the send pool
+			// immediately.
 			transport.PutBuf(msg)
 		}
 		switch f.Type {
@@ -488,10 +489,10 @@ func (w *worker) runTask(f *wire.Frame) {
 		w.slots.release()
 	}
 	if err != nil {
-		w.send(&wire.Frame{Type: wire.TTaskFail, Task: f.Task, Label: err.Error()})
+		tc.send(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
 		return
 	}
-	w.send(&wire.Frame{Type: wire.TTaskDone, Task: f.Task, A: uint64(wt.busy)})
+	tc.send(&wire.Frame{Type: wire.TTaskDone, A: uint64(wt.busy)})
 }
 
 // runBody executes a body, converting panics into task failure.
@@ -517,19 +518,26 @@ type watch struct {
 }
 
 // workerTC implements rt.TC for a task body running on a worker. Every
-// operation is a small RPC to the coordinator's engine; blocking RPCs
-// release the processor slot so other tasks can run meanwhile —
-// otherwise a worker whose only task is waiting for an access grant
-// could never run the earlier task that grant depends on.
+// operation the dispatch did not pre-grant is a small RPC to the
+// coordinator's engine; blocking RPCs release the processor slot so other
+// tasks can run meanwhile — otherwise a worker whose only task is waiting
+// for an access grant could never run the earlier task that grant depends
+// on. Every frame about the task leaves through send or rpc.
 type workerTC struct {
 	w    *worker
 	task uint64
 	wt   *watch
 	// grants are the access modes pre-granted at dispatch time (the
 	// task's immediate non-commuting declarations): an Access within a
-	// grant cannot conflict engine-side, so it skips the round trip.
+	// grant cannot conflict engine-side, so it sends nothing.
 	// Touched only by the task's own goroutine.
 	grants map[access.ObjectID]access.Mode
+	// checkins are the pre-granted accesses performed since the task's
+	// last frame, as wire access records in program order. They ride the
+	// next frame the task sends, whatever it is; the coordinator applies
+	// them before that frame, which is where frames of their own would
+	// have stood. Touched only by the task's own goroutine.
+	checkins []byte
 	// spawned flips once this task creates a child; from then on every
 	// Access takes the slow path, because a conflicting child may
 	// legitimately make the parent's deferred re-access wait.
@@ -543,12 +551,28 @@ func (tc *workerTC) CoreTask() *core.Task { return nil }
 // Machine implements rt.TC.
 func (tc *workerTC) Machine() int { return tc.w.m }
 
+// carry makes f a frame about this task and moves the pending check-ins
+// onto it. The list's storage is reused: the frame is encoded before send
+// returns, and only the task's own goroutine sends for it.
+func (tc *workerTC) carry(f *wire.Frame) *wire.Frame {
+	f.Task = tc.task
+	f.Checkins, tc.checkins = tc.checkins, tc.checkins[:0]
+	return f
+}
+
+// send ships a fire-and-forget frame about this task.
+func (tc *workerTC) send(f *wire.Frame) error { return tc.w.send(tc.carry(f)) }
+
+// rpc ships a request about this task and waits for the reply, keeping
+// the processor slot (for requests that never block engine-side).
+func (tc *workerTC) rpc(f *wire.Frame) (*wire.Frame, error) { return tc.w.rpc(tc.carry(f)) }
+
 // rpcYield performs an RPC with the processor slot released.
 func (tc *workerTC) rpcYield(f *wire.Frame) (*wire.Frame, error) {
 	w := tc.w
 	tc.wt.busy += time.Since(tc.wt.heldAt)
 	w.slots.release()
-	r, err := w.rpc(f)
+	r, err := tc.rpc(f)
 	if !w.slots.acquire(w.dead) {
 		tc.wt.lost = true
 		return nil, w.failErr()
@@ -592,16 +616,14 @@ func (w *worker) awaitObject(obj access.ObjectID) (any, error) {
 func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 	if tc.canFastPath(obj, m) {
 		// Pre-granted at dispatch: the engine cannot make this access
-		// wait, so the request is fire-and-forget (B=1 marks it as a
-		// notify handled inline by the coordinator) and the task only
-		// waits for the object copy itself — keeping its slot, since no
-		// local task can be what it is waiting for.
-		if err := tc.w.send(&wire.Frame{Type: wire.TAccessReq, Task: tc.task, Obj: uint64(obj), A: uint64(m), B: 1}); err != nil {
-			return nil, err
-		}
+		// wait, so nothing is sent — the check-in rides the task's next
+		// frame — and the task only waits for the object copy itself,
+		// keeping its slot, since no local task can be what it is waiting
+		// for.
+		tc.checkins = wire.AppendAccessRec(tc.checkins, uint64(obj), byte(m))
 		return tc.w.awaitObject(obj)
 	}
-	r, err := tc.rpcYield(&wire.Frame{Type: wire.TAccessReq, Task: tc.task, Obj: uint64(obj), A: uint64(m)})
+	r, err := tc.rpcYield(&wire.Frame{Type: wire.TAccessReq, Obj: uint64(obj), A: uint64(m)})
 	if err != nil {
 		return nil, err
 	}
@@ -621,19 +643,19 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 // visible to the engine before anything else this task does next).
 func (tc *workerTC) EndAccess(obj access.ObjectID, m access.Mode) {
 	delete(tc.grants, obj) // released grants never fast-path again
-	tc.w.send(&wire.Frame{Type: wire.TEndAccess, Task: tc.task, Obj: uint64(obj), A: uint64(m)})
+	tc.send(&wire.Frame{Type: wire.TEndAccess, Obj: uint64(obj), A: uint64(m)})
 }
 
 // ClearAccess implements rt.TC.
 func (tc *workerTC) ClearAccess(obj access.ObjectID) {
 	delete(tc.grants, obj)
-	tc.w.send(&wire.Frame{Type: wire.TClearAccess, Task: tc.task, Obj: uint64(obj)})
+	tc.send(&wire.Frame{Type: wire.TClearAccess, Obj: uint64(obj)})
 }
 
 // Convert implements rt.TC.
 func (tc *workerTC) Convert(obj access.ObjectID, which access.Mode) error {
 	delete(tc.grants, obj) // the declaration changed shape: slow-path it
-	r, err := tc.rpcYield(&wire.Frame{Type: wire.TConvertReq, Task: tc.task, Obj: uint64(obj), A: uint64(which)})
+	r, err := tc.rpcYield(&wire.Frame{Type: wire.TConvertReq, Obj: uint64(obj), A: uint64(which)})
 	if err != nil {
 		return err
 	}
@@ -646,7 +668,7 @@ func (tc *workerTC) Convert(obj access.ObjectID, which access.Mode) error {
 // Retract implements rt.TC (never blocks engine-side; keep the slot).
 func (tc *workerTC) Retract(obj access.ObjectID, which access.Mode) error {
 	delete(tc.grants, obj)
-	r, err := tc.w.rpc(&wire.Frame{Type: wire.TRetractReq, Task: tc.task, Obj: uint64(obj), A: uint64(which)})
+	r, err := tc.rpc(&wire.Frame{Type: wire.TRetractReq, Obj: uint64(obj), A: uint64(which)})
 	if err != nil {
 		return err
 	}
@@ -673,8 +695,8 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 	if body != nil {
 		key = w.opts.Bodies.put(body)
 	}
-	r, err := w.rpc(&wire.Frame{
-		Type: wire.TCreateReq, Task: tc.task,
+	r, err := tc.rpc(&wire.Frame{
+		Type:  wire.TCreateReq,
 		Label: opts.Label, Aux: opts.Kind,
 		A: key, B: costBits(opts.Cost), C: uint64(opts.Pin),
 		Payload: marshalCreate(createReq{decls: decls, requireCap: opts.RequireCap, kindArgs: opts.KindArgs}),
@@ -697,7 +719,7 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 
 	// Inline: reclaim the body and run it here once the coordinator
 	// reports the child ready and its objects staged.
-	childID := r.A
+	child := &workerTC{w: w, task: r.A, wt: tc.wt}
 	if key != 0 {
 		body, _ = w.opts.Bodies.take(key)
 	}
@@ -706,24 +728,23 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 			body = b
 		}
 	}
-	sr, err := tc.rpcYield(&wire.Frame{Type: wire.TStartReq, Task: childID})
+	sr, err := child.rpcYield(&wire.Frame{Type: wire.TStartReq})
 	if err != nil {
 		return err
 	}
 	if sr.Label != "" {
 		return errors.New(sr.Label)
 	}
-	child := &workerTC{w: w, task: childID, wt: tc.wt}
 	if body == nil {
-		w.send(&wire.Frame{Type: wire.TTaskFail, Task: childID,
+		child.send(&wire.Frame{Type: wire.TTaskFail,
 			Label: fmt.Sprintf("kind %q not registered on worker %d (inline execution)", opts.Kind, w.m)})
 		return fmt.Errorf("create %q: kind %q not registered on this worker", opts.Label, opts.Kind)
 	}
 	if err := w.runBody(child, body); err != nil {
-		w.send(&wire.Frame{Type: wire.TTaskFail, Task: childID, Label: err.Error()})
+		child.send(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
 		return nil // mirrors smp: the failure is recorded, the creator continues
 	}
-	w.send(&wire.Frame{Type: wire.TTaskDone, Task: childID})
+	child.send(&wire.Frame{Type: wire.TTaskDone})
 	return nil
 }
 
@@ -738,7 +759,7 @@ func (tc *workerTC) Alloc(initial any, label string) (access.ObjectID, error) {
 	if err != nil {
 		return 0, err
 	}
-	r, err := w.rpc(&wire.Frame{Type: wire.TAllocReq, Task: tc.task,
+	r, err := tc.rpc(&wire.Frame{Type: wire.TAllocReq,
 		Label: label, A: uint64(w.opts.Format), Payload: img})
 	if err != nil {
 		return 0, err

@@ -20,7 +20,7 @@ import (
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	msgs   [][]byte
+	msgs   transport.FIFO[[]byte]
 	closed bool
 }
 
@@ -43,7 +43,7 @@ func (q *queue) putOwned(msg []byte) error {
 	if q.closed {
 		return transport.ErrClosed
 	}
-	q.msgs = append(q.msgs, msg)
+	q.msgs.Push(msg)
 	q.cond.Signal()
 	return nil
 }
@@ -51,15 +51,13 @@ func (q *queue) putOwned(msg []byte) error {
 func (q *queue) get() ([]byte, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.msgs) == 0 && !q.closed {
+	for q.msgs.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.msgs) == 0 {
+	if q.msgs.Len() == 0 {
 		return nil, transport.ErrClosed
 	}
-	msg := q.msgs[0]
-	q.msgs = q.msgs[1:]
-	return msg, nil
+	return q.msgs.Pop(), nil
 }
 
 func (q *queue) close() {
@@ -75,7 +73,7 @@ func (q *queue) close() {
 func (q *queue) closeDiscard() {
 	q.mu.Lock()
 	q.closed = true
-	q.msgs = nil
+	q.msgs.Reset()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }

@@ -147,7 +147,7 @@ func TestMuxSessionFence(t *testing.T) {
 	for {
 		sc := c.(*sconn)
 		sc.inbox.mu.Lock()
-		n := len(sc.inbox.msgs)
+		n := sc.inbox.msgs.Len()
 		sc.inbox.mu.Unlock()
 		if n > 0 || time.Now().After(deadline) {
 			break

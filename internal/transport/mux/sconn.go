@@ -13,7 +13,7 @@ import (
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	msgs   [][]byte
+	msgs   transport.FIFO[[]byte]
 	closed bool
 }
 
@@ -30,22 +30,20 @@ func (q *inbox) putOwned(msg []byte) {
 		transport.PutBuf(msg)
 		return
 	}
-	q.msgs = append(q.msgs, msg)
+	q.msgs.Push(msg)
 	q.cond.Signal()
 }
 
 func (q *inbox) get() ([]byte, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.msgs) == 0 && !q.closed {
+	for q.msgs.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.msgs) == 0 {
+	if q.msgs.Len() == 0 {
 		return nil, transport.ErrClosed
 	}
-	msg := q.msgs[0]
-	q.msgs = q.msgs[1:]
-	return msg, nil
+	return q.msgs.Pop(), nil
 }
 
 func (q *inbox) close() {
@@ -58,7 +56,7 @@ func (q *inbox) close() {
 func (q *inbox) closeDiscard() {
 	q.mu.Lock()
 	q.closed = true
-	q.msgs = nil
+	q.msgs.Reset()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSendRejectsOversized: the sender enforces maxFrame, so an oversized
@@ -66,6 +65,12 @@ func TestBacklogBurst(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, dials)
+	// Dialers hang up only once every greeting has been read: Close gives
+	// the queued greeting one heartbeat interval to leave, which a loaded
+	// machine does not always grant.
+	greeted := make(chan struct{})
+	release := sync.OnceFunc(func() { close(greeted) })
+	defer release()
 	for i := 0; i < dials; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -75,13 +80,15 @@ func TestBacklogBurst(t *testing.T) {
 				errs <- fmt.Errorf("dial %d: %w", i, err)
 				return
 			}
-			defer c.Close()
 			errs <- c.Send([]byte(fmt.Sprintf("hello-%d", i)))
+			<-greeted
+			c.Close()
 		}(i)
 	}
 
-	// Accept lags the dial burst on purpose so the backlog fills.
-	time.Sleep(50 * time.Millisecond)
+	// Accept lags the dial burst on purpose: it starts only once the
+	// backlog has overflowed.
+	waitUntil(t, func() bool { return l.BacklogWaits() > 0 })
 	seen := map[string]bool{}
 	for i := 0; i < dials; i++ {
 		sc, err := l.Accept()
@@ -95,6 +102,7 @@ func TestBacklogBurst(t *testing.T) {
 		seen[string(msg)] = true
 		sc.Close()
 	}
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -127,20 +135,44 @@ func TestAppendDataFrameAllocs(t *testing.T) {
 	}
 }
 
+// frame is one parsed wire frame, as readFrame reports it.
+type frame struct {
+	typ byte
+	seq uint64 // fData: the message's sequence number; fAck: the acknowledged one
+	msg []byte // fData only
+}
+
+// pack re-encodes the frame the way the writer would have.
+func (f frame) pack(dst []byte) []byte {
+	switch f.typ {
+	case fData:
+		return appendDataFrame(dst, f.seq, f.msg)
+	case fAck:
+		return appendWireFrame(dst, fAck, binary.BigEndian.AppendUint64(nil, f.seq))
+	}
+	return appendWireFrame(dst, f.typ, nil)
+}
+
+// writeFrame writes one frame as its own Write call.
+func writeFrame(w io.Writer, typ byte, body []byte) error {
+	_, err := w.Write(appendWireFrame(nil, typ, body))
+	return err
+}
+
 // readAll parses a byte stream as a train of wire frames, the way the
 // session reader consumes one batched Write from the peer.
-func readAll(data []byte) (types []byte, bodies [][]byte, err error) {
+func readAll(data []byte) ([]frame, error) {
 	br := bufio.NewReaderSize(bytes.NewReader(data), readBufSize)
+	var frames []frame
 	for {
-		typ, body, err := readFrame(br)
+		typ, seq, msg, err := readFrame(br)
 		if err == io.EOF {
-			return types, bodies, nil
+			return frames, nil
 		}
 		if err != nil {
-			return types, bodies, err
+			return frames, err
 		}
-		types = append(types, typ)
-		bodies = append(bodies, body)
+		frames = append(frames, frame{typ, seq, msg})
 	}
 }
 
@@ -155,20 +187,26 @@ func TestReadBatchedFrames(t *testing.T) {
 	}
 	batch = appendWireFrame(batch, fHeartbeat, nil)
 
-	types, bodies, err := readAll(batch)
+	frames, err := readAll(batch)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var types []byte
+	for _, f := range frames {
+		types = append(types, f.typ)
 	}
 	want := []byte{fAck, fData, fData, fData, fData, fData, fHeartbeat}
 	if !bytes.Equal(types, want) {
 		t.Fatalf("frame types = %q, want %q", types, want)
 	}
+	if frames[0].seq != 41 {
+		t.Errorf("ack = %d, want 41", frames[0].seq)
+	}
 	for i := 1; i <= 5; i++ {
-		body := bodies[i]
-		if got := binary.BigEndian.Uint64(body); got != uint64(i) {
+		if got := frames[i].seq; got != uint64(i) {
 			t.Errorf("data frame %d: seq = %d", i, got)
 		}
-		if got := string(body[8:]); got != fmt.Sprintf("m%d", i) {
+		if got := string(frames[i].msg); got != fmt.Sprintf("m%d", i) {
 			t.Errorf("data frame %d: msg = %q", i, got)
 		}
 	}
@@ -200,13 +238,13 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, fData})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		types, bodies, err := readAll(data)
+		frames, err := readAll(data)
 		if err != nil {
 			return // rejected or truncated streams just must not panic
 		}
 		var re []byte
-		for i, typ := range types {
-			re = appendWireFrame(re, typ, bodies[i])
+		for _, f := range frames {
+			re = f.pack(re)
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted stream is not canonical:\n in  %x\n out %x", data, re)

@@ -62,7 +62,7 @@ func TestFenceClearsQueuedFrames(t *testing.T) {
 	waitUntil(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.recvQ) > 0
+		return s.recvQ.Len() > 0
 	})
 	s.Fence()
 	if msg, err := s.Recv(); !errors.Is(err, ErrFenced) {

@@ -13,12 +13,22 @@
 // by the receiver's sequence-number filter.  That reproduces, on real
 // sockets, the once-per-message contract of the simulated fault.Network.
 //
+// Acks ride data. The cumulative ack goes out in any write the writer
+// makes anyway; it is written on its own only once ackWindowFrames
+// messages or ackWindowBytes bytes have arrived unacknowledged, and on the
+// idle timer. So request/reply traffic never pays a write for an ack, a
+// sender's retention is bounded by the window (plus what is in flight)
+// and drains to zero within one idle interval, and nothing about
+// exactly-once delivery depends on the ack stream at all: what is
+// retransmitted after a reconnect is decided by the handshake's lastRecv.
+//
 // Liveness uses the same failure-detector parameters as the simulated
 // executor (fault.Default*), scaled by LivenessScale into wall-clock
-// terms: an idle sender emits heartbeat frames every interval, and a
-// receiver that hears nothing within the derived deadline declares the
-// socket dead (triggering reconnect on the dialing side, a resume wait
-// on the listening side).
+// terms: a writer that has written nothing for an interval writes its
+// pending ack, or a heartbeat frame if it owes none, and a receiver that
+// hears nothing within the derived deadline declares the socket dead
+// (triggering reconnect on the dialing side, a resume wait on the
+// listening side).
 package tcp
 
 import (
@@ -58,6 +68,17 @@ var maxFrame = func() *atomic.Uint32 {
 // writes rather than unbounded buffering before the first byte moves.
 const maxBatch = 256 << 10
 
+// ackWindowFrames and ackWindowBytes bound what a receiver lets arrive
+// before it writes an ack of its own instead of waiting for a write to
+// carry one: the sender's retransmit buffer holds at most this much
+// beyond what is in flight. Large enough that a one-way stream costs one
+// small write per window, small enough that the retained frames stay a
+// fraction of one batch.
+const (
+	ackWindowFrames = 32
+	ackWindowBytes  = 128 << 10
+)
+
 // readBufSize is the reader's buffer: one socket read surfaces many
 // batched frames.
 const readBufSize = 64 << 10
@@ -65,9 +86,9 @@ const readBufSize = 64 << 10
 // Frame type bytes on the wire (first byte of every frame body).
 const (
 	fData      = 'D' // 8-byte seq + application message
-	fAck       = 'A' // 8-byte cumulative last-received seq
-	fHeartbeat = 'H' // empty; proves liveness on an idle channel
-	fFin       = 'F' // orderly session shutdown
+	fAck       = 'A' // exactly 8 bytes: cumulative last-received seq
+	fHeartbeat = 'H' // empty; proves liveness on an idle channel that owes no ack
+	fFin       = 'F' // empty; orderly session shutdown
 )
 
 // handshake layout: "JTP" magic, 1 version byte, 8-byte session id
@@ -185,8 +206,9 @@ type session struct {
 	unacked    []*outFrame // sent or queued, not yet covered by a peer ack
 	nextSeq    uint64      // next sequence number to assign (first message is 1)
 	lastRecv   uint64      // highest in-order seq received
-	recvQ      [][]byte
-	ackDue     bool
+	ackSent    uint64      // highest lastRecv written to the peer as an ack
+	ackBytes   int         // message bytes received since that ack
+	recvQ      transport.FIFO[[]byte]
 	finDue     bool
 	closed     bool // local Close or terminal failure
 	fenced     bool // Fence was called: drop (never deliver) late data frames
@@ -262,12 +284,11 @@ func (s *session) enqueue(f *outFrame) error {
 func (s *session) Recv() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.recvQ) == 0 && !s.closed {
+	for s.recvQ.Len() == 0 && !s.closed {
 		s.recvCond.Wait()
 	}
-	if len(s.recvQ) > 0 {
-		msg := s.recvQ[0]
-		s.recvQ = s.recvQ[1:]
+	if s.recvQ.Len() > 0 {
+		msg := s.recvQ.Pop()
 		s.stats.MsgsReceived++
 		s.stats.BytesRecv += uint64(len(msg))
 		return msg, nil
@@ -325,7 +346,7 @@ func (s *session) SessionID() uint64 { return s.id }
 func (s *session) Fence() {
 	s.mu.Lock()
 	s.fenced = true
-	s.recvQ = nil // undelivered frames from the now-dead peer are dropped
+	s.recvQ.Reset() // undelivered frames from the now-dead peer are dropped
 	s.mu.Unlock()
 	if s.lst != nil {
 		s.lst.mu.Lock()
@@ -380,7 +401,6 @@ func (s *session) attach(raw net.Conn, peerAcked uint64) {
 		}
 		s.sendQ = append(s.sendQ, f)
 	}
-	s.ackDue = true // tell the peer where we are, even if nothing to send
 	s.cur = l
 	s.mu.Unlock()
 	go s.writer(l)
@@ -465,29 +485,45 @@ func (s *session) snapshotLastRecv() uint64 {
 	return s.lastRecv
 }
 
-// writer drains the session's queue onto one raw socket, emitting acks
-// when due and heartbeats when idle. Everything collected in one wakeup
-// is packed into one buffer and hits the socket as one Write (flushing
-// early only past maxBatch): the flush boundary is the queue going
-// momentarily empty, so senders that burst many small frames pay one
-// syscall for the burst, and the pending ack rides the same segment.
+// ackOverdueLocked reports whether enough has arrived unacknowledged that
+// the ack is written now rather than left for the next write to carry.
+func (s *session) ackOverdueLocked() bool {
+	return s.lastRecv-s.ackSent >= ackWindowFrames || s.ackBytes >= ackWindowBytes
+}
+
+// writer drains the session's queue onto one raw socket. Everything
+// collected in one wakeup is packed into one buffer and hits the socket as
+// one Write (flushing early only past maxBatch): the flush boundary is the
+// queue going momentarily empty, so senders that burst many small frames
+// pay one syscall for the burst. No timer sits between a frame and its
+// write. The pending ack rides whatever is written; on its own it goes out
+// only when overdue (the reader pokes) or when the link has been idle for
+// an interval, where it stands in for the heartbeat.
 func (s *session) writer(l *link) {
 	hb := time.NewTimer(s.opts.HeartbeatInterval)
 	defer hb.Stop()
 	lastWrite := time.Now()
 	batch := make([]byte, 0, 32<<10)
+	var frames []*outFrame
+	idle := false // the idle timer fired: the peer must hear something
 	for {
-		var frames []*outFrame
-		var ack, fin bool
-		var ackSeq uint64
 		s.mu.Lock()
-		frames = s.sendQ
-		s.sendQ = nil
-		ack, ackSeq = s.ackDue, s.lastRecv
-		s.ackDue = false
+		if s.cur != l {
+			// Superseded by a resume: the queue now belongs to the new
+			// link's writer.
+			s.mu.Unlock()
+			return
+		}
+		// The two queue arrays alternate between session and writer.
+		frames, s.sendQ = s.sendQ, frames
 		// Once Close has been called no new sends are accepted, so this
 		// batch drains the queue and the fin can follow it.
-		fin = s.finDue
+		fin := s.finDue
+		ackSeq := s.lastRecv
+		ack := ackSeq != s.ackSent && (len(frames) > 0 || fin || idle || s.ackOverdueLocked())
+		if ack {
+			s.ackSent, s.ackBytes = ackSeq, 0
+		}
 		s.mu.Unlock()
 
 		wrote := false
@@ -515,11 +551,17 @@ func (s *session) writer(l *link) {
 				flush()
 			}
 		}
+		clear(frames)
+		frames = frames[:0]
 		if err == nil && fin {
 			batch = appendWireFrame(batch, fFin, nil)
 			flush() // best-effort
 			l.kill()
 			return
+		}
+		heartbeat := idle && len(batch) == 0
+		if heartbeat {
+			batch = appendWireFrame(batch, fHeartbeat, nil)
 		}
 		flush()
 		if err != nil {
@@ -528,52 +570,62 @@ func (s *session) writer(l *link) {
 			s.linkDown(l, err)
 			return
 		}
+		if heartbeat {
+			s.mu.Lock()
+			s.stats.Heartbeats++
+			s.mu.Unlock()
+		}
 		if wrote {
 			lastWrite = time.Now()
 		}
 
-		idle := s.opts.HeartbeatInterval - time.Since(lastWrite)
-		if idle < 0 {
-			idle = 0
-		}
-		if !hb.Stop() {
-			select {
-			case <-hb.C:
-			default:
-			}
-		}
-		hb.Reset(idle)
+		idle = false
 		select {
 		case <-l.notify:
 		case <-hb.C:
-			if time.Since(lastWrite) >= s.opts.HeartbeatInterval {
-				if err := writeFrame(l.raw, fHeartbeat, nil); err != nil {
-					s.linkDown(l, err)
-					return
-				}
-				s.mu.Lock()
-				s.stats.Heartbeats++
-				s.mu.Unlock()
-				lastWrite = time.Now()
+			// The timer is not touched per write: when it fires, either the
+			// link really has been idle for an interval, or it sleeps out the
+			// remainder.
+			wait := s.opts.HeartbeatInterval - time.Since(lastWrite)
+			if idle = wait <= 0; idle {
+				wait = s.opts.HeartbeatInterval
 			}
+			hb.Reset(wait)
 		case <-l.dead:
 			return
 		}
 	}
 }
 
+// deadlineReader arms the liveness deadline before each socket read. The
+// buffered reader above it calls Read only when it has run dry, so a train
+// of frames that arrived in one segment costs one deadline, and the peer is
+// declared dead exactly when a read waits that long for any byte at all.
+type deadlineReader struct {
+	raw      net.Conn
+	deadline time.Duration
+}
+
+func (r deadlineReader) Read(p []byte) (int, error) {
+	r.raw.SetReadDeadline(time.Now().Add(r.deadline))
+	return r.raw.Read(p)
+}
+
 // reader consumes frames from one raw socket. Any read error — including
-// the liveness deadline expiring — downs the link. The buffered reader is
-// the receive half of batching: one socket read surfaces a whole train of
-// small frames, which then parse without further syscalls (the deadline
-// is armed on the raw conn, so it only gates actual socket reads).
+// the liveness deadline expiring — downs the link; a malformed frame fails
+// the session. The buffered reader is the receive half of batching: one
+// socket read surfaces a whole train of small frames, which then parse
+// without further syscalls. The writer is woken only when the ack is
+// overdue: otherwise it rides the application's next send.
 func (s *session) reader(l *link) {
-	deadline := s.opts.deadline()
-	br := bufio.NewReaderSize(l.raw, readBufSize)
+	br := bufio.NewReaderSize(deadlineReader{l.raw, s.opts.deadline()}, readBufSize)
 	for {
-		l.raw.SetReadDeadline(time.Now().Add(deadline))
-		typ, body, err := readFrame(br)
+		typ, seq, msg, err := readFrame(br)
 		if err != nil {
+			if errors.Is(err, errBadFrame) {
+				s.fail(fmt.Errorf("tcp: session %d: %w", s.id, err))
+				return
+			}
 			select {
 			case <-l.dead: // orderly teardown, not a failure
 			default:
@@ -583,12 +635,7 @@ func (s *session) reader(l *link) {
 		}
 		switch typ {
 		case fData:
-			if len(body) < 8 {
-				s.fail(fmt.Errorf("tcp: session %d: short data frame (%d bytes)", s.id, len(body)))
-				return
-			}
-			seq := binary.BigEndian.Uint64(body)
-			msg := append([]byte(nil), body[8:]...)
+			overdue := false
 			s.mu.Lock()
 			switch {
 			case s.fenced:
@@ -597,29 +644,30 @@ func (s *session) reader(l *link) {
 				// recovery relies on.
 				s.stats.DupsDropped++
 			case seq <= s.lastRecv:
-				// Retransmission of a message we already delivered (its
-				// ack was lost): at-most-once delivery drops it here.
+				// Retransmission of a message we already delivered: the
+				// sender resumed from an older point than the handshake
+				// told it. At-most-once delivery drops it here.
 				s.stats.DupsDropped++
-				s.ackDue = true
 			case seq == s.lastRecv+1:
 				s.lastRecv = seq
-				s.recvQ = append(s.recvQ, msg)
-				s.ackDue = true
-				s.recvCond.Broadcast()
+				s.ackBytes += len(msg)
+				s.recvQ.Push(msg)
+				if s.recvQ.Len() == 1 {
+					s.recvCond.Signal() // Recv waits only on an empty queue
+				}
+				overdue = s.ackOverdueLocked()
 			default:
 				s.mu.Unlock()
 				s.fail(fmt.Errorf("tcp: session %d: sequence gap: got %d, want <= %d", s.id, seq, s.lastRecv+1))
 				return
 			}
 			s.mu.Unlock()
-			l.poke()
-		case fAck:
-			if len(body) < 8 {
-				s.fail(fmt.Errorf("tcp: session %d: short ack frame", s.id))
-				return
+			if overdue {
+				l.poke()
 			}
+		case fAck:
 			s.mu.Lock()
-			s.pruneAckedLocked(binary.BigEndian.Uint64(body))
+			s.pruneAckedLocked(seq)
 			s.mu.Unlock()
 		case fHeartbeat:
 			// Receipt alone resets the liveness deadline.
@@ -630,9 +678,6 @@ func (s *session) reader(l *link) {
 			s.recvCond.Broadcast()
 			s.mu.Unlock()
 			l.kill()
-			return
-		default:
-			s.fail(fmt.Errorf("tcp: session %d: unknown frame type 0x%02x", s.id, typ))
 			return
 		}
 	}
@@ -655,29 +700,77 @@ func appendDataFrame(dst []byte, seq uint64, msg []byte) []byte {
 	return append(dst, msg...)
 }
 
-// writeFrame writes one frame as its own Write call (heartbeats and
-// tests; the data path batches via appendWireFrame/appendDataFrame).
-func writeFrame(w io.Writer, typ byte, body []byte) error {
-	_, err := w.Write(appendWireFrame(nil, typ, body))
-	return err
+// errBadFrame marks a frame the stream cannot contain: the peer is not
+// speaking this protocol (or the bytes are corrupt), so the session fails
+// rather than reconnecting into the same garbage.
+var errBadFrame = errors.New("malformed frame")
+
+func badFrame(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{errBadFrame}, args...)...)
 }
 
-// readFrame reads one length-prefixed frame. A peer that dies mid-frame
-// surfaces as an io error here — the partial frame is never delivered.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
+// readFrame reads one length-prefixed frame. The header — length, type,
+// and the sequence number of a data or ack frame — is parsed in place in
+// the reader's buffer and checked before anything is allocated: a control
+// frame has a fixed size, so only a data frame's claimed length is ever
+// believed, up to maxFrame, and its message is then read straight into a
+// buffer of its own (the one the receiver will own). seq is the message's
+// sequence number for fData and the acknowledged one for fAck. A peer that
+// dies mid-frame surfaces as an io error here — the partial frame is never
+// delivered.
+func readFrame(br *bufio.Reader) (typ byte, seq uint64, msg []byte, err error) {
+	hdr, err := br.Peek(5)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = midFrame(err)
+		}
+		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrame.Load() {
-		return 0, nil, fmt.Errorf("tcp: invalid frame length %d", n)
+	n, typ := binary.BigEndian.Uint32(hdr), hdr[4]
+	want := uint32(1) // the type byte alone
+	switch typ {
+	case fData:
+		if n < 1+8 {
+			return 0, 0, nil, badFrame("short data frame (%d bytes)", n)
+		}
+		if n > maxFrame.Load() {
+			return 0, 0, nil, badFrame("invalid frame length %d", n)
+		}
+		want = n
+	case fAck:
+		want = 1 + 8
+	case fHeartbeat, fFin:
+	default:
+		return 0, 0, nil, badFrame("unknown frame type 0x%02x (claiming %d bytes)", typ, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	if n != want {
+		return 0, 0, nil, badFrame("%c frame claims %d bytes, want %d", typ, n, want)
 	}
-	return buf[0], buf[1:], nil
+	if n == 1 {
+		br.Discard(5)
+		return typ, 0, nil, nil
+	}
+	if hdr, err = br.Peek(5 + 8); err != nil {
+		return 0, 0, nil, midFrame(err)
+	}
+	seq = binary.BigEndian.Uint64(hdr[5:])
+	br.Discard(5 + 8)
+	if typ == fData {
+		msg = make([]byte, n-(1+8))
+		if _, err := io.ReadFull(br, msg); err != nil {
+			return 0, 0, nil, midFrame(err)
+		}
+	}
+	return typ, seq, msg, nil
+}
+
+// midFrame is a read error inside a frame: there, end of stream is never
+// a clean one.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func writeHandshake(c net.Conn, id, lastRecv uint64) error {

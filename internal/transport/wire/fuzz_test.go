@@ -12,27 +12,9 @@ import (
 // corpus in testdata/fuzz/FuzzDecode covers every frame type plus the
 // interesting corruption shapes; `go test -fuzz=FuzzDecode` extends it.
 func FuzzDecode(f *testing.F) {
-	for _, fr := range sampleFrames() {
-		f.Add(mustEncode(f, fr))
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
 	}
-	// Corruption shapes worth keeping in the corpus.
-	valid := mustEncode(f, &Frame{Type: TObjPatch, Obj: 3, A: 2, C: 1, Payload: []byte{9, 9}})
-	f.Add(valid[:len(valid)-1])              // truncated payload
-	f.Add(append([]byte(nil), valid[1:]...)) // missing magic
-	wrongVer := append([]byte(nil), valid...)
-	wrongVer[1] = ProtoVersion + 1
-	f.Add(wrongVer)
-	oldVer := append([]byte(nil), valid...)
-	oldVer[1] = ProtoVersion - 1 // a v1 peer's frame: shorter header, must hit ErrVersion
-	f.Add(oldVer)
-	f.Add([]byte{})
-	f.Add([]byte{magic, ProtoVersion, TBye})
-	// Session-scoped control frames (v2): open with a tenant label and a
-	// slot cap, close, and a data frame stamped with a large session id.
-	f.Add(mustEncode(f, &Frame{Type: TSessionOpen, Sess: 3, Label: "tenant-a", A: 2}))
-	f.Add(mustEncode(f, &Frame{Type: TSessionClose, Sess: 3}))
-	f.Add(mustEncode(f, &Frame{Type: TTaskDone, Task: 8, Sess: 1 << 40, A: 77}))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Decode(data)
 		if err != nil {
@@ -53,4 +35,46 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-decode differs:\n a %+v\n b %+v", fr, fr2)
 		}
 	})
+}
+
+// fuzzSeeds is the seed corpus, in the order of the committed files
+// testdata/fuzz/FuzzDecode/seed-NN.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, fr := range sampleFrames() {
+		seeds = append(seeds, mustEncode(tb, fr))
+	}
+	// Corruption shapes worth keeping in the corpus.
+	valid := mustEncode(tb, &Frame{Type: TObjPatch, Obj: 3, A: 2, C: 1, Payload: []byte{9, 9}})
+	seeds = append(seeds, valid[:len(valid)-1])              // truncated payload
+	seeds = append(seeds, append([]byte(nil), valid[1:]...)) // missing magic
+	wrongVer := append([]byte(nil), valid...)
+	wrongVer[1] = ProtoVersion + 1
+	seeds = append(seeds, wrongVer)
+	oldVer := append([]byte(nil), valid...)
+	oldVer[1] = ProtoVersion - 1 // an older peer's frame, must hit ErrVersion
+	seeds = append(seeds, oldVer)
+	seeds = append(seeds, []byte{})
+	seeds = append(seeds, []byte{magic, ProtoVersion, TBye})
+	// Session-scoped control frames (v2): open with a tenant label and a
+	// slot cap, close, and a data frame stamped with a large session id.
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TSessionOpen, Sess: 3, Label: "tenant-a", A: 2}))
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TSessionClose, Sess: 3}))
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Sess: 1 << 40, A: 77}))
+	// Check-in sections (v3) that must not get through: a ragged list (one
+	// byte short of two records, and one byte over one), and a list whose
+	// length prefix runs past the frame. A list naming an object the task
+	// never declared is well-formed here; the engine refuses it.
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Checkins: make([]byte, 2*AccessRecLen-1)}))
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TEndAccess, Task: 8, Obj: 3, A: 1, Checkins: make([]byte, AccessRecLen+1)}))
+	longList := mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Checkins: AppendAccessRec(nil, 3, 1)})
+	seeds = append(seeds, longList[:len(longList)-5]) // the list's last byte and the payload length are gone
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Checkins: AppendAccessRec(nil, 1<<62, 0xFF)}))
+	// A version-2 frame exactly as a v2 peer encoded it (three sections, no
+	// check-in list): ErrVersion, whatever follows the version byte.
+	v2 := []byte{magic, 2, TAccessReq}
+	v2 = append(v2, make([]byte, 7*8+3*4)...)
+	v2[3+4*8] = 1 // B=1: the pre-granted access notify v3 removed
+	seeds = append(seeds, v2)
+	return seeds
 }

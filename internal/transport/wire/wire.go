@@ -1,12 +1,12 @@
 // Package wire is the versioned codec for the live executor's protocol.
 //
 // Every message between the coordinator and a worker is one Frame: a
-// fixed header (magic, protocol version, frame type, six 64-bit scalar
-// fields) followed by three length-prefixed variable sections (Label,
-// Aux, Payload).  The same generic frame carries task dispatches, object
-// images, format.Diff patches, and the small RPCs of the coherence
-// protocol; which scalar means what is per-type and documented next to
-// the type constants.
+// fixed header (magic, protocol version, frame type, seven 64-bit scalar
+// fields) followed by four length-prefixed variable sections (Label,
+// Aux, Checkins, Payload).  The same generic frame carries task
+// dispatches, object images, format.Diff patches, and the small RPCs of
+// the coherence protocol; which scalar means what is per-type and
+// documented next to the type constants.
 //
 // Design rules, enforced by Decode and pinned by the fuzz tests:
 //
@@ -14,7 +14,8 @@
 //     ErrVersion (wrapped, so errors.Is works) — never misparsed.
 //   - Truncated or corrupt frames return an error; Decode never panics
 //     and never allocates more than the input length (section lengths
-//     are validated against the remaining bytes before use).
+//     are validated against the remaining bytes before use, and a
+//     check-in section must be a whole number of access records).
 //   - Encode∘Decode is the identity on canonical frames, so the
 //     substrate may retransmit encoded bytes verbatim.
 package wire
@@ -28,8 +29,11 @@ import (
 // ProtoVersion is the wire protocol version.  Peers running a different
 // version are rejected at decode time with ErrVersion.  Version 2 added
 // the Sess scalar (session-scoped frames for the multi-tenant service)
-// and the TSessionOpen/TSessionClose control types.
-const ProtoVersion = 2
+// and the TSessionOpen/TSessionClose control types.  Version 3 added the
+// Checkins section and removed the standalone pre-granted access notify
+// (TAccessReq with B=1): a version-2 peer would silently drop the
+// check-ins, so it must be rejected rather than tolerated.
+const ProtoVersion = 3
 
 // magic is the first byte of every frame ('J' for Jade).
 const magic = 0x4A
@@ -73,7 +77,8 @@ const (
 	// C=0 for a full image, baseVersion+1 for a patch,
 	// Payload=image or patch.
 	TObjData
-	// TAccessReq: worker task → coordinator: rt.TC Access.
+	// TAccessReq: worker task → coordinator: rt.TC Access that the
+	// dispatch did not pre-grant (the task waits for the reply).
 	// Req=request id, Task=task id, Obj=object id, A=access.Mode bits.
 	TAccessReq
 	// TCreateReq: worker task → coordinator: child task creation.
@@ -146,10 +151,36 @@ type Frame struct {
 	// Sess scopes the frame to one multiplexed session (0 = the sole
 	// session of a dedicated connection). Stamped by the session mux;
 	// the executor itself never reads it.
-	Sess    uint64
-	Label   string
-	Aux     string
-	Payload []byte
+	Sess  uint64
+	Label string
+	Aux   string
+	// Checkins, on any worker → coordinator frame that names a Task, is
+	// the list of pre-granted accesses that task has performed since its
+	// previous frame: whole access records (AppendAccessRec), in program
+	// order. The coordinator checks them in with the engine before it
+	// handles the frame itself, so they take effect exactly where a frame
+	// of their own would have stood in the connection's FIFO. Empty on
+	// every other frame.
+	Checkins []byte
+	Payload  []byte
+}
+
+// AccessRecLen is the encoded size of one (object, mode) access record:
+// the object id as 8 little-endian bytes, then the access.Mode bits.
+const AccessRecLen = 9
+
+// AppendAccessRec appends one access record to dst. The same record
+// carries the pre-grants of a dispatch (coordinator → worker, in the
+// TDispatch payload) and their check-ins (worker → coordinator, in
+// Frame.Checkins).
+func AppendAccessRec(dst []byte, obj uint64, mode byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, obj), mode)
+}
+
+// AccessRec decodes the record at the front of data, which must hold at
+// least AccessRecLen bytes.
+func AccessRec(data []byte) (obj uint64, mode byte) {
+	return binary.LittleEndian.Uint64(data), data[8]
 }
 
 // Errors returned by Encode and Decode.  ErrVersion is distinguished so a
@@ -180,14 +211,15 @@ const sessOffset = 3 + 6*8
 // AppendFrame serializes f onto dst and returns the extended slice, so a
 // caller with a pooled buffer encodes without allocating. The layout is:
 //
-//	magic | version | type | Req..C,Sess (7×8B LE) | len+Label | len+Aux | len+Payload
+//	magic | version | type | Req..C,Sess (7×8B LE) | len+Label | len+Aux | len+Checkins | len+Payload
 //
 // A section longer than the 32-bit length prefix can carry returns
 // ErrTooLarge with dst unmodified.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	if uint64(len(f.Label)) > maxSection || uint64(len(f.Aux)) > maxSection || uint64(len(f.Payload)) > maxSection {
-		return dst, fmt.Errorf("%w: label %d, aux %d, payload %d bytes (max %d)",
-			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Payload), maxSection)
+	if uint64(len(f.Label)) > maxSection || uint64(len(f.Aux)) > maxSection ||
+		uint64(len(f.Checkins)) > maxSection || uint64(len(f.Payload)) > maxSection {
+		return dst, fmt.Errorf("%w: label %d, aux %d, check-ins %d, payload %d bytes (max %d)",
+			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Checkins), len(f.Payload), maxSection)
 	}
 	buf := append(dst, magic, ProtoVersion, f.Type)
 	for _, v := range [...]uint64{f.Req, f.Task, f.Obj, f.A, f.B, f.C, f.Sess} {
@@ -197,6 +229,8 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	buf = append(buf, f.Label...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Aux)))
 	buf = append(buf, f.Aux...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Checkins)))
+	buf = append(buf, f.Checkins...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Payload)))
 	buf = append(buf, f.Payload...)
 	return buf, nil
@@ -205,17 +239,20 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 // Encode serializes f into a fresh buffer. See AppendFrame for the layout
 // and the ErrTooLarge contract.
 func Encode(f *Frame) ([]byte, error) {
-	buf := make([]byte, 0, headerLen+12+len(f.Label)+len(f.Aux)+len(f.Payload))
+	buf := make([]byte, 0, headerLen+16+len(f.Label)+len(f.Aux)+len(f.Checkins)+len(f.Payload))
 	return AppendFrame(buf, f)
 }
 
-// Decode parses one frame, copying Payload out of data so the caller may
-// recycle the input buffer immediately. See DecodeOwned for validation
-// rules.
+// Decode parses one frame, copying Checkins and Payload out of data so
+// the caller may recycle the input buffer immediately. See DecodeOwned
+// for validation rules.
 func Decode(data []byte) (*Frame, error) {
 	f, err := DecodeOwned(data)
 	if err != nil {
 		return nil, err
+	}
+	if len(f.Checkins) > 0 {
+		f.Checkins = append([]byte(nil), f.Checkins...)
 	}
 	if len(f.Payload) > 0 {
 		f.Payload = append([]byte(nil), f.Payload...)
@@ -223,11 +260,13 @@ func Decode(data []byte) (*Frame, error) {
 	return f, nil
 }
 
-// DecodeOwned parses one frame with Payload aliasing data — zero-copy for
-// callers that own the input buffer (the transport Recv contract hands the
-// slice to the receiver). It validates the magic, the protocol version,
-// the type, and every section length against the remaining input, and
-// requires the frame to be exactly consumed (no trailing garbage).
+// DecodeOwned parses one frame with Checkins and Payload aliasing data —
+// zero-copy for callers that own the input buffer (the transport Recv
+// contract hands the slice to the receiver). It validates the magic, the
+// protocol version, the type, and every section length against the
+// remaining input, requires the check-in section to be a whole number of
+// access records, and requires the frame to be exactly consumed (no
+// trailing garbage).
 func DecodeOwned(data []byte) (*Frame, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrTruncated, len(data), headerLen)
@@ -269,6 +308,16 @@ func DecodeOwned(data []byte) (*Frame, error) {
 		return nil, err
 	}
 	f.Aux = string(aux)
+	chk, err := section()
+	if err != nil {
+		return nil, err
+	}
+	if len(chk)%AccessRecLen != 0 {
+		return nil, fmt.Errorf("%w: check-in section of %d bytes is not a whole number of %d-byte access records", ErrCorrupt, len(chk), AccessRecLen)
+	}
+	if len(chk) > 0 {
+		f.Checkins = chk
+	}
 	pay, err := section()
 	if err != nil {
 		return nil, err

@@ -37,6 +37,11 @@ func sampleFrames() []*Frame {
 		{Type: TSessionOpen, Sess: 7, Label: "tenant-a", A: 2},
 		{Type: TSessionClose, Sess: 7},
 		{Type: TDispatch, Task: 42, A: 7, Sess: 1 << 40, Label: "scoped", Payload: []byte{9}},
+		// Check-ins (v3) on the three kinds of carrier: a release, a
+		// completion, and a request that also has a payload.
+		{Type: TEndAccess, Task: 42, Obj: 9, A: 2, Checkins: AppendAccessRec(nil, 9, 3)},
+		{Type: TTaskDone, Task: 42, A: 77, Checkins: AppendAccessRec(AppendAccessRec(nil, 9, 1), 1<<40, 2)},
+		{Type: TAllocReq, Req: 107, Task: 42, Label: "cells", A: 1, Checkins: AppendAccessRec(nil, 11, 3), Payload: []byte{5, 4, 0, 0, 0}},
 	}
 }
 
@@ -70,7 +75,7 @@ func TestRoundTripEmptySections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Label != "" || got.Aux != "" || got.Payload != nil {
+	if got.Label != "" || got.Aux != "" || got.Checkins != nil || got.Payload != nil {
 		t.Errorf("empty sections mutated: %+v", got)
 	}
 }
@@ -122,6 +127,29 @@ func TestCorrupt(t *testing.T) {
 	if _, err := Decode(hugeLen); !errors.Is(err, ErrTruncated) {
 		t.Errorf("huge section length: err = %v, want ErrTruncated", err)
 	}
+
+	// A check-in section that is not a whole number of access records is
+	// rejected here, so no consumer ever indexes past a partial record.
+	for _, n := range []int{1, AccessRecLen - 1, AccessRecLen + 1, 2*AccessRecLen - 1} {
+		ragged := mustEncode(t, &Frame{Type: TTaskDone, Task: 1, Checkins: make([]byte, n)})
+		if _, err := Decode(ragged); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d-byte check-in section: err = %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// TestAccessRec: the record codec round-trips, back to back.
+func TestAccessRec(t *testing.T) {
+	buf := AppendAccessRec(AppendAccessRec(nil, 7, 1), 1<<63|5, 3)
+	if len(buf) != 2*AccessRecLen {
+		t.Fatalf("two records take %d bytes, want %d", len(buf), 2*AccessRecLen)
+	}
+	if obj, mode := AccessRec(buf); obj != 7 || mode != 1 {
+		t.Errorf("first record = (%d, %d)", obj, mode)
+	}
+	if obj, mode := AccessRec(buf[AccessRecLen:]); obj != 1<<63|5 || mode != 3 {
+		t.Errorf("second record = (%d, %d)", obj, mode)
+	}
 }
 
 // TestVersionMismatch: cross-version frames are rejected with ErrVersion
@@ -152,6 +180,7 @@ func TestTooLarge(t *testing.T) {
 		{Type: TObjImage, Payload: big},
 		{Type: TDispatch, Label: string(big)},
 		{Type: TDispatch, Aux: string(big)},
+		{Type: TTaskDone, Checkins: big},
 	} {
 		if _, err := Encode(f); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s with 17-byte section: err = %v, want ErrTooLarge", TypeName(f.Type), err)
@@ -184,11 +213,11 @@ func TestAppendFrame(t *testing.T) {
 	}
 }
 
-// TestDecodeOwnedAliases: the zero-copy decode's Payload aliases the
-// input (that is its contract — the caller owns the buffer), while
-// Decode's does not.
+// TestDecodeOwnedAliases: the zero-copy decode's Payload and Checkins
+// alias the input (that is its contract — the caller owns the buffer),
+// while Decode's do not.
 func TestDecodeOwnedAliases(t *testing.T) {
-	enc := mustEncode(t, &Frame{Type: TObjImage, Obj: 1, Payload: []byte{1, 2, 3, 4}})
+	enc := mustEncode(t, &Frame{Type: TObjImage, Obj: 1, Checkins: AppendAccessRec(nil, 1, 1), Payload: []byte{1, 2, 3, 4}})
 	fo, err := DecodeOwned(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +232,13 @@ func TestDecodeOwnedAliases(t *testing.T) {
 	}
 	if fc.Payload[3] != 4 {
 		t.Error("Decode payload aliases the input; it must copy")
+	}
+	enc[len(enc)-len(fo.Payload)-4-1] = 2 // the check-in's mode byte
+	if fo.Checkins[8] != 2 {
+		t.Error("DecodeOwned check-ins do not alias the input")
+	}
+	if fc.Checkins[8] != 1 {
+		t.Error("Decode check-ins alias the input; they must be copied")
 	}
 }
 
