@@ -34,9 +34,11 @@
 // coordinator declared a previous incarnation dead and evicted it.
 //
 // SIGTERM or SIGINT drains the worker: it announces its departure to the
-// coordinator, finishes the tasks it holds, and exits once the
-// coordinator has pulled its data away. A second signal kills it
-// immediately.
+// coordinator, finishes the tasks it holds — each sends home what it wrote
+// — and exits once the coordinator releases it. A second signal kills it
+// immediately. A worker whose dial reaches a coordinator that is already
+// shutting down (live.ErrClosing: the program finished first) is told so
+// and ends like one that served the run to completion.
 package main
 
 import (

@@ -217,11 +217,20 @@ func TestCommittedWriterAndRollback(t *testing.T) {
 	if w, ver := d.LastCommittedWriter(e, 2); w != nil || ver != 2 {
 		t.Fatalf("above floor 2: (%v, %d), want (nil, 2): only an uncommitted generation is newer", w, ver)
 	}
+	if d.Writer(e, 2) != done2 || d.Writer(e, 3) != running || d.Writer(e, 4) != nil || d.Writer(e, 0) != nil {
+		t.Fatalf("Writer does not read the history back: %v", e.hist)
+	}
 	d.Rollback(e, 2)
+	if d.Writer(e, 3) != nil {
+		t.Fatal("a rolled-back generation still names its writer")
+	}
 	if e.Version != 2 || len(e.hist) != 2 || e.hist[1].Task != done2 {
 		t.Fatalf("after rollback: version %d history %v, want version 2 with generations 1..2", e.Version, e.hist)
 	}
 	d.TrimHistory(e, 1)
+	if d.Writer(e, 1) != nil || d.Writer(e, 2) != done2 {
+		t.Fatal("a trimmed generation still names its writer, or a kept one does not")
+	}
 	if len(e.hist) != 1 || e.hist[0].Version != 2 {
 		t.Fatalf("after trim at 1: history %v, want generation 2 only", e.hist)
 	}

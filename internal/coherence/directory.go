@@ -32,6 +32,8 @@
 //	             cache): m owns and holds the current generation
 //	Rollback     generations above ver died with their only holder before
 //	             their writers committed: the object is at ver again
+//	TrimHistory  the host holds generation floor's committed contents: the
+//	             write grants at or below it are forgotten
 package coherence
 
 import (
@@ -214,6 +216,18 @@ func (d *Directory) LastCommittedWriter(e *Entry, floor uint64) (*core.Task, uin
 		}
 	}
 	return nil, floor
+}
+
+// Writer returns the task whose write grant started generation ver, or nil
+// when the history holds no such grant: it was never made, was rolled back,
+// or was trimmed once the host held that generation's contents.
+func (d *Directory) Writer(e *Entry, ver uint64) *core.Task {
+	for i := len(e.hist) - 1; i >= 0 && e.hist[i].Version >= ver; i-- {
+		if e.hist[i].Version == ver {
+			return e.hist[i].Task
+		}
+	}
+	return nil
 }
 
 // Rollback returns the object to generation ver, forgetting the write

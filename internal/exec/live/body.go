@@ -59,7 +59,7 @@ func (b *BodyTable) take(key uint64) (func(rt.TC), bool) {
 }
 
 // peek returns the body for key without consuming it. The recovery
-// machinery uses it to retain a replayable reference to worker-created
+// machinery uses it to retain a re-executable reference to worker-created
 // closure bodies that share the coordinator's process.
 func (b *BodyTable) peek(key uint64) (func(rt.TC), bool) {
 	b.mu.Lock()

@@ -206,7 +206,6 @@ func chaosRun(t *testing.T, name string, tasks [][]cop, nObjects, objLen int, op
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
-	c.Wait()
 	if serr := c.Err(); serr != nil {
 		t.Fatalf("%s: script: %v", name, serr)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/access"
-	"repro/internal/format"
 	"repro/internal/rt"
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
@@ -34,14 +33,14 @@ func (c *tapConn) Recv() ([]byte, error) {
 	return msg, err
 }
 
-// taskFrames returns what the worker sent after its hello, pull replies
-// aside: the frames its tasks put on the wire.
+// taskFrames returns what the worker sent after its hello: the frames its
+// tasks put on the wire.
 func (c *tapConn) taskFrames() []*wire.Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []*wire.Frame
 	for _, f := range c.frames {
-		if f.Type != wire.THello && f.Type != wire.TObjData {
+		if f.Type != wire.THello {
 			out = append(out, f)
 		}
 	}
@@ -332,68 +331,6 @@ func TestMalformedCheckins(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown task") {
 		t.Errorf("check-in for a task nobody dispatched: Run = %v, want a protocol error", err)
-	}
-}
-
-// TestInputsLoggedBeforeDispatch: the dispatch rides the task's first
-// push, so the body may start while later declarations are still being
-// staged. Whatever the coordinator needs from the placed worker to log the
-// task's inputs — a pull of an object that worker already owns — must
-// therefore be on the wire before that push: pulled afterwards, it would
-// read the object while the body writes it, and log the half-written value
-// as the task's input.
-func TestInputsLoggedBeforeDispatch(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	x := newScripted(t, func(f *wire.Frame, send func(*wire.Frame)) {
-		mu.Lock()
-		order = append(order, fmt.Sprintf("%s:%d", wire.TypeName(f.Type), f.Obj))
-		mu.Unlock()
-		switch f.Type {
-		case wire.TDispatch:
-			send(&wire.Frame{Type: wire.TTaskDone, Task: f.Task})
-		case wire.TPull:
-			img, err := format.Encode([]int64{42}, format.LittleEndian)
-			if err != nil {
-				panic(err)
-			}
-			send(&wire.Frame{Type: wire.TObjData, Req: f.Req, Obj: f.Obj, A: f.A, B: uint64(format.LittleEndian), Payload: img})
-		}
-	})
-	var a, b access.ObjectID
-	err := x.Run(func(tc rt.TC) {
-		ids := allocN(tc, 2)
-		a, b = ids[0], ids[1]
-		// The first task leaves b owned by the worker, newer than the
-		// coordinator's cache.
-		if err := tc.Create([]access.Decl{{Object: b, Mode: access.ReadWrite}}, rt.TaskOpts{Label: "first"}, func(rt.TC) {}); err != nil {
-			panic(err)
-		}
-		// The second reads a, which has to be pushed (and carries the
-		// dispatch), and updates b, which has to be pulled for the log.
-		decls := []access.Decl{{Object: a, Mode: access.Read}, {Object: b, Mode: access.ReadWrite}}
-		if err := tc.Create(decls, rt.TaskOpts{Label: "second"}, func(rt.TC) {}); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	pull, push := -1, -1
-	for i, ev := range order {
-		switch ev {
-		case fmt.Sprintf("pull:%d", b):
-			if pull < 0 {
-				pull = i
-			}
-		case fmt.Sprintf("obj-image:%d", a):
-			push = i
-		}
-	}
-	if pull < 0 || push < 0 || pull > push {
-		t.Fatalf("worker saw %v: want the pull of #%d before the push of #%d that carries the second dispatch", order, b, a)
 	}
 }
 

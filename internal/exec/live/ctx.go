@@ -44,15 +44,25 @@ func (x *Exec) await(ch chan struct{}) error {
 }
 
 // access acquires t's checked view of obj and stages the object's current
-// value on machine m.
-func (x *Exec) access(t *core.Task, m int, obj access.ObjectID, mode access.Mode) error {
-	err := x.engineWait(func(wake func()) (bool, error) { return x.eng.Access(t, obj, mode, wake) })
+// value on machine m. gen is the generation a write grant started, which a
+// worker's task names when it writes the object back.
+func (x *Exec) access(t *core.Task, m int, obj access.ObjectID, mode access.Mode) (gen uint64, err error) {
+	err = x.engineWait(func(wake func()) (bool, error) { return x.eng.Access(t, obj, mode, wake) })
 	if err != nil {
-		return err
+		return 0, err
 	}
 	read := mode.HasAny(access.Read | access.Commute)
 	write := mode.HasAny(access.Write | access.Commute)
-	return x.retryOnLoss(m, func() error { return x.fetchToLocked(t, obj, m, read, write, nil) })
+	err = x.retryOnLoss(m, func() error {
+		if err := x.fetchToLocked(t, obj, m, read, write, nil); err != nil {
+			return err
+		}
+		if write {
+			gen = x.dir.Entry(obj).Version
+		}
+		return nil
+	})
+	return gen, err
 }
 
 // accessPregranted checks in an access the dispatch already granted and
@@ -81,13 +91,18 @@ func (x *Exec) convert(t *core.Task, obj access.ObjectID, which access.Mode) err
 // startInline starts inline child t on its creator's machine m: wait until
 // the child's declarations enable, stage its objects there, and start it
 // in the engine. A child the engine refuses to start is retired on the
-// spot, so its creator can carry on.
-func (x *Exec) startInline(t *core.Task, pl *payload, m int) error {
+// spot, so its creator can carry on. grants are the staging's pre-grant
+// records, for a creator on a worker.
+func (x *Exec) startInline(t *core.Task, pl *payload, m int) (grants []byte, err error) {
 	if err := x.await(pl.readyCh); err != nil {
-		return err
+		return nil, err
 	}
-	if err := x.stageRetry(t, m, nil); err != nil {
-		return err
+	err = x.retryOnLoss(m, func() error {
+		grants = x.pregrantsLocked(t, nil)
+		return x.stageLocked(t, m, nil)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := x.eng.Start(t); err != nil {
 		x.fail(err)
@@ -95,11 +110,11 @@ func (x *Exec) startInline(t *core.Task, pl *payload, m int) error {
 			x.fail(cerr)
 		}
 		x.unregister(t)
-		return err
+		return nil, err
 	}
 	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
 	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
-	return nil
+	return grants, nil
 }
 
 // alloc registers an object born on machine m holding v. The coordinator
@@ -138,7 +153,7 @@ func (tc *mainCtx) Machine() int { return 0 }
 
 // Access implements rt.TC.
 func (tc *mainCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
-	if err := tc.x.access(tc.t, 0, obj, m); err != nil {
+	if _, err := tc.x.access(tc.t, 0, obj, m); err != nil {
 		return nil, err
 	}
 	tc.x.coh.Lock()
@@ -217,7 +232,7 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 			body = func(rt.TC) {}
 		}
 	}
-	if err := x.startInline(t, pl, 0); err != nil {
+	if _, err := x.startInline(t, pl, 0); err != nil {
 		return err
 	}
 	child := &mainCtx{x: x, t: t, heldSince: tc.heldSince}

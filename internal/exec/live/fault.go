@@ -9,21 +9,24 @@
 //
 // Recovery leans on the same property the simulated executor's
 // fault package exploits: a Jade task is a pure function of its
-// declared read set, so a task can be deterministically re-executed (or
-// replayed from logged inputs) and must produce bit-identical output.
-// On a confirmed death the coordinator:
+// declared read set, so a task can be deterministically re-executed and
+// must produce bit-identical output — and on one the live protocol adds:
+// a writer's bytes reach the coordinator on the frame that releases its
+// write, so the coordinator's cache holds every committed generation
+// (committed ⇒ cached) and nothing a dead worker held is needed to rebuild
+// what it owned. On a confirmed death the coordinator:
 //
 //  1. Fences the session (transport.Fencer), so late frames from the
-//     dead worker — a TTaskDone racing the verdict, a stale pull reply —
-//     are dropped, never applied. A falsely-suspected worker that is
-//     still alive cannot resume the fenced session; it must redial and
-//     rejoin as a NEW member.
-//  2. Rebuilds every directory entry owned by the dead worker. If the
-//     coordinator's relay cache is current, it is promoted. Otherwise
-//     the last COMPLETED writer of the object is replayed from the
-//     coordinator-side input log (logInputLocked captures every value a
-//     worker-bound task observes, at grant time) to re-derive the lost
-//     version. Writers that had not completed are simply re-executed.
+//     dead worker — a TTaskDone racing the verdict, with the write-backs
+//     it carries — are dropped, never applied. A falsely-suspected worker
+//     that is still alive cannot resume the fenced session; it must
+//     redial and rejoin as a NEW member.
+//  2. Takes over every directory entry the dead worker owned. The
+//     generations above the cache were granted to tasks still running
+//     there: they died uncommitted, so the object rolls back to the cached
+//     generation and the cache is promoted. No input log, no replay: a
+//     completed task's output is in the cache before it counts as
+//     completed.
 //  3. Re-places every in-flight task that was dispatched to the dead
 //     worker (pl.sent) onto surviving capacity and bumps the membership
 //     epoch so parked coherence operations retry.
@@ -31,7 +34,8 @@
 // Membership is elastic: Admit splices a freshly-dialed worker into a
 // running executor (placement rebalances onto it via the epoch bump),
 // and Drain retires one gracefully — no new tasks, in-flight tasks
-// finish, owned objects sync back, then TBye.
+// finish (bringing home what they wrote), then TBye. A peer that dies
+// during its own handshake is a lost member, not a failed run.
 package live
 
 import (
@@ -40,19 +44,23 @@ import (
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/coherence"
 	"repro/internal/core"
-	"repro/internal/format"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
 
-// errWorkerLost marks coherence/RPC failures caused by a worker dying
-// mid-operation. Paths that see it park on the membership epoch and
-// retry after recovery has rebuilt the directory, instead of failing
-// the whole run.
+// errWorkerLost marks failures caused by a worker dying mid-operation.
+// Paths that see it park on the membership epoch and retry after recovery
+// has taken over the dead worker's objects, instead of failing the whole
+// run; a handshake that sees it has lost a member, not the run.
 var errWorkerLost = errors.New("live: worker lost")
+
+// ErrClosing is returned by Admit and Drain once the program's last task
+// has retired and Run is shutting membership down. A scripted or late
+// membership change that loses that race has nothing left to change;
+// callers treat it as "the program finished first", not as a failure.
+var ErrClosing = errors.New("live: executor is shutting down")
 
 // memberState is the lifecycle of one worker's membership.
 type memberState int
@@ -195,10 +203,12 @@ func (x *Exec) awaitEpoch(seen uint64) bool {
 
 // retryOnLoss runs op — a coherence operation on behalf of machine m —
 // under x.coh, waiting out a membership epoch and retrying whenever op
-// fails because a crashed worker's recovery is in flight. It returns
-// errWorkerLost (wrapped) only when m itself is gone or the run is
-// unwinding; losses of OTHER workers are retried here. m == 0 is the
-// coordinator, which cannot be lost.
+// fails because an object it needs is still listed under a dead worker
+// the recovery sweep has not reached. op must fail that way before it has
+// granted or sent anything (stageLocked checks every object first), so a
+// retry starts from scratch. It returns errWorkerLost (wrapped) only when
+// m itself is gone or the run is unwinding. m == 0 is the coordinator,
+// which cannot be lost.
 func (x *Exec) retryOnLoss(m int, op func() error) error {
 	for {
 		seen := x.epochNow()
@@ -219,75 +229,12 @@ func (x *Exec) retryOnLoss(m int, op func() error) error {
 	}
 }
 
-// stageRetry stages every immediately-declared object of t on machine m
-// before the task starts. Commuting declarations are fetched at Access
-// time instead, like the simulated executor: another commuting task may
-// legitimately hold the object right now. A non-nil car piggybacks the
-// task's dispatch frame on the first push to m; attachment survives
-// retries (an attached frame either reached m, or m is lost and the caller
-// rebuilds the carrier).
-//
-// Every input is logged before anything is pushed. The dispatch rides the
-// first push, so from then on the body may be running on m and writing the
-// objects m already owns; an input pulled from m after that would race the
-// body and log its half-done writes as what the task observed.
-func (x *Exec) stageRetry(t *core.Task, m int, car *dispatchCarrier) error {
-	return x.retryOnLoss(m, func() error {
-		decls := t.ImmediateDecls()
-		for _, d := range decls {
-			if m == 0 || d.Mode.Has(access.Commute) {
-				continue // the coordinator's own inputs are not logged
-			}
-			if e := x.dir.Entry(d.Object); e != nil {
-				if err := x.logInputLocked(t, e, m, d.Mode.Has(access.Read), d.Mode.Has(access.Write)); err != nil {
-					return err
-				}
-			}
-		}
-		for _, d := range decls {
-			if d.Mode.Has(access.Commute) {
-				continue
-			}
-			if err := x.fetchToLocked(t, d.Object, m, d.Mode.Has(access.Read), d.Mode.Has(access.Write), car); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ---- input logging (write replay support) ---------------------------------
-
-// logInputLocked captures, first-encounter per (task, object), the
-// value a worker-bound task observes for d: the coordinator-side
-// input log that makes a completed task replayable after its worker
-// dies with the only copy of its output. Write-only grants log a
-// zeroed buffer (the task may not read the old contents); everything
-// else logs the cache value after syncing it to the current version —
-// so a log is always a valid replay base. Requires x.coh.
-func (x *Exec) logInputLocked(t *core.Task, d *coherence.Entry, m int, read, write bool) error {
-	if x.inputs.Logged(t.ID, d.Object) {
-		return nil
-	}
-	if write && !read && !d.Holds(m) {
-		// Shape only: the grant ships a zeroed buffer.
-		x.inputs.LogFresh(t.ID, d.Object, format.ZeroLike(x.vals[d.Object]))
-		return nil
-	}
-	if err := x.syncCacheLocked(d); err != nil {
-		return err
-	}
-	x.inputs.Log(t.ID, d.Object, d.Version, x.vals[d.Object])
-	return nil
-}
-
 // ---- failure detection and recovery ---------------------------------------
 
 // workerLost handles a confirmed worker death (transport error on the
 // session): exactly once, it marks the member dead, notifies the
 // (possibly still-alive) worker with a best-effort TEvict, fences the
-// session so late frames are dropped, releases RPC waiters, and runs
-// recovery.
+// session so late frames are dropped, and runs recovery.
 func (x *Exec) workerLost(w *workerLink, cause error) {
 	w.lostOnce.Do(func() {
 		x.mu.Lock()
@@ -310,7 +257,6 @@ func (x *Exec) workerLost(w *workerLink, cause error) {
 			f.Fence()
 		}
 		w.conn.Close()
-		close(w.dead)
 		if started {
 			go x.recoverWorker(w, cause)
 		} else {
@@ -336,31 +282,18 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	x.fstats.CrashesDetected++
 	x.statMu.Unlock()
 
-	// 1) Rebuild directory entries owned by the dead worker.
-	var replayed int
+	// 1) Take over the directory entries the dead worker owned. The cache
+	// holds every generation a writer released; what lies above it was
+	// granted to tasks still running on w, which step 2 re-executes.
 	x.coh.Lock()
 	owned := x.loseMachineLocked(w.m)
 	for _, obj := range owned {
 		d := x.dir.Entry(obj)
 		how := "cache current"
 		if x.cacheVer[obj] != d.Version {
-			// The cache froze at an older generation. Replay the last
-			// COMPLETED writer in the window to re-derive the committed
-			// value; writers that had not completed are re-executed by
-			// the orphan pass and roll the object forward again.
-			if writer, _ := x.dir.LastCommittedWriter(d, x.cacheVer[obj]); writer != nil {
-				if err := x.replayLocked(writer, obj); err != nil {
-					x.coh.Unlock()
-					x.failFatal(fmt.Errorf("live: recovering object #%d (%s) after worker %d died: %w", obj, d.Label, w.m, err))
-					return
-				}
-				replayed++
-				how = fmt.Sprintf("replayed task %d", writer.ID)
-			} else {
-				how = "restored committed cache"
-			}
+			x.dir.Rollback(d, x.cacheVer[obj])
+			how = "rolled back to the committed cache"
 		}
-		x.setCacheVerLocked(d, d.Version)
 		x.dir.Promote(d, 0)
 		x.record(trace.Event{Kind: trace.ObjectRebuilt, Object: uint64(obj), Src: w.m, Dst: 0, Label: how})
 	}
@@ -396,7 +329,6 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 
 	x.statMu.Lock()
 	x.fstats.TasksReexecuted += len(orphans)
-	x.fstats.TasksReplayed += replayed
 	x.fstats.ObjectsRebuilt += len(owned)
 	x.fstats.RecoveryTime += time.Since(t0)
 	x.statMu.Unlock()
@@ -414,32 +346,6 @@ func (x *Exec) loseMachineLocked(m int) []access.ObjectID {
 	return x.dir.LoseMachine(m)
 }
 
-// replayLocked re-runs a completed task's body against its logged
-// inputs to re-derive the value of obj, installing the result in the
-// coordinator cache. Determinism (a task is a function of its declared
-// read set) makes the result bit-identical to the lost copy. Requires
-// x.coh.
-func (x *Exec) replayLocked(t *core.Task, obj access.ObjectID) error {
-	pl, ok := t.Payload.(*payload)
-	if !ok || pl == nil {
-		return fmt.Errorf("task %d has no executor payload to replay", t.ID)
-	}
-	body := pl.body
-	if body == nil && pl.kind != "" {
-		body, _ = Kinds.resolve(pl.kind, pl.kindArgs)
-	}
-	if body == nil {
-		return fmt.Errorf("task %d (%s) has neither a retained closure nor a kind; cannot replay", t.ID, pl.opts.Label)
-	}
-	out, err := coherence.Replay(t, 0, x.inputs.Inputs(t.ID), body, nil, obj)
-	if err != nil {
-		return err
-	}
-	x.vals[obj] = out
-	x.record(trace.Event{Kind: trace.TaskReexecuted, Task: uint64(t.ID), Label: fmt.Sprintf("replay object #%d", obj)})
-	return nil
-}
-
 // ---- elastic membership ---------------------------------------------------
 
 // Admit splices a freshly-connected worker into a running executor: it
@@ -453,37 +359,42 @@ func (x *Exec) Admit(conn transport.Conn) (int, error) {
 // admit is Admit plus the initial-handshake path (joined=false: the
 // worker was present at Run time and does not count as an elastic
 // join). admitMu serializes machine-index assignment with the
-// handshake, which cannot run under x.mu.
+// handshake, which cannot run under x.mu. A peer that fails its handshake
+// keeps the index as a dead member (x.workers[m-1] stays machine m); the
+// error says whether it died (errWorkerLost) or misspoke. A closing
+// executor refuses with ErrClosing and says goodbye, so a worker that
+// dialed too late ends its run cleanly.
 func (x *Exec) admit(conn transport.Conn, joined bool) (int, error) {
 	x.admitMu.Lock()
 	defer x.admitMu.Unlock()
 	x.mu.Lock()
 	if x.closing {
 		x.mu.Unlock()
-		return 0, fmt.Errorf("live: executor is shutting down")
+		if enc, err := wire.Encode(&wire.Frame{Type: wire.TBye}); err == nil {
+			_ = conn.Send(enc) // best effort: the peer may be gone already
+		}
+		conn.Close()
+		return 0, ErrClosing
 	}
 	m := x.nextMachine
 	x.nextMachine++
 	x.mu.Unlock()
-	w, err := x.handshake(Peer{Conn: conn}, m)
-	if err != nil {
-		x.mu.Lock()
-		x.nextMachine-- // nothing else could have advanced it: admitMu is held
-		x.mu.Unlock()
-		return 0, err
-	}
+	w, err := x.handshake(conn, m)
 	x.statMu.Lock()
 	for len(x.busy) <= m {
 		x.busy = append(x.busy, 0)
 	}
-	if joined {
+	if joined && err == nil {
 		x.fstats.WorkersJoined++
 	}
 	x.statMu.Unlock()
 	x.mu.Lock()
 	x.workers = append(x.workers, w)
-	w.started = true
+	w.started = err == nil
 	x.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	go x.recvLoop(w)
 	x.bumpEpoch()
 	return m, nil
@@ -511,8 +422,8 @@ func (x *Exec) KillWorker(m int) error {
 }
 
 // Drain begins a graceful departure for worker m: placement stops
-// considering it immediately; once its in-flight tasks finish, its
-// owned objects are synced back and the worker is released with TBye.
+// considering it immediately; once its in-flight tasks finish — each
+// bringing home what it wrote — the worker is released with TBye.
 // Asynchronous — the departure completes in the background.
 func (x *Exec) Drain(m int) error {
 	w := x.workerAt(m)
@@ -522,7 +433,7 @@ func (x *Exec) Drain(m int) error {
 	x.mu.Lock()
 	if x.closing {
 		x.mu.Unlock()
-		return fmt.Errorf("live: executor is shutting down")
+		return ErrClosing
 	}
 	if w.state != memberActive {
 		st := w.state
@@ -543,20 +454,16 @@ func (x *Exec) Drain(m int) error {
 }
 
 // completeDrain finishes a graceful departure once the worker is idle:
-// sync every object it owns back to the coordinator, transfer
-// ownership, release its copies and shadows, and say goodbye. Runs in
-// its own goroutine — the sync pulls need the worker's receive loop.
+// take over what it owns, release its copies and shadows, and say goodbye.
+// An idle worker has released every write it was granted, so the cache
+// already holds the contents of everything it owns. Runs in its own
+// goroutine: the retirement that triggers it may be running on the
+// worker's own receive loop, whose connection this closes.
 func (x *Exec) completeDrain(w *workerLink) {
 	defer x.bg.Done()
 	x.coh.Lock()
 	for _, obj := range x.loseMachineLocked(w.m) {
-		d := x.dir.Entry(obj)
-		if err := x.syncCacheLocked(d); err != nil {
-			// It died mid-drain; crash recovery re-lists what it still owns.
-			x.coh.Unlock()
-			return
-		}
-		x.dir.Promote(d, 0)
+		x.dir.Promote(x.dir.Entry(obj), 0)
 	}
 	x.coh.Unlock()
 	x.mu.Lock()

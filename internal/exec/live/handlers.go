@@ -81,11 +81,13 @@ func (x *Exec) createTask(parent *core.Task, decls []access.Decl, pl *payload) (
 }
 
 // recvLoop drains one worker's connection for the whole run. Handlers
-// that can block (waiting for an access grant, task readiness, or the
-// coherence lock) run in goroutines; everything handled inline must
-// never take x.coh — a coherence-lock holder may be waiting for a pull
-// reply that only this loop can route, so blocking here on coh would
-// deadlock the protocol.
+// that can wait on the engine (an access grant, a conversion, an inline
+// child's readiness) run in goroutines; the rest run inline, in arrival
+// order. The loop takes x.coh itself, to install a frame's write-backs
+// before its handler runs. That cannot deadlock: no holder of x.coh waits
+// for anything this loop delivers — the coordinator asks workers for
+// nothing, and under the lock it only sends (lockdiscipline_test.go at the
+// repo root keeps it so).
 func (x *Exec) recvLoop(w *workerLink) {
 	defer close(w.recvDone)
 	for {
@@ -109,10 +111,10 @@ func (x *Exec) recvLoop(w *workerLink) {
 			x.failFatal(fmt.Errorf("live: worker %d (%s): %w", w.m, w.name, err))
 			return
 		}
-		// Every frame but a pull reply and a leave request is about one
-		// task: resolve it once, here.
+		// Every frame but a leave request is about one task: resolve it
+		// once, here.
 		var t *core.Task
-		if f.Type != wire.TObjData && f.Type != wire.TLeave {
+		if f.Type != wire.TLeave {
 			var gone bool
 			if t, gone = x.taskFrom(w, f.Task); gone {
 				continue
@@ -120,8 +122,8 @@ func (x *Exec) recvLoop(w *workerLink) {
 				x.unknownTask(w, f)
 				continue
 			}
-		} else if len(f.Checkins) > 0 {
-			x.failFatal(fmt.Errorf("live: worker %d (%s): check-ins on a %s frame, which names no task", w.m, w.name, wire.TypeName(f.Type)))
+		} else if len(f.Checkins) > 0 || len(f.Writebacks) > 0 {
+			x.failFatal(fmt.Errorf("live: worker %d (%s): check-ins or write-backs on a %s frame, which names no task", w.m, w.name, wire.TypeName(f.Type)))
 			return
 		}
 		// The task's pre-granted accesses since its previous frame enter the
@@ -132,23 +134,26 @@ func (x *Exec) recvLoop(w *workerLink) {
 			obj, mode := wire.AccessRec(c)
 			x.accessPregranted(t, access.ObjectID(obj), access.Mode(mode))
 		}
+		// What the task wrote under the rights this frame releases reaches
+		// the cache here, before the handler that releases them: whoever the
+		// frame enables is staged from the new bytes.
+		if len(f.Writebacks) > 0 {
+			x.coh.Lock()
+			err := x.applyWritebacksLocked(w, t, f.Writebacks)
+			x.coh.Unlock()
+			if err != nil {
+				return
+			}
+		}
 		if len(f.Payload) == 0 {
-			// Checkins (consumed above) and Payload are the only Frame
-			// fields aliasing msg (strings are copies): payload-free frames
-			// — the vast majority of RPC traffic — release their buffer to
-			// the send pool here.
+			// Checkins and Writebacks (consumed above) and Payload are the
+			// only Frame fields aliasing msg (strings are copies):
+			// payload-free frames — the vast majority of RPC traffic —
+			// release their buffer to the send pool here.
 			transport.PutBuf(msg)
 		}
 		obj, mode := access.ObjectID(f.Obj), access.Mode(f.A)
 		switch f.Type {
-		case wire.TObjData:
-			x.mu.Lock()
-			ch := x.pending[f.Req]
-			delete(x.pending, f.Req)
-			x.mu.Unlock()
-			if ch != nil {
-				ch <- f
-			}
 		case wire.TTaskDone:
 			x.handleTaskDone(w, t, f, "")
 		case wire.TTaskFail:
@@ -158,25 +163,28 @@ func (x *Exec) recvLoop(w *workerLink) {
 		case wire.TClearAccess:
 			x.eng.ClearAccess(t, obj)
 		case wire.TRetractReq:
-			w.replyErr(f.Req, x.eng.Retract(t, obj, mode)) // never blocks
+			w.replyErr(f.Req, x.eng.Retract(t, obj, mode), 0) // never blocks
 		case wire.TCreateReq:
 			// Inline: a task's successive creations must enter the engine
 			// in program order (creation order IS the serial order), and
 			// the connection's FIFO plus inline handling preserves it.
 			x.handleCreate(w, t, f)
 		case wire.TAccessReq:
-			go func() { w.replyErr(f.Req, x.access(t, w.m, obj, mode)) }()
+			go func() {
+				gen, err := x.access(t, w.m, obj, mode)
+				w.replyErr(f.Req, err, gen)
+			}()
 		case wire.TConvertReq:
-			go func() { w.replyErr(f.Req, x.convert(t, obj, mode)) }()
+			go func() { w.replyErr(f.Req, x.convert(t, obj, mode), 0) }()
 		case wire.TAllocReq:
 			go x.handleAlloc(w, t, f)
 		case wire.TStartReq:
 			go x.handleStart(w, t, f)
 		case wire.TLeave:
 			// Graceful departure request. Drain only flips the state; the
-			// departure completes in a goroutine of its own (it must not
-			// block this loop, which routes the sync pulls). A refusal
-			// (already draining, run shutting down) needs no answer.
+			// departure completes in a goroutine of its own (it closes the
+			// connection this loop is reading). A refusal (already
+			// draining, run shutting down) needs no answer.
 			_ = x.Drain(w.m)
 		default:
 			x.failFatal(fmt.Errorf("live: worker %d (%s): unexpected %s frame", w.m, w.name, wire.TypeName(f.Type)))
@@ -186,13 +194,15 @@ func (x *Exec) recvLoop(w *workerLink) {
 }
 
 // unknownTask answers a frame naming a task the table does not hold. A
-// check-in or completion nobody asked for is a protocol error; otherwise a
-// request gets an error reply and a release of rights has nothing left to
-// release.
+// check-in, write-back or completion nobody asked for is a protocol error;
+// otherwise a request gets an error reply and a release of rights has
+// nothing left to release.
 func (x *Exec) unknownTask(w *workerLink, f *wire.Frame) {
 	switch {
 	case len(f.Checkins) > 0:
 		x.failFatal(fmt.Errorf("live: worker %d: access check-in for unknown task %d", w.m, f.Task))
+	case len(f.Writebacks) > 0:
+		x.failFatal(fmt.Errorf("live: worker %d: write-back for unknown task %d", w.m, f.Task))
 	case f.Req != 0:
 		w.reply(f.Req, fmt.Sprintf("%s request for unknown task %d", wire.TypeName(f.Type), f.Task), 0, 0)
 	case f.Type == wire.TEndAccess || f.Type == wire.TClearAccess:
@@ -226,12 +236,12 @@ func (x *Exec) handleTaskDone(w *workerLink, t *core.Task, f *wire.Frame, errTex
 	x.taskFinished(t, pl, time.Duration(f.A), errText == "")
 }
 
-// replyErr answers an RPC with err's text ("" for nil). An operation the
-// dying run abandoned gets no answer.
-func (w *workerLink) replyErr(req uint64, err error) {
+// replyErr answers an RPC with err's text, or with result scalar a when err
+// is nil. An operation the dying run abandoned gets no answer.
+func (w *workerLink) replyErr(req uint64, err error, a uint64) {
 	switch {
 	case err == nil:
-		w.reply(req, "", 0, 0)
+		w.reply(req, "", a, 0)
 	case !errors.Is(err, errUnwinding):
 		w.reply(req, err.Error(), 0, 0)
 	}
@@ -262,8 +272,8 @@ func (x *Exec) handleCreate(w *workerLink, parent *core.Task, f *wire.Frame) {
 		machine: -1,
 	}
 	if f.A != 0 && w.group == 0 {
-		// The creator shares our process: keep a replayable reference to
-		// the closure so a crash of the executing worker can re-run it.
+		// The creator shares our process: keep a reference to the closure so
+		// a crash of the executing worker can re-run it.
 		pl.body, _ = x.bodies.peek(f.A)
 	}
 	t, err := x.createTask(parent, c.decls, pl)
@@ -278,14 +288,20 @@ func (x *Exec) handleCreate(w *workerLink, parent *core.Task, f *wire.Frame) {
 	w.reply(f.Req, "", uint64(t.ID), inlineFlag)
 }
 
-// handleStart serves an inline child's start request.
+// handleStart serves an inline child's start request; the reply carries the
+// child's pre-grant records, as its dispatch frame would have.
 func (x *Exec) handleStart(w *workerLink, t *core.Task, f *wire.Frame) {
 	pl := t.Payload.(*payload)
 	if !pl.inline {
 		w.reply(f.Req, fmt.Sprintf("start request for non-inline task %d", f.Task), 0, 0)
 		return
 	}
-	w.replyErr(f.Req, x.startInline(t, pl, w.m))
+	grants, err := x.startInline(t, pl, w.m)
+	if err != nil {
+		w.replyErr(f.Req, err, 0)
+		return
+	}
+	w.send(&wire.Frame{Type: wire.TReply, Req: f.Req, Payload: grants})
 }
 
 // handleAlloc registers a worker-allocated object: the worker keeps the

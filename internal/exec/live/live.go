@@ -16,12 +16,13 @@
 // The division of labor over the wire:
 //
 //   - Coordinator → worker: task dispatches, object images/patches/zero
-//     grants, invalidations, pulls of current object contents, and RPC
-//     replies.
+//     grants, invalidations, and RPC replies.
 //   - Worker → coordinator: every rt.TC operation a body performs
 //     (Access, Create, Alloc, Convert, Retract, EndAccess, ...) travels
-//     as a small RPC; task completion and pull replies come back the
-//     same way.
+//     as a small RPC, and task completion comes back the same way. A
+//     frame by which a task releases a write right carries what the task
+//     wrote, so the coordinator's cache holds every committed generation
+//     and never has to ask a worker for bytes.
 //
 // A task blocked in an RPC sends nothing else, so the per-connection
 // FIFO order of transport.Conn gives the same happens-before edges the
@@ -29,6 +30,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -134,7 +136,7 @@ type payload struct {
 
 	// body is the closure retained coordinator-side (when the creator
 	// runs in the coordinator's process) so the task can be redispatched
-	// or replayed after a worker crash consumed the table entry.
+	// after a worker crash consumed the table entry.
 	body func(rt.TC)
 	// attempt counts dispatch attempts; >0 means redispatch after a
 	// placement was lost. Guarded by x.mu.
@@ -167,9 +169,7 @@ type workerLink struct {
 	// started reports whether recvLoop was launched (and so recvDone
 	// will close); guarded by x.mu.
 	started bool
-	// dead closes when the worker is declared dead, unblocking RPC
-	// waiters. lostOnce makes the declaration exactly-once.
-	dead     chan struct{}
+	// lostOnce makes the declaration of the worker's death exactly-once.
 	lostOnce sync.Once
 
 	// Wire-traffic counters for this link, split by direction. Updated
@@ -206,8 +206,8 @@ type Exec struct {
 	// one at a time.
 	recMu sync.Mutex
 
-	// mu guards executor bookkeeping: task maps, throttle, RPC routing,
-	// scheduler load, membership state, first error.
+	// mu guards executor bookkeeping: task maps, throttle, scheduler load,
+	// membership state, first error.
 	mu          sync.Mutex
 	cond        *sync.Cond // on mu; broadcast on epoch bumps and fatal
 	started     bool
@@ -217,23 +217,22 @@ type Exec struct {
 	tasks       map[core.TaskID]*core.Task
 	liveUser    int
 	nextObj     access.ObjectID
-	nextReq     uint64
-	pending     map[uint64]chan *wire.Frame // outstanding coordinator→worker RPCs
 	firstErr    error
 
 	// coh serializes the coherence protocol: directory state, the
-	// coordinator's value cache, the stale-copy images, and the pushes/
-	// pulls that move object bytes. Coarse by design — the protocol's
-	// invariants are stated against a serialized transition order, the
-	// same order the simulator got for free from virtual time.
+	// coordinator's value cache, the stale-copy images, the pushes that
+	// move object bytes out and the write-backs that bring them home.
+	// Coarse by design — the protocol's invariants are stated against a
+	// serialized transition order, the same order the simulator got for
+	// free from virtual time. Nothing waits on the network while holding
+	// it (lockdiscipline_test.go at the repo root).
 	coh sync.Mutex
 	// dir is the object directory with each worker's shadow generations
-	// and the write-grant history above the cached version; inputs is the
-	// per-task input log. Together they make a completed task replayable
-	// when its worker dies with the only up-to-date copy of an object
-	// (see fault.go).
+	// and the write grants not yet released. vals at cacheVer is the
+	// committed frontier: a writer's bytes arrive on the frame that
+	// releases its write (committed ⇒ cached), so the cache is what a dead
+	// worker's objects roll back to (see fault.go).
 	dir      *coherence.Directory
-	inputs   *coherence.InputLog
 	vals     map[access.ObjectID]any // machine-0 store and relay cache
 	cacheVer map[access.ObjectID]uint64
 	// stale[{m, obj}] is what worker m's invalidated copy of obj holds: an
@@ -281,10 +280,7 @@ func New(opts Options) (*Exec, error) {
 		nextMachine: 1,
 		tasks:       map[core.TaskID]*core.Task{},
 		nextObj:     opts.FirstObjectID,
-		nextReq:     1,
-		pending:     map[uint64]chan *wire.Frame{},
 		dir:         coherence.NewDirectory(),
-		inputs:      coherence.NewInputLog(),
 		vals:        map[access.ObjectID]any{},
 		cacheVer:    map[access.ObjectID]uint64{},
 		stale:       map[staleKey]any{},
@@ -464,82 +460,43 @@ func (w *workerLink) reply(req uint64, errText string, a, b uint64) {
 	w.send(&wire.Frame{Type: wire.TReply, Req: req, Label: errText, A: a, B: b})
 }
 
-// rpc sends a frame expecting a TObjData (or other) response routed back
-// by request id. It may be called with x.coh held: the worker answers
-// pulls from its receive loop without taking coordinator locks.
-func (x *Exec) rpc(w *workerLink, f *wire.Frame) (*wire.Frame, error) {
-	ch, req, err := x.rpcStart(w, f)
+// handshake performs the Hello/Welcome exchange with the peer that is to
+// be machine m. It always returns the link: a peer that dies or misspeaks
+// before its welcome is out goes through workerLost like any other member,
+// and comes back as a dead one. Only a death (a transport error, not a
+// wrong frame) is reported as errWorkerLost.
+func (x *Exec) handshake(conn transport.Conn, m int) (*workerLink, error) {
+	w := &workerLink{
+		x:        x,
+		m:        m,
+		conn:     conn,
+		name:     fmt.Sprintf("worker-%d", m),
+		caps:     map[string]bool{},
+		slots:    1, // pre-slot-reporting worker: it runs at least one task
+		recvDone: make(chan struct{}),
+	}
+	lost := func(err error) (*workerLink, error) {
+		x.workerLost(w, err)
+		return w, err
+	}
+	msg, err := conn.Recv()
 	if err != nil {
-		return nil, err
-	}
-	return x.rpcAwait(w, ch, req, f.Type)
-}
-
-// rpcStart ships a request frame and returns the routed reply channel,
-// without waiting: the pipelined drain keeps several pulls in flight per
-// worker instead of paying one round trip per object.
-func (x *Exec) rpcStart(w *workerLink, f *wire.Frame) (chan *wire.Frame, uint64, error) {
-	ch := make(chan *wire.Frame, 1)
-	x.mu.Lock()
-	f.Req = x.nextReq
-	x.nextReq++
-	x.pending[f.Req] = ch
-	x.mu.Unlock()
-	if err := w.send(f); err != nil {
-		x.mu.Lock()
-		delete(x.pending, f.Req)
-		x.mu.Unlock()
-		return nil, 0, err
-	}
-	return ch, f.Req, nil
-}
-
-// rpcAwait collects the reply for one rpcStart.
-func (x *Exec) rpcAwait(w *workerLink, ch chan *wire.Frame, req uint64, typ byte) (*wire.Frame, error) {
-	select {
-	case r := <-ch:
-		return r, nil
-	case <-w.dead:
-		x.mu.Lock()
-		delete(x.pending, req)
-		x.mu.Unlock()
-		return nil, fmt.Errorf("live: worker %d (%s) died during %s rpc: %w", w.m, w.name, wire.TypeName(typ), errWorkerLost)
-	case <-x.fatal:
-		return nil, x.firstError()
-	}
-}
-
-// handshake performs the Hello/Welcome exchange with one peer.
-func (x *Exec) handshake(p Peer, m int) (*workerLink, error) {
-	msg, err := p.Conn.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("live: worker %d: waiting for hello: %w", m, err)
+		return lost(fmt.Errorf("live: worker %d: waiting for hello: %w: %w", m, errWorkerLost, err))
 	}
 	x.countFrame(m, 0, len(msg))
 	f, err := wire.Decode(msg)
 	if err != nil {
-		return nil, fmt.Errorf("live: worker %d: %w", m, err)
+		return lost(fmt.Errorf("live: worker %d: %w", m, err))
 	}
 	if f.Type != wire.THello {
-		return nil, fmt.Errorf("live: worker %d: expected hello, got %s", m, wire.TypeName(f.Type))
+		return lost(fmt.Errorf("live: worker %d: expected hello, got %s", m, wire.TypeName(f.Type)))
 	}
-	w := &workerLink{
-		x:        x,
-		m:        m,
-		conn:     p.Conn,
-		name:     f.Label,
-		caps:     map[string]bool{},
-		fmt:      format.ByteOrder(f.A),
-		group:    f.B,
-		slots:    int(f.C),
-		dead:     make(chan struct{}),
-		recvDone: make(chan struct{}),
+	w.fmt, w.group = format.ByteOrder(f.A), f.B
+	if f.C > 0 {
+		w.slots = int(f.C)
 	}
-	if w.slots <= 0 {
-		w.slots = 1 // pre-slot-reporting worker: it runs at least one task
-	}
-	if w.name == "" {
-		w.name = fmt.Sprintf("worker-%d", m)
+	if f.Label != "" {
+		w.name = f.Label
 	}
 	for _, c := range strings.Split(f.Aux, ",") {
 		if c = strings.TrimSpace(c); c != "" {
@@ -547,7 +504,7 @@ func (x *Exec) handshake(p Peer, m int) (*workerLink, error) {
 		}
 	}
 	if err := w.send(&wire.Frame{Type: wire.TWelcome, A: uint64(m)}); err != nil {
-		return nil, err
+		return w, err // send has already declared the worker lost
 	}
 	return w, nil
 }
@@ -565,11 +522,18 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	x.mu.Unlock()
 	x.eng.SetClock(func() int64 { return int64(time.Since(x.start)) })
 
+	// A peer that dies during its handshake is a member lost before the
+	// first task, not a reason to abandon the program: the run goes ahead on
+	// the others.
 	for _, p := range x.opts.Peers {
-		if _, err := x.admit(p.Conn, false); err != nil {
+		if _, err := x.admit(p.Conn, false); err != nil && !errors.Is(err, errWorkerLost) {
 			x.failFatal(err)
 			return x.firstError()
 		}
+	}
+	if active, _, _, _ := x.Members(); active == 0 {
+		x.failFatal(fmt.Errorf("live: no worker survived the handshake: %w", errWorkerLost))
+		return x.firstError()
 	}
 
 	rootT := x.eng.Root()
@@ -597,10 +561,10 @@ func (x *Exec) Run(root func(rt.TC)) error {
 		return x.firstError()
 	}
 
-	// Pull every final value home, then shut membership: from here no
-	// recovery or drain completion can start, and the ones in flight are
+	// Every task has retired, so every written generation is in the cache:
+	// ObjectValue needs nothing from the workers. Shut membership: from here
+	// no recovery or drain completion can start, and the ones in flight are
 	// joined before the counters they update are read.
-	x.retryOnLoss(0, x.drainBatchLocked)
 	x.mu.Lock()
 	x.closing = true
 	x.cond.Broadcast()
@@ -619,74 +583,6 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	return x.firstError()
 }
 
-// drainInflight bounds the pulls the drain keeps outstanding at once.
-const drainInflight = 32
-
-// drainBatchLocked pulls every object whose current version lives on a
-// worker back into the coordinator cache, so ObjectValue serves final
-// results — with pipelined pulls: a wave of TPulls ships before the first
-// reply is awaited, so the drain pays wire latency once per wave rather
-// than once per object. Requires x.coh (held across the whole drain;
-// replies are routed by the receive loops, which never take it). A worker
-// death mid-drain surfaces as errWorkerLost; the caller retries once
-// recovery has promoted the dead worker's objects.
-func (x *Exec) drainBatchLocked() error {
-	var stale []*coherence.Entry
-	for _, d := range x.dir.Entries() {
-		if d.Owner != 0 && x.cacheVer[d.Object] != d.Version {
-			stale = append(stale, d)
-		}
-	}
-	type pend struct {
-		d   *coherence.Entry
-		w   *workerLink
-		ch  chan *wire.Frame
-		req uint64
-	}
-	for start := 0; start < len(stale); start += drainInflight {
-		end := start + drainInflight
-		if end > len(stale) {
-			end = len(stale)
-		}
-		pends := make([]pend, 0, end-start)
-		var firstErr error
-		for _, d := range stale[start:end] {
-			w, err := x.workerTarget(d.Owner)
-			if err != nil {
-				firstErr = err
-				break
-			}
-			ch, req, err := x.rpcStart(w, &wire.Frame{Type: wire.TPull, Obj: uint64(d.Object), A: d.Version, B: x.cacheVer[d.Object]})
-			if err != nil {
-				firstErr = err
-				break
-			}
-			pends = append(pends, pend{d, w, ch, req})
-		}
-		// Collect the whole wave even after a failure: every issued pull
-		// must be awaited (or its pending entry dropped) before retrying.
-		for _, p := range pends {
-			r, err := x.rpcAwait(p.w, p.ch, p.req, wire.TPull)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if firstErr != nil {
-				continue // late reply of a doomed wave; the retry re-pulls
-			}
-			if err := x.applyPullReplyLocked(p.d, p.w, r); err != nil {
-				firstErr = err
-			}
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
-}
-
 // runBody executes a task body on the coordinator, converting panics
 // into program failure.
 func (x *Exec) runBody(tc rt.TC, body func(rt.TC)) {
@@ -699,7 +595,8 @@ func (x *Exec) runBody(tc rt.TC, body func(rt.TC)) {
 	body(tc)
 }
 
-// ObjectValue implements rt.Exec: the drained final value.
+// ObjectValue implements rt.Exec: the coordinator's cached value, which
+// is the committed one — final once Run has returned.
 func (x *Exec) ObjectValue(obj access.ObjectID) any {
 	x.coh.Lock()
 	defer x.coh.Unlock()
@@ -744,54 +641,75 @@ func (c *dispatchCarrier) attachTo(f *wire.Frame, m int) {
 	c.attached = true
 }
 
-// marshalDispatchPayload packs a dispatch payload: a pre-grant prefix
-// (1-byte count, then one wire access record per grant) followed by the
-// kind args. The pre-grants name the immediate non-commuting declarations
-// the coordinator stages before the task starts; the worker answers an
-// Access they cover locally and checks it in on the task's next frame
-// (wire.Frame.Checkins, the same record going the other way) instead of
-// paying a blocking RPC.
-func marshalDispatchPayload(decls []access.Decl, kindArgs []byte) []byte {
-	grants := decls[:0:0]
+// pregrantsLocked packs the pre-grant records of t's staging — a 4-byte
+// count, then one wire access record per immediate non-commuting
+// declaration, a write grant followed by the generation it will start —
+// and appends tail (a dispatch's kind args; nothing in an inline child's
+// start reply). The worker answers an Access the records cover locally and
+// checks it in on the task's next frame (wire.Frame.Checkins, the same
+// record going the other way) instead of paying a blocking RPC, and labels
+// what it writes back with the generation named here, so both sides count
+// generations without a round trip. Requires x.coh, held through the
+// staging that follows: each write grant bumps its object's version once.
+func (x *Exec) pregrantsLocked(t *core.Task, tail []byte) []byte {
+	decls := t.ImmediateDecls()
+	buf := make([]byte, 4, 4+(wire.AccessRecLen+8)*len(decls)+len(tail))
+	n := uint32(0)
 	for _, d := range decls {
-		if m := d.Mode & access.ReadWrite; m != 0 && !d.Mode.Has(access.Commute) {
-			grants = append(grants, access.Decl{Object: d.Object, Mode: m})
+		m := d.Mode & access.ReadWrite
+		if m == 0 || d.Mode.Has(access.Commute) {
+			continue
+		}
+		n++
+		buf = wire.AppendAccessRec(buf, uint64(d.Object), byte(m))
+		if m.Has(access.Write) {
+			var gen uint64 // stays 0 for an object nobody allocated; staging refuses it
+			if e := x.dir.Entry(d.Object); e != nil {
+				gen = e.Version + 1
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, gen)
 		}
 	}
-	if len(grants) > 255 {
-		grants = grants[:255] // 1-byte count; the rest take the slow path
-	}
-	buf := make([]byte, 0, 1+wire.AccessRecLen*len(grants)+len(kindArgs))
-	buf = append(buf, byte(len(grants)))
-	for _, d := range grants {
-		buf = wire.AppendAccessRec(buf, uint64(d.Object), byte(d.Mode))
-	}
-	return append(buf, kindArgs...)
+	binary.LittleEndian.PutUint32(buf, n)
+	return append(buf, tail...)
 }
 
-// unmarshalDispatchPayload is the worker-side inverse.
-func unmarshalDispatchPayload(data []byte) (map[access.ObjectID]access.Mode, []byte, error) {
+// unmarshalDispatchPayload is the worker-side inverse: the pre-granted
+// modes, the write grants among them with their generations, and the tail.
+func unmarshalDispatchPayload(data []byte) (grants map[access.ObjectID]access.Mode, writes map[access.ObjectID]writeGrant, tail []byte, err error) {
 	if len(data) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
-	n := int(data[0])
-	data = data[1:]
-	if wire.AccessRecLen*n > len(data) {
-		return nil, nil, fmt.Errorf("live: dispatch payload declares %d pre-grants in %d bytes", n, len(data))
+	if len(data) < 4 || uint64(binary.LittleEndian.Uint32(data)) > uint64(len(data))/wire.AccessRecLen {
+		return nil, nil, nil, fmt.Errorf("live: dispatch payload of %d bytes cannot hold the pre-grants it declares", len(data))
 	}
-	var grants map[access.ObjectID]access.Mode
+	n := binary.LittleEndian.Uint32(data)
+	data = data[4:]
 	if n > 0 {
 		grants = make(map[access.ObjectID]access.Mode, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := uint32(0); i < n; i++ {
+		if len(data) < wire.AccessRecLen {
+			return nil, nil, nil, fmt.Errorf("live: dispatch payload ends inside pre-grant %d of %d", i+1, n)
+		}
 		obj, mode := wire.AccessRec(data)
-		grants[access.ObjectID(obj)] = access.Mode(mode)
 		data = data[wire.AccessRecLen:]
+		grants[access.ObjectID(obj)] = access.Mode(mode)
+		if access.Mode(mode).Has(access.Write) {
+			if len(data) < 8 {
+				return nil, nil, nil, fmt.Errorf("live: dispatch payload ends inside the generation of pre-grant %d of %d", i+1, n)
+			}
+			if writes == nil {
+				writes = map[access.ObjectID]writeGrant{}
+			}
+			writes[access.ObjectID(obj)] = writeGrant{gen: binary.LittleEndian.Uint64(data)}
+			data = data[8:]
+		}
 	}
 	if len(data) == 0 {
 		data = nil
 	}
-	return grants, data, nil
+	return grants, writes, data, nil
 }
 
 // dispatch places one ready task on a worker, stages its declared
@@ -884,14 +802,7 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 		df := &wire.Frame{
 			Type: wire.TDispatch, Task: uint64(t.ID), A: key,
 			Label: pl.opts.Label, Aux: pl.kind,
-			Payload: marshalDispatchPayload(t.ImmediateDecls(), pl.kindArgs),
 		}
-		enc, err := wire.Encode(df)
-		if err != nil {
-			x.failFatal(fmt.Errorf("live: encode dispatch of task %d (%s): %w", t.ID, pl.opts.Label, err))
-			return
-		}
-		car := &dispatchCarrier{m: w.m, frame: enc}
 		// Mark sent BEFORE staging: the dispatch may ride any push, so
 		// from here on the recovery sweep may claim the task if w dies;
 		// the mu-guarded mine-check below decides which side re-places
@@ -899,14 +810,7 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 		x.mu.Lock()
 		pl.sent = true
 		x.mu.Unlock()
-		ferr := x.stageRetry(t, w.m, car)
-		if ferr == nil && !car.attached {
-			// Nothing shipped to w during staging (its copies were all
-			// current): the dispatch crosses the wire on its own.
-			if w.send(df) != nil {
-				ferr = fmt.Errorf("dispatch of task %d: %w", t.ID, errWorkerLost)
-			}
-		}
+		coalesced, ferr := x.stageDispatch(t, w, df, pl.kindArgs)
 		if ferr != nil {
 			x.mu.Lock()
 			mine := pl.sent && pl.machine == w.m
@@ -936,7 +840,7 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 		// real execution overhead rather than measurement error.
 		x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
 		x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-		if car.attached {
+		if coalesced {
 			x.statMu.Lock()
 			x.dstats.CoalescedDispatches++
 			x.statMu.Unlock()
@@ -978,9 +882,8 @@ func (x *Exec) taskFinished(t *core.Task, pl *payload, busy time.Duration, ran b
 	delete(x.tasks, t.ID)
 	x.mu.Unlock()
 	if drained != nil {
-		// In a goroutine: the drain syncs objects off the worker, and
-		// those pulls are routed by the very receive loop that may be
-		// running this retirement.
+		// In a goroutine: this retirement may be running on the worker's
+		// own receive loop, and the departure closes its connection.
 		go x.completeDrain(drained)
 	}
 	x.statMu.Lock()
@@ -1072,6 +975,75 @@ func (x *Exec) place(pl *payload, held []int) (*workerLink, error) {
 	return best, nil
 }
 
+// stageLocked stages every immediately-declared object of t on machine m
+// before the task starts. Commuting declarations are fetched at Access
+// time instead, like the simulated executor: another commuting task may
+// legitimately hold the object right now. A non-nil car piggybacks the
+// task's dispatch frame on the first push to m.
+//
+// Every object is checked before any is granted or pushed. The cache holds
+// every committed generation, so the one thing that can be missing — an
+// object still listed under a dead worker the sweep has not reached — is
+// found while the attempt can be abandoned whole (the dispatch rides the
+// first push, and names generations counted from the directory as it
+// stands). After the check only m's own death can fail it; m is looked at
+// first, because a caller woken from a wait may be staging for a worker
+// that died meanwhile, its task already re-placed by the sweep and its
+// objects, rightly, mid-write elsewhere. Requires x.coh.
+func (x *Exec) stageLocked(t *core.Task, m int, car *dispatchCarrier) error {
+	if m != 0 {
+		if _, err := x.workerTarget(m); err != nil {
+			return err
+		}
+	}
+	decls := t.ImmediateDecls()
+	for _, d := range decls {
+		if e := x.dir.Entry(d.Object); e != nil && !d.Mode.Has(access.Commute) {
+			if err := x.cacheCurrentLocked(e); err != nil {
+				return err
+			}
+		}
+	}
+	for _, d := range decls {
+		if d.Mode.Has(access.Commute) {
+			continue
+		}
+		if err := x.fetchToLocked(t, d.Object, m, d.Mode.Has(access.Read), d.Mode.Has(access.Write), car); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stageDispatch stages t's objects on the placed worker w and ships the
+// dispatch frame df — on the first push to w when there is one (coalesced),
+// on its own otherwise. The frame's payload is built inside the same
+// coherence critical section as the staging, because its pre-grant records
+// name the generations the staging's write grants start.
+func (x *Exec) stageDispatch(t *core.Task, w *workerLink, df *wire.Frame, kindArgs []byte) (coalesced bool, err error) {
+	var car *dispatchCarrier
+	err = x.retryOnLoss(w.m, func() error {
+		df.Payload = x.pregrantsLocked(t, kindArgs)
+		enc, err := wire.Encode(df)
+		if err != nil {
+			return fmt.Errorf("live: encode dispatch of task %d (%s): %w", t.ID, df.Label, err)
+		}
+		car = &dispatchCarrier{m: w.m, frame: enc}
+		return x.stageLocked(t, w.m, car)
+	})
+	if err != nil {
+		return false, err
+	}
+	if !car.attached {
+		// Nothing shipped to w during staging (its copies were all
+		// current): the dispatch crosses the wire on its own.
+		if err := w.send(df); err != nil {
+			return false, err
+		}
+	}
+	return car.attached, nil
+}
+
 // fetchToLocked implements the object-management protocol over the wire:
 // migrate on write (invalidating other copies, retaining them as delta
 // shadows), replicate on read, ship nothing for write-only grants.
@@ -1095,15 +1067,10 @@ func (x *Exec) fetchToLocked(t *core.Task, obj access.ObjectID, m int, read, wri
 		if w, err = x.workerTarget(m); err != nil {
 			return err
 		}
-		// Input logging for crash replay: capture what this task will
-		// observe for obj, before the grant mutates the directory.
-		if err := x.logInputLocked(t, d, m, read, write); err != nil {
-			return err
-		}
 	}
 	if write {
 		if d.Owner != m {
-			if err := x.syncCacheLocked(d); err != nil {
+			if err := x.cacheCurrentLocked(d); err != nil {
 				return err
 			}
 			if m != 0 {
@@ -1146,7 +1113,7 @@ func (x *Exec) fetchToLocked(t *core.Task, obj access.ObjectID, m int, read, wri
 	if d.Holds(m) {
 		return nil
 	}
-	if err := x.syncCacheLocked(d); err != nil {
+	if err := x.cacheCurrentLocked(d); err != nil {
 		return err
 	}
 	if m != 0 {
@@ -1161,58 +1128,78 @@ func (x *Exec) fetchToLocked(t *core.Task, obj access.ObjectID, m int, read, wri
 }
 
 // setCacheVerLocked records that the coordinator cache holds d at
-// generation ver, and forgets the write grants at or below it: the sweep
-// only ever replays generations newer than the cache. Requires x.coh.
+// generation ver, and forgets the write grants at or below it: the history
+// names only the writers that have not released yet. Requires x.coh.
 func (x *Exec) setCacheVerLocked(d *coherence.Entry, ver uint64) {
 	x.cacheVer[d.Object] = ver
 	x.dir.TrimHistory(d, ver)
 }
 
-// syncCacheLocked brings the coordinator's cached value of d up to the
-// directory's current generation, pulling a patch (or full image) from
-// the owning worker if the cache is stale. Requires x.coh.
-func (x *Exec) syncCacheLocked(d *coherence.Entry) error {
+// cacheCurrentLocked checks the invariant every transfer out of the cache
+// rests on: committed ⇒ cached. A task reaches d only after every earlier
+// writer released it, and a release carries the writer's bytes. Two things
+// can make it otherwise: the owner died holding a write, and the sweep
+// that rolls the object back has not run yet (errWorkerLost: the caller
+// waits for it); or a live worker released a write without writing it
+// back — a protocol error, not something to fetch. Requires x.coh.
+func (x *Exec) cacheCurrentLocked(d *coherence.Entry) error {
 	if d.Owner == 0 || x.cacheVer[d.Object] == d.Version {
 		return nil
 	}
-	w, err := x.workerTarget(d.Owner)
-	if err != nil {
+	if _, err := x.workerTarget(d.Owner); err != nil {
 		return err
 	}
-	r, err := x.rpc(w, &wire.Frame{Type: wire.TPull, Obj: uint64(d.Object), A: d.Version, B: x.cacheVer[d.Object]})
-	if err != nil {
-		return err
-	}
-	return x.applyPullReplyLocked(d, w, r)
+	err := fmt.Errorf("live: object #%d (%s): worker %d released generation %d without writing it back (cache holds %d)",
+		d.Object, d.Label, d.Owner, d.Version, x.cacheVer[d.Object])
+	x.failFatal(err)
+	return err
 }
 
-// applyPullReplyLocked installs one pull reply — patch or full image —
-// into the coordinator cache and advances the cached generation to the
-// directory's. Requires x.coh, held since the pull was issued.
-func (x *Exec) applyPullReplyLocked(d *coherence.Entry, w *workerLink, r *wire.Frame) error {
-	obj := d.Object
-	x.record(trace.Event{Kind: trace.MessageSent, Object: r.Obj, Src: w.m, Dst: 0,
-		Bytes: len(r.Payload), Label: "object-pull"})
-	isPatch := r.C > 0
-	if have := x.cacheVer[obj]; isPatch && r.C-1 != have {
-		err := fmt.Errorf("live: pull of object #%d: patch base %d, cache holds %d", obj, r.C-1, have)
-		x.failFatal(err)
-		return err
+// applyWritebacksLocked installs the write-back records of a frame task t
+// sent from worker w into the coordinator cache, each advancing the cached
+// generation to the one its write grant started. A record is believed only
+// if the directory says so: the generation must be the object's current
+// one, granted to t on w, and a patch must be against the generation the
+// cache holds. Anything else ends the run: every later task and the
+// recovery sweep read the cache. Requires x.coh.
+func (x *Exec) applyWritebacksLocked(w *workerLink, t *core.Task, recs []byte) error {
+	for len(recs) > 0 {
+		wb, rest, _ := wire.NextWriteback(recs) // the section was validated at decode
+		recs = rest
+		obj := access.ObjectID(wb.Obj)
+		d := x.dir.Entry(obj)
+		have := x.cacheVer[obj]
+		var err error
+		switch {
+		case d == nil:
+			err = fmt.Errorf("no such object")
+		case d.Owner != w.m || wb.Gen != d.Version || x.dir.Writer(d, wb.Gen) != t:
+			err = fmt.Errorf("generation %d was not granted to this task here (object is at %d, owned by machine %d)", wb.Gen, d.Version, d.Owner)
+		case wb.Patch && wb.Base != have:
+			err = fmt.Errorf("patch base %d, cache holds %d", wb.Base, have)
+		}
+		var nv any
+		var words int
+		if err == nil {
+			nv, words, err = coherence.Unpack(x.vals[obj], wb.Payload, wb.Patch, format.ByteOrder(wb.Order), x.opts.Format)
+		}
+		if err != nil {
+			err = fmt.Errorf("live: write-back of object #%d by task %d on worker %d (%s): %w", obj, t.ID, w.m, w.name, err)
+			x.failFatal(err)
+			return err
+		}
+		x.noteConverted(obj, w.m, 0, words)
+		x.vals[obj] = nv
+		saved := format.WireSize(nv) - len(wb.Payload)
+		x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: wb.Obj, Src: w.m, Dst: 0,
+			Bytes: len(wb.Payload), Label: "object-writeback"})
+		if wb.Patch {
+			x.record(trace.Event{Kind: trace.ObjectPatched, Task: uint64(t.ID), Object: wb.Obj, Src: w.m, Dst: 0,
+				Bytes: len(wb.Payload), Saved: saved, Label: d.Label})
+		}
+		x.countTransfer(wb.Patch, len(wb.Payload), saved)
+		x.setCacheVerLocked(d, wb.Gen)
 	}
-	nv, words, err := coherence.Unpack(x.vals[obj], r.Payload, isPatch, format.ByteOrder(r.B), x.opts.Format)
-	if err != nil {
-		err = fmt.Errorf("live: pull of object #%d: %w", obj, err)
-		x.failFatal(err)
-		return err
-	}
-	x.noteConverted(obj, w.m, 0, words)
-	x.vals[obj] = nv
-	if isPatch {
-		x.record(trace.Event{Kind: trace.ObjectPatched, Object: uint64(obj), Src: w.m, Dst: 0,
-			Bytes: len(r.Payload), Saved: format.WireSize(nv) - len(r.Payload), Label: d.Label})
-	}
-	x.countTransfer(isPatch, len(r.Payload), format.WireSize(nv)-len(r.Payload))
-	x.setCacheVerLocked(d, d.Version)
 	return nil
 }
 

@@ -61,18 +61,13 @@ type Cluster struct {
 	bodies *live.BodyTable
 	slots  int
 
+	// mu guards the script state and is held while a step is applied, so
+	// steps take effect one at a time, in script order.
 	mu     sync.Mutex
 	script []Step // sorted by AfterDone
 	cursor int
 	next   int // name counter for joined workers
 	errs   []error
-
-	// Steps are applied by a dedicated goroutine: OnTaskDone runs inside
-	// the executor's protocol loops, which must never block on the
-	// coherence lock — and Admit does. The channel preserves firing
-	// order; stepWG lets tests wait for every fired step to finish.
-	stepCh chan Step
-	stepWG sync.WaitGroup
 }
 
 // New builds the cluster and connects the initial workers over
@@ -91,17 +86,6 @@ func New(opts Options) (*Cluster, error) {
 	sort.SliceStable(c.script, func(i, j int) bool {
 		return c.script[i].AfterDone < c.script[j].AfterDone
 	})
-	c.stepCh = make(chan Step, len(c.script))
-	go func() {
-		for s := range c.stepCh {
-			if err := c.apply(s); err != nil {
-				c.mu.Lock()
-				c.errs = append(c.errs, err)
-				c.mu.Unlock()
-			}
-			c.stepWG.Done()
-		}
-	}()
 	peers := make([]live.Peer, opts.Workers)
 	for i := range peers {
 		a, b := inproc.Pipe()
@@ -142,40 +126,36 @@ func (c *Cluster) Err() error {
 	return nil
 }
 
-// Fired reports how many script steps have fired.
+// Fired reports how many script steps have fired. A fired step has been
+// applied: the retirement that triggered it does not return before.
 func (c *Cluster) Fired() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cursor
 }
 
-// Wait blocks until every step fired so far has finished applying. Call
-// after Run before inspecting membership or fault counters.
-func (c *Cluster) Wait() {
-	c.stepWG.Wait()
-}
-
-// onTaskDone is the executor's retirement hook: enqueue every step
-// whose threshold has been reached, in order, each at most once. The
-// hook runs inside protocol loops, so the steps themselves are applied
-// elsewhere.
+// onTaskDone is the executor's retirement hook: apply every step whose
+// threshold has been reached, in order, each at most once — here, on the
+// receive loop that retired the task, before the retirement is counted
+// towards the end of the run. A step therefore lands at the same point of
+// every run's progress, and cannot lose a race with the program's last
+// task (live.ErrClosing is what an unsynchronized caller would get then).
+// Nothing a step needs — a handshake, the membership lock, a fence — waits
+// for the loop it runs on: the executor asks its workers for nothing.
 func (c *Cluster) onTaskDone(done int) {
-	for {
-		c.mu.Lock()
-		if c.cursor >= len(c.script) || c.script[c.cursor].AfterDone > done {
-			c.mu.Unlock()
-			return
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.cursor < len(c.script) && c.script[c.cursor].AfterDone <= done {
 		step := c.script[c.cursor]
 		c.cursor++
-		c.mu.Unlock()
-		c.stepWG.Add(1)
-		c.stepCh <- step // buffered to len(script): never blocks
+		if err := c.applyLocked(step); err != nil {
+			c.errs = append(c.errs, err)
+		}
 	}
 }
 
-// apply executes one step.
-func (c *Cluster) apply(s Step) error {
+// applyLocked executes one step. Requires c.mu.
+func (c *Cluster) applyLocked(s Step) error {
 	if s.Kill != 0 {
 		if err := c.X.KillWorker(s.Kill); err != nil {
 			return fmt.Errorf("livetest: step kill %d: %w", s.Kill, err)
@@ -187,10 +167,8 @@ func (c *Cluster) apply(s Step) error {
 		}
 	}
 	for i := 0; i < s.Join; i++ {
-		c.mu.Lock()
 		c.next++
 		name := fmt.Sprintf("chaos-%d", c.next)
-		c.mu.Unlock()
 		a, b := inproc.Pipe()
 		go live.Serve(b, live.WorkerOptions{Name: name, Bodies: c.bodies, Slots: c.slots})
 		if _, err := c.X.Admit(a); err != nil {

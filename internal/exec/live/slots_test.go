@@ -49,7 +49,6 @@ func TestSlotStatsExactAfterDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Wait()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,7 @@ func (x *Exec) loadOf(w *workerLink) int {
 }
 
 // ObjectIDs snapshots every object id this coordinator tracks anywhere:
-// the directory and the machine-0 value cache (the replay input logs only
-// ever name objects the directory already holds). The cross-tenant
+// the directory and the machine-0 value cache. The cross-tenant
 // isolation tests assert that two sessions' snapshots never intersect.
 func (x *Exec) ObjectIDs() []access.ObjectID {
 	x.coh.Lock()

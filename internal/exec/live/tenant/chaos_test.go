@@ -32,13 +32,15 @@ const anchorMark = int64(42)
 // catches sessions with work outstanding. A nonzero pinFirst pins the
 // first link to that machine (§4.5 placement control); that link also
 // writes the session's anchor object, making the pinned machine the
-// anchor's owner. Links ≥ 3 declare a read of the anchor: staging it
-// forces the coherence protocol to pull from the owner, so once the
-// script (which fires strictly before link 3 can dispatch, under the
-// MinPerSession park) has killed that machine, the session's own
-// staging path hits the fenced connection and detects the crash —
-// deterministically, in-band, not as a race against goroutine
-// scheduling on a single-CPU host.
+// anchor's owner. Links ≥ 3 re-write the anchor with the same mark: the
+// coordinator stages them from its own cache (a writer's bytes come home
+// with its completion, so nothing is ever fetched from the owner), but
+// moving the write to another machine invalidates the owner's copy, so once
+// the script (which fires strictly before link 3 can dispatch, under the
+// MinPerSession park) has killed that machine, the session's own staging
+// path hits the fenced connection and detects the crash —
+// deterministically, in-band, not as a race against goroutine scheduling
+// on a single-CPU host.
 func chainProgram(s *tenant.Session, nTasks, pinFirst int) (int64, int64, error) {
 	var ctr, anchor access.ObjectID
 	err := s.Run(func(tc rt.TC) {
@@ -60,7 +62,7 @@ func chainProgram(s *tenant.Session, nTasks, pinFirst int) (int64, int64, error)
 				}
 				decls = append(decls, access.Decl{Object: anchor, Mode: access.ReadWrite})
 			case i >= 3:
-				decls = append(decls, access.Decl{Object: anchor, Mode: access.Read})
+				decls = append(decls, access.Decl{Object: anchor, Mode: access.ReadWrite})
 			}
 			if err := tc.Create(decls, opts,
 				func(ctc rt.TC) {
@@ -77,13 +79,14 @@ func chainProgram(s *tenant.Session, nTasks, pinFirst int) (int64, int64, error)
 						}
 						a.([]int64)[0] = anchorMark
 					case i >= 3:
-						a, err := ctc.Access(anchor, access.Read)
+						a, err := ctc.Access(anchor, access.ReadWrite)
 						if err != nil {
 							panic(err)
 						}
 						if got := a.([]int64)[0]; got != anchorMark {
 							panic(fmt.Sprintf("anchor = %d, want %d", got, anchorMark))
 						}
+						a.([]int64)[0] = anchorMark
 					}
 				}); err != nil {
 				panic(err)

@@ -106,7 +106,9 @@ func uniqueGroup() uint64 {
 }
 
 // syncBase is the worker's record of the last object generation both
-// sides agree on: the diff base for patches in either direction.
+// sides agree on: the diff base for patches in either direction. A push or
+// an invalidation sets it from the receive loop, a write-back from the
+// task that held the write — the only one that may touch the object then.
 type syncBase struct {
 	val any
 	ver uint64
@@ -190,6 +192,11 @@ func (w *worker) serve() error {
 	if err != nil {
 		w.fail(err)
 		return fmt.Errorf("live worker: %w", err)
+	}
+	if f.Type == wire.TBye {
+		// The program finished before this worker could join it.
+		w.fail(ErrClosing)
+		return ErrClosing
 	}
 	if f.Type != wire.TWelcome {
 		err := fmt.Errorf("live worker: expected welcome, got %s", wire.TypeName(f.Type))
@@ -286,9 +293,9 @@ func (w *worker) loop() error {
 		}
 		if len(f.Payload) == 0 {
 			// Payload is the only Frame field aliasing msg that a worker
-			// reads (strings are copies; check-ins flow the other way): a
-			// payload-free frame releases its buffer to the send pool
-			// immediately.
+			// reads (strings are copies; check-ins and write-backs flow the
+			// other way): a payload-free frame releases its buffer to the
+			// send pool immediately.
 			transport.PutBuf(msg)
 		}
 		switch f.Type {
@@ -303,8 +310,6 @@ func (w *worker) loop() error {
 			err = w.applyZero(f)
 		case wire.TInvalidate:
 			w.applyInvalidate(f)
-		case wire.TPull:
-			err = w.answerPull(f)
 		case wire.TReply:
 			w.mu.Lock()
 			ch := w.pending[f.Req]
@@ -345,8 +350,9 @@ func (w *worker) loop() error {
 // advances the recorded sync base — and records the result as the new
 // sync base. The coordinator converts to this worker's byte order before
 // sending; Unpack's order handling is defensive. Decoding happens outside
-// w.mu (task goroutines look objects up under it): only this receive loop
-// replaces a sync base, and a base's value is never modified.
+// w.mu (task goroutines look objects up under it): no task holds a write on
+// an object while a push of it is in flight, so nothing else replaces this
+// sync base meanwhile, and a base's value is never modified.
 func (w *worker) applyPush(f *wire.Frame, isPatch bool) error {
 	obj := access.ObjectID(f.Obj)
 	var base any
@@ -385,7 +391,7 @@ func (w *worker) applyZero(f *wire.Frame) error {
 	obj := access.ObjectID(f.Obj)
 	w.mu.Lock()
 	w.store[obj] = v
-	delete(w.bases, obj) // no shared base: the next pull goes full
+	delete(w.bases, obj) // no shared base: the write-back goes full
 	w.storeCond.Broadcast()
 	w.mu.Unlock()
 	return nil
@@ -401,39 +407,6 @@ func (w *worker) applyInvalidate(f *wire.Frame) {
 		delete(w.store, obj)
 	}
 	w.mu.Unlock()
-}
-
-// answerPull ships the object's current contents to the coordinator —
-// as a patch when the coordinator's stated base matches the recorded
-// sync base, full otherwise — and advances the base to the pulled
-// generation. Never blocks: pulls are answered even while the worker's
-// tasks are parked in RPCs.
-func (w *worker) answerPull(f *wire.Frame) error {
-	obj := access.ObjectID(f.Obj)
-	w.mu.Lock()
-	v, ok := w.store[obj]
-	if !ok {
-		w.mu.Unlock()
-		return fmt.Errorf("live worker %d: pull of object #%d, which this worker does not hold", w.m, f.Obj)
-	}
-	var base any
-	if b, ok := w.bases[obj]; ok && b.ver == f.B {
-		base = b.val
-	}
-	// The reply leaves in this worker's own byte order (B says which); the
-	// coordinator converts.
-	payload, isPatch, _, err := coherence.Pack(base, v, w.opts.Format, w.opts.Format)
-	if err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("live worker %d: pull of object #%d: %w", w.m, f.Obj, err)
-	}
-	out := &wire.Frame{Type: wire.TObjData, Req: f.Req, Obj: f.Obj, A: f.A, B: uint64(w.opts.Format), Payload: payload}
-	if isPatch {
-		out.C = f.B + 1
-	}
-	w.bases[obj] = syncBase{val: format.Clone(v), ver: f.A}
-	w.mu.Unlock()
-	return w.send(out)
 }
 
 // objectIDs snapshots every object id resident in this worker's cache:
@@ -460,12 +433,14 @@ func (w *worker) objectIDs() []access.ObjectID {
 // runTask executes one dispatched task body in its own goroutine.
 func (w *worker) runTask(f *wire.Frame) {
 	defer w.wg.Done()
-	grants, args, gerr := unmarshalDispatchPayload(f.Payload)
+	grants, writes, args, gerr := unmarshalDispatchPayload(f.Payload)
 	if gerr != nil {
 		w.send(&wire.Frame{Type: wire.TTaskFail, Task: f.Task,
 			Label: fmt.Sprintf("malformed dispatch payload: %v", gerr)})
 		return
 	}
+	wt := &watch{}
+	tc := &workerTC{w: w, task: f.Task, wt: wt, grants: grants, writes: writes}
 	var body func(rt.TC)
 	if f.A != 0 {
 		body, _ = w.opts.Bodies.take(f.A)
@@ -474,25 +449,24 @@ func (w *worker) runTask(f *wire.Frame) {
 		body, _ = w.opts.Kinds.resolve(f.Aux, args)
 	}
 	if body == nil {
-		w.send(&wire.Frame{Type: wire.TTaskFail, Task: f.Task,
+		tc.finish(&wire.Frame{Type: wire.TTaskFail,
 			Label: fmt.Sprintf("no body for key %d and no registered kind %q on this worker", f.A, f.Aux)})
 		return
 	}
 	if !w.slots.acquire(w.dead) {
 		return
 	}
-	wt := &watch{heldAt: time.Now()}
-	tc := &workerTC{w: w, task: f.Task, wt: wt, grants: grants}
+	wt.heldAt = time.Now()
 	err := w.runBody(tc, body)
 	wt.busy += time.Since(wt.heldAt)
 	if !wt.lost {
 		w.slots.release()
 	}
 	if err != nil {
-		tc.send(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
+		tc.finish(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
 		return
 	}
-	tc.send(&wire.Frame{Type: wire.TTaskDone, A: uint64(wt.busy)})
+	tc.finish(&wire.Frame{Type: wire.TTaskDone, A: uint64(wt.busy)})
 }
 
 // runBody executes a body, converting panics into task failure.
@@ -517,6 +491,14 @@ type watch struct {
 	lost bool
 }
 
+// writeGrant is one write right a task holds: the generation the directory
+// started when it granted the write, and how many write views of the
+// object the task has open.
+type writeGrant struct {
+	gen   uint64
+	views int
+}
+
 // workerTC implements rt.TC for a task body running on a worker. Every
 // operation the dispatch did not pre-grant is a small RPC to the
 // coordinator's engine; blocking RPCs release the processor slot so other
@@ -538,6 +520,14 @@ type workerTC struct {
 	// them before that frame, which is where frames of their own would
 	// have stood. Touched only by the task's own goroutine.
 	checkins []byte
+	// writes are the write grants the task holds and has not released,
+	// whether or not it has used them: the coordinator started a generation
+	// for each, and expects its bytes on the frame that gives the right up.
+	// Touched only by the task's own goroutine.
+	writes map[access.ObjectID]writeGrant
+	// writebacks are the wire write-back records of the rights the frame
+	// being built releases; they leave on it, ahead of its own effect.
+	writebacks []byte
 	// spawned flips once this task creates a child; from then on every
 	// Access takes the slow path, because a conflicting child may
 	// legitimately make the parent's deferred re-access wait.
@@ -552,12 +542,60 @@ func (tc *workerTC) CoreTask() *core.Task { return nil }
 func (tc *workerTC) Machine() int { return tc.w.m }
 
 // carry makes f a frame about this task and moves the pending check-ins
-// onto it. The list's storage is reused: the frame is encoded before send
-// returns, and only the task's own goroutine sends for it.
+// and write-backs onto it. The lists' storage is reused: the frame is
+// encoded before send returns, and only the task's own goroutine sends for
+// it.
 func (tc *workerTC) carry(f *wire.Frame) *wire.Frame {
 	f.Task = tc.task
 	f.Checkins, tc.checkins = tc.checkins, tc.checkins[:0]
+	f.Writebacks, tc.writebacks = tc.writebacks, tc.writebacks[:0]
 	return f
+}
+
+// writeBack gives up the task's write grant on obj, if it holds one: what
+// the object holds now, diffed against the generation both sides last
+// agreed on, joins the frame being built, and that agreement advances to
+// the grant's generation — what the coordinator's cache will carry once
+// it has applied the record. A grant the task never used is written back
+// all the same (the coordinator counted a generation for it); its push
+// may still be in flight, hence the wait.
+func (tc *workerTC) writeBack(obj access.ObjectID) {
+	g, ok := tc.writes[obj]
+	if !ok {
+		return
+	}
+	delete(tc.writes, obj)
+	w := tc.w
+	v, err := w.awaitObject(obj)
+	if err != nil {
+		return // the worker is dead; nothing it sends is read any more
+	}
+	w.mu.Lock()
+	base := w.bases[obj]
+	w.mu.Unlock()
+	// The record leaves in this worker's own byte order; the coordinator
+	// converts.
+	payload, isPatch, _, err := coherence.Pack(base.val, v, w.opts.Format, w.opts.Format)
+	if err != nil {
+		w.fail(fmt.Errorf("live worker %d: write-back of object #%d: %w", w.m, obj, err))
+		return
+	}
+	tc.writebacks = wire.AppendWriteback(tc.writebacks, wire.Writeback{
+		Obj: uint64(obj), Gen: g.gen, Base: base.ver,
+		Order: byte(w.opts.Format), Patch: isPatch, Payload: payload,
+	})
+	w.mu.Lock()
+	w.bases[obj] = syncBase{val: format.Clone(v), ver: g.gen}
+	w.mu.Unlock()
+}
+
+// finish sends the task's last frame, a completion or a failure, with
+// every write grant the task still holds written back on it.
+func (tc *workerTC) finish(f *wire.Frame) {
+	for obj := range tc.writes {
+		tc.writeBack(obj)
+	}
+	tc.send(f)
 }
 
 // send ships a fire-and-forget frame about this task.
@@ -621,6 +659,10 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 		// keeping its slot, since no local task can be what it is waiting
 		// for.
 		tc.checkins = wire.AppendAccessRec(tc.checkins, uint64(obj), byte(m))
+		if g, ok := tc.writes[obj]; ok && m.Has(access.Write) {
+			g.views++
+			tc.writes[obj] = g
+		}
 		return tc.w.awaitObject(obj)
 	}
 	r, err := tc.rpcYield(&wire.Frame{Type: wire.TAccessReq, Obj: uint64(obj), A: uint64(m)})
@@ -629,6 +671,13 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 	}
 	if r.Label != "" {
 		return nil, errors.New(r.Label)
+	}
+	if m.HasAny(access.Write | access.Commute) {
+		// Every granted write starts a generation; the reply names it.
+		if tc.writes == nil {
+			tc.writes = map[access.ObjectID]writeGrant{}
+		}
+		tc.writes[obj] = writeGrant{gen: r.A, views: tc.writes[obj].views + 1}
 	}
 	tc.w.mu.Lock()
 	v, ok := tc.w.store[obj]
@@ -640,15 +689,25 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 }
 
 // EndAccess implements rt.TC (fire-and-forget; FIFO ordering makes it
-// visible to the engine before anything else this task does next).
+// visible to the engine before anything else this task does next). Ending
+// the task's last write view of obj releases the write: a commuting task
+// may take the object next, or a child this task creates.
 func (tc *workerTC) EndAccess(obj access.ObjectID, m access.Mode) {
 	delete(tc.grants, obj) // released grants never fast-path again
+	if g, ok := tc.writes[obj]; ok && m.HasAny(access.Write|access.Commute) {
+		if g.views--; g.views > 0 {
+			tc.writes[obj] = g
+		} else {
+			tc.writeBack(obj)
+		}
+	}
 	tc.send(&wire.Frame{Type: wire.TEndAccess, Obj: uint64(obj), A: uint64(m)})
 }
 
 // ClearAccess implements rt.TC.
 func (tc *workerTC) ClearAccess(obj access.ObjectID) {
 	delete(tc.grants, obj)
+	tc.writeBack(obj)
 	tc.send(&wire.Frame{Type: wire.TClearAccess, Obj: uint64(obj)})
 }
 
@@ -668,6 +727,9 @@ func (tc *workerTC) Convert(obj access.ObjectID, which access.Mode) error {
 // Retract implements rt.TC (never blocks engine-side; keep the slot).
 func (tc *workerTC) Retract(obj access.ObjectID, which access.Mode) error {
 	delete(tc.grants, obj)
+	if which.HasAny(access.Write) {
+		tc.writeBack(obj) // no_wr: the next task in the object's queue may start
+	}
 	r, err := tc.rpc(&wire.Frame{Type: wire.TRetractReq, Obj: uint64(obj), A: uint64(which)})
 	if err != nil {
 		return err
@@ -691,6 +753,12 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 	// point a parent Access can legitimately be made to wait, so the
 	// pre-grant fast path is off for the rest of the task.
 	tc.spawned = true
+	// The child takes over whatever it declares: a write this task still
+	// holds on one of those objects is released here, so the child is
+	// staged from what this task wrote.
+	for _, d := range decls {
+		tc.writeBack(d.Object)
+	}
 	var key uint64
 	if body != nil {
 		key = w.opts.Bodies.put(body)
@@ -735,16 +803,20 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 	if sr.Label != "" {
 		return errors.New(sr.Label)
 	}
+	// The start reply carries the child's pre-grants, as a dispatch would.
+	if child.grants, child.writes, _, err = unmarshalDispatchPayload(sr.Payload); err != nil {
+		return fmt.Errorf("create %q: start reply: %w", opts.Label, err)
+	}
 	if body == nil {
-		child.send(&wire.Frame{Type: wire.TTaskFail,
+		child.finish(&wire.Frame{Type: wire.TTaskFail,
 			Label: fmt.Sprintf("kind %q not registered on worker %d (inline execution)", opts.Kind, w.m)})
 		return fmt.Errorf("create %q: kind %q not registered on this worker", opts.Label, opts.Kind)
 	}
 	if err := w.runBody(child, body); err != nil {
-		child.send(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
+		child.finish(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
 		return nil // mirrors smp: the failure is recorded, the creator continues
 	}
-	child.send(&wire.Frame{Type: wire.TTaskDone})
+	child.finish(&wire.Frame{Type: wire.TTaskDone})
 	return nil
 }
 

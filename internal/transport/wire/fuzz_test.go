@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -76,5 +77,23 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	v2 = append(v2, make([]byte, 7*8+3*4)...)
 	v2[3+4*8] = 1 // B=1: the pre-granted access notify v3 removed
 	seeds = append(seeds, v2)
+	// Write-back sections (v4) that must not get through: a record cut one
+	// byte short, one byte past a record, and a payload length of 2 GiB in
+	// a 33-byte section (rejected before anything is allocated for it). A
+	// well-formed record for a generation nobody granted decodes here; the
+	// coordinator refuses it.
+	rec := AppendWriteback(nil, Writeback{Obj: 3, Gen: 2, Base: 1, Patch: true, Payload: []byte{9, 9, 9}})
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Writebacks: rec[:len(rec)-1]}))
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TEndAccess, Task: 8, Obj: 3, A: 2, Writebacks: append(append([]byte(nil), rec...), 0)}))
+	overlong := append([]byte(nil), rec...)
+	binary.LittleEndian.PutUint32(overlong[26:], 1<<31)
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Writebacks: overlong}))
+	seeds = append(seeds, mustEncode(tb, &Frame{Type: TTaskDone, Task: 8, Writebacks: AppendWriteback(nil, Writeback{Obj: 1 << 62, Gen: 1 << 62, Base: 1 << 62, Order: 0xFF, Patch: true})}))
+	// A version-3 frame exactly as a v3 peer encoded it (four sections, no
+	// write-back list) — a completion that releases a write without its
+	// bytes: ErrVersion, whatever follows the version byte.
+	v3 := []byte{magic, 3, TTaskDone + 2} // task-done as v3 numbered it, with TPull and TObjData still in the table
+	v3 = append(v3, make([]byte, 7*8+4*4)...)
+	seeds = append(seeds, v3)
 	return seeds
 }

@@ -2,8 +2,8 @@
 //
 // Every message between the coordinator and a worker is one Frame: a
 // fixed header (magic, protocol version, frame type, seven 64-bit scalar
-// fields) followed by four length-prefixed variable sections (Label,
-// Aux, Checkins, Payload).  The same generic frame carries task
+// fields) followed by five length-prefixed variable sections (Label,
+// Aux, Checkins, Writebacks, Payload).  The same generic frame carries task
 // dispatches, object images, format.Diff patches, and the small RPCs of
 // the coherence protocol; which scalar means what is per-type and
 // documented next to the type constants.
@@ -14,8 +14,9 @@
 //     ErrVersion (wrapped, so errors.Is works) — never misparsed.
 //   - Truncated or corrupt frames return an error; Decode never panics
 //     and never allocates more than the input length (section lengths
-//     are validated against the remaining bytes before use, and a
-//     check-in section must be a whole number of access records).
+//     are validated against the remaining bytes before use, a check-in
+//     section must be a whole number of access records, and a write-back
+//     section must be exactly consumed by its records).
 //   - Encode∘Decode is the identity on canonical frames, so the
 //     substrate may retransmit encoded bytes verbatim.
 package wire
@@ -32,8 +33,14 @@ import (
 // and the TSessionOpen/TSessionClose control types.  Version 3 added the
 // Checkins section and removed the standalone pre-granted access notify
 // (TAccessReq with B=1): a version-2 peer would silently drop the
-// check-ins, so it must be rejected rather than tolerated.
-const ProtoVersion = 3
+// check-ins, so it must be rejected rather than tolerated.  Version 4 added
+// the Writebacks section and removed TPull/TObjData: the coordinator no
+// longer asks for a writer's bytes, it expects them on the frame that
+// releases the write.  A version-3 worker would release without them and
+// wait for a pull that never comes, and a version-3 coordinator would drop
+// the section and pull from a worker that no longer answers — either way
+// the run would hang or compute on stale bytes, so v3 is rejected.
+const ProtoVersion = 4
 
 // magic is the first byte of every frame ('J' for Jade).
 const magic = 0x4A
@@ -51,7 +58,8 @@ const (
 	// TDispatch: coordinator → worker "run this task".
 	// Task=task id, A=body key (shared in-process body table; 0 if the
 	// task is kind-dispatched), Label=task label, Aux=kind name,
-	// Payload=kind args.
+	// Payload=pre-grant records (each write grant naming the generation
+	// it starts), then the kind args.
 	TDispatch
 	// TObjImage: full object image push, coordinator → worker.
 	// Obj=object id, A=directory version the image represents,
@@ -68,15 +76,6 @@ const (
 	// TInvalidate: coordinator → worker: drop your copy of Obj but keep
 	// it as a shadow (delta base) tagged with version A.
 	TInvalidate
-	// TPull: coordinator → owner worker: send the current contents of
-	// Obj.  Req=request id for the TObjData reply, A=version being
-	// synced, B=version the coordinator already holds (patch base).
-	TPull
-	// TObjData: owner worker → coordinator reply to TPull.
-	// Req echoes the pull, Obj=object id, A=version, B=ByteOrder,
-	// C=0 for a full image, baseVersion+1 for a patch,
-	// Payload=image or patch.
-	TObjData
 	// TAccessReq: worker task → coordinator: rt.TC Access that the
 	// dispatch did not pre-grant (the task waits for the reply).
 	// Req=request id, Task=task id, Obj=object id, A=access.Mode bits.
@@ -113,7 +112,9 @@ const (
 	TTaskFail
 	// TReply: coordinator → worker: generic RPC reply.  Req echoes the
 	// request, Label=error text ("" = ok), A and B are per-request
-	// result scalars (e.g. Create: A=child id, B=1 if inline).
+	// result scalars (Create: A=child id, B=1 if inline; Access: A=the
+	// generation a write grant starts), Payload=an inline child's
+	// pre-grant records (Start).
 	TReply
 	// TBye: either direction: orderly shutdown of the session.
 	TBye
@@ -162,7 +163,15 @@ type Frame struct {
 	// of their own would have stood in the connection's FIFO. Empty on
 	// every other frame.
 	Checkins []byte
-	Payload  []byte
+	// Writebacks, on a worker → coordinator frame by which a task releases
+	// a write right (its completion, an early end of a write view, a
+	// retraction, the creation of a child that takes the object over), is
+	// what the task wrote: whole write-back records (AppendWriteback). The
+	// coordinator installs them in its cache before it handles the frame
+	// itself, so whoever the frame enables finds the bytes already there.
+	// Empty on every other frame.
+	Writebacks []byte
+	Payload    []byte
 }
 
 // AccessRecLen is the encoded size of one (object, mode) access record:
@@ -181,6 +190,60 @@ func AppendAccessRec(dst []byte, obj uint64, mode byte) []byte {
 // least AccessRecLen bytes.
 func AccessRec(data []byte) (obj uint64, mode byte) {
 	return binary.LittleEndian.Uint64(data), data[8]
+}
+
+// Writeback is one record of a frame's Writebacks section: the contents of
+// object Obj at generation Gen, the generation the directory started when
+// it granted the write. Payload is a coherence.Pack payload in byte order
+// Order: a patch against generation Base when Patch is set, a full image
+// otherwise.
+type Writeback struct {
+	Obj, Gen, Base uint64
+	Order          byte
+	Patch          bool
+	Payload        []byte
+}
+
+// writebackHdrLen is the fixed part of a write-back record: three 8-byte
+// scalars, the byte order, the patch flag and the payload length.
+const writebackHdrLen = 3*8 + 2 + 4
+
+// AppendWriteback appends one write-back record to dst.
+func AppendWriteback(dst []byte, wb Writeback) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, wb.Obj)
+	dst = binary.LittleEndian.AppendUint64(dst, wb.Gen)
+	dst = binary.LittleEndian.AppendUint64(dst, wb.Base)
+	patch := byte(0)
+	if wb.Patch {
+		patch = 1
+	}
+	dst = append(dst, wb.Order, patch)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(wb.Payload)))
+	return append(dst, wb.Payload...)
+}
+
+// NextWriteback decodes the record at the front of a Writebacks section and
+// returns the rest of the section; Payload aliases data. A section that came
+// through Decode is known to be well-formed, so ok is false only for
+// hand-built input: a short header, a flag byte that is neither 0 nor 1, or
+// a payload length that runs past the section.
+func NextWriteback(data []byte) (wb Writeback, rest []byte, ok bool) {
+	if len(data) < writebackHdrLen || data[25] > 1 {
+		return Writeback{}, nil, false
+	}
+	n := binary.LittleEndian.Uint32(data[26:])
+	if uint64(n) > uint64(len(data)-writebackHdrLen) {
+		return Writeback{}, nil, false
+	}
+	wb = Writeback{
+		Obj:     binary.LittleEndian.Uint64(data),
+		Gen:     binary.LittleEndian.Uint64(data[8:]),
+		Base:    binary.LittleEndian.Uint64(data[16:]),
+		Order:   data[24],
+		Patch:   data[25] == 1,
+		Payload: data[writebackHdrLen : writebackHdrLen+int(n)],
+	}
+	return wb, data[writebackHdrLen+int(n):], true
 }
 
 // Errors returned by Encode and Decode.  ErrVersion is distinguished so a
@@ -211,15 +274,16 @@ const sessOffset = 3 + 6*8
 // AppendFrame serializes f onto dst and returns the extended slice, so a
 // caller with a pooled buffer encodes without allocating. The layout is:
 //
-//	magic | version | type | Req..C,Sess (7×8B LE) | len+Label | len+Aux | len+Checkins | len+Payload
+//	magic | version | type | Req..C,Sess (7×8B LE) | len+Label | len+Aux | len+Checkins | len+Writebacks | len+Payload
 //
 // A section longer than the 32-bit length prefix can carry returns
 // ErrTooLarge with dst unmodified.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if uint64(len(f.Label)) > maxSection || uint64(len(f.Aux)) > maxSection ||
-		uint64(len(f.Checkins)) > maxSection || uint64(len(f.Payload)) > maxSection {
-		return dst, fmt.Errorf("%w: label %d, aux %d, check-ins %d, payload %d bytes (max %d)",
-			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Checkins), len(f.Payload), maxSection)
+		uint64(len(f.Checkins)) > maxSection || uint64(len(f.Writebacks)) > maxSection ||
+		uint64(len(f.Payload)) > maxSection {
+		return dst, fmt.Errorf("%w: label %d, aux %d, check-ins %d, write-backs %d, payload %d bytes (max %d)",
+			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Checkins), len(f.Writebacks), len(f.Payload), maxSection)
 	}
 	buf := append(dst, magic, ProtoVersion, f.Type)
 	for _, v := range [...]uint64{f.Req, f.Task, f.Obj, f.A, f.B, f.C, f.Sess} {
@@ -231,6 +295,8 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	buf = append(buf, f.Aux...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Checkins)))
 	buf = append(buf, f.Checkins...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Writebacks)))
+	buf = append(buf, f.Writebacks...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Payload)))
 	buf = append(buf, f.Payload...)
 	return buf, nil
@@ -239,11 +305,11 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 // Encode serializes f into a fresh buffer. See AppendFrame for the layout
 // and the ErrTooLarge contract.
 func Encode(f *Frame) ([]byte, error) {
-	buf := make([]byte, 0, headerLen+16+len(f.Label)+len(f.Aux)+len(f.Checkins)+len(f.Payload))
+	buf := make([]byte, 0, headerLen+20+len(f.Label)+len(f.Aux)+len(f.Checkins)+len(f.Writebacks)+len(f.Payload))
 	return AppendFrame(buf, f)
 }
 
-// Decode parses one frame, copying Checkins and Payload out of data so
+// Decode parses one frame, copying Checkins, Writebacks and Payload out of data so
 // the caller may recycle the input buffer immediately. See DecodeOwned
 // for validation rules.
 func Decode(data []byte) (*Frame, error) {
@@ -254,19 +320,23 @@ func Decode(data []byte) (*Frame, error) {
 	if len(f.Checkins) > 0 {
 		f.Checkins = append([]byte(nil), f.Checkins...)
 	}
+	if len(f.Writebacks) > 0 {
+		f.Writebacks = append([]byte(nil), f.Writebacks...)
+	}
 	if len(f.Payload) > 0 {
 		f.Payload = append([]byte(nil), f.Payload...)
 	}
 	return f, nil
 }
 
-// DecodeOwned parses one frame with Checkins and Payload aliasing data —
-// zero-copy for callers that own the input buffer (the transport Recv
-// contract hands the slice to the receiver). It validates the magic, the
-// protocol version, the type, and every section length against the
-// remaining input, requires the check-in section to be a whole number of
-// access records, and requires the frame to be exactly consumed (no
-// trailing garbage).
+// DecodeOwned parses one frame with Checkins, Writebacks and Payload
+// aliasing data — zero-copy for callers that own the input buffer (the
+// transport Recv contract hands the slice to the receiver). It validates
+// the magic, the protocol version, the type, and every section length
+// against the remaining input, requires the check-in section to be a whole
+// number of access records and the write-back section to be exactly
+// consumed by its records, and requires the frame to be exactly consumed
+// (no trailing garbage).
 func DecodeOwned(data []byte) (*Frame, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrTruncated, len(data), headerLen)
@@ -317,6 +387,19 @@ func DecodeOwned(data []byte) (*Frame, error) {
 	}
 	if len(chk) > 0 {
 		f.Checkins = chk
+	}
+	wbs, err := section()
+	if err != nil {
+		return nil, err
+	}
+	for recs := wbs; len(recs) > 0; {
+		var ok bool
+		if _, recs, ok = NextWriteback(recs); !ok {
+			return nil, fmt.Errorf("%w: write-back section of %d bytes does not end on a record boundary", ErrCorrupt, len(wbs))
+		}
+	}
+	if len(wbs) > 0 {
+		f.Writebacks = wbs
 	}
 	pay, err := section()
 	if err != nil {
@@ -375,8 +458,8 @@ func TypeName(t byte) string {
 	names := [...]string{
 		THello: "hello", TWelcome: "welcome", TDispatch: "dispatch",
 		TObjImage: "obj-image", TObjPatch: "obj-patch", TObjZero: "obj-zero",
-		TInvalidate: "invalidate", TPull: "pull", TObjData: "obj-data",
-		TAccessReq: "access", TCreateReq: "create", TAllocReq: "alloc",
+		TInvalidate: "invalidate",
+		TAccessReq:  "access", TCreateReq: "create", TAllocReq: "alloc",
 		TStartReq: "start", TConvertReq: "convert", TRetractReq: "retract",
 		TEndAccess: "end-access", TClearAccess: "clear-access",
 		TTaskDone: "task-done", TTaskFail: "task-fail", TReply: "reply",

@@ -18,8 +18,6 @@ func sampleFrames() []*Frame {
 		{Type: TObjPatch, Obj: 9, A: 5, B: 1, C: 4, Payload: []byte{8, 8, 8}},
 		{Type: TObjZero, Obj: 11, A: 1, B: 4, C: 1024},
 		{Type: TInvalidate, Obj: 9, A: 5},
-		{Type: TPull, Req: 100, Obj: 9, A: 6, B: 5},
-		{Type: TObjData, Req: 100, Obj: 9, A: 6, B: 0, C: 6, Payload: []byte("patchbytes")},
 		{Type: TAccessReq, Req: 101, Task: 42, Obj: 9, A: 3},
 		{Type: TCreateReq, Req: 102, Task: 42, Label: "child", Aux: "", A: 17, B: 0x3FF0000000000000, C: 0, Payload: []byte{0, 0, 0, 2}},
 		{Type: TAllocReq, Req: 103, Task: 42, Label: "cells", A: 1, Payload: []byte{5, 4, 0, 0, 0}},
@@ -42,6 +40,17 @@ func sampleFrames() []*Frame {
 		{Type: TEndAccess, Task: 42, Obj: 9, A: 2, Checkins: AppendAccessRec(nil, 9, 3)},
 		{Type: TTaskDone, Task: 42, A: 77, Checkins: AppendAccessRec(AppendAccessRec(nil, 9, 1), 1<<40, 2)},
 		{Type: TAllocReq, Req: 107, Task: 42, Label: "cells", A: 1, Checkins: AppendAccessRec(nil, 11, 3), Payload: []byte{5, 4, 0, 0, 0}},
+		// Write-backs (v4) on the carriers that release a write: a
+		// completion with a patch and a full image beside its check-ins, an
+		// early release with an empty patch, and a create that also has a
+		// payload.
+		{Type: TTaskDone, Task: 42, A: 77, Checkins: AppendAccessRec(nil, 9, 3),
+			Writebacks: AppendWriteback(AppendWriteback(nil,
+				Writeback{Obj: 9, Gen: 6, Base: 5, Order: 1, Patch: true, Payload: []byte("patchbytes")}),
+				Writeback{Obj: 1 << 40, Gen: 1, Payload: []byte{5, 4, 0, 0, 0}})},
+		{Type: TEndAccess, Task: 42, Obj: 9, A: 2, Writebacks: AppendWriteback(nil, Writeback{Obj: 9, Gen: 7, Base: 6, Patch: true})},
+		{Type: TCreateReq, Req: 108, Task: 42, Label: "child", A: 17, Payload: []byte{0, 0, 0, 2},
+			Writebacks: AppendWriteback(nil, Writeback{Obj: 11, Gen: 2, Base: 1, Patch: true, Payload: []byte{1}})},
 	}
 }
 
@@ -75,7 +84,7 @@ func TestRoundTripEmptySections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Label != "" || got.Aux != "" || got.Checkins != nil || got.Payload != nil {
+	if got.Label != "" || got.Aux != "" || got.Checkins != nil || got.Writebacks != nil || got.Payload != nil {
 		t.Errorf("empty sections mutated: %+v", got)
 	}
 }
@@ -136,6 +145,50 @@ func TestCorrupt(t *testing.T) {
 			t.Errorf("%d-byte check-in section: err = %v, want ErrCorrupt", n, err)
 		}
 	}
+
+	// A write-back section must end on a record boundary: a short header,
+	// a payload length running past the section, a flag byte that is no
+	// flag, and bytes after the last record are all rejected here, before
+	// anything is allocated for them.
+	rec := AppendWriteback(nil, Writeback{Obj: 9, Gen: 2, Base: 1, Patch: true, Payload: []byte{1, 2, 3}})
+	overlong := append([]byte(nil), rec...)
+	binary.LittleEndian.PutUint32(overlong[26:], 1<<31)
+	badFlag := append([]byte(nil), rec...)
+	badFlag[25] = 2
+	for name, sec := range map[string][]byte{
+		"short header":   rec[:writebackHdrLen-1],
+		"short payload":  rec[:len(rec)-1],
+		"over-long":      overlong,
+		"bad patch flag": badFlag,
+		"trailing byte":  append(append([]byte(nil), rec...), 0),
+	} {
+		if _, err := Decode(mustEncode(t, &Frame{Type: TTaskDone, Task: 1, Writebacks: sec})); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("write-back section with %s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestWriteback: the record codec round-trips, back to back, and refuses
+// what is not a record.
+func TestWriteback(t *testing.T) {
+	a := Writeback{Obj: 7, Gen: 3, Base: 2, Order: 1, Patch: true, Payload: []byte{1, 2}}
+	b := Writeback{Obj: 1<<63 | 5, Gen: 1}
+	sec := AppendWriteback(AppendWriteback(nil, a), b)
+	got, rest, ok := NextWriteback(sec)
+	if !ok || !reflect.DeepEqual(got, a) {
+		t.Fatalf("first record = %+v, %v; want %+v", got, ok, a)
+	}
+	got, rest, ok = NextWriteback(rest)
+	b.Payload = []byte{} // an empty payload aliases the section, it is not nil
+	if !ok || !reflect.DeepEqual(got, b) || len(rest) != 0 {
+		t.Fatalf("second record = %+v, %v, %d bytes left; want %+v", got, ok, len(rest), b)
+	}
+	if _, _, ok := NextWriteback(sec[:len(sec)-1]); !ok {
+		t.Error("the first record of a section whose second is short must still decode")
+	}
+	if _, _, ok := NextWriteback(sec[:writebackHdrLen+1]); ok {
+		t.Error("a record whose payload runs past the section decoded")
+	}
 }
 
 // TestAccessRec: the record codec round-trips, back to back.
@@ -181,6 +234,7 @@ func TestTooLarge(t *testing.T) {
 		{Type: TDispatch, Label: string(big)},
 		{Type: TDispatch, Aux: string(big)},
 		{Type: TTaskDone, Checkins: big},
+		{Type: TTaskDone, Writebacks: big},
 	} {
 		if _, err := Encode(f); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s with 17-byte section: err = %v, want ErrTooLarge", TypeName(f.Type), err)
@@ -213,11 +267,12 @@ func TestAppendFrame(t *testing.T) {
 	}
 }
 
-// TestDecodeOwnedAliases: the zero-copy decode's Payload and Checkins
-// alias the input (that is its contract — the caller owns the buffer),
-// while Decode's do not.
+// TestDecodeOwnedAliases: the zero-copy decode's Payload, Checkins and
+// Writebacks alias the input (that is its contract — the caller owns the
+// buffer), while Decode's do not.
 func TestDecodeOwnedAliases(t *testing.T) {
-	enc := mustEncode(t, &Frame{Type: TObjImage, Obj: 1, Checkins: AppendAccessRec(nil, 1, 1), Payload: []byte{1, 2, 3, 4}})
+	wbs := AppendWriteback(nil, Writeback{Obj: 1, Gen: 1, Payload: []byte{7}})
+	enc := mustEncode(t, &Frame{Type: TObjImage, Obj: 1, Checkins: AppendAccessRec(nil, 1, 1), Writebacks: wbs, Payload: []byte{1, 2, 3, 4}})
 	fo, err := DecodeOwned(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +288,14 @@ func TestDecodeOwnedAliases(t *testing.T) {
 	if fc.Payload[3] != 4 {
 		t.Error("Decode payload aliases the input; it must copy")
 	}
-	enc[len(enc)-len(fo.Payload)-4-1] = 2 // the check-in's mode byte
+	enc[len(enc)-len(fo.Payload)-4-1] = 8 // the write-back's payload byte
+	if fo.Writebacks[len(wbs)-1] != 8 {
+		t.Error("DecodeOwned write-backs do not alias the input")
+	}
+	if fc.Writebacks[len(wbs)-1] != 7 {
+		t.Error("Decode write-backs alias the input; they must be copied")
+	}
+	enc[len(enc)-len(fo.Payload)-4-len(wbs)-4-1] = 2 // the check-in's mode byte
 	if fo.Checkins[8] != 2 {
 		t.Error("DecodeOwned check-ins do not alias the input")
 	}

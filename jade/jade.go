@@ -31,6 +31,7 @@
 package jade
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -438,8 +439,8 @@ func (r *Runtime) KillWorker(m int) error {
 }
 
 // DrainWorker gracefully retires worker machine m from a live runtime:
-// no new tasks are placed on it, in-flight tasks finish, owned objects
-// sync back to the coordinator, and the worker departs.
+// no new tasks are placed on it, in-flight tasks finish (bringing home
+// what they wrote), and the worker departs.
 func (r *Runtime) DrainWorker(m int) error {
 	if r.liveX == nil {
 		return fmt.Errorf("jade: DrainWorker requires a live runtime")
@@ -516,7 +517,7 @@ type WorkerConfig struct {
 	Multi bool
 	// Drain, when non-nil, requests a graceful departure when it becomes
 	// readable (e.g. on SIGTERM): the worker finishes its in-flight
-	// tasks, syncs its objects back, and leaves the run.
+	// tasks and leaves the run.
 	Drain <-chan struct{}
 }
 
@@ -548,7 +549,9 @@ func ServeWorker(cfg WorkerConfig) error {
 		return live.NewMultiServer(c, wopts).Serve()
 	}
 	err = live.Serve(c, wopts)
-	if err == transport.ErrClosed {
+	if err == transport.ErrClosed || errors.Is(err, live.ErrClosing) {
+		// The run ended — or ended before this worker's join was
+		// processed, which comes to the same thing for the worker.
 		return nil
 	}
 	return err

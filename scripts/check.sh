@@ -8,13 +8,13 @@
 # Stops at the first failing tier, prints wall time per tier, writes
 # nothing into the checkout. GOMAXPROCS is inherited by every go command,
 # so `GOMAXPROCS=1 scripts/check.sh race` races on one processor — except
-# transport/tcp and exec/live, which the race tier always runs at both one
-# P and four (-cpu 1,4): acks that ride data and check-ins that ride the
-# next frame take different paths when the peer runs in parallel.
-# (Two stay on the inherited setting until ROADMAP item 1 closes their
-# defects: exec/live/tenant — a daemon killed mid-handshake is fatal, c —
-# and TestChaosMembershipStress — a task killed after its with-cont cannot
-# be re-executed, g.)
+# transport/wire, transport/tcp and exec/live (with exec/live/tenant),
+# which the race tier always runs at both one P and four (-cpu 1,4): acks
+# that ride data, check-ins and write-backs that ride a task's frames take
+# different paths when the peer runs in parallel.
+# (One test stays on the inherited setting until ROADMAP item 1 closes its
+# defect: TestChaosMembershipStress — a task killed after its with-cont
+# cannot be re-executed, g.)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,13 +32,14 @@ tier() {
 		;;
 	race) # everything that does real concurrency, under the race detector, twice
 		go test -race -count=2 ./internal/core/... ./internal/coherence/... \
-			./internal/exec/dist/... ./internal/exec/smp/... ./internal/exec/live/tenant/... \
+			./internal/exec/dist/... ./internal/exec/smp/... \
 			./internal/transport ./internal/transport/inproc/... \
-			./internal/transport/mux/... ./internal/transport/wire/... \
+			./internal/transport/mux/... \
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
 		# ... and the wire path at one P and at four, whatever GOMAXPROCS says
 		go test -race -count=2 -cpu 1,4 -skip TestChaosMembershipStress \
-			./internal/transport/tcp/... ./internal/exec/live
+			./internal/transport/wire/... ./internal/transport/tcp/... \
+			./internal/exec/live ./internal/exec/live/tenant/...
 		go test -race -count=2 -run TestChaosMembershipStress ./internal/exec/live
 		go test -race -count=2 -run 'Fault|L2|MT1|SV1' ./internal/experiments/...
 		;;
