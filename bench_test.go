@@ -389,3 +389,96 @@ func BenchmarkEngineConflictChain(b *testing.B) {
 		}
 	}
 }
+
+// engineBacklog drives one engine, Depend hook installed, through n tasks
+// with the Cholesky program's shape — groups of one internal(g) (rd_wr on
+// column g) and seven external(g,g+k) (rd_wr on column g+k, rd on column g),
+// every task also rd on the two structure objects — keeping a FIFO window
+// of live tasks behind the one being created, the way a real run keeps
+// MaxLiveTasks of them: the two shared queues hold live entries each, the
+// column queues the same few whatever the window. started is called once
+// set-up is done. It returns the engine's counters.
+func engineBacklog(tb testing.TB, live, n int, started func()) core.Stats {
+	const cols = 144
+	e := core.New(core.Hooks{
+		Ready:  func(*core.Task) {},
+		Depend: func(*core.Task, []core.Dep) {},
+	})
+	root := e.Root()
+	for obj := access.ObjectID(1); obj <= cols+2; obj++ {
+		e.RegisterObject(root, obj)
+	}
+	finish := func(t *core.Task) {
+		// Everything earlier has completed, so t is Ready and every view
+		// is granted at once.
+		if err := e.Start(t); err != nil {
+			tb.Fatal(err)
+		}
+		for _, d := range t.Decls {
+			if ok, err := e.Access(t, d.Object, d.Mode, nil); !ok || err != nil {
+				tb.Fatalf("access %v: ok=%v err=%v", d, ok, err)
+			}
+		}
+		if err := e.Complete(t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	window := make([]*core.Task, live)
+	started()
+	col := func(j int) access.ObjectID { return access.ObjectID(3 + j%cols) }
+	for i := 0; i < n; i++ {
+		if old := window[i%live]; old != nil {
+			finish(old)
+		}
+		g, k := i/8, i%8
+		decls := []access.Decl{
+			{Object: col(g + k), Mode: access.ReadWrite},
+			{Object: 1, Mode: access.Read},
+			{Object: 2, Mode: access.Read},
+		}
+		if k > 0 {
+			decls = append(decls, access.Decl{Object: col(g), Mode: access.Read})
+		}
+		t, err := e.Create(root, decls, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		window[i%live] = t
+	}
+	for i := n; i < n+live; i++ {
+		if old := window[i%live]; old != nil {
+			finish(old)
+		}
+	}
+	return e.Stats()
+}
+
+// BenchmarkEngineBacklog is the engine cycle the chol_* workloads feel:
+// the same create/start/access/complete as the short-queue cases above,
+// but with live tasks queued behind the two objects every task reads.
+func BenchmarkEngineBacklog(b *testing.B) {
+	for _, live := range []int{16, 256} {
+		b.Run(fmt.Sprintf("live-%d", live), func(b *testing.B) {
+			st := engineBacklog(b, live, b.N, b.ResetTimer)
+			b.ReportMetric(float64(st.EntriesScanned)/float64(b.N), "scanned/op")
+		})
+	}
+}
+
+// TestEngineCostIndependentOfBacklog is the non-timing form of the above:
+// the entries an operation visits must not grow with the number of
+// compatible entries queued behind the shared objects.
+func TestEngineCostIndependentOfBacklog(t *testing.T) {
+	const n = 4000
+	short := engineBacklog(t, 16, n, func() {})
+	long := engineBacklog(t, 256, n, func() {})
+	if long.MaxQueueLen < 256 {
+		t.Fatalf("backlog not built: MaxQueueLen = %d", long.MaxQueueLen)
+	}
+	perShort := float64(short.EntriesScanned) / n
+	perLong := float64(long.EntriesScanned) / n
+	t.Logf("entries scanned per task: %.2f at 16 live, %.2f at 256 live", perShort, perLong)
+	if perLong > 2*perShort {
+		t.Fatalf("scanned/task grows with the backlog: %.2f at 16 live, %.2f at 256 live", perShort, perLong)
+	}
+}

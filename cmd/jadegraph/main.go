@@ -28,7 +28,7 @@ func main() {
 	} else {
 		m = cholesky.Symbolic(cholesky.PaperMatrix())
 	}
-	r := jade.NewSMP(jade.SMPConfig{Procs: 4, Trace: true})
+	r := cholesky.GraphRuntime()
 	err := r.Run(func(t *jade.Task) {
 		jm := cholesky.ToJade(t, m, 0)
 		jm.Factor(t)

@@ -63,6 +63,16 @@ func (jm *JadeMatrix) colRowsLocal(j int) []int32 {
 	return jm.RowIdxLocal[jm.ColPtrLocal[j]:jm.ColPtrLocal[j+1]]
 }
 
+// GraphRuntime returns the runtime to read a program's dynamic task graph
+// from (Figure 4): traced, with one processor — which the main program
+// keeps until it has issued every task — and no inlining. The engine
+// reports a dependence only on a task that is still queued, so on any other
+// runtime the graph depends on how far the earlier tasks got; here none has
+// started, and the graph is a function of the program alone.
+func GraphRuntime() *jade.Runtime {
+	return jade.NewSMP(jade.SMPConfig{Procs: 1, MaxLiveTasks: 1 << 30, Trace: true})
+}
+
 // Factor is the paper's Figure 6 translated to the Go API: for each column
 // an InternalUpdate task (rd_wr on the column, rd on the structure), then
 // one ExternalUpdate task per column in its structure (rd_wr on the target

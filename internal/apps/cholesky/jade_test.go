@@ -136,7 +136,7 @@ func TestFig4TaskGraphShape(t *testing.T) {
 	// previous writer of column j; internal(j) depends on all externals
 	// into j.
 	m := Symbolic(GridLaplacian(3))
-	r := jade.NewSMP(jade.SMPConfig{Procs: 4, Trace: true})
+	r := GraphRuntime()
 	_ = factorOn(t, r, m)
 
 	labels := map[uint64]string{}

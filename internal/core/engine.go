@@ -35,14 +35,24 @@
 //  1. A striped shard table maps ObjectID → queue; shard locks are held
 //     only for the map lookup, never while any other lock is taken.
 //  2. Each object queue has its own mutex guarding the queue order, the
-//     entry modes and checkouts of its entries, its waiter lists, and the
-//     commute lock. Multi-object operations — Create's covering checks and
-//     Complete's release fan-out — acquire all involved queue locks in
-//     ascending ObjectID order (the canonical order; deadlock-free because
-//     every multi-lock follows it).
+//     entry modes and checkouts of its entries, the summary of the rights
+//     queued on it, its waiter lists, and the commute lock. Multi-object
+//     operations — Create's covering checks and Complete's release
+//     fan-out — acquire all involved queue locks in ascending ObjectID
+//     order (the canonical order; deadlock-free because every multi-lock
+//     follows it).
 //  3. Each task carries a leaf mutex guarding its entry table. It nests
 //     strictly inside queue locks; no code path takes a queue lock while
 //     holding a task mutex.
+//
+// # Cost
+//
+// An operation costs its task's declarations, not the queues behind them:
+// the queue summary decides an enable check or a Depend scan without
+// touching the entries whenever nothing queued (the entry itself and its
+// task's ancestors aside, which sort after it) holds a conflicting right.
+// Only a real conflict somewhere in the queue pays for a scan
+// (Stats.EntriesScanned).
 //
 // A task's access specification lives in its entries' mode fields (guarded
 // by the owning queues' locks); there is no separate spec structure to keep
@@ -55,6 +65,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,9 +139,9 @@ type Task struct {
 	createdAt int64
 	readyAt   atomic.Int64
 
-	// mu is a leaf lock guarding the entries slice (the slice itself;
-	// entry contents are guarded by the owning object queue's lock). It
-	// nests inside queue locks, never the other way around.
+	// mu is a leaf lock guarding the entries slice (the table itself; entry
+	// contents are guarded by the owning object queue's lock). It nests
+	// inside queue locks, never the other way around.
 	mu         sync.Mutex
 	entries    []*entry
 	entriesBuf [4]*entry // inline backing for entries (typical task: ≤4 objects)
@@ -294,48 +305,213 @@ type objQueue struct {
 	waiters   []*waiter
 	cmLock    *entry
 	cmWaiters []*waiter
+
+	// The summary of the rights queued here: how many entries hold a read
+	// right, a write right (immediate or deferred, either way) and a
+	// commute right. Invariant: each equals a recount over entries. Every
+	// change of an entry's mode or membership goes through insert, remove
+	// or setMode, which keep it.
+	readers, writers, commuters int32
+	// nested records that an entry was once inserted ahead of a queued one
+	// other than the root's (a task created children while later tasks were
+	// already queued): queue order is no longer creation order, so Depend
+	// scans may not stop at the nearest writer. Never reset.
+	nested bool
 }
 
-func (q *objQueue) indexOf(e *entry) int {
-	for i, x := range q.entries {
-		if x == e {
-			return i
-		}
+// tally adds d to the summary count of every right class m holds.
+func (q *objQueue) tally(m access.Mode, d int32) {
+	if m.HasAny(access.AnyRead) {
+		q.readers += d
 	}
-	return -1
+	if m.HasAny(access.AnyWrite) {
+		q.writers += d
+	}
+	if m.Has(access.Commute) {
+		q.commuters += d
+	}
+}
+
+// setMode changes the rights of e, an entry of q. Caller holds q.mu.
+func (q *objQueue) setMode(e *entry, m access.Mode) {
+	q.tally(e.mode, -1)
+	q.tally(m, +1)
+	e.mode = m
 }
 
 // insert places e at its serial position. Caller holds q.mu.
 func (q *objQueue) insert(e *entry) {
-	i := sort.Search(len(q.entries), func(i int) bool {
-		return e.task.Seq.Less(q.entries[i].task.Seq)
-	})
+	// The root's entry sorts after everything, so a new entry normally
+	// goes last or just ahead of it; anything else is a nested creator.
+	i := len(q.entries)
+	if i > 0 && q.entries[i-1].task.parent == nil {
+		i--
+	}
+	if i > 0 && e.task.Seq.Less(q.entries[i-1].task.Seq) {
+		i = sort.Search(i, func(i int) bool {
+			return e.task.Seq.Less(q.entries[i].task.Seq)
+		})
+		q.nested = true
+	}
 	q.entries = append(q.entries, nil)
 	copy(q.entries[i+1:], q.entries[i:])
 	q.entries[i] = e
+	q.tally(e.mode, +1)
 }
+
+// shiftHeadAbove is the queue length beyond which remove may advance the
+// slice's head (giving up that slot of capacity) instead of moving the tail.
+const shiftHeadAbove = 8
 
 // remove deletes e from the queue. Caller holds q.mu.
 func (q *objQueue) remove(e *entry) {
-	if i := q.indexOf(e); i >= 0 {
-		q.entries = append(q.entries[:i], q.entries[i+1:]...)
+	for i, x := range q.entries {
+		if x != e {
+			continue
+		}
+		// A long queue closes the gap from the shorter side: tasks finish
+		// roughly in queue order, so the entry is near the head and moving
+		// what is behind it would touch the whole backlog. (A short one
+		// keeps its head where it is, and with it its capacity.)
+		if n := len(q.entries); n > shiftHeadAbove && i < n/2 {
+			copy(q.entries[1:i+1], q.entries[:i])
+			q.entries[0] = nil
+			q.entries = q.entries[1:]
+		} else {
+			copy(q.entries[i:], q.entries[i+1:])
+			q.entries[n-1] = nil
+			q.entries = q.entries[:n-1]
+		}
+		q.tally(e.mode, -1)
+		return
 	}
 }
 
-// enabled reports whether e is enabled for immediate mode m: no earlier
-// entry conflicts with m. Caller holds q.mu.
-func (q *objQueue) enabled(e *entry, m access.Mode) bool {
-	for _, x := range q.entries {
-		if x == e {
+// entryOf returns t's entry in q (nil if none). The root's needs no table:
+// the root sorts after every other task, so its entry is the queue's last.
+// Caller holds q.mu.
+func (q *objQueue) entryOf(t *Task) *entry {
+	if t.parent != nil {
+		return t.findEntry(q.id)
+	}
+	if n := len(q.entries); n > 0 && q.entries[n-1].task == t {
+		return q.entries[n-1]
+	}
+	return nil
+}
+
+// othersConflict asks the summary whether any entry of q other than e and
+// the entries of e's task's ancestors — which sort after e, so never order
+// before it — holds rights that conflict with a later m. False means none
+// does, decided without touching the entries; true means only a scan can
+// tell. Caller holds q.mu (ancestors' tables are read under their leaf
+// locks; the modes found there are q's to read).
+func (q *objQueue) othersConflict(e *entry, m access.Mode) bool {
+	// The classes of earlier right that conflict with m (Mode.ConflictsWith):
+	// writers with everything, readers with wr and cm, commuters with rd
+	// and wr.
+	var r, w, c int32
+	if m.Immediate() != 0 {
+		w = q.writers
+	}
+	if m.HasAny(access.Write | access.Commute) {
+		r = q.readers
+	}
+	if m.HasAny(access.ReadWrite) {
+		c = q.commuters
+	}
+	if r|w|c == 0 {
+		return false
+	}
+	for t := e.task; ; e = q.entryOf(t) {
+		if e != nil {
+			if r > 0 && e.mode.HasAny(access.AnyRead) {
+				r--
+			}
+			if w > 0 && e.mode.HasAny(access.AnyWrite) {
+				w--
+			}
+			if c > 0 && e.mode.Has(access.Commute) {
+				c--
+			}
+			if r|w|c == 0 {
+				return false
+			}
+		}
+		if t = t.parent; t == nil {
 			return true
 		}
+	}
+}
+
+// scanEnabled reports whether e is enabled for immediate mode m — no
+// earlier entry conflicts with m — and how many entries it visited to tell.
+// Caller holds q.mu.
+func (q *objQueue) scanEnabled(e *entry, m access.Mode) (ok bool, visited int) {
+	for i, x := range q.entries {
+		if x == e {
+			return true, i
+		}
 		if x.mode.ConflictsWith(m) {
-			return false
+			return false, i + 1
 		}
 	}
 	// Entry not present (already removed): treat as enabled; callers
 	// guarantee e belongs to q while rights are held.
-	return true
+	return true, len(q.entries)
+}
+
+// scan is scanEnabled, counted in Stats.EntriesScanned. Caller holds q.mu.
+func (e *Engine) scan(q *objQueue, en *entry, m access.Mode) bool {
+	ok, visited := q.scanEnabled(en, m)
+	if visited > 0 {
+		e.entriesScanned.Add(uint64(visited))
+	}
+	return ok
+}
+
+// enabled reports whether en is enabled for immediate mode m. The summary
+// answers when nothing queued can conflict; otherwise the queue is scanned.
+// Caller holds q.mu.
+func (e *Engine) enabled(q *objQueue, en *entry, m access.Mode) bool {
+	return !q.othersConflict(en, m) || e.scan(q, en, m)
+}
+
+// appendDeps appends the dynamic data dependences of en, the entry of a
+// task being created, on q's object: the earlier entries whose rights
+// conflict with eventual, the rights en will hold once its deferred
+// declarations convert. Walking back from en, it stops after the nearest
+// entry holding a write right: everything before that one conflicted with
+// it when it was created and so already reaches en through it — the
+// covering set, the edges the paper's Figure 4 draws. That argument needs
+// queue order to be creation order, so a nested queue gets every edge.
+// Edges are appended in queue order. Caller holds q.mu.
+func (e *Engine) appendDeps(deps []Dep, q *objQueue, en *entry, eventual access.Mode) []Dep {
+	i := len(q.entries) - 1
+	for i >= 0 && q.entries[i] != en { // at most two steps unless q is nested
+		i--
+	}
+	first := len(deps)
+	j := i - 1
+	for ; j >= 0; j-- {
+		prior := q.entries[j]
+		if !prior.mode.ConflictsWith(eventual) {
+			continue
+		}
+		if deps == nil {
+			deps = make([]Dep, 0, 4) // the batch's one allocation, typically
+		}
+		deps = append(deps, Dep{Earlier: prior.task, Object: q.id})
+		if !q.nested && prior.mode.HasAny(access.AnyWrite) {
+			j--
+			break
+		}
+	}
+	if visited := i - 1 - j; visited > 0 {
+		e.entriesScanned.Add(uint64(visited))
+	}
+	slices.Reverse(deps[first:])
+	return deps
 }
 
 // Hooks are the engine's outbound notifications. They are fired after all
@@ -349,11 +525,21 @@ type Hooks struct {
 	// the hierarchy covering rule. The same error is also returned from the
 	// offending call; the hook exists so executors can abort the program.
 	Violation func(*Task, error)
-	// Depend fires once per (earlier, later) task pair per object when
-	// Create detects a dynamic data dependence: the earlier task holds
-	// rights on obj that conflict with the new task's declaration. This is
-	// the paper's dynamic task graph (Figure 4).
-	Depend func(earlier, later *Task, obj access.ObjectID)
+	// Depend fires once per Create that detects dynamic data dependences,
+	// with all of them: each Dep names an earlier task still holding rights
+	// on an object that conflict with the new task's declaration on it. This
+	// is the paper's dynamic task graph (Figure 4), and like the figure it
+	// is the covering set: per object, the conflicting earlier tasks back to
+	// and including the nearest writer, through which the ones before it are
+	// already reached.
+	Depend func(later *Task, deps []Dep)
+}
+
+// Dep is one edge of the dynamic task graph into a task being created:
+// Earlier holds rights on Object that conflict with the new task's.
+type Dep struct {
+	Earlier *Task
+	Object  access.ObjectID
 }
 
 // Stats are cumulative engine counters (snapshot via Engine.Stats).
@@ -371,6 +557,11 @@ type Stats struct {
 	// blocked accesses granted, conversions unblocked, commute-lock
 	// handoffs) — the engine's cross-task signalling traffic.
 	BlockedWakes uint64
+	// EntriesScanned counts queue entries visited by enable checks and
+	// Depend scans — the part of an operation's cost that grows with the
+	// queue rather than with the task's declarations. A check the queue
+	// summary decides visits none.
+	EntriesScanned uint64
 }
 
 // queueShards is the stripe count of the ObjectID → queue table. Power of
@@ -407,6 +598,7 @@ type Engine struct {
 	violations       atomic.Uint64
 	lockAcquisitions atomic.Uint64
 	blockedWakes     atomic.Uint64
+	entriesScanned   atomic.Uint64
 }
 
 // New returns an engine with a root task in Running state. The root task
@@ -458,6 +650,7 @@ func (e *Engine) Stats() Stats {
 		Violations:       e.violations.Load(),
 		LockAcquisitions: e.lockAcquisitions.Load(),
 		BlockedWakes:     e.blockedWakes.Load(),
+		EntriesScanned:   e.entriesScanned.Load(),
 	}
 }
 
@@ -563,8 +756,10 @@ func (e *Engine) RegisterObject(t *Task, obj access.ObjectID) {
 // entry if absent. Caller holds q's lock; t.mu is taken internally for the
 // entry-table update.
 func (e *Engine) declare(t *Task, q *objQueue, m access.Mode) *entry {
-	if en := t.findEntry(q.id); en != nil {
-		en.mode |= m
+	if en := q.entryOf(t); en != nil {
+		if en.mode|m != en.mode {
+			q.setMode(en, en.mode|m)
+		}
 		return en
 	}
 	en := &entry{task: t, obj: q.id, mode: m}
@@ -646,7 +841,7 @@ func (e *Engine) Create(parent *Task, decls []access.Decl, payload any) (*Task, 
 			}
 		}
 		var have access.Mode
-		pe := parent.findEntry(d.Object)
+		pe := queueIn(qs, d.Object).entryOf(parent)
 		if pe != nil {
 			have = pe.mode
 		}
@@ -694,38 +889,28 @@ func (e *Engine) Create(parent *Task, decls []access.Decl, payload any) (*Task, 
 		e.declare(t, queueIn(qs, d.Object), d.Mode)
 	}
 
-	var fires []func()
-	// Report dynamic data dependences for the task graph: earlier entries
-	// whose rights conflict with the new task's eventual accesses. (t is
-	// not yet visible to any other thread — its entries sit in queues we
-	// hold the locks of — so iterating t.entries bare is safe.)
-	if e.hooks.Depend != nil {
-		for _, en := range t.entries {
-			q := queueIn(qs, en.obj)
-			eventual := en.mode.Promote()
-			for _, prior := range q.entries {
-				if prior == en {
-					break
-				}
-				if prior.mode.ConflictsWith(eventual) {
-					h, earlier, obj := e.hooks.Depend, prior.task, en.obj
-					fires = append(fires, func() { h(earlier, t, obj) })
-				}
-			}
-		}
-	}
-
-	// Count start gates: each (object, immediate mode) not yet enabled.
-	// Registered waiters cannot fire before unlockAll, so the gate count
-	// is complete before any decrement can happen.
+	// Per entry: report the dynamic data dependences for the task graph —
+	// earlier entries whose rights conflict with the new task's eventual
+	// accesses — and count start gates, each (object, immediate mode) not
+	// yet enabled. An entry nothing queued can conflict with has neither.
+	// (t is not yet visible to any other thread — its entries sit in queues
+	// we hold the locks of — so iterating t.entries bare is safe. Registered
+	// waiters cannot fire before unlockAll, so the gate count is complete
+	// before any decrement can happen.)
+	var deps []Dep
 	gates := int32(0)
 	for _, en := range t.entries {
-		im := en.mode.Immediate()
-		if im == 0 {
+		q := queueIn(qs, en.obj)
+		eventual := en.mode.Promote()
+		if !q.othersConflict(en, eventual) {
 			continue
 		}
-		q := queueIn(qs, en.obj)
-		if !q.enabled(en, im) {
+		if e.hooks.Depend != nil {
+			deps = e.appendDeps(deps, q, en, eventual)
+		}
+		// (The summary has just said yes for eventual, which holds im's
+		// rights: asking it again for im would repeat the ancestor walk.)
+		if im := en.mode.Immediate(); im != 0 && !e.scan(q, en, im) {
 			gates++
 			e.waits.Add(1)
 			q.waiters = append(q.waiters, &waiter{e: en, mode: im, kind: waitStart})
@@ -742,7 +927,9 @@ func (e *Engine) Create(parent *Task, decls []access.Decl, payload any) (*Task, 
 	if fireReady {
 		e.hooks.Ready(t)
 	}
-	runAll(fires)
+	if len(deps) > 0 {
+		e.hooks.Depend(t, deps)
+	}
 	return t, nil
 }
 
@@ -825,7 +1012,7 @@ func (e *Engine) Access(t *Task, obj access.ObjectID, m access.Mode, wake func()
 	if t == e.root {
 		en = e.declare(t, q, access.ReadWrite|access.Commute)
 	} else {
-		en = t.findEntry(obj)
+		en = q.entryOf(t)
 	}
 	var mode access.Mode
 	if en != nil {
@@ -839,7 +1026,7 @@ func (e *Engine) Access(t *Task, obj access.ObjectID, m access.Mode, wake func()
 		runAll(fires)
 		return false, err
 	}
-	if q.enabled(en, m) {
+	if e.enabled(q, en, m) {
 		if m.Has(access.Commute) {
 			// Order is satisfied; now take the mutual-exclusion lock.
 			if q.cmLock != nil && q.cmLock != en {
@@ -887,7 +1074,7 @@ func (e *Engine) EndAccess(t *Task, obj access.ObjectID, m access.Mode) {
 	q := e.queue(obj)
 	e.lockQueue(q)
 	var fires []func()
-	if en := t.findEntry(obj); en != nil && en.checkouts[cidx(m)] > 0 {
+	if en := q.entryOf(t); en != nil && en.checkouts[cidx(m)] > 0 {
 		en.checkouts[cidx(m)]--
 		if m.Has(access.Commute) && en.checkouts[cidx(m)] == 0 {
 			fires = e.releaseCmLocked(q, en)
@@ -904,7 +1091,7 @@ func (e *Engine) ClearAccess(t *Task, obj access.ObjectID) {
 	q := e.queue(obj)
 	e.lockQueue(q)
 	var fires []func()
-	if en := t.findEntry(obj); en != nil {
+	if en := q.entryOf(t); en != nil {
 		en.checkouts = [numCheckoutSlots]int32{}
 		fires = e.releaseCmLocked(q, en)
 	}
@@ -932,7 +1119,7 @@ func (e *Engine) Convert(t *Task, obj access.ObjectID, which access.Mode, wake f
 	if t == e.root {
 		en = e.declare(t, q, access.ReadWrite|access.DeferredReadWrite)
 	} else {
-		en = t.findEntry(obj)
+		en = q.entryOf(t)
 	}
 	var cur access.Mode
 	if en != nil {
@@ -962,8 +1149,8 @@ func (e *Engine) Convert(t *Task, obj access.ObjectID, which access.Mode, wake f
 		want |= access.Write
 	}
 	if en != nil {
-		en.mode = en.mode.PromoteSelected(which)
-		if q.enabled(en, want) {
+		q.setMode(en, en.mode.PromoteSelected(which))
+		if e.enabled(q, en, want) {
 			q.mu.Unlock()
 			return true, nil
 		}
@@ -989,13 +1176,13 @@ func (e *Engine) Retract(t *Task, obj access.ObjectID, which access.Mode) error 
 	}
 	q := e.queue(obj)
 	e.lockQueue(q)
-	en := t.findEntry(obj)
+	en := q.entryOf(t)
 	if en == nil {
 		q.mu.Unlock()
 		return nil
 	}
 	rest := en.mode &^ which
-	en.mode = rest
+	q.setMode(en, rest)
 	// Release views of the retracted kinds.
 	for ci := range en.checkouts {
 		if en.checkouts[ci] > 0 && checkoutMode(ci).HasAny(which.Promote()) {
@@ -1023,9 +1210,9 @@ func (e *Engine) Retract(t *Task, obj access.ObjectID, which access.Mode) error 
 // Caller holds q's lock; returned funcs run after unlock.
 func (e *Engine) wakeLocked(q *objQueue) []func() {
 	var fires []func()
-	var remaining []*waiter
+	kept := q.waiters[:0] // filtered in place: writes trail the reads
 	for _, w := range q.waiters {
-		if q.enabled(w.e, w.mode) {
+		if e.enabled(q, w.e, w.mode) {
 			switch w.kind {
 			case waitStart:
 				e.blockedWakes.Add(1)
@@ -1054,10 +1241,11 @@ func (e *Engine) wakeLocked(q *objQueue) []func() {
 				fires = append(fires, w.wake)
 			}
 		} else {
-			remaining = append(remaining, w)
+			kept = append(kept, w)
 		}
 	}
-	q.waiters = remaining
+	clear(q.waiters[len(kept):])
+	q.waiters = kept
 	return fires
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/exec/smp"
 	"repro/internal/rt"
 )
@@ -148,11 +149,13 @@ func serialRun(t *stask, data [][]int64, results []int64) {
 	results[t.index] = acc
 }
 
-// parallelBody executes one task's body through the rt.TC interface.
-func parallelBody(tc rt.TC, t *stask, nObjects, nTasks int, dataIDs, resIDs []access.ObjectID) {
+// parallelBody executes one task's body through the rt.TC interface,
+// calling check after every operation.
+func parallelBody(tc rt.TC, t *stask, nObjects, nTasks int, dataIDs, resIDs []access.ObjectID, check func()) {
 	acc := taskSeed(t.index)
 	touched := map[int]bool{}
 	for _, a := range t.actions {
+		check()
 		if a.child != nil {
 			// Release held views first: creating a child that conflicts
 			// with a live view is a violation.
@@ -164,7 +167,7 @@ func parallelBody(tc rt.TC, t *stask, nObjects, nTasks int, dataIDs, resIDs []ac
 			err := tc.Create(declsFor(child, nObjects, nTasks, dataIDs, resIDs),
 				rt.TaskOpts{Label: fmt.Sprintf("t%d", child.index)},
 				func(ctc rt.TC) {
-					parallelBody(ctc, child, nObjects, nTasks, dataIDs, resIDs)
+					parallelBody(ctc, child, nObjects, nTasks, dataIDs, resIDs, check)
 				})
 			if err != nil {
 				panic(err)
@@ -216,6 +219,7 @@ func parallelBody(tc rt.TC, t *stask, nObjects, nTasks int, dataIDs, resIDs []ac
 			tc.EndAccess(obj, access.Commute)
 		}
 	}
+	check()
 	v, err := tc.Access(resIDs[t.index], access.Write)
 	if err != nil {
 		panic(err)
@@ -261,6 +265,14 @@ func TestStressSerialEquivalence(t *testing.T) {
 				x := smp.New(smp.Options{Procs: procs, MaxLiveTasks: throttle})
 				dataIDs := make([]access.ObjectID, nObjects)
 				resIDs := make([]access.ObjectID, nTasks)
+				// The engine's invariants, the queue summary among them,
+				// checked from every task after each of its operations
+				// while the others run.
+				check := func() {
+					if err := core.CheckInvariants(x.Engine()); err != nil {
+						panic(fmt.Sprintf("%s: %v", name, err))
+					}
+				}
 				err := x.Run(func(tc rt.TC) {
 					for i := range dataIDs {
 						init := make([]int64, objLen)
@@ -285,7 +297,7 @@ func TestStressSerialEquivalence(t *testing.T) {
 						err := tc.Create(declsFor(top, nObjects, nTasks, dataIDs, resIDs),
 							rt.TaskOpts{Label: fmt.Sprintf("t%d", top.index)},
 							func(ctc rt.TC) {
-								parallelBody(ctc, top, nObjects, nTasks, dataIDs, resIDs)
+								parallelBody(ctc, top, nObjects, nTasks, dataIDs, resIDs, check)
 							})
 						if err != nil {
 							panic(err)

@@ -270,8 +270,10 @@ func New(opts Options) (*Exec, error) {
 	x.eng = core.New(core.Hooks{
 		Ready:     x.onReady,
 		Violation: x.onViolation,
-		Depend: func(earlier, later *core.Task, obj access.ObjectID) {
-			x.record(trace.Event{Kind: trace.Depend, Task: uint64(earlier.ID), Other: uint64(later.ID), Object: uint64(obj)})
+		Depend: func(later *core.Task, deps []core.Dep) {
+			if x.log != nil { // as record: no clock read for a log nobody keeps
+				x.log.AddDepends(time.Duration(x.seng.Now()), later, deps)
+			}
 		},
 	})
 	x.eng.SetClock(func() int64 { return int64(x.seng.Now()) })

@@ -300,8 +300,8 @@ func New(opts Options) (*Exec, error) {
 			x.record(trace.Event{Kind: trace.Violation, Task: uint64(t.ID), Label: err.Error()})
 			x.fail(err)
 		},
-		Depend: func(earlier, later *core.Task, obj access.ObjectID) {
-			x.record(trace.Event{Kind: trace.Depend, Task: uint64(earlier.ID), Other: uint64(later.ID), Object: uint64(obj)})
+		Depend: func(later *core.Task, deps []core.Dep) {
+			x.log.AddDepends(time.Since(x.start), later, deps)
 		},
 	})
 	return x, nil

@@ -128,8 +128,10 @@ func New(opts Options) *Exec {
 			x.record(trace.Event{Kind: trace.Violation, Task: uint64(t.ID), Label: err.Error()})
 			x.fail(err)
 		},
-		Depend: func(earlier, later *core.Task, obj access.ObjectID) {
-			x.record(trace.Event{Kind: trace.Depend, Task: uint64(earlier.ID), Other: uint64(later.ID), Object: uint64(obj)})
+		Depend: func(later *core.Task, deps []core.Dep) {
+			if x.log != nil { // as record: no clock read for a log nobody keeps
+				x.log.AddDepends(time.Since(x.start), later, deps)
+			}
 		},
 	})
 	return x

@@ -16,19 +16,28 @@ func TestFig4GraphShape(t *testing.T) {
 	if !strings.Contains(dot, "internal(0)") || !strings.Contains(dot, "->") {
 		t.Fatalf("dot incomplete:\n%s", dot)
 	}
-	// The Figure-4 matrix: internal(0) feeds external(0,3) and external(0,4);
-	// internal(1) feeds external(1,2).
-	byTask := map[string]string{}
-	for _, row := range tb.Rows {
-		byTask[row[0]] = row[1]
+	// The graph is a function of the program (cholesky.GraphRuntime), so
+	// the rows are exactly the figure's edges: every external(i,j) depends
+	// on internal(i) and the previous writer of column j, every internal(j)
+	// on the last update into column j.
+	want := [][2]string{
+		{"internal(0)", ""},
+		{"external(0,3)", "internal(0)"},
+		{"external(0,4)", "internal(0)"},
+		{"internal(1)", ""},
+		{"external(1,2)", "internal(1)"},
+		{"internal(2)", "external(1,2)"},
+		{"external(2,3)", "external(0,3), internal(2)"},
+		{"internal(3)", "external(2,3)"},
+		{"external(3,4)", "external(0,4), internal(3)"},
+		{"internal(4)", "external(3,4)"},
 	}
-	for task, wantDep := range map[string]string{
-		"external(0,3)": "internal(0)",
-		"external(0,4)": "internal(0)",
-		"external(1,2)": "internal(1)",
-	} {
-		if !strings.Contains(byTask[task], wantDep) {
-			t.Fatalf("%s should depend on %s; got %q", task, wantDep, byTask[task])
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("%d tasks, want %d:\n%v", len(tb.Rows), len(want), tb.Rows)
+	}
+	for i, row := range tb.Rows {
+		if row[0] != want[i][0] || row[1] != want[i][1] {
+			t.Fatalf("row %d: %s depends on %q, want %s on %q", i, row[0], row[1], want[i][0], want[i][1])
 		}
 	}
 }

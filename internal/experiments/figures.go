@@ -17,7 +17,7 @@ import (
 // table of the task dependences plus the Graphviz DOT rendering.
 func Fig4() (*Table, string, error) {
 	m := cholesky.Symbolic(cholesky.PaperMatrix())
-	r := jade.NewSMP(jade.SMPConfig{Procs: 4, Trace: true})
+	r := cholesky.GraphRuntime()
 	var jm *cholesky.JadeMatrix
 	err := r.Run(func(t *jade.Task) {
 		jm = cholesky.ToJade(t, m, 0)

@@ -205,6 +205,25 @@ func (l *Log) Add(ev Event) {
 		return
 	}
 	l.mu.Lock()
+	l.addLocked(ev)
+	l.mu.Unlock()
+}
+
+// AddDepends appends one Depend event per edge of the batch a Create
+// reports (core.Hooks.Depend), all stamped at, under one acquisition of
+// the log's lock.
+func (l *Log) AddDepends(at time.Duration, later *core.Task, deps []core.Dep) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	for _, d := range deps {
+		l.addLocked(Event{At: at, Kind: Depend, Task: uint64(d.Earlier.ID), Other: uint64(later.ID), Object: uint64(d.Object)})
+	}
+	l.mu.Unlock()
+}
+
+func (l *Log) addLocked(ev Event) {
 	if l.cap > 0 && len(l.events) == l.cap {
 		l.events[l.head] = ev
 		l.head++
@@ -215,7 +234,6 @@ func (l *Log) Add(ev Event) {
 	} else {
 		l.events = append(l.events, ev)
 	}
-	l.mu.Unlock()
 }
 
 // Dropped returns how many events a ring log has overwritten (0 for
