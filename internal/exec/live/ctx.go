@@ -106,7 +106,7 @@ func (x *Exec) startInline(t *core.Task, pl *payload, m int) (grants []byte, err
 	}
 	if err := x.eng.Start(t); err != nil {
 		x.fail(err)
-		if cerr := x.eng.Complete(t); cerr != nil {
+		if cerr := x.complete(t); cerr != nil {
 			x.fail(cerr)
 		}
 		x.unregister(t)
@@ -182,7 +182,7 @@ func (tc *mainCtx) Convert(obj access.ObjectID, which access.Mode) error {
 
 // Retract implements rt.TC.
 func (tc *mainCtx) Retract(obj access.ObjectID, which access.Mode) error {
-	return tc.x.eng.Retract(tc.t, obj, which)
+	return tc.x.retract(tc.t, obj, which)
 }
 
 // Create implements rt.TC. Children over the live-task bound are
@@ -238,7 +238,7 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 	child := &mainCtx{x: x, t: t, heldSince: tc.heldSince}
 	x.runBody(child, body)
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID), Dst: 0})
-	if err := x.eng.Complete(t); err != nil {
+	if err := x.complete(t); err != nil {
 		x.fail(err)
 		return err
 	}

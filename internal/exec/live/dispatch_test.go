@@ -1,0 +1,181 @@
+package live_test
+
+// Where a ready task's dispatch runs: on the goroutine that made it ready,
+// with the worker's body on a runner that outlives its task — no goroutine
+// of its own on either side — and in an order the trace can show.
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/exec/live"
+	"repro/internal/rt"
+	"repro/internal/trace"
+	"repro/internal/transport/inproc"
+)
+
+// newFleet builds a coordinator over n in-process workers.
+func newFleet(t *testing.T, n int, opts live.Options) *live.Exec {
+	t.Helper()
+	bodies := live.NewBodyTable()
+	opts.Peers = make([]live.Peer, n)
+	for i := range opts.Peers {
+		a, b := inproc.Pipe()
+		opts.Peers[i] = live.Peer{Conn: a}
+		go live.Serve(b, live.WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
+	}
+	opts.Bodies = bodies
+	x, err := live.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// wideProgram creates n tasks over 64 counters, each adding its index to
+// one counter under a read of a shared input: a fleet's worth of tasks is
+// ready at any moment, as in a factorization's wide middle. It returns the
+// counters and what a serial run leaves in them.
+func wideProgram(n int) (main func(rt.TC), counters []access.ObjectID, want []int64) {
+	const width = 64
+	counters = make([]access.ObjectID, width)
+	want = make([]int64, width)
+	for i := 0; i < n; i++ {
+		want[i%width] += int64(i)
+	}
+	main = func(tc rt.TC) {
+		in, err := tc.Alloc([]int64{1}, "in")
+		if err != nil {
+			panic(err)
+		}
+		for k := range counters {
+			if counters[k], err = tc.Alloc([]int64{0}, fmt.Sprintf("c%d", k)); err != nil {
+				panic(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			i, c := i, counters[i%width]
+			decls := []access.Decl{{Object: in, Mode: access.Read}, {Object: c, Mode: access.ReadWrite}}
+			err := tc.Create(decls, rt.TaskOpts{Label: "add"}, func(b rt.TC) {
+				v, err := b.Access(in, access.Read)
+				if err != nil {
+					panic(err)
+				}
+				s, err := b.Access(c, access.ReadWrite)
+				if err != nil {
+					panic(err)
+				}
+				s.([]int64)[0] += int64(i) * v.([]int64)[0]
+			})
+			if err != nil {
+				panic(err)
+			}
+		}
+	}
+	return main, counters, want
+}
+
+// TestDispatchStartsNoGoroutine: over 2000 tasks on an inproc fleet, the
+// goroutines started on tasks' behalf — the dispatch's, the worker's body
+// runner, any handler's — number at most one per ten dispatched tasks (two
+// per task when each dispatch and each body had a goroutine of its own).
+func TestDispatchStartsNoGoroutine(t *testing.T) {
+	const tasks = 2000
+	var dispatched atomic.Int64
+	x := newFleet(t, 4, live.Options{OnTaskDone: func(done int) { dispatched.Store(int64(done)) }})
+	main, counters, want := wideProgram(tasks)
+	before := live.GoroutinesStarted()
+	if err := x.Run(main); err != nil {
+		t.Fatal(err)
+	}
+	started := live.GoroutinesStarted() - before
+	for k, id := range counters {
+		if got := x.ObjectValue(id).([]int64)[0]; got != want[k] {
+			t.Fatalf("counter %d = %d, want %d", k, got, want[k])
+		}
+	}
+	n := dispatched.Load()
+	if n < tasks/2 {
+		t.Fatalf("only %d of %d tasks were dispatched; the rest ran inline and prove nothing", n, tasks)
+	}
+	if per := float64(started) / float64(n); per > 0.1 {
+		t.Errorf("%d goroutines started for %d dispatched tasks (%.3f per task), want ≤ 0.1", started, n, per)
+	} else {
+		t.Logf("%d goroutines started for %d dispatched tasks (%.3f per task)", started, n, per)
+	}
+}
+
+// TestTraceOrderPerTask: in a full trace, every task's lifecycle events
+// appear in the order Created, Ready, Assigned, Started (Assigned only for a
+// dispatched task), at non-decreasing times — whether the task was ready at
+// its creation or made ready later by another task's retirement, and
+// whether its creator was the main program, a worker's task, or it ran
+// inline under the throttle.
+func TestTraceOrderPerTask(t *testing.T) {
+	for _, maxLive := range []int{0, 3} {
+		x := newFleet(t, 3, live.Options{Trace: true, MaxLiveTasks: maxLive})
+		err := x.Run(func(tc rt.TC) {
+			ids := make([]access.ObjectID, 3)
+			for k := range ids {
+				var err error
+				if ids[k], err = tc.Alloc([]int64{0}, fmt.Sprintf("o%d", k)); err != nil {
+					panic(err)
+				}
+			}
+			for i := 0; i < 60; i++ {
+				o := ids[i%len(ids)]
+				err := tc.Create([]access.Decl{{Object: o, Mode: access.ReadWrite}}, rt.TaskOpts{Label: "parent"}, func(b rt.TC) {
+					if _, err := b.Access(o, access.ReadWrite); err != nil {
+						panic(err)
+					}
+					b.EndAccess(o, access.ReadWrite)
+					err := b.Create([]access.Decl{{Object: o, Mode: access.ReadWrite}}, rt.TaskOpts{Label: "child"}, func(c rt.TC) {
+						v, err := c.Access(o, access.ReadWrite)
+						if err != nil {
+							panic(err)
+						}
+						v.([]int64)[0]++
+					})
+					if err != nil {
+						panic(err)
+					}
+				})
+				if err != nil {
+					panic(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stage := map[trace.Kind]int{trace.TaskCreated: 1, trace.TaskReady: 2, trace.TaskAssigned: 3, trace.TaskStarted: 4}
+		type seen struct {
+			stage int
+			at    int64
+		}
+		last := map[uint64]seen{}
+		checked := 0
+		for _, ev := range x.Log().Events() {
+			s, ok := stage[ev.Kind]
+			if !ok {
+				continue
+			}
+			prev, known := last[ev.Task]
+			if !known && s != 1 && ev.Label != "main" {
+				t.Fatalf("maxLive %d: task %d's first lifecycle event is %v, want task-created", maxLive, ev.Task, ev.Kind)
+			}
+			if s <= prev.stage || int64(ev.At) < prev.at {
+				t.Fatalf("maxLive %d: task %d: %v at %v follows stage %d at %v", maxLive, ev.Task, ev.Kind, ev.At, prev.stage, prev.at)
+			}
+			last[ev.Task] = seen{s, int64(ev.At)}
+			if s == 4 {
+				checked++
+			}
+		}
+		if checked < 120 {
+			t.Fatalf("maxLive %d: %d tasks started, want every one of the 120 and the main program", maxLive, checked)
+		}
+	}
+}

@@ -302,8 +302,8 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	// 2) Re-place in-flight tasks that were dispatched to the dead
 	// worker. pl.sent is the ownership handshake with dispatch(): only
 	// tasks whose dispatch frame was shipped are claimed here; a
-	// dispatch goroutine that had not sent yet re-places its own task
-	// via the epoch wait.
+	// dispatch that had not sent yet re-places its own task after the
+	// epoch wait.
 	type orphaned struct {
 		t  *core.Task
 		pl *payload
@@ -324,6 +324,7 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	x.mu.Unlock()
 	for _, o := range orphans {
 		x.record(trace.Event{Kind: trace.TaskReexecuted, Task: uint64(o.t.ID), Src: w.m, Label: o.pl.opts.Label})
+		goStarts.Add(1)
 		go x.dispatch(o.t, o.pl)
 	}
 

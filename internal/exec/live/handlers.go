@@ -32,11 +32,8 @@ func (x *Exec) taskFrom(w *workerLink, id uint64) (t *core.Task, gone bool) {
 // and the task must be in the table before that frame exists, or the
 // worker's first message about it (check-ins, its completion) finds
 // nothing. So each task is registered exactly once, by the step
-// that precedes its frame: onReady before it starts the dispatch
-// goroutine, createTask before it returns an inline child. A creator
-// returning from eng.Create after its scheduled child already ran and
-// retired registers nothing, so a retired task is never put back for the
-// recovery sweep to mistake for one in flight.
+// that precedes its frame: onReady before it dispatches a scheduled task,
+// createTask before it returns an inline child.
 func (x *Exec) register(t *core.Task) {
 	x.mu.Lock()
 	x.tasks[t.ID] = t
@@ -77,17 +74,22 @@ func (x *Exec) createTask(parent *core.Task, decls []access.Decl, pl *payload) (
 		x.register(t)
 	}
 	x.record(trace.Event{Kind: trace.TaskCreated, Task: uint64(t.ID), Label: pl.opts.Label})
+	x.onReady(t) // the creation half of the join: the task may go now
+	x.dispatchReadied(true)
 	return t, nil
 }
 
 // recvLoop drains one worker's connection for the whole run. Handlers
 // that can wait on the engine (an access grant, a conversion, an inline
 // child's readiness) run in goroutines; the rest run inline, in arrival
-// order. The loop takes x.coh itself, to install a frame's write-backs
-// before its handler runs. That cannot deadlock: no holder of x.coh waits
-// for anything this loop delivers — the coordinator asks workers for
-// nothing, and under the lock it only sends (lockdiscipline_test.go at the
-// repo root keeps it so).
+// order — among them the dispatch of every task a retirement, release or
+// creation makes ready, which waits for nothing here (dispatch parks on a
+// goroutine of its own; lockdiscipline_test.go keeps the loop from
+// reaching a wait). The loop takes x.coh itself, to install a frame's
+// write-backs before its handler runs. That cannot deadlock: no holder of
+// x.coh waits for anything this loop delivers — the coordinator asks
+// workers for nothing, and under the lock it only sends
+// (lockdiscipline_test.go at the repo root keeps it so).
 func (x *Exec) recvLoop(w *workerLink) {
 	defer close(w.recvDone)
 	for {
@@ -163,22 +165,26 @@ func (x *Exec) recvLoop(w *workerLink) {
 		case wire.TClearAccess:
 			x.eng.ClearAccess(t, obj)
 		case wire.TRetractReq:
-			w.replyErr(f.Req, x.eng.Retract(t, obj, mode), 0) // never blocks
+			w.replyErr(f.Req, x.retract(t, obj, mode), 0) // never blocks
 		case wire.TCreateReq:
 			// Inline: a task's successive creations must enter the engine
 			// in program order (creation order IS the serial order), and
 			// the connection's FIFO plus inline handling preserves it.
 			x.handleCreate(w, t, f)
 		case wire.TAccessReq:
+			goStarts.Add(1)
 			go func() {
 				gen, err := x.access(t, w.m, obj, mode)
 				w.replyErr(f.Req, err, gen)
 			}()
 		case wire.TConvertReq:
+			goStarts.Add(1)
 			go func() { w.replyErr(f.Req, x.convert(t, obj, mode), 0) }()
 		case wire.TAllocReq:
+			goStarts.Add(1)
 			go x.handleAlloc(w, t, f)
 		case wire.TStartReq:
+			goStarts.Add(1)
 			go x.handleStart(w, t, f)
 		case wire.TLeave:
 			// Graceful departure request. Drain only flips the state; the
@@ -218,7 +224,10 @@ func (x *Exec) handleTaskDone(w *workerLink, t *core.Task, f *wire.Frame, errTex
 		x.fail(fmt.Errorf("task %d (%s) on worker %d: %s", t.ID, pl.opts.Label, w.m, errText))
 	}
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-	if err := x.eng.Complete(t); err != nil {
+	if !pl.inline {
+		x.releaseTask(t, pl)
+	}
+	if err := x.complete(t); err != nil {
 		x.fail(err)
 	}
 	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(t.ID), Dst: w.m})
@@ -233,7 +242,7 @@ func (x *Exec) handleTaskDone(w *workerLink, t *core.Task, f *wire.Frame, errTex
 		x.statMu.Unlock()
 		return
 	}
-	x.taskFinished(t, pl, time.Duration(f.A), errText == "")
+	x.taskFinished(pl, time.Duration(f.A), errText == "")
 }
 
 // replyErr answers an RPC with err's text, or with result scalar a when err

@@ -30,10 +30,13 @@
 package live
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,6 +136,10 @@ type payload struct {
 	inline   bool
 	readyCh  chan struct{}
 	skipBody bool
+	// arrivals counts the two events a new task waits on before it may
+	// start: the engine found it ready, and its creator recorded its
+	// creation. The second to arrive acts (onReady).
+	arrivals atomic.Int32
 
 	// body is the closure retained coordinator-side (when the creator
 	// runs in the coordinator's process) so the task can be redispatched
@@ -143,7 +150,7 @@ type payload struct {
 	attempt int
 	// sent is the ownership handshake between dispatch() and the
 	// recovery sweep: true once the dispatch frame shipped, at which
-	// point orphan recovery (not the dispatch goroutine) owns failures.
+	// point orphan recovery (not the dispatch) owns failures.
 	// Guarded by x.mu.
 	sent bool
 }
@@ -256,6 +263,11 @@ type Exec struct {
 	// added under x.mu while !x.closing, and Run waits only after it has
 	// set closing, so every Add happens before the Wait.
 	bg sync.WaitGroup
+
+	// readied are the tasks onReady let go that no dispatchReadied has
+	// taken yet.
+	readyMu sync.Mutex
+	readied []*core.Task
 }
 
 // New returns a coordinator for the connected workers.
@@ -543,7 +555,7 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(rootT.ID), Dst: 0, Label: "main"})
 	x.runBody(tc, root)
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(rootT.ID), Dst: 0})
-	if err := x.eng.Complete(rootT); err != nil {
+	if err := x.complete(rootT); err != nil {
 		x.fail(err)
 	}
 	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(rootT.ID), Dst: 0})
@@ -603,10 +615,25 @@ func (x *Exec) ObjectValue(obj access.ObjectID) any {
 	return x.vals[obj]
 }
 
-// onReady fires when a task's declarations enable: inline tasks signal
-// their waiting creator, scheduled tasks are placed and dispatched.
+// goStarts counts the goroutines started on a task's behalf — a parked
+// dispatch, a recovery redispatch, a blocking request's handler, a worker's
+// task runner — beside each such go statement. Tests read it
+// (export_test.go): a dispatched task should cost none.
+var goStarts atomic.Int64
+
+// onReady is the join a new task waits on: it is called once when the
+// engine finds the task ready (the Ready hook) and once when its creator has
+// recorded its creation (createTask), and acts on the second call — an
+// inline child's waiting creator is released; a scheduled task is handed to
+// whoever made that call, which dispatches it as soon as its engine call has
+// returned (dispatchReadied). So each task's trace reads Created → Ready →
+// Assigned → Started, and a creator returning from eng.Create never finds
+// its child already dispatched.
 func (x *Exec) onReady(t *core.Task) {
 	pl := t.Payload.(*payload)
+	if pl.arrivals.Add(1) < 2 {
+		return
+	}
 	x.record(trace.Event{Kind: trace.TaskReady, Task: uint64(t.ID)})
 	if pl.inline {
 		close(pl.readyCh)
@@ -614,7 +641,51 @@ func (x *Exec) onReady(t *core.Task) {
 	}
 	x.register(t)
 	x.wg.Add(1)
-	go x.dispatch(t, pl)
+	x.readyMu.Lock()
+	x.readied = append(x.readied, t)
+	x.readyMu.Unlock()
+}
+
+// dispatchReadied dispatches the tasks onReady has let go, on the goroutine
+// whose engine call readied them, right after that call (along with any
+// another goroutine's call left meanwhile). Tasks readied together go in
+// program order, not in the order the engine's queues woke them, and a
+// creator (yield) yields once first, as the goroutine start this replaces
+// made it: without either, placement lands tasks away from their objects
+// more often (DESIGN.md §4.14). A receive loop does not yield — its
+// retirement has just freed the load it places on, and a yield there lets
+// the tcp writer flush each dispatch on its own.
+func (x *Exec) dispatchReadied(yield bool) {
+	var buf [8]*core.Task
+	x.readyMu.Lock()
+	ts := append(buf[:0], x.readied...)
+	x.readied = x.readied[:0]
+	x.readyMu.Unlock()
+	if len(ts) == 0 {
+		return
+	}
+	if yield {
+		runtime.Gosched()
+	}
+	slices.SortFunc(ts, func(a, b *core.Task) int { return cmp.Compare(a.ID, b.ID) })
+	for _, t := range ts {
+		x.dispatch(t, t.Payload.(*payload))
+	}
+}
+
+// complete retires t in the engine and dispatches the tasks that readied.
+func (x *Exec) complete(t *core.Task) error {
+	err := x.eng.Complete(t)
+	x.dispatchReadied(false)
+	return err
+}
+
+// retract withdraws t's rights on obj in the engine and dispatches the
+// tasks that readied.
+func (x *Exec) retract(t *core.Task, obj access.ObjectID, which access.Mode) error {
+	err := x.eng.Retract(t, obj, which)
+	x.dispatchReadied(false)
+	return err
 }
 
 // dispatchCarrier coalesces the dispatch control frame onto the task's
@@ -624,7 +695,7 @@ func (x *Exec) onReady(t *core.Task) {
 // control frame. Attach-once — the flag survives fetch retries inside
 // one placement attempt, so an epoch-parked re-stage never ships the
 // dispatch twice. Mutated under x.coh (pushes run inside the coherence
-// critical section); read by the owning dispatch goroutine afterwards.
+// critical section); read by its dispatch afterwards.
 type dispatchCarrier struct {
 	m        int    // the placed worker; only its pushes may carry
 	frame    []byte // encoded TDispatch
@@ -675,34 +746,32 @@ func (x *Exec) pregrantsLocked(t *core.Task, tail []byte) []byte {
 }
 
 // unmarshalDispatchPayload is the worker-side inverse: the pre-granted
-// modes, the write grants among them with their generations, and the tail.
-func unmarshalDispatchPayload(data []byte) (grants map[access.ObjectID]access.Mode, writes map[access.ObjectID]writeGrant, tail []byte, err error) {
+// modes, the write grants among them with their generations — each list in
+// payload order, which is object order — and the tail. The lists are
+// appended to grants[:0] and writes[:0], so a runner reuses their storage
+// from task to task.
+func unmarshalDispatchPayload(data []byte, grants []pregrant, writes []writeGrant) ([]pregrant, []writeGrant, []byte, error) {
+	grants, writes = grants[:0], writes[:0]
 	if len(data) == 0 {
-		return nil, nil, nil, nil
+		return grants, writes, nil, nil
 	}
 	if len(data) < 4 || uint64(binary.LittleEndian.Uint32(data)) > uint64(len(data))/wire.AccessRecLen {
 		return nil, nil, nil, fmt.Errorf("live: dispatch payload of %d bytes cannot hold the pre-grants it declares", len(data))
 	}
 	n := binary.LittleEndian.Uint32(data)
 	data = data[4:]
-	if n > 0 {
-		grants = make(map[access.ObjectID]access.Mode, n)
-	}
 	for i := uint32(0); i < n; i++ {
 		if len(data) < wire.AccessRecLen {
 			return nil, nil, nil, fmt.Errorf("live: dispatch payload ends inside pre-grant %d of %d", i+1, n)
 		}
 		obj, mode := wire.AccessRec(data)
 		data = data[wire.AccessRecLen:]
-		grants[access.ObjectID(obj)] = access.Mode(mode)
+		grants = append(grants, pregrant{obj: access.ObjectID(obj), mode: access.Mode(mode)})
 		if access.Mode(mode).Has(access.Write) {
 			if len(data) < 8 {
 				return nil, nil, nil, fmt.Errorf("live: dispatch payload ends inside the generation of pre-grant %d of %d", i+1, n)
 			}
-			if writes == nil {
-				writes = map[access.ObjectID]writeGrant{}
-			}
-			writes[access.ObjectID(obj)] = writeGrant{gen: binary.LittleEndian.Uint64(data)}
+			writes = append(writes, writeGrant{obj: access.ObjectID(obj), gen: binary.LittleEndian.Uint64(data)})
 			data = data[8:]
 		}
 	}
@@ -720,45 +789,57 @@ func unmarshalDispatchPayload(data []byte) (grants map[access.ObjectID]access.Mo
 // the worker mid-stage, and its first accesses must find a Running
 // task. When a worker dies under the dispatch, the pl.sent handshake
 // decides who re-places the task: the recovery sweep if it claimed the
-// orphan first, this goroutine otherwise (parking on the membership
-// epoch until the member set changes).
+// orphan first, this dispatch otherwise.
+//
+// dispatch runs on the goroutine that made t ready (dispatchReadied) and
+// waits for nothing there, so a receive loop that retires one task can send
+// the next. An attempt that must wait for the membership to change — no
+// live worker to place on, or an object still listed under a dead worker
+// the sweep has not reached — hands that wait, and the attempts after it,
+// to a goroutine of its own (dispatchParked), the way the recovery sweep
+// redispatches.
 func (x *Exec) dispatch(t *core.Task, pl *payload) {
-	for {
-		seen := x.epochNow()
-		// Locality snapshot for the placement tiebreak: how many of the
-		// task's declared objects each machine already holds. Gathered
-		// under coh before taking mu (lock order is coh → mu, never the
-		// reverse).
-		held := make([]int, x.machineCount()+1)
-		x.coh.Lock()
-		for _, d := range t.ImmediateDecls() {
-			if dir := x.dir.Entry(d.Object); dir != nil {
-				for _, c := range dir.Holders() {
-					if c < len(held) {
-						held[c]++
-					}
-				}
-			}
+	if p, park := x.dispatchStep(t, pl, parked{}); park {
+		goStarts.Add(1)
+		go x.dispatchParked(t, pl, p)
+	}
+}
+
+// parked is where a dispatch resumes once the membership epoch has moved
+// past seen: with a fresh placement when w is nil, else with another try at
+// staging on w, whose dispatch frame is df. placed is the epoch read before
+// the placement; a staging that loses w waits on that one.
+type parked struct {
+	seen, placed uint64
+	w            *workerLink
+	df           wire.Frame
+}
+
+// dispatchParked finishes a dispatch that has to wait for the membership to
+// change. A run that unwinds meanwhile abandons it.
+func (x *Exec) dispatchParked(t *core.Task, pl *payload, p parked) {
+	for park := true; park; {
+		if !x.awaitEpoch(p.seen) {
+			return
 		}
-		x.coh.Unlock()
-		x.mu.Lock()
-		w, err := x.place(pl, held)
-		if err == nil {
-			pl.machine = w.m
-			pl.sent = false
-			w.pendingTasks++
-			x.fleetCharge(w.m)
+		p, park = x.dispatchStep(t, pl, p)
+	}
+}
+
+// dispatchStep is one attempt at dispatch, waiting for nothing: park asks
+// the caller to wait for the epoch to pass next.seen and call again with
+// next.
+func (x *Exec) dispatchStep(t *core.Task, pl *payload, p parked) (next parked, park bool) {
+	if p.w == nil {
+		p.placed = x.epochNow()
+		w, err := x.placeTask(t, pl)
+		if errors.Is(err, errWorkerLost) {
+			// Every worker is momentarily gone (mid-recovery, or between a
+			// drain and a join). Wait for membership to change rather than
+			// declaring the program wrong.
+			return parked{seen: p.placed}, true
 		}
-		x.mu.Unlock()
 		if err != nil {
-			if errors.Is(err, errWorkerLost) {
-				// Every worker is momentarily gone (mid-recovery, or
-				// between a drain and a join). Wait for membership to
-				// change rather than declaring the program wrong.
-				if x.awaitEpoch(seen) {
-					continue
-				}
-			}
 			// No worker may legally run this task. Record the violation
 			// and run only the lifecycle so the program terminates (same
 			// policy as the simulated executor).
@@ -766,88 +847,143 @@ func (x *Exec) dispatch(t *core.Task, pl *payload) {
 			x.fail(err)
 			pl.skipBody = true
 			x.finishSkipped(t, pl)
-			return
+			return parked{}, false
 		}
-		x.record(trace.Event{Kind: trace.TaskAssigned, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-		// Start the task in the engine before staging: a coalesced
-		// dispatch reaches the worker with the first push, and the
-		// check-ins of the accesses it triggers must find a Running task.
-		if pl.attempt == 0 || t.State() != core.Running {
-			if err := x.eng.Start(t); err != nil {
-				x.fail(err)
-				x.taskFinished(t, pl, 0, false)
-				return
-			}
+		var ok bool
+		if p.df, ok = x.startOn(t, pl, w); !ok {
+			return parked{}, false
 		}
-		key := pl.bodyKey
-		if pl.attempt > 0 && pl.body != nil {
-			// Redispatch with a retained closure: the previous attempt
-			// may have consumed (or stranded) the table entry; park the
-			// closure under a fresh key.
-			if pl.bodyKey != 0 && pl.group == 0 {
-				x.bodies.drop(pl.bodyKey)
-			}
-			key = x.bodies.put(pl.body)
-			pl.bodyKey = key
-		}
-		if key != 0 && w.group != pl.group {
-			// The worker cannot reach the creator's closure table; it will
-			// construct the body from the kind. Release the coordinator-side
-			// table entry so it does not leak.
-			key = 0
-			if pl.group == 0 {
-				x.bodies.drop(pl.bodyKey)
-			}
-		}
-		df := &wire.Frame{
-			Type: wire.TDispatch, Task: uint64(t.ID), A: key,
-			Label: pl.opts.Label, Aux: pl.kind,
-		}
-		// Mark sent BEFORE staging: the dispatch may ride any push, so
-		// from here on the recovery sweep may claim the task if w dies;
-		// the mu-guarded mine-check below decides which side re-places
-		// it (never both).
-		x.mu.Lock()
-		pl.sent = true
-		x.mu.Unlock()
-		coalesced, ferr := x.stageDispatch(t, w, df, pl.kindArgs)
-		if ferr != nil {
-			x.mu.Lock()
-			mine := pl.sent && pl.machine == w.m
-			if mine {
-				pl.sent = false
-				pl.machine = -1
-				pl.attempt++
-				w.pendingTasks--
-				x.fleetUncharge(w.m)
-			}
-			x.mu.Unlock()
-			if !mine {
-				return // the recovery sweep claimed and redispatched it
-			}
-			if errors.Is(ferr, errWorkerLost) {
-				if x.awaitEpoch(seen) {
-					continue
-				}
-				return // run is unwinding
-			}
-			x.failFatal(ferr)
-			return
-		}
-		x.record(trace.Event{Kind: trace.TaskFetched, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-		// Started is recorded at dispatch: the span to TaskCompleted includes
-		// wire latency and worker-side queueing, which on a live network is
-		// real execution overhead rather than measurement error.
-		x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-		x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-		if coalesced {
-			x.statMu.Lock()
-			x.dstats.CoalescedDispatches++
-			x.statMu.Unlock()
-			x.record(trace.Event{Kind: trace.DispatchCoalesced, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
-		}
-		return
+		p.w = w
 	}
+	w := p.w
+	p.seen = x.epochNow()
+	car := dispatchCarrier{m: w.m}
+	x.coh.Lock()
+	ferr := x.stageDispatchLocked(t, &p.df, pl.kindArgs, &car)
+	x.coh.Unlock()
+	if errors.Is(ferr, errWorkerLost) {
+		if _, gone := x.workerTarget(w.m); gone == nil {
+			// An object t needs is still listed under a dead worker: the
+			// staging granted and sent nothing, and is tried again on w once
+			// the sweep has taken the object over.
+			return p, true
+		}
+	}
+	if ferr == nil && !car.attached {
+		// Nothing shipped to w during staging (its copies were all
+		// current): the dispatch crosses the wire on its own.
+		ferr = w.send(&p.df)
+	}
+	if ferr != nil {
+		x.mu.Lock()
+		mine := pl.sent && pl.machine == w.m
+		if mine {
+			pl.sent = false
+			pl.machine = -1
+			pl.attempt++
+			w.pendingTasks--
+			x.fleetUncharge(w.m)
+		}
+		x.mu.Unlock()
+		switch {
+		case !mine: // the recovery sweep claimed and redispatched it
+		case errors.Is(ferr, errWorkerLost):
+			return parked{seen: p.placed}, true
+		default:
+			x.failFatal(ferr)
+		}
+		return parked{}, false
+	}
+	x.record(trace.Event{Kind: trace.TaskFetched, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
+	// Started is recorded at dispatch: the span to TaskCompleted includes
+	// wire latency and worker-side queueing, which on a live network is
+	// real execution overhead rather than measurement error.
+	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
+	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
+	if car.attached {
+		x.statMu.Lock()
+		x.dstats.CoalescedDispatches++
+		x.statMu.Unlock()
+		x.record(trace.Event{Kind: trace.DispatchCoalesced, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
+	}
+	return parked{}, false
+}
+
+// placeTask picks t's worker and charges the task to it.
+func (x *Exec) placeTask(t *core.Task, pl *payload) (*workerLink, error) {
+	// Locality snapshot for the placement tiebreak: how many of the task's
+	// declared objects each machine already holds. Gathered under coh
+	// before taking mu (lock order is coh → mu, never the reverse).
+	held := make([]int, x.machineCount()+1)
+	x.coh.Lock()
+	for _, d := range t.ImmediateDecls() {
+		if dir := x.dir.Entry(d.Object); dir != nil {
+			for _, c := range dir.Holders() {
+				if c < len(held) {
+					held[c]++
+				}
+			}
+		}
+	}
+	x.coh.Unlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	w, err := x.place(pl, held)
+	if err == nil {
+		pl.machine = w.m
+		pl.sent = false
+		w.pendingTasks++
+		x.fleetCharge(w.m)
+	}
+	return w, err
+}
+
+// startOn starts t, placed on w, in the engine and builds its dispatch
+// frame, or retires the task and returns !ok when the engine refuses it.
+// The task is started before staging: a coalesced dispatch reaches the
+// worker with the first push, and the check-ins of the accesses it
+// triggers must find a Running task.
+func (x *Exec) startOn(t *core.Task, pl *payload, w *workerLink) (df wire.Frame, ok bool) {
+	x.record(trace.Event{Kind: trace.TaskAssigned, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
+	if pl.attempt == 0 || t.State() != core.Running {
+		if err := x.eng.Start(t); err != nil {
+			x.fail(err)
+			x.releaseTask(t, pl)
+			x.taskFinished(pl, 0, false)
+			return df, false
+		}
+	}
+	key := pl.bodyKey
+	if pl.attempt > 0 && pl.body != nil {
+		// Redispatch with a retained closure: the previous attempt
+		// may have consumed (or stranded) the table entry; park the
+		// closure under a fresh key.
+		if pl.bodyKey != 0 && pl.group == 0 {
+			x.bodies.drop(pl.bodyKey)
+		}
+		key = x.bodies.put(pl.body)
+		pl.bodyKey = key
+	}
+	if key != 0 && w.group != pl.group {
+		// The worker cannot reach the creator's closure table; it will
+		// construct the body from the kind. Release the coordinator-side
+		// table entry so it does not leak.
+		key = 0
+		if pl.group == 0 {
+			x.bodies.drop(pl.bodyKey)
+		}
+	}
+	// Mark sent BEFORE staging: the dispatch may ride any push, so from
+	// here on the recovery sweep may claim the task if w dies; the
+	// mu-guarded mine-check in dispatchStep decides which side re-places
+	// it (never both).
+	x.mu.Lock()
+	pl.sent = true
+	x.mu.Unlock()
+	return wire.Frame{
+		Type: wire.TDispatch, Task: uint64(t.ID), A: key,
+		Label: pl.opts.Label, Aux: pl.kind,
+	}, true
 }
 
 // finishSkipped runs the lifecycle of a task whose body may not execute
@@ -857,15 +993,21 @@ func (x *Exec) finishSkipped(t *core.Task, pl *payload) {
 		x.fail(err)
 	}
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID), Dst: 0})
-	if err := x.eng.Complete(t); err != nil {
+	x.releaseTask(t, pl)
+	if err := x.complete(t); err != nil {
 		x.fail(err)
 	}
 	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(t.ID), Dst: 0})
-	x.taskFinished(t, pl, 0, false)
+	x.taskFinished(pl, 0, false)
 }
 
-// taskFinished retires a dispatched task's accounting (exactly once).
-func (x *Exec) taskFinished(t *core.Task, pl *payload, busy time.Duration, ran bool) {
+// releaseTask gives back what a dispatched task holds in the coordinator's
+// books: its throttle count, its charge on the worker it was placed on
+// (completing that worker's drain when it was the last), its table entry.
+// A retirement releases before it completes the task in the engine: the
+// tasks that readies are placed right after, on the same goroutine, and must
+// see the worker's load without this task.
+func (x *Exec) releaseTask(t *core.Task, pl *payload) {
 	x.mu.Lock()
 	x.liveUser--
 	var drained *workerLink
@@ -886,6 +1028,11 @@ func (x *Exec) taskFinished(t *core.Task, pl *payload, busy time.Duration, ran b
 		// own receive loop, and the departure closes its connection.
 		go x.completeDrain(drained)
 	}
+}
+
+// taskFinished counts a released task's retirement and resolves its wg
+// entry (exactly once).
+func (x *Exec) taskFinished(pl *payload, busy time.Duration, ran bool) {
 	x.statMu.Lock()
 	if ran {
 		x.tasksRun++
@@ -1015,33 +1162,21 @@ func (x *Exec) stageLocked(t *core.Task, m int, car *dispatchCarrier) error {
 	return nil
 }
 
-// stageDispatch stages t's objects on the placed worker w and ships the
-// dispatch frame df — on the first push to w when there is one (coalesced),
-// on its own otherwise. The frame's payload is built inside the same
-// coherence critical section as the staging, because its pre-grant records
-// name the generations the staging's write grants start.
-func (x *Exec) stageDispatch(t *core.Task, w *workerLink, df *wire.Frame, kindArgs []byte) (coalesced bool, err error) {
-	var car *dispatchCarrier
-	err = x.retryOnLoss(w.m, func() error {
-		df.Payload = x.pregrantsLocked(t, kindArgs)
-		enc, err := wire.Encode(df)
-		if err != nil {
-			return fmt.Errorf("live: encode dispatch of task %d (%s): %w", t.ID, df.Label, err)
-		}
-		car = &dispatchCarrier{m: w.m, frame: enc}
-		return x.stageLocked(t, w.m, car)
-	})
+// stageDispatchLocked stages t's objects on the worker car names, with the
+// dispatch frame df riding the first push there when there is one. The
+// frame's payload is built inside the same coherence critical section as
+// the staging, because its pre-grant records name the generations the
+// staging's write grants start. An errWorkerLost means w is gone or an
+// object is still listed under a dead worker; either way nothing was
+// granted or sent. Requires x.coh.
+func (x *Exec) stageDispatchLocked(t *core.Task, df *wire.Frame, kindArgs []byte, car *dispatchCarrier) error {
+	df.Payload = x.pregrantsLocked(t, kindArgs)
+	enc, err := wire.Encode(df)
 	if err != nil {
-		return false, err
+		return fmt.Errorf("live: encode dispatch of task %d (%s): %w", t.ID, df.Label, err)
 	}
-	if !car.attached {
-		// Nothing shipped to w during staging (its copies were all
-		// current): the dispatch crosses the wire on its own.
-		if err := w.send(df); err != nil {
-			return false, err
-		}
-	}
-	return car.attached, nil
+	car.frame, car.attached = enc, false
+	return x.stageLocked(t, car.m, car)
 }
 
 // fetchToLocked implements the object-management protocol over the wire:

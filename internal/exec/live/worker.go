@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,9 +131,18 @@ type worker struct {
 	storeCond *sync.Cond // broadcast on every store insert and on fail
 	closed    bool       // set by fail; wakes awaitObject waiters
 
+	// queue holds the dispatches no runner has taken yet; free counts the
+	// runners holding none, running those holding a slot for a body, and
+	// parked says a free runner waits on work for the next dispatch. All
+	// under mu; work is broadcast on fail too.
+	queue         transport.FIFO[*wire.Frame]
+	free, running int
+	parked        bool
+	work          *sync.Cond
+
 	dead     chan struct{}
 	deadOnce sync.Once
-	wg       sync.WaitGroup // running task goroutines
+	wg       sync.WaitGroup // task runners
 }
 
 // Serve runs a worker on an established connection until the
@@ -171,6 +181,7 @@ func newWorker(conn transport.Conn, opts WorkerOptions) *worker {
 		w.slots = newChanPool(opts.Slots)
 	}
 	w.storeCond = sync.NewCond(&w.mu)
+	w.work = sync.NewCond(&w.mu)
 	return w
 }
 
@@ -226,6 +237,7 @@ func (w *worker) fail(err error) {
 	}
 	w.closed = true
 	w.storeCond.Broadcast()
+	w.work.Broadcast()
 	w.mu.Unlock()
 	w.deadOnce.Do(func() { close(w.dead) })
 }
@@ -277,8 +289,8 @@ func (w *worker) rpc(f *wire.Frame) (*wire.Frame, error) {
 }
 
 // loop is the worker's receive loop. Object traffic and replies are
-// handled inline (none of it blocks); dispatched task bodies run in
-// their own goroutines gated by the slot tokens.
+// handled inline (none of it blocks); dispatched task bodies are queued
+// for the runners, which the slot tokens gate.
 func (w *worker) loop() error {
 	for {
 		msg, err := w.conn.Recv()
@@ -300,8 +312,7 @@ func (w *worker) loop() error {
 		}
 		switch f.Type {
 		case wire.TDispatch:
-			w.wg.Add(1)
-			go w.runTask(f)
+			w.enqueue(f)
 		case wire.TObjImage:
 			err = w.applyPush(f, false)
 		case wire.TObjPatch:
@@ -335,8 +346,7 @@ func (w *worker) loop() error {
 			if derr != nil || df.Type != wire.TDispatch {
 				err = fmt.Errorf("live worker %d: coalesced dispatch on %s frame: %v", w.m, wire.TypeName(f.Type), derr)
 			} else {
-				w.wg.Add(1)
-				go w.runTask(df)
+				w.enqueue(df)
 			}
 		}
 		if err != nil {
@@ -430,17 +440,100 @@ func (w *worker) objectIDs() []access.ObjectID {
 	return ids
 }
 
-// runTask executes one dispatched task body in its own goroutine.
-func (w *worker) runTask(f *wire.Frame) {
-	defer w.wg.Done()
-	grants, writes, args, gerr := unmarshalDispatchPayload(f.Payload)
-	if gerr != nil {
-		w.send(&wire.Frame{Type: wire.TTaskFail, Task: f.Task,
-			Label: fmt.Sprintf("malformed dispatch payload: %v", gerr)})
+// enqueue hands a dispatch to the task runners.
+func (w *worker) enqueue(f *wire.Frame) {
+	w.mu.Lock()
+	w.queue.Push(f)
+	w.work.Signal()
+	w.spawnLocked()
+	w.mu.Unlock()
+}
+
+// spawnLocked starts a runner when a dispatch is queued that no runner will
+// take: none is free, and not all of the worker's slots are held by running
+// bodies — a body that ends takes the next dispatch itself, and one that
+// gives its slot up in rpcYield calls here. Requires w.mu.
+func (w *worker) spawnLocked() {
+	if w.queue.Len() == 0 || w.free > 0 || w.running >= w.opts.Slots {
 		return
 	}
-	wt := &watch{}
-	tc := &workerTC{w: w, task: f.Task, wt: wt, grants: grants, writes: writes}
+	w.free++
+	w.wg.Add(1)
+	goStarts.Add(1)
+	go w.runTasks()
+}
+
+// runTasks is one task runner, a goroutine that outlives the bodies it
+// runs: it takes the oldest queued dispatch, waits for a slot, runs the
+// body, gives the slot back — so a body returning from rpcYield competes
+// for it with the queued tasks, as it always has — sends the task's last
+// frame and goes round again. It is free from the end of one body until it
+// takes the next dispatch. With the queue empty, one free runner per worker
+// waits for the next dispatch and any other exits; the waiting one leaves
+// when the worker dies, which is how serve ends. A queued dispatch always
+// has a taker (spawnLocked): a free runner, or a running body that will end
+// or yield, so every slot a body frees can go to a queued task, as the slot
+// discipline requires (workerTC).
+func (w *worker) runTasks() {
+	defer w.wg.Done()
+	// One task context serves every task this runner runs, so the pre-grant
+	// lists and frame buffers in it are allocated once.
+	tc := &workerTC{w: w, wt: &watch{}}
+	for {
+		w.mu.Lock()
+		for w.queue.Len() == 0 {
+			if w.closed || w.parked {
+				w.free--
+				w.mu.Unlock()
+				return
+			}
+			w.parked = true
+			w.work.Wait()
+			w.parked = false
+		}
+		f := w.queue.Pop()
+		w.free--
+		w.spawnLocked()
+		w.mu.Unlock()
+		if !w.slots.acquire(w.dead) {
+			return
+		}
+		w.mu.Lock()
+		w.running++
+		w.mu.Unlock()
+		last, ok := tc.run(f)
+		if tc.wt.lost { // the slot went with the worker in an rpcYield
+			if ok {
+				tc.finish(&last)
+			}
+			return
+		}
+		w.mu.Lock()
+		w.running--
+		w.free++
+		w.mu.Unlock()
+		w.slots.release()
+		if ok {
+			tc.finish(&last)
+		}
+	}
+}
+
+// run sets tc up for the task dispatch f names and runs its body, with the
+// runner holding a slot. It returns the frame that ends the task, for
+// finish, or !ok when the dispatch was malformed and has been answered.
+func (tc *workerTC) run(f *wire.Frame) (last wire.Frame, ok bool) {
+	w := tc.w
+	grants, writes, args, err := unmarshalDispatchPayload(f.Payload, tc.grants, tc.writes)
+	if err != nil {
+		w.send(&wire.Frame{Type: wire.TTaskFail, Task: f.Task,
+			Label: fmt.Sprintf("malformed dispatch payload: %v", err)})
+		return last, false
+	}
+	tc.task, tc.grants, tc.writes, tc.spawned = f.Task, grants, writes, false
+	*tc.wt = watch{}
+	// Every pre-granted access checks in once, in the usual case.
+	tc.checkins = slices.Grow(tc.checkins[:0], len(grants)*wire.AccessRecLen)
 	var body func(rt.TC)
 	if f.A != 0 {
 		body, _ = w.opts.Bodies.take(f.A)
@@ -449,24 +542,16 @@ func (w *worker) runTask(f *wire.Frame) {
 		body, _ = w.opts.Kinds.resolve(f.Aux, args)
 	}
 	if body == nil {
-		tc.finish(&wire.Frame{Type: wire.TTaskFail,
-			Label: fmt.Sprintf("no body for key %d and no registered kind %q on this worker", f.A, f.Aux)})
-		return
+		return wire.Frame{Type: wire.TTaskFail,
+			Label: fmt.Sprintf("no body for key %d and no registered kind %q on this worker", f.A, f.Aux)}, true
 	}
-	if !w.slots.acquire(w.dead) {
-		return
-	}
-	wt.heldAt = time.Now()
-	err := w.runBody(tc, body)
-	wt.busy += time.Since(wt.heldAt)
-	if !wt.lost {
-		w.slots.release()
-	}
+	tc.wt.heldAt = time.Now()
+	err = w.runBody(tc, body)
+	tc.wt.busy += time.Since(tc.wt.heldAt)
 	if err != nil {
-		tc.finish(&wire.Frame{Type: wire.TTaskFail, Label: err.Error()})
-		return
+		return wire.Frame{Type: wire.TTaskFail, Label: err.Error()}, true
 	}
-	tc.finish(&wire.Frame{Type: wire.TTaskDone, A: uint64(wt.busy)})
+	return wire.Frame{Type: wire.TTaskDone, A: uint64(tc.wt.busy)}, true
 }
 
 // runBody executes a body, converting panics into task failure.
@@ -491,10 +576,17 @@ type watch struct {
 	lost bool
 }
 
+// pregrant is one access mode the dispatch granted ahead of time.
+type pregrant struct {
+	obj  access.ObjectID
+	mode access.Mode
+}
+
 // writeGrant is one write right a task holds: the generation the directory
 // started when it granted the write, and how many write views of the
 // object the task has open.
 type writeGrant struct {
+	obj   access.ObjectID
 	gen   uint64
 	views int
 }
@@ -504,27 +596,30 @@ type writeGrant struct {
 // coordinator's engine; blocking RPCs release the processor slot so other
 // tasks can run meanwhile — otherwise a worker whose only task is waiting
 // for an access grant could never run the earlier task that grant depends
-// on. Every frame about the task leaves through send or rpc.
+// on. Every frame about the task leaves through send or rpc. The lists
+// below are touched only by the task's own goroutine; a runner reuses their
+// storage for the next task, and an inline child borrows its creator's
+// check-in and write-back buffers.
 type workerTC struct {
 	w    *worker
 	task uint64
 	wt   *watch
 	// grants are the access modes pre-granted at dispatch time (the
-	// task's immediate non-commuting declarations): an Access within a
-	// grant cannot conflict engine-side, so it sends nothing.
-	// Touched only by the task's own goroutine.
-	grants map[access.ObjectID]access.Mode
+	// task's immediate non-commuting declarations), in object order: an
+	// Access within a grant cannot conflict engine-side, so it sends
+	// nothing. A released grant keeps its place with mode 0.
+	grants []pregrant
 	// checkins are the pre-granted accesses performed since the task's
 	// last frame, as wire access records in program order. They ride the
 	// next frame the task sends, whatever it is; the coordinator applies
 	// them before that frame, which is where frames of their own would
-	// have stood. Touched only by the task's own goroutine.
+	// have stood.
 	checkins []byte
 	// writes are the write grants the task holds and has not released,
-	// whether or not it has used them: the coordinator started a generation
-	// for each, and expects its bytes on the frame that gives the right up.
-	// Touched only by the task's own goroutine.
-	writes map[access.ObjectID]writeGrant
+	// whether or not it has used them, in the order they were granted: the
+	// coordinator started a generation for each, and expects its bytes on
+	// the frame that gives the right up.
+	writes []writeGrant
 	// writebacks are the wire write-back records of the rights the frame
 	// being built releases; they leave on it, ahead of its own effect.
 	writebacks []byte
@@ -560,12 +655,17 @@ func (tc *workerTC) carry(f *wire.Frame) *wire.Frame {
 // all the same (the coordinator counted a generation for it); its push
 // may still be in flight, hence the wait.
 func (tc *workerTC) writeBack(obj access.ObjectID) {
-	g, ok := tc.writes[obj]
-	if !ok {
-		return
+	if i := tc.writeIdx(obj); i >= 0 {
+		g := tc.writes[i]
+		tc.writes = slices.Delete(tc.writes, i, i+1)
+		tc.release(g)
 	}
-	delete(tc.writes, obj)
-	w := tc.w
+}
+
+// release appends the write-back record of grant g to the frame being
+// built.
+func (tc *workerTC) release(g writeGrant) {
+	w, obj := tc.w, g.obj
 	v, err := w.awaitObject(obj)
 	if err != nil {
 		return // the worker is dead; nothing it sends is read any more
@@ -580,7 +680,7 @@ func (tc *workerTC) writeBack(obj access.ObjectID) {
 		w.fail(fmt.Errorf("live worker %d: write-back of object #%d: %w", w.m, obj, err))
 		return
 	}
-	tc.writebacks = wire.AppendWriteback(tc.writebacks, wire.Writeback{
+	tc.writebacks = wire.AppendWriteback(slices.Grow(tc.writebacks, wire.WritebackLen(len(payload))), wire.Writeback{
 		Obj: uint64(obj), Gen: g.gen, Base: base.ver,
 		Order: byte(w.opts.Format), Patch: isPatch, Payload: payload,
 	})
@@ -590,12 +690,35 @@ func (tc *workerTC) writeBack(obj access.ObjectID) {
 }
 
 // finish sends the task's last frame, a completion or a failure, with
-// every write grant the task still holds written back on it.
+// every write grant the task still holds written back on it, in the order
+// they were granted.
 func (tc *workerTC) finish(f *wire.Frame) {
-	for obj := range tc.writes {
-		tc.writeBack(obj)
+	for _, g := range tc.writes {
+		tc.release(g)
 	}
+	tc.writes = tc.writes[:0]
 	tc.send(f)
+}
+
+// writeIdx is the index of the write grant on obj, or -1.
+func (tc *workerTC) writeIdx(obj access.ObjectID) int {
+	for i := range tc.writes {
+		if tc.writes[i].obj == obj {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropGrant withdraws the pre-grant on obj: a released or reshaped grant
+// never fast-paths again.
+func (tc *workerTC) dropGrant(obj access.ObjectID) {
+	for i := range tc.grants {
+		if tc.grants[i].obj == obj {
+			tc.grants[i].mode = 0
+			return
+		}
+	}
 }
 
 // send ships a fire-and-forget frame about this task.
@@ -609,12 +732,19 @@ func (tc *workerTC) rpc(f *wire.Frame) (*wire.Frame, error) { return tc.w.rpc(tc
 func (tc *workerTC) rpcYield(f *wire.Frame) (*wire.Frame, error) {
 	w := tc.w
 	tc.wt.busy += time.Since(tc.wt.heldAt)
+	w.mu.Lock()
+	w.running--
+	w.spawnLocked() // the slot may go to a queued task
+	w.mu.Unlock()
 	w.slots.release()
 	r, err := tc.rpc(f)
 	if !w.slots.acquire(w.dead) {
 		tc.wt.lost = true
 		return nil, w.failErr()
 	}
+	w.mu.Lock()
+	w.running++
+	w.mu.Unlock()
 	tc.wt.heldAt = time.Now()
 	return r, err
 }
@@ -626,8 +756,12 @@ func (tc *workerTC) canFastPath(obj access.ObjectID, m access.Mode) bool {
 	if tc.spawned || m == 0 || m&^access.ReadWrite != 0 {
 		return false
 	}
-	g, ok := tc.grants[obj]
-	return ok && g&m == m
+	for _, g := range tc.grants {
+		if g.obj == obj {
+			return g.mode&m == m
+		}
+	}
+	return false
 }
 
 // awaitObject waits for a copy of obj to land in the store. Presence is
@@ -659,9 +793,8 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 		// keeping its slot, since no local task can be what it is waiting
 		// for.
 		tc.checkins = wire.AppendAccessRec(tc.checkins, uint64(obj), byte(m))
-		if g, ok := tc.writes[obj]; ok && m.Has(access.Write) {
-			g.views++
-			tc.writes[obj] = g
+		if i := tc.writeIdx(obj); i >= 0 && m.Has(access.Write) {
+			tc.writes[i].views++
 		}
 		return tc.w.awaitObject(obj)
 	}
@@ -674,10 +807,12 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 	}
 	if m.HasAny(access.Write | access.Commute) {
 		// Every granted write starts a generation; the reply names it.
-		if tc.writes == nil {
-			tc.writes = map[access.ObjectID]writeGrant{}
+		if i := tc.writeIdx(obj); i >= 0 {
+			tc.writes[i].gen = r.A
+			tc.writes[i].views++
+		} else {
+			tc.writes = append(tc.writes, writeGrant{obj: obj, gen: r.A, views: 1})
 		}
-		tc.writes[obj] = writeGrant{gen: r.A, views: tc.writes[obj].views + 1}
 	}
 	tc.w.mu.Lock()
 	v, ok := tc.w.store[obj]
@@ -693,11 +828,9 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 // the task's last write view of obj releases the write: a commuting task
 // may take the object next, or a child this task creates.
 func (tc *workerTC) EndAccess(obj access.ObjectID, m access.Mode) {
-	delete(tc.grants, obj) // released grants never fast-path again
-	if g, ok := tc.writes[obj]; ok && m.HasAny(access.Write|access.Commute) {
-		if g.views--; g.views > 0 {
-			tc.writes[obj] = g
-		} else {
+	tc.dropGrant(obj)
+	if i := tc.writeIdx(obj); i >= 0 && m.HasAny(access.Write|access.Commute) {
+		if tc.writes[i].views--; tc.writes[i].views <= 0 {
 			tc.writeBack(obj)
 		}
 	}
@@ -706,14 +839,14 @@ func (tc *workerTC) EndAccess(obj access.ObjectID, m access.Mode) {
 
 // ClearAccess implements rt.TC.
 func (tc *workerTC) ClearAccess(obj access.ObjectID) {
-	delete(tc.grants, obj)
+	tc.dropGrant(obj)
 	tc.writeBack(obj)
 	tc.send(&wire.Frame{Type: wire.TClearAccess, Obj: uint64(obj)})
 }
 
 // Convert implements rt.TC.
 func (tc *workerTC) Convert(obj access.ObjectID, which access.Mode) error {
-	delete(tc.grants, obj) // the declaration changed shape: slow-path it
+	tc.dropGrant(obj) // the declaration changed shape: slow-path it
 	r, err := tc.rpcYield(&wire.Frame{Type: wire.TConvertReq, Obj: uint64(obj), A: uint64(which)})
 	if err != nil {
 		return err
@@ -726,7 +859,7 @@ func (tc *workerTC) Convert(obj access.ObjectID, which access.Mode) error {
 
 // Retract implements rt.TC (never blocks engine-side; keep the slot).
 func (tc *workerTC) Retract(obj access.ObjectID, which access.Mode) error {
-	delete(tc.grants, obj)
+	tc.dropGrant(obj)
 	if which.HasAny(access.Write) {
 		tc.writeBack(obj) // no_wr: the next task in the object's queue may start
 	}
@@ -786,8 +919,11 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 	}
 
 	// Inline: reclaim the body and run it here once the coordinator
-	// reports the child ready and its objects staged.
-	child := &workerTC{w: w, task: r.A, wt: tc.wt}
+	// reports the child ready and its objects staged. The create request
+	// carried this task's pending lists, so the child can fill their
+	// storage; it is handed back, grown or not, when the child is done.
+	child := &workerTC{w: w, task: r.A, wt: tc.wt, checkins: tc.checkins[:0], writebacks: tc.writebacks[:0]}
+	defer func() { tc.checkins, tc.writebacks = child.checkins[:0], child.writebacks[:0] }()
 	if key != 0 {
 		body, _ = w.opts.Bodies.take(key)
 	}
@@ -804,9 +940,10 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 		return errors.New(sr.Label)
 	}
 	// The start reply carries the child's pre-grants, as a dispatch would.
-	if child.grants, child.writes, _, err = unmarshalDispatchPayload(sr.Payload); err != nil {
+	if child.grants, child.writes, _, err = unmarshalDispatchPayload(sr.Payload, nil, nil); err != nil {
 		return fmt.Errorf("create %q: start reply: %w", opts.Label, err)
 	}
+	child.checkins = slices.Grow(child.checkins, len(child.grants)*wire.AccessRecLen)
 	if body == nil {
 		child.finish(&wire.Frame{Type: wire.TTaskFail,
 			Label: fmt.Sprintf("kind %q not registered on worker %d (inline execution)", opts.Kind, w.m)})

@@ -488,6 +488,55 @@ func TestUnusedAndWriteOnlyGrantsComeHome(t *testing.T) {
 	}
 }
 
+// TestWritebacksLeaveInGrantOrder: a completion writes back the rights its
+// task still holds in the order they were granted — the dispatch's
+// pre-grants in object order, then a write granted mid-body — whatever order
+// the task declared or used them in.
+func TestWritebacksLeaveInGrantOrder(t *testing.T) {
+	x, taps := newTappedFleet(t, 1, Options{})
+	var want []access.ObjectID
+	err := x.Run(func(tc rt.TC) {
+		ids := allocN(tc, 7)
+		late, pre := ids[0], ids[1:]
+		decls := []access.Decl{{Object: late, Mode: access.DeferredReadWrite}}
+		for _, k := range []int{3, 0, 5, 1, 4, 2} {
+			decls = append(decls, access.Decl{Object: pre[k], Mode: access.ReadWrite})
+		}
+		want = append(append(want, pre...), late)
+		mustCreate(tc, decls, rt.TaskOpts{Label: "writer"}, func(b rt.TC) {
+			for _, k := range []int{2, 5, 0} {
+				mustAccess(b, pre[k], access.ReadWrite)[0] += 10
+			}
+			if err := b.Convert(late, access.DeferredReadWrite); err != nil {
+				panic(err)
+			}
+			mustAccess(b, late, access.ReadWrite)[0] += 10
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done *wire.Frame
+	for _, f := range taps[0].taskFrames() {
+		if f.Type == wire.TTaskDone {
+			done = f
+		}
+	}
+	if done == nil {
+		t.Fatalf("the worker sent%s, want a completion", describe(taps[0].taskFrames()))
+	}
+	if got := writebacksOf(done); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the completion wrote back %v, want %v", got, want)
+	}
+	// allocN gave the i-th object the value i; the task added 10 to the
+	// ones it touched.
+	for i, add := range []int64{10, 10, 0, 10, 0, 0, 10} {
+		if got := x.ObjectValue(want[len(want)-1] + access.ObjectID(i)).([]int64)[0]; got != int64(i)+add {
+			t.Errorf("object %d holds %d after the run, want %d", i, got, int64(i)+add)
+		}
+	}
+}
+
 // runWriter runs one task that declares rd_wr on the first of two objects
 // the main program allocates (ids 1 and 2, holding 0 and 1), on a scripted
 // worker that answers the dispatch with whatever reply builds from the
@@ -505,11 +554,12 @@ func runWriter(t *testing.T, reply func(task, gen uint64) *wire.Frame) error {
 			return
 		}
 		first = f.Task
-		_, writes, _, err := unmarshalDispatchPayload(f.Payload)
-		if err != nil || len(writes) != 1 {
+		_, writes, _, err := unmarshalDispatchPayload(f.Payload, nil, nil)
+		if err != nil || len(writes) != 1 || writes[0].obj != 1 {
 			t.Errorf("dispatch payload: %v, write grants %v", err, writes)
+			return
 		}
-		send(reply(f.Task, writes[1].gen))
+		send(reply(f.Task, writes[0].gen))
 	})
 	return x.Run(func(tc rt.TC) {
 		obj := allocN(tc, 2)[0]

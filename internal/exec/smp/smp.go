@@ -264,6 +264,22 @@ type taskCtx struct {
 	x    *Exec
 	t    *core.Task
 	slot int
+	// woke is the task's one wake-up channel and wake the function the
+	// engine calls to signal it, both made at the task's first Access or
+	// Convert and reused by the rest. The engine keeps wake only from a
+	// call that returned ok=false, and the task then waits for exactly that
+	// one signal, so the channel never holds more than one.
+	woke chan struct{}
+	wake func()
+}
+
+// waker returns the task's wake function, making it on first use.
+func (tc *taskCtx) waker() func() {
+	if tc.wake == nil {
+		woke := make(chan struct{}, 1)
+		tc.woke, tc.wake = woke, func() { woke <- struct{}{} }
+	}
+	return tc.wake
 }
 
 // CoreTask implements rt.TC.
@@ -272,22 +288,22 @@ func (tc *taskCtx) CoreTask() *core.Task { return tc.t }
 // Machine implements rt.TC: the processor slot currently held.
 func (tc *taskCtx) Machine() int { return tc.slot }
 
-// yieldSlot releases the processor while blocked and reacquires one after.
-func (tc *taskCtx) yieldSlot(wait func()) {
+// yieldSlot releases the processor while the task waits for ch and
+// reacquires one after.
+func (tc *taskCtx) yieldSlot(ch <-chan struct{}) {
 	tc.x.putSlot(tc.slot)
-	wait()
+	<-ch
 	tc.slot = tc.x.takeSlot()
 }
 
 // Access implements rt.TC.
 func (tc *taskCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
-	ch := make(chan struct{})
-	ok, err := tc.x.eng.Access(tc.t, obj, m, func() { close(ch) })
+	ok, err := tc.x.eng.Access(tc.t, obj, m, tc.waker())
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		tc.yieldSlot(func() { <-ch })
+		tc.yieldSlot(tc.woke)
 	}
 	tc.x.mu.Lock()
 	v, exists := tc.x.store[obj]
@@ -310,13 +326,12 @@ func (tc *taskCtx) ClearAccess(obj access.ObjectID) {
 
 // Convert implements rt.TC.
 func (tc *taskCtx) Convert(obj access.ObjectID, which access.Mode) error {
-	ch := make(chan struct{})
-	ok, err := tc.x.eng.Convert(tc.t, obj, which, func() { close(ch) })
+	ok, err := tc.x.eng.Convert(tc.t, obj, which, tc.waker())
 	if err != nil {
 		return err
 	}
 	if !ok {
-		tc.yieldSlot(func() { <-ch })
+		tc.yieldSlot(tc.woke)
 	}
 	return nil
 }
@@ -363,7 +378,7 @@ func (tc *taskCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 	select {
 	case <-pl.readyCh:
 	default:
-		tc.yieldSlot(func() { <-pl.readyCh })
+		tc.yieldSlot(pl.readyCh)
 	}
 	if err := tc.x.eng.Start(t); err != nil {
 		tc.x.fail(err)

@@ -208,6 +208,10 @@ type Writeback struct {
 // scalars, the byte order, the patch flag and the payload length.
 const writebackHdrLen = 3*8 + 2 + 4
 
+// WritebackLen is the encoded size of a write-back record whose payload is
+// n bytes.
+func WritebackLen(n int) int { return writebackHdrLen + n }
+
 // AppendWriteback appends one write-back record to dst.
 func AppendWriteback(dst []byte, wb Writeback) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, wb.Obj)

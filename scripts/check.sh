@@ -12,8 +12,9 @@
 # which the race tier always runs at both one P and four (-cpu 1,4): the
 # engine's queue summary and entry tables are checked from every task of the
 # stress programs while the others run, and acks that ride data, check-ins
-# and write-backs that ride a task's frames take different paths when the
-# peer runs in parallel.
+# and write-backs that ride a task's frames, and dispatches made on the
+# goroutine that readied the task, take different paths when the peer runs
+# in parallel. The lock-discipline walks at the root run there too.
 # (One test stays on the inherited setting until ROADMAP item 1 closes its
 # defect: TestChaosMembershipStress — a task killed after its with-cont
 # cannot be re-executed, g.)
@@ -45,6 +46,9 @@ tier() {
 			./internal/transport/wire/... ./internal/transport/tcp/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
 		go test -race -count=2 -run TestChaosMembershipStress ./internal/exec/live
+		# ... and the walks that keep waits off the coherence lock and out of
+		# the receive loops (dispatch runs on them)
+		go test -race -count=2 -cpu 1,4 -run 'TestNoWaitUnderCoherenceLock|TestReceiveLoopsNeverWait' .
 		go test -race -count=2 -run 'Fault|L2|MT1|SV1' ./internal/experiments/...
 		;;
 	determinism) # simulated makespans, byte counts and traces repeat bit for bit
