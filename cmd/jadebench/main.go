@@ -8,14 +8,16 @@
 //	jadebench -quick           # reduced problem sizes (seconds, not minutes)
 //	jadebench -csv             # also print tables as CSV
 //
-// Observability exports (from the live executor's always-on event ring):
+// Observability exports (from a run's always-on event ring):
 //
-//	jadebench -exp l3 -trace-out t.json    # Perfetto trace of a live round
+//	jadebench -exp l1 -trace-out t.json    # Perfetto trace of L1's inproc round
 //	                                       # (open in https://ui.perfetto.dev)
-//	jadebench -exp sv1 -flame-out f.txt    # flamegraph collapsed stacks
+//	jadebench -exp f7 -trace-out f7.json   # the simulated Figure 7 run
+//	jadebench -exp l1 -flame-out f.txt     # flamegraph collapsed stacks
 //
-// It prints the paper's figures and tables; performance numbers that gate
-// a change come from the benchmark instead (bench/README.md).
+// It prints the paper's figures and tables, and no live run's output holds
+// a number derived from time: performance numbers come from the benchmark
+// instead (bench/README.md).
 //
 // Experiments (see DESIGN.md §3 and §4.10): run jadebench -list.
 package main
@@ -42,7 +44,7 @@ type options struct {
 	list, quick        bool
 	dot, csv           bool
 	narr, gantt        bool
-	chrome, waterSrc   string
+	waterSrc           string
 	profText           bool
 	traceOut, flameOut string
 	disabled           []jade.Feature // parsed -disable
@@ -68,11 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.csv, "csv", false, "also print tables as CSV")
 	fs.BoolVar(&o.narr, "narrative", false, "print the Figure 7 event narrative")
 	fs.BoolVar(&o.gantt, "gantt", false, "print a per-machine Gantt timeline for Figure 7")
-	fs.StringVar(&o.chrome, "chrome", "", "write the Figure 7 execution as Perfetto/Chrome trace JSON to this file")
 	fs.StringVar(&o.waterSrc, "watersrc", "internal/apps/water/water.go", "path to the water source for the T1 construct count")
 	fs.BoolVar(&o.profText, "profile", false, "print each S1 point's full profile (phases, utilization, critical path, hotspots)")
-	fs.StringVar(&o.traceOut, "trace-out", "", "with -exp l3 or sv1: write an instrumented live round as Perfetto trace JSON to this file")
-	fs.StringVar(&o.flameOut, "flame-out", "", "with -exp l3 or sv1: write an instrumented live round as flamegraph collapsed stacks to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "with -exp f7 or l1: write that run as Perfetto trace JSON to this file")
+	fs.StringVar(&o.flameOut, "flame-out", "", "with -exp f7 or l1: write that run as flamegraph collapsed stacks to this file")
 	disable := fs.String("disable", "", "comma-separated runtime features to turn off in S1 (prefetch,locality,delta)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -151,35 +152,27 @@ func catalog(o *options, stdout, stderr io.Writer) []experiment {
 			return nil
 		}
 	}
-	// exportRound runs one extra instrumented live round of an experiment
-	// and writes its -trace-out / -flame-out files. When several traced
-	// experiments are selected, the last one's files win.
-	exportRound := func(round func(traceW, flameW io.Writer) error) error {
-		var traceBuf, flameBuf bytes.Buffer
-		var traceW, flameW io.Writer // nil = not requested
-		if o.traceOut != "" {
-			traceW = &traceBuf
-		}
-		if o.flameOut != "" {
-			flameW = &flameBuf
-		}
-		if traceW == nil && flameW == nil {
-			return nil
-		}
-		if err := round(traceW, flameW); err != nil {
-			return err
-		}
-		if traceW != nil {
-			if err := os.WriteFile(o.traceOut, traceBuf.Bytes(), 0o644); err != nil {
+	// export writes a finished run's -trace-out / -flame-out files. When
+	// several exporting experiments are selected, the last one's files win.
+	export := func(r *jade.Runtime) error {
+		for _, out := range []struct {
+			path, what string
+			write      func(io.Writer) error
+		}{
+			{o.traceOut, "Perfetto trace", func(w io.Writer) error { return r.ExportTrace(w, jade.ObsOptions{}) }},
+			{o.flameOut, "flame stacks", r.ExportFlame},
+		} {
+			if out.path == "" {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := out.write(&buf); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote Perfetto trace to %s (open in https://ui.perfetto.dev)\n\n", o.traceOut)
-		}
-		if flameW != nil {
-			if err := os.WriteFile(o.flameOut, flameBuf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(out.path, buf.Bytes(), 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote flame stacks to %s\n\n", o.flameOut)
+			fmt.Fprintf(stdout, "wrote %s to %s\n\n", out.what, out.path)
 		}
 		return nil
 	}
@@ -226,13 +219,7 @@ func catalog(o *options, stdout, stderr io.Writer) []experiment {
 			if o.gantt {
 				fmt.Fprintln(stdout, res.Gantt)
 			}
-			if o.chrome != "" {
-				if err := os.WriteFile(o.chrome, res.Chrome, 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, "wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n\n", o.chrome)
-			}
-			return nil
+			return export(res.Run)
 		}},
 		{"f9", "Figure 9: Water running time vs machines", func() error {
 			if err := waterSweep(); err != nil {
@@ -309,45 +296,16 @@ func catalog(o *options, stdout, stderr io.Writer) []experiment {
 		{"g2", "commuting accumulation (Acc) semantics", tabled(experiments.G2Commute)},
 		{"g3", "granularity: Water task-count sweep", tabled(experiments.WaterGrainSweep)},
 		{"k1", "Barnes-Hut N-body on the simulated platforms", tabled(experiments.K1BarnesHut)},
-		{"l1", "live execution: Cholesky over in-process and TCP worker endpoints", tabled(func() (*experiments.Table, error) {
-			return experiments.L1Live(sized(16, 8), 4)
-		})},
+		{"l1", "live execution: Cholesky over in-process and TCP worker endpoints", func() error {
+			tb, r, err := experiments.L1Live(sized(16, 8), 4)
+			if err != nil {
+				return err
+			}
+			show(tb)
+			return export(r)
+		}},
 		{"l2", "elastic fault tolerance: live Cholesky with a mid-run kill + joins", tabled(func() (*experiments.Table, error) {
 			return experiments.L2Elastic(sized(16, 8), 3)
 		})},
-		{"l3", "live wire-path throughput: tasks/sec and frames/sec, best-of-N (§4.14)", func() error {
-			grid := sized(16, 12)
-			res, err := experiments.L3Throughput(grid, 4, sized(5, 3))
-			if err != nil {
-				return err
-			}
-			show(res.Table)
-			return exportRound(func(tw, fw io.Writer) error {
-				return experiments.L3Traced(grid, 4, tw, fw)
-			})
-		}},
-		{"mt1", "multi-tenant serving: 100+ mixed sessions over one shared fleet (§4.15)", func() error {
-			res, err := experiments.MT1Tenant(sized(100, 24), sized(4, 2), sized(16, 6))
-			if err != nil {
-				return err
-			}
-			show(res.Table)
-			return nil
-		}},
-		{"sv1", "serving latency: open-loop request-DAG stream, p50/p99 vs arrival rate (§4.16)", func() error {
-			requests, workers := sized(64, 16), sized(4, 3)
-			rates := []float64{100, 400, 1600}
-			if o.quick {
-				rates = []float64{400, 1600, 6400}
-			}
-			res, err := experiments.SV1Serving(requests, workers, rates)
-			if err != nil {
-				return err
-			}
-			show(res.Table)
-			return exportRound(func(tw, fw io.Writer) error {
-				return experiments.SV1Traced(requests, workers, rates[len(rates)-1], tw, fw)
-			})
-		}},
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,13 +11,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFig7ChromeValidates: the Figure 7 export goes through the one trace
-// exporter, so it must satisfy the same structural validator as every
-// other Perfetto artifact.
+// TestFig7ChromeValidates: -trace-out on f7 writes the Figure 7 run through
+// the one trace exporter, so it must satisfy the same structural validator
+// as every other Perfetto artifact.
 func TestFig7ChromeValidates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f7.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "f7", "-chrome", path}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-exp", "f7", "-trace-out", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	data, err := os.ReadFile(path)
@@ -62,6 +63,12 @@ func TestCatalogIsTheOnlyList(t *testing.T) {
 	stdout.Reset()
 	if code := run([]string{"-exp", "f4,nope"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown -exp id: exit %d, want 2", code)
+	}
+	// Live timings belong to bench/, so these ids must stay unknown.
+	for _, id := range []string{"l3", "mt1", "sv1"} {
+		if code := run([]string{"-exp", id}, io.Discard, io.Discard); code != 2 {
+			t.Errorf("-exp %s: exit %d, want 2 (unknown id)", id, code)
+		}
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("an unknown id must fail before anything runs; stdout:\n%s", stdout.String())

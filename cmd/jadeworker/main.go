@@ -21,7 +21,7 @@
 //
 // Capability tags (-caps) drive §4.5 placement: tasks created with
 // jade.TaskOptions.RequireCap schedule only onto workers advertising
-// the tag (the SV1 serving workload pins its camera ingest and display
+// the tag (the internal/apps/serve workload pins its camera ingest and display
 // egress stages this way). A coordinator or service started with
 // jade.ObsConfig exposes this daemon's observed behavior — slot
 // ledgers, dispatch flows, per-task-kind latency — on its /metrics and

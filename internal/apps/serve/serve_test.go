@@ -43,14 +43,21 @@ func TestServeSimulated(t *testing.T) {
 }
 
 // TestServeLive: the same program on the live executor with
-// capability-tagged workers — burst mode (Rate 0) and paced — stays
-// bit-identical and lands ingest/egress on the tagged workers, with
-// one latency sample per request.
+// capability-tagged workers — burst mode (Rate 0) and paced, over both
+// transports — stays bit-identical and lands ingest/egress on the tagged
+// workers, with one latency sample per request. Placement is asserted by
+// consistency: one camera worker takes every ingest, a different display
+// worker takes every egress, and neither is the untagged coordinator. On
+// tcp a worker's machine id depends on dial order, so only inproc also
+// pins the ids.
 func TestServeLive(t *testing.T) {
 	caps := [][]string{{jade.CapCamera}, {jade.CapDisplay}, {}}
-	for _, rate := range []float64{0, 2000} {
-		cfg := Config{Requests: 10, Rate: rate}
-		r, err := jade.NewLive(jade.LiveConfig{Workers: 3, WorkerCaps: caps})
+	for _, c := range []struct {
+		transport string
+		rate      float64
+	}{{"inproc", 0}, {"inproc", 2000}, {"tcp", 2000}} {
+		cfg := Config{Requests: 10, Rate: c.rate}
+		r, err := jade.NewLive(jade.LiveConfig{Workers: 3, Transport: c.transport, WorkerCaps: caps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,21 +66,26 @@ func TestServeLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(out.Digests, RunSerial(cfg)) {
-			t.Fatalf("rate %g: live digests differ from the serial oracle", rate)
+			t.Fatalf("%s rate %g: live digests differ from the serial oracle", c.transport, c.rate)
+		}
+		camAt, dispAt := out.IngestMachines[0], out.EgressMachines[0]
+		if camAt == 0 || dispAt == 0 || camAt == dispAt {
+			t.Fatalf("%s rate %g: bad placement: ingest on %d, egress on %d", c.transport, c.rate, camAt, dispAt)
+		}
+		if c.transport == "inproc" && (camAt != 1 || dispAt != 2) {
+			t.Fatalf("%s rate %g: ingest on %d, egress on %d, want 1 and 2", c.transport, c.rate, camAt, dispAt)
 		}
 		for i := range out.IngestMachines {
-			if out.IngestMachines[i] != 1 {
-				t.Fatalf("rate %g: ingest %d on machine %d, want 1", rate, i, out.IngestMachines[i])
-			}
-			if out.EgressMachines[i] != 2 {
-				t.Fatalf("rate %g: egress %d on machine %d, want 2", rate, i, out.EgressMachines[i])
+			if out.IngestMachines[i] != camAt || out.EgressMachines[i] != dispAt {
+				t.Fatalf("%s rate %g: request %d ingest on %d, egress on %d, want %d and %d",
+					c.transport, c.rate, i, out.IngestMachines[i], out.EgressMachines[i], camAt, dispAt)
 			}
 		}
 		if out.Latency.Count != 10 {
-			t.Fatalf("rate %g: %d latency samples, want 10", rate, out.Latency.Count)
+			t.Fatalf("%s rate %g: %d latency samples, want 10", c.transport, c.rate, out.Latency.Count)
 		}
 		if out.Latency.P50() <= 0 || out.Latency.P99() < out.Latency.P50() {
-			t.Fatalf("rate %g: broken quantiles: %v", rate, out.Latency)
+			t.Fatalf("%s rate %g: broken quantiles: %v", c.transport, c.rate, out.Latency)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/format"
-	"repro/internal/rt"
 )
 
 // newTask returns a declaration-free task of eng, completed when done.
@@ -237,101 +236,6 @@ func TestCommittedWriterAndRollback(t *testing.T) {
 	d.GrantWrite(e, 2, running)
 	if got := e.hist[len(e.hist)-1]; got.Version != 3 || got.Task != running {
 		t.Fatalf("re-executed writer recorded as %v, want generation 3", got)
-	}
-}
-
-// TestInputLogSharesOneClonePerGeneration: first encounter wins, tasks at
-// the same generation share one immutable clone, a new generation (or a
-// Forget after rollback) takes a new one, and fresh values are kept as is.
-func TestInputLogSharesOneClonePerGeneration(t *testing.T) {
-	l := NewInputLog()
-	live := []int64{1, 2, 3}
-	l.Log(10, 1, 0, live)
-	l.Log(11, 1, 0, live)
-	live[0] = 99 // the writer mutates its copy in place afterwards
-	a, b := l.Inputs(10)[1].([]int64), l.Inputs(11)[1].([]int64)
-	if &a[0] != &b[0] {
-		t.Fatal("two tasks at one generation got separate clones")
-	}
-	if a[0] != 1 {
-		t.Fatalf("logged value follows the live copy: %v", a)
-	}
-	l.Log(10, 1, 1, live) // not the first encounter: ignored
-	if got := l.Inputs(10)[1].([]int64); got[0] != 1 {
-		t.Fatalf("second encounter overwrote the log: %v", got)
-	}
-	l.Log(12, 1, 1, live)
-	if c := l.Inputs(12)[1].([]int64); &c[0] == &a[0] || c[0] != 99 {
-		t.Fatalf("generation 1 logged as %v sharing=%v, want a fresh clone of the new contents", c, &c[0] == &a[0])
-	}
-	l.Forget(1)
-	live[0] = 7
-	l.Log(13, 1, 1, live)
-	if c := l.Inputs(13)[1].([]int64); c[0] != 7 {
-		t.Fatalf("after Forget, generation 1 logged as %v, want the re-derived contents", c)
-	}
-	zero := make([]int64, 3)
-	l.LogFresh(14, 1, zero)
-	if z := l.Inputs(14)[1].([]int64); &z[0] != &zero[0] {
-		t.Fatal("LogFresh cloned a value it was handed")
-	}
-	if !l.Logged(14, 1) || l.Logged(14, 2) || l.Inputs(99) != nil {
-		t.Fatal("Logged/Inputs disagree with what was logged")
-	}
-}
-
-// TestReplay: the body runs against clones of the log, the structural
-// operations are refused with errors that say why, dynamic work reaches
-// the host's charge func, and a panic is an error.
-func TestReplay(t *testing.T) {
-	eng := core.New(core.Hooks{})
-	task := newTask(t, eng, true)
-	inputs := map[access.ObjectID]any{1: []int64{5}, 2: []int64{0}}
-
-	var charged float64
-	out, err := Replay(task, 3, inputs, func(tc rt.TC) {
-		if tc.CoreTask() != task || tc.Machine() != 3 {
-			t.Errorf("replay context reports task %v on machine %d", tc.CoreTask(), tc.Machine())
-		}
-		in, _ := tc.Access(1, access.Read)
-		dst, _ := tc.Access(2, access.ReadWrite)
-		dst.([]int64)[0] = in.([]int64)[0] * 2
-		tc.EndAccess(2, access.ReadWrite)
-		tc.Charge(1.5)
-		tc.Charge(0)
-	}, func(w float64) { charged += w }, 2)
-	if err != nil || out.([]int64)[0] != 10 {
-		t.Fatalf("replay = (%v, %v), want ([10], nil)", out, err)
-	}
-	if inputs[2].([]int64)[0] != 0 {
-		t.Fatal("replay mutated the log")
-	}
-	if charged != 1.5 {
-		t.Fatalf("charged %v work units, want 1.5", charged)
-	}
-
-	refused := func(name, want string, body func(rt.TC) error) {
-		t.Helper()
-		var got error
-		if _, err := Replay(task, 0, inputs, func(tc rt.TC) { got = body(tc) }, nil, 1); err != nil {
-			t.Fatalf("%s: replay itself failed: %v", name, err)
-		}
-		if got == nil || !strings.Contains(got.Error(), want) || !strings.Contains(got.Error(), fmt.Sprint(task.ID)) {
-			t.Fatalf("%s refused with %v, want an error naming task %d and %q", name, got, task.ID, want)
-		}
-	}
-	refused("Create", "creates child tasks", func(tc rt.TC) error { return tc.Create(nil, rt.TaskOpts{}, func(rt.TC) {}) })
-	refused("Alloc", "allocates objects", func(tc rt.TC) error { _, err := tc.Alloc([]int64{1}, "x"); return err })
-	refused("Access outside the log", "outside the logged input set", func(tc rt.TC) error { _, err := tc.Access(9, access.Read); return err })
-
-	if _, err := Replay(task, 0, inputs, func(rt.TC) { panic("boom") }, nil, 1); err == nil || !strings.Contains(err.Error(), "panicked: boom") {
-		t.Fatalf("panicking body: err = %v, want a panic turned into an error", err)
-	}
-	if _, err := Replay(task, 0, inputs, func(rt.TC) {}, nil, 9); err == nil || !strings.Contains(err.Error(), "no value for object #9") {
-		t.Fatalf("unlogged output: err = %v", err)
-	}
-	if _, err := Replay(task, 0, nil, func(rt.TC) {}, nil, 1); err == nil || !strings.Contains(err.Error(), "no input log") {
-		t.Fatalf("missing log: err = %v", err)
 	}
 }
 

@@ -2,11 +2,11 @@
 // and of its recovery extension, written once for both message-passing
 // executors: which machine owns the latest generation of each object and
 // which hold read copies of it, at which generation each machine's retained
-// stale copy froze, which task's write produced each generation, what every
-// task observed when it first fetched an object, how a committed task is
-// re-run against that log, and how a transfer is encoded — as a patch
-// against the receiver's stale copy when that is smaller, as a full image
-// otherwise, in the receiver's byte order either way.
+// stale copy froze, which task's write produced each generation, and how a
+// transfer is encoded — as a patch against the receiver's stale copy when
+// that is smaller, as a full image otherwise, in the receiver's byte order
+// either way. What only one host needs lives in that host: the simulated
+// executor's input log and task replay are in exec/dist.
 //
 // It is a pure data structure in the style of internal/core: no blocking,
 // no time, no locks. The host serialises calls (the simulated executor

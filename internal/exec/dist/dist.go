@@ -149,7 +149,7 @@ type Exec struct {
 	// (sender-based logging, homed at the creator's machine); a committed
 	// task can then be deterministically replayed to re-derive an object
 	// generation that existed only on a crashed machine.
-	inputs *coherence.InputLog
+	inputs *inputLog
 	fstats fault.Stats
 }
 
@@ -248,7 +248,7 @@ func New(opts Options) (*Exec, error) {
 		x.crashedAt = make([]sim.Time, n)
 		x.recovered = x.seng.NewCond()
 		x.liveTasks = map[*core.Task]*payload{}
-		x.inputs = coherence.NewInputLog()
+		x.inputs = newInputLog()
 	}
 	x.cpus = make([]*sim.Resource, n)
 	x.cpuAt = make([]sim.Time, n)

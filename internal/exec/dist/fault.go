@@ -107,9 +107,9 @@ func (x *Exec) logInput(t *core.Task, d *coherence.Entry, m int, zeroed bool) {
 		return
 	}
 	if zeroed {
-		x.inputs.LogFresh(t.ID, d.Object, format.ZeroLike(x.stores[m][d.Object]))
+		x.inputs.logFresh(t.ID, d.Object, format.ZeroLike(x.stores[m][d.Object]))
 	} else {
-		x.inputs.Log(t.ID, d.Object, d.Version, x.stores[m][d.Object])
+		x.inputs.log(t.ID, d.Object, d.Version, x.stores[m][d.Object])
 	}
 }
 
@@ -291,7 +291,7 @@ func (x *Exec) sweepDirectory(p *sim.Proc) {
 		// (the Alloc image) if no write ever committed.
 		writer, committedVer := x.dir.LastCommittedWriter(d, 0)
 		x.dir.Rollback(d, committedVer)
-		x.inputs.Forget(obj)
+		x.inputs.forget(obj)
 		// Invariant 2: a stale copy frozen at exactly the committed generation
 		// is the committed contents (it is the pre-invalidation value, and
 		// the directory recorded the generation it belonged to).
@@ -332,7 +332,7 @@ func (x *Exec) sweepDirectory(p *sim.Proc) {
 // it does not queue for the host's processor.
 func (x *Exec) replayTask(p *sim.Proc, w *core.Task, d *coherence.Entry) {
 	obj := d.Object
-	lg := x.inputs.Inputs(w.ID)
+	lg := x.inputs.inputs(w.ID)
 	pl, _ := w.Payload.(*payload)
 	if lg == nil || pl == nil {
 		x.fail(fmt.Errorf("dist: cannot reconstruct object #%d (%s): committed writer task %d left no input log", obj, d.Label, w.ID))
@@ -375,7 +375,7 @@ func (x *Exec) replayTask(p *sim.Proc, w *core.Task, d *coherence.Entry) {
 	}
 	// Dynamic work is billed at the host's speed until the host dies; the
 	// pass then unwinds at the checkpoint below, discarding the result.
-	out, err := coherence.Replay(w, r, lg, pl.body, func(work float64) {
+	out, err := replay(w, r, lg, pl.body, func(work float64) {
 		if !x.dead[r] {
 			p.Sleep(time.Duration(work / speed * 1e9))
 		}

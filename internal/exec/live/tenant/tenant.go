@@ -86,9 +86,6 @@ type Options struct {
 	MaxLiveTasks int
 	// Trace enables full event recording on every session.
 	Trace bool
-	// TraceRingSize overrides each session's always-on event ring
-	// capacity (0 = the executor default; ignored when Trace is on).
-	TraceRingSize int
 }
 
 // daemon is the service's handle on one worker machine.
@@ -346,7 +343,6 @@ func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile) (*Ses
 		Bodies:        s.bodies,
 		MaxLiveTasks:  s.opts.MaxLiveTasks,
 		Trace:         cfg.Trace || s.opts.Trace,
-		TraceRingSize: s.opts.TraceRingSize,
 		OnTaskDone:    cfg.OnTaskDone,
 		Fleet:         &fleetView{loads: s.loads, dmap: dmap},
 		FirstObjectID: sess.base,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -65,8 +64,8 @@ type Fig7Result struct {
 	Narrative []string
 	// Gantt is a per-machine text timeline.
 	Gantt string
-	// Chrome is the execution as Perfetto/Chrome trace JSON.
-	Chrome []byte
+	// Run is the finished simulated runtime, for trace export.
+	Run *jade.Runtime
 }
 
 // Fig7 reproduces the paper's Figure 7: the execution of the factorization
@@ -110,15 +109,11 @@ func Fig7() (*Fig7Result, error) {
 			lines = append(lines, ev.String())
 		}
 	}
-	var chrome bytes.Buffer
-	if err := r.ExportTrace(&chrome, jade.ObsOptions{}); err != nil {
-		return nil, err
-	}
 	return &Fig7Result{
 		Table:     tb,
 		Narrative: lines,
 		Gantt:     trace.Gantt(r.TraceLog()),
-		Chrome:    chrome.Bytes(),
+		Run:       r,
 	}, nil
 }
 

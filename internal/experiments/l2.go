@@ -31,7 +31,7 @@ func L2Elastic(grid, workers int) (*Table, error) {
 		ID: "L2",
 		Title: fmt.Sprintf("elastic fault tolerance: Cholesky %dx%d grid, %d workers, 1 killed + 2 joining",
 			grid, grid, workers),
-		Columns: []string{"transport", "wall time", "crashes", "tasks re-exec",
+		Columns: []string{"transport", "crashes", "tasks re-exec",
 			"objects rebuilt", "joined", "tasks run"},
 	}
 	for _, tr := range []string{"inproc", "tcp"} {
@@ -98,7 +98,7 @@ func L2Elastic(grid, workers int) (*Table, error) {
 		if f.TasksReplayed != 0 {
 			return nil, fmt.Errorf("L2 %s: %d tasks replayed; the coordinator's cache should have made that unnecessary", tr, f.TasksReplayed)
 		}
-		tb.AddRow(tr, rep.Makespan, f.CrashesDetected, f.TasksReexecuted,
+		tb.AddRow(tr, f.CrashesDetected, f.TasksReexecuted,
 			f.ObjectsRebuilt, f.WorkersJoined, rep.Tasks.Run)
 	}
 	tb.Notes = append(tb.Notes,

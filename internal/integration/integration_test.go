@@ -17,11 +17,12 @@ import (
 	"repro/jade"
 )
 
-// runtimesUnderTest builds one runtime per platform family.
-func runtimesUnderTest(t *testing.T) map[string]func() *jade.Runtime {
-	t.Helper()
-	sim := func(p jade.Platform) func() *jade.Runtime {
-		return func() *jade.Runtime {
+// runtimesUnderTest builds one runtime per platform family: the smp
+// executor, the simulated platforms, the live executor on both transports,
+// and a session of the multi-tenant service on the live fleet.
+func runtimesUnderTest() map[string]func(t *testing.T) *jade.Runtime {
+	sim := func(p jade.Platform) func(t *testing.T) *jade.Runtime {
+		return func(t *testing.T) *jade.Runtime {
 			r, err := jade.NewSimulated(jade.SimConfig{Platform: p})
 			if err != nil {
 				t.Fatal(err)
@@ -29,22 +30,75 @@ func runtimesUnderTest(t *testing.T) map[string]func() *jade.Runtime {
 			return r
 		}
 	}
-	return map[string]func() *jade.Runtime{
-		"smp-goroutines": func() *jade.Runtime { return jade.NewSMP(jade.SMPConfig{Procs: 4}) },
+	live := func(transport string) func(t *testing.T) *jade.Runtime {
+		return func(t *testing.T) *jade.Runtime {
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 3, Transport: transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
+	return map[string]func(t *testing.T) *jade.Runtime{
+		"smp-goroutines": func(*testing.T) *jade.Runtime { return jade.NewSMP(jade.SMPConfig{Procs: 4}) },
 		"dash-4":         sim(jade.DASH(4)),
 		"ipsc860-4":      sim(jade.IPSC860(4)),
 		"mica-3":         sim(jade.Mica(3)),
 		"workstations-4": sim(jade.Workstations(4)),
+		"live-inproc":    live("inproc"),
+		"live-tcp":       live("tcp"),
+		"service":        serviceSession,
 	}
+}
+
+// serviceSession opens one session on a fresh multi-tenant service whose
+// tenant holds one slot per worker. Cleanup closes both and checks what
+// admission and quotas promise: the session cap and every per-tenant slot
+// peak held, and every slot given back.
+func serviceSession(t *testing.T) *jade.Runtime {
+	const maxSessions = 1
+	svc, err := jade.NewService(jade.ServiceConfig{
+		Workers:     3,
+		WorkerSlots: 2,
+		MaxSessions: maxSessions,
+		Tenants:     []jade.TenantProfile{{Name: "tenant", SlotsPerWorker: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := svc.OpenSession("tenant")
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		s.Close()
+		rep := svc.Report()
+		svc.Close()
+		if rep.PeakActive > maxSessions || rep.SessionsClosed != rep.SessionsAdmitted {
+			t.Errorf("peak active %d (cap %d), %d admitted, %d closed", rep.PeakActive, maxSessions, rep.SessionsAdmitted, rep.SessionsClosed)
+		}
+		for _, w := range rep.Workers {
+			if w.Ledger.Violation != "" || w.Ledger.Held != 0 {
+				t.Errorf("worker %s: ledger violation %q, %d slots still held", w.Name, w.Ledger.Violation, w.Ledger.Held)
+			}
+			for ten, u := range w.Ledger.PerTenant {
+				if u.Cap > 0 && u.Peak > u.Cap {
+					t.Errorf("worker %s: tenant %s peaked at %d slots, cap %d", w.Name, ten, u.Peak, u.Cap)
+				}
+			}
+		}
+	})
+	return s.Runtime
 }
 
 func TestCholeskyEverywhere(t *testing.T) {
 	m := cholesky.Symbolic(cholesky.GridLaplacian(5))
 	want := m.Clone()
 	cholesky.FactorSerial(want)
-	for name, mk := range runtimesUnderTest(t) {
+	for name, mk := range runtimesUnderTest() {
 		t.Run(name, func(t *testing.T) {
-			r := mk()
+			r := mk(t)
 			var jm *cholesky.JadeMatrix
 			if err := r.Run(func(tk *jade.Task) {
 				jm = cholesky.ToJade(tk, m, 1e-6)
@@ -69,9 +123,9 @@ func TestSupernodalCholeskyEverywhere(t *testing.T) {
 	bounds := cholesky.Supernodes(m, 3)
 	want := m.Clone()
 	cholesky.FactorSerialSupernodal(want, bounds)
-	for name, mk := range runtimesUnderTest(t) {
+	for name, mk := range runtimesUnderTest() {
 		t.Run(name, func(t *testing.T) {
-			r := mk()
+			r := mk(t)
 			var js *cholesky.JadeSupernodal
 			if err := r.Run(func(tk *jade.Task) {
 				js = cholesky.ToJadeSupernodal(tk, m, bounds, 1e-6)
@@ -94,9 +148,9 @@ func TestSupernodalCholeskyEverywhere(t *testing.T) {
 func TestWaterEverywhere(t *testing.T) {
 	cfg := water.Config{N: 64, Steps: 2, Tasks: 4, Seed: 3}
 	want := water.RunSerial(cfg)
-	for name, mk := range runtimesUnderTest(t) {
+	for name, mk := range runtimesUnderTest() {
 		t.Run(name, func(t *testing.T) {
-			got, err := water.RunJade(mk(), cfg)
+			got, err := water.RunJade(mk(t), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +169,9 @@ func TestWaterEverywhere(t *testing.T) {
 func TestBarnesHutEverywhere(t *testing.T) {
 	cfg := barneshut.Config{N: 96, Steps: 1, Blocks: 4, Seed: 7}
 	want := barneshut.RunSerial(cfg)
-	for name, mk := range runtimesUnderTest(t) {
+	for name, mk := range runtimesUnderTest() {
 		t.Run(name, func(t *testing.T) {
-			got, err := barneshut.RunJade(mk(), cfg)
+			got, err := barneshut.RunJade(mk(t), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,10 +200,10 @@ func TestMakeEverywhere(t *testing.T) {
 	if _, err := pmake.BuildSerial(ref, mf, "p"); err != nil {
 		t.Fatal(err)
 	}
-	for name, mk := range runtimesUnderTest(t) {
+	for name, mk := range runtimesUnderTest() {
 		t.Run(name, func(t *testing.T) {
 			p := mkProject()
-			if _, err := pmake.BuildJade(mk(), p, mf, "p", 1e-6); err != nil {
+			if _, err := pmake.BuildJade(mk(t), p, mf, "p", 1e-6); err != nil {
 				t.Fatal(err)
 			}
 			for f, want := range ref.Files {

@@ -55,9 +55,6 @@ type ServiceConfig struct {
 	MaxLiveTasks int
 	// Trace records execution events on every session.
 	Trace bool
-	// TraceRingSize overrides each session's always-on event ring
-	// capacity (0 = the executor default; ignored when Trace is on).
-	TraceRingSize int
 	// Obs starts a live observability endpoint for the whole service
 	// (nil = none): /metrics serves fleet-level counters plus per-tenant
 	// latency, and every path accepts ?session=ID to scope to one
@@ -89,7 +86,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		DefaultSlotsPerWorker: cfg.DefaultSlotsPerWorker,
 		MaxLiveTasks:          cfg.MaxLiveTasks,
 		Trace:                 cfg.Trace,
-		TraceRingSize:         cfg.TraceRingSize,
 	})
 	if err != nil {
 		return nil, err

@@ -34,6 +34,8 @@ var forbidden = []struct {
 	{from: "internal/coherence", to: "internal/machine", why: "platforms belong to the simulated host"},
 	{from: "internal/coherence", to: "std:sync", why: "no locks: the host serialises calls"},
 	{from: "internal/coherence", to: "std:time", why: "no time: the host supplies the clock"},
+	{from: "internal/coherence", to: "internal/rt",
+		why: "it holds only what both hosts share: running a task body (exec/dist's replay) is one host's business"},
 	{from: "", to: "internal/coherence",
 		except: []string{"internal/coherence", "internal/exec/dist", "internal/exec/live"},
 		why:    "only the two message-passing executors host the coherence protocol"},
