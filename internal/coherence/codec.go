@@ -6,33 +6,37 @@ import (
 	"repro/internal/format"
 )
 
-// Pack encodes val for a transfer from a machine of byte order `from` to
-// one of byte order `to`. With a non-nil base — the receiver's stale copy,
-// or the sender's record of it — the payload is a patch of the words that
-// changed since base, unless the patch would be no smaller than the full
-// image or the object was reallocated with another shape; then, and with a
-// nil base, it is the full image. Either way the payload leaves in the
-// receiver's byte order; words is the number of elements that had to be
-// swapped to get it there (for a patch, the dirty words only).
-func Pack(base, val any, from, to format.ByteOrder) (payload []byte, isPatch bool, words int, err error) {
+// AppendPack appends to dst the payload that transfers val from a machine
+// of byte order `from` to one of byte order `to`. With a non-nil base —
+// the receiver's stale copy, or the sender's record of it — the payload is
+// a patch of the words that changed since base, unless the patch would be
+// no smaller than the full image or the object was reallocated with
+// another shape; then, and with a nil base, it is the full image. Either
+// way the payload is encoded once, straight into dst, in the receiver's
+// byte order; words is the number of elements swapped to get it there
+// (for a patch, the dirty words only). A dst with room for val's full
+// image (format.SizeOf) is never grown.
+func AppendPack(dst []byte, base, val any, from, to format.ByteOrder) (out []byte, isPatch bool, words int, err error) {
 	if base != nil {
-		payload, _, isPatch = format.Diff(base, val, from)
+		out, words, isPatch = format.AppendDiff(dst, base, val, to)
 	}
 	if !isPatch {
-		if payload, err = format.Encode(val, from); err != nil {
-			return nil, false, 0, fmt.Errorf("encode: %w", err)
+		if out, err = format.AppendEncode(dst, val, to); err != nil {
+			return dst, false, 0, fmt.Errorf("encode: %w", err)
 		}
+		words = format.Len(val)
 	}
-	if payload, words, err = reorder(payload, isPatch, from, to); err != nil {
-		return nil, false, 0, err
+	if from == to || format.KindOf(val) == format.KindBytes {
+		words = 0
 	}
-	return payload, isPatch, words, nil
+	return out, isPatch, words, nil
 }
 
-// Unpack decodes a Pack payload that arrived in byte order `order` on a
-// machine whose own order is native: a patch is applied to base (which is
-// not modified), an image is decoded on its own. words counts the elements
-// swapped when the sender could not convert for us (order != native).
+// Unpack decodes an AppendPack payload that arrived in byte order `order`
+// on a machine whose own order is native: a patch is applied to base
+// (which is not modified), an image is decoded on its own. words counts
+// the elements swapped when the sender could not convert for us
+// (order != native).
 func Unpack(base any, payload []byte, isPatch bool, order, native format.ByteOrder) (val any, words int, err error) {
 	if payload, words, err = reorder(payload, isPatch, order, native); err != nil {
 		return nil, 0, err

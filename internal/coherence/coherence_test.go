@@ -269,9 +269,18 @@ func TestPackUnpack(t *testing.T) {
 		for _, from := range orders {
 			for _, to := range orders {
 				name := fmt.Sprintf("%s/%v->%v", c.name, from, to)
-				payload, isPatch, words, err := Pack(c.base, c.val, from, to)
+				payload, isPatch, words, err := AppendPack(nil, c.base, c.val, from, to)
 				if err != nil {
-					t.Fatalf("%s: Pack: %v", name, err)
+					t.Fatalf("%s: AppendPack: %v", name, err)
+				}
+				// Encoding in the receiver's order is converting the
+				// sender's encoding: the same bytes, the same swap count.
+				raw, _, rawPatch := format.Diff(c.base, c.val, from)
+				if !rawPatch {
+					raw, _ = format.Encode(c.val, from)
+				}
+				if conv, cwords, err := reorder(raw, rawPatch, from, to); err != nil || !bytes.Equal(conv, payload) || cwords != words {
+					t.Fatalf("%s: payload differs from the sender's encoding converted (%d vs %d words, %v)", name, words, cwords, err)
 				}
 				if isPatch != c.wantPatch {
 					t.Fatalf("%s: isPatch = %v, want %v", name, isPatch, c.wantPatch)
@@ -295,9 +304,9 @@ func TestPackUnpack(t *testing.T) {
 					t.Fatalf("%s: round trip differs", name)
 				}
 				// Sender that could not convert (a pull reply): the receiver does.
-				raw, _, _, err := Pack(c.base, c.val, from, from)
+				raw, _, _, err = AppendPack(nil, c.base, c.val, from, from)
 				if err != nil {
-					t.Fatalf("%s: Pack in own order: %v", name, err)
+					t.Fatalf("%s: AppendPack in own order: %v", name, err)
 				}
 				got, rwords, err = Unpack(c.base, raw, isPatch, from, to)
 				if err != nil || rwords != words {
@@ -313,8 +322,18 @@ func TestPackUnpack(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, err := Pack(nil, struct{}{}, format.LittleEndian, format.LittleEndian); err == nil {
-		t.Fatal("Pack of an unencodable value succeeded")
+	if _, _, _, err := AppendPack(nil, nil, struct{}{}, format.LittleEndian, format.LittleEndian); err == nil {
+		t.Fatal("AppendPack of an unencodable value succeeded")
+	}
+	// Into a buffer with room for the full image, packing allocates nothing.
+	buf := make([]byte, 0, 64+format.SizeOf(big))
+	var val any = touched
+	for _, base := range []any{nil, big} {
+		if a := testing.AllocsPerRun(100, func() {
+			AppendPack(buf[:17], base, val, format.LittleEndian, format.LittleEndian)
+		}); a != 0 {
+			t.Errorf("AppendPack (base %T) into a buffer with room: %.1f allocs, want 0", base, a)
+		}
 	}
 	if _, _, err := Unpack(big, []byte{1, 2}, true, format.LittleEndian, format.LittleEndian); err == nil {
 		t.Fatal("Unpack of a truncated patch succeeded")

@@ -799,7 +799,7 @@ func (x *Exec) transfer(p *sim.Proc, t *core.Task, src, dst int, d *coherence.En
 	if !x.opts.NoDelta {
 		base = x.stale[dst][obj]
 	}
-	payload, isPatch, words, err := coherence.Pack(base, val, x.plat.Machines[src].Format, dstFmt)
+	payload, isPatch, words, err := coherence.AppendPack(nil, base, val, x.plat.Machines[src].Format, dstFmt)
 	if err != nil {
 		x.fail(fmt.Errorf("object #%d: %w", obj, err))
 		return nil

@@ -24,6 +24,12 @@
 //     wrote, so the coordinator's cache holds every committed generation
 //     and never has to ask a worker for bytes.
 //
+// One object transfer copies the object's bytes once per hop. The sender
+// encodes the image or patch once, straight into the frame (a push) or the
+// write-back record (a release); the receiver decodes it once. A worker's
+// sync base is the value it installed, shared with its store until a write
+// grant un-shares it, so a read-only grant costs no second copy.
+//
 // A task blocked in an RPC sends nothing else, so the per-connection
 // FIFO order of transport.Conn gives the same happens-before edges the
 // simulator got from virtual time.
@@ -453,14 +459,25 @@ func (x *Exec) countFrame(src, dst, bytes int) {
 func (w *workerLink) send(f *wire.Frame) error {
 	buf, err := wire.AppendFrame(transport.GetBuf(), f)
 	if err != nil {
-		err = fmt.Errorf("live: encode %s for worker %d (%s): %w", wire.TypeName(f.Type), w.m, w.name, err)
-		w.x.failFatal(err)
-		return err
+		return w.encodeFailed(f, err)
 	}
+	return w.ship(buf, f.Type)
+}
+
+// encodeFailed fails the run over a frame that could not be encoded.
+func (w *workerLink) encodeFailed(f *wire.Frame, err error) error {
+	err = fmt.Errorf("live: encode %s for worker %d (%s): %w", wire.TypeName(f.Type), w.m, w.name, err)
+	w.x.failFatal(err)
+	return err
+}
+
+// ship sends an encoded frame of type typ from a pooled buffer, as send
+// does.
+func (w *workerLink) ship(buf []byte, typ byte) error {
 	w.outMsgs.Add(1)
 	w.outBytes.Add(int64(len(buf)))
 	if err := transport.SendPooled(w.conn, buf); err != nil {
-		err = fmt.Errorf("live: send %s to worker %d (%s): %w", wire.TypeName(f.Type), w.m, w.name, err)
+		err = fmt.Errorf("live: send %s to worker %d (%s): %w", wire.TypeName(typ), w.m, w.name, err)
 		w.x.workerLost(w, err)
 		return fmt.Errorf("%w: %w", errWorkerLost, err)
 	}
@@ -1364,8 +1381,8 @@ func (x *Exec) noteConverted(obj access.ObjectID, src, dst, words int) {
 
 // pushLocked ships the current value of d to worker w — as a patch
 // against the image of the worker's stale copy when the codec finds the
-// diff worthwhile, as a full image otherwise. Requires x.coh with the
-// cache current.
+// diff worthwhile, as a full image otherwise — encoding it once, straight
+// into the frame buffer. Requires x.coh with the cache current.
 func (x *Exec) pushLocked(t *core.Task, d *coherence.Entry, w *workerLink, car *dispatchCarrier) error {
 	obj, m := d.Object, w.m
 	val := x.vals[obj]
@@ -1374,31 +1391,38 @@ func (x *Exec) pushLocked(t *core.Task, d *coherence.Entry, w *workerLink, car *
 		x.failFatal(err)
 		return err
 	}
-	payload, isPatch, words, err := coherence.Pack(x.stale[staleKey{m, obj}], val, x.opts.Format, w.fmt)
+	f := &wire.Frame{Type: wire.TObjImage, Obj: uint64(obj), A: x.cacheVer[obj], B: uint64(w.fmt)}
+	car.attachTo(f, m)
+	at := wire.PayloadAt(f)
+	buf := slices.Grow(transport.GetBuf(), at+format.SizeOf(val))[:at]
+	buf, isPatch, words, err := coherence.AppendPack(buf, x.stale[staleKey{m, obj}], val, x.opts.Format, w.fmt)
 	if err != nil {
+		transport.PutBuf(buf)
 		err = fmt.Errorf("live: push of object #%d: %w", obj, err)
 		x.failFatal(err)
 		return err
 	}
 	x.noteConverted(obj, 0, m, words)
-	f := &wire.Frame{Type: wire.TObjImage, Obj: uint64(obj),
-		A: x.cacheVer[obj], B: uint64(w.fmt), Payload: payload}
+	payload := len(buf) - at
 	label, saved := "object", 0
 	if isPatch {
 		f.Type = wire.TObjPatch
 		f.C, _ = d.ShadowGen(m)
-		label, saved = "object-delta", format.WireSize(val)-len(payload)
+		label, saved = "object-delta", format.WireSize(val)-payload
+	}
+	if err := wire.PutFrameHeader(buf, f); err != nil {
+		transport.PutBuf(buf)
+		return w.encodeFailed(f, err)
 	}
 	delete(x.stale, staleKey{m, obj})
-	car.attachTo(f, m)
-	if err := w.send(f); err != nil {
+	if err := w.ship(buf, f.Type); err != nil {
 		return err
 	}
-	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: len(payload), Label: label})
+	x.record(trace.Event{Kind: trace.MessageSent, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: payload, Label: label})
 	if isPatch {
-		x.record(trace.Event{Kind: trace.ObjectPatched, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: len(payload), Saved: saved})
+		x.record(trace.Event{Kind: trace.ObjectPatched, Task: uint64(t.ID), Object: uint64(obj), Src: 0, Dst: m, Bytes: payload, Saved: saved})
 	}
-	x.countTransfer(isPatch, len(payload), saved)
+	x.countTransfer(isPatch, payload, saved)
 	return nil
 }
 

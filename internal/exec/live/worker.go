@@ -110,6 +110,8 @@ func uniqueGroup() uint64 {
 // sides agree on: the diff base for patches in either direction. A push or
 // an invalidation sets it from the receive loop, a write-back from the
 // task that held the write — the only one that may touch the object then.
+// A base is never modified. It is the store's value itself until a write
+// grant needs that value: takeLocked then gives the base a copy to keep.
 type syncBase struct {
 	val any
 	ver uint64
@@ -349,6 +351,11 @@ func (w *worker) loop() error {
 				w.enqueue(df)
 			}
 		}
+		if len(f.Payload) > 0 && (f.Type == wire.TObjImage || f.Type == wire.TObjPatch) {
+			// The push is decoded into a value of its own: its buffer goes
+			// back to the send pool, to carry the next frame.
+			transport.PutBuf(msg)
+		}
 		if err != nil {
 			w.fail(err)
 			return err
@@ -385,7 +392,7 @@ func (w *worker) applyPush(f *wire.Frame, isPatch bool) error {
 	}
 	w.mu.Lock()
 	w.store[obj] = v
-	w.bases[obj] = syncBase{val: format.Clone(v), ver: f.A}
+	w.bases[obj] = syncBase{val: v, ver: f.A} // shared until a write grant (takeLocked)
 	w.storeCond.Broadcast()
 	w.mu.Unlock()
 	return nil
@@ -408,12 +415,13 @@ func (w *worker) applyZero(f *wire.Frame) error {
 }
 
 // applyInvalidate discards the copy but keeps it as the frozen sync
-// base, so a later re-grant can arrive as a patch.
+// base, so a later re-grant can arrive as a patch. Out of the store, no
+// grant can reach the value to write it, so it needs no copy.
 func (w *worker) applyInvalidate(f *wire.Frame) {
 	obj := access.ObjectID(f.Obj)
 	w.mu.Lock()
 	if v, ok := w.store[obj]; ok {
-		w.bases[obj] = syncBase{val: format.Clone(v), ver: f.A}
+		w.bases[obj] = syncBase{val: v, ver: f.A}
 		delete(w.store, obj)
 	}
 	w.mu.Unlock()
@@ -666,7 +674,7 @@ func (tc *workerTC) writeBack(obj access.ObjectID) {
 // built.
 func (tc *workerTC) release(g writeGrant) {
 	w, obj := tc.w, g.obj
-	v, err := w.awaitObject(obj)
+	v, err := w.awaitObject(obj, access.Read)
 	if err != nil {
 		return // the worker is dead; nothing it sends is read any more
 	}
@@ -674,18 +682,21 @@ func (tc *workerTC) release(g writeGrant) {
 	base := w.bases[obj]
 	w.mu.Unlock()
 	// The record leaves in this worker's own byte order; the coordinator
-	// converts.
-	payload, isPatch, _, err := coherence.Pack(base.val, v, w.opts.Format, w.opts.Format)
+	// converts. Its payload is encoded once, straight into the record.
+	at := len(tc.writebacks)
+	rec := slices.Grow(tc.writebacks, wire.WritebackLen(format.SizeOf(v)))[:at+wire.WritebackLen(0)]
+	rec, isPatch, _, err := coherence.AppendPack(rec, base.val, v, w.opts.Format, w.opts.Format)
 	if err != nil {
 		w.fail(fmt.Errorf("live worker %d: write-back of object #%d: %w", w.m, obj, err))
 		return
 	}
-	tc.writebacks = wire.AppendWriteback(slices.Grow(tc.writebacks, wire.WritebackLen(len(payload))), wire.Writeback{
-		Obj: uint64(obj), Gen: g.gen, Base: base.ver,
-		Order: byte(w.opts.Format), Patch: isPatch, Payload: payload,
-	})
+	wire.PutWritebackHeader(rec[at:], wire.Writeback{Obj: uint64(obj), Gen: g.gen, Base: base.ver,
+		Order: byte(w.opts.Format), Patch: isPatch})
+	tc.writebacks = rec
+	// The task's write ends here, so what it wrote becomes the base as it
+	// stands: the next write grant un-shares it (takeLocked).
 	w.mu.Lock()
-	w.bases[obj] = syncBase{val: format.Clone(v), ver: g.gen}
+	w.bases[obj] = syncBase{val: v, ver: g.gen}
 	w.mu.Unlock()
 }
 
@@ -764,14 +775,15 @@ func (tc *workerTC) canFastPath(obj access.ObjectID, m access.Mode) bool {
 	return false
 }
 
-// awaitObject waits for a copy of obj to land in the store. Presence is
-// currency: stale copies are always invalidated out of the store, so a
-// stored value is the one the coordinator granted.
-func (w *worker) awaitObject(obj access.ObjectID) (any, error) {
+// awaitObject waits for a copy of obj to land in the store and takes it
+// for an access in mode m (takeLocked). Presence is currency: stale copies
+// are always invalidated out of the store, so a stored value is the one
+// the coordinator granted.
+func (w *worker) awaitObject(obj access.ObjectID, m access.Mode) (any, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
-		if v, ok := w.store[obj]; ok {
+		if v, ok := w.takeLocked(obj, m); ok {
 			return v, nil
 		}
 		if w.closed {
@@ -782,6 +794,23 @@ func (w *worker) awaitObject(obj access.ObjectID) (any, error) {
 		}
 		w.storeCond.Wait()
 	}
+}
+
+// takeLocked returns the store's copy of obj for an access in mode m.
+// Every write grant un-shares: a push or a write-back leaves the stored
+// value shared with the sync base, which must never be modified, so a
+// write or commute access to a shared value first gives the base a copy of
+// its own. The store keeps the value, so views the task already holds see
+// what it writes. This is the one place a body gains write access to a
+// stored value. Requires w.mu.
+func (w *worker) takeLocked(obj access.ObjectID, m access.Mode) (any, bool) {
+	v, ok := w.store[obj]
+	if ok && m.HasAny(access.Write|access.Commute) {
+		if b, based := w.bases[obj]; based && format.Same(b.val, v) {
+			w.bases[obj] = syncBase{val: format.Clone(v), ver: b.ver}
+		}
+	}
+	return v, ok
 }
 
 // Access implements rt.TC.
@@ -796,7 +825,7 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 		if i := tc.writeIdx(obj); i >= 0 && m.Has(access.Write) {
 			tc.writes[i].views++
 		}
-		return tc.w.awaitObject(obj)
+		return tc.w.awaitObject(obj, m)
 	}
 	r, err := tc.rpcYield(&wire.Frame{Type: wire.TAccessReq, Obj: uint64(obj), A: uint64(m)})
 	if err != nil {
@@ -815,7 +844,7 @@ func (tc *workerTC) Access(obj access.ObjectID, m access.Mode) (any, error) {
 		}
 	}
 	tc.w.mu.Lock()
-	v, ok := tc.w.store[obj]
+	v, ok := tc.w.takeLocked(obj, m)
 	tc.w.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("live worker %d: access granted for object #%d but no copy arrived", tc.w.m, obj)
@@ -979,7 +1008,7 @@ func (tc *workerTC) Alloc(initial any, label string) (access.ObjectID, error) {
 	id := access.ObjectID(r.A)
 	w.mu.Lock()
 	w.store[id] = initial
-	w.bases[id] = syncBase{val: format.Clone(initial), ver: 0}
+	w.bases[id] = syncBase{val: initial, ver: 0} // shared until a write grant (takeLocked)
 	w.storeCond.Broadcast()
 	w.mu.Unlock()
 	return id, nil

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -656,3 +657,79 @@ func TestMalformedWritebacks(t *testing.T) {
 }
 
 var _ transport.Conn = (*sendTap)(nil)
+
+// TestSyncBaseNeverMutated: a worker's sync base is the stored value itself
+// until a write grant needs it, so the grant must un-share it. One worker
+// takes two write grants on the same object in a row — the second with no
+// push before it, the worker already holding the current copy — and writes
+// in place each time; a task between them reads the object there. After
+// each write-back the coordinator's cache holds what a serial run would,
+// which it could not if either write had reached the base the patch was
+// diffed against.
+func TestSyncBaseNeverMutated(t *testing.T) {
+	const n = 64
+	writes := []func(v []int64){
+		func(v []int64) { v[3] += 100 },
+		func(v []int64) { v[n-1] = v[3] * 2 },
+	}
+	serial := [][]int64{make([]int64, n)} // the object before, and after each write
+	for i := range serial[0] {
+		serial[0][i] = int64(i)
+	}
+	for _, w := range writes {
+		next := slices.Clone(serial[len(serial)-1])
+		w(next)
+		serial = append(serial, next)
+	}
+
+	var x *Exec
+	var obj access.ObjectID
+	var mu sync.Mutex
+	var cached [][]int64 // the cache's copy at each retirement
+	x, taps := newTappedFleet(t, 1, Options{OnTaskDone: func(int) {
+		x.coh.Lock()
+		v := slices.Clone(x.vals[obj].([]int64))
+		x.coh.Unlock()
+		mu.Lock()
+		cached = append(cached, v)
+		mu.Unlock()
+	}})
+	var read []int64
+	err := x.Run(func(tc rt.TC) {
+		var err error
+		if obj, err = tc.Alloc(slices.Clone(serial[0]), "o"); err != nil {
+			panic(err)
+		}
+		rw := []access.Decl{{Object: obj, Mode: access.ReadWrite}}
+		mustCreate(tc, rw, onMachine("first", 1), func(b rt.TC) { writes[0](mustAccess(b, obj, access.ReadWrite)) })
+		mustCreate(tc, []access.Decl{{Object: obj, Mode: access.Read}}, onMachine("reader", 1), func(b rt.TC) {
+			read = slices.Clone(mustAccess(b, obj, access.Read))
+		})
+		mustCreate(tc, rw, onMachine("second", 1), func(b rt.TC) { writes[1](mustAccess(b, obj, access.ReadWrite)) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushes := 0
+	for _, f := range taps[0].sent {
+		if (f.Type == wire.TObjImage || f.Type == wire.TObjPatch) && access.ObjectID(f.Obj) == obj {
+			pushes++
+		}
+	}
+	if pushes != 1 {
+		t.Fatalf("the coordinator pushed the object %d times, want once: the second write grant must find the worker's copy current", pushes)
+	}
+	if !slices.Equal(read, serial[1]) {
+		t.Errorf("the reader saw %v, want %v", read, serial[1])
+	}
+	want := [][]int64{serial[1], serial[1], serial[2]}
+	if len(cached) != len(want) {
+		t.Fatalf("%d retirements, want %d", len(cached), len(want))
+	}
+	for k := range want {
+		if !slices.Equal(cached[k], want[k]) {
+			t.Errorf("retirement %d: the cache holds elements 3 and %d at %d and %d, a serial run %d and %d",
+				k+1, n-1, cached[k][3], cached[k][n-1], want[k][3], want[k][n-1])
+		}
+	}
+}

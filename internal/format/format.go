@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // ByteOrder identifies a machine's data format.
@@ -163,6 +164,14 @@ func Clone(v any) any {
 	panic(fmt.Sprintf("format: cannot clone unsupported type %T", v))
 }
 
+// Same reports whether a and b are one value: slices of the same kind and
+// length over the same elements, so a write through either shows in both.
+// Empty values, having nothing to write, are never the same.
+func Same(a, b any) bool {
+	return Len(a) > 0 && KindOf(a) == KindOf(b) && Len(a) == Len(b) &&
+		reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
 // ZeroLike returns a zeroed value of the same kind and length as v. The
 // distributed executor uses it for write-only object migration: a task that
 // declared wr (without rd) gets ownership and a fresh buffer, and the stale
@@ -195,36 +204,48 @@ func Zero(k Kind, n int) any {
 
 // Encode produces the self-describing wire image of v in byte order ord.
 func Encode(v any, ord ByteOrder) ([]byte, error) {
+	return AppendEncode(make([]byte, 0, SizeOf(v)), v, ord)
+}
+
+// AppendEncode appends the wire image of v in byte order ord to dst, so a
+// sender can encode straight into the buffer the image leaves in. On error
+// dst is returned unchanged.
+func AppendEncode(dst []byte, v any, ord ByteOrder) ([]byte, error) {
 	k := KindOf(v)
 	if k == KindInvalid {
-		return nil, fmt.Errorf("format: unsupported type %T", v)
+		return dst, fmt.Errorf("format: unsupported type %T", v)
 	}
 	n := Len(v)
-	buf := make([]byte, headerSize, headerSize+n*k.elemSize())
-	buf[0] = byte(k)
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(n))
+	dst = append(dst, byte(k))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	return appendElems(dst, v, 0, n, ord), nil
+}
+
+// appendElems appends elements [lo, hi) of a supported value to dst in
+// byte order ord.
+func appendElems(dst []byte, v any, lo, hi int, ord ByteOrder) []byte {
 	bo := ord.appender()
 	switch x := v.(type) {
 	case []byte:
-		buf = append(buf, x...)
+		dst = append(dst, x[lo:hi]...)
 	case []int32:
-		for _, e := range x {
-			buf = bo.AppendUint32(buf, uint32(e))
+		for _, e := range x[lo:hi] {
+			dst = bo.AppendUint32(dst, uint32(e))
 		}
 	case []int64:
-		for _, e := range x {
-			buf = bo.AppendUint64(buf, uint64(e))
+		for _, e := range x[lo:hi] {
+			dst = bo.AppendUint64(dst, uint64(e))
 		}
 	case []float32:
-		for _, e := range x {
-			buf = bo.AppendUint32(buf, math.Float32bits(e))
+		for _, e := range x[lo:hi] {
+			dst = bo.AppendUint32(dst, math.Float32bits(e))
 		}
 	case []float64:
-		for _, e := range x {
-			buf = bo.AppendUint64(buf, math.Float64bits(e))
+		for _, e := range x[lo:hi] {
+			dst = bo.AppendUint64(dst, math.Float64bits(e))
 		}
 	}
-	return buf, nil
+	return dst
 }
 
 // Decode reconstructs the value from a wire image in byte order ord.

@@ -144,6 +144,23 @@ func TestCloneIsDeep(t *testing.T) {
 	Clone("nope")
 }
 
+// TestSame: one slice is the same as itself and as a reslice of its full
+// length, never as a copy, a shorter view, another kind, or an empty value.
+func TestSame(t *testing.T) {
+	v := []int32{1, 2, 3}
+	for _, c := range []struct {
+		a, b any
+		want bool
+	}{
+		{v, v, true}, {v, v[:3:3], true}, {v, Clone(v), false}, {v, v[:2], false},
+		{[]byte{1}, []int32{1}, false}, {v[:0], v[:0], false}, {"x", "x", false},
+	} {
+		if got := Same(c.a, c.b); got != c.want {
+			t.Errorf("Same(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestQuickFloat64RoundTripAcrossFormats(t *testing.T) {
 	f := func(raw []uint64) bool {
 		v := make([]float64, len(raw))

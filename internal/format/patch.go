@@ -45,79 +45,114 @@ func WireSize(v any) int { return headerSize + SizeOf(v) }
 // words, for charging conversion cost). Elements are compared by bit
 // pattern, so a float NaN is equal to itself and never re-sent.
 func Diff(old, new any, ord ByteOrder) (patch []byte, changed int, ok bool) {
-	k := KindOf(new)
-	if k == KindInvalid || KindOf(old) != k || Len(old) != Len(new) {
+	// Walk the runs once to size the patch, so it is allocated once.
+	size := 0
+	if _, ok = walkDiff(old, new, func(off, end, es int) { size += runHeaderSize + (end-off)*es }); !ok {
 		return nil, 0, false
 	}
-	oldImg, err := Encode(old, ord)
-	if err != nil {
-		return nil, 0, false
+	return AppendDiff(make([]byte, 0, patchHeaderSize+size), old, new, ord)
+}
+
+// AppendDiff appends Diff's patch to dst, comparing old and new in place:
+// only the dirty runs are encoded, straight into dst. When Diff would
+// refuse, dst is returned unchanged with ok=false, and at most the size of
+// the full image was written past its length on the way there.
+func AppendDiff(dst []byte, old, new any, ord ByteOrder) (patch []byte, changed int, ok bool) {
+	start := len(dst)
+	dst = append(dst, byte(KindOf(new)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(Len(new)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // run count, set below
+	runs, ok := walkDiff(old, new, func(off, end, _ int) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(off))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(end-off))
+		dst = appendElems(dst, new, off, end, ord)
+		changed += end - off
+	})
+	if !ok {
+		return dst[:start], 0, false
 	}
-	newImg, err := Encode(new, ord)
-	if err != nil {
-		return nil, 0, false
+	binary.LittleEndian.PutUint32(dst[start+5:], uint32(runs))
+	return dst, changed, true
+}
+
+// walkDiff calls run for each dirty run of old → new in order, as the
+// element range [off, end), with clean gaps of at most runGapMerge
+// elements folded into the run around them, and returns the number of
+// runs. It stops with ok=false when the values differ in kind or length,
+// or as soon as the patch would be no smaller than new's full image; run
+// is never called for the run that crosses that size.
+func walkDiff(old, new any, run func(off, end, es int)) (runs int, ok bool) {
+	k, n := KindOf(new), Len(new)
+	if k == KindInvalid || KindOf(old) != k || Len(old) != n {
+		return 0, false
 	}
-	n := Len(new)
 	es := k.elemSize()
-	op, np := oldImg[headerSize:], newImg[headerSize:]
-	differs := func(i int) bool {
-		base := i * es
-		for b := 0; b < es; b++ {
-			if op[base+b] != np[base+b] {
-				return true
+	gap, budget := runGapMerge(es), headerSize+n*es-patchHeaderSize
+	for end := 0; ; {
+		off := firstWhere(old, new, end, n, true)
+		if off == n {
+			return runs, budget > 0
+		}
+		// Extend the run over every clean gap short enough to fold.
+		for end = off; end < n; {
+			end = firstWhere(old, new, end, n, false)
+			lim := min(end+gap+1, n)
+			j := firstWhere(old, new, end, lim, true)
+			if j == lim {
+				break
+			}
+			end = j
+		}
+		if budget -= runHeaderSize + (end-off)*es; budget <= 0 {
+			return 0, false
+		}
+		run(off, end, es)
+		runs++
+	}
+}
+
+// firstWhere returns the first index in [i, hi) at which old and new (of
+// the same kind, at least hi long) differ by bit pattern when dirty is set,
+// or agree when it is not; hi if there is none.
+func firstWhere(old, new any, i, hi int, dirty bool) int {
+	switch b := new.(type) {
+	case []byte:
+		a := old.([]byte)
+		if dirty {
+			// Skip equal 8-byte words before looking at single bytes.
+			for ; i+8 <= hi && binary.LittleEndian.Uint64(a[i:]) == binary.LittleEndian.Uint64(b[i:]); i += 8 {
 			}
 		}
-		return false
-	}
-	// Collect dirty runs, folding clean gaps shorter than a run header.
-	type run struct{ off, cnt int }
-	var runs []run
-	gap := runGapMerge(es)
-	for i := 0; i < n; i++ {
-		if !differs(i) {
-			continue
+		for ; i < hi && (a[i] != b[i]) != dirty; i++ {
 		}
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			if i-(last.off+last.cnt) <= gap {
-				last.cnt = i - last.off + 1
-				continue
-			}
+	case []int32:
+		a := old.([]int32)
+		for ; i < hi && (a[i] != b[i]) != dirty; i++ {
 		}
-		runs = append(runs, run{off: i, cnt: 1})
+	case []int64:
+		a := old.([]int64)
+		for ; i < hi && (a[i] != b[i]) != dirty; i++ {
+		}
+	case []float32:
+		a := old.([]float32)
+		for ; i < hi && (math.Float32bits(a[i]) != math.Float32bits(b[i])) != dirty; i++ {
+		}
+	case []float64:
+		a := old.([]float64)
+		for ; i < hi && (math.Float64bits(a[i]) != math.Float64bits(b[i])) != dirty; i++ {
+		}
 	}
-	size := patchHeaderSize
-	for _, r := range runs {
-		size += runHeaderSize + r.cnt*es
-	}
-	if size >= len(newImg) {
-		return nil, 0, false
-	}
-	patch = make([]byte, 0, size)
-	patch = append(patch, byte(k))
-	patch = binary.LittleEndian.AppendUint32(patch, uint32(n))
-	patch = binary.LittleEndian.AppendUint32(patch, uint32(len(runs)))
-	for _, r := range runs {
-		patch = binary.LittleEndian.AppendUint32(patch, uint32(r.off))
-		patch = binary.LittleEndian.AppendUint32(patch, uint32(r.cnt))
-		patch = append(patch, np[r.off*es:(r.off+r.cnt)*es]...)
-		changed += r.cnt
-	}
-	return patch, changed, true
+	return i
 }
 
 // parsePatch validates a patch image and calls visit for each dirty run with
 // the element offset, element count, and raw payload bytes.
 func parsePatch(patch []byte, visit func(off, cnt int, payload []byte) error) (Kind, int, error) {
-	if len(patch) < patchHeaderSize {
-		return KindInvalid, 0, fmt.Errorf("format: truncated patch (%d bytes)", len(patch))
+	k, n, err := patchHeader(patch)
+	if err != nil {
+		return KindInvalid, 0, err
 	}
-	k := Kind(patch[0])
 	es := k.elemSize()
-	if es == 0 {
-		return KindInvalid, 0, fmt.Errorf("format: patch has invalid kind %d", patch[0])
-	}
-	n := int(binary.LittleEndian.Uint32(patch[1:5]))
 	runs := int(binary.LittleEndian.Uint32(patch[5:9]))
 	pos := patchHeaderSize
 	for r := 0; r < runs; r++ {
@@ -144,11 +179,30 @@ func parsePatch(patch []byte, visit func(off, cnt int, payload []byte) error) (K
 	return k, n, nil
 }
 
+// patchHeader reads the kind and element count a patch applies to.
+func patchHeader(patch []byte) (Kind, int, error) {
+	if len(patch) < patchHeaderSize {
+		return KindInvalid, 0, fmt.Errorf("format: truncated patch (%d bytes)", len(patch))
+	}
+	if k := Kind(patch[0]); k.elemSize() != 0 {
+		return k, int(binary.LittleEndian.Uint32(patch[1:5])), nil
+	}
+	return KindInvalid, 0, fmt.Errorf("format: patch has invalid kind %d", patch[0])
+}
+
 // ApplyPatch reconstructs the new value from a base (the receiver's stale
 // shadow copy) and a patch whose run payloads are in byte order ord. The
-// base is not modified; a fresh value is returned.
+// base is not modified; a fresh value is returned. The patch header is
+// checked against the base before the base is copied, so a patch for
+// another shape costs no copy.
 func ApplyPatch(base any, patch []byte, ord ByteOrder) (any, error) {
-	k := KindOf(base)
+	pk, n, err := patchHeader(patch)
+	if err != nil {
+		return nil, err
+	}
+	if k := KindOf(base); pk != k || n != Len(base) {
+		return nil, fmt.Errorf("format: patch %v[%d] does not match base %v[%d]", pk, n, k, Len(base))
+	}
 	out := Clone(base)
 	bo := ord.order()
 	apply := func(off, cnt int, payload []byte) error {
@@ -174,12 +228,8 @@ func ApplyPatch(base any, patch []byte, ord ByteOrder) (any, error) {
 		}
 		return nil
 	}
-	pk, n, err := parsePatch(patch, apply)
-	if err != nil {
+	if _, _, err := parsePatch(patch, apply); err != nil {
 		return nil, err
-	}
-	if pk != k || n != Len(base) {
-		return nil, fmt.Errorf("format: patch %v[%d] does not match base %v[%d]", pk, n, k, Len(base))
 	}
 	return out, nil
 }

@@ -1,7 +1,10 @@
 package format
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -209,5 +212,179 @@ func TestApplyPatchRejectsCorruptPatches(t *testing.T) {
 	bad[patchHeaderSize] = 200 // run offset beyond n
 	if _, err := ApplyPatch(base, bad, LittleEndian); err == nil {
 		t.Fatal("out-of-range run should error")
+	}
+	// A header whose kind disagrees with the base: another valid kind, and
+	// one no base can have.
+	for _, k := range []Kind{KindFloat64s, 0x7F} {
+		bad = append([]byte(nil), good...)
+		bad[0] = byte(k)
+		if _, err := ApplyPatch(base, bad, LittleEndian); err == nil {
+			t.Fatalf("patch of kind %v applied to an int64 base", k)
+		}
+	}
+	// A base that cannot be copied is refused before the copy is tried.
+	if _, err := ApplyPatch([]string{"a", "b", "c", "d"}, good, LittleEndian); err == nil {
+		t.Fatal("patch applied to an unsupported base")
+	}
+}
+
+// diffByImages is Diff as it was first written — encode both values in
+// full, compare the images byte by byte, gather the runs, then write the
+// patch — kept as the oracle the in-place Diff must match byte for byte.
+func diffByImages(old, new any, ord ByteOrder) (patch []byte, changed int, ok bool) {
+	k := KindOf(new)
+	if k == KindInvalid || KindOf(old) != k || Len(old) != Len(new) {
+		return nil, 0, false
+	}
+	oldImg, _ := Encode(old, ord)
+	newImg, _ := Encode(new, ord)
+	n, es := Len(new), k.elemSize()
+	op, np := oldImg[headerSize:], newImg[headerSize:]
+	differs := func(i int) bool { return !bytes.Equal(op[i*es:(i+1)*es], np[i*es:(i+1)*es]) }
+	type run struct{ off, cnt int }
+	var runs []run
+	for i := 0; i < n; i++ {
+		if !differs(i) {
+			continue
+		}
+		if len(runs) > 0 {
+			last := &runs[len(runs)-1]
+			if i-(last.off+last.cnt) <= runGapMerge(es) {
+				last.cnt = i - last.off + 1
+				continue
+			}
+		}
+		runs = append(runs, run{off: i, cnt: 1})
+	}
+	size := patchHeaderSize
+	for _, r := range runs {
+		size += runHeaderSize + r.cnt*es
+	}
+	if size >= len(newImg) {
+		return nil, 0, false
+	}
+	patch = append(patch, byte(k))
+	patch = binary.LittleEndian.AppendUint32(patch, uint32(n))
+	patch = binary.LittleEndian.AppendUint32(patch, uint32(len(runs)))
+	for _, r := range runs {
+		patch = binary.LittleEndian.AppendUint32(patch, uint32(r.off))
+		patch = binary.LittleEndian.AppendUint32(patch, uint32(r.cnt))
+		patch = append(patch, np[r.off*es:(r.off+r.cnt)*es]...)
+		changed += r.cnt
+	}
+	return patch, changed, true
+}
+
+// TestDiffPropertyMatchesImageCompare: the in-place Diff and AppendDiff
+// write the oracle's patch bytes, changed count and verdict, for every kind
+// and byte order, lengths 0–300, float bit patterns that == gets wrong (NaN,
+// −0), and dirty elements exactly at and one past the gap a run folds in.
+func TestDiffPropertyMatchesImageCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	// Bit patterns for the float kinds: two NaNs, both zeros, ordinary values.
+	f64 := []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001), 0, math.Copysign(0, -1), 1, -2.5}
+	f32 := []float32{float32(math.NaN()), math.Float32frombits(0x7fc0_0001), 0, float32(math.Copysign(0, -1)), 1, -2.5}
+	fill := func(k Kind, n int) any {
+		v := Zero(k, n)
+		for i := 0; i < n; i++ {
+			switch x := v.(type) {
+			case []byte:
+				x[i] = byte(rng.Intn(4))
+			case []int32:
+				x[i] = int32(rng.Intn(4))
+			case []int64:
+				x[i] = int64(rng.Intn(4))
+			case []float32:
+				x[i] = f32[rng.Intn(len(f32))]
+			case []float64:
+				x[i] = f64[rng.Intn(len(f64))]
+			}
+		}
+		return v
+	}
+	// dirty sets element i of v to a different bit pattern.
+	dirty := func(v any, i int) {
+		switch x := v.(type) {
+		case []byte:
+			x[i] ^= 0x80
+		case []int32:
+			x[i] ^= 1 << 30
+		case []int64:
+			x[i] ^= 1 << 62
+		case []float32:
+			x[i] = math.Float32frombits(math.Float32bits(x[i]) ^ 1<<31) // 0 ↔ −0, NaN ↔ −NaN
+		case []float64:
+			x[i] = math.Float64frombits(math.Float64bits(x[i]) ^ 1<<63)
+		}
+	}
+	kinds := []Kind{KindBytes, KindInt32s, KindInt64s, KindFloat32s, KindFloat64s}
+	cases := 0
+	for _, k := range kinds {
+		gap := runGapMerge(k.elemSize())
+		for n := 0; n <= 300; n++ {
+			for trial := 0; trial < 6; trial++ {
+				old := fill(k, n)
+				new := Clone(old)
+				switch {
+				case trial == 0: // identical
+				case trial == 1 && n > 0: // two dirty elements gap and gap+1 apart from a third
+					a := rng.Intn(n)
+					for _, i := range []int{a, a + 1 + gap, a + 1 + gap + 1 + gap + 1} {
+						if i < n {
+							dirty(new, i)
+						}
+					}
+				case trial == 2: // fresh values: mostly dirty, some agree by chance
+					new = fill(k, n)
+				default: // scattered, from sparse to dense
+					for d := rng.Intn(n/(trial*2)+1) + 1; d > 0 && n > 0; d-- {
+						dirty(new, rng.Intn(n))
+					}
+				}
+				for _, ord := range []ByteOrder{LittleEndian, BigEndian} {
+					cases++
+					wp, wc, wok := diffByImages(old, new, ord)
+					gp, gc, gok := Diff(old, new, ord)
+					if !bytes.Equal(gp, wp) || gc != wc || gok != wok {
+						t.Fatalf("%v[%d] trial %d %v: Diff = (%x, %d, %v), oracle (%x, %d, %v)", k, n, trial, ord, gp, gc, gok, wp, wc, wok)
+					}
+					prefix := []byte{0xAA, 0xBB}
+					ap, ac, aok := AppendDiff(prefix, old, new, ord)
+					if want := append(append([]byte(nil), prefix...), wp...); !bytes.Equal(ap, want) || ac != wc || aok != wok {
+						t.Fatalf("%v[%d] trial %d %v: AppendDiff = (%x, %d, %v), oracle (%x, %d, %v)", k, n, trial, ord, ap, ac, aok, want, wc, wok)
+					}
+				}
+			}
+		}
+	}
+	// Shape mismatches refuse, as the oracle does.
+	for _, c := range [][2]any{{[]int32{1}, []int64{1}}, {[]byte{1, 2}, []byte{1}}, {"x", "y"}} {
+		if _, _, ok := Diff(c[0], c[1], LittleEndian); ok {
+			t.Fatalf("Diff(%v, %v) accepted a shape mismatch", c[0], c[1])
+		}
+	}
+	t.Logf("%d cases", cases)
+}
+
+// TestDiffAllocs: Diff of a 4 KiB []byte with 1% of its bytes dirty makes
+// at most 2 allocations; into a buffer with room, AppendDiff makes none.
+func TestDiffAllocs(t *testing.T) {
+	old := make([]byte, 4096)
+	for i := range old {
+		old[i] = byte(i * 7)
+	}
+	new := Clone(old).([]byte)
+	for i := 0; i < len(new)/100; i++ {
+		new[(i*397+11)%len(new)]++
+	}
+	if _, _, ok := Diff(old, new, LittleEndian); !ok {
+		t.Fatal("Diff refused a 1% patch")
+	}
+	if a := testing.AllocsPerRun(100, func() { Diff(old, new, LittleEndian) }); a > 2 {
+		t.Errorf("Diff: %.1f allocs, want ≤ 2", a)
+	}
+	buf := make([]byte, 0, SizeOf(new))
+	if a := testing.AllocsPerRun(100, func() { AppendDiff(buf, old, new, LittleEndian) }); a != 0 {
+		t.Errorf("AppendDiff into a buffer with room: %.1f allocs, want 0", a)
 	}
 }

@@ -194,9 +194,9 @@ func AccessRec(data []byte) (obj uint64, mode byte) {
 
 // Writeback is one record of a frame's Writebacks section: the contents of
 // object Obj at generation Gen, the generation the directory started when
-// it granted the write. Payload is a coherence.Pack payload in byte order
-// Order: a patch against generation Base when Patch is set, a full image
-// otherwise.
+// it granted the write. Payload is a coherence.AppendPack payload in byte
+// order Order: a patch against generation Base when Patch is set, a full
+// image otherwise.
 type Writeback struct {
 	Obj, Gen, Base uint64
 	Order          byte
@@ -214,16 +214,27 @@ func WritebackLen(n int) int { return writebackHdrLen + n }
 
 // AppendWriteback appends one write-back record to dst.
 func AppendWriteback(dst []byte, wb Writeback) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, wb.Obj)
-	dst = binary.LittleEndian.AppendUint64(dst, wb.Gen)
-	dst = binary.LittleEndian.AppendUint64(dst, wb.Base)
-	patch := byte(0)
+	at := len(dst)
+	dst = append(dst, make([]byte, writebackHdrLen)...)
+	dst = append(dst, wb.Payload...)
+	PutWritebackHeader(dst[at:], wb)
+	return dst
+}
+
+// PutWritebackHeader writes the header of wb's record over the first
+// WritebackLen(0) bytes of rec and takes the rest of rec as the record's
+// payload; wb.Payload is not read. A sender that encodes the payload
+// itself reserves the header, appends the payload after it, then fills
+// the header in.
+func PutWritebackHeader(rec []byte, wb Writeback) {
+	binary.LittleEndian.PutUint64(rec, wb.Obj)
+	binary.LittleEndian.PutUint64(rec[8:], wb.Gen)
+	binary.LittleEndian.PutUint64(rec[16:], wb.Base)
+	rec[24], rec[25] = wb.Order, 0
 	if wb.Patch {
-		patch = 1
+		rec[25] = 1
 	}
-	dst = append(dst, wb.Order, patch)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(wb.Payload)))
-	return append(dst, wb.Payload...)
+	binary.LittleEndian.PutUint32(rec[26:], uint32(len(rec)-writebackHdrLen))
 }
 
 // NextWriteback decodes the record at the front of a Writebacks section and
@@ -283,12 +294,48 @@ const sessOffset = 3 + 6*8
 // A section longer than the 32-bit length prefix can carry returns
 // ErrTooLarge with dst unmodified.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	if err := checkSections(f, len(f.Payload)); err != nil {
+		return dst, err
+	}
+	return append(appendHeader(dst, f, len(f.Payload)), f.Payload...), nil
+}
+
+// PayloadAt is the offset of f's payload in its encoding. A sender that
+// encodes the payload itself reserves that much of its buffer, appends the
+// payload after it, and fills the reservation in with PutFrameHeader.
+func PayloadAt(f *Frame) int {
+	return headerLen + 5*4 + len(f.Label) + len(f.Aux) + len(f.Checkins) + len(f.Writebacks)
+}
+
+// PutFrameHeader writes f's encoding up to its payload over the first
+// PayloadAt(f) bytes of buf and takes the rest of buf as the payload, so
+// buf becomes the frame AppendFrame would build with that payload;
+// f.Payload is not read. It refuses as AppendFrame does, leaving buf as it
+// was.
+func PutFrameHeader(buf []byte, f *Frame) error {
+	n := len(buf) - PayloadAt(f)
+	if err := checkSections(f, n); err != nil {
+		return err
+	}
+	appendHeader(buf[:0], f, n)
+	return nil
+}
+
+// checkSections refuses a frame with a section, or a payload of n bytes,
+// longer than the 32-bit length prefix can carry.
+func checkSections(f *Frame, n int) error {
 	if uint64(len(f.Label)) > maxSection || uint64(len(f.Aux)) > maxSection ||
 		uint64(len(f.Checkins)) > maxSection || uint64(len(f.Writebacks)) > maxSection ||
-		uint64(len(f.Payload)) > maxSection {
-		return dst, fmt.Errorf("%w: label %d, aux %d, check-ins %d, write-backs %d, payload %d bytes (max %d)",
-			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Checkins), len(f.Writebacks), len(f.Payload), maxSection)
+		uint64(n) > maxSection {
+		return fmt.Errorf("%w: label %d, aux %d, check-ins %d, write-backs %d, payload %d bytes (max %d)",
+			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Checkins), len(f.Writebacks), n, maxSection)
 	}
+	return nil
+}
+
+// appendHeader appends f's encoding up to its payload, whose length it
+// records as n: PayloadAt(f) bytes.
+func appendHeader(dst []byte, f *Frame, n int) []byte {
 	buf := append(dst, magic, ProtoVersion, f.Type)
 	for _, v := range [...]uint64{f.Req, f.Task, f.Obj, f.A, f.B, f.C, f.Sess} {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
@@ -301,15 +348,13 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	buf = append(buf, f.Checkins...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Writebacks)))
 	buf = append(buf, f.Writebacks...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = append(buf, f.Payload...)
-	return buf, nil
+	return binary.LittleEndian.AppendUint32(buf, uint32(n))
 }
 
 // Encode serializes f into a fresh buffer. See AppendFrame for the layout
 // and the ErrTooLarge contract.
 func Encode(f *Frame) ([]byte, error) {
-	buf := make([]byte, 0, headerLen+20+len(f.Label)+len(f.Aux)+len(f.Checkins)+len(f.Writebacks)+len(f.Payload))
+	buf := make([]byte, 0, PayloadAt(f)+len(f.Payload))
 	return AppendFrame(buf, f)
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -245,6 +246,14 @@ func TestTooLarge(t *testing.T) {
 		if !errors.Is(err, ErrTooLarge) || len(out) != 3 {
 			t.Errorf("AppendFrame refusal: out len %d, err %v", len(out), err)
 		}
+		// So must PutFrameHeader, whatever the payload it was handed.
+		g := *f
+		g.Payload = nil
+		buf := append(make([]byte, PayloadAt(&g)), f.Payload...)
+		want := append([]byte(nil), buf...)
+		if err := PutFrameHeader(buf, &g); !errors.Is(err, ErrTooLarge) || !bytes.Equal(buf, want) {
+			t.Errorf("PutFrameHeader refusal: err %v, buffer changed %v", err, !bytes.Equal(buf, want))
+		}
 	}
 	if _, err := Encode(&Frame{Type: TObjImage, Payload: big[:16]}); err != nil {
 		t.Errorf("payload at the limit: %v", err)
@@ -263,6 +272,30 @@ func TestAppendFrame(t *testing.T) {
 		}
 		if want := mustEncode(t, f); !reflect.DeepEqual(buf, want) {
 			t.Errorf("%s: AppendFrame differs from Encode", TypeName(f.Type))
+		}
+	}
+}
+
+// TestPutHeaders: a frame or write-back record whose payload was appended
+// after a reserved header, the header filled in afterwards, is the one
+// AppendFrame or AppendWriteback builds.
+func TestPutHeaders(t *testing.T) {
+	for _, f := range sampleFrames() {
+		g := *f
+		g.Payload = nil
+		buf := append(make([]byte, PayloadAt(&g)), f.Payload...)
+		if err := PutFrameHeader(buf, &g); err != nil {
+			t.Fatalf("PutFrameHeader(%s): %v", TypeName(f.Type), err)
+		}
+		if want := mustEncode(t, f); !bytes.Equal(buf, want) {
+			t.Errorf("%s: PutFrameHeader differs from Encode", TypeName(f.Type))
+		}
+	}
+	for _, wb := range []Writeback{{Obj: 1, Gen: 2, Base: 3, Order: 1, Patch: true, Payload: []byte{4, 5}}, {Obj: 9}} {
+		rec := append(make([]byte, WritebackLen(0)), wb.Payload...)
+		PutWritebackHeader(rec, Writeback{Obj: wb.Obj, Gen: wb.Gen, Base: wb.Base, Order: wb.Order, Patch: wb.Patch})
+		if want := AppendWriteback(nil, wb); !bytes.Equal(rec, want) {
+			t.Errorf("%+v: PutWritebackHeader gives %x, AppendWriteback %x", wb, rec, want)
 		}
 	}
 }

@@ -53,7 +53,7 @@ tier() {
 		;;
 	determinism) # simulated makespans, byte counts and traces repeat bit for bit
 		go test -run 'Determin|Property' -count=2 ./internal/sim/... \
-			./internal/coherence/... ./internal/exec/dist/...
+			./internal/coherence/... ./internal/exec/dist/... ./internal/format/...
 		# ... and so does what a reader sees: two runs of the simulator-backed
 		# experiments print the same bytes, or a map-iteration order has
 		# leaked into a simulated run.
