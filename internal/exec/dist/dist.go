@@ -58,9 +58,6 @@ type Options struct {
 	NoDelta bool
 	// Trace enables event recording.
 	Trace bool
-	// TraceRingSize overrides the always-on event ring's capacity in
-	// events (0 = the executor default; ignored when Trace is on).
-	TraceRingSize int
 	// EventLimit bounds simulator events (0 = 50M) to catch runaways —
 	// in particular failure-recovery or retransmission loops that would
 	// otherwise spin forever in virtual time.
@@ -262,8 +259,6 @@ func New(opts Options) (*Exec, error) {
 	}
 	if opts.Trace {
 		x.log = trace.New()
-	} else if opts.TraceRingSize > 0 {
-		x.log = trace.NewRing(opts.TraceRingSize)
 	} else {
 		x.log = trace.NewRing(ringCap)
 	}

@@ -60,11 +60,11 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// ringCap bounds the always-on event stream when tracing is off. The
-// ring exists for crash forensics — only the recent window matters — so
-// it is kept small: the GC scans the whole ring (Events hold string
-// labels) on every cycle, and a large ring measurably taxes the
-// coordinator's issue rate.
+// ringCap bounds the always-on event stream when tracing is off. It is
+// smaller than smp's and dist's 2^16 for its bytes, not for the GC (the
+// ring holds no pointers): every live runtime, and every session of a
+// service, allocates its own ring up front, 224 KiB at this size and
+// 3.5 MiB at theirs.
 const ringCap = 1 << 12
 
 // Peer is one worker connection the coordinator will drive.
@@ -88,11 +88,6 @@ type Options struct {
 	Format format.ByteOrder
 	// Trace enables full event recording.
 	Trace bool
-	// TraceRingSize overrides the always-on event ring's capacity in
-	// events (0 = the default ringCap; ignored when Trace is on). Bigger
-	// rings widen the /trace and export window at a GC-scan cost — see
-	// the ringCap comment.
-	TraceRingSize int
 	// OnTaskDone, if set, is called synchronously each time a dispatched
 	// task retires, with the total retired so far. The chaos harness
 	// uses it to fire scripted kills, joins, and drains at deterministic
@@ -307,8 +302,6 @@ func New(opts Options) (*Exec, error) {
 	x.cond = sync.NewCond(&x.mu)
 	if opts.Trace {
 		x.log = trace.New()
-	} else if opts.TraceRingSize > 0 {
-		x.log = trace.NewRing(opts.TraceRingSize)
 	} else {
 		x.log = trace.NewRing(ringCap)
 	}

@@ -7,10 +7,13 @@ package trace
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -176,27 +179,64 @@ func (e Event) String() string {
 // A log built with NewRing keeps only the newest cap events: the executors
 // run one at all times (the always-on profiling stream), so its memory must
 // stay bounded no matter how long the program runs. Overwritten events are
-// counted in Dropped.
+// counted, and Snapshot reports the count.
+//
+// The log does not store Events. It stores records: the same fields with
+// the narrow ones narrowed and the label replaced by an index into a
+// per-log table holding each distinct label once. A record has no
+// pointers, so the GC never scans the ring, and Events decodes records
+// back into Events.
 type Log struct {
 	mu      sync.Mutex
-	events  []Event
+	recs    []record
 	cap     int    // 0 = unbounded
-	head    int    // ring start index (oldest event) once len(events) == cap
-	dropped uint64 // events overwritten in ring mode
+	head    int    // ring start index (oldest record) once len(recs) == cap
+	dropped uint64 // records overwritten in ring mode
+
+	// labels[i] is the label of records whose label field is i; labels[0]
+	// is "". index is an open-addressed hash set of the indices ≥ 1, at
+	// most half full, so a lookup is one hash and about one probe.
+	labels []string
+	index  []uint32
+	seed   maphash.Seed
+	// recent caches label indices by the address of the label's bytes.
+	// An executor passes the same label string with each of a task's
+	// events, so all but the first find it here without hashing.
+	recent [256]uint32
+}
+
+// record is one stored event: an Event without pointers, in 56 bytes
+// instead of 88 (TestRecordPointerFree pins both). Machine indices are
+// int32 and byte counts uint32, the wire's length limit; wider values
+// saturate.
+type record struct {
+	at                  time.Duration
+	task, other, object uint64
+	src, dst            int32
+	bytes, saved        uint32
+	label               uint32
+	kind                uint8
 }
 
 // New returns an empty unbounded log.
-func New() *Log { return &Log{} }
+func New() *Log {
+	return &Log{seed: maphash.MakeSeed(), labels: []string{""}, index: make([]uint32, minIndex)}
+}
+
+// minIndex is the label hash set's initial size.
+const minIndex = 16
 
 // NewRing returns a log bounded to the newest cap events (cap <= 0 falls
 // back to unbounded). The buffer is allocated up front: the ring is the
 // always-on profiling stream, and growing it incrementally under the
 // log mutex puts repeated large copies on every executor's hot path.
 func NewRing(cap int) *Log {
-	if cap <= 0 {
-		return New()
+	l := New()
+	if cap > 0 {
+		l.cap = cap
+		l.recs = make([]record, 0, cap)
 	}
-	return &Log{cap: cap, events: make([]Event, 0, cap)}
+	return l
 }
 
 // Add appends an event.
@@ -205,7 +245,16 @@ func (l *Log) Add(ev Event) {
 		return
 	}
 	l.mu.Lock()
-	l.addLocked(ev)
+	var label uint32
+	if ev.Label != "" {
+		label = l.internLocked(ev.Label)
+	}
+	r := l.nextLocked()
+	r.at, r.kind = ev.At, uint8(ev.Kind)
+	r.task, r.other, r.object = ev.Task, ev.Other, ev.Object
+	r.src, r.dst = narrowInt32(ev.Src), narrowInt32(ev.Dst)
+	r.bytes, r.saved = narrowUint32(ev.Bytes), narrowUint32(ev.Saved)
+	r.label = label
 	l.mu.Unlock()
 }
 
@@ -218,49 +267,159 @@ func (l *Log) AddDepends(at time.Duration, later *core.Task, deps []core.Dep) {
 	}
 	l.mu.Lock()
 	for _, d := range deps {
-		l.addLocked(Event{At: at, Kind: Depend, Task: uint64(d.Earlier.ID), Other: uint64(later.ID), Object: uint64(d.Object)})
+		*l.nextLocked() = record{at: at, kind: uint8(Depend), task: uint64(d.Earlier.ID), other: uint64(later.ID), object: uint64(d.Object)}
 	}
 	l.mu.Unlock()
 }
 
-func (l *Log) addLocked(ev Event) {
-	if l.cap > 0 && len(l.events) == l.cap {
-		l.events[l.head] = ev
+// nextLocked returns the slot for the next record, every field of which
+// the caller overwrites: a fresh one, or in a full ring the oldest.
+func (l *Log) nextLocked() *record {
+	if l.cap > 0 && len(l.recs) == l.cap {
+		r := &l.recs[l.head]
 		l.head++
 		if l.head == l.cap {
 			l.head = 0
 		}
 		l.dropped++
+		return r
+	}
+	l.recs = append(l.recs, record{})
+	return &l.recs[len(l.recs)-1]
+}
+
+// internLocked returns s's index in the label table, adding it if it is
+// new; s is not "". A ring's table is rebuilt from the retained records
+// before it passes twice the ring's capacity, so labels the ring no
+// longer holds do not accumulate.
+func (l *Log) internLocked(s string) uint32 {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	slot := (p>>4 ^ p>>12) % uintptr(len(l.recent))
+	if j := l.recent[slot]; l.labels[j] == s {
+		return j
+	}
+	h := maphash.String(l.seed, s)
+	mask := uint64(len(l.index) - 1)
+	for i := h & mask; l.index[i] != 0; i = (i + 1) & mask {
+		if j := l.index[i]; l.labels[j] == s {
+			l.recent[slot] = j
+			return j
+		}
+	}
+	if l.cap > 0 && len(l.labels) > 2*l.cap {
+		l.compactLabelsLocked()
+	}
+	j := uint32(len(l.labels))
+	if len(l.labels) == cap(l.labels) {
+		// Double, where append would grow a large slice by a quarter: a
+		// run's labels then cost twice their headers, not five times.
+		l.labels = append(make([]string, 0, 2*len(l.labels)), l.labels...)
+	}
+	l.labels = append(l.labels, s)
+	if 2*len(l.labels) > len(l.index) {
+		l.reindexLocked()
 	} else {
-		l.events = append(l.events, ev)
+		l.insertLocked(j, h)
+	}
+	l.recent[slot] = j
+	return j
+}
+
+// insertLocked puts label index j, whose label hashes to h, into the
+// first free slot of its probe sequence.
+func (l *Log) insertLocked(j uint32, h uint64) {
+	mask := uint64(len(l.index) - 1)
+	i := h & mask
+	for l.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	l.index[i] = j
+}
+
+// reindexLocked rebuilds the hash set at the smallest power-of-two size
+// that keeps it at most half full.
+func (l *Log) reindexLocked() {
+	n := minIndex
+	for n < 2*len(l.labels) {
+		n *= 2
+	}
+	l.index = make([]uint32, n)
+	for j := 1; j < len(l.labels); j++ {
+		l.insertLocked(uint32(j), maphash.String(l.seed, l.labels[j]))
 	}
 }
 
-// Dropped returns how many events a ring log has overwritten (0 for
-// unbounded logs). A nonzero count means derived profiles are partial.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
+// compactLabelsLocked keeps only the labels the retained records use,
+// renumbering the records to match.
+func (l *Log) compactLabelsLocked() {
+	old := l.labels
+	renum := make([]uint32, len(old))
+	l.labels = []string{""}
+	for i := range l.recs {
+		r := &l.recs[i]
+		if r.label == 0 {
+			continue
+		}
+		if renum[r.label] == 0 {
+			renum[r.label] = uint32(len(l.labels))
+			l.labels = append(l.labels, old[r.label])
+		}
+		r.label = renum[r.label]
+	}
+	l.recent = [len(l.recent)]uint32{}
+	l.reindexLocked()
+}
+
+func narrowInt32(v int) int32 {
+	return int32(max(math.MinInt32, min(v, math.MaxInt32)))
+}
+
+func narrowUint32(v int) uint32 {
+	if v < 0 {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
+	return uint32(min(uint64(v), math.MaxUint32))
+}
+
+// unpackLocked decodes r back into the Event it was packed from.
+func (l *Log) unpackLocked(r record) Event {
+	return Event{
+		At: r.at, Kind: Kind(r.kind),
+		Task: r.task, Other: r.other, Object: r.object,
+		Src: int(r.src), Dst: int(r.dst),
+		Bytes: int(r.bytes), Saved: int(r.saved),
+		Label: l.labels[r.label],
+	}
 }
 
 // Events returns a copy of all retained events in append order.
 func (l *Log) Events() []Event {
+	events, _ := l.Snapshot()
+	return events
+}
+
+// Snapshot returns the retained events in append order together with how
+// many events a ring log overwrote before the first of them (0 for
+// unbounded logs; nonzero means derived profiles are partial). Both are
+// read under one acquisition of the lock, so a snapshot taken while the
+// log is being written never pairs a window with a later drop count.
+func (l *Log) Snapshot() (events []Event, dropped uint64) {
 	if l == nil {
-		return nil
+		return nil, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.head == 0 {
-		return append([]Event(nil), l.events...)
+	if len(l.recs) == 0 {
+		return nil, l.dropped
 	}
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.head:]...)
-	out = append(out, l.events[:l.head]...)
-	return out
+	events = make([]Event, 0, len(l.recs))
+	for _, r := range l.recs[l.head:] {
+		events = append(events, l.unpackLocked(r))
+	}
+	for _, r := range l.recs[:l.head] {
+		events = append(events, l.unpackLocked(r))
+	}
+	return events, l.dropped
 }
 
 // Filter returns the events of one kind, in order.
@@ -281,7 +440,7 @@ func (l *Log) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return len(l.recs)
 }
 
 // Summary aggregates a log into the counters the benchmark tables report.

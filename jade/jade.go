@@ -188,18 +188,14 @@ type SMPConfig struct {
 	MaxLiveTasks int
 	// Trace records execution events (small overhead).
 	Trace bool
-	// TraceRingSize overrides the always-on event ring's capacity in
-	// events (0 = the executor default; ignored when Trace is on).
-	TraceRingSize int
 }
 
 // NewSMP returns a runtime executing on real goroutine parallelism.
 func NewSMP(cfg SMPConfig) *Runtime {
 	return &Runtime{ex: smp.New(smp.Options{
-		Procs:         cfg.Procs,
-		MaxLiveTasks:  cfg.MaxLiveTasks,
-		Trace:         cfg.Trace,
-		TraceRingSize: cfg.TraceRingSize,
+		Procs:        cfg.Procs,
+		MaxLiveTasks: cfg.MaxLiveTasks,
+		Trace:        cfg.Trace,
 	}), traced: cfg.Trace}
 }
 
@@ -214,9 +210,6 @@ type SimConfig struct {
 	Disable []Feature
 	// Trace records execution events.
 	Trace bool
-	// TraceRingSize overrides the always-on event ring's capacity in
-	// events (0 = the executor default; ignored when Trace is on).
-	TraceRingSize int
 	// Fault injects machine crashes, message loss/duplication and link
 	// partitions (nil = fault-free). The runtime detects and recovers them;
 	// the program's results are unchanged.
@@ -227,11 +220,10 @@ type SimConfig struct {
 // deterministic virtual time.
 func NewSimulated(cfg SimConfig) (*Runtime, error) {
 	opts := dist.Options{
-		Platform:      cfg.Platform,
-		MaxLiveTasks:  cfg.MaxLiveTasks,
-		Trace:         cfg.Trace,
-		TraceRingSize: cfg.TraceRingSize,
-		Fault:         cfg.Fault,
+		Platform:     cfg.Platform,
+		MaxLiveTasks: cfg.MaxLiveTasks,
+		Trace:        cfg.Trace,
+		Fault:        cfg.Fault,
 	}
 	for _, f := range cfg.Disable {
 		switch f {
@@ -281,10 +273,6 @@ type LiveConfig struct {
 	MaxLiveTasks int
 	// Trace records execution events.
 	Trace bool
-	// TraceRingSize overrides the always-on event ring's capacity in
-	// events (0 = the executor default 4096; ignored when Trace is on).
-	// Bigger rings widen ExportTrace's window at a small GC cost.
-	TraceRingSize int
 	// WorkerCaps gives in-process worker i the capability tags
 	// WorkerCaps[i] (shorter slices leave later workers untagged). Tasks
 	// created with TaskOptions.RequireCap schedule only onto workers
@@ -376,12 +364,11 @@ func NewLive(cfg LiveConfig) (*Runtime, error) {
 		return nil, fmt.Errorf("jade: unknown live transport %q (known: inproc, tcp)", cfg.Transport)
 	}
 	x, err := live.New(live.Options{
-		Peers:         peers,
-		Bodies:        bodies,
-		MaxLiveTasks:  cfg.MaxLiveTasks,
-		Trace:         cfg.Trace,
-		TraceRingSize: cfg.TraceRingSize,
-		OnTaskDone:    cfg.OnTaskDone,
+		Peers:        peers,
+		Bodies:       bodies,
+		MaxLiveTasks: cfg.MaxLiveTasks,
+		Trace:        cfg.Trace,
+		OnTaskDone:   cfg.OnTaskDone,
 	})
 	if err != nil {
 		return nil, err
@@ -663,7 +650,7 @@ type Report struct {
 	// DroppedEvents is how many events the always-on ring overwrote
 	// (zero with full tracing, or when the run fit the ring). Nonzero
 	// means Profile, Latency and trace exports cover only a suffix of
-	// the run — raise TraceRingSize to widen the window.
+	// the run — set Trace to keep every event.
 	DroppedEvents uint64
 }
 
@@ -691,16 +678,15 @@ func (r *Runtime) Report() Report {
 		ConvertedWords: st.ConvertedWords,
 		Workers:        st.Workers,
 	}
-	log := r.ex.Log()
-	events := log.Events()
+	events, dropped := r.ex.Log().Snapshot()
 	rep.Profile = profile.Compute(profile.Input{
 		Events:      events,
-		Dropped:     log.Dropped(),
+		Dropped:     dropped,
 		Makespan:    makespan,
 		MachineBusy: c.Busy,
 	})
 	rep.Latency = obs.LatencyByLabel(events)
-	rep.DroppedEvents = log.Dropped()
+	rep.DroppedEvents = dropped
 	return rep
 }
 

@@ -42,10 +42,10 @@ func (r *Runtime) startObs(cfg ObsConfig) error {
 		Metrics: func(string) ([]obs.Metric, error) { return execMetrics(r.ex, r.obsMakespan()), nil },
 		Trace:   func(_ string, w io.Writer) error { return r.ExportTrace(w, ObsOptions{}) },
 		Profile: func(_ string, w io.Writer) error {
-			log := r.ex.Log()
+			events, dropped := r.ex.Log().Snapshot()
 			p := profile.Compute(profile.Input{
-				Events:   log.Events(),
-				Dropped:  log.Dropped(),
+				Events:   events,
+				Dropped:  dropped,
 				Makespan: r.obsMakespan(),
 			})
 			_, werr := io.WriteString(w, p.Text())
@@ -91,10 +91,10 @@ func (r *Runtime) obsMakespan() time.Duration {
 // export carries an explicit truncation marker when events were
 // dropped) and may be called mid-run for a live snapshot.
 func (r *Runtime) ExportTrace(w io.Writer, opt ObsOptions) error {
-	log := r.ex.Log()
+	events, dropped := r.ex.Log().Snapshot()
 	return obs.WriteChrome(w, obs.Input{
-		Events:   log.Events(),
-		Dropped:  log.Dropped(),
+		Events:   events,
+		Dropped:  dropped,
 		Makespan: r.obsMakespan(),
 	}, opt)
 }
@@ -103,8 +103,8 @@ func (r *Runtime) ExportTrace(w io.Writer, opt ObsOptions) error {
 // (machine;label;phase weight), aggregated from the same event stream
 // as ExportTrace.
 func (r *Runtime) ExportFlame(w io.Writer) error {
-	log := r.ex.Log()
-	return obs.WriteFlame(w, obs.Input{Events: log.Events(), Dropped: log.Dropped()})
+	events, dropped := r.ex.Log().Snapshot()
+	return obs.WriteFlame(w, obs.Input{Events: events, Dropped: dropped})
 }
 
 // execMetrics renders one executor's always-on counters (a dedicated
@@ -114,7 +114,7 @@ func execMetrics(ex rt.Exec, makespan time.Duration) []obs.Metric {
 	es := ex.Engine().Stats()
 	c := ex.Counters()
 	st := ex.Stats()
-	log := ex.Log()
+	events, dropped := ex.Log().Snapshot()
 
 	ms := []obs.Metric{
 		{Name: "jade_makespan_seconds", Help: "run duration so far (final after Run returns)", Type: "gauge",
@@ -128,7 +128,7 @@ func execMetrics(ex rt.Exec, makespan time.Duration) []obs.Metric {
 		{Name: "jade_engine_waits_total", Help: "access waits in the dependency engine", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(es.Waits)}}},
 		{Name: "jade_trace_dropped_events_total", Help: "events overwritten by the bounded trace ring", Type: "counter",
-			Samples: []obs.Sample{{Value: float64(log.Dropped())}}},
+			Samples: []obs.Sample{{Value: float64(dropped)}}},
 	}
 
 	var busy []obs.Sample
@@ -166,7 +166,7 @@ func execMetrics(ex rt.Exec, makespan time.Duration) []obs.Metric {
 		)
 	}
 
-	for _, ll := range obs.LatencyByLabel(log.Events()) {
+	for _, ll := range obs.LatencyByLabel(events) {
 		base := [][2]string{{"label", ll.Label}}
 		ms = append(ms, obs.HistogramMetric("jade_task_latency_seconds",
 			"create-to-commit task latency by label", base, ll.Total)...)

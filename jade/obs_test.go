@@ -12,7 +12,7 @@ import (
 )
 
 // fanout runs a labeled fan-out program with enough tasks to populate
-// latency histograms and (with a tiny ring) overflow it.
+// latency histograms and (with enough of them) overflow the event ring.
 func fanout(t *testing.T, r *jade.Runtime, n int) {
 	t.Helper()
 	var total int64
@@ -110,18 +110,18 @@ func TestReportLatency(t *testing.T) {
 	}
 }
 
-// TestTraceRingSize: a deliberately tiny ring must overflow, surface
-// the loss in Report.DroppedEvents, and stamp exports with a truncation
-// marker — never silently render a partial run.
+// TestTraceRingSize: a run that overflows the default live ring (4,096
+// events) must surface the loss in Report.DroppedEvents, and stamp
+// exports with a truncation marker — never silently render a partial run.
 func TestTraceRingSize(t *testing.T) {
-	r, err := jade.NewLive(jade.LiveConfig{Workers: 2, TraceRingSize: 32})
+	r, err := jade.NewLive(jade.LiveConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanout(t, r, 64)
+	fanout(t, r, 600)
 	rep := r.Report()
 	if rep.DroppedEvents == 0 {
-		t.Fatalf("64 tasks through a 32-event ring dropped nothing")
+		t.Fatalf("600 tasks through the default ring dropped nothing")
 	}
 	var buf bytes.Buffer
 	if err := r.ExportTrace(&buf, jade.ObsOptions{}); err != nil {

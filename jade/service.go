@@ -135,10 +135,10 @@ func (s *Service) startObs(cfg ObsConfig) error {
 			if err != nil {
 				return err
 			}
-			log := x.Log()
+			events, dropped := x.Log().Snapshot()
 			return obs.WriteChrome(w, obs.Input{
-				Events:  log.Events(),
-				Dropped: log.Dropped(),
+				Events:  events,
+				Dropped: dropped,
 				Process: "session " + session,
 			}, obs.Options{})
 		},
@@ -150,8 +150,8 @@ func (s *Service) startObs(cfg ObsConfig) error {
 			if err != nil {
 				return err
 			}
-			log := x.Log()
-			p := profile.Compute(profile.Input{Events: log.Events(), Dropped: log.Dropped()})
+			events, dropped := x.Log().Snapshot()
+			p := profile.Compute(profile.Input{Events: events, Dropped: dropped})
 			_, werr := io.WriteString(w, p.Text())
 			return werr
 		},

@@ -8,10 +8,12 @@
 # Stops at the first failing tier, prints wall time per tier, writes
 # nothing into the checkout. GOMAXPROCS is inherited by every go command,
 # so `GOMAXPROCS=1 scripts/check.sh race` races on one processor — except
-# core, transport/wire, transport/tcp and exec/live (with exec/live/tenant),
-# which the race tier always runs at both one P and four (-cpu 1,4): the
-# engine's queue summary and entry tables are checked from every task of the
-# stress programs while the others run, and acks that ride data, check-ins
+# core, trace, transport/wire, transport/tcp and exec/live (with
+# exec/live/tenant), which the race tier always runs at both one P and four
+# (-cpu 1,4): the trace log's appends, label interning and snapshots share
+# one lock, the engine's queue summary and entry tables are checked from
+# every task of the stress programs while the others run, and acks that
+# ride data, check-ins
 # and write-backs that ride a task's frames, and dispatches made on the
 # goroutine that readied the task, take different paths when the peer runs
 # in parallel. The lock-discipline walks at the root run there too.
@@ -39,10 +41,10 @@ tier() {
 			./internal/transport ./internal/transport/inproc/... \
 			./internal/transport/mux/... \
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
-		# ... and the engine and the wire path at one P and at four, whatever
-		# GOMAXPROCS says
+		# ... and the engine, the trace log and the wire path at one P and at
+		# four, whatever GOMAXPROCS says
 		go test -race -count=2 -cpu 1,4 -skip TestChaosMembershipStress \
-			./internal/core/... \
+			./internal/core/... ./internal/trace/... \
 			./internal/transport/wire/... ./internal/transport/tcp/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
 		go test -race -count=2 -run TestChaosMembershipStress ./internal/exec/live
