@@ -62,9 +62,10 @@ import (
 
 // ringCap bounds the always-on event stream when tracing is off. It is
 // smaller than smp's and dist's 2^16 for its bytes, not for the GC (the
-// ring holds no pointers): every live runtime, and every session of a
-// service, allocates its own ring up front, 224 KiB at this size and
-// 3.5 MiB at theirs.
+// ring holds no pointers): every live runtime allocates its own ring up
+// front, 224 KiB at this size and 3.5 MiB at theirs, except a service
+// session: it takes a ring a closed session gave back (Options.Ring),
+// and gives its own back at Close.
 const ringCap = 1 << 12
 
 // Peer is one worker connection the coordinator will drive.
@@ -105,6 +106,9 @@ type Options struct {
 	// each session a disjoint range so cross-session isolation is
 	// checkable by inspection: a foreign id in any cache is a leak.
 	FirstObjectID access.ObjectID
+	// Ring, if set and Trace is off, is the empty ring to record into
+	// instead of a new one: a tenant service recycles its sessions' rings.
+	Ring *trace.Log
 }
 
 // FleetView is the shared placement ledger of a multi-session fleet.
@@ -300,9 +304,12 @@ func New(opts Options) (*Exec, error) {
 		busy:        make([]time.Duration, n),
 	}
 	x.cond = sync.NewCond(&x.mu)
-	if opts.Trace {
+	switch {
+	case opts.Trace:
 		x.log = trace.New()
-	} else {
+	case opts.Ring != nil:
+		x.log = opts.Ring
+	default:
 		x.log = trace.NewRing(ringCap)
 	}
 	x.eng = core.New(core.Hooks{

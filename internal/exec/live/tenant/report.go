@@ -60,30 +60,6 @@ type TenantReport struct {
 	Latency []obs.LabelLatency
 }
 
-// mergeLatency folds per-label snapshots into an accumulator map.
-func mergeLatency(dst map[string]obs.LabelLatency, src []obs.LabelLatency) {
-	for _, ll := range src {
-		cur := dst[ll.Label]
-		cur.Label = ll.Label
-		cur.Total = cur.Total.Merge(ll.Total)
-		cur.Exec = cur.Exec.Merge(ll.Exec)
-		dst[ll.Label] = cur
-	}
-}
-
-// sortedLatency flattens an accumulator map deterministically.
-func sortedLatency(m map[string]obs.LabelLatency) []obs.LabelLatency {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]obs.LabelLatency, 0, len(m))
-	for _, ll := range m {
-		out = append(out, ll)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
-
 // WorkerReport pairs a daemon's name with its slot ledger.
 type WorkerReport struct {
 	Name   string
@@ -105,7 +81,7 @@ func (s *Service) Report() ServiceReport {
 		SessionsClosed:   s.counters.closedSessions,
 		Tenants:          map[string]TenantReport{},
 	}
-	latAcc := map[string]map[string]obs.LabelLatency{}
+	latAcc := map[string]obs.Latencies{}
 	for name, tot := range s.retired {
 		tr := r.Tenants[name]
 		tr.Profile = s.profileFor(name)
@@ -115,13 +91,8 @@ func (s *Service) Report() ServiceReport {
 		tr.Bytes += tot.bytes
 		tr.Crashes += tot.crashes
 		r.Tenants[name] = tr
-		if len(tot.latency) > 0 {
-			acc := map[string]obs.LabelLatency{}
-			for k, v := range tot.latency {
-				acc[k] = v
-			}
-			latAcc[name] = acc
-		}
+		latAcc[name] = obs.Latencies{}
+		latAcc[name].Merge(tot.latency)
 	}
 	resident := make([]*Session, 0, len(s.active))
 	for _, sess := range s.active {
@@ -146,21 +117,19 @@ func (s *Service) Report() ServiceReport {
 		tr.Bytes += st.Net.Bytes
 		tr.Crashes += st.Fault.CrashesDetected
 		r.Tenants[sess.tenant] = tr
-		if lat := obs.LatencyByLabel(sess.X.Log().Events()); len(lat) > 0 {
-			if latAcc[sess.tenant] == nil {
-				latAcc[sess.tenant] = map[string]obs.LabelLatency{}
-			}
-			mergeLatency(latAcc[sess.tenant], lat)
+		if latAcc[sess.tenant] == nil {
+			latAcc[sess.tenant] = obs.Latencies{}
 		}
+		latAcc[sess.tenant].Fold(sess.X.Log().Each)
 	}
-	fleetLat := map[string]obs.LabelLatency{}
+	fleetLat := obs.Latencies{}
 	for name, acc := range latAcc {
 		tr := r.Tenants[name]
-		tr.Latency = sortedLatency(acc)
+		tr.Latency = acc.Sorted()
 		r.Tenants[name] = tr
-		mergeLatency(fleetLat, tr.Latency)
+		fleetLat.Merge(acc)
 	}
-	r.Latency = sortedLatency(fleetLat)
+	r.Latency = fleetLat.Sorted()
 	for _, tr := range r.Tenants {
 		r.TasksRun += tr.TasksRun
 		r.Frames += tr.Frames

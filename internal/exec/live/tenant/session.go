@@ -55,6 +55,7 @@ type Session struct {
 	svc    *Service
 	base   access.ObjectID
 	conns  []transport.Conn
+	traced bool // records every event; its log is not a ring to recycle
 
 	// X is the session's private executor. Callers register bodies and
 	// drive programs through it exactly as with a dedicated live cluster.
@@ -115,7 +116,8 @@ func (s *Session) Run(root func(rt.TC)) error {
 // Close drains the session and frees its registry slot, waking queued
 // OpenSession callers. Idempotent; safe with Runs in flight on other
 // goroutines (their frames stop at the closed virtual connections and
-// the executor surfaces the loss).
+// the executor surfaces the loss). An untraced session's event window
+// ends here: its ring goes back to the service, leaving X.Log() empty.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()

@@ -30,6 +30,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/exec/live"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/internal/transport/mux"
@@ -108,6 +109,7 @@ type Service struct {
 	cond      *sync.Cond
 	profiles  map[string]Profile  // declared tenants (ShardManager's "profiles")
 	active    map[uint64]*Session // admitted sessions ("active")
+	rings     []*trace.Log        // closed untraced sessions' event rings, emptied for reuse
 	perTenant map[string]int      // admitted sessions per tenant
 	admitting int                 // admitted but not yet in active
 	queued    int
@@ -127,9 +129,9 @@ type tenantTotals struct {
 	frames   int
 	bytes    int64
 	crashes  int
-	// latency is the per-task-label latency rollup captured from each
-	// session's event ring at retirement, merged across sessions.
-	latency map[string]obs.LabelLatency
+	// latency is the per-task-label latency rollup each session's event
+	// log is folded into at retirement.
+	latency obs.Latencies
 }
 
 // NewService builds the daemon fleet and starts serving.
@@ -294,9 +296,14 @@ func (s *Service) OpenSessionCfg(cfg SessionConfig) (*Session, error) {
 	s.perTenant[cfg.Tenant]++
 	s.admitting++
 	s.counters.admitted++
+	traced := cfg.Trace || s.opts.Trace
+	var ring *trace.Log
+	if n := len(s.rings); n > 0 && !traced {
+		ring, s.rings = s.rings[n-1], s.rings[:n-1]
+	}
 	s.mu.Unlock()
 
-	sess, err := s.buildSession(id, cfg, prof)
+	sess, err := s.buildSession(id, cfg, prof, traced, ring)
 
 	s.mu.Lock()
 	s.admitting--
@@ -315,10 +322,10 @@ func (s *Service) OpenSessionCfg(cfg SessionConfig) (*Session, error) {
 }
 
 // buildSession opens virtual connections to every live daemon and
-// stands up the session's own executor over them.
-func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile) (*Session, error) {
+// stands up the session's own executor over them, recording into ring.
+func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile, traced bool, ring *trace.Log) (*Session, error) {
 	sess := &Session{
-		id: id, tenant: cfg.Tenant, svc: s,
+		id: id, tenant: cfg.Tenant, svc: s, traced: traced,
 		base: access.ObjectID(id) << 32,
 	}
 	var peers []live.Peer
@@ -342,7 +349,8 @@ func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile) (*Ses
 		Peers:         peers,
 		Bodies:        s.bodies,
 		MaxLiveTasks:  s.opts.MaxLiveTasks,
-		Trace:         cfg.Trace || s.opts.Trace,
+		Trace:         traced,
+		Ring:          ring,
 		OnTaskDone:    cfg.OnTaskDone,
 		Fleet:         &fleetView{loads: s.loads, dmap: dmap},
 		FirstObjectID: sess.base,
@@ -358,13 +366,13 @@ func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile) (*Ses
 }
 
 // retire is called by Session.Close: the registry slot frees (waking
-// queued OpenSession callers) and the session's stats fold into the
-// per-tenant aggregate.
+// queued OpenSession callers) and the session's stats and events fold into
+// the per-tenant aggregate. Its ring joins the free list as the slot
+// frees, so rings never outnumber sessions admitted at once.
 func (s *Service) retire(sess *Session) {
 	cnt := sess.X.Counters()
 	st := sess.X.Stats()
 	log := sess.X.Log()
-	lat := obs.LatencyByLabel(log.Events())
 	s.mu.Lock()
 	delete(s.active, sess.id)
 	s.perTenant[sess.tenant]--
@@ -376,9 +384,12 @@ func (s *Service) retire(sess *Session) {
 	tot.bytes += st.Net.Bytes
 	tot.crashes += st.Fault.CrashesDetected
 	if tot.latency == nil {
-		tot.latency = map[string]obs.LabelLatency{}
+		tot.latency = obs.Latencies{}
 	}
-	mergeLatency(tot.latency, lat)
+	tot.latency.Fold(log.Each)
+	if !sess.traced {
+		s.rings = append(s.rings, log.Handoff())
+	}
 	s.retired[sess.tenant] = tot
 	s.cond.Broadcast()
 	s.mu.Unlock()

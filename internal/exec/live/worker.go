@@ -682,9 +682,13 @@ func (tc *workerTC) release(g writeGrant) {
 	base := w.bases[obj]
 	w.mu.Unlock()
 	// The record leaves in this worker's own byte order; the coordinator
-	// converts. Its payload is encoded once, straight into the record.
-	at := len(tc.writebacks)
-	rec := slices.Grow(tc.writebacks, wire.WritebackLen(format.SizeOf(v)))[:at+wire.WritebackLen(0)]
+	// converts. Its payload is encoded once, straight into the record,
+	// which reserves the full image only when it cannot be a patch.
+	at, n := len(tc.writebacks), wire.WritebackLen(0)
+	if base.val == nil {
+		n = wire.WritebackLen(format.SizeOf(v))
+	}
+	rec := slices.Grow(tc.writebacks, n)[:at+wire.WritebackLen(0)]
 	rec, isPatch, _, err := coherence.AppendPack(rec, base.val, v, w.opts.Format, w.opts.Format)
 	if err != nil {
 		w.fail(fmt.Errorf("live worker %d: write-back of object #%d: %w", w.m, obj, err))

@@ -68,7 +68,7 @@ func phaseRank(ph string) int {
 func WriteChrome(w io.Writer, in Input, opt Options) error {
 	events := append([]trace.Event(nil), in.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	tasks := buildTasks(events)
+	tasks := buildTasks(each(events))
 	laneCount := laneAssign(tasks)
 	byID := map[uint64]*taskView{}
 	for _, t := range tasks {

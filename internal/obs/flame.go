@@ -18,7 +18,7 @@ import (
 // sorting it) shows where the run's time went by kind and phase. A
 // truncated ring is flagged with a comment line, never silently.
 func WriteFlame(w io.Writer, in Input) error {
-	tasks := buildTasks(in.Events)
+	tasks := buildTasks(each(in.Events))
 	type key struct {
 		machine int
 		label   string

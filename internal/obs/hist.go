@@ -84,6 +84,15 @@ type HistSnapshot struct {
 	MaxNS int64  `json:"max_ns"`
 }
 
+// add records one sample: Histogram.Record without the atomics, for a
+// snapshot one goroutine builds.
+func (s *HistSnapshot) add(d time.Duration) {
+	s.Counts[bucketOf(d)]++
+	s.Count++
+	s.SumNS += int64(d)
+	s.MaxNS = max(s.MaxNS, int64(d))
+}
+
 // Merge folds another snapshot into this one and returns the result.
 func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 	for i := range s.Counts {

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/trace"
@@ -45,22 +48,25 @@ func (t *taskView) span() (time.Duration, time.Duration) {
 	return start, end
 }
 
-// buildTasks reconstructs completed tasks from the event stream, in
+// buildTasks reconstructs completed tasks from the events each yields, in
 // ascending task-id order. For each lifecycle kind the last event wins
-// (a crash-recovery re-execution re-emits the lifecycle).
-func buildTasks(events []trace.Event) []*taskView {
-	recs := map[uint64]*taskView{}
+// (a crash-recovery re-execution re-emits the lifecycle). The views share
+// one slice, so tasks cost no allocation each.
+func buildTasks(each func(yield func(trace.Event))) []*taskView {
+	idx := map[uint64]int{}
+	var views []taskView
 	get := func(id uint64) *taskView {
-		r := recs[id]
-		if r == nil {
-			r = &taskView{id: id}
-			recs[id] = r
+		i, ok := idx[id]
+		if !ok {
+			i = len(views)
+			idx[id] = i
+			views = append(views, taskView{id: id})
 		}
-		return r
+		return &views[i]
 	}
-	for _, ev := range events {
+	each(func(ev trace.Event) {
 		if ev.Task == 0 {
-			continue
+			return
 		}
 		switch ev.Kind {
 		case trace.TaskCreated:
@@ -100,15 +106,16 @@ func buildTasks(events []trace.Event) []*taskView {
 			r := get(ev.Task)
 			r.committed, r.hasCommitted = ev.At, true
 		}
-	}
+	})
 	clampUp := func(d, floor time.Duration) time.Duration {
 		if d < floor {
 			return floor
 		}
 		return d
 	}
-	var out []*taskView
-	for _, r := range recs {
+	out := make([]*taskView, 0, len(views))
+	for i := range views {
+		r := &views[i]
 		if !r.hasCompleted {
 			continue
 		}
@@ -150,7 +157,7 @@ func buildTasks(events []trace.Event) []*taskView {
 		}
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b *taskView) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
@@ -196,51 +203,69 @@ func laneAssign(tasks []*taskView) map[int]int {
 	return laneCount
 }
 
-// LatencyByLabel computes per-task-kind latency histograms from the
-// event stream: Total is create→commit (create→complete when the commit
-// event is missing), Exec the processor-held span. The main-program
-// task is excluded. Results are sorted by label.
-func LatencyByLabel(events []trace.Event) []LabelLatency {
-	tasks := buildTasks(events)
-	hists := map[string]*struct{ total, exec Histogram }{}
-	for _, t := range tasks {
+// Latencies accumulates per-task-kind latency by label, across the event
+// streams folded and the accumulators merged into it.
+type Latencies map[string]*LabelLatency
+
+// Fold adds the tasks in the events each yields: Total is create→commit
+// (create→complete when the commit event is missing), Exec the
+// processor-held span. The main-program task is excluded. Folding
+// several streams merges them.
+func (a Latencies) Fold(each func(yield func(trace.Event))) {
+	for _, t := range buildTasks(each) {
 		if t.id == rootTask {
 			continue
 		}
-		lbl := t.label
-		if lbl == "" {
-			lbl = "(unlabeled)"
-		}
-		h := hists[lbl]
-		if h == nil {
-			h = &struct{ total, exec Histogram }{}
-			hists[lbl] = h
-		}
-		end := t.execEnd
-		if t.hasCommit {
-			end = t.commitEnd
-		}
-		start := t.execStart
-		if t.hasQueue {
-			start = t.queueStart
-		} else if t.hasFetch {
-			start = t.fetchStart
-		}
-		h.total.Record(end - start)
-		h.exec.Record(t.execEnd - t.execStart)
+		ll := a.get(t.label)
+		start, end := t.span()
+		ll.Total.add(end - start)
+		ll.Exec.add(t.execEnd - t.execStart)
 	}
-	labels := make([]string, 0, len(hists))
-	for l := range hists {
-		labels = append(labels, l)
+}
+
+// Merge adds b's distributions to a's.
+func (a Latencies) Merge(b Latencies) {
+	for _, ll := range b {
+		cur := a.get(ll.Label)
+		cur.Total, cur.Exec = cur.Total.Merge(ll.Total), cur.Exec.Merge(ll.Exec)
 	}
-	sort.Strings(labels)
-	out := make([]LabelLatency, 0, len(labels))
-	for _, l := range labels {
-		out = append(out, LabelLatency{
-			Label: l,
-			Total: hists[l].total.Snapshot(),
-			Exec:  hists[l].exec.Snapshot(),
-		})
+}
+
+func (a Latencies) get(label string) *LabelLatency {
+	if label == "" {
+		label = "(unlabeled)"
 	}
+	ll := a[label]
+	if ll == nil {
+		ll = &LabelLatency{Label: label}
+		a[label] = ll
+	}
+	return ll
+}
+
+// Sorted returns the distributions sorted by label.
+func (a Latencies) Sorted() []LabelLatency {
+	out := make([]LabelLatency, 0, len(a))
+	for _, ll := range a {
+		out = append(out, *ll)
+	}
+	slices.SortFunc(out, func(x, y LabelLatency) int { return strings.Compare(x.Label, y.Label) })
 	return out
+}
+
+// LatencyByLabel computes per-task-kind latency histograms from an event
+// stream (see Latencies.Fold), sorted by label.
+func LatencyByLabel(events []trace.Event) []LabelLatency {
+	a := Latencies{}
+	a.Fold(each(events))
+	return a.Sorted()
+}
+
+// each yields events one by one, the form buildTasks reads.
+func each(events []trace.Event) func(yield func(trace.Event)) {
+	return func(yield func(trace.Event)) {
+		for _, ev := range events {
+			yield(ev)
+		}
+	}
 }

@@ -409,17 +409,44 @@ func (l *Log) Snapshot() (events []Event, dropped uint64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.recs) == 0 {
-		return nil, l.dropped
-	}
-	events = make([]Event, 0, len(l.recs))
-	for _, r := range l.recs[l.head:] {
-		events = append(events, l.unpackLocked(r))
-	}
-	for _, r := range l.recs[:l.head] {
-		events = append(events, l.unpackLocked(r))
+	if len(l.recs) > 0 {
+		events = make([]Event, 0, len(l.recs))
+		l.eachLocked(func(ev Event) { events = append(events, ev) })
 	}
 	return events, l.dropped
+}
+
+// Each calls yield with each retained event in append order, under the
+// log's lock and without copying the window: yield must not touch the log.
+func (l *Log) Each(yield func(Event)) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.eachLocked(yield)
+}
+
+func (l *Log) eachLocked(yield func(Event)) {
+	for i := range l.recs {
+		yield(l.unpackLocked(l.recs[(l.head+i)%len(l.recs)]))
+	}
+}
+
+// Handoff moves l's record and label storage into a new, empty log of the
+// same capacity, leaving l empty but usable (a late Add grows storage of
+// its own) and counting what it gave up as dropped: whoever still holds
+// l sees a truncated window and never what the new log records.
+func (l *Log) Handoff() *Log {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.labels[1:])
+	clear(l.index)
+	n := &Log{cap: l.cap, recs: l.recs[:0], labels: l.labels[:1], index: l.index, seed: l.seed}
+	l.dropped += uint64(len(l.recs))
+	l.recs, l.head = nil, 0
+	l.labels, l.index, l.recent = []string{""}, make([]uint32, minIndex), [len(l.recent)]uint32{}
+	return n
 }
 
 // Filter returns the events of one kind, in order.

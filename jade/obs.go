@@ -175,10 +175,3 @@ func execMetrics(ex rt.Exec, makespan time.Duration) []obs.Metric {
 	}
 	return ms
 }
-
-// Latency computes per-task-kind latency distributions from the
-// always-on event stream, mid-run safe (Report includes the same data
-// for finished runs).
-func (r *Runtime) Latency() []LabelLatency {
-	return obs.LatencyByLabel(r.ex.Log().Events())
-}

@@ -70,6 +70,7 @@ type ServiceConfig struct {
 type Service struct {
 	svc    *tenant.Service
 	obsSrv *obs.Server
+	traced bool
 }
 
 // NewService starts the shared fleet and returns the service.
@@ -90,7 +91,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{svc: svc}
+	s := &Service{svc: svc, traced: cfg.Trace}
 	if cfg.Obs != nil {
 		if err := s.startObs(*cfg.Obs); err != nil {
 			svc.Close()
@@ -226,7 +227,7 @@ func (s *Service) OpenSession(tenantName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{ex: ts.X, liveX: ts.X}
+	r := &Runtime{ex: ts.X, liveX: ts.X, traced: s.traced}
 	r.runWrap = func(run func() error) error {
 		if err := ts.BeginRun(); err != nil {
 			return err
@@ -244,7 +245,9 @@ func (s *Session) ID() uint64 { return s.ts.ID() }
 func (s *Session) Tenant() string { return s.ts.Tenant() }
 
 // Close drains the session and frees its admission slot, waking queued
-// OpenSession callers. Idempotent.
+// OpenSession callers. Idempotent. An untraced session's event window ends
+// here: its ring goes back to the service, and Report or a trace export
+// read after Close sees no events, all counted as dropped.
 func (s *Session) Close() error { return s.ts.Close() }
 
 // Addr returns the tcp address external `jadeworker -multi` daemons

@@ -130,3 +130,39 @@ func TestServiceSecondRunAfterClose(t *testing.T) {
 		t.Fatal("Run on a closed session succeeded")
 	}
 }
+
+// TestServiceSessionTraceLog: ServiceConfig.Trace reaches every session,
+// whose TraceLog then holds its whole run; without it TraceLog is nil.
+func TestServiceSessionTraceLog(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		svc, err := jade.NewService(jade.ServiceConfig{Workers: 2, Trace: traced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := svc.OpenSession("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessionSum(t, s, 4)
+		l := s.TraceLog()
+		if !traced {
+			if l != nil {
+				t.Errorf("untraced session: TraceLog = %p, want nil", l)
+			}
+		} else if l == nil {
+			t.Error("traced session: TraceLog is nil")
+		} else {
+			labels := map[string]bool{}
+			for _, ev := range l.Events() {
+				labels[ev.Label] = true
+			}
+			for i := 0; i < 4; i++ {
+				if lbl := fmt.Sprintf("add%d", i); !labels[lbl] {
+					t.Errorf("traced session's log has no event for task %s", lbl)
+				}
+			}
+		}
+		s.Close()
+		svc.Close()
+	}
+}

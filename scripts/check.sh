@@ -56,14 +56,16 @@ tier() {
 	determinism) # simulated makespans, byte counts and traces repeat bit for bit
 		go test -run 'Determin|Property' -count=2 ./internal/sim/... \
 			./internal/coherence/... ./internal/exec/dist/... ./internal/format/...
-		# ... and so does what a reader sees: two runs of the simulator-backed
-		# experiments print the same bytes, or a map-iteration order has
-		# leaked into a simulated run.
+		# ... and so does what a reader sees: two runs of every
+		# simulator-backed experiment (the list a protocol change diffs
+		# against its parent) print the same bytes, or a map-iteration
+		# order has leaked into a simulated run.
 		out=$(mktemp -d)
 		trap 'rm -rf "$out"' EXIT
 		go build -o "$out/jadebench" ./cmd/jadebench
-		"$out/jadebench" -quick -exp f4,f7,f9,d1,f1,a1,a2,h1 >"$out/run1.txt"
-		"$out/jadebench" -quick -exp f4,f7,f9,d1,f1,a1,a2,h1 >"$out/run2.txt"
+		sim=f4,f7,f9,f10,s1,c1,a1,a2,a3,a4,d1,f1,h1,m1,g1,g2,g3,k1
+		"$out/jadebench" -quick -exp $sim >"$out/run1.txt"
+		"$out/jadebench" -quick -exp $sim >"$out/run2.txt"
 		diff "$out/run1.txt" "$out/run2.txt"
 		;;
 	artifact) # a real jadebench trace export (L1's inproc round, default ring) passes the structural validator
