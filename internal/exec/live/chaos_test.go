@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/exec/live"
 	"repro/internal/exec/live/livetest"
 	"repro/internal/rt"
 )
@@ -156,6 +157,21 @@ func chaosBody(tc rt.TC, index int, ops []cop, dataIDs []access.ObjectID, resID 
 // checks bit-identity against the serial oracle.
 func chaosRun(t *testing.T, name string, tasks [][]cop, nObjects, objLen int, opts livetest.Options) *livetest.Cluster {
 	t.Helper()
+	c, err := livetest.New(opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	chaosCheck(t, name, c.X, tasks, nObjects, objLen)
+	if serr := c.Err(); serr != nil {
+		t.Fatalf("%s: script: %v", name, serr)
+	}
+	return c
+}
+
+// chaosCheck runs the generated program on x and checks that the result
+// is bit-identical to the serial oracle's and that no task was lost.
+func chaosCheck(t *testing.T, name string, x *live.Exec, tasks [][]cop, nObjects, objLen int) {
+	t.Helper()
 	wantData := make([][]int64, nObjects)
 	for i := range wantData {
 		wantData[i] = make([]int64, objLen)
@@ -166,13 +182,9 @@ func chaosRun(t *testing.T, name string, tasks [][]cop, nObjects, objLen int, op
 	wantRes := make([]int64, len(tasks))
 	chaosSerial(tasks, wantData, wantRes)
 
-	c, err := livetest.New(opts)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
 	dataIDs := make([]access.ObjectID, nObjects)
 	resIDs := make([]access.ObjectID, len(tasks))
-	err = c.Run(func(tc rt.TC) {
+	err := x.Run(func(tc rt.TC) {
 		for i := range dataIDs {
 			init := make([]int64, objLen)
 			for k := range init {
@@ -206,11 +218,8 @@ func chaosRun(t *testing.T, name string, tasks [][]cop, nObjects, objLen int, op
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
-	if serr := c.Err(); serr != nil {
-		t.Fatalf("%s: script: %v", name, serr)
-	}
 	for i := range dataIDs {
-		got := c.X.ObjectValue(dataIDs[i]).([]int64)
+		got := x.ObjectValue(dataIDs[i]).([]int64)
 		for k := range got {
 			if got[k] != wantData[i][k] {
 				t.Fatalf("%s: data object %d[%d] = %d, want %d (serial)", name, i, k, got[k], wantData[i][k])
@@ -218,16 +227,15 @@ func chaosRun(t *testing.T, name string, tasks [][]cop, nObjects, objLen int, op
 		}
 	}
 	for i := range resIDs {
-		if got := c.X.ObjectValue(resIDs[i]).([]int64)[0]; got != wantRes[i] {
+		if got := x.ObjectValue(resIDs[i]).([]int64)[0]; got != wantRes[i] {
 			t.Fatalf("%s: task %d result = %d, want %d (serial)", name, i, got, wantRes[i])
 		}
 	}
-	if st := c.X.Engine().Stats(); st.TasksCreated != uint64(len(tasks)) || st.TasksCompleted != st.TasksCreated+1 {
+	if st := x.Engine().Stats(); st.TasksCreated != uint64(len(tasks)) || st.TasksCompleted != st.TasksCreated+1 {
 		// Completed includes the main program; Created does not.
 		t.Fatalf("%s: engine created %d / completed %d tasks, program has %d (lost tasks?)",
 			name, st.TasksCreated, st.TasksCompleted, len(tasks))
 	}
-	return c
 }
 
 // TestChaosMembershipStress is the property test: randomized seeded

@@ -19,8 +19,8 @@
 //  1. Fences the session (transport.Fencer), so late frames from the
 //     dead worker — a TTaskDone racing the verdict, with the write-backs
 //     it carries — are dropped, never applied. A falsely-suspected worker
-//     that is still alive cannot resume the fenced session; it must
-//     redial and rejoin as a NEW member.
+//     that is still alive cannot reuse the fenced connection; it must
+//     dial again and rejoin as a NEW member.
 //  2. Takes over every directory entry the dead worker owned. The
 //     generations above the cache were granted to tasks still running
 //     there: they died uncommitted, so the object rolls back to the cached

@@ -393,13 +393,9 @@ func (x *Exec) Stats() rt.Stats {
 	for _, w := range links {
 		fold(netmodel.Link{Src: 0, Dst: w.m}, w.outMsgs.Load(), w.outBytes.Load())
 		fold(netmodel.Link{Src: w.m, Dst: 0}, w.inMsgs.Load(), w.inBytes.Load())
-		// Fault also reports transport-level resilience work: heartbeats,
-		// retransmits and duplicate drops from each worker session.
+		// Fault also counts the heartbeats each worker connection sent.
 		if sr, ok := w.conn.(transport.Statser); ok {
-			ts := sr.Stats()
-			st.Fault.HeartbeatsSent += int(ts.Heartbeats)
-			st.Fault.MessagesRetried += int(ts.Retransmits)
-			st.Fault.DuplicatesDropped += int(ts.DupsDropped)
+			st.Fault.HeartbeatsSent += int(sr.Stats().Heartbeats)
 		}
 	}
 	return st

@@ -38,7 +38,7 @@ func newInproc(t *testing.T, n int, opts Options) *Exec {
 // real loopback sockets.
 func newTCP(t *testing.T, n int, opts Options) *Exec {
 	t.Helper()
-	l, err := tcp.Listen("127.0.0.1:0", tcp.Options{})
+	l, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +47,11 @@ func newTCP(t *testing.T, n int, opts Options) *Exec {
 	defer l.Close()
 	bodies := NewBodyTable()
 	for i := 0; i < n; i++ {
-		go func(i int) {
-			c, err := tcp.Dial(l.Addr(), tcp.Options{})
-			if err != nil {
-				return
-			}
-			Serve(c, WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
-		}(i)
+		c, err := tcp.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		go Serve(c, WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
 	}
 	peers := make([]Peer, n)
 	for i := range peers {

@@ -183,21 +183,27 @@ func NewService(opts Options) (*Service, error) {
 			return nil, fmt.Errorf("tenant: %w", err)
 		}
 		s.ln = ln
+		// Dial returns once the listener has answered, before anyone
+		// accepts, so the local daemons dial here and a failed dial is
+		// this call's error rather than an Accept that never returns.
+		conns := make([]transport.Conn, 0, opts.Workers)
 		for i := 0; i < opts.Workers; i++ {
-			name := fmt.Sprintf("fleet-%d", i+1)
-			go func() {
-				c, err := tcp.Dial(ln.Addr())
-				if err != nil {
-					return
+			c, err := tcp.Dial(ln.Addr())
+			if err != nil {
+				for _, c := range conns {
+					c.Close()
 				}
-				ms := live.NewMultiServer(c, live.WorkerOptions{
-					Name: name, Bodies: s.bodies, Slots: opts.WorkerSlots,
-				})
-				s.mu.Lock()
-				s.servers = append(s.servers, ms)
-				s.mu.Unlock()
-				ms.Serve()
-			}()
+				ln.Close()
+				return nil, fmt.Errorf("tenant: dialing daemon %d: %w", i+1, err)
+			}
+			conns = append(conns, c)
+		}
+		for i, c := range conns {
+			ms := live.NewMultiServer(c, live.WorkerOptions{
+				Name: fmt.Sprintf("fleet-%d", i+1), Bodies: s.bodies, Slots: opts.WorkerSlots,
+			})
+			s.servers = append(s.servers, ms)
+			go ms.Serve()
 		}
 		total := opts.Workers + opts.AwaitExternal
 		for i := 0; i < total; i++ {

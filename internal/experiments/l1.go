@@ -62,6 +62,6 @@ func L1Live(grid, workers int) (*Table, *jade.Runtime, error) {
 	}
 	tb.Notes = append(tb.Notes,
 		"message and byte counts are frames that crossed the transport; wall-clock throughput is measured by bench/ (chol_inproc, chol_tcp)",
-		"both transports run the same directory protocol as the simulated dist executor; tcp adds framing, heartbeats and reconnect")
+		"both transports run the same directory protocol as the simulated dist executor; tcp adds framing, batching and heartbeats")
 	return tb, inproc, nil
 }

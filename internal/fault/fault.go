@@ -54,8 +54,8 @@ type Cadence struct {
 	// HeartbeatRetries is the consecutive-miss budget before a machine
 	// is declared dead.
 	HeartbeatRetries int
-	// RetryBackoff is the initial retransmission (or redial) delay,
-	// doubling per retry.
+	// RetryBackoff is the initial retransmission delay, doubling per
+	// retry.
 	RetryBackoff time.Duration
 }
 
@@ -180,14 +180,17 @@ type Stats struct {
 	FalseSuspicions int
 	// MessagesLost, MessagesDuplicated and DuplicatesDropped count the
 	// injected message anomalies; every duplicate is idempotently dropped by
-	// the receiver's sequence-number filter.
+	// the receiver's sequence-number filter. Simulated runs only: a live
+	// transport neither duplicates nor drops a message short of a dead
+	// connection.
 	MessagesLost       int
 	MessagesDuplicated int
 	DuplicatesDropped  int
 	// MessagesBlocked counts sends into a partition or to a dead machine.
 	MessagesBlocked int
-	// MessagesRetried counts retransmissions by the executor's reliable
-	// send (ack/retry with exponential backoff).
+	// MessagesRetried counts retransmissions by the simulated executor's
+	// reliable send (ack/retry with exponential backoff). Simulated runs
+	// only: a live run retransmits nothing, it recovers a dead member.
 	MessagesRetried int
 	// HeartbeatsSent counts failure-detector probe messages (pings + acks).
 	HeartbeatsSent int

@@ -82,9 +82,6 @@ func (q *queue) closeDiscard() {
 type conn struct {
 	send *queue
 	recv *queue
-
-	mu    sync.Mutex
-	stats transport.Stats
 }
 
 // Pipe returns the two endpoints of a fresh duplex message pipe.
@@ -93,43 +90,14 @@ func Pipe() (transport.Conn, transport.Conn) {
 	return &conn{send: a, recv: b}, &conn{send: b, recv: a}
 }
 
-func (c *conn) Send(msg []byte) error {
-	if err := c.send.put(msg); err != nil {
-		return err
-	}
-	c.noteSent(len(msg))
-	return nil
-}
+func (c *conn) Send(msg []byte) error { return c.send.put(msg) }
 
 // SendOwned implements transport.OwnedSender: the message slice is
 // enqueued as-is (the receiver takes ownership via Recv), skipping the
 // defensive copy Send makes.
-func (c *conn) SendOwned(msg []byte) error {
-	if err := c.send.putOwned(msg); err != nil {
-		return err
-	}
-	c.noteSent(len(msg))
-	return nil
-}
+func (c *conn) SendOwned(msg []byte) error { return c.send.putOwned(msg) }
 
-func (c *conn) noteSent(n int) {
-	c.mu.Lock()
-	c.stats.MsgsSent++
-	c.stats.BytesSent += uint64(n)
-	c.mu.Unlock()
-}
-
-func (c *conn) Recv() ([]byte, error) {
-	msg, err := c.recv.get()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.stats.MsgsReceived++
-	c.stats.BytesRecv += uint64(len(msg))
-	c.mu.Unlock()
-	return msg, nil
-}
+func (c *conn) Recv() ([]byte, error) { return c.recv.get() }
 
 func (c *conn) Close() error {
 	// Closing either endpoint tears down both directions, so a blocked
@@ -137,12 +105,6 @@ func (c *conn) Close() error {
 	c.send.close()
 	c.recv.close()
 	return nil
-}
-
-func (c *conn) Stats() transport.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // Fence implements transport.Fencer. The pipe IS the session on this

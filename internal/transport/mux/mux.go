@@ -148,15 +148,6 @@ func (m *Mux) Fence() {
 	m.phys.Close()
 }
 
-// Stats forwards the physical connection's transport counters, when the
-// substrate keeps them.
-func (m *Mux) Stats() (transport.Stats, bool) {
-	if s, ok := m.phys.(transport.Statser); ok {
-		return s.Stats(), true
-	}
-	return transport.Stats{}, false
-}
-
 func (m *Mux) failErr() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -49,9 +49,10 @@ func PutBuf(b []byte) {
 
 // OwnedSender is the optional ownership-transfer variant of Conn.Send:
 // the connection takes msg instead of copying it, and the caller must not
-// retain or reuse the slice. Substrates that must keep the bytes anyway
-// (tcp retains every unacked frame for retransmit; inproc enqueues for
-// the peer) implement it to skip the defensive copy Send requires.
+// retain or reuse the slice. Substrates that queue the bytes anyway (tcp
+// until its writer has copied them into a batch, then back to the pool;
+// inproc until the peer's Recv takes them) implement it to skip the
+// defensive copy Send requires.
 type OwnedSender interface {
 	SendOwned(msg []byte) error
 }

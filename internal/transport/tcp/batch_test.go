@@ -3,7 +3,6 @@ package tcp
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -21,19 +20,19 @@ func TestSendRejectsOversized(t *testing.T) {
 	maxFrame.Store(64)
 	defer maxFrame.Store(old)
 
-	c, s, _ := pair(t, fastOpts())
+	c, s, _ := pair(t)
 
-	// 1 type byte + 8 seq bytes + msg must fit maxFrame: 55 is the largest
-	// message that does.
-	atLimit := make([]byte, 55)
+	// 1 type byte + msg must fit maxFrame: 63 is the largest message that
+	// does.
+	atLimit := make([]byte, 63)
 	if err := c.Send(atLimit); err != nil {
 		t.Fatalf("Send at the frame limit: %v", err)
 	}
-	if got := recvN(t, s, 1); len(got[0]) != 55 {
+	if got := recvN(t, s, 1); len(got[0]) != 63 {
 		t.Fatalf("at-limit message arrived with %d bytes", len(got[0]))
 	}
 
-	over := make([]byte, 56)
+	over := make([]byte, 64)
 	if err := c.Send(over); err == nil {
 		t.Fatal("Send over the frame limit succeeded")
 	}
@@ -41,8 +40,8 @@ func TestSendRejectsOversized(t *testing.T) {
 		t.Fatal("SendOwned over the frame limit succeeded")
 	}
 
-	// The refused sends must not have consumed sequence numbers or
-	// poisoned the session: ordinary traffic still flows.
+	// The refused sends must not have poisoned the connection: ordinary
+	// traffic still flows.
 	if err := c.Send([]byte("after")); err != nil {
 		t.Fatalf("Send after a refused message: %v", err)
 	}
@@ -52,12 +51,12 @@ func TestSendRejectsOversized(t *testing.T) {
 }
 
 // TestBacklogBurst drives more concurrent dials than the listener's
-// 64-slot accept backlog holds. No session may be dropped — each dial
+// 64-slot accept backlog holds. No connection may be dropped — each dial
 // must eventually surface via Accept and carry traffic — and the
 // BacklogWaits counter must record that the backlog overflowed.
 func TestBacklogBurst(t *testing.T) {
 	const dials = 80 // backlog is 64
-	l, err := Listen("127.0.0.1:0", fastOpts())
+	l, err := listen("127.0.0.1:0", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestBacklogBurst(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(l.Addr(), fastOpts())
+			c, err := dial(l.Addr(), fast)
 			if err != nil {
 				errs <- fmt.Errorf("dial %d: %w", i, err)
 				return
@@ -97,7 +96,7 @@ func TestBacklogBurst(t *testing.T) {
 		}
 		msg, err := sc.Recv()
 		if err != nil {
-			t.Fatalf("Recv on accepted session %d: %v", i, err)
+			t.Fatalf("Recv on accepted connection %d: %v", i, err)
 		}
 		seen[string(msg)] = true
 		sc.Close()
@@ -127,31 +126,22 @@ func TestAppendDataFrameAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		batch = batch[:0]
 		for i := 0; i < 16; i++ {
-			batch = appendDataFrame(batch, uint64(i+1), msg)
+			batch = appendWireFrame(batch, fData, msg)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("appendDataFrame into a reused batch: %.1f allocs, want 0", allocs)
+		t.Errorf("appendWireFrame into a reused batch: %.1f allocs, want 0", allocs)
 	}
 }
 
 // frame is one parsed wire frame, as readFrame reports it.
 type frame struct {
 	typ byte
-	seq uint64 // fData: the message's sequence number; fAck: the acknowledged one
 	msg []byte // fData only
 }
 
 // pack re-encodes the frame the way the writer would have.
-func (f frame) pack(dst []byte) []byte {
-	switch f.typ {
-	case fData:
-		return appendDataFrame(dst, f.seq, f.msg)
-	case fAck:
-		return appendWireFrame(dst, fAck, binary.BigEndian.AppendUint64(nil, f.seq))
-	}
-	return appendWireFrame(dst, f.typ, nil)
-}
+func (f frame) pack(dst []byte) []byte { return appendWireFrame(dst, f.typ, f.msg) }
 
 // writeFrame writes one frame as its own Write call.
 func writeFrame(w io.Writer, typ byte, body []byte) error {
@@ -160,30 +150,28 @@ func writeFrame(w io.Writer, typ byte, body []byte) error {
 }
 
 // readAll parses a byte stream as a train of wire frames, the way the
-// session reader consumes one batched Write from the peer.
+// connection's reader consumes one batched Write from the peer.
 func readAll(data []byte) ([]frame, error) {
 	br := bufio.NewReaderSize(bytes.NewReader(data), readBufSize)
 	var frames []frame
 	for {
-		typ, seq, msg, err := readFrame(br)
+		typ, msg, err := readFrame(br)
 		if err == io.EOF {
 			return frames, nil
 		}
 		if err != nil {
 			return frames, err
 		}
-		frames = append(frames, frame{typ, seq, msg})
+		frames = append(frames, frame{typ, msg})
 	}
 }
 
 // TestReadBatchedFrames: a single buffer packed by the batching writer
-// (ack + data train + heartbeat) parses back frame by frame.
+// (a data train, then a heartbeat) parses back frame by frame.
 func TestReadBatchedFrames(t *testing.T) {
-	var seqBuf [8]byte
-	binary.BigEndian.PutUint64(seqBuf[:], 41)
-	batch := appendWireFrame(nil, fAck, seqBuf[:])
+	var batch []byte
 	for i := 1; i <= 5; i++ {
-		batch = appendDataFrame(batch, uint64(i), []byte(fmt.Sprintf("m%d", i)))
+		batch = appendWireFrame(batch, fData, []byte(fmt.Sprintf("m%d", i)))
 	}
 	batch = appendWireFrame(batch, fHeartbeat, nil)
 
@@ -195,19 +183,13 @@ func TestReadBatchedFrames(t *testing.T) {
 	for _, f := range frames {
 		types = append(types, f.typ)
 	}
-	want := []byte{fAck, fData, fData, fData, fData, fData, fHeartbeat}
+	want := []byte{fData, fData, fData, fData, fData, fHeartbeat}
 	if !bytes.Equal(types, want) {
 		t.Fatalf("frame types = %q, want %q", types, want)
 	}
-	if frames[0].seq != 41 {
-		t.Errorf("ack = %d, want 41", frames[0].seq)
-	}
-	for i := 1; i <= 5; i++ {
-		if got := frames[i].seq; got != uint64(i) {
-			t.Errorf("data frame %d: seq = %d", i, got)
-		}
-		if got := string(frames[i].msg); got != fmt.Sprintf("m%d", i) {
-			t.Errorf("data frame %d: msg = %q", i, got)
+	for i := 0; i < 5; i++ {
+		if got := string(frames[i].msg); got != fmt.Sprintf("m%d", i+1) {
+			t.Errorf("data frame %d: msg = %q", i+1, got)
 		}
 	}
 }
@@ -217,18 +199,15 @@ func TestReadBatchedFrames(t *testing.T) {
 // must never panic, and any stream it fully accepts must re-pack to the
 // identical bytes. Seeds cover the shapes the batching writer produces.
 func FuzzReadFrames(f *testing.F) {
-	var seqBuf [8]byte
-	binary.BigEndian.PutUint64(seqBuf[:], 7)
-
 	// Single frames.
-	f.Add(appendWireFrame(nil, fAck, seqBuf[:]))
 	f.Add(appendWireFrame(nil, fHeartbeat, nil))
 	f.Add(appendWireFrame(nil, fFin, nil))
-	f.Add(appendDataFrame(nil, 1, []byte("solo")))
-	// A full batch: ack, data train, fin — the writer's flush shape.
-	batch := appendWireFrame(nil, fAck, seqBuf[:])
+	f.Add(appendWireFrame(nil, fData, []byte("solo")))
+	f.Add(appendWireFrame(nil, fData, nil))
+	// A full batch: data train, fin — the writer's flush shape.
+	var batch []byte
 	for i := 1; i <= 3; i++ {
-		batch = appendDataFrame(batch, uint64(i), []byte{byte(i), 0xEE})
+		batch = appendWireFrame(batch, fData, []byte{byte(i), 0xEE})
 	}
 	batch = appendWireFrame(batch, fFin, nil)
 	f.Add(batch)

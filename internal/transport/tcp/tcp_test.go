@@ -2,54 +2,39 @@ package tcp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
 )
 
-// fastOpts keeps detector and reconnect delays small so the failure-path
-// tests run in milliseconds.
-func fastOpts() Options {
-	return Options{
-		HeartbeatInterval: 40 * time.Millisecond,
-		HeartbeatTimeout:  20 * time.Millisecond,
-		HeartbeatRetries:  3,
-		RetryBackoff:      5 * time.Millisecond,
-		DialTimeout:       2 * time.Second,
-		SessionTimeout:    5 * time.Second,
-	}
-}
+// fast keeps the heartbeat interval and the liveness deadline small so
+// the failure-path tests run in milliseconds.
+var fast = cadence{interval: 40 * time.Millisecond, deadline: 200 * time.Millisecond}
 
-// pair starts a listener and returns a connected client/server session.
-func pair(t *testing.T, opts Options) (client, server *session, l *Listener) {
+// pair starts a listener and returns a connected client/server pair.
+func pair(t *testing.T) (client, server *conn, l *Listener) {
 	t.Helper()
-	l, err := Listen("127.0.0.1:0", opts)
+	l, err := listen("127.0.0.1:0", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	type res struct {
-		c   transport.Conn
-		err error
+	c, err := dial(l.Addr(), fast)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := Dial(l.Addr(), opts)
-		ch <- res{c, err}
-	}()
 	sc, err := l.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	t.Cleanup(func() { r.c.Close(); sc.Close() })
-	return r.c.(*session), sc.(*session), l
+	t.Cleanup(func() { c.Close(); sc.Close() })
+	return c, sc.(*conn), l
 }
 
 // recvN collects n messages or fails after a timeout.
@@ -79,9 +64,31 @@ func recvN(t *testing.T, c transport.Conn, n int) []string {
 	return out
 }
 
+// recvErr drains c until Recv fails and returns the error, failing the
+// test if the connection is still open after within.
+func recvErr(t *testing.T, c transport.Conn, within time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := c.Recv(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(within):
+		t.Fatalf("connection still open %v later", within)
+		return nil
+	}
+}
+
 // TestRoundTrip: messages cross a real socket both ways in order.
 func TestRoundTrip(t *testing.T) {
-	c, s, _ := pair(t, fastOpts())
+	c, s, _ := pair(t)
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := c.Send([]byte(fmt.Sprintf("c%d", i))); err != nil {
@@ -106,7 +113,7 @@ func TestRoundTrip(t *testing.T) {
 // TestOrderlyClose: Close delivers queued messages, then the peer's Recv
 // reports ErrClosed.
 func TestOrderlyClose(t *testing.T) {
-	c, s, _ := pair(t, fastOpts())
+	c, s, _ := pair(t)
 	c.Send([]byte("last"))
 	c.Close()
 	msg, err := s.Recv()
@@ -120,12 +127,11 @@ func TestOrderlyClose(t *testing.T) {
 
 // TestPeerDiesMidFrame: a raw client that sends a whole message, then
 // half a frame, then vanishes. The delivered prefix must surface intact,
-// the partial frame must never be delivered, and once the session times
-// out Recv reports the failure.
+// the partial frame must never be delivered, and the connection ends at
+// the read error itself: Recv reports the torn frame, not a timeout and
+// not an orderly close.
 func TestPeerDiesMidFrame(t *testing.T) {
-	opts := fastOpts()
-	opts.SessionTimeout = 200 * time.Millisecond
-	l, err := Listen("127.0.0.1:0", opts)
+	l, err := listen("127.0.0.1:0", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +142,13 @@ func TestPeerDiesMidFrame(t *testing.T) {
 		if err != nil {
 			return
 		}
-		writeHandshake(raw, 0, 0)
+		writeHandshake(raw)
 		readHandshake(raw)
 		// One whole message...
-		body := binary.BigEndian.AppendUint64(nil, 1)
-		body = append(body, []byte("whole")...)
-		writeFrame(raw, fData, body)
+		writeFrame(raw, fData, []byte("whole"))
 		// ...then a frame whose length prefix promises 100 bytes but the
 		// connection dies after 3.
-		var partial []byte
-		partial = binary.BigEndian.AppendUint32(partial, 100)
+		partial := binary.BigEndian.AppendUint32(nil, 100)
 		partial = append(partial, fData, 0, 0)
 		raw.Write(partial)
 		time.Sleep(50 * time.Millisecond)
@@ -160,93 +163,39 @@ func TestPeerDiesMidFrame(t *testing.T) {
 	if err != nil || string(msg) != "whole" {
 		t.Fatalf("Recv = %q, %v, want the whole message", msg, err)
 	}
-	// The partial frame is never delivered; the peer never resumes, so
-	// after SessionTimeout the session dies with an error (not a hang).
-	if _, err := sc.Recv(); err == nil {
-		t.Fatal("Recv delivered data from a partial frame")
-	} else if err == transport.ErrClosed {
-		t.Fatal("mid-frame death surfaced as orderly close")
+	// The socket ends in an unexpected EOF, or in a reset if a heartbeat
+	// was still unread when the peer closed.
+	err = recvErr(t, sc, 10*time.Second)
+	var ne net.Error
+	if errors.Is(err, transport.ErrClosed) || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("Recv after a torn frame = %v, want the read error that tore it", err)
 	}
 }
 
-// TestReconnectResumes: the raw socket is killed while a stream of
-// messages is in flight; the dialing side reconnects with backoff and
-// delivery resumes at the next whole message — every message arrives
-// exactly once, in order.
-func TestReconnectResumes(t *testing.T) {
-	c, s, _ := pair(t, fastOpts())
-	const n = 200
-	go func() {
-		for i := 0; i < n; i++ {
-			c.Send([]byte(fmt.Sprintf("m%d", i)))
-			if i == 50 || i == 120 {
-				c.dropRaw() // network failure, not a close
-			}
-		}
-	}()
-	got := recvN(t, s, n)
-	for i, msg := range got {
-		if msg != fmt.Sprintf("m%d", i) {
-			t.Fatalf("msg %d = %q: stream did not resume at the next whole message", i, msg)
+// TestDroppedSocketEndsBothSides: a connection is its socket. Closing
+// the socket under one end — a network failure, not a Close — fails both
+// ends within a liveness deadline, and nothing redials: each Recv
+// reports an error other than ErrClosed, and Send refuses.
+func TestDroppedSocketEndsBothSides(t *testing.T) {
+	c, s, _ := pair(t)
+	c.Send([]byte("before"))
+	recvN(t, s, 1)
+	c.raw.Close()
+	for _, end := range []*conn{c, s} {
+		if err := recvErr(t, end, fast.deadline); errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("a dropped socket surfaced as an orderly close")
 		}
 	}
-	// Whether frames were still unacked when the socket dropped is a timing
-	// accident, so Retransmits is not asserted here;
-	// TestDuplicateDroppedBySeq pins retransmission deterministically.
-	if st := c.Stats(); st.Reconnects == 0 {
-		t.Error("client Stats().Reconnects = 0, want > 0")
+	if err := c.Send([]byte("after")); err == nil {
+		t.Fatal("Send on a dead connection succeeded")
 	}
 }
 
-// TestDuplicateDroppedBySeq mirrors the fault.Network once-per-message
-// contract: the client is rigged to ignore acks, so after a reconnect it
-// retransmits messages the server has already delivered. The server must
-// drop every duplicate by sequence number.
-func TestDuplicateDroppedBySeq(t *testing.T) {
-	c, s, _ := pair(t, fastOpts())
-	c.mu.Lock()
-	c.ignoreAcks = true
-	c.mu.Unlock()
-
-	const n = 10
-	for i := 0; i < n; i++ {
-		c.Send([]byte(fmt.Sprintf("d%d", i)))
-	}
-	first := recvN(t, s, n) // all n delivered once
-	for i, msg := range first {
-		if msg != fmt.Sprintf("d%d", i) {
-			t.Fatalf("msg %d = %q", i, msg)
-		}
-	}
-
-	// Kill the socket: the client believes nothing was acked and
-	// retransmits all n on resume.
-	c.dropRaw()
-	c.Send([]byte("after"))
-	if got := recvN(t, s, 1); got[0] != "after" {
-		t.Fatalf("post-resume msg = %q, want \"after\" (duplicates leaked)", got[0])
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := s.Stats(); st.DupsDropped >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server Stats().DupsDropped = %d, want >= %d", s.Stats().DupsDropped, n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := c.Stats(); st.Retransmits < n {
-		t.Errorf("client Stats().Retransmits = %d, want >= %d", st.Retransmits, n)
-	}
-}
-
-// TestHeartbeats: an idle session emits heartbeats and stays alive well
-// past the liveness deadline.
+// TestHeartbeats: an idle connection emits heartbeats and stays alive
+// well past the liveness deadline.
 func TestHeartbeats(t *testing.T) {
-	opts := fastOpts()
-	c, s, _ := pair(t, opts)
-	time.Sleep(3 * opts.deadline())
+	c, s, _ := pair(t)
+	time.Sleep(3 * fast.deadline)
 	if err := c.Send([]byte("still-here")); err != nil {
 		t.Fatalf("Send after idle period: %v", err)
 	}
@@ -261,51 +210,81 @@ func TestHeartbeats(t *testing.T) {
 	}
 }
 
-// TestReconnectGivesUp: when the listener is gone for good, redial
-// exhausts its backoff budget and the session fails instead of hanging.
-func TestReconnectGivesUp(t *testing.T) {
-	opts := fastOpts()
-	c, _, l := pair(t, opts)
-	l.Close()
-	l.nl.Close()
-	c.dropRaw()
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Recv()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || err == transport.ErrClosed {
-			t.Fatalf("Recv = %v, want a reconnect-failure error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("session hung instead of failing after reconnect attempts")
-	}
-}
-
-// TestHandshakeVersionMismatch: a peer speaking a different transport
-// version is rejected at the handshake.
+// TestHandshakeVersionMismatch: a peer speaking another transport
+// version — the resuming version 1 among them — is rejected at the
+// handshake.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	opts := fastOpts()
-	l, err := Listen("127.0.0.1:0", opts)
+	l, err := listen("127.0.0.1:0", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	for _, v := range []byte{hsVersion - 1, hsVersion + 1} {
+		raw, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write([]byte{'J', 'T', 'P', v})
+		// The listener drops the connection without a reply.
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var buf [1]byte
+		if _, err := raw.Read(buf[:]); err == nil {
+			t.Fatalf("listener answered a version %d handshake", v)
+		}
+		raw.Close()
+	}
+}
+
+// TestControlFrameSizeEnforced: heartbeat and fin frames have no body,
+// checked before anything is allocated. A heartbeat-typed frame claiming
+// 64 MiB fails the connection with an error that says so, and costs no
+// 64 MiB.
+func TestControlFrameSizeEnforced(t *testing.T) {
+	l, err := listen("127.0.0.1:0", fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
 	raw, err := net.Dial("tcp", l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	bad := []byte{'J', 'T', 'P', hsVersion + 1}
-	bad = binary.BigEndian.AppendUint64(bad, 0)
-	bad = binary.BigEndian.AppendUint64(bad, 0)
-	raw.Write(bad)
-	// The listener drops the connection without a reply.
-	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var buf [1]byte
-	if _, err := raw.Read(buf[:]); err == nil {
-		t.Fatal("listener answered a wrong-version handshake")
+	writeHandshake(raw)
+	readHandshake(raw)
+	bogus := binary.BigEndian.AppendUint32(nil, 64<<20)
+	raw.Write(append(bogus, fHeartbeat, 0, 0, 0))
+
+	sc, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sc.Recv()
+	if err == nil || err == transport.ErrClosed || !strings.Contains(err.Error(), "H frame claims 67108864 bytes") {
+		t.Fatalf("Recv = %v, want a connection failure naming the oversized heartbeat", err)
+	}
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the frame allocated %d bytes, want well under 1 MiB", grew)
+	}
+
+	// The other fixed sizes, at the parser.
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"heartbeat with a body", appendWireFrame(nil, fHeartbeat, []byte{1})},
+		{"fin with a body", appendWireFrame(nil, fFin, []byte{1})},
+		{"unknown type", appendWireFrame(nil, 'Z', nil)},
+		{"zero-length heartbeat", []byte{0, 0, 0, 0, fHeartbeat}},
+		{"zero-length data", []byte{0, 0, 0, 0, fData}},
+	} {
+		if _, err := readAll(tc.data); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

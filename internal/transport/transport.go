@@ -6,24 +6,26 @@
 // what makes that portable is a runtime factored from the communication
 // substrate behind a narrow interface.  This package is that seam for the
 // repo: the live executor speaks only Conn/Listener, and the two concrete
-// substrates — inproc (goroutine channels) and tcp (length-prefixed frames
-// over real sockets with reconnect, heartbeats, and at-most-once delivery)
-// — plug in underneath without the executor changing.
+// substrates — inproc (goroutine channels) and tcp (length-prefixed
+// frames over one socket per connection, with heartbeats) — plug in
+// underneath without the executor changing.
 //
 // The contract is deliberately message-oriented rather than stream
 // oriented: Send/Recv move whole messages (the wire codec in
 // transport/wire produces one frame per message), preserving the
 // message-at-a-time model of the simulated network in internal/netmodel.
+// A substrate repairs nothing: a connection that breaks stays broken, and
+// the layer above treats it as a dead member.
 package transport
 
 import "errors"
 
 // ErrClosed is returned by Send/Recv/Accept after the endpoint has been
-// closed locally or the peer has terminated the session for good (as
-// opposed to a transient drop that the substrate will repair itself).
+// closed locally or the peer has closed it in order.
 var ErrClosed = errors.New("transport: connection closed")
 
-// Conn is a reliable, ordered, duplex message pipe.
+// Conn is a reliable, ordered, duplex message pipe for as long as it
+// lives.
 //
 //   - Send enqueues one message.  It may be called from many goroutines
 //     concurrently; messages from a single sender are delivered in order.
@@ -31,16 +33,19 @@ var ErrClosed = errors.New("transport: connection closed")
 //     two endpoints may Send to each other without deadlock.
 //   - Recv returns the next message.  Only one goroutine may call Recv at
 //     a time.  The returned slice is owned by the caller.
-//   - Messages are delivered at most once and in order.  Substrates that
-//     retransmit (tcp) deduplicate by sequence number, mirroring the
-//     once-per-message contract of the simulated fault.Network.
+//   - Every message is delivered once, in order, until the connection
+//     ends.  It ends by a Close on either side (Recv then reports
+//     ErrClosed) or by a failure such as a lost socket or a silent peer
+//     (Recv reports that error).  Either way it is over: nothing
+//     reconnects, and messages in flight when it failed may be lost.
 type Conn interface {
 	// Send enqueues msg for delivery.  The implementation must not
 	// retain msg after returning.
 	Send(msg []byte) error
 	// Recv blocks for the next message or a terminal error.
 	Recv() ([]byte, error)
-	// Close tears the session down.  Pending Recv calls return ErrClosed.
+	// Close tears the connection down.  Pending Recv calls return
+	// ErrClosed.
 	Close() error
 }
 
@@ -55,38 +60,22 @@ type Listener interface {
 	Close() error
 }
 
-// Stats counts traffic on a Conn.  Substrates that implement the optional
-//
-//	interface{ Stats() transport.Stats }
-//
-// expose them; the live executor folds these into Runtime.Report().Fault
-// (heartbeats, retries, duplicates) alongside its own frame accounting.
+// Stats counts a Conn's own traffic.  Substrates that implement the
+// optional Statser expose it; the live executor folds it into
+// Runtime.Report().Fault alongside its own frame accounting.
 type Stats struct {
-	MsgsSent     uint64 // application messages submitted to Send
-	MsgsReceived uint64 // application messages surfaced by Recv
-	BytesSent    uint64 // payload bytes submitted
-	BytesRecv    uint64 // payload bytes surfaced
-	Retransmits  uint64 // data frames re-sent after a reconnect
-	DupsDropped  uint64 // retransmitted frames discarded by seq number
-	Heartbeats   uint64 // idle-channel heartbeat frames sent
-	Reconnects   uint64 // successful session resumptions
+	Heartbeats uint64 // idle-connection heartbeat frames sent
 }
 
 // Statser is the optional stats interface, satisfied by tcp conns.
 type Statser interface{ Stats() Stats }
 
 // Fencer is the optional fencing interface. Fence tears the connection
-// down AND bars any late traffic from the same session from ever being
-// delivered: frames in flight (or retransmitted on a resume attempt) are
-// dropped, not applied, and a resume handshake presenting the fenced
-// session id is rejected. The coordinator fences a worker it has
-// declared dead so that a worker that was merely slow cannot corrupt the
-// recovered run — the falsely-suspected worker must rejoin as a brand
-// new member. Substrates without session state (inproc) treat Fence as
-// Close: the channel is the session.
+// down AND bars any late traffic on it from ever being delivered: frames
+// in flight, or received but not yet taken by Recv, are dropped, not
+// applied. The coordinator fences a worker it has declared dead so that
+// a worker that was merely slow cannot corrupt the recovered run — the
+// falsely-suspected worker must dial again, and so rejoin as a brand new
+// member. On inproc the pipe is the connection, so Fence closes it and
+// discards what is queued.
 type Fencer interface{ Fence() }
-
-// Sessioner exposes the substrate's session identity, when it has one.
-// Two conns with different ids are different sessions even if they
-// connect the same two endpoints — the property session fencing keys on.
-type Sessioner interface{ SessionID() uint64 }

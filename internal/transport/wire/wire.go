@@ -124,7 +124,7 @@ const (
 	// TBye. No scalar fields.
 	TLeave
 	// TEvict: coordinator → worker: you have been declared dead and your
-	// session is fenced; do not attempt to resume it. A worker that is in
+	// connection is fenced. A worker that is in
 	// fact alive may rejoin as a brand-new member (fresh dial + THello).
 	// Delivery is best-effort — a genuinely dead worker never sees it.
 	TEvict

@@ -253,8 +253,8 @@ type LiveConfig struct {
 	// (each is machine 1..Workers). Required unless AwaitExternal > 0.
 	Workers int
 	// Transport selects the substrate: "inproc" (goroutine pipes, the
-	// default) or "tcp" (real loopback sockets with framing, heartbeats
-	// and reconnect — the full wire path).
+	// default) or "tcp" (real loopback sockets with framing and
+	// heartbeats — the full wire path).
 	Transport string
 	// Listen is the TCP listen address for Transport "tcp". Empty means
 	// "127.0.0.1:0" (an ephemeral loopback port). Give an explicit
@@ -337,19 +337,28 @@ func NewLive(cfg LiveConfig) (*Runtime, error) {
 		if addr == "" {
 			addr = "127.0.0.1:0"
 		}
-		l, err := tcp.Listen(addr, tcp.Options{})
+		l, err := tcp.Listen(addr)
 		if err != nil {
 			return nil, fmt.Errorf("jade: live listen: %w", err)
 		}
 		boundAddr = l.Addr()
+		// Dial returns once the listener has answered, before anyone
+		// accepts, so the local workers dial here and a failed dial is
+		// this call's error rather than an Accept that never returns.
+		conns := make([]transport.Conn, 0, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
-			go func(i int) {
-				c, err := tcp.Dial(l.Addr(), tcp.Options{})
-				if err != nil {
-					return
+			c, err := tcp.Dial(l.Addr())
+			if err != nil {
+				for _, c := range conns {
+					c.Close()
 				}
-				live.Serve(c, localWorker(i))
-			}(i)
+				l.Close()
+				return nil, fmt.Errorf("jade: live dial: %w", err)
+			}
+			conns = append(conns, c)
+		}
+		for i, c := range conns {
+			go live.Serve(c, localWorker(i))
 		}
 		for len(peers) < cfg.Workers+cfg.AwaitExternal {
 			c, err := l.Accept()
@@ -454,7 +463,7 @@ func (r *Runtime) JoinWorkers(n int) error {
 				return fmt.Errorf("jade: JoinWorkers on a tcp runtime requires LiveConfig.Elastic")
 			}
 			want := r.activeMembers() + 1
-			c, err := tcp.Dial(r.liveAddr, tcp.Options{})
+			c, err := tcp.Dial(r.liveAddr)
 			if err != nil {
 				return fmt.Errorf("jade: join dial: %w", err)
 			}
@@ -521,7 +530,7 @@ func ServeWorker(cfg WorkerConfig) error {
 	if cfg.Addr == "" {
 		return fmt.Errorf("jade: ServeWorker needs an address")
 	}
-	c, err := tcp.Dial(cfg.Addr, tcp.Options{})
+	c, err := tcp.Dial(cfg.Addr)
 	if err != nil {
 		return err
 	}

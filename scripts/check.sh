@@ -12,8 +12,7 @@
 # exec/live/tenant), which the race tier always runs at both one P and four
 # (-cpu 1,4): the trace log's appends, label interning and snapshots share
 # one lock, the engine's queue summary and entry tables are checked from
-# every task of the stress programs while the others run, and acks that
-# ride data, check-ins
+# every task of the stress programs while the others run, and check-ins
 # and write-backs that ride a task's frames, and dispatches made on the
 # goroutine that readied the task, take different paths when the peer runs
 # in parallel. The lock-discipline walks at the root run there too.
@@ -27,10 +26,14 @@ TIERS="static unit race determinism artifact bench-smoke"
 
 tier() {
 	case "$1" in
-	static) # formatting, vet, and that everything builds
+	static) # formatting, vet, that everything builds, and the size of it
 		test -z "$(gofmt -l . | tee /dev/stderr)"
 		go vet ./...
 		go build ./...
+		# Non-test Go in the root module (bench/ and dot-directories
+		# excluded), so every change reports its line delta.
+		echo "non-test Go lines: $(find . -path ./bench -prune -o -path './.*' -prune -o \
+			-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 		;;
 	unit) # tier-1: the whole suite, once
 		go test ./...
