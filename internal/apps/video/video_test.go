@@ -136,8 +136,8 @@ func TestFormatConversionHappens(t *testing.T) {
 	if rep.Net.Messages == 0 {
 		t.Fatal("pipeline should move frames between machines")
 	}
-	sum := trace.Summarize(r.TraceLog())
-	if sum.ObjectsMoved+sum.ObjectsCopied == 0 {
+	log := r.TraceLog()
+	if len(log.Filter(trace.ObjectMoved))+len(log.Filter(trace.ObjectCopied)) == 0 {
 		t.Fatal("object motion events missing")
 	}
 	if rep.ConvertedWords == 0 {

@@ -50,6 +50,50 @@ func phaseRank(ph string) int {
 	return 3
 }
 
+// laneAssign packs each machine's tasks into lanes (Perfetto tids) so
+// that tasks live at the same time never share a row — the lane is the
+// task's reconstructed worker slot. Lane 0 is reserved for the
+// machine's net track; task lanes start at 1, and lanes[i] is tasks[i]'s.
+// Deterministic: tasks are placed in (start, id) order onto the lowest
+// free lane.
+func laneAssign(tasks []trace.TaskLife) (lanes []int, laneCount map[int]int) {
+	byMachine := map[int][]int{}
+	for i := range tasks {
+		byMachine[tasks[i].Machine] = append(byMachine[tasks[i].Machine], i)
+	}
+	lanes = make([]int, len(tasks))
+	laneCount = map[int]int{}
+	for m, is := range byMachine {
+		sort.Slice(is, func(a, b int) bool {
+			sa, _ := tasks[is[a]].Span()
+			sb, _ := tasks[is[b]].Span()
+			if sa != sb {
+				return sa < sb
+			}
+			return tasks[is[a]].ID < tasks[is[b]].ID
+		})
+		var laneEnd []time.Duration
+		for _, i := range is {
+			start, end := tasks[i].Span()
+			placed := false
+			for li, le := range laneEnd {
+				if le <= start {
+					lanes[i] = li + 1
+					laneEnd[li] = end
+					placed = true
+					break
+				}
+			}
+			if !placed {
+				laneEnd = append(laneEnd, end)
+				lanes[i] = len(laneEnd)
+			}
+		}
+		laneCount[m] = len(laneEnd)
+	}
+	return lanes, laneCount
+}
+
 // WriteChrome renders the event stream as Chrome-trace/Perfetto JSON:
 //
 //   - one process (pid) per machine, with the coordinator named;
@@ -68,11 +112,11 @@ func phaseRank(ph string) int {
 func WriteChrome(w io.Writer, in Input, opt Options) error {
 	events := append([]trace.Event(nil), in.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	tasks := buildTasks(each(events))
-	laneCount := laneAssign(tasks)
-	byID := map[uint64]*taskView{}
-	for _, t := range tasks {
-		byID[t.id] = t
+	tasks := trace.Tasks(each(events))
+	lanes, laneCount := laneAssign(tasks)
+	byID := make(map[uint64]int, len(tasks))
+	for i := range tasks {
+		byID[tasks[i].ID] = i
 	}
 
 	var out []chromeEvent
@@ -103,40 +147,38 @@ func WriteChrome(w io.Writer, in Input, opt Options) error {
 	}
 
 	// Phase slices.
-	slice := func(name string, start, end time.Duration, t *taskView, phase string) {
-		args := map[string]any{"task": t.id, "phase": phase}
-		if t.label != "" {
-			args["label"] = t.label
+	slice := func(name string, start, end time.Duration, i int, phase string) {
+		t := &tasks[i]
+		args := map[string]any{"task": t.ID, "phase": phase}
+		if t.Label != "" {
+			args["label"] = t.Label
 		}
 		// Zero-duration slices stay X even in B/E mode: the global sort
 		// orders slice ends before same-timestamp begins, which would
 		// flip a degenerate pair into E-before-B.
 		if opt.BeginEnd && end > start {
-			emit(chromeEvent{Ph: "B", Name: name, Ts: usOf(start), Pid: t.machine, Tid: t.lane, Args: args})
-			emit(chromeEvent{Ph: "E", Name: name, Ts: usOf(end), Pid: t.machine, Tid: t.lane})
+			emit(chromeEvent{Ph: "B", Name: name, Ts: usOf(start), Pid: t.Machine, Tid: lanes[i], Args: args})
+			emit(chromeEvent{Ph: "E", Name: name, Ts: usOf(end), Pid: t.Machine, Tid: lanes[i]})
 			return
 		}
 		emit(chromeEvent{Ph: "X", Name: name, Ts: usOf(start), Dur: usOf(end - start),
-			Pid: t.machine, Tid: t.lane, Args: args})
+			Pid: t.Machine, Tid: lanes[i], Args: args})
 	}
-	for _, t := range tasks {
-		execName := t.label
+	for i := range tasks {
+		t := &tasks[i]
+		execName := t.Label
 		if execName == "" {
-			execName = fmt.Sprintf("task %d", t.id)
+			execName = fmt.Sprintf("task %d", t.ID)
 		}
-		if t.hasQueue {
-			qEnd := t.execStart
-			if t.hasFetch {
-				qEnd = t.fetchStart
-			}
-			slice("queue", t.queueStart, qEnd, t, "queue")
+		if t.HasQueue {
+			slice("queue", t.QueueStart, t.QueueEnd(), i, "queue")
 		}
-		if t.hasFetch {
-			slice("fetch", t.fetchStart, t.fetched, t, "fetch")
+		if t.HasFetch {
+			slice("fetch", t.FetchStart, t.Fetched, i, "fetch")
 		}
-		slice(execName, t.execStart, t.execEnd, t, "exec")
-		if t.hasCommit {
-			slice("commit", t.execEnd, t.commitEnd, t, "commit")
+		slice(execName, t.ExecStart, t.ExecEnd, i, "exec")
+		if t.HasCommit {
+			slice("commit", t.ExecEnd, t.CommitEnd, i, "commit")
 		}
 	}
 
@@ -159,10 +201,11 @@ func WriteChrome(w io.Writer, in Input, opt Options) error {
 			default:
 				continue
 			}
-			t := byID[ev.Task]
-			if t == nil || t.machine != ev.Dst {
+			i, ok := byID[ev.Task]
+			if !ok || tasks[i].Machine != ev.Dst {
 				continue // no receiving slice to bind (e.g. write-back to the coordinator)
 			}
+			t := &tasks[i]
 			flowID++
 			name := fmt.Sprintf("%s obj %d", kind, ev.Object)
 			if kind == "dispatch" {
@@ -175,7 +218,7 @@ func WriteChrome(w io.Writer, in Input, opt Options) error {
 			// The arrow lands inside the task's fetch slice when the
 			// transfer fed the fetch, else inside the exec slice.
 			landTs := ev.At
-			start, end := t.span()
+			start, end := t.Span()
 			if landTs < start {
 				landTs = start
 			}
@@ -188,7 +231,7 @@ func WriteChrome(w io.Writer, in Input, opt Options) error {
 			}
 			emit(chromeEvent{Ph: "X", Name: name, Ts: usOf(srcTs), Pid: ev.Src, Tid: 0, Args: args})
 			emit(chromeEvent{Ph: "s", Name: kind, ID: flowID, Ts: usOf(srcTs), Pid: ev.Src, Tid: 0})
-			emit(chromeEvent{Ph: "f", Name: kind, ID: flowID, BP: "e", Ts: usOf(landTs), Pid: ev.Dst, Tid: t.lane})
+			emit(chromeEvent{Ph: "f", Name: kind, ID: flowID, BP: "e", Ts: usOf(landTs), Pid: ev.Dst, Tid: lanes[i]})
 		}
 	}
 
@@ -212,10 +255,11 @@ func WriteChrome(w io.Writer, in Input, opt Options) error {
 		}
 		var outstanding []delta
 		busy := map[int][]delta{}
-		for _, t := range tasks {
-			start, end := t.span()
+		for i := range tasks {
+			t := &tasks[i]
+			start, end := t.Span()
 			outstanding = append(outstanding, delta{start, 1}, delta{end, -1})
-			busy[t.machine] = append(busy[t.machine], delta{t.execStart, 1}, delta{t.execEnd, -1})
+			busy[t.Machine] = append(busy[t.Machine], delta{t.ExecStart, 1}, delta{t.ExecEnd, -1})
 		}
 		counter("tasks outstanding", 0, "tasks", outstanding)
 		bytesIn := map[int][]delta{}

@@ -11,13 +11,13 @@ import (
 // task by task and snapshotted at the end. Latencies.Fold must agree with
 // it exactly.
 func LatencyByLabelOracle(events []trace.Event) []LabelLatency {
-	tasks := buildTasks(each(events))
+	tasks := trace.Tasks(each(events))
 	hists := map[string]*struct{ total, exec Histogram }{}
 	for _, t := range tasks {
-		if t.id == rootTask {
+		if t.ID == trace.RootTask {
 			continue
 		}
-		lbl := t.label
+		lbl := t.Label
 		if lbl == "" {
 			lbl = "(unlabeled)"
 		}
@@ -26,18 +26,18 @@ func LatencyByLabelOracle(events []trace.Event) []LabelLatency {
 			h = &struct{ total, exec Histogram }{}
 			hists[lbl] = h
 		}
-		end := t.execEnd
-		if t.hasCommit {
-			end = t.commitEnd
+		end := t.ExecEnd
+		if t.HasCommit {
+			end = t.CommitEnd
 		}
-		start := t.execStart
-		if t.hasQueue {
-			start = t.queueStart
-		} else if t.hasFetch {
-			start = t.fetchStart
+		start := t.ExecStart
+		if t.HasQueue {
+			start = t.QueueStart
+		} else if t.HasFetch {
+			start = t.FetchStart
 		}
 		h.total.Record(end - start)
-		h.exec.Record(t.execEnd - t.execStart)
+		h.exec.Record(t.ExecEnd - t.ExecStart)
 	}
 	labels := make([]string, 0, len(hists))
 	for l := range hists {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // WriteFlame renders the run as flamegraph-style collapsed stacks, one
@@ -18,7 +20,6 @@ import (
 // sorting it) shows where the run's time went by kind and phase. A
 // truncated ring is flagged with a comment line, never silently.
 func WriteFlame(w io.Writer, in Input) error {
-	tasks := buildTasks(each(in.Events))
 	type key struct {
 		machine int
 		label   string
@@ -30,27 +31,23 @@ func WriteFlame(w io.Writer, in Input) error {
 			agg[key{m, label, phase}] += d
 		}
 	}
-	for _, t := range tasks {
-		label := t.label
+	for _, t := range trace.Tasks(each(in.Events)) {
+		label := t.Label
 		if label == "" {
-			label = fmt.Sprintf("task %d", t.id)
-			if t.id == rootTask {
+			label = fmt.Sprintf("task %d", t.ID)
+			if t.ID == trace.RootTask {
 				label = "main"
 			}
 		}
-		if t.hasQueue {
-			qEnd := t.execStart
-			if t.hasFetch {
-				qEnd = t.fetchStart
-			}
-			add(t.machine, label, "queue", qEnd-t.queueStart)
+		if t.HasQueue {
+			add(t.Machine, label, "queue", t.QueueEnd()-t.QueueStart)
 		}
-		if t.hasFetch {
-			add(t.machine, label, "fetch", t.fetched-t.fetchStart)
+		if t.HasFetch {
+			add(t.Machine, label, "fetch", t.Fetched-t.FetchStart)
 		}
-		add(t.machine, label, "exec", t.execEnd-t.execStart)
-		if t.hasCommit {
-			add(t.machine, label, "commit", t.commitEnd-t.execEnd)
+		add(t.Machine, label, "exec", t.ExecEnd-t.ExecStart)
+		if t.HasCommit {
+			add(t.Machine, label, "commit", t.CommitEnd-t.ExecEnd)
 		}
 	}
 	keys := make([]key, 0, len(agg))

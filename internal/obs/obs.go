@@ -1,8 +1,8 @@
 // Package obs is the observability subsystem: it turns the runtime's
-// always-on event stream (internal/trace) and per-task phase data
-// (internal/profile) into interchange formats an engineer can actually
-// look at — Chrome-trace/Perfetto JSON for ui.perfetto.dev, a
-// flamegraph-style collapsed-stack text view, log-bucketed latency
+// always-on event stream, and the task lifecycles internal/trace rebuilds
+// from it, into interchange formats an engineer can actually look at —
+// Chrome-trace/Perfetto JSON for ui.perfetto.dev, a flamegraph-style
+// collapsed-stack text view, log-bucketed latency
 // histograms (p50/p90/p99/max, mergeable across workers and tenants),
 // Prometheus text metrics, and an optional loopback HTTP endpoint
 // serving all of them live while a run is in flight.

@@ -113,41 +113,23 @@ type Profile struct {
 	Labels   []LabelStat     `json:"labels"`
 }
 
-// taskRec accumulates one task's phase timestamps. For each kind the last
-// event wins: a crash-recovery re-execution re-emits the lifecycle, and the
-// completing attempt is the one that matters.
-type taskRec struct {
-	id                                     uint64
-	label                                  string
-	machine                                int
-	created, ready, assigned, fetched      time.Duration
-	scheduled, started, completed          time.Duration
-	hasCreated, hasReady, hasFetched       bool
-	hasScheduled, hasStarted, hasCompleted bool
-	committed                              time.Duration
-	hasCommitted                           bool
-
+// task is one profiled task: its lifecycle and what the profiler derives
+// from it.
+type task struct {
+	*trace.TaskLife
 	phases Phases
-	weight time.Duration
-	start  time.Duration // weight span start
-}
+	weight time.Duration // the processor-held span [Claim, Completed]
 
-// rootTask is the engine's main-program task ID; it spans the whole run and
-// is excluded from work and path accounting.
-const rootTask = 1
+	// The longest chain of weights ending here, and the task and object
+	// before this one on it.
+	finish time.Duration
+	pred   *task
+	via    uint64
+}
 
 // Compute builds a Profile from the event stream.
 func Compute(in Input) *Profile {
 	p := &Profile{Makespan: in.Makespan, DroppedEvents: in.Dropped}
-	recs := map[uint64]*taskRec{}
-	get := func(id uint64) *taskRec {
-		r := recs[id]
-		if r == nil {
-			r = &taskRec{id: id}
-			recs[id] = r
-		}
-		return r
-	}
 	type edge struct {
 		from, to uint64
 		obj      uint64
@@ -175,45 +157,6 @@ func Compute(in Input) *Profile {
 			}
 		}
 		switch ev.Kind {
-		case trace.TaskCreated:
-			r := get(ev.Task)
-			r.created, r.hasCreated = ev.At, true
-			if ev.Label != "" {
-				r.label = ev.Label
-			}
-		case trace.TaskReady:
-			r := get(ev.Task)
-			r.ready, r.hasReady = ev.At, true
-		case trace.TaskAssigned:
-			r := get(ev.Task)
-			r.assigned = ev.At
-			r.machine = ev.Dst
-			if ev.Label != "" {
-				r.label = ev.Label
-			}
-		case trace.TaskFetched:
-			r := get(ev.Task)
-			r.fetched, r.hasFetched = ev.At, true
-		case trace.TaskScheduled:
-			r := get(ev.Task)
-			r.scheduled, r.hasScheduled = ev.At, true
-			r.machine = ev.Dst
-			if ev.Label != "" {
-				r.label = ev.Label
-			}
-		case trace.TaskStarted:
-			r := get(ev.Task)
-			r.started, r.hasStarted = ev.At, true
-			r.machine = ev.Dst
-			if ev.Label != "" {
-				r.label = ev.Label
-			}
-		case trace.TaskCompleted:
-			r := get(ev.Task)
-			r.completed, r.hasCompleted = ev.At, true
-		case trace.TaskCommitted:
-			r := get(ev.Task)
-			r.committed, r.hasCommitted = ev.At, true
 		case trace.Depend:
 			edges = append(edges, edge{from: ev.Task, to: ev.Other, obj: ev.Object})
 		case trace.MessageSent:
@@ -228,61 +171,48 @@ func Compute(in Input) *Profile {
 		}
 	}
 
-	// Per-task phase breakdown and critical-path weight.
+	// Per-task phase breakdown and critical-path weight, in ascending id
+	// order.
 	clamp := func(d time.Duration) time.Duration {
 		if d < 0 {
 			return 0
 		}
 		return d
 	}
-	ids := make([]uint64, 0, len(recs))
-	for id, r := range recs {
-		if id == rootTask || !r.hasCompleted {
+	lives := trace.Tasks(func(yield func(trace.Event)) {
+		for _, ev := range in.Events {
+			yield(ev)
+		}
+	})
+	tasks := make([]task, 0, len(lives))
+	byID := make(map[uint64]*task, len(lives))
+	for i := range lives {
+		l := &lives[i]
+		if l.ID == trace.RootTask {
 			continue
 		}
-		// The weight span start: when the task claimed its processor. An
-		// inlined task has no TaskScheduled on the simulated executor; its
-		// start falls back to TaskStarted.
-		switch {
-		case r.hasScheduled:
-			r.start = r.scheduled
-		case r.hasStarted:
-			r.start = r.started
-		default:
-			continue // too incomplete to profile (ring-dropped prefix)
+		r := task{TaskLife: l, weight: clamp(l.Completed - l.Claim)}
+		if l.HasFetch {
+			r.phases.Fetch = l.Fetched - l.FetchStart
 		}
-		r.weight = clamp(r.completed - r.start)
-		execStart := r.start
-		if r.hasFetched && r.fetched > execStart {
-			execStart = r.fetched
+		r.phases.Exec = l.ExecEnd - l.ExecStart
+		if l.HasCreated {
+			r.phases.Queue = clamp(l.ExecStart - l.Created - r.phases.Fetch)
 		}
-		if r.hasFetched {
-			fetchStart := r.assigned
-			if r.hasScheduled && r.fetched > r.scheduled {
-				// No-prefetch shape: the fetch ran while holding the cpu.
-				fetchStart = r.scheduled
-			}
-			if !r.hasCreated && fetchStart == 0 {
-				fetchStart = r.fetched
-			}
-			r.phases.Fetch = clamp(r.fetched - fetchStart)
-		}
-		r.phases.Exec = clamp(r.completed - execStart)
-		if r.hasCreated {
-			r.phases.Queue = clamp(execStart - r.created - r.phases.Fetch)
-		}
-		if r.hasCommitted {
-			r.phases.Commit = clamp(r.committed - r.completed)
+		if l.HasCommitted {
+			r.phases.Commit = clamp(l.Committed - l.Completed)
 		}
 		p.Phases.Queue += r.phases.Queue
 		p.Phases.Fetch += r.phases.Fetch
 		p.Phases.Exec += r.phases.Exec
 		p.Phases.Commit += r.phases.Commit
 		p.T1 += r.weight
-		ids = append(ids, id)
+		tasks = append(tasks, r)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	p.Tasks = len(ids)
+	for i := range tasks {
+		byID[tasks[i].ID] = &tasks[i]
+	}
+	p.Tasks = len(tasks)
 
 	// Critical path: longest chain of processor-held spans linked by
 	// dependences that actually serialized (completed(u) ≤ scheduled(v)).
@@ -291,55 +221,30 @@ func Compute(in Input) *Profile {
 	// topological order of the DAG.
 	inEdges := map[uint64][]edge{}
 	for _, e := range edges {
-		if e.from == rootTask || e.to == rootTask {
+		if e.from == trace.RootTask || e.to == trace.RootTask {
 			continue
 		}
 		inEdges[e.to] = append(inEdges[e.to], e)
 	}
-	finish := map[uint64]time.Duration{}
-	type pred struct {
-		task uint64
-		obj  uint64
-	}
-	preds := map[uint64]pred{}
-	var tail uint64
-	for _, id := range ids {
-		r := recs[id]
-		best := time.Duration(0)
-		var bp pred
-		for _, e := range inEdges[id] {
-			f, ok := finish[e.from]
-			if !ok {
-				continue
-			}
-			if recs[e.from].completed <= r.start && f > best {
-				best, bp = f, pred{task: e.from, obj: e.obj}
+	var tail *task
+	for i := range tasks {
+		r := &tasks[i]
+		for _, e := range inEdges[r.ID] {
+			u := byID[e.from]
+			if u != nil && u.Completed <= r.Claim && u.finish > r.finish {
+				r.finish, r.pred, r.via = u.finish, u, e.obj
 			}
 		}
-		finish[id] = best + r.weight
-		if bp.task != 0 {
-			preds[id] = bp
-		}
-		if finish[id] > p.TInf {
-			p.TInf = finish[id]
-			tail = id
+		r.finish += r.weight
+		if r.finish > p.TInf {
+			p.TInf, tail = r.finish, r
 		}
 	}
-	for id := tail; id != 0; {
-		r := recs[id]
-		pr, hasPred := preds[id]
-		node := PathNode{
-			Task: id, Label: r.label, Machine: r.machine,
-			Start: r.start, End: r.completed, Weight: r.weight,
-		}
-		if hasPred {
-			node.ViaObject = pr.obj
-		}
-		p.Path = append(p.Path, node)
-		if !hasPred {
-			break
-		}
-		id = pr.task
+	for r := tail; r != nil; r = r.pred {
+		p.Path = append(p.Path, PathNode{
+			Task: r.ID, Label: r.Label, Machine: r.Machine,
+			Start: r.Claim, End: r.Completed, Weight: r.weight, ViaObject: r.via,
+		})
 	}
 	// Reverse into execution order.
 	for i, j := 0, len(p.Path)-1; i < j; i, j = i+1, j-1 {
@@ -352,8 +257,8 @@ func Compute(in Input) *Profile {
 	// Machine utilization: always-on counters when available, otherwise
 	// the sum of processor-held spans observed in the events.
 	tasksOn := map[int]int{}
-	for _, id := range ids {
-		tasksOn[recs[id].machine]++
+	for i := range tasks {
+		tasksOn[tasks[i].Machine]++
 	}
 	if len(in.MachineBusy) > 0 {
 		for m, busy := range in.MachineBusy {
@@ -365,8 +270,8 @@ func Compute(in Input) *Profile {
 		}
 	} else {
 		busy := map[int]time.Duration{}
-		for _, id := range ids {
-			busy[recs[id].machine] += recs[id].weight
+		for i := range tasks {
+			busy[tasks[i].Machine] += tasks[i].weight
 		}
 		ms := make([]int, 0, len(busy))
 		for m := range busy {
@@ -386,12 +291,12 @@ func Compute(in Input) *Profile {
 	// distributing each task's fetch phase over the transfers it performed,
 	// proportionally to their size.
 	objStall := map[uint64]time.Duration{}
-	for _, id := range ids {
-		r := recs[id]
+	for i := range tasks {
+		r := &tasks[i]
 		if r.phases.Fetch <= 0 {
 			continue
 		}
-		xs := taskXfers[id]
+		xs := taskXfers[r.ID]
 		var total int64
 		for _, x := range xs {
 			total += x.bytes
@@ -433,9 +338,9 @@ func Compute(in Input) *Profile {
 	// Label aggregation.
 	byLabel := map[string]*LabelStat{}
 	var labelOrder []string
-	for _, id := range ids {
-		r := recs[id]
-		lbl := r.label
+	for i := range tasks {
+		r := &tasks[i]
+		lbl := r.Label
 		if lbl == "" {
 			lbl = "(unlabeled)"
 		}

@@ -1,8 +1,9 @@
 // Package trace records what the Jade runtime did: task lifecycle events,
 // object motion between machines, messages and format conversions. The
-// benchmark harness renders these into the paper's artifacts — the dynamic
-// task graph of Figure 4, the execution narrative of Figure 7, and the
-// summary statistics behind Figures 9 and 10.
+// benchmark harness renders these into the paper's artifacts: the dynamic
+// task graph of Figure 4 and the execution narrative of Figure 7. Tasks
+// rebuilds each task's lifecycle from them, the one reading of the stream
+// that every other view of a run shares.
 package trace
 
 import (
@@ -16,7 +17,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 )
 
 // Kind classifies an event.
@@ -470,117 +470,6 @@ func (l *Log) Len() int {
 	return len(l.recs)
 }
 
-// Summary aggregates a log into the counters the benchmark tables report.
-type Summary struct {
-	// Makespan is the time of the last event.
-	Makespan time.Duration
-	// TasksRun counts completed tasks.
-	TasksRun int
-	// Messages and MessageBytes count network messages.
-	Messages     int
-	MessageBytes int64
-	// ObjectsMoved and ObjectsCopied count object transfers.
-	ObjectsMoved  int
-	ObjectsCopied int
-	// ObjectsPatched counts transfers satisfied as deltas (only the words
-	// changed since the receiver's shadow copy were sent), and
-	// DeltaBytesSaved the wire bytes those deltas avoided.
-	ObjectsPatched  int
-	DeltaBytesSaved int64
-	// CoalescedDispatches counts task-dispatch control messages piggybacked
-	// onto object transfers instead of sent standalone.
-	CoalescedDispatches int
-	// BytesByObject breaks message bytes down per object (object-tagged
-	// messages only; dispatch and other control traffic has no object).
-	BytesByObject map[uint64]int64
-	// ConvertedWords counts data words format-converted in transit.
-	ConvertedWords int
-	// BusyTime is per-machine sum of task execution spans.
-	BusyTime map[int]time.Duration
-	// Violations counts detected specification violations.
-	Violations int
-	// MachinesCrashed, CrashesDetected, TasksReexecuted, MessagesRetried
-	// and ObjectsRebuilt count the fault-injection and recovery events of a
-	// faulty simulated run (zero on fault-free runs).
-	MachinesCrashed int
-	CrashesDetected int
-	TasksReexecuted int
-	MessagesRetried int
-	ObjectsRebuilt  int
-	// Fault holds the fault layer's own counters (message loss/duplication
-	// injected, retransmissions, replays, recovery time). Zero unless the
-	// run had a fault plan and the summary was built by the jade runtime.
-	Fault fault.Stats
-	// Engine holds the dependency engine's own counters (task counts,
-	// waits, queue-lock acquisitions, blocked wakeups). Zero unless the
-	// summary was built with SummarizeWithEngine.
-	Engine core.Stats
-}
-
-// Summarize computes a Summary from the log.
-func Summarize(l *Log) Summary {
-	s := Summary{BusyTime: map[int]time.Duration{}, BytesByObject: map[uint64]int64{}}
-	started := map[uint64]Event{}
-	for _, ev := range l.Events() {
-		if ev.At > s.Makespan {
-			s.Makespan = ev.At
-		}
-		switch ev.Kind {
-		case TaskStarted:
-			started[ev.Task] = ev
-		case TaskCompleted:
-			s.TasksRun++
-			if st, ok := started[ev.Task]; ok {
-				s.BusyTime[st.Dst] += ev.At - st.At
-			}
-		case MessageSent:
-			s.Messages++
-			s.MessageBytes += int64(ev.Bytes)
-			if ev.Object != 0 {
-				s.BytesByObject[ev.Object] += int64(ev.Bytes)
-			}
-		case ObjectMoved:
-			s.ObjectsMoved++
-		case ObjectCopied:
-			s.ObjectsCopied++
-		case ObjectPatched:
-			s.ObjectsPatched++
-			s.DeltaBytesSaved += int64(ev.Saved)
-		case DispatchCoalesced:
-			// The dispatch bytes crossed the wire inside an object message,
-			// so they count toward byte totals but not the message count —
-			// saving the message is the point of coalescing.
-			s.CoalescedDispatches++
-			s.MessageBytes += int64(ev.Bytes)
-		case Converted:
-			s.ConvertedWords += ev.Bytes
-		case Violation:
-			s.Violations++
-		case MachineCrashed:
-			s.MachinesCrashed++
-		case CrashDetected:
-			s.CrashesDetected++
-		case TaskReexecuted:
-			s.TasksReexecuted++
-		case MessageRetried:
-			s.MessagesRetried++
-		case ObjectRebuilt:
-			s.ObjectsRebuilt++
-		}
-	}
-	return s
-}
-
-// SummarizeWithEngine computes a Summary from the log and attaches a
-// snapshot of the dependency engine's counters, so runtime synchronization
-// traffic (lock acquisitions, blocked wakeups) is reported alongside the
-// trace-derived statistics.
-func SummarizeWithEngine(l *Log, es core.Stats) Summary {
-	s := Summarize(l)
-	s.Engine = es
-	return s
-}
-
 // TaskGraphDOT renders the dynamic task graph (Depend events plus task
 // labels from TaskCreated events) in Graphviz DOT format — the paper's
 // Figure 4.
@@ -628,24 +517,10 @@ func TaskGraphDOT(l *Log, title string) string {
 // Gantt renders a per-machine text timeline of task executions: one line
 // per machine, showing [start end label] spans in time order.
 func Gantt(l *Log) string {
-	type span struct {
-		start, end time.Duration
-		label      string
-	}
-	starts := map[uint64]Event{}
-	byMachine := map[int][]span{}
-	for _, ev := range l.Events() {
-		switch ev.Kind {
-		case TaskStarted:
-			starts[ev.Task] = ev
-		case TaskCompleted:
-			if st, ok := starts[ev.Task]; ok {
-				lbl := st.Label
-				if lbl == "" {
-					lbl = fmt.Sprintf("task %d", ev.Task)
-				}
-				byMachine[st.Dst] = append(byMachine[st.Dst], span{st.At, ev.At, lbl})
-			}
+	byMachine := map[int][]TaskLife{}
+	for _, t := range Tasks(l.Each) {
+		if t.HasStarted {
+			byMachine[t.Machine] = append(byMachine[t.Machine], t)
 		}
 	}
 	machines := make([]int, 0, len(byMachine))
@@ -655,11 +530,15 @@ func Gantt(l *Log) string {
 	sort.Ints(machines)
 	var b strings.Builder
 	for _, m := range machines {
-		spans := byMachine[m]
-		sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+		ts := byMachine[m]
+		sort.SliceStable(ts, func(i, j int) bool { return ts[i].Started < ts[j].Started })
 		fmt.Fprintf(&b, "machine %d:", m)
-		for _, s := range spans {
-			fmt.Fprintf(&b, " [%v..%v %s]", s.start, s.end, s.label)
+		for _, t := range ts {
+			lbl := t.Label
+			if lbl == "" {
+				lbl = fmt.Sprintf("task %d", t.ID)
+			}
+			fmt.Fprintf(&b, " [%v..%v %s]", t.Started, t.Completed, lbl)
 		}
 		b.WriteString("\n")
 	}

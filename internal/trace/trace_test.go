@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"repro/internal/core"
-
 	"strings"
 	"sync"
 	"testing"
@@ -49,37 +47,6 @@ func TestConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	l := New()
-	l.Add(Event{At: 0, Kind: TaskStarted, Task: 1, Dst: 0})
-	l.Add(Event{At: 10 * time.Millisecond, Kind: TaskCompleted, Task: 1})
-	l.Add(Event{At: 5 * time.Millisecond, Kind: TaskStarted, Task: 2, Dst: 1})
-	l.Add(Event{At: 25 * time.Millisecond, Kind: TaskCompleted, Task: 2})
-	l.Add(Event{At: 2 * time.Millisecond, Kind: MessageSent, Src: 0, Dst: 1, Bytes: 100})
-	l.Add(Event{At: 3 * time.Millisecond, Kind: ObjectMoved, Src: 0, Dst: 1, Bytes: 64})
-	l.Add(Event{At: 4 * time.Millisecond, Kind: ObjectCopied, Src: 0, Dst: 1, Bytes: 64})
-	l.Add(Event{At: 4 * time.Millisecond, Kind: Converted, Bytes: 8})
-	s := Summarize(l)
-	if s.TasksRun != 2 {
-		t.Fatalf("tasks = %d", s.TasksRun)
-	}
-	if s.Makespan != 25*time.Millisecond {
-		t.Fatalf("makespan = %v", s.Makespan)
-	}
-	if s.Messages != 1 || s.MessageBytes != 100 {
-		t.Fatalf("messages = %d/%d", s.Messages, s.MessageBytes)
-	}
-	if s.ObjectsMoved != 1 || s.ObjectsCopied != 1 {
-		t.Fatalf("moved/copied = %d/%d", s.ObjectsMoved, s.ObjectsCopied)
-	}
-	if s.ConvertedWords != 8 {
-		t.Fatalf("converted = %d", s.ConvertedWords)
-	}
-	if s.BusyTime[0] != 10*time.Millisecond || s.BusyTime[1] != 20*time.Millisecond {
-		t.Fatalf("busy = %v", s.BusyTime)
-	}
-}
-
 func TestTaskGraphDOT(t *testing.T) {
 	l := New()
 	l.Add(Event{Kind: TaskCreated, Task: 1, Label: "internal(0)"})
@@ -123,28 +90,5 @@ func TestEventString(t *testing.T) {
 	}
 	if Kind(99).String() != "kind(99)" {
 		t.Fatal("unknown kind string")
-	}
-}
-
-func TestSummarizeWithEngine(t *testing.T) {
-	l := New()
-	l.Add(Event{At: time.Millisecond, Kind: TaskStarted, Task: 1, Dst: 0})
-	l.Add(Event{At: 2 * time.Millisecond, Kind: TaskCompleted, Task: 1})
-	es := core.Stats{
-		TasksCreated:     3,
-		TasksCompleted:   3,
-		LockAcquisitions: 42,
-		BlockedWakes:     5,
-	}
-	s := SummarizeWithEngine(l, es)
-	if s.TasksRun != 1 {
-		t.Fatalf("TasksRun = %d, want 1", s.TasksRun)
-	}
-	if s.Engine != es {
-		t.Fatalf("Engine = %+v, want %+v", s.Engine, es)
-	}
-	// Plain Summarize leaves the engine counters zero.
-	if z := Summarize(l); z.Engine != (core.Stats{}) {
-		t.Fatalf("Summarize should not populate Engine, got %+v", z.Engine)
 	}
 }

@@ -1,5 +1,7 @@
 package transport
 
+import "sync"
+
 // FIFO is the unbounded queue under every substrate's Recv. The live part
 // is items[head:]. Pop zeroes the slot it empties, so a consumer that
 // lags never keeps a message it has already taken reachable through the
@@ -41,3 +43,74 @@ func (q *FIFO[T]) Pop() T {
 
 // Reset drops every queued item and the array.
 func (q *FIFO[T]) Reset() { q.items, q.head = nil, 0 }
+
+// Queue is one direction of message traffic a receiver blocks on: an
+// inproc pipe's, or one mux session's inbox. Put never blocks, so two
+// endpoints can flood each other without deadlock; Get waits for a
+// message, and after Close drains what was queued before it.
+type Queue struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	msgs   FIFO[[]byte]
+	closed bool
+}
+
+// NewQueue returns an empty, open queue.
+func NewQueue() *Queue {
+	q := &Queue{}
+	q.cond.L = &q.mu
+	return q
+}
+
+// Put enqueues msg without copying: the queue, and then the receiver,
+// owns it. On a closed queue it returns ErrClosed and msg stays the
+// caller's.
+func (q *Queue) Put(msg []byte) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	q.msgs.Push(msg)
+	q.cond.Signal()
+	return nil
+}
+
+// Get removes and returns the oldest message, waiting for one. Once the
+// queue is closed and empty it returns ErrClosed.
+func (q *Queue) Get() ([]byte, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.msgs.Len() == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if q.msgs.Len() == 0 {
+		return nil, ErrClosed
+	}
+	return q.msgs.Pop(), nil
+}
+
+// Len returns the number of queued messages.
+func (q *Queue) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.msgs.Len()
+}
+
+// Close ends the queue; messages already in it stay readable.
+func (q *Queue) Close() { q.close(false) }
+
+// CloseDiscard closes the queue and drops the messages in it: the fencing
+// teardown, where late frames from a declared-dead peer must never be
+// delivered.
+func (q *Queue) CloseDiscard() { q.close(true) }
+
+func (q *Queue) close(discard bool) {
+	q.mu.Lock()
+	q.closed = true
+	if discard {
+		q.msgs.Reset()
+	}
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}

@@ -72,3 +72,38 @@ func TestFIFOBacklogStaysBounded(t *testing.T) {
 		t.Errorf("array grew to %d slots for a backlog of %d", c, depth)
 	}
 }
+
+// TestQueueClose: a closed queue refuses puts and drains what it held
+// before returning ErrClosed; CloseDiscard drops what it held.
+func TestQueueClose(t *testing.T) {
+	q := NewQueue()
+	for i := 0; i < 2; i++ {
+		if err := q.Put([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.Close()
+	if err := q.Put([]byte{9}); err != ErrClosed {
+		t.Fatalf("put after close: %v, want ErrClosed", err)
+	}
+	for i := 0; i < 2; i++ {
+		if m, err := q.Get(); err != nil || m[0] != byte(i) {
+			t.Fatalf("get %d after close = %v, %v", i, m, err)
+		}
+	}
+	if _, err := q.Get(); err != ErrClosed {
+		t.Fatalf("get from a closed, drained queue: %v, want ErrClosed", err)
+	}
+
+	q = NewQueue()
+	if err := q.Put([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	q.CloseDiscard()
+	if _, err := q.Get(); err != ErrClosed {
+		t.Fatalf("get after CloseDiscard: %v, want ErrClosed", err)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("CloseDiscard kept %d messages", q.Len())
+	}
+}

@@ -4,9 +4,9 @@
 // for tests, for the L1 experiment's "in-process" leg, and as the
 // degenerate platform the paper's shared-memory port corresponds to.
 //
-// Sends never block: each direction is an unbounded FIFO guarded by a
-// mutex + cond, so two endpoints can flood each other without deadlock
-// (the same guarantee the tcp substrate gets from its writer goroutine).
+// Sends never block: each direction is a transport.Queue, so two
+// endpoints can flood each other without deadlock (the same guarantee the
+// tcp substrate gets from its writer goroutine).
 package inproc
 
 import (
@@ -16,94 +16,34 @@ import (
 	"repro/internal/transport"
 )
 
-// queue is one direction of a pipe: an unbounded FIFO.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	msgs   transport.FIFO[[]byte]
-	closed bool
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) put(msg []byte) error {
-	cp := append([]byte(nil), msg...) // callers may reuse msg
-	return q.putOwned(cp)
-}
-
-// putOwned enqueues msg without copying: the queue (and then the
-// receiver) owns the slice.
-func (q *queue) putOwned(msg []byte) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return transport.ErrClosed
-	}
-	q.msgs.Push(msg)
-	q.cond.Signal()
-	return nil
-}
-
-func (q *queue) get() ([]byte, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.msgs.Len() == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if q.msgs.Len() == 0 {
-		return nil, transport.ErrClosed
-	}
-	return q.msgs.Pop(), nil
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// closeDiscard closes the queue AND drops messages already in flight:
-// the fencing teardown, where late frames from a declared-dead peer must
-// never be delivered.
-func (q *queue) closeDiscard() {
-	q.mu.Lock()
-	q.closed = true
-	q.msgs.Reset()
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
 // conn is one endpoint of a pipe.
 type conn struct {
-	send *queue
-	recv *queue
+	send *transport.Queue
+	recv *transport.Queue
 }
 
 // Pipe returns the two endpoints of a fresh duplex message pipe.
 func Pipe() (transport.Conn, transport.Conn) {
-	a, b := newQueue(), newQueue()
+	a, b := transport.NewQueue(), transport.NewQueue()
 	return &conn{send: a, recv: b}, &conn{send: b, recv: a}
 }
 
-func (c *conn) Send(msg []byte) error { return c.send.put(msg) }
+func (c *conn) Send(msg []byte) error {
+	return c.send.Put(append([]byte(nil), msg...)) // callers may reuse msg
+}
 
 // SendOwned implements transport.OwnedSender: the message slice is
 // enqueued as-is (the receiver takes ownership via Recv), skipping the
 // defensive copy Send makes.
-func (c *conn) SendOwned(msg []byte) error { return c.send.putOwned(msg) }
+func (c *conn) SendOwned(msg []byte) error { return c.send.Put(msg) }
 
-func (c *conn) Recv() ([]byte, error) { return c.recv.get() }
+func (c *conn) Recv() ([]byte, error) { return c.recv.Get() }
 
 func (c *conn) Close() error {
 	// Closing either endpoint tears down both directions, so a blocked
 	// peer Recv returns ErrClosed rather than hanging.
-	c.send.close()
-	c.recv.close()
+	c.send.Close()
+	c.recv.Close()
 	return nil
 }
 
@@ -113,8 +53,8 @@ func (c *conn) Close() error {
 // declared-dead sender and must not be applied. This is the SIGKILL
 // analogue the chaos harness uses for in-process workers.
 func (c *conn) Fence() {
-	c.send.close()
-	c.recv.closeDiscard()
+	c.send.Close()
+	c.recv.CloseDiscard()
 }
 
 var (

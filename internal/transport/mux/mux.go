@@ -208,7 +208,7 @@ func (m *Mux) demux() {
 			if sc := m.drop(sess); sc != nil {
 				// Graceful: frames already routed stay readable, then
 				// the session's Recv returns ErrClosed.
-				sc.inbox.close()
+				sc.inbox.Close()
 			}
 			transport.PutBuf(msg)
 		default:
@@ -219,7 +219,9 @@ func (m *Mux) demux() {
 				transport.PutBuf(msg) // fenced or never-opened session
 				continue
 			}
-			sc.inbox.putOwned(msg)
+			if sc.inbox.Put(msg) != nil {
+				transport.PutBuf(msg) // closed session: recycle the frame
+			}
 		}
 	}
 }
@@ -240,6 +242,6 @@ func (m *Mux) fail(err error) {
 	m.mu.Unlock()
 	close(m.done)
 	for _, sc := range scs {
-		sc.inbox.close()
+		sc.inbox.Close()
 	}
 }

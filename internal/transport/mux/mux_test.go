@@ -145,11 +145,7 @@ func TestMuxSessionFence(t *testing.T) {
 	// Let the frame reach the service-side inbox before fencing.
 	deadline := time.Now().Add(time.Second)
 	for {
-		sc := c.(*sconn)
-		sc.inbox.mu.Lock()
-		n := sc.inbox.msgs.Len()
-		sc.inbox.mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
+		if c.(*sconn).inbox.Len() > 0 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -7,60 +7,6 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// inbox is one session's receive FIFO, the same unbounded mutex+cond
-// queue the inproc substrate uses: puts never block, get drains messages
-// queued before a graceful close, closeDiscard drops them (fencing).
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	msgs   transport.FIFO[[]byte]
-	closed bool
-}
-
-func newInbox() *inbox {
-	q := &inbox{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *inbox) putOwned(msg []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		transport.PutBuf(msg)
-		return
-	}
-	q.msgs.Push(msg)
-	q.cond.Signal()
-}
-
-func (q *inbox) get() ([]byte, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.msgs.Len() == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if q.msgs.Len() == 0 {
-		return nil, transport.ErrClosed
-	}
-	return q.msgs.Pop(), nil
-}
-
-func (q *inbox) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *inbox) closeDiscard() {
-	q.mu.Lock()
-	q.closed = true
-	q.msgs.Reset()
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
 // sconn is a virtual connection: the transport.Conn one session sees.
 // Sends stamp the session id into the encoded frame and forward to the
 // physical conn; Recv reads the session's inbox. Close and Fence both
@@ -70,7 +16,7 @@ func (q *inbox) closeDiscard() {
 type sconn struct {
 	m     *Mux
 	id    uint64
-	inbox *inbox
+	inbox *transport.Queue // puts never block; Fence discards what is queued
 
 	mu     sync.Mutex
 	fenced bool
@@ -78,7 +24,7 @@ type sconn struct {
 }
 
 func newSconn(m *Mux, id uint64) *sconn {
-	return &sconn{m: m, id: id, inbox: newInbox()}
+	return &sconn{m: m, id: id, inbox: transport.NewQueue()}
 }
 
 func (c *sconn) sendErr() error {
@@ -120,7 +66,7 @@ func (c *sconn) SendOwned(msg []byte) error {
 }
 
 func (c *sconn) Recv() ([]byte, error) {
-	return c.inbox.get()
+	return c.inbox.Get()
 }
 
 // Close gracefully ends the session: the peer drops its routing entry,
@@ -135,7 +81,7 @@ func (c *sconn) Close() error {
 	c.mu.Unlock()
 	c.m.drop(c.id)
 	c.announceClose()
-	c.inbox.close()
+	c.inbox.Close()
 	return nil
 }
 
@@ -153,7 +99,7 @@ func (c *sconn) Fence() {
 	c.mu.Unlock()
 	c.m.drop(c.id)
 	c.announceClose()
-	c.inbox.closeDiscard()
+	c.inbox.CloseDiscard()
 }
 
 // announceClose sends TSessionClose to the peer, best-effort: on a dead

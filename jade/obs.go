@@ -41,16 +41,7 @@ func (r *Runtime) startObs(cfg ObsConfig) error {
 	srv, err := obs.Serve(cfg.Addr, obs.Handlers{
 		Metrics: func(string) ([]obs.Metric, error) { return execMetrics(r.ex, r.obsMakespan()), nil },
 		Trace:   func(_ string, w io.Writer) error { return r.ExportTrace(w, ObsOptions{}) },
-		Profile: func(_ string, w io.Writer) error {
-			events, dropped := r.ex.Log().Snapshot()
-			p := profile.Compute(profile.Input{
-				Events:   events,
-				Dropped:  dropped,
-				Makespan: r.obsMakespan(),
-			})
-			_, werr := io.WriteString(w, p.Text())
-			return werr
-		},
+		Profile: func(_ string, w io.Writer) error { return writeProfile(w, r.ex, r.obsMakespan()) },
 	})
 	if err != nil {
 		return err
@@ -91,12 +82,24 @@ func (r *Runtime) obsMakespan() time.Duration {
 // export carries an explicit truncation marker when events were
 // dropped) and may be called mid-run for a live snapshot.
 func (r *Runtime) ExportTrace(w io.Writer, opt ObsOptions) error {
-	events, dropped := r.ex.Log().Snapshot()
-	return obs.WriteChrome(w, obs.Input{
-		Events:   events,
-		Dropped:  dropped,
-		Makespan: r.obsMakespan(),
-	}, opt)
+	return writeTrace(w, r.ex, "", opt)
+}
+
+// writeTrace writes one executor's event window (a dedicated runtime's,
+// or one session's of a service) as Chrome-trace/Perfetto JSON under the
+// process name ("" is "jade").
+func writeTrace(w io.Writer, ex rt.Exec, process string, opt ObsOptions) error {
+	events, dropped := ex.Log().Snapshot()
+	return obs.WriteChrome(w, obs.Input{Events: events, Dropped: dropped, Process: process}, opt)
+}
+
+// writeProfile writes one executor's phase profile as the text report.
+// A zero makespan is read off the events.
+func writeProfile(w io.Writer, ex rt.Exec, makespan time.Duration) error {
+	events, dropped := ex.Log().Snapshot()
+	p := profile.Compute(profile.Input{Events: events, Dropped: dropped, Makespan: makespan})
+	_, err := io.WriteString(w, p.Text())
+	return err
 }
 
 // ExportFlame writes the run as flamegraph-style collapsed stacks

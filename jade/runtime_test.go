@@ -64,7 +64,7 @@ func TestWithOnlyPanicsOnBadPin(t *testing.T) {
 
 // TestSummaryIncludesEngineStats verifies the dependency-engine counters —
 // including the sharded engine's contention counters — surface through
-// Runtime.Summary and Runtime.EngineStats on both substrates.
+// Runtime.Report().Engine on both substrates.
 func TestSummaryIncludesEngineStats(t *testing.T) {
 	for name, mk := range runtimes(t) {
 		t.Run(name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/exec/live"
 	"repro/internal/exec/live/tenant"
 	"repro/internal/obs"
-	"repro/internal/profile"
 )
 
 // TenantProfile declares one tenant's resource envelope for a session
@@ -104,6 +103,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // sessionExec resolves an obs ?session= value to an admitted session's
 // executor.
 func (s *Service) sessionExec(session string) (*live.Exec, error) {
+	if session == "" {
+		return nil, fmt.Errorf("a service trace or profile needs ?session=ID (task ids are per-session)")
+	}
 	id, err := strconv.ParseUint(session, 10, 64)
 	if err != nil {
 		return nil, fmt.Errorf("bad session %q (want a numeric session id)", session)
@@ -129,32 +131,18 @@ func (s *Service) startObs(cfg ObsConfig) error {
 			return execMetrics(x, 0), nil
 		},
 		Trace: func(session string, w io.Writer) error {
-			if session == "" {
-				return fmt.Errorf("a service trace needs ?session=ID (task ids are per-session)")
-			}
 			x, err := s.sessionExec(session)
 			if err != nil {
 				return err
 			}
-			events, dropped := x.Log().Snapshot()
-			return obs.WriteChrome(w, obs.Input{
-				Events:  events,
-				Dropped: dropped,
-				Process: "session " + session,
-			}, obs.Options{})
+			return writeTrace(w, x, "session "+session, ObsOptions{})
 		},
 		Profile: func(session string, w io.Writer) error {
-			if session == "" {
-				return fmt.Errorf("a service profile needs ?session=ID")
-			}
 			x, err := s.sessionExec(session)
 			if err != nil {
 				return err
 			}
-			events, dropped := x.Log().Snapshot()
-			p := profile.Compute(profile.Input{Events: events, Dropped: dropped})
-			_, werr := io.WriteString(w, p.Text())
-			return werr
+			return writeProfile(w, x, 0)
 		},
 	})
 	if err != nil {

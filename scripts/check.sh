@@ -67,9 +67,17 @@ tier() {
 		trap 'rm -rf "$out"' EXIT
 		go build -o "$out/jadebench" ./cmd/jadebench
 		sim=f4,f7,f9,f10,s1,c1,a1,a2,a3,a4,d1,f1,h1,m1,g1,g2,g3,k1
-		"$out/jadebench" -quick -exp $sim >"$out/run1.txt"
-		"$out/jadebench" -quick -exp $sim >"$out/run2.txt"
-		diff "$out/run1.txt" "$out/run2.txt"
+		# ... and so do the exporters and the profiler: F7's Gantt chart,
+		# narrative, Perfetto trace and flame stacks, and S1's profiles.
+		for run in 1 2; do
+			mkdir "$out/$run"
+			(cd "$out/$run" &&
+				../jadebench -quick -exp $sim >sim.txt &&
+				../jadebench -quick -exp f7 -gantt -narrative \
+					-trace-out f7.json -flame-out f7.flame >f7.txt &&
+				../jadebench -quick -exp s1 -profile >s1.txt)
+		done
+		diff -r "$out/1" "$out/2"
 		;;
 	artifact) # a real jadebench trace export (L1's inproc round, default ring) passes the structural validator
 		out=$(mktemp -d)
