@@ -62,10 +62,12 @@ import (
 
 // ringCap bounds the always-on event stream when tracing is off. It is
 // smaller than smp's and dist's 2^16 for its bytes, not for the GC (the
-// ring holds no pointers): every live runtime allocates its own ring up
-// front, 224 KiB at this size and 3.5 MiB at theirs, except a service
-// session: it takes a ring a closed session gave back (Options.Ring),
-// and gives its own back at Close.
+// ring holds no pointers): a ring allocates its 224 KiB blocks as events
+// arrive, and this one is a single block, where theirs grow to sixteen
+// (3.5 MiB) in a run that records 2^16 events. Every live runtime has a
+// ring of its own, except a service session: it takes a ring a closed
+// session gave back (Options.Ring), blocks and all, and gives its own
+// back at Close.
 const ringCap = 1 << 12
 
 // Peer is one worker connection the coordinator will drive.

@@ -3,10 +3,11 @@
 // paper's Silicon Graphics 4D/240S and Stanford DASH implementations. Only
 // synchronization is needed; the shared address space is the real one.
 //
-// Each Jade task runs as a goroutine. A counting semaphore of P "processor
-// slots" models P processors: a task holds a slot while computing and
-// releases it while blocked, so blocked tasks never waste a processor and
-// suspending a task creator (the paper's §3.3 throttling) cannot deadlock.
+// Ready tasks wait in a FIFO for a runner, a goroutine that outlives the
+// task bodies it runs. A counting semaphore of P "processor slots" models P
+// processors: a task holds a slot while computing and releases it while
+// blocked, so blocked tasks never waste a processor and suspending a task
+// creator (the paper's §3.3 throttling) cannot deadlock.
 package smp
 
 import (
@@ -21,6 +22,7 @@ import (
 	"repro/internal/format"
 	"repro/internal/rt"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Options configure the executor.
@@ -37,9 +39,10 @@ type Options struct {
 }
 
 // ringCap bounds the always-on event stream when full tracing is off: the
-// newest events are kept for profiling, memory stays constant. The ring's
-// records hold no pointers, so its size is paid once per run — 3.5 MiB
-// allocated and zeroed up front — and never again by the GC.
+// newest events are kept for profiling, memory stays constant. The ring
+// allocates its pointer-free blocks as events arrive (trace.NewRing), so a
+// run pays for the events it records, at most 3.5 MiB, and the GC never
+// scans them.
 const ringCap = 1 << 16
 
 // Exec is the shared-memory executor. Create with New; each Exec runs one
@@ -71,7 +74,21 @@ type Exec struct {
 	liveUser int
 	firstErr error
 
-	wg sync.WaitGroup
+	// rmu guards the runners' state below: ready is the FIFO of tasks the
+	// engine found ready, free counts runners holding no task, and claim
+	// counts what will want a slot without a new runner: free runners,
+	// runners with a task that is not waiting in yieldSlot, and the main
+	// program while it is not waiting either. Free runners wait on work for
+	// the next ready task; closed tells them to leave. spawnLocked keeps
+	// every queued task a taker.
+	rmu     sync.Mutex
+	work    sync.Cond
+	ready   transport.FIFO[*core.Task]
+	free    int
+	claim   int
+	closed  bool
+	tasks   sync.WaitGroup // ready tasks not yet finished
+	runners sync.WaitGroup
 }
 
 // payload is the executor attachment on core tasks.
@@ -102,6 +119,7 @@ func New(opts Options) *Exec {
 		slotAt:   make([]time.Time, opts.Procs),
 		slotBusy: make([]time.Duration, opts.Procs),
 	}
+	x.work.L = &x.rmu
 	if opts.Trace {
 		x.log = trace.New()
 	} else {
@@ -117,8 +135,12 @@ func New(opts Options) *Exec {
 				close(pl.readyCh)
 				return
 			}
-			x.wg.Add(1)
-			go x.runTask(t)
+			x.tasks.Add(1)
+			x.rmu.Lock()
+			x.ready.Push(t)
+			x.work.Signal()
+			x.spawnLocked()
+			x.rmu.Unlock()
 		},
 		Violation: func(t *core.Task, err error) {
 			x.record(trace.Event{Kind: trace.Violation, Task: uint64(t.ID), Label: err.Error()})
@@ -192,6 +214,7 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	x.start = time.Now()
 	x.mu.Unlock()
 	x.eng.SetClock(func() int64 { return int64(time.Since(x.start)) })
+	x.reclaim() // the main program's
 	slot := x.takeSlot()
 	tc := &taskCtx{x: x, t: x.eng.Root(), slot: slot}
 	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(tc.t.ID), Dst: slot, Label: "main"})
@@ -204,7 +227,13 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(tc.t.ID)})
 	x.tasksRun.Add(1)
 	x.putSlot(tc.slot)
-	x.wg.Wait()
+	x.unclaim()
+	x.tasks.Wait()
+	x.rmu.Lock()
+	x.closed = true
+	x.work.Broadcast()
+	x.rmu.Unlock()
+	x.runners.Wait()
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.firstErr
@@ -221,21 +250,101 @@ func (x *Exec) runBody(tc *taskCtx, body func(rt.TC)) {
 	body(tc)
 }
 
-// runTask is the goroutine for one ready task.
-func (x *Exec) runTask(t *core.Task) {
-	defer x.wg.Done()
+// spawnLocked starts runners for queued tasks no free runner will take,
+// as many at once as there are slots nothing else will claim: a body that
+// ends takes the next task itself, and one that gives its slot up in
+// yieldSlot calls here. Requires x.rmu.
+func (x *Exec) spawnLocked() {
+	n := min(x.ready.Len()-x.free, x.opts.Procs-x.claim)
+	for ; n > 0; n-- {
+		x.free++
+		x.claim++
+		x.runners.Add(1)
+		goStarts.Add(1)
+		go x.runTasks()
+	}
+}
+
+// unclaim withdraws the caller's claim on a slot — it is giving its slot
+// up and not taking the next queued task — and starts a runner if a queued
+// task has no taker without it.
+func (x *Exec) unclaim() {
+	x.rmu.Lock()
+	x.claim--
+	x.spawnLocked()
+	x.rmu.Unlock()
+}
+
+// freeRunner counts the calling runner free: it will take the next ready
+// task.
+func (x *Exec) freeRunner() {
+	x.rmu.Lock()
+	x.free++
+	x.rmu.Unlock()
+}
+
+// reclaim records that the caller will want a slot again.
+func (x *Exec) reclaim() {
+	x.rmu.Lock()
+	x.claim++
+	x.rmu.Unlock()
+}
+
+// goStarts counts the runners started, beside the one go statement that
+// starts them. Tests read it (export_test.go): a task should cost none.
+var goStarts atomic.Int64
+
+// runTasks is one runner, a goroutine that outlives the task bodies it
+// runs: it takes the oldest ready task, then a slot — so a task coming back
+// from yieldSlot competes for it with the queued tasks — runs the body,
+// gives the slot back and goes round again. With the queue empty it waits
+// for the next ready task, and leaves when Run closes the executor. A run
+// never holds more runners than it once had busy at the same time, and a
+// burst of ready tasks finds them waiting: letting all but one exit, as a
+// long-lived worker's runners do, started a runner per 15–50 Cholesky
+// tasks at two or four Ps instead of a handful per run. One task context
+// serves every task the runner runs, so its wake channel is made once: the
+// engine keeps a task's wake only from a call that returned ok=false, and
+// the task waits for that one signal before it can end.
+func (x *Exec) runTasks() {
+	defer x.runners.Done()
+	tc := &taskCtx{x: x}
+	for {
+		x.rmu.Lock()
+		for x.ready.Len() == 0 {
+			if x.closed {
+				x.rmu.Unlock()
+				return
+			}
+			x.work.Wait()
+		}
+		t := x.ready.Pop()
+		x.free--
+		x.rmu.Unlock()
+		tc.t, tc.slot = t, x.takeSlot()
+		x.runTask(tc)
+		x.tasks.Done()
+	}
+}
+
+// runTask runs the ready task tc names on the slot tc holds, and gives the
+// slot back. The runner is free again from the end of the body: what
+// follows cannot wait, and a task the Complete readies should find this
+// runner rather than start another.
+func (x *Exec) runTask(tc *taskCtx) {
+	t := tc.t
 	pl := t.Payload.(*payload)
-	slot := x.takeSlot()
-	tc := &taskCtx{x: x, t: t, slot: slot}
-	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: slot, Label: pl.label})
+	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: tc.slot, Label: pl.label})
 	if err := x.eng.Start(t); err != nil {
 		x.fail(err)
-		x.putSlot(slot)
+		x.freeRunner()
+		x.putSlot(tc.slot)
 		return
 	}
-	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: slot, Label: pl.label})
+	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: tc.slot, Label: pl.label})
 	x.runBody(tc, pl.body)
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID)})
+	x.freeRunner()
 	if err := x.eng.Complete(t); err != nil {
 		x.fail(err)
 	}
@@ -261,10 +370,11 @@ type taskCtx struct {
 	t    *core.Task
 	slot int
 	// woke is the task's one wake-up channel and wake the function the
-	// engine calls to signal it, both made at the task's first Access or
-	// Convert and reused by the rest. The engine keeps wake only from a
-	// call that returned ok=false, and the task then waits for exactly that
-	// one signal, so the channel never holds more than one.
+	// engine calls to signal it, both made at the first Access or Convert
+	// and reused by the rest, and by the later tasks of the same runner.
+	// The engine keeps wake only from a call that returned ok=false, and
+	// the task then waits for exactly that one signal, so the channel never
+	// holds more than one.
 	woke chan struct{}
 	wake func()
 }
@@ -285,10 +395,13 @@ func (tc *taskCtx) CoreTask() *core.Task { return tc.t }
 func (tc *taskCtx) Machine() int { return tc.slot }
 
 // yieldSlot releases the processor while the task waits for ch and
-// reacquires one after.
+// reacquires one after. While it waits, its claim on a slot is withdrawn,
+// so a queued task gets a runner for the slot it gave up.
 func (tc *taskCtx) yieldSlot(ch <-chan struct{}) {
+	tc.x.unclaim()
 	tc.x.putSlot(tc.slot)
 	<-ch
+	tc.x.reclaim()
 	tc.slot = tc.x.takeSlot()
 }
 

@@ -264,8 +264,12 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	x := New(Options{Procs: 2, Trace: true})
 	err := x.Run(func(tc rt.TC) {
 		id, _ := tc.Alloc([]int64{0}, "o")
-		_ = tc.Create([]access.Decl{{Object: id, Mode: access.Write}}, rt.TaskOpts{Label: "w1"}, func(tc rt.TC) {})
+		// w1 ends only once w2 exists, so the two writers are in the
+		// object's queue together and their dependence is detected.
+		created := make(chan struct{})
+		_ = tc.Create([]access.Decl{{Object: id, Mode: access.Write}}, rt.TaskOpts{Label: "w1"}, func(tc rt.TC) { <-created })
 		_ = tc.Create([]access.Decl{{Object: id, Mode: access.Write}}, rt.TaskOpts{Label: "w2"}, func(tc rt.TC) {})
+		close(created)
 	})
 	if err != nil {
 		t.Fatal(err)

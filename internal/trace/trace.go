@@ -178,19 +178,23 @@ func (e Event) String() string {
 //
 // A log built with NewRing keeps only the newest cap events: the executors
 // run one at all times (the always-on profiling stream), so its memory must
-// stay bounded no matter how long the program runs. Overwritten events are
-// counted, and Snapshot reports the count.
+// stay bounded no matter how long the program runs, and a short run should
+// not pay for the bound: the ring holds only the blocks its events have
+// filled. Overwritten events are counted, and Snapshot reports the count.
 //
 // The log does not store Events. It stores records: the same fields with
 // the narrow ones narrowed and the label replaced by an index into a
 // per-log table holding each distinct label once. A record has no
 // pointers, so the GC never scans the ring, and Events decodes records
-// back into Events.
+// back into Events. Records live in fixed-size blocks, allocated as
+// records arrive and never copied: record p of the log (or of the ring's
+// storage) is blocks[p/blockLen][p%blockLen].
 type Log struct {
 	mu      sync.Mutex
-	recs    []record
+	blocks  [][]record
+	n       int    // records held; in a full ring, n == cap
 	cap     int    // 0 = unbounded
-	head    int    // ring start index (oldest record) once len(recs) == cap
+	head    int    // ring position of the oldest record once n == cap
 	dropped uint64 // records overwritten in ring mode
 
 	// labels[i] is the label of records whose label field is i; labels[0]
@@ -226,16 +230,18 @@ func New() *Log {
 // minIndex is the label hash set's initial size.
 const minIndex = 16
 
+// blockLen is the number of records in a block: 224 KiB, so live's 2^12
+// ring is exactly one block.
+const blockLen = 1 << 12
+
 // NewRing returns a log bounded to the newest cap events (cap <= 0 falls
-// back to unbounded). The buffer is allocated up front: the ring is the
-// always-on profiling stream, and growing it incrementally under the
-// log mutex puts repeated large copies on every executor's hot path.
+// back to unbounded). Its storage grows a block at a time as events
+// arrive, up to ⌈cap/blockLen⌉ blocks, and then wraps in place: a run
+// pays for the events it records, and no record is ever copied under the
+// log's lock.
 func NewRing(cap int) *Log {
 	l := New()
-	if cap > 0 {
-		l.cap = cap
-		l.recs = make([]record, 0, cap)
-	}
+	l.cap = max(cap, 0)
 	return l
 }
 
@@ -275,17 +281,31 @@ func (l *Log) AddDepends(at time.Duration, later *core.Task, deps []core.Dep) {
 // nextLocked returns the slot for the next record, every field of which
 // the caller overwrites: a fresh one, or in a full ring the oldest.
 func (l *Log) nextLocked() *record {
-	if l.cap > 0 && len(l.recs) == l.cap {
-		r := &l.recs[l.head]
+	p := l.n
+	if l.cap > 0 && l.n == l.cap {
+		p = l.head
 		l.head++
 		if l.head == l.cap {
 			l.head = 0
 		}
 		l.dropped++
-		return r
+	} else {
+		l.n++
 	}
-	l.recs = append(l.recs, record{})
-	return &l.recs[len(l.recs)-1]
+	if p/blockLen == len(l.blocks) {
+		// A ring's last block holds only what its capacity leaves over.
+		size := blockLen
+		if l.cap > 0 {
+			size = min(size, l.cap-p)
+		}
+		l.blocks = append(l.blocks, make([]record, size))
+	}
+	return l.at(p)
+}
+
+// at returns the record at storage position p.
+func (l *Log) at(p int) *record {
+	return &l.blocks[p/blockLen][p%blockLen]
 }
 
 // internLocked returns s's index in the label table, adding it if it is
@@ -355,8 +375,8 @@ func (l *Log) compactLabelsLocked() {
 	old := l.labels
 	renum := make([]uint32, len(old))
 	l.labels = []string{""}
-	for i := range l.recs {
-		r := &l.recs[i]
+	for p := 0; p < l.n; p++ {
+		r := l.at(p)
 		if r.label == 0 {
 			continue
 		}
@@ -382,7 +402,7 @@ func narrowUint32(v int) uint32 {
 }
 
 // unpackLocked decodes r back into the Event it was packed from.
-func (l *Log) unpackLocked(r record) Event {
+func (l *Log) unpackLocked(r *record) Event {
 	return Event{
 		At: r.at, Kind: Kind(r.kind),
 		Task: r.task, Other: r.other, Object: r.object,
@@ -409,8 +429,8 @@ func (l *Log) Snapshot() (events []Event, dropped uint64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.recs) > 0 {
-		events = make([]Event, 0, len(l.recs))
+	if l.n > 0 {
+		events = make([]Event, 0, l.n)
 		l.eachLocked(func(ev Event) { events = append(events, ev) })
 	}
 	return events, l.dropped
@@ -428,23 +448,28 @@ func (l *Log) Each(yield func(Event)) {
 }
 
 func (l *Log) eachLocked(yield func(Event)) {
-	for i := range l.recs {
-		yield(l.unpackLocked(l.recs[(l.head+i)%len(l.recs)]))
+	for i := 0; i < l.n; i++ {
+		p := l.head + i
+		if p >= l.n {
+			p -= l.n
+		}
+		yield(l.unpackLocked(l.at(p)))
 	}
 }
 
-// Handoff moves l's record and label storage into a new, empty log of the
-// same capacity, leaving l empty but usable (a late Add grows storage of
-// its own) and counting what it gave up as dropped: whoever still holds
-// l sees a truncated window and never what the new log records.
+// Handoff moves l's record blocks and label storage into a new, empty log
+// of the same capacity, leaving l empty but usable (a late Add grows
+// storage of its own) and counting what it gave up as dropped: whoever
+// still holds l sees a truncated window and never what the new log
+// records.
 func (l *Log) Handoff() *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	clear(l.labels[1:])
 	clear(l.index)
-	n := &Log{cap: l.cap, recs: l.recs[:0], labels: l.labels[:1], index: l.index, seed: l.seed}
-	l.dropped += uint64(len(l.recs))
-	l.recs, l.head = nil, 0
+	n := &Log{cap: l.cap, blocks: l.blocks, labels: l.labels[:1], index: l.index, seed: l.seed}
+	l.dropped += uint64(l.n)
+	l.blocks, l.n, l.head = nil, 0, 0
 	l.labels, l.index, l.recent = []string{""}, make([]uint32, minIndex), [len(l.recent)]uint32{}
 	return n
 }
@@ -452,11 +477,11 @@ func (l *Log) Handoff() *Log {
 // Filter returns the events of one kind, in order.
 func (l *Log) Filter(k Kind) []Event {
 	var out []Event
-	for _, ev := range l.Events() {
+	l.Each(func(ev Event) {
 		if ev.Kind == k {
 			out = append(out, ev)
 		}
-	}
+	})
 	return out
 }
 
@@ -467,7 +492,7 @@ func (l *Log) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return l.n
 }
 
 // TaskGraphDOT renders the dynamic task graph (Depend events plus task
@@ -476,8 +501,12 @@ func (l *Log) Len() int {
 func TaskGraphDOT(l *Log, title string) string {
 	labels := map[uint64]string{}
 	var order []uint64
-	for _, ev := range l.Events() {
-		if ev.Kind == TaskCreated {
+	type edge struct{ from, to uint64 }
+	seen := map[edge]bool{}
+	var edges []edge
+	l.Each(func(ev Event) {
+		switch ev.Kind {
+		case TaskCreated:
 			name := ev.Label
 			if name == "" {
 				name = fmt.Sprintf("task %d", ev.Task)
@@ -486,21 +515,14 @@ func TaskGraphDOT(l *Log, title string) string {
 				order = append(order, ev.Task)
 			}
 			labels[ev.Task] = name
+		case Depend:
+			e := edge{ev.Task, ev.Other}
+			if !seen[e] {
+				seen[e] = true
+				edges = append(edges, e)
+			}
 		}
-	}
-	type edge struct{ from, to uint64 }
-	seen := map[edge]bool{}
-	var edges []edge
-	for _, ev := range l.Events() {
-		if ev.Kind != Depend {
-			continue
-		}
-		e := edge{ev.Task, ev.Other}
-		if !seen[e] {
-			seen[e] = true
-			edges = append(edges, e)
-		}
-	}
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", title)
 	b.WriteString("  rankdir=TB;\n  node [shape=box];\n")

@@ -5,8 +5,9 @@
 // the simulated executor installs (a field read of the discrete-event
 // engine's current virtual time). The SMP executor's clock is a monotonic
 // wall-clock read (~tens of ns), which exceeds this budget on the raw
-// 400ns engine lifecycle but is amortized to well under 5% by the ~µs
-// goroutine dispatch every real SMP task pays.
+// 400ns engine lifecycle but is amortized to well under 5% by the rest of
+// what a real SMP task costs, several µs: the hand-off to a runner through
+// the ready queue, the processor slot, and the always-on trace records.
 package repro
 
 import (

@@ -8,14 +8,15 @@
 # Stops at the first failing tier, prints wall time per tier, writes
 # nothing into the checkout. GOMAXPROCS is inherited by every go command,
 # so `GOMAXPROCS=1 scripts/check.sh race` races on one processor — except
-# core, trace, transport/wire, transport/tcp and exec/live (with
+# core, exec/smp, trace, transport/wire, transport/tcp and exec/live (with
 # exec/live/tenant), which the race tier always runs at both one P and four
 # (-cpu 1,4): the trace log's appends, label interning and snapshots share
 # one lock, the engine's queue summary and entry tables are checked from
-# every task of the stress programs while the others run, and check-ins
-# and write-backs that ride a task's frames, and dispatches made on the
-# goroutine that readied the task, take different paths when the peer runs
-# in parallel. The lock-discipline walks at the root run there too.
+# every task of the stress programs while the others run, smp's runners
+# pass ready tasks and slots between goroutines that outlive the tasks, and
+# check-ins and write-backs that ride a task's frames, and dispatches made
+# on the goroutine that readied the task, take different paths when the
+# peer runs in parallel. The lock-discipline walks at the root run there too.
 # (One test stays on the inherited setting until ROADMAP item 1 closes its
 # defect: TestChaosMembershipStress — a task killed after its with-cont
 # cannot be re-executed, g.)
@@ -40,14 +41,14 @@ tier() {
 		;;
 	race) # everything that does real concurrency, under the race detector, twice
 		go test -race -count=2 ./internal/coherence/... \
-			./internal/exec/dist/... ./internal/exec/smp/... \
+			./internal/exec/dist/... \
 			./internal/transport ./internal/transport/inproc/... \
 			./internal/transport/mux/... \
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
-		# ... and the engine, the trace log and the wire path at one P and at
-		# four, whatever GOMAXPROCS says
+		# ... and the engine, the smp runners, the trace log and the wire path
+		# at one P and at four, whatever GOMAXPROCS says
 		go test -race -count=2 -cpu 1,4 -skip TestChaosMembershipStress \
-			./internal/core/... ./internal/trace/... \
+			./internal/core/... ./internal/exec/smp/... ./internal/trace/... \
 			./internal/transport/wire/... ./internal/transport/tcp/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
 		go test -race -count=2 -run TestChaosMembershipStress ./internal/exec/live
