@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -13,56 +12,38 @@ import (
 )
 
 // The coordinator-side rt.TC operations, each written once for "task t on
-// machine m". mainCtx calls them with m = 0 for the main program and the
-// children it inlines; the handle* frame handlers call them with m = w.m
-// for a worker's task and turn the result into the reply.
+// machine m". None of them waits: an operation the engine or the membership
+// must let go first registers its rest as a continuation, which runs on
+// whichever goroutine fires it and hands the result to done. The handle*
+// frame handlers call them with m = w.m for a worker's task, with a done that
+// sends the reply; mainCtx calls them with m = 0 for the main program and the
+// children it inlines, and blocks until done has run (mainCtx.wait).
 
-// errUnwinding marks an operation abandoned because the run died while
-// it waited; a handler seeing it sends no reply — there is no run left
-// to continue.
-var errUnwinding = errors.New("live: run is unwinding")
-
-// engineWait runs one engine operation that may queue behind earlier
-// tasks (Access, Convert) and blocks until it is granted.
-func (x *Exec) engineWait(op func(wake func()) (bool, error)) error {
-	ch := make(chan struct{})
-	ok, err := op(func() { close(ch) })
-	if err != nil || ok {
-		return err
-	}
-	return x.await(ch)
-}
-
-// await blocks until ch closes, unless the run dies first.
-func (x *Exec) await(ch chan struct{}) error {
-	select {
-	case <-ch:
-		return nil
-	case <-x.fatal:
-		return fmt.Errorf("%w: %w", errUnwinding, x.firstError())
-	}
-}
-
-// access acquires t's checked view of obj and stages the object's current
-// value on machine m. gen is the generation a write grant started, which a
-// worker's task names when it writes the object back.
-func (x *Exec) access(t *core.Task, m int, obj access.ObjectID, mode access.Mode) (gen uint64, err error) {
-	err = x.engineWait(func(wake func()) (bool, error) { return x.eng.Access(t, obj, mode, wake) })
-	if err != nil {
-		return 0, err
-	}
+// access acquires t's checked view of obj, stages the object's current value
+// on machine m, and calls done with the generation a write grant started,
+// which a worker's task names when it writes the object back. The staging is
+// the engine's wake when the view must wait for earlier tasks.
+func (x *Exec) access(t *core.Task, m int, obj access.ObjectID, mode access.Mode, done func(gen uint64, err error)) {
 	read := mode.HasAny(access.Read | access.Commute)
 	write := mode.HasAny(access.Write | access.Commute)
-	err = x.retryOnLoss(m, func() error {
-		if err := x.fetchToLocked(t, obj, m, read, write, nil); err != nil {
-			return err
-		}
-		if write {
-			gen = x.dir.Entry(obj).Version
-		}
-		return nil
-	})
-	return gen, err
+	grant := func() {
+		var gen uint64
+		x.parkOnLoss(m, func() error {
+			if err := x.fetchToLocked(t, obj, m, read, write, nil); err != nil {
+				return err
+			}
+			if write {
+				gen = x.dir.Entry(obj).Version
+			}
+			return nil
+		}, func(err error) { done(gen, err) })
+	}
+	switch ok, err := x.eng.Access(t, obj, mode, grant); {
+	case err != nil:
+		done(0, err)
+	case ok:
+		grant()
+	}
 }
 
 // accessPregranted checks in an access the dispatch already granted and
@@ -83,38 +64,52 @@ func (x *Exec) accessPregranted(t *core.Task, obj access.ObjectID, mode access.M
 	}
 }
 
-// convert promotes t's deferred rights on obj to immediate.
-func (x *Exec) convert(t *core.Task, obj access.ObjectID, which access.Mode) error {
-	return x.engineWait(func(wake func()) (bool, error) { return x.eng.Convert(t, obj, which, wake) })
+// convert promotes t's deferred rights on obj to immediate, and calls done
+// once machine m's task may go on. A requester that has left the membership
+// by then is not answered: its task is the recovery sweep's to re-execute.
+func (x *Exec) convert(t *core.Task, m int, obj access.ObjectID, which access.Mode, done func(error)) {
+	ok, err := x.eng.Convert(t, obj, which, func() {
+		if x.member(m) {
+			done(nil)
+		}
+	})
+	if err != nil || ok {
+		done(err)
+	}
 }
 
-// startInline starts inline child t on its creator's machine m: wait until
-// the child's declarations enable, stage its objects there, and start it
-// in the engine. A child the engine refuses to start is retired on the
-// spot, so its creator can carry on. grants are the staging's pre-grant
-// records, for a creator on a worker.
-func (x *Exec) startInline(t *core.Task, pl *payload, m int) (grants []byte, err error) {
-	if err := x.await(pl.readyCh); err != nil {
-		return nil, err
+// startInline is the start request for inline child t from its creator's
+// machine m, the last of the three arrivals onReady joins: once the child's
+// declarations enable, stage its objects on m, start it in the engine and
+// call done with the staging's pre-grant records, for a creator on a
+// worker. A child the engine refuses to start is retired on the spot, so
+// its creator can carry on.
+func (x *Exec) startInline(t *core.Task, pl *payload, m int, done func(grants []byte, err error)) {
+	pl.start = func() {
+		var grants []byte
+		x.parkOnLoss(m, func() error {
+			grants = x.pregrantsLocked(t, nil)
+			return x.stageLocked(t, m, nil)
+		}, func(err error) {
+			if err == nil {
+				if err = x.eng.Start(t); err != nil {
+					x.fail(err)
+					if cerr := x.complete(t); cerr != nil {
+						x.fail(cerr)
+					}
+					x.unregister(t)
+				}
+			}
+			if err != nil {
+				done(nil, err)
+				return
+			}
+			x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
+			x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
+			done(grants, nil)
+		})
 	}
-	err = x.retryOnLoss(m, func() error {
-		grants = x.pregrantsLocked(t, nil)
-		return x.stageLocked(t, m, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := x.eng.Start(t); err != nil {
-		x.fail(err)
-		if cerr := x.complete(t); cerr != nil {
-			x.fail(cerr)
-		}
-		x.unregister(t)
-		return nil, err
-	}
-	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
-	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: m, Label: pl.opts.Label})
-	return grants, nil
+	x.onReady(t)
 }
 
 // alloc registers an object born on machine m holding v. The coordinator
@@ -151,9 +146,27 @@ func (tc *mainCtx) CoreTask() *core.Task { return tc.t }
 // Machine implements rt.TC: the coordinator is machine 0.
 func (tc *mainCtx) Machine() int { return 0 }
 
+// wait runs op, a coordinator operation for machine 0, and blocks until
+// op's done has run, or until the run dies. The main program's goroutine is
+// the one the coordinator may block: it is not a receive loop, and nothing
+// waits for it but Run.
+func (tc *mainCtx) wait(op func(done func(error))) error {
+	ch := make(chan error, 1)
+	op(func(err error) { ch <- err })
+	select {
+	case err := <-ch:
+		return err
+	case <-tc.x.fatal:
+		return fmt.Errorf("live: run is unwinding: %w", tc.x.firstError())
+	}
+}
+
 // Access implements rt.TC.
 func (tc *mainCtx) Access(obj access.ObjectID, m access.Mode) (any, error) {
-	if _, err := tc.x.access(tc.t, 0, obj, m); err != nil {
+	err := tc.wait(func(done func(error)) {
+		tc.x.access(tc.t, 0, obj, m, func(_ uint64, err error) { done(err) })
+	})
+	if err != nil {
 		return nil, err
 	}
 	tc.x.coh.Lock()
@@ -177,7 +190,7 @@ func (tc *mainCtx) ClearAccess(obj access.ObjectID) {
 
 // Convert implements rt.TC.
 func (tc *mainCtx) Convert(obj access.ObjectID, which access.Mode) error {
-	return tc.x.convert(tc.t, obj, which)
+	return tc.wait(func(done func(error)) { tc.x.convert(tc.t, 0, obj, which, done) })
 }
 
 // Retract implements rt.TC.
@@ -232,7 +245,10 @@ func (tc *mainCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 			body = func(rt.TC) {}
 		}
 	}
-	if _, err := x.startInline(t, pl, 0); err != nil {
+	err = tc.wait(func(done func(error)) {
+		x.startInline(t, pl, 0, func(_ []byte, err error) { done(err) })
+	})
+	if err != nil {
 		return err
 	}
 	child := &mainCtx{x: x, t: t, heldSince: tc.heldSince}

@@ -1,29 +1,41 @@
 package live_test
 
-// Where a ready task's dispatch runs: on the goroutine that made it ready,
-// with the worker's body on a runner that outlives its task — no goroutine
-// of its own on either side — and in an order the trace can show.
+// Where a ready task's dispatch and a worker's request run: on the goroutine
+// that made the task ready or received the request, or on the one that
+// later fires what it waits for, with the worker's body on a runner that
+// outlives its task — no goroutine of its own on either side — and in an
+// order the trace can show.
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/apps/cholesky"
+	"repro/internal/exec/exectest"
 	"repro/internal/exec/live"
 	"repro/internal/rt"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/transport/inproc"
+	"repro/internal/transport/wire"
+	"repro/jade"
 )
 
-// newFleet builds a coordinator over n in-process workers.
-func newFleet(t *testing.T, n int, opts live.Options) *live.Exec {
+// newFleet builds a coordinator over n in-process workers. A non-nil reqs
+// counts the requests the workers send it (countingConn).
+func newFleet(t *testing.T, n int, opts live.Options, reqs *atomic.Int64) *live.Exec {
 	t.Helper()
 	bodies := live.NewBodyTable()
 	opts.Peers = make([]live.Peer, n)
 	for i := range opts.Peers {
 		a, b := inproc.Pipe()
 		opts.Peers[i] = live.Peer{Conn: a}
+		if reqs != nil {
+			opts.Peers[i].Conn = countingConn{a, reqs}
+		}
 		go live.Serve(b, live.WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
 	}
 	opts.Bodies = bodies
@@ -32,6 +44,27 @@ func newFleet(t *testing.T, n int, opts live.Options) *live.Exec {
 		t.Fatal(err)
 	}
 	return x
+}
+
+// countingConn is the coordinator's end of a worker connection that counts
+// the worker's requests of the kinds that can wait: an access, a
+// conversion, an allocation or an inline child's start.
+type countingConn struct {
+	transport.Conn
+	reqs *atomic.Int64
+}
+
+func (c countingConn) Recv() ([]byte, error) {
+	msg, err := c.Conn.Recv()
+	if err == nil {
+		if f, derr := wire.Decode(msg); derr == nil {
+			switch f.Type {
+			case wire.TAccessReq, wire.TConvertReq, wire.TAllocReq, wire.TStartReq:
+				c.reqs.Add(1)
+			}
+		}
+	}
+	return msg, err
 }
 
 // wideProgram creates n tasks over 64 counters, each adding its index to
@@ -79,12 +112,13 @@ func wideProgram(n int) (main func(rt.TC), counters []access.ObjectID, want []in
 
 // TestDispatchStartsNoGoroutine: over 2000 tasks on an inproc fleet, the
 // goroutines started on tasks' behalf — the dispatch's, the worker's body
-// runner, any handler's — number at most one per ten dispatched tasks (two
-// per task when each dispatch and each body had a goroutine of its own).
+// runner, any handler's — number at most one per hundred dispatched tasks
+// (two per task when each dispatch and each body had a goroutine of its
+// own).
 func TestDispatchStartsNoGoroutine(t *testing.T) {
 	const tasks = 2000
 	var dispatched atomic.Int64
-	x := newFleet(t, 4, live.Options{OnTaskDone: func(done int) { dispatched.Store(int64(done)) }})
+	x := newFleet(t, 4, live.Options{OnTaskDone: func(done int) { dispatched.Store(int64(done)) }}, nil)
 	main, counters, want := wideProgram(tasks)
 	before := live.GoroutinesStarted()
 	if err := x.Run(main); err != nil {
@@ -100,11 +134,72 @@ func TestDispatchStartsNoGoroutine(t *testing.T) {
 	if n < tasks/2 {
 		t.Fatalf("only %d of %d tasks were dispatched; the rest ran inline and prove nothing", n, tasks)
 	}
-	if per := float64(started) / float64(n); per > 0.1 {
-		t.Errorf("%d goroutines started for %d dispatched tasks (%.3f per task), want ≤ 0.1", started, n, per)
+	perAtMost(t, started, n, "dispatched task", 0.01)
+}
+
+// perAtMost fails the test when started goroutines come to more than bound
+// per each of n things.
+func perAtMost(t *testing.T, started, n int64, what string, bound float64) {
+	t.Helper()
+	if per := float64(started) / float64(n); per > bound {
+		t.Errorf("%d goroutines started for %d × %s (%.4f per %s), want ≤ %v", started, n, what, per, what, bound)
 	} else {
-		t.Logf("%d goroutines started for %d dispatched tasks (%.3f per task)", started, n, per)
+		t.Logf("%d goroutines started for %d × %s (%.4f per %s)", started, n, what, per, what)
 	}
+}
+
+// TestCholeskyStartsFewRunners: a 12×12 grid-Laplacian Cholesky (1,740
+// tasks, bodies of tens of nanoseconds) on four inproc workers starts at
+// most one goroutine per hundred tasks, over three factorizations. A
+// worker's runners outlive their tasks, and a dispatch that arrives while a
+// runner has taken a task but not yet its slot finds that runner counted
+// (a runner per four tasks when it started another, which then exited).
+func TestCholeskyStartsFewRunners(t *testing.T) {
+	m := cholesky.Symbolic(cholesky.GridLaplacian(12))
+	oracle := m.Clone()
+	cholesky.FactorSerial(oracle)
+	var started, tasks int64
+	for op := 0; op < 3; op++ {
+		r, err := jade.NewLive(jade.LiveConfig{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := live.GoroutinesStarted()
+		var jm *cholesky.JadeMatrix
+		if err := r.Run(func(tk *jade.Task) { jm = cholesky.ToJade(tk, m, 0); jm.Factor(tk) }); err != nil {
+			t.Fatal(err)
+		}
+		started += live.GoroutinesStarted() - before
+		tasks += int64(r.Report().Tasks.Run)
+		if !reflect.DeepEqual(cholesky.FromJade(r, jm).Cols, oracle.Cols) {
+			t.Fatal("the factor differs from the serial oracle")
+		}
+	}
+	perAtMost(t, started, tasks, "task", 0.01)
+}
+
+// TestRequestsStartNoGoroutine: a generated program with with-cont
+// conversions and nested tasks, 2,000 top-level tasks on four inproc workers
+// with a throttle low enough that workers inline children, so accesses,
+// conversions and inline children's starts cross the wire, many of them
+// waiting in the engine behind earlier tasks. The coordinator answers each
+// at once or from the goroutine that fires what it waits for: the
+// goroutines started come to at most one per hundred such requests (more
+// than one per request when each had a handler goroutine).
+func TestRequestsStartNoGoroutine(t *testing.T) {
+	var reqs atomic.Int64
+	spec := exectest.ProgramSpec{Objects: 6, Tasks: 2000, Seed: 1, UseDeferred: true, UseHierarchy: true}
+	x := newFleet(t, 4, live.Options{MaxLiveTasks: 16}, &reqs)
+	before := live.GoroutinesStarted()
+	got, _, err := exectest.RunOn(x, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := live.GoroutinesStarted() - before
+	if want := exectest.RunSerial(spec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v (serial)", got, want)
+	}
+	perAtMost(t, started, reqs.Load(), "request", 0.01)
 }
 
 // TestTraceOrderPerTask: in a full trace, every task's lifecycle events
@@ -115,7 +210,7 @@ func TestDispatchStartsNoGoroutine(t *testing.T) {
 // inline under the throttle.
 func TestTraceOrderPerTask(t *testing.T) {
 	for _, maxLive := range []int{0, 3} {
-		x := newFleet(t, 3, live.Options{Trace: true, MaxLiveTasks: maxLive})
+		x := newFleet(t, 3, live.Options{Trace: true, MaxLiveTasks: maxLive}, nil)
 		err := x.Run(func(tc rt.TC) {
 			ids := make([]access.ObjectID, 3)
 			for k := range ids {

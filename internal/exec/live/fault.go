@@ -159,74 +159,86 @@ func (x *Exec) Members() (active, draining, dead, left int) {
 	return
 }
 
-// ---- membership epoch -----------------------------------------------------
+// ---- membership epoch and the park list ------------------------------------
 
-// epochNow reads the membership epoch. Operations that may park on a
-// membership change capture it BEFORE attempting the operation, so a
-// concurrent recovery between the attempt and the wait is not missed.
+// epochNow reads the membership epoch. A step that may park on a membership
+// change reads it BEFORE it tries, so a recovery that finishes between the
+// attempt and the park is not missed.
 func (x *Exec) epochNow() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.epoch
 }
 
-// bumpEpoch advances the membership epoch and wakes every parked
-// operation: recovery finished, a worker joined, or a drain completed.
+// bumpEpoch advances the membership epoch and runs every parked step:
+// recovery finished, a worker joined, or a drain completed.
 func (x *Exec) bumpEpoch() {
 	x.mu.Lock()
 	x.epoch++
-	x.cond.Broadcast()
+	steps := x.parked
+	x.parked = nil
 	x.mu.Unlock()
+	for _, step := range steps {
+		step()
+	}
 }
 
-func (x *Exec) fatalClosed() bool {
+// park runs step once the membership epoch has moved past seen: now, if it
+// already has, else from the bumpEpoch that moves it. A closing or failed run
+// drops the step: an unwinding run answers nothing.
+func (x *Exec) park(seen uint64, step func()) {
+	x.mu.Lock()
 	select {
 	case <-x.fatal:
-		return true
+		x.mu.Unlock()
+		return
 	default:
-		return false
 	}
+	if x.closing {
+		x.mu.Unlock()
+		return
+	}
+	if x.epoch == seen {
+		x.parked = append(x.parked, step)
+		x.mu.Unlock()
+		return
+	}
+	x.mu.Unlock()
+	step()
 }
 
-// awaitEpoch blocks until the membership epoch advances past seen,
-// returning false when the run is unwinding instead.
-func (x *Exec) awaitEpoch(seen uint64) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for x.epoch == seen && !x.closing && !x.fatalClosed() {
-		x.cond.Wait()
+// member reports whether machine m may still be answered: the coordinator,
+// or a worker that is neither dead nor departed.
+func (x *Exec) member(m int) bool {
+	if m == 0 {
+		return true
 	}
-	return x.epoch != seen
+	_, err := x.workerTarget(m)
+	return err == nil
 }
 
-// ---- retrying coherence wrapper --------------------------------------------
-
-// retryOnLoss runs op — a coherence operation on behalf of machine m —
-// under x.coh, waiting out a membership epoch and retrying whenever op
-// fails because an object it needs is still listed under a dead worker
-// the recovery sweep has not reached. op must fail that way before it has
-// granted or sent anything (stageLocked checks every object first), so a
-// retry starts from scratch. It returns errWorkerLost (wrapped) only when
-// m itself is gone or the run is unwinding. m == 0 is the coordinator,
-// which cannot be lost.
-func (x *Exec) retryOnLoss(m int, op func() error) error {
-	for {
-		seen := x.epochNow()
-		x.coh.Lock()
-		err := op()
-		x.coh.Unlock()
-		if err == nil || !errors.Is(err, errWorkerLost) {
-			return err
-		}
-		if m != 0 {
-			if _, gone := x.workerTarget(m); gone != nil {
-				return err
-			}
-		}
-		if !x.awaitEpoch(seen) {
-			return err
-		}
+// parkOnLoss runs op — a coherence step on behalf of machine m — under
+// x.coh and hands its result to done, unless op failed because an object it
+// needs is still listed under a dead worker the recovery sweep has not
+// reached: then the step parks and runs again once the membership has
+// changed. op must fail that way before it has granted or sent anything
+// (stageLocked checks every object first), so a retry starts from scratch.
+// A requester that is no longer a member is not answered: its task is the
+// sweep's to re-execute, and nothing is staged to it. m == 0 is the
+// coordinator, which cannot be lost.
+func (x *Exec) parkOnLoss(m int, op func() error, done func(error)) {
+	if !x.member(m) {
+		return
 	}
+	seen := x.epochNow()
+	x.coh.Lock()
+	err := op()
+	x.coh.Unlock()
+	if errors.Is(err, errWorkerLost) {
+		x.park(seen, func() { x.parkOnLoss(m, op, done) })
+		return
+	}
+	done(err)
 }
 
 // ---- failure detection and recovery ---------------------------------------
@@ -259,8 +271,6 @@ func (x *Exec) workerLost(w *workerLink, cause error) {
 		w.conn.Close()
 		if started {
 			go x.recoverWorker(w, cause)
-		} else {
-			x.bumpEpoch()
 		}
 	})
 }
@@ -303,7 +313,7 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	// worker. pl.sent is the ownership handshake with dispatch(): only
 	// tasks whose dispatch frame was shipped are claimed here; a
 	// dispatch that had not sent yet re-places its own task after the
-	// epoch wait.
+	// epoch moves.
 	type orphaned struct {
 		t  *core.Task
 		pl *payload
@@ -324,8 +334,7 @@ func (x *Exec) recoverWorker(w *workerLink, cause error) {
 	x.mu.Unlock()
 	for _, o := range orphans {
 		x.record(trace.Event{Kind: trace.TaskReexecuted, Task: uint64(o.t.ID), Src: w.m, Label: o.pl.opts.Label})
-		goStarts.Add(1)
-		go x.dispatch(o.t, o.pl)
+		x.dispatch(o.t, o.pl)
 	}
 
 	x.statMu.Lock()

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -56,7 +55,6 @@ func (x *Exec) createTask(parent *core.Task, decls []access.Decl, pl *payload) (
 	x.mu.Lock()
 	if x.liveUser >= x.opts.MaxLiveTasks {
 		pl.inline = true
-		pl.readyCh = make(chan struct{})
 	} else {
 		x.liveUser++
 	}
@@ -79,17 +77,17 @@ func (x *Exec) createTask(parent *core.Task, decls []access.Decl, pl *payload) (
 	return t, nil
 }
 
-// recvLoop drains one worker's connection for the whole run. Handlers
-// that can wait on the engine (an access grant, a conversion, an inline
-// child's readiness) run in goroutines; the rest run inline, in arrival
-// order — among them the dispatch of every task a retirement, release or
-// creation makes ready, which waits for nothing here (dispatch parks on a
-// goroutine of its own; lockdiscipline_test.go keeps the loop from
-// reaching a wait). The loop takes x.coh itself, to install a frame's
-// write-backs before its handler runs. That cannot deadlock: no holder of
-// x.coh waits for anything this loop delivers — the coordinator asks
-// workers for nothing, and under the lock it only sends
-// (lockdiscipline_test.go at the repo root keeps it so).
+// recvLoop drains one worker's connection for the whole run. Every frame
+// is handled inline, in arrival order, and no handler waits: one either
+// replies at once or registers what it waits for — the engine's grant of an
+// access or a conversion, an inline child's readiness, the next membership
+// epoch — as a continuation that replies from whichever goroutine fires it.
+// The same holds for the dispatch of every task a retirement, release or
+// creation makes ready (lockdiscipline_test.go at the repo root keeps the
+// loop from reaching a wait). The loop takes x.coh itself, to install a
+// frame's write-backs before its handler runs. That cannot deadlock: no
+// holder of x.coh waits for anything this loop delivers — the coordinator
+// asks workers for nothing, and under the lock it only sends.
 func (x *Exec) recvLoop(w *workerLink) {
 	defer close(w.recvDone)
 	for {
@@ -172,20 +170,15 @@ func (x *Exec) recvLoop(w *workerLink) {
 			// the connection's FIFO plus inline handling preserves it.
 			x.handleCreate(w, t, f)
 		case wire.TAccessReq:
-			goStarts.Add(1)
-			go func() {
-				gen, err := x.access(t, w.m, obj, mode)
-				w.replyErr(f.Req, err, gen)
-			}()
+			req := f.Req
+			x.access(t, w.m, obj, mode, func(gen uint64, err error) { w.replyErr(req, err, gen) })
 		case wire.TConvertReq:
-			goStarts.Add(1)
-			go func() { w.replyErr(f.Req, x.convert(t, obj, mode), 0) }()
+			req := f.Req
+			x.convert(t, w.m, obj, mode, func(err error) { w.replyErr(req, err, 0) })
 		case wire.TAllocReq:
-			goStarts.Add(1)
-			go x.handleAlloc(w, t, f)
+			x.handleAlloc(w, t, f)
 		case wire.TStartReq:
-			goStarts.Add(1)
-			go x.handleStart(w, t, f)
+			x.handleStart(w, t, f)
 		case wire.TLeave:
 			// Graceful departure request. Drain only flips the state; the
 			// departure completes in a goroutine of its own (it closes the
@@ -246,14 +239,13 @@ func (x *Exec) handleTaskDone(w *workerLink, t *core.Task, f *wire.Frame, errTex
 }
 
 // replyErr answers an RPC with err's text, or with result scalar a when err
-// is nil. An operation the dying run abandoned gets no answer.
+// is nil.
 func (w *workerLink) replyErr(req uint64, err error, a uint64) {
-	switch {
-	case err == nil:
-		w.reply(req, "", a, 0)
-	case !errors.Is(err, errUnwinding):
+	if err != nil {
 		w.reply(req, err.Error(), 0, 0)
+		return
 	}
+	w.reply(req, "", a, 0)
 }
 
 // handleCreate enters a worker-created child task into the engine and
@@ -305,12 +297,14 @@ func (x *Exec) handleStart(w *workerLink, t *core.Task, f *wire.Frame) {
 		w.reply(f.Req, fmt.Sprintf("start request for non-inline task %d", f.Task), 0, 0)
 		return
 	}
-	grants, err := x.startInline(t, pl, w.m)
-	if err != nil {
-		w.replyErr(f.Req, err, 0)
-		return
-	}
-	w.send(&wire.Frame{Type: wire.TReply, Req: f.Req, Payload: grants})
+	req := f.Req
+	x.startInline(t, pl, w.m, func(grants []byte, err error) {
+		if err != nil {
+			w.replyErr(req, err, 0)
+			return
+		}
+		w.send(&wire.Frame{Type: wire.TReply, Req: req, Payload: grants})
+	})
 }
 
 // handleAlloc registers a worker-allocated object: the worker keeps the

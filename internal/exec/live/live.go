@@ -141,12 +141,13 @@ type payload struct {
 	creator  int // machine that executed the withonly-do
 	machine  int
 	inline   bool
-	readyCh  chan struct{}
 	skipBody bool
-	// arrivals counts the two events a new task waits on before it may
-	// start: the engine found it ready, and its creator recorded its
-	// creation. The second to arrive acts (onReady).
+	// arrivals counts the events a new task waits on before it may start:
+	// the engine found it ready, its creator recorded its creation, and, for
+	// an inline child, its creator asked to start it (startInline, which
+	// sets start first). The last to arrive acts (onReady).
 	arrivals atomic.Int32
+	start    func()
 
 	// body is the closure retained coordinator-side (when the creator
 	// runs in the coordinator's process) so the task can be redispatched
@@ -207,8 +208,9 @@ type Exec struct {
 	workers []*workerLink
 
 	// fatal closes when a transport-level failure makes progress
-	// impossible (worker connection died, protocol error). Parked waits
-	// select on it so the run unwinds instead of hanging.
+	// impossible (worker connection died, protocol error). Run and the
+	// main program's waits select on it so the run unwinds instead of
+	// hanging.
 	fatal     chan struct{}
 	fatalOnce sync.Once
 
@@ -223,11 +225,11 @@ type Exec struct {
 	// mu guards executor bookkeeping: task maps, throttle, scheduler load,
 	// membership state, first error.
 	mu          sync.Mutex
-	cond        *sync.Cond // on mu; broadcast on epoch bumps and fatal
 	started     bool
 	closing     bool
-	epoch       uint64 // membership epoch; parked operations retry on change
-	nextMachine int    // next machine index to assign (indices never reused)
+	epoch       uint64   // membership epoch; parked steps run when it moves
+	parked      []func() // steps waiting for the epoch to move (park)
+	nextMachine int      // next machine index to assign (indices never reused)
 	tasks       map[core.TaskID]*core.Task
 	liveUser    int
 	nextObj     access.ObjectID
@@ -305,7 +307,6 @@ func New(opts Options) (*Exec, error) {
 		stale:       map[staleKey]any{},
 		busy:        make([]time.Duration, n),
 	}
-	x.cond = sync.NewCond(&x.mu)
 	switch {
 	case opts.Trace:
 		x.log = trace.New()
@@ -416,14 +417,13 @@ func (x *Exec) fail(err error) {
 	x.mu.Unlock()
 }
 
-// failFatal records err and aborts the run: parked handlers and RPC
-// waiters unwind via the fatal channel, and epoch waiters are woken so
-// they observe the abort.
+// failFatal records err and aborts the run: the main program unwinds via
+// the fatal channel, and the parked steps are dropped unanswered.
 func (x *Exec) failFatal(err error) {
 	x.fail(err)
 	x.fatalOnce.Do(func() { close(x.fatal) })
 	x.mu.Lock()
-	x.cond.Broadcast()
+	x.parked = nil
 	x.mu.Unlock()
 }
 
@@ -594,7 +594,7 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	// joined before the counters they update are read.
 	x.mu.Lock()
 	x.closing = true
-	x.cond.Broadcast()
+	x.parked = nil
 	x.mu.Unlock()
 	x.bg.Wait()
 	for _, w := range x.workerList() {
@@ -630,28 +630,32 @@ func (x *Exec) ObjectValue(obj access.ObjectID) any {
 	return x.vals[obj]
 }
 
-// goStarts counts the goroutines started on a task's behalf — a parked
-// dispatch, a recovery redispatch, a blocking request's handler, a worker's
-// task runner — beside each such go statement. Tests read it
-// (export_test.go): a dispatched task should cost none.
+// goStarts counts the goroutines started on a task's behalf — a worker's
+// task runner — beside the go statement that starts one. Tests read it
+// (export_test.go): neither a dispatched task nor a request should cost one.
 var goStarts atomic.Int64
 
 // onReady is the join a new task waits on: it is called once when the
-// engine finds the task ready (the Ready hook) and once when its creator has
-// recorded its creation (createTask), and acts on the second call — an
-// inline child's waiting creator is released; a scheduled task is handed to
-// whoever made that call, which dispatches it as soon as its engine call has
-// returned (dispatchReadied). So each task's trace reads Created → Ready →
-// Assigned → Started, and a creator returning from eng.Create never finds
-// its child already dispatched.
+// engine finds the task ready (the Ready hook), once when its creator has
+// recorded its creation (createTask) and, for an inline child, once when its
+// creator asks to start it (startInline), and acts on the last call. An
+// inline child is staged and started, and its creator answered, right there;
+// a scheduled task is handed to whoever made that call, which dispatches it
+// as soon as its engine call has returned (dispatchReadied). So each task's
+// trace reads Created → Ready → Assigned → Started, and a creator returning
+// from eng.Create never finds its child already dispatched.
 func (x *Exec) onReady(t *core.Task) {
 	pl := t.Payload.(*payload)
-	if pl.arrivals.Add(1) < 2 {
+	need := int32(2)
+	if pl.inline {
+		need = 3
+	}
+	if pl.arrivals.Add(1) < need {
 		return
 	}
 	x.record(trace.Event{Kind: trace.TaskReady, Task: uint64(t.ID)})
 	if pl.inline {
-		close(pl.readyCh)
+		pl.start()
 		return
 	}
 	x.register(t)
@@ -806,88 +810,56 @@ func unmarshalDispatchPayload(data []byte, grants []pregrant, writes []writeGran
 // decides who re-places the task: the recovery sweep if it claimed the
 // orphan first, this dispatch otherwise.
 //
-// dispatch runs on the goroutine that made t ready (dispatchReadied) and
-// waits for nothing there, so a receive loop that retires one task can send
-// the next. An attempt that must wait for the membership to change — no
-// live worker to place on, or an object still listed under a dead worker
-// the sweep has not reached — hands that wait, and the attempts after it,
-// to a goroutine of its own (dispatchParked), the way the recovery sweep
-// redispatches.
+// dispatch runs on the goroutine that made t ready (dispatchReadied), or
+// on the recovery sweep's, and waits for nothing there, so a receive loop
+// that retires one task can send the next. A step that must wait for the
+// membership to change — no live worker to place on, or an object still
+// listed under a dead worker the sweep has not reached — parks (park) and
+// goes on from the goroutine that moves the epoch.
 func (x *Exec) dispatch(t *core.Task, pl *payload) {
-	if p, park := x.dispatchStep(t, pl, parked{}); park {
-		goStarts.Add(1)
-		go x.dispatchParked(t, pl, p)
+	placed := x.epochNow()
+	w, err := x.placeTask(t, pl)
+	if errors.Is(err, errWorkerLost) {
+		// Every worker is momentarily gone (mid-recovery, or between a
+		// drain and a join). Wait for membership to change rather than
+		// declaring the program wrong.
+		x.park(placed, func() { x.dispatch(t, pl) })
+		return
+	}
+	if err != nil {
+		// No worker may legally run this task. Record the violation
+		// and run only the lifecycle so the program terminates (same
+		// policy as the simulated executor).
+		x.record(trace.Event{Kind: trace.Violation, Task: uint64(t.ID), Label: err.Error()})
+		x.fail(err)
+		pl.skipBody = true
+		x.finishSkipped(t, pl)
+		return
+	}
+	if df, ok := x.startOn(t, pl, w); ok {
+		x.stageDispatch(t, pl, w, df, placed)
 	}
 }
 
-// parked is where a dispatch resumes once the membership epoch has moved
-// past seen: with a fresh placement when w is nil, else with another try at
-// staging on w, whose dispatch frame is df. placed is the epoch read before
-// the placement; a staging that loses w waits on that one.
-type parked struct {
-	seen, placed uint64
-	w            *workerLink
-	df           wire.Frame
-}
-
-// dispatchParked finishes a dispatch that has to wait for the membership to
-// change. A run that unwinds meanwhile abandons it.
-func (x *Exec) dispatchParked(t *core.Task, pl *payload, p parked) {
-	for park := true; park; {
-		if !x.awaitEpoch(p.seen) {
-			return
-		}
-		p, park = x.dispatchStep(t, pl, p)
-	}
-}
-
-// dispatchStep is one attempt at dispatch, waiting for nothing: park asks
-// the caller to wait for the epoch to pass next.seen and call again with
-// next.
-func (x *Exec) dispatchStep(t *core.Task, pl *payload, p parked) (next parked, park bool) {
-	if p.w == nil {
-		p.placed = x.epochNow()
-		w, err := x.placeTask(t, pl)
-		if errors.Is(err, errWorkerLost) {
-			// Every worker is momentarily gone (mid-recovery, or between a
-			// drain and a join). Wait for membership to change rather than
-			// declaring the program wrong.
-			return parked{seen: p.placed}, true
-		}
-		if err != nil {
-			// No worker may legally run this task. Record the violation
-			// and run only the lifecycle so the program terminates (same
-			// policy as the simulated executor).
-			x.record(trace.Event{Kind: trace.Violation, Task: uint64(t.ID), Label: err.Error()})
-			x.fail(err)
-			pl.skipBody = true
-			x.finishSkipped(t, pl)
-			return parked{}, false
-		}
-		var ok bool
-		if p.df, ok = x.startOn(t, pl, w); !ok {
-			return parked{}, false
-		}
-		p.w = w
-	}
-	w := p.w
-	p.seen = x.epochNow()
+// stageDispatch stages t, placed on w at epoch placed, and ships its
+// dispatch frame df. A staging that finds an object still listed under a
+// dead worker granted and sent nothing, and is tried again on w once the
+// epoch moves; one that loses w itself places t afresh.
+func (x *Exec) stageDispatch(t *core.Task, pl *payload, w *workerLink, df wire.Frame, placed uint64) {
+	seen := x.epochNow()
 	car := dispatchCarrier{m: w.m}
 	x.coh.Lock()
-	ferr := x.stageDispatchLocked(t, &p.df, pl.kindArgs, &car)
+	ferr := x.stageDispatchLocked(t, &df, pl.kindArgs, &car)
 	x.coh.Unlock()
-	if errors.Is(ferr, errWorkerLost) {
-		if _, gone := x.workerTarget(w.m); gone == nil {
-			// An object t needs is still listed under a dead worker: the
-			// staging granted and sent nothing, and is tried again on w once
-			// the sweep has taken the object over.
-			return p, true
-		}
+	if errors.Is(ferr, errWorkerLost) && x.member(w.m) {
+		retry := df // a copy of its own, so that df stays off the heap
+		x.park(seen, func() { x.stageDispatch(t, pl, w, retry, placed) })
+		return
 	}
 	if ferr == nil && !car.attached {
 		// Nothing shipped to w during staging (its copies were all
 		// current): the dispatch crosses the wire on its own.
-		ferr = w.send(&p.df)
+		ferr = w.send(&df)
 	}
 	if ferr != nil {
 		x.mu.Lock()
@@ -903,11 +875,11 @@ func (x *Exec) dispatchStep(t *core.Task, pl *payload, p parked) (next parked, p
 		switch {
 		case !mine: // the recovery sweep claimed and redispatched it
 		case errors.Is(ferr, errWorkerLost):
-			return parked{seen: p.placed}, true
+			x.park(placed, func() { x.dispatch(t, pl) })
 		default:
 			x.failFatal(ferr)
 		}
-		return parked{}, false
+		return
 	}
 	x.record(trace.Event{Kind: trace.TaskFetched, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
 	// Started is recorded at dispatch: the span to TaskCompleted includes
@@ -921,7 +893,6 @@ func (x *Exec) dispatchStep(t *core.Task, pl *payload, p parked) (next parked, p
 		x.statMu.Unlock()
 		x.record(trace.Event{Kind: trace.DispatchCoalesced, Task: uint64(t.ID), Dst: w.m, Label: pl.opts.Label})
 	}
-	return parked{}, false
 }
 
 // placeTask picks t's worker and charges the task to it.
@@ -990,7 +961,7 @@ func (x *Exec) startOn(t *core.Task, pl *payload, w *workerLink) (df wire.Frame,
 	}
 	// Mark sent BEFORE staging: the dispatch may ride any push, so from
 	// here on the recovery sweep may claim the task if w dies; the
-	// mu-guarded mine-check in dispatchStep decides which side re-places
+	// mu-guarded mine-check in stageDispatch decides which side re-places
 	// it (never both).
 	x.mu.Lock()
 	pl.sent = true

@@ -134,13 +134,13 @@ type worker struct {
 	closed    bool       // set by fail; wakes awaitObject waiters
 
 	// queue holds the dispatches no runner has taken yet; free counts the
-	// runners holding none, running those holding a slot for a body, and
-	// parked says a free runner waits on work for the next dispatch. All
+	// runners holding none, and claim what will want a slot without a new
+	// runner: free runners and runners holding a task that is not waiting
+	// in rpcYield. Free runners wait on work for the next dispatch. All
 	// under mu; work is broadcast on fail too.
-	queue         transport.FIFO[*wire.Frame]
-	free, running int
-	parked        bool
-	work          *sync.Cond
+	queue       transport.FIFO[*wire.Frame]
+	free, claim int
+	work        *sync.Cond
 
 	dead     chan struct{}
 	deadOnce sync.Once
@@ -457,18 +457,18 @@ func (w *worker) enqueue(f *wire.Frame) {
 	w.mu.Unlock()
 }
 
-// spawnLocked starts a runner when a dispatch is queued that no runner will
-// take: none is free, and not all of the worker's slots are held by running
-// bodies — a body that ends takes the next dispatch itself, and one that
-// gives its slot up in rpcYield calls here. Requires w.mu.
+// spawnLocked starts runners for queued dispatches no free runner will
+// take, as many at once as there are slots nothing else will claim: a body
+// that ends takes the next dispatch itself, and one that gives its slot up
+// in rpcYield calls here. Requires w.mu.
 func (w *worker) spawnLocked() {
-	if w.queue.Len() == 0 || w.free > 0 || w.running >= w.opts.Slots {
-		return
+	for n := min(w.queue.Len()-w.free, w.opts.Slots-w.claim); n > 0; n-- {
+		w.free++
+		w.claim++
+		w.wg.Add(1)
+		goStarts.Add(1)
+		go w.runTasks()
 	}
-	w.free++
-	w.wg.Add(1)
-	goStarts.Add(1)
-	go w.runTasks()
 }
 
 // runTasks is one task runner, a goroutine that outlives the bodies it
@@ -476,10 +476,11 @@ func (w *worker) spawnLocked() {
 // body, gives the slot back — so a body returning from rpcYield competes
 // for it with the queued tasks, as it always has — sends the task's last
 // frame and goes round again. It is free from the end of one body until it
-// takes the next dispatch. With the queue empty, one free runner per worker
-// waits for the next dispatch and any other exits; the waiting one leaves
-// when the worker dies, which is how serve ends. A queued dispatch always
-// has a taker (spawnLocked): a free runner, or a running body that will end
+// takes the next dispatch. With the queue empty every free runner waits
+// for the next dispatch, and leaves when the worker dies, which is how
+// serve ends: a worker never holds more runners than it once had claiming
+// slots, and a burst of dispatches finds them waiting. A queued dispatch
+// always has a taker (spawnLocked): a free runner, or a body that will end
 // or yield, so every slot a body frees can go to a queued task, as the slot
 // discipline requires (workerTC).
 func (w *worker) runTasks() {
@@ -490,25 +491,18 @@ func (w *worker) runTasks() {
 	for {
 		w.mu.Lock()
 		for w.queue.Len() == 0 {
-			if w.closed || w.parked {
-				w.free--
+			if w.closed {
 				w.mu.Unlock()
 				return
 			}
-			w.parked = true
 			w.work.Wait()
-			w.parked = false
 		}
 		f := w.queue.Pop()
 		w.free--
-		w.spawnLocked()
 		w.mu.Unlock()
 		if !w.slots.acquire(w.dead) {
 			return
 		}
-		w.mu.Lock()
-		w.running++
-		w.mu.Unlock()
 		last, ok := tc.run(f)
 		if tc.wt.lost { // the slot went with the worker in an rpcYield
 			if ok {
@@ -517,7 +511,6 @@ func (w *worker) runTasks() {
 			return
 		}
 		w.mu.Lock()
-		w.running--
 		w.free++
 		w.mu.Unlock()
 		w.slots.release()
@@ -748,18 +741,18 @@ func (tc *workerTC) rpcYield(f *wire.Frame) (*wire.Frame, error) {
 	w := tc.w
 	tc.wt.busy += time.Since(tc.wt.heldAt)
 	w.mu.Lock()
-	w.running--
+	w.claim--
 	w.spawnLocked() // the slot may go to a queued task
 	w.mu.Unlock()
 	w.slots.release()
 	r, err := tc.rpc(f)
+	w.mu.Lock()
+	w.claim++
+	w.mu.Unlock()
 	if !w.slots.acquire(w.dead) {
 		tc.wt.lost = true
 		return nil, w.failErr()
 	}
-	w.mu.Lock()
-	w.running++
-	w.mu.Unlock()
 	tc.wt.heldAt = time.Now()
 	return r, err
 }

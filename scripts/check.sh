@@ -17,9 +17,6 @@
 # check-ins and write-backs that ride a task's frames, and dispatches made
 # on the goroutine that readied the task, take different paths when the
 # peer runs in parallel. The lock-discipline walks at the root run there too.
-# (One test stays on the inherited setting until ROADMAP item 1 closes its
-# defect: TestChaosMembershipStress — a task killed after its with-cont
-# cannot be re-executed, g.)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,14 +44,14 @@ tier() {
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
 		# ... and the engine, the smp runners, the trace log and the wire path
 		# at one P and at four, whatever GOMAXPROCS says
-		go test -race -count=2 -cpu 1,4 -skip TestChaosMembershipStress \
+		go test -race -count=2 -cpu 1,4 \
 			./internal/core/... ./internal/exec/smp/... ./internal/trace/... \
 			./internal/transport/wire/... ./internal/transport/tcp/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
-		go test -race -count=2 -run TestChaosMembershipStress ./internal/exec/live
 		# ... and the walks that keep waits off the coherence lock and out of
-		# the receive loops (dispatch runs on them)
-		go test -race -count=2 -cpu 1,4 -run 'TestNoWaitUnderCoherenceLock|TestReceiveLoopsNeverWait' .
+		# the receive loops (dispatch and every continuation run on them),
+		# and continuations from under the coordinator's locks
+		go test -race -count=2 -cpu 1,4 -run 'TestNoWaitUnderCoherenceLock|TestReceiveLoopsNeverWait|TestNoContinuationUnderLock' .
 		go test -race -count=2 -run 'Fault|L2' ./internal/experiments/...
 		;;
 	determinism) # simulated makespans, byte counts and traces repeat bit for bit
