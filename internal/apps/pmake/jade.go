@@ -8,24 +8,27 @@ import (
 	"repro/jade"
 )
 
-// FileCap is the capacity of a shared file object: a 4-byte length prefix
-// plus contents. Commands whose output exceeds it fail the build.
-const FileCap = 64 * 1024
+// A shared file object is a 4-byte length prefix plus contents, sized to
+// the most the file can hold during the build: its contents for a file no
+// command writes, the output bound of its tool for a target (outputBound).
+// An object moves whole, so that size is what every transfer of it costs.
+const lenPrefix = 4
 
-// putContent stores data into a file object's buffer.
+// putContent stores data into a file object's buffer. The object was sized
+// for what its command can write, so the overflow check is an invariant.
 func putContent(buf, data []byte) error {
-	if len(data)+4 > len(buf) {
-		return fmt.Errorf("file content %d bytes exceeds object capacity %d", len(data), len(buf)-4)
+	if len(data)+lenPrefix > len(buf) {
+		return fmt.Errorf("file content %d bytes exceeds object capacity %d", len(data), len(buf)-lenPrefix)
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(len(data)))
-	copy(buf[4:], data)
+	copy(buf[lenPrefix:], data)
 	return nil
 }
 
 // getContent extracts the contents from a file object's buffer.
 func getContent(buf []byte) []byte {
 	n := binary.LittleEndian.Uint32(buf)
-	return append([]byte(nil), buf[4:4+n]...)
+	return append([]byte(nil), buf[lenPrefix:lenPrefix+n]...)
 }
 
 // BuildJade brings goal up to date using one Jade task per command — the
@@ -38,25 +41,32 @@ func BuildJade(r *jade.Runtime, p *Project, mf *Makefile, goal string, workPerBy
 	if err != nil {
 		return nil, err
 	}
-	objs := map[string]*jade.Array[byte]{}
-	runErr := r.Run(func(t *jade.Task) {
-		// Materialize every involved file as a shared object.
-		involved := map[string]bool{}
-		for _, tgt := range order {
-			involved[tgt] = true
-			for _, d := range mf.Rule(tgt).Deps {
-				involved[d] = true
+	// The content size of every involved file: what it holds now, or, for a
+	// target the build writes, the most its command can write. Plan order
+	// puts each target after the targets it reads.
+	size, rebuilt := map[string]int{}, map[string]bool{}
+	for _, tgt := range order {
+		for _, d := range mf.Rule(tgt).Deps {
+			if !rebuilt[d] {
+				size[d] = len(p.Files[d])
 			}
 		}
-		names := make([]string, 0, len(involved))
-		for n := range involved {
+		size[tgt] = outputBound(mf.Rule(tgt).Command, tgt, func(d string) int { return size[d] })
+		rebuilt[tgt] = true
+	}
+	objs := map[string]*jade.Array[byte]{}
+	runErr := r.Run(func(t *jade.Task) {
+		// Materialize every involved file as a shared object, in a
+		// deterministic allocation order. A target starts empty: its
+		// command overwrites it before anything reads it.
+		names := make([]string, 0, len(size))
+		for n := range size {
 			names = append(names, n)
 		}
-		// Deterministic allocation order.
 		sort.Strings(names)
 		for _, n := range names {
-			obj := jade.NewArray[byte](t, FileCap, "file:"+n)
-			if data, ok := p.Files[n]; ok {
+			obj := jade.NewArray[byte](t, lenPrefix+size[n], "file:"+n)
+			if data, ok := p.Files[n]; ok && !rebuilt[n] {
 				if err := putContent(obj.ReadWrite(t), data); err != nil {
 					panic(fmt.Sprintf("pmake: %s: %v", n, err))
 				}

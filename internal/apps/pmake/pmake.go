@@ -188,6 +188,37 @@ func runCommand(argv []string, target string, dep func(string) []byte) ([]byte, 
 	}
 }
 
+// ccLineMax bounds one "unit" line of cc's output beyond its dep's name:
+// the words and separators, and two integers of at most 20 digits each.
+const ccLineMax = len("unit   \n") + 2*20
+
+// outputBound is the most bytes runCommand can write for target when each
+// dep d holds size(d) bytes: the capacity the target's file object needs.
+// One case per tool, beside runCommand's.
+func outputBound(argv []string, target string, size func(string) int) int {
+	if len(argv) == 0 {
+		return 0
+	}
+	n := 0
+	switch argv[0] {
+	case "cat":
+	case "cc":
+		n = len("obj \n") + len(target)
+		for _, d := range argv[1:] {
+			n += ccLineMax + len(d)
+		}
+		return n
+	case "link":
+		n = len("exe \n") + len(target)
+	default:
+		return 0
+	}
+	for _, d := range argv[1:] {
+		n += size(d)
+	}
+	return n
+}
+
 // Plan computes, in post-order, the targets that must be rebuilt to bring
 // goal up to date: a target rebuilds if it is missing, any dependency is
 // newer, or any dependency itself rebuilds. This is the decision the serial

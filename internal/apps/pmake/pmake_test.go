@@ -2,6 +2,7 @@ package pmake
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -238,5 +239,81 @@ func TestFileObjectRoundTrip(t *testing.T) {
 	}
 	if err := putContent(buf, bytes.Repeat([]byte("x"), 61)); err == nil {
 		t.Fatal("overflow should error")
+	}
+}
+
+// TestOutputBoundCoversEveryCommand: for random rules of every tool over
+// deps of random names and sizes, what runCommand writes never exceeds
+// outputBound, so a target's file object always holds its output.
+func TestOutputBoundCoversEveryCommand(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	name := func() string {
+		b := make([]byte, 1+rng.Intn(24))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	for i := 0; i < 2000; i++ {
+		files := map[string][]byte{}
+		argv := []string{[]string{"cat", "cc", "link"}[rng.Intn(3)]}
+		for d := rng.Intn(6); d > 0; d-- {
+			dep := name()
+			data := make([]byte, rng.Intn(1<<uint(rng.Intn(14))))
+			rng.Read(data)
+			files[dep] = data
+			argv = append(argv, dep)
+		}
+		target := name()
+		out, err := runCommand(argv, target, func(d string) []byte { return files[d] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := outputBound(argv, target, func(d string) int { return len(files[d]) }); len(out) > bound {
+			t.Fatalf("%v -> %s: wrote %d bytes, bound %d", argv, target, len(out), bound)
+		}
+	}
+}
+
+// TestJadeBuildOfLargeFiles: a file object is sized to what it holds, so a
+// target larger than any fixed capacity builds bit-identically to the
+// serial build, on shared memory and over the live runtime's wire.
+func TestJadeBuildOfLargeFiles(t *testing.T) {
+	mf, err := Parse("all: a.c b.c\n\tcat a.c b.c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := func() *Project {
+		p := NewProject()
+		for i, f := range []string{"a.c", "b.c"} {
+			data := make([]byte, 40<<10)
+			for k := range data {
+				data[k] = byte('a' + (k*7+i)%26)
+			}
+			p.WriteFile(f, data)
+		}
+		return p
+	}
+	want := project()
+	if _, err := BuildSerial(want, mf, "all"); err != nil {
+		t.Fatal(err)
+	}
+	for name, mk := range map[string]func() (*jade.Runtime, error){
+		"smp":         func() (*jade.Runtime, error) { return jade.NewSMP(jade.SMPConfig{Procs: 2}), nil },
+		"live-inproc": func() (*jade.Runtime, error) { return jade.NewLive(jade.LiveConfig{Workers: 2}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := project()
+			if _, err := BuildJade(r, got, mf, "all", 1e-6); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Files["all"], want.Files["all"]) {
+				t.Fatalf("all: %d bytes, want the serial build's %d", len(got.Files["all"]), len(want.Files["all"]))
+			}
+		})
 	}
 }

@@ -26,7 +26,7 @@ func (c *tapConn) Recv() ([]byte, error) {
 	if err == nil {
 		if f, derr := wire.Decode(msg); derr == nil {
 			c.mu.Lock()
-			c.frames = append(c.frames, f)
+			c.frames = append(c.frames, &f)
 			c.mu.Unlock()
 		}
 	}
@@ -252,10 +252,10 @@ func scriptedWorker(conn transport.Conn, handle func(f *wire.Frame, send func(*w
 		if err != nil {
 			return
 		}
-		handle(f, send)
-		if f.Type != wire.TDispatch && f.Aux != "" {
-			if df, err := wire.Decode([]byte(f.Aux)); err == nil {
-				handle(df, send)
+		handle(&f, send)
+		if len(f.Dispatch) > 0 {
+			if df, err := wire.Decode(f.Dispatch); err == nil {
+				handle(&df, send)
 			}
 		}
 	}

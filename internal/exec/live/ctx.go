@@ -88,7 +88,7 @@ func (x *Exec) startInline(t *core.Task, pl *payload, m int, done func(grants []
 	pl.start = func() {
 		var grants []byte
 		x.parkOnLoss(m, func() error {
-			grants = x.pregrantsLocked(t, nil)
+			grants = x.appendPregrantsLocked(nil, t, nil)
 			return x.stageLocked(t, m, nil)
 		}, func(err error) {
 			if err == nil {

@@ -87,7 +87,9 @@ func (x *Exec) createTask(parent *core.Task, decls []access.Decl, pl *payload) (
 // loop from reaching a wait). The loop takes x.coh itself, to install a
 // frame's write-backs before its handler runs. That cannot deadlock: no
 // holder of x.coh waits for anything this loop delivers — the coordinator
-// asks workers for nothing, and under the lock it only sends.
+// asks workers for nothing, and under the lock it only sends. Each frame is
+// decoded into a value on the loop's stack: a continuation copies the
+// fields it needs (req := f.Req) and never holds the frame.
 func (x *Exec) recvLoop(w *workerLink) {
 	defer close(w.recvDone)
 	for {
@@ -119,7 +121,7 @@ func (x *Exec) recvLoop(w *workerLink) {
 			if t, gone = x.taskFrom(w, f.Task); gone {
 				continue
 			} else if t == nil {
-				x.unknownTask(w, f)
+				x.unknownTask(w, &f)
 				continue
 			}
 		} else if len(f.Checkins) > 0 || len(f.Writebacks) > 0 {
@@ -155,9 +157,9 @@ func (x *Exec) recvLoop(w *workerLink) {
 		obj, mode := access.ObjectID(f.Obj), access.Mode(f.A)
 		switch f.Type {
 		case wire.TTaskDone:
-			x.handleTaskDone(w, t, f, "")
+			x.handleTaskDone(w, t, &f, "")
 		case wire.TTaskFail:
-			x.handleTaskDone(w, t, f, f.Label)
+			x.handleTaskDone(w, t, &f, f.Label)
 		case wire.TEndAccess:
 			x.eng.EndAccess(t, obj, mode)
 		case wire.TClearAccess:
@@ -168,7 +170,7 @@ func (x *Exec) recvLoop(w *workerLink) {
 			// Inline: a task's successive creations must enter the engine
 			// in program order (creation order IS the serial order), and
 			// the connection's FIFO plus inline handling preserves it.
-			x.handleCreate(w, t, f)
+			x.handleCreate(w, t, &f)
 		case wire.TAccessReq:
 			req := f.Req
 			x.access(t, w.m, obj, mode, func(gen uint64, err error) { w.replyErr(req, err, gen) })
@@ -176,9 +178,9 @@ func (x *Exec) recvLoop(w *workerLink) {
 			req := f.Req
 			x.convert(t, w.m, obj, mode, func(err error) { w.replyErr(req, err, 0) })
 		case wire.TAllocReq:
-			x.handleAlloc(w, t, f)
+			x.handleAlloc(w, t, &f)
 		case wire.TStartReq:
-			x.handleStart(w, t, f)
+			x.handleStart(w, t, &f)
 		case wire.TLeave:
 			// Graceful departure request. Drain only flips the state; the
 			// departure completes in a goroutine of its own (it closes the

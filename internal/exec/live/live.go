@@ -709,41 +709,44 @@ func (x *Exec) retract(t *core.Task, obj access.ObjectID, which access.Mode) err
 
 // dispatchCarrier coalesces the dispatch control frame onto the task's
 // first object push (the same optimization the simulated distributed
-// executor applies): the encoded TDispatch rides the push's Aux section,
-// so a task whose objects must move anyway starts without a separate
-// control frame. Attach-once — the flag survives fetch retries inside
-// one placement attempt, so an epoch-parked re-stage never ships the
-// dispatch twice. Mutated under x.coh (pushes run inside the coherence
-// critical section); read by its dispatch afterwards.
+// executor applies): the encoded TDispatch rides the push
+// (wire.Frame.Dispatch), so a task whose objects must move anyway starts
+// without a separate control frame. Attach-once — the flag survives fetch
+// retries inside one placement attempt, so an epoch-parked re-stage never
+// ships the dispatch twice. Mutated under x.coh (pushes run inside the
+// coherence critical section); read by its dispatch afterwards.
 type dispatchCarrier struct {
 	m        int    // the placed worker; only its pushes may carry
-	frame    []byte // encoded TDispatch
+	frame    []byte // encoded TDispatch, in a pooled buffer
 	attached bool
 }
 
 // attachTo piggybacks the dispatch onto push frame f bound for machine m
-// if this carrier still wants a ride there.
+// if this carrier still wants a ride there. The push is encoded before the
+// carrier's buffer is recycled, so f shares the bytes.
 func (c *dispatchCarrier) attachTo(f *wire.Frame, m int) {
 	if c == nil || c.attached || m != c.m {
 		return
 	}
-	f.Aux = string(c.frame)
+	f.Dispatch = c.frame
 	c.attached = true
 }
 
-// pregrantsLocked packs the pre-grant records of t's staging — a 4-byte
-// count, then one wire access record per immediate non-commuting
-// declaration, a write grant followed by the generation it will start —
-// and appends tail (a dispatch's kind args; nothing in an inline child's
-// start reply). The worker answers an Access the records cover locally and
-// checks it in on the task's next frame (wire.Frame.Checkins, the same
-// record going the other way) instead of paying a blocking RPC, and labels
-// what it writes back with the generation named here, so both sides count
-// generations without a round trip. Requires x.coh, held through the
-// staging that follows: each write grant bumps its object's version once.
-func (x *Exec) pregrantsLocked(t *core.Task, tail []byte) []byte {
+// appendPregrantsLocked appends to dst the pre-grant records of t's
+// staging — a 4-byte count, then one wire access record per immediate
+// non-commuting declaration, a write grant followed by the generation it
+// will start — and then tail (a dispatch's kind args; nothing in an inline
+// child's start reply). The worker answers an Access the records cover
+// locally and checks it in on the task's next frame (wire.Frame.Checkins,
+// the same record going the other way) instead of paying a blocking RPC,
+// and labels what it writes back with the generation named here, so both
+// sides count generations without a round trip. Requires x.coh, held
+// through the staging that follows: each write grant bumps its object's
+// version once.
+func (x *Exec) appendPregrantsLocked(dst []byte, t *core.Task, tail []byte) []byte {
 	decls := t.ImmediateDecls()
-	buf := make([]byte, 4, 4+(wire.AccessRecLen+8)*len(decls)+len(tail))
+	at := len(dst)
+	buf := slices.Grow(dst, 4+(wire.AccessRecLen+8)*len(decls)+len(tail))[:at+4]
 	n := uint32(0)
 	for _, d := range decls {
 		m := d.Mode & access.ReadWrite
@@ -760,7 +763,7 @@ func (x *Exec) pregrantsLocked(t *core.Task, tail []byte) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, gen)
 		}
 	}
-	binary.LittleEndian.PutUint32(buf, n)
+	binary.LittleEndian.PutUint32(buf[at:], n)
 	return append(buf, tail...)
 }
 
@@ -851,6 +854,9 @@ func (x *Exec) stageDispatch(t *core.Task, pl *payload, w *workerLink, df wire.F
 	x.coh.Lock()
 	ferr := x.stageDispatchLocked(t, &df, pl.kindArgs, &car)
 	x.coh.Unlock()
+	if ferr != nil || car.attached {
+		transport.PutBuf(car.frame) // a push carried a copy, or nothing is sent
+	}
 	if errors.Is(ferr, errWorkerLost) && x.member(w.m) {
 		retry := df // a copy of its own, so that df stays off the heap
 		x.park(seen, func() { x.stageDispatch(t, pl, w, retry, placed) })
@@ -858,8 +864,8 @@ func (x *Exec) stageDispatch(t *core.Task, pl *payload, w *workerLink, df wire.F
 	}
 	if ferr == nil && !car.attached {
 		// Nothing shipped to w during staging (its copies were all
-		// current): the dispatch crosses the wire on its own.
-		ferr = w.send(&df)
+		// current): the encoded dispatch crosses the wire on its own.
+		ferr = w.ship(car.frame, wire.TDispatch)
 	}
 	if ferr != nil {
 		x.mu.Lock()
@@ -1150,18 +1156,18 @@ func (x *Exec) stageLocked(t *core.Task, m int, car *dispatchCarrier) error {
 
 // stageDispatchLocked stages t's objects on the worker car names, with the
 // dispatch frame df riding the first push there when there is one. The
-// frame's payload is built inside the same coherence critical section as
-// the staging, because its pre-grant records name the generations the
-// staging's write grants start. An errWorkerLost means w is gone or an
-// object is still listed under a dead worker; either way nothing was
-// granted or sent. Requires x.coh.
+// frame is encoded straight into the carrier's pooled buffer, inside the
+// same coherence critical section as the staging, because its pre-grant
+// records name the generations the staging's write grants start. An
+// errWorkerLost means w is gone or an object is still listed under a dead
+// worker; either way nothing was granted or sent. Requires x.coh.
 func (x *Exec) stageDispatchLocked(t *core.Task, df *wire.Frame, kindArgs []byte, car *dispatchCarrier) error {
-	df.Payload = x.pregrantsLocked(t, kindArgs)
-	enc, err := wire.Encode(df)
-	if err != nil {
+	at := wire.PayloadAt(df)
+	enc := x.appendPregrantsLocked(slices.Grow(transport.GetBuf(), at)[:at], t, kindArgs)
+	car.frame, car.attached = enc, false
+	if err := wire.PutFrameHeader(enc, df); err != nil {
 		return fmt.Errorf("live: encode dispatch of task %d (%s): %w", t.ID, df.Label, err)
 	}
-	car.frame, car.attached = enc, false
 	return x.stageLocked(t, car.m, car)
 }
 

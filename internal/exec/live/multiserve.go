@@ -34,9 +34,17 @@ type MultiServer struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*sessionWorker
-	closed   map[uint64][]access.ObjectID // final cache snapshot per finished session
+	closed   map[uint64][]access.ObjectID // final cache snapshot per recently finished session
+	finished [closedKept]uint64           // closed's keys, a ring in finishing order
+	nClosed  int                          // sessions finished so far
 	wg       sync.WaitGroup
 }
+
+// closedKept bounds the finished sessions a daemon keeps a snapshot of. A
+// daemon serves sessions for as long as it runs; keeping every snapshot
+// grew its heap with each session closed, and with it the spacing of
+// collections, so throughput drifted up over a long run.
+const closedKept = 64
 
 type sessionWorker struct {
 	info mux.Session
@@ -92,7 +100,7 @@ func (ms *MultiServer) Serve() error {
 			defer ms.wg.Done()
 			_ = w.serve()
 			ms.mu.Lock()
-			ms.closed[sw.info.ID] = w.objectIDs()
+			ms.finishLocked(sw.info.ID, w.objectIDs())
 			delete(ms.sessions, sw.info.ID)
 			ms.mu.Unlock()
 			s.Conn.Close()
@@ -100,14 +108,26 @@ func (ms *MultiServer) Serve() error {
 	}
 }
 
+// finishLocked files a finished session's final cache snapshot, dropping
+// the oldest once closedKept are filed. Requires ms.mu.
+func (ms *MultiServer) finishLocked(id uint64, objs []access.ObjectID) {
+	slot := &ms.finished[ms.nClosed%closedKept]
+	if ms.nClosed >= closedKept {
+		delete(ms.closed, *slot)
+	}
+	*slot = id
+	ms.nClosed++
+	ms.closed[id] = objs
+}
+
 // Ledger snapshots the shared slot pool's per-tenant accounting.
 func (ms *MultiServer) Ledger() SlotLedger { return ms.pool.ledger() }
 
 // SessionObjects reports, per session id, every object id that session's
-// worker cache holds (live sessions) or held when it finished (closed
-// sessions: the final store + sync-base snapshot, which sync bases make
-// a superset of everything that was ever resident). The isolation
-// property test intersects these across sessions.
+// worker cache holds (live sessions) or held when it finished (the last
+// closedKept closed sessions: the final store + sync-base snapshot, which
+// sync bases make a superset of everything that was ever resident). The
+// isolation property test intersects these across sessions.
 func (ms *MultiServer) SessionObjects() map[uint64][]access.ObjectID {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()

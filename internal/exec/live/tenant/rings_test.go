@@ -168,3 +168,31 @@ func TestRingsBoundedByPeak(t *testing.T) {
 		t.Fatal("a traced session lost its log at Close")
 	}
 }
+
+// TestFinishedSessionsBounded: a daemon keeps the cache snapshots of its
+// last 64 finished sessions (live's closedKept), not of every session it
+// ever served, so a long-lived service's heap stays flat. A session
+// whose worker is still winding down at the check counts as live; there
+// are at most two, the gate's width.
+func TestFinishedSessionsBounded(t *testing.T) {
+	svc, err := tenant.NewService(tenant.Options{Workers: 2, MaxSessions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	const kept, winding, sessions = 64, 2, 200
+	for i := 0; i < sessions; i++ {
+		s, err := svc.OpenSession("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSum(t, s, 1, 2)
+		s.Close()
+	}
+	for di, ms := range svc.Servers() {
+		if n := len(ms.SessionObjects()); n > kept+winding {
+			t.Errorf("daemon %d keeps %d session snapshots after %d sessions, want ≤ %d", di+1, n, sessions, kept+winding)
+		}
+	}
+}

@@ -127,7 +127,7 @@ type worker struct {
 	mu        sync.Mutex
 	store     map[access.ObjectID]any
 	bases     map[access.ObjectID]syncBase
-	pending   map[uint64]chan *wire.Frame
+	pending   map[uint64]chan wire.Frame
 	nextReq   uint64
 	err       error
 	storeCond *sync.Cond // broadcast on every store insert and on fail
@@ -138,7 +138,7 @@ type worker struct {
 	// runner: free runners and runners holding a task that is not waiting
 	// in rpcYield. Free runners wait on work for the next dispatch. All
 	// under mu; work is broadcast on fail too.
-	queue       transport.FIFO[*wire.Frame]
+	queue       transport.FIFO[dispatch]
 	free, claim int
 	work        *sync.Cond
 
@@ -175,7 +175,7 @@ func newWorker(conn transport.Conn, opts WorkerOptions) *worker {
 		slots:   opts.sharedSlots,
 		store:   map[access.ObjectID]any{},
 		bases:   map[access.ObjectID]syncBase{},
-		pending: map[uint64]chan *wire.Frame{},
+		pending: map[uint64]chan wire.Frame{},
 		nextReq: 1,
 		dead:    make(chan struct{}),
 	}
@@ -271,28 +271,40 @@ func (w *worker) send(f *wire.Frame) error {
 	return nil
 }
 
-// rpc ships a request frame and waits for the routed reply.
-func (w *worker) rpc(f *wire.Frame) (*wire.Frame, error) {
-	ch := make(chan *wire.Frame, 1)
+// rpc ships a request frame and waits for its reply, which the receive
+// loop routes to reply: the caller's channel, one per runner, reused from
+// request to request. A reply to a request the runner gave up on when the
+// worker died may still be in it, and is skipped.
+func (w *worker) rpc(f *wire.Frame, reply chan wire.Frame) (wire.Frame, error) {
 	w.mu.Lock()
-	f.Req = w.nextReq
+	req := w.nextReq
 	w.nextReq++
-	w.pending[f.Req] = ch
+	w.pending[req] = reply
 	w.mu.Unlock()
+	f.Req = req
 	if err := w.send(f); err != nil {
-		return nil, err
+		return wire.Frame{}, err
 	}
-	select {
-	case r := <-ch:
-		return r, nil
-	case <-w.dead:
-		return nil, w.failErr()
+	for {
+		select {
+		case r := <-reply:
+			if r.Req == req {
+				return r, nil
+			}
+		case <-w.dead:
+			return wire.Frame{}, w.failErr()
+		}
 	}
 }
 
 // loop is the worker's receive loop. Object traffic and replies are
 // handled inline (none of it blocks); dispatched task bodies are queued
-// for the runners, which the slot tokens gate.
+// for the runners, which the slot tokens gate. Each frame is decoded into a
+// value on the loop's stack. Its receive buffer goes back to the send pool
+// once nothing reads it: at once, unless a queued dispatch's payload or a
+// reply's payload aliases it (strings are copies, and check-ins and
+// write-backs flow the other way). A runner recycles its dispatch's
+// buffer; a reply's is left to the collector.
 func (w *worker) loop() error {
 	for {
 		msg, err := w.conn.Recv()
@@ -305,31 +317,28 @@ func (w *worker) loop() error {
 			w.fail(err)
 			return fmt.Errorf("live worker %d: %w", w.m, err)
 		}
-		if len(f.Payload) == 0 {
-			// Payload is the only Frame field aliasing msg that a worker
-			// reads (strings are copies; check-ins and write-backs flow the
-			// other way): a payload-free frame releases its buffer to the
-			// send pool immediately.
-			transport.PutBuf(msg)
-		}
+		held := false
 		switch f.Type {
 		case wire.TDispatch:
-			w.enqueue(f)
+			w.enqueue(f, msg)
+			held = true
 		case wire.TObjImage:
-			err = w.applyPush(f, false)
+			err = w.applyPush(&f, false)
 		case wire.TObjPatch:
-			err = w.applyPush(f, true)
+			err = w.applyPush(&f, true)
 		case wire.TObjZero:
-			err = w.applyZero(f)
+			err = w.applyZero(&f)
 		case wire.TInvalidate:
-			w.applyInvalidate(f)
+			w.applyInvalidate(&f)
 		case wire.TReply:
+			held = len(f.Payload) > 0
 			w.mu.Lock()
 			ch := w.pending[f.Req]
 			delete(w.pending, f.Req)
 			w.mu.Unlock()
-			if ch != nil {
-				ch <- f
+			select {
+			case ch <- f:
+			default: // a nil channel, or one whose runner gave up when the worker died
 			}
 		case wire.TBye:
 			w.fail(transport.ErrClosed)
@@ -340,20 +349,20 @@ func (w *worker) loop() error {
 		default:
 			err = fmt.Errorf("live worker %d: unexpected %s frame", w.m, wire.TypeName(f.Type))
 		}
-		if err == nil && f.Aux != "" &&
-			(f.Type == wire.TObjImage || f.Type == wire.TObjPatch || f.Type == wire.TObjZero) {
-			// A coalesced dispatch rode this push: unwrap it and start
-			// the task, now that its first object is installed.
-			df, derr := wire.DecodeOwned([]byte(f.Aux))
+		if err == nil && len(f.Dispatch) > 0 {
+			// A coalesced dispatch rode this push: unwrap it and start the
+			// task, now that its first object is installed. The push's own
+			// payload is decoded into a value of its own, so the buffer
+			// goes with the dispatch.
+			df, derr := wire.DecodeOwned(f.Dispatch)
 			if derr != nil || df.Type != wire.TDispatch {
 				err = fmt.Errorf("live worker %d: coalesced dispatch on %s frame: %v", w.m, wire.TypeName(f.Type), derr)
 			} else {
-				w.enqueue(df)
+				w.enqueue(df, msg)
+				held = true
 			}
 		}
-		if len(f.Payload) > 0 && (f.Type == wire.TObjImage || f.Type == wire.TObjPatch) {
-			// The push is decoded into a value of its own: its buffer goes
-			// back to the send pool, to carry the next frame.
+		if !held {
 			transport.PutBuf(msg)
 		}
 		if err != nil {
@@ -448,10 +457,19 @@ func (w *worker) objectIDs() []access.ObjectID {
 	return ids
 }
 
-// enqueue hands a dispatch to the task runners.
-func (w *worker) enqueue(f *wire.Frame) {
+// dispatch is a task dispatch no runner has taken yet: the decoded frame,
+// and the receive buffer its Payload aliases, which the runner gives back
+// to the send pool once it has read the payload.
+type dispatch struct {
+	f   wire.Frame
+	buf []byte
+}
+
+// enqueue hands a dispatch, with the buffer it was decoded from, to the
+// task runners.
+func (w *worker) enqueue(f wire.Frame, buf []byte) {
 	w.mu.Lock()
-	w.queue.Push(f)
+	w.queue.Push(dispatch{f, buf})
 	w.work.Signal()
 	w.spawnLocked()
 	w.mu.Unlock()
@@ -486,8 +504,8 @@ func (w *worker) spawnLocked() {
 func (w *worker) runTasks() {
 	defer w.wg.Done()
 	// One task context serves every task this runner runs, so the pre-grant
-	// lists and frame buffers in it are allocated once.
-	tc := &workerTC{w: w, wt: &watch{}}
+	// lists, frame buffers and reply channel in it are allocated once.
+	tc := &workerTC{w: w, wt: &watch{}, reply: make(chan wire.Frame, 1)}
 	for {
 		w.mu.Lock()
 		for w.queue.Len() == 0 {
@@ -497,13 +515,13 @@ func (w *worker) runTasks() {
 			}
 			w.work.Wait()
 		}
-		f := w.queue.Pop()
+		d := w.queue.Pop()
 		w.free--
 		w.mu.Unlock()
 		if !w.slots.acquire(w.dead) {
 			return
 		}
-		last, ok := tc.run(f)
+		last, ok := tc.run(&d)
 		if tc.wt.lost { // the slot went with the worker in an rpcYield
 			if ok {
 				tc.finish(&last)
@@ -520,13 +538,17 @@ func (w *worker) runTasks() {
 	}
 }
 
-// run sets tc up for the task dispatch f names and runs its body, with the
+// run sets tc up for the task dispatch d names and runs its body, with the
 // runner holding a slot. It returns the frame that ends the task, for
 // finish, or !ok when the dispatch was malformed and has been answered.
-func (tc *workerTC) run(f *wire.Frame) (last wire.Frame, ok bool) {
-	w := tc.w
+// The dispatch's buffer goes back to the send pool before the body runs:
+// the pre-grants are copied into tc's lists and a kind gets its own copy of
+// its args, so nothing reads the payload after that.
+func (tc *workerTC) run(d *dispatch) (last wire.Frame, ok bool) {
+	w, f := tc.w, &d.f
 	grants, writes, args, err := unmarshalDispatchPayload(f.Payload, tc.grants, tc.writes)
 	if err != nil {
+		transport.PutBuf(d.buf)
 		w.send(&wire.Frame{Type: wire.TTaskFail, Task: f.Task,
 			Label: fmt.Sprintf("malformed dispatch payload: %v", err)})
 		return last, false
@@ -540,8 +562,9 @@ func (tc *workerTC) run(f *wire.Frame) (last wire.Frame, ok bool) {
 		body, _ = w.opts.Bodies.take(f.A)
 	}
 	if body == nil && f.Aux != "" {
-		body, _ = w.opts.Kinds.resolve(f.Aux, args)
+		body, _ = w.opts.Kinds.resolve(f.Aux, slices.Clone(args))
 	}
+	transport.PutBuf(d.buf)
 	if body == nil {
 		return wire.Frame{Type: wire.TTaskFail,
 			Label: fmt.Sprintf("no body for key %d and no registered kind %q on this worker", f.A, f.Aux)}, true
@@ -628,6 +651,10 @@ type workerTC struct {
 	// Access takes the slow path, because a conflicting child may
 	// legitimately make the parent's deferred re-access wait.
 	spawned bool
+	// reply is where the receive loop routes the replies to this task's
+	// requests: the runner's own channel, which an inline child borrows
+	// while its creator waits for it.
+	reply chan wire.Frame
 }
 
 // CoreTask implements rt.TC. The engine record lives on the
@@ -734,10 +761,10 @@ func (tc *workerTC) send(f *wire.Frame) error { return tc.w.send(tc.carry(f)) }
 
 // rpc ships a request about this task and waits for the reply, keeping
 // the processor slot (for requests that never block engine-side).
-func (tc *workerTC) rpc(f *wire.Frame) (*wire.Frame, error) { return tc.w.rpc(tc.carry(f)) }
+func (tc *workerTC) rpc(f *wire.Frame) (wire.Frame, error) { return tc.w.rpc(tc.carry(f), tc.reply) }
 
 // rpcYield performs an RPC with the processor slot released.
-func (tc *workerTC) rpcYield(f *wire.Frame) (*wire.Frame, error) {
+func (tc *workerTC) rpcYield(f *wire.Frame) (wire.Frame, error) {
 	w := tc.w
 	tc.wt.busy += time.Since(tc.wt.heldAt)
 	w.mu.Lock()
@@ -751,7 +778,7 @@ func (tc *workerTC) rpcYield(f *wire.Frame) (*wire.Frame, error) {
 	w.mu.Unlock()
 	if !w.slots.acquire(w.dead) {
 		tc.wt.lost = true
-		return nil, w.failErr()
+		return wire.Frame{}, w.failErr()
 	}
 	tc.wt.heldAt = time.Now()
 	return r, err
@@ -948,7 +975,7 @@ func (tc *workerTC) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.T
 	// reports the child ready and its objects staged. The create request
 	// carried this task's pending lists, so the child can fill their
 	// storage; it is handed back, grown or not, when the child is done.
-	child := &workerTC{w: w, task: r.A, wt: tc.wt, checkins: tc.checkins[:0], writebacks: tc.writebacks[:0]}
+	child := &workerTC{w: w, task: r.A, wt: tc.wt, checkins: tc.checkins[:0], writebacks: tc.writebacks[:0], reply: tc.reply}
 	defer func() { tc.checkins, tc.writebacks = child.checkins[:0], child.writebacks[:0] }()
 	if key != 0 {
 		body, _ = w.opts.Bodies.take(key)

@@ -28,7 +28,7 @@ type sendTap struct {
 func (c *sendTap) Send(msg []byte) error {
 	if f, err := wire.Decode(msg); err == nil {
 		c.mu.Lock()
-		c.sent = append(c.sent, f)
+		c.sent = append(c.sent, &f)
 		c.mu.Unlock()
 	}
 	return c.Conn.Send(msg)

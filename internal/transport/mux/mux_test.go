@@ -27,7 +27,7 @@ func send(t *testing.T, c transport.Conn, f *wire.Frame) {
 	}
 }
 
-func recv(t *testing.T, c transport.Conn) *wire.Frame {
+func recv(t *testing.T, c transport.Conn) wire.Frame {
 	t.Helper()
 	msg, err := c.Recv()
 	if err != nil {

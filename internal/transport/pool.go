@@ -25,16 +25,27 @@ import "sync"
 // oversized buffers are left to the GC.
 const maxPooledBuf = 1 << 20
 
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
+// bufPool holds recycled buffers, each in a *[]byte box (a sync.Pool
+// stores pointers without allocating). boxPool holds the empty boxes
+// GetBuf leaves behind, for PutBuf to fill again, so a Get/Put cycle
+// allocates nothing.
+var (
+	bufPool = sync.Pool{
+		New: func() any {
+			b := make([]byte, 0, 512)
+			return &b
+		},
+	}
+	boxPool sync.Pool
+)
 
 // GetBuf returns a zero-length buffer with non-trivial capacity.
 func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	box := bufPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or any buffer the caller
@@ -43,8 +54,12 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	bufPool.Put(box)
 }
 
 // OwnedSender is the optional ownership-transfer variant of Conn.Send:

@@ -21,7 +21,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // rejected inputs just must not panic
 		}
-		re, err := Encode(fr)
+		re, err := Encode(&fr)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}

@@ -63,7 +63,9 @@ const (
 	TDispatch
 	// TObjImage: full object image push, coordinator → worker.
 	// Obj=object id, A=directory version the image represents,
-	// B=format.ByteOrder of Payload, Payload=format.Encode image.
+	// B=format.ByteOrder of Payload, Payload=format.Encode image,
+	// Dispatch=a coalesced TDispatch or nothing (so on TObjPatch and
+	// TObjZero too).
 	TObjImage
 	// TObjPatch: delta push, coordinator → worker.  Obj=object id,
 	// A=new version, B=format.ByteOrder of the patch, C=base version the
@@ -155,6 +157,14 @@ type Frame struct {
 	Sess  uint64
 	Label string
 	Aux   string
+	// Dispatch, on a push (TObjImage, TObjPatch, TObjZero), is an encoded
+	// TDispatch riding it: the dispatch of the task the push stages,
+	// coalesced onto the push so that the task starts without a control
+	// frame of its own. It travels in the Aux section, which a push uses
+	// for nothing else, and decodes as bytes rather than a string, so the
+	// nested frame decodes straight from the buffer that carried it. Empty
+	// on every other frame, and on a push that carries no dispatch.
+	Dispatch []byte
 	// Checkins, on any worker → coordinator frame that names a Task, is
 	// the list of pre-granted accesses that task has performed since its
 	// previous frame: whole access records (AppendAccessRec), in program
@@ -291,6 +301,8 @@ const sessOffset = 3 + 6*8
 //
 //	magic | version | type | Req..C,Sess (7×8B LE) | len+Label | len+Aux | len+Checkins | len+Writebacks | len+Payload
 //
+// where a push's Aux section is its Dispatch.
+//
 // A section longer than the 32-bit length prefix can carry returns
 // ErrTooLarge with dst unmodified.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
@@ -304,7 +316,7 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 // encodes the payload itself reserves that much of its buffer, appends the
 // payload after it, and fills the reservation in with PutFrameHeader.
 func PayloadAt(f *Frame) int {
-	return headerLen + 5*4 + len(f.Label) + len(f.Aux) + len(f.Checkins) + len(f.Writebacks)
+	return headerLen + 5*4 + len(f.Label) + len(f.Aux) + len(f.Dispatch) + len(f.Checkins) + len(f.Writebacks)
 }
 
 // PutFrameHeader writes f's encoding up to its payload over the first
@@ -324,11 +336,11 @@ func PutFrameHeader(buf []byte, f *Frame) error {
 // checkSections refuses a frame with a section, or a payload of n bytes,
 // longer than the 32-bit length prefix can carry.
 func checkSections(f *Frame, n int) error {
-	if uint64(len(f.Label)) > maxSection || uint64(len(f.Aux)) > maxSection ||
+	if uint64(len(f.Label)) > maxSection || uint64(len(f.Aux)+len(f.Dispatch)) > maxSection ||
 		uint64(len(f.Checkins)) > maxSection || uint64(len(f.Writebacks)) > maxSection ||
 		uint64(n) > maxSection {
 		return fmt.Errorf("%w: label %d, aux %d, check-ins %d, write-backs %d, payload %d bytes (max %d)",
-			ErrTooLarge, len(f.Label), len(f.Aux), len(f.Checkins), len(f.Writebacks), n, maxSection)
+			ErrTooLarge, len(f.Label), len(f.Aux)+len(f.Dispatch), len(f.Checkins), len(f.Writebacks), n, maxSection)
 	}
 	return nil
 }
@@ -342,8 +354,9 @@ func appendHeader(dst []byte, f *Frame, n int) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Label)))
 	buf = append(buf, f.Label...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Aux)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Aux)+len(f.Dispatch)))
 	buf = append(buf, f.Aux...)
+	buf = append(buf, f.Dispatch...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Checkins)))
 	buf = append(buf, f.Checkins...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Writebacks)))
@@ -358,47 +371,45 @@ func Encode(f *Frame) ([]byte, error) {
 	return AppendFrame(buf, f)
 }
 
-// Decode parses one frame, copying Checkins, Writebacks and Payload out of data so
-// the caller may recycle the input buffer immediately. See DecodeOwned
-// for validation rules.
-func Decode(data []byte) (*Frame, error) {
+// Decode parses one frame, copying every section out of data so the
+// caller may recycle the input buffer immediately. See DecodeOwned for
+// validation rules.
+func Decode(data []byte) (Frame, error) {
 	f, err := DecodeOwned(data)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
-	if len(f.Checkins) > 0 {
-		f.Checkins = append([]byte(nil), f.Checkins...)
-	}
-	if len(f.Writebacks) > 0 {
-		f.Writebacks = append([]byte(nil), f.Writebacks...)
-	}
-	if len(f.Payload) > 0 {
-		f.Payload = append([]byte(nil), f.Payload...)
+	for _, sec := range [...]*[]byte{&f.Dispatch, &f.Checkins, &f.Writebacks, &f.Payload} {
+		if len(*sec) > 0 {
+			*sec = append([]byte(nil), *sec...)
+		}
 	}
 	return f, nil
 }
 
-// DecodeOwned parses one frame with Checkins, Writebacks and Payload
-// aliasing data — zero-copy for callers that own the input buffer (the
-// transport Recv contract hands the slice to the receiver). It validates
-// the magic, the protocol version, the type, and every section length
-// against the remaining input, requires the check-in section to be a whole
-// number of access records and the write-back section to be exactly
-// consumed by its records, and requires the frame to be exactly consumed
-// (no trailing garbage).
-func DecodeOwned(data []byte) (*Frame, error) {
+// DecodeOwned parses one frame into a value, with Dispatch, Checkins,
+// Writebacks and Payload aliasing data — zero-copy for callers that own
+// the input buffer (the transport Recv contract hands the slice to the
+// receiver); Label and Aux are copies. A caller that keeps the value in a
+// local decodes without allocating, strings aside. It validates the magic,
+// the protocol version, the type, and every section length against the
+// remaining input, requires the check-in section to be a whole number of
+// access records and the write-back section to be exactly consumed by its
+// records, and requires the frame to be exactly consumed (no trailing
+// garbage).
+func DecodeOwned(data []byte) (Frame, error) {
 	if len(data) < headerLen {
-		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrTruncated, len(data), headerLen)
+		return Frame{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrTruncated, len(data), headerLen)
 	}
 	if data[0] != magic {
-		return nil, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, data[0])
+		return Frame{}, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, data[0])
 	}
 	if data[1] != ProtoVersion {
-		return nil, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, data[1], ProtoVersion)
+		return Frame{}, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, data[1], ProtoVersion)
 	}
-	f := &Frame{Type: data[2]}
+	f := Frame{Type: data[2]}
 	if f.Type == 0 || f.Type >= typeMax {
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, f.Type)
+		return Frame{}, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, f.Type)
 	}
 	for i, p := range [...]*uint64{&f.Req, &f.Task, &f.Obj, &f.A, &f.B, &f.C, &f.Sess} {
 		*p = binary.LittleEndian.Uint64(data[3+8*i:])
@@ -419,32 +430,38 @@ func DecodeOwned(data []byte) (*Frame, error) {
 	}
 	lab, err := section()
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	f.Label = string(lab)
 	aux, err := section()
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
-	f.Aux = string(aux)
+	switch {
+	case len(aux) == 0:
+	case f.Type == TObjImage || f.Type == TObjPatch || f.Type == TObjZero:
+		f.Dispatch = aux
+	default:
+		f.Aux = string(aux)
+	}
 	chk, err := section()
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	if len(chk)%AccessRecLen != 0 {
-		return nil, fmt.Errorf("%w: check-in section of %d bytes is not a whole number of %d-byte access records", ErrCorrupt, len(chk), AccessRecLen)
+		return Frame{}, fmt.Errorf("%w: check-in section of %d bytes is not a whole number of %d-byte access records", ErrCorrupt, len(chk), AccessRecLen)
 	}
 	if len(chk) > 0 {
 		f.Checkins = chk
 	}
 	wbs, err := section()
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	for recs := wbs; len(recs) > 0; {
 		var ok bool
 		if _, recs, ok = NextWriteback(recs); !ok {
-			return nil, fmt.Errorf("%w: write-back section of %d bytes does not end on a record boundary", ErrCorrupt, len(wbs))
+			return Frame{}, fmt.Errorf("%w: write-back section of %d bytes does not end on a record boundary", ErrCorrupt, len(wbs))
 		}
 	}
 	if len(wbs) > 0 {
@@ -452,13 +469,13 @@ func DecodeOwned(data []byte) (*Frame, error) {
 	}
 	pay, err := section()
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	if len(pay) > 0 {
 		f.Payload = pay
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+		return Frame{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return f, nil
 }

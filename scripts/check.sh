@@ -8,15 +8,18 @@
 # Stops at the first failing tier, prints wall time per tier, writes
 # nothing into the checkout. GOMAXPROCS is inherited by every go command,
 # so `GOMAXPROCS=1 scripts/check.sh race` races on one processor — except
-# core, exec/smp, trace, transport/wire, transport/tcp and exec/live (with
-# exec/live/tenant), which the race tier always runs at both one P and four
-# (-cpu 1,4): the trace log's appends, label interning and snapshots share
-# one lock, the engine's queue summary and entry tables are checked from
-# every task of the stress programs while the others run, smp's runners
-# pass ready tasks and slots between goroutines that outlive the tasks, and
-# check-ins and write-backs that ride a task's frames, and dispatches made
-# on the goroutine that readied the task, take different paths when the
-# peer runs in parallel. The lock-discipline walks at the root run there too.
+# core, exec/smp, trace, transport (its buffer pool), transport/mux,
+# transport/wire, transport/tcp and exec/live (with exec/live/tenant), which
+# the race tier always runs at both one P and four (-cpu 1,4): the trace
+# log's appends, label interning and snapshots share one lock, the engine's
+# queue summary and entry tables are checked from every task of the stress
+# programs while the others run, smp's runners pass ready tasks and slots
+# between goroutines that outlive the tasks, receive buffers go back to the
+# pool from whichever goroutine last reads them (a worker's runner, the
+# mux's demux loop, a session's reader), and check-ins and write-backs that
+# ride a task's frames, and dispatches made on the goroutine that readied
+# the task, take different paths when the peer runs in parallel. The
+# lock-discipline walks at the root run there too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,13 +42,13 @@ tier() {
 	race) # everything that does real concurrency, under the race detector, twice
 		go test -race -count=2 ./internal/coherence/... \
 			./internal/exec/dist/... \
-			./internal/transport ./internal/transport/inproc/... \
-			./internal/transport/mux/... \
+			./internal/transport/inproc/... \
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
 		# ... and the engine, the smp runners, the trace log and the wire path
-		# at one P and at four, whatever GOMAXPROCS says
+		# with its buffer pool at one P and at four, whatever GOMAXPROCS says
 		go test -race -count=2 -cpu 1,4 \
 			./internal/core/... ./internal/exec/smp/... ./internal/trace/... \
+			./internal/transport ./internal/transport/mux/... \
 			./internal/transport/wire/... ./internal/transport/tcp/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
 		# ... and the walks that keep waits off the coherence lock and out of
