@@ -1,5 +1,7 @@
 package live
 
-// GoroutinesStarted reports how many goroutines the package has started on
-// tasks' behalf so far (goStarts).
-func GoroutinesStarted() int64 { return goStarts.Load() }
+import "repro/internal/exec/pool"
+
+// GoroutinesStarted reports how many goroutines the process has started on
+// tasks' behalf so far: the runners of the workers' pools (pool.Started).
+func GoroutinesStarted() int64 { return pool.Started() }

@@ -630,11 +630,6 @@ func (x *Exec) ObjectValue(obj access.ObjectID) any {
 	return x.vals[obj]
 }
 
-// goStarts counts the goroutines started on a task's behalf — a worker's
-// task runner — beside the go statement that starts one. Tests read it
-// (export_test.go): neither a dispatched task nor a request should cost one.
-var goStarts atomic.Int64
-
 // onReady is the join a new task waits on: it is called once when the
 // engine finds the task ready (the Ready hook), once when its creator has
 // recorded its creation (createTask) and, for an inline child, once when its

@@ -33,7 +33,7 @@ type MultiServer struct {
 	pool *tenantSlots
 
 	mu       sync.Mutex
-	sessions map[uint64]*sessionWorker
+	sessions map[uint64]*worker
 	closed   map[uint64][]access.ObjectID // final cache snapshot per recently finished session
 	finished [closedKept]uint64           // closed's keys, a ring in finishing order
 	nClosed  int                          // sessions finished so far
@@ -46,30 +46,17 @@ type MultiServer struct {
 // collections, so throughput drifted up over a long run.
 const closedKept = 64
 
-type sessionWorker struct {
-	info mux.Session
-	w    *worker
-}
-
 // NewMultiServer wraps an established daemon connection. opts are the
 // per-daemon defaults: Slots is the machine's total concurrent task
 // capacity (shared by all sessions), Bodies/Kinds/Caps/Format/Group
 // apply to every session worker.
 func NewMultiServer(conn transport.Conn, opts WorkerOptions) *MultiServer {
-	if opts.Slots <= 0 {
-		opts.Slots = 1
-	}
-	if opts.Bodies == nil {
-		opts.Bodies = NewBodyTable()
-		if opts.Group == 0 {
-			opts.Group = uniqueGroup()
-		}
-	}
+	opts = opts.normalized()
 	return &MultiServer{
 		mx:       mux.New(conn),
 		opts:     opts,
 		pool:     newTenantSlots(opts.Slots),
-		sessions: map[uint64]*sessionWorker{},
+		sessions: map[uint64]*worker{},
 		closed:   map[uint64][]access.ObjectID{},
 	}
 }
@@ -79,7 +66,7 @@ func NewMultiServer(conn transport.Conn, opts WorkerOptions) *MultiServer {
 // (the service closed the connection) returns nil.
 func (ms *MultiServer) Serve() error {
 	defer ms.wg.Wait()
-	for n := 0; ; n++ {
+	for {
 		s, err := ms.mx.Accept()
 		if err != nil {
 			if errors.Is(err, transport.ErrClosed) {
@@ -89,19 +76,17 @@ func (ms *MultiServer) Serve() error {
 		}
 		wopts := ms.opts
 		wopts.Name = fmt.Sprintf("%s/s%d", ms.opts.Name, s.ID)
-		wopts.sharedSlots = ms.pool.view(s.Tenant, s.SlotCap)
-		w := newWorker(s.Conn, wopts)
-		sw := &sessionWorker{info: s, w: w}
+		w := newWorker(s.Conn, wopts, ms.pool.view(s.Tenant, s.SlotCap))
 		ms.mu.Lock()
-		ms.sessions[s.ID] = sw
+		ms.sessions[s.ID] = w
 		ms.mu.Unlock()
 		ms.wg.Add(1)
 		go func() {
 			defer ms.wg.Done()
 			_ = w.serve()
 			ms.mu.Lock()
-			ms.finishLocked(sw.info.ID, w.objectIDs())
-			delete(ms.sessions, sw.info.ID)
+			ms.finishLocked(s.ID, w.objectIDs())
+			delete(ms.sessions, s.ID)
 			ms.mu.Unlock()
 			s.Conn.Close()
 		}()
@@ -120,9 +105,6 @@ func (ms *MultiServer) finishLocked(id uint64, objs []access.ObjectID) {
 	ms.closed[id] = objs
 }
 
-// Ledger snapshots the shared slot pool's per-tenant accounting.
-func (ms *MultiServer) Ledger() SlotLedger { return ms.pool.ledger() }
-
 // SessionObjects reports, per session id, every object id that session's
 // worker cache holds (live sessions) or held when it finished (the last
 // closedKept closed sessions: the final store + sync-base snapshot, which
@@ -135,19 +117,8 @@ func (ms *MultiServer) SessionObjects() map[uint64][]access.ObjectID {
 	for id, objs := range ms.closed {
 		out[id] = append([]access.ObjectID(nil), objs...)
 	}
-	for id, sw := range ms.sessions {
-		out[id] = sw.w.objectIDs()
-	}
-	return out
-}
-
-// SessionTenants reports the tenant each known session belonged to.
-func (ms *MultiServer) SessionTenants() map[uint64]string {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	out := map[uint64]string{}
-	for id, sw := range ms.sessions {
-		out[id] = sw.info.Tenant
+	for id, w := range ms.sessions {
+		out[id] = w.objectIDs()
 	}
 	return out
 }
@@ -171,7 +142,8 @@ type TenantSlotUse struct {
 	Peak int // high-water mark of Held
 }
 
-// tenantSlots is the shared, quota-aware slot pool of one daemon.
+// tenantSlots is a worker's slot gate: the shared, quota-aware pool of one
+// daemon, or a single-session worker's own, with one uncapped tenant.
 // Acquire order is fixed — tenant token first, then global token — so
 // there is no circular wait: a task holding its tenant token and blocked
 // on the global pool is waiting only on tasks that already hold global
@@ -182,64 +154,67 @@ type tenantSlots struct {
 
 	mu        sync.Mutex
 	held      int
-	tenants   map[string]*tenantBucket
+	tenants   map[string]*tenantPool
 	violation string
 }
 
-type tenantBucket struct {
+// tenantPool is one tenant's bucket of a worker's slots, the gate its
+// sessions' workers see. acquire blocks for a slot under the tenant's
+// quota, returning false once abort is closed, even with a slot free.
+type tenantPool struct {
+	ts   *tenantSlots
 	cap  int
 	sem  chan struct{} // nil when uncapped
 	held int
 	peak int
 }
 
-func newTenantSlots(total int) *tenantSlots {
-	ts := &tenantSlots{
-		total:   total,
-		global:  make(chan struct{}, total),
-		tenants: map[string]*tenantBucket{},
+// tokens returns a channel holding n tokens.
+func tokens(n int) chan struct{} {
+	c := make(chan struct{}, n)
+	for i := 0; i < n; i++ {
+		c <- struct{}{}
 	}
-	for i := 0; i < total; i++ {
-		ts.global <- struct{}{}
-	}
-	return ts
+	return c
 }
 
-// view binds a slotPool to one tenant's bucket, creating it on first
-// use. Sessions of the same tenant share the bucket — the quota is per
-// tenant per worker, not per session.
-func (ts *tenantSlots) view(tenant string, cap int) slotPool {
+func newTenantSlots(total int) *tenantSlots {
+	return &tenantSlots{total: total, global: tokens(total), tenants: map[string]*tenantPool{}}
+}
+
+// view returns one tenant's bucket, creating it on first use. Sessions of
+// the same tenant share the bucket — the quota is per tenant per worker,
+// not per session.
+func (ts *tenantSlots) view(tenant string, cap int) *tenantPool {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	b, ok := ts.tenants[tenant]
 	if !ok {
-		b = &tenantBucket{cap: cap}
+		b = &tenantPool{ts: ts, cap: cap}
 		if cap > 0 {
-			b.sem = make(chan struct{}, cap)
-			for i := 0; i < cap; i++ {
-				b.sem <- struct{}{}
-			}
+			b.sem = tokens(cap)
 		}
 		ts.tenants[tenant] = b
 	}
-	return &tenantPool{ts: ts, b: b}
+	return b
 }
 
 // note moves a tenant's hold count by delta and self-checks the pool
 // invariants, recording the first violation instead of panicking (the
 // tests assert it stays empty).
-func (ts *tenantSlots) note(b *tenantBucket, delta int) {
+func (ts *tenantSlots) note(b *tenantPool, delta int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	b.held += delta
 	ts.held += delta
-	if b.held > b.peak {
-		b.peak = b.held
-	}
+	b.peak = max(b.peak, b.held)
 	if ts.violation == "" {
-		sum := 0
-		for _, t := range ts.tenants {
-			sum += t.held
+		sum := b.held // the one tenant's is the sum; a worker of its own has one
+		if len(ts.tenants) > 1 {
+			sum = 0
+			for _, t := range ts.tenants {
+				sum += t.held
+			}
 		}
 		switch {
 		case b.cap > 0 && b.held > b.cap:
@@ -254,7 +229,9 @@ func (ts *tenantSlots) note(b *tenantBucket, delta int) {
 	}
 }
 
-func (ts *tenantSlots) ledger() SlotLedger {
+// Ledger snapshots the shared slot pool's per-tenant accounting.
+func (ms *MultiServer) Ledger() SlotLedger {
+	ts := ms.pool
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	l := SlotLedger{
@@ -268,37 +245,35 @@ func (ts *tenantSlots) ledger() SlotLedger {
 	return l
 }
 
-// tenantPool is the slotPool one session worker sees: its tenant's
-// bucket layered over the shared pool.
-type tenantPool struct {
-	ts *tenantSlots
-	b  *tenantBucket
-}
-
-func (p *tenantPool) acquire(abort <-chan struct{}) bool {
-	if p.b.sem != nil {
+func (b *tenantPool) acquire(abort <-chan struct{}) bool {
+	select {
+	case <-abort:
+		return false
+	default:
+	}
+	if b.sem != nil {
 		select {
-		case <-p.b.sem:
+		case <-b.sem:
 		case <-abort:
 			return false
 		}
 	}
 	select {
-	case <-p.ts.global:
+	case <-b.ts.global:
 	case <-abort:
-		if p.b.sem != nil {
-			p.b.sem <- struct{}{}
+		if b.sem != nil {
+			b.sem <- struct{}{}
 		}
 		return false
 	}
-	p.ts.note(p.b, +1)
+	b.ts.note(b, +1)
 	return true
 }
 
-func (p *tenantPool) release() {
-	p.ts.note(p.b, -1)
-	p.ts.global <- struct{}{}
-	if p.b.sem != nil {
-		p.b.sem <- struct{}{}
+func (b *tenantPool) release() {
+	b.ts.note(b, -1)
+	b.ts.global <- struct{}{}
+	if b.sem != nil {
+		b.sem <- struct{}{}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/exec/pool"
 	"repro/internal/format"
 	"repro/internal/rt"
 	"repro/internal/transport"
@@ -47,45 +48,7 @@ type WorkerOptions struct {
 	// readable: the worker sends TLeave and keeps serving until the
 	// coordinator has drained it and answers TBye.
 	Leave <-chan struct{}
-	// sharedSlots, when non-nil, replaces the private slot pool: the
-	// multi-tenant daemon gates every session's tasks on one shared,
-	// quota-aware pool (see MultiServer). Slots still states the pool's
-	// total for the hello.
-	sharedSlots slotPool
 }
-
-// slotPool gates concurrent task execution on a worker. acquire blocks
-// for a free slot — and, on a shared multi-tenant pool, for the tenant
-// to be under its quota — returning false when abort closes first.
-// Deadlock freedom rests on the same discipline as the single-tenant
-// pool (DESIGN.md §3.3): blocking RPCs release the slot via rpcYield,
-// and inline children borrow their creator's slot.
-type slotPool interface {
-	acquire(abort <-chan struct{}) bool
-	release()
-}
-
-// chanPool is the private single-tenant pool: a plain token channel.
-type chanPool chan struct{}
-
-func newChanPool(n int) chanPool {
-	p := make(chanPool, n)
-	for i := 0; i < n; i++ {
-		p <- struct{}{}
-	}
-	return p
-}
-
-func (p chanPool) acquire(abort <-chan struct{}) bool {
-	select {
-	case <-p:
-		return true
-	case <-abort:
-		return false
-	}
-}
-
-func (p chanPool) release() { p <- struct{}{} }
 
 // ErrEvicted is returned by Serve when the coordinator has declared this
 // worker dead and fenced its session. The worker process is in fact
@@ -119,10 +82,11 @@ type syncBase struct {
 
 // worker is one worker endpoint's state.
 type worker struct {
-	conn  transport.Conn
-	opts  WorkerOptions
-	m     int // machine index assigned by the coordinator
-	slots slotPool
+	conn    transport.Conn
+	opts    WorkerOptions
+	m       int                  // machine index assigned by the coordinator
+	slots   *tenantPool          // a daemon's slots, seen through the session's tenant, or the worker's own
+	runners *pool.Pool[dispatch] // run the dispatched task bodies
 
 	mu        sync.Mutex
 	store     map[access.ObjectID]any
@@ -133,30 +97,20 @@ type worker struct {
 	storeCond *sync.Cond // broadcast on every store insert and on fail
 	closed    bool       // set by fail; wakes awaitObject waiters
 
-	// queue holds the dispatches no runner has taken yet; free counts the
-	// runners holding none, and claim what will want a slot without a new
-	// runner: free runners and runners holding a task that is not waiting
-	// in rpcYield. Free runners wait on work for the next dispatch. All
-	// under mu; work is broadcast on fail too.
-	queue       transport.FIFO[dispatch]
-	free, claim int
-	work        *sync.Cond
-
 	dead     chan struct{}
 	deadOnce sync.Once
-	wg       sync.WaitGroup // task runners
 }
 
 // Serve runs a worker on an established connection until the
 // coordinator says goodbye or the connection fails. It blocks for the
 // whole run; run it in a goroutine for in-process workers.
 func Serve(conn transport.Conn, opts WorkerOptions) error {
-	return newWorker(conn, opts).serve()
+	opts = opts.normalized()
+	return newWorker(conn, opts, newTenantSlots(opts.Slots).view("", 0)).serve()
 }
 
-// newWorker normalizes opts and builds the endpoint state. Split from
-// serve so the multi-tenant daemon can hold the handle for inspection.
-func newWorker(conn transport.Conn, opts WorkerOptions) *worker {
+// normalized fills in opts' defaults.
+func (opts WorkerOptions) normalized() WorkerOptions {
 	if opts.Slots <= 0 {
 		opts.Slots = 1
 	}
@@ -169,21 +123,26 @@ func newWorker(conn transport.Conn, opts WorkerOptions) *worker {
 			opts.Group = uniqueGroup()
 		}
 	}
+	return opts
+}
+
+// newWorker builds the endpoint state for normalized opts, its task bodies
+// gated by slots: its own, one uncapped tenant's (Serve), or a daemon's seen
+// through the session's tenant. Split from serve so the multi-tenant daemon
+// can hold the handle for inspection.
+func newWorker(conn transport.Conn, opts WorkerOptions, slots *tenantPool) *worker {
 	w := &worker{
 		conn:    conn,
 		opts:    opts,
-		slots:   opts.sharedSlots,
+		slots:   slots,
 		store:   map[access.ObjectID]any{},
 		bases:   map[access.ObjectID]syncBase{},
 		pending: map[uint64]chan wire.Frame{},
 		nextReq: 1,
 		dead:    make(chan struct{}),
 	}
-	if w.slots == nil {
-		w.slots = newChanPool(opts.Slots)
-	}
 	w.storeCond = sync.NewCond(&w.mu)
-	w.work = sync.NewCond(&w.mu)
+	w.runners = pool.New(opts.Slots, w.newRunner)
 	return w
 }
 
@@ -227,7 +186,7 @@ func (w *worker) serve() error {
 		}()
 	}
 	err = w.loop()
-	w.wg.Wait()
+	w.runners.Close()
 	return err
 }
 
@@ -239,7 +198,6 @@ func (w *worker) fail(err error) {
 	}
 	w.closed = true
 	w.storeCond.Broadcast()
-	w.work.Broadcast()
 	w.mu.Unlock()
 	w.deadOnce.Do(func() { close(w.dead) })
 }
@@ -320,7 +278,7 @@ func (w *worker) loop() error {
 		held := false
 		switch f.Type {
 		case wire.TDispatch:
-			w.enqueue(f, msg)
+			w.runners.Push(dispatch{f, msg})
 			held = true
 		case wire.TObjImage:
 			err = w.applyPush(&f, false)
@@ -358,7 +316,7 @@ func (w *worker) loop() error {
 			if derr != nil || df.Type != wire.TDispatch {
 				err = fmt.Errorf("live worker %d: coalesced dispatch on %s frame: %v", w.m, wire.TypeName(f.Type), derr)
 			} else {
-				w.enqueue(df, msg)
+				w.runners.Push(dispatch{df, msg})
 				held = true
 			}
 		}
@@ -465,76 +423,30 @@ type dispatch struct {
 	buf []byte
 }
 
-// enqueue hands a dispatch, with the buffer it was decoded from, to the
-// task runners.
-func (w *worker) enqueue(f wire.Frame, buf []byte) {
-	w.mu.Lock()
-	w.queue.Push(dispatch{f, buf})
-	w.work.Signal()
-	w.spawnLocked()
-	w.mu.Unlock()
-}
-
-// spawnLocked starts runners for queued dispatches no free runner will
-// take, as many at once as there are slots nothing else will claim: a body
-// that ends takes the next dispatch itself, and one that gives its slot up
-// in rpcYield calls here. Requires w.mu.
-func (w *worker) spawnLocked() {
-	for n := min(w.queue.Len()-w.free, w.opts.Slots-w.claim); n > 0; n-- {
-		w.free++
-		w.claim++
-		w.wg.Add(1)
-		goStarts.Add(1)
-		go w.runTasks()
-	}
-}
-
-// runTasks is one task runner, a goroutine that outlives the bodies it
-// runs: it takes the oldest queued dispatch, waits for a slot, runs the
-// body, gives the slot back — so a body returning from rpcYield competes
-// for it with the queued tasks, as it always has — sends the task's last
-// frame and goes round again. It is free from the end of one body until it
-// takes the next dispatch. With the queue empty every free runner waits
-// for the next dispatch, and leaves when the worker dies, which is how
-// serve ends: a worker never holds more runners than it once had claiming
-// slots, and a burst of dispatches finds them waiting. A queued dispatch
-// always has a taker (spawnLocked): a free runner, or a body that will end
-// or yield, so every slot a body frees can go to a queued task, as the slot
-// discipline requires (workerTC).
-func (w *worker) runTasks() {
-	defer w.wg.Done()
-	// One task context serves every task this runner runs, so the pre-grant
-	// lists, frame buffers and reply channel in it are allocated once.
+// newRunner sets up one task runner. One task context serves every task it
+// runs, so the pre-grant lists, frame buffers and reply channel in it are
+// allocated once. For each dispatch the runner waits for a slot, runs the
+// body, counts as free, gives the slot back — so a body returning from
+// rpcYield competes for it with the queued tasks — and sends the task's last
+// frame. It leaves when the worker dies while it waits for a slot, which
+// drops a dispatch still queued at the death, or while its body waits in
+// rpcYield, the slot gone with the worker.
+func (w *worker) newRunner() func(dispatch) bool {
 	tc := &workerTC{w: w, wt: &watch{}, reply: make(chan wire.Frame, 1)}
-	for {
-		w.mu.Lock()
-		for w.queue.Len() == 0 {
-			if w.closed {
-				w.mu.Unlock()
-				return
-			}
-			w.work.Wait()
-		}
-		d := w.queue.Pop()
-		w.free--
-		w.mu.Unlock()
+	return func(d dispatch) bool {
 		if !w.slots.acquire(w.dead) {
-			return
+			return false
 		}
 		last, ok := tc.run(&d)
-		if tc.wt.lost { // the slot went with the worker in an rpcYield
-			if ok {
-				tc.finish(&last)
-			}
-			return
+		lost := tc.wt.lost
+		if !lost {
+			w.runners.Free()
+			w.slots.release()
 		}
-		w.mu.Lock()
-		w.free++
-		w.mu.Unlock()
-		w.slots.release()
 		if ok {
 			tc.finish(&last)
 		}
+		return !lost
 	}
 }
 
@@ -767,15 +679,10 @@ func (tc *workerTC) rpc(f *wire.Frame) (wire.Frame, error) { return tc.w.rpc(tc.
 func (tc *workerTC) rpcYield(f *wire.Frame) (wire.Frame, error) {
 	w := tc.w
 	tc.wt.busy += time.Since(tc.wt.heldAt)
-	w.mu.Lock()
-	w.claim--
-	w.spawnLocked() // the slot may go to a queued task
-	w.mu.Unlock()
+	w.runners.Yield() // the slot may go to a queued task
 	w.slots.release()
 	r, err := tc.rpc(f)
-	w.mu.Lock()
-	w.claim++
-	w.mu.Unlock()
+	w.runners.Resume()
 	if !w.slots.acquire(w.dead) {
 		tc.wt.lost = true
 		return wire.Frame{}, w.failErr()

@@ -1,5 +1,7 @@
 package smp
 
-// RunnersStarted reports how many task runners the package has started so
-// far (goStarts).
-func RunnersStarted() int64 { return goStarts.Load() }
+import "repro/internal/exec/pool"
+
+// RunnersStarted reports how many task runners the process has started so
+// far (pool.Started).
+func RunnersStarted() int64 { return pool.Started() }

@@ -3,11 +3,11 @@
 // paper's Silicon Graphics 4D/240S and Stanford DASH implementations. Only
 // synchronization is needed; the shared address space is the real one.
 //
-// Ready tasks wait in a FIFO for a runner, a goroutine that outlives the
-// task bodies it runs. A counting semaphore of P "processor slots" models P
-// processors: a task holds a slot while computing and releases it while
-// blocked, so blocked tasks never waste a processor and suspending a task
-// creator (the paper's §3.3 throttling) cannot deadlock.
+// Ready tasks run on the runners of a pool (internal/exec/pool). A counting
+// semaphore of P "processor slots" models P processors: a task holds a slot
+// while computing and releases it while blocked, so blocked tasks never
+// waste a processor and suspending a task creator (the paper's §3.3
+// throttling) cannot deadlock.
 package smp
 
 import (
@@ -19,10 +19,10 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/exec/pool"
 	"repro/internal/format"
 	"repro/internal/rt"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // Options configure the executor.
@@ -69,36 +69,23 @@ type Exec struct {
 	// serial order may be waiting on the creator's residual access rights.
 	mu       sync.Mutex
 	store    map[access.ObjectID]any
-	labels   map[access.ObjectID]string
 	nextObj  access.ObjectID
 	liveUser int
 	firstErr error
 
-	// rmu guards the runners' state below: ready is the FIFO of tasks the
-	// engine found ready, free counts runners holding no task, and claim
-	// counts what will want a slot without a new runner: free runners,
-	// runners with a task that is not waiting in yieldSlot, and the main
-	// program while it is not waiting either. Free runners wait on work for
-	// the next ready task; closed tells them to leave. spawnLocked keeps
-	// every queued task a taker.
-	rmu     sync.Mutex
-	work    sync.Cond
-	ready   transport.FIFO[*core.Task]
-	free    int
-	claim   int
-	closed  bool
+	// runners run the tasks the engine finds ready. Besides the runners'
+	// claims, the main program claims a slot while it is not waiting.
+	runners *pool.Pool[*core.Task]
 	tasks   sync.WaitGroup // ready tasks not yet finished
-	runners sync.WaitGroup
 }
 
 // payload is the executor attachment on core tasks.
 type payload struct {
 	body  func(rt.TC)
 	label string
-	// inline marks a task the creator will execute itself (throttling,
+	// readyCh marks a task the creator will execute itself (throttling,
 	// §3.3: "the implementation can ... legally inline any task without
-	// risking deadlock"). readyCh is closed when the task becomes Ready.
-	inline  bool
+	// risking deadlock"); it is closed when the task becomes Ready.
 	readyCh chan struct{}
 }
 
@@ -113,13 +100,12 @@ func New(opts Options) *Exec {
 	x := &Exec{
 		opts:     opts,
 		store:    map[access.ObjectID]any{},
-		labels:   map[access.ObjectID]string{},
 		nextObj:  1,
 		slots:    make(chan int, opts.Procs),
 		slotAt:   make([]time.Time, opts.Procs),
 		slotBusy: make([]time.Duration, opts.Procs),
 	}
-	x.work.L = &x.rmu
+	x.runners = pool.New(opts.Procs, x.newRunner)
 	if opts.Trace {
 		x.log = trace.New()
 	} else {
@@ -131,16 +117,12 @@ func New(opts Options) *Exec {
 	x.eng = core.New(core.Hooks{
 		Ready: func(t *core.Task) {
 			x.record(trace.Event{Kind: trace.TaskReady, Task: uint64(t.ID)})
-			if pl := t.Payload.(*payload); pl.inline {
+			if pl := t.Payload.(*payload); pl.readyCh != nil {
 				close(pl.readyCh)
 				return
 			}
 			x.tasks.Add(1)
-			x.rmu.Lock()
-			x.ready.Push(t)
-			x.work.Signal()
-			x.spawnLocked()
-			x.rmu.Unlock()
+			x.runners.Push(t)
 		},
 		Violation: func(t *core.Task, err error) {
 			x.record(trace.Event{Kind: trace.Violation, Task: uint64(t.ID), Label: err.Error()})
@@ -214,26 +196,14 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	x.start = time.Now()
 	x.mu.Unlock()
 	x.eng.SetClock(func() int64 { return int64(time.Since(x.start)) })
-	x.reclaim() // the main program's
-	slot := x.takeSlot()
-	tc := &taskCtx{x: x, t: x.eng.Root(), slot: slot}
-	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(tc.t.ID), Dst: slot, Label: "main"})
-	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(tc.t.ID), Dst: slot, Label: "main"})
-	x.runBody(tc, root)
-	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(tc.t.ID)})
-	if err := x.eng.Complete(tc.t); err != nil {
-		x.fail(err)
-	}
-	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(tc.t.ID)})
-	x.tasksRun.Add(1)
+	x.runners.Resume() // the main program's claim
+	tc := &taskCtx{x: x, t: x.eng.Root(), slot: x.takeSlot()}
+	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(tc.t.ID), Dst: tc.slot, Label: "main"})
+	x.execute(tc, "main", root, false)
 	x.putSlot(tc.slot)
-	x.unclaim()
+	x.runners.Yield()
 	x.tasks.Wait()
-	x.rmu.Lock()
-	x.closed = true
-	x.work.Broadcast()
-	x.rmu.Unlock()
-	x.runners.Wait()
+	x.runners.Close()
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.firstErr
@@ -250,111 +220,53 @@ func (x *Exec) runBody(tc *taskCtx, body func(rt.TC)) {
 	body(tc)
 }
 
-// spawnLocked starts runners for queued tasks no free runner will take,
-// as many at once as there are slots nothing else will claim: a body that
-// ends takes the next task itself, and one that gives its slot up in
-// yieldSlot calls here. Requires x.rmu.
-func (x *Exec) spawnLocked() {
-	n := min(x.ready.Len()-x.free, x.opts.Procs-x.claim)
-	for ; n > 0; n-- {
-		x.free++
-		x.claim++
-		x.runners.Add(1)
-		goStarts.Add(1)
-		go x.runTasks()
-	}
-}
-
-// unclaim withdraws the caller's claim on a slot — it is giving its slot
-// up and not taking the next queued task — and starts a runner if a queued
-// task has no taker without it.
-func (x *Exec) unclaim() {
-	x.rmu.Lock()
-	x.claim--
-	x.spawnLocked()
-	x.rmu.Unlock()
-}
-
-// freeRunner counts the calling runner free: it will take the next ready
-// task.
-func (x *Exec) freeRunner() {
-	x.rmu.Lock()
-	x.free++
-	x.rmu.Unlock()
-}
-
-// reclaim records that the caller will want a slot again.
-func (x *Exec) reclaim() {
-	x.rmu.Lock()
-	x.claim++
-	x.rmu.Unlock()
-}
-
-// goStarts counts the runners started, beside the one go statement that
-// starts them. Tests read it (export_test.go): a task should cost none.
-var goStarts atomic.Int64
-
-// runTasks is one runner, a goroutine that outlives the task bodies it
-// runs: it takes the oldest ready task, then a slot — so a task coming back
-// from yieldSlot competes for it with the queued tasks — runs the body,
-// gives the slot back and goes round again. With the queue empty it waits
-// for the next ready task, and leaves when Run closes the executor. A run
-// never holds more runners than it once had busy at the same time, and a
-// burst of ready tasks finds them waiting: letting all but one exit, as a
-// long-lived worker's runners do, started a runner per 15–50 Cholesky
-// tasks at two or four Ps instead of a handful per run. One task context
+// newRunner sets up one runner: it takes a slot for each task the pool
+// hands it, so a task coming back from yieldSlot competes for a slot with
+// the queued tasks, runs the task and gives the slot back. One task context
 // serves every task the runner runs, so its wake channel is made once: the
 // engine keeps a task's wake only from a call that returned ok=false, and
 // the task waits for that one signal before it can end.
-func (x *Exec) runTasks() {
-	defer x.runners.Done()
+func (x *Exec) newRunner() func(*core.Task) bool {
 	tc := &taskCtx{x: x}
-	for {
-		x.rmu.Lock()
-		for x.ready.Len() == 0 {
-			if x.closed {
-				x.rmu.Unlock()
-				return
-			}
-			x.work.Wait()
-		}
-		t := x.ready.Pop()
-		x.free--
-		x.rmu.Unlock()
+	return func(t *core.Task) bool {
 		tc.t, tc.slot = t, x.takeSlot()
-		x.runTask(tc)
+		pl := t.Payload.(*payload)
+		x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: tc.slot, Label: pl.label})
+		if err := x.eng.Start(t); err != nil {
+			x.fail(err)
+			x.runners.Free()
+		} else {
+			x.execute(tc, pl.label, pl.body, true)
+		}
+		x.putSlot(tc.slot)
+		x.mu.Lock()
+		x.liveUser--
+		x.mu.Unlock()
 		x.tasks.Done()
+		return true
 	}
 }
 
-// runTask runs the ready task tc names on the slot tc holds, and gives the
-// slot back. The runner is free again from the end of the body: what
-// follows cannot wait, and a task the Complete readies should find this
-// runner rather than start another.
-func (x *Exec) runTask(tc *taskCtx) {
+// execute runs the body of the started task tc names on the slot tc holds
+// and retires the task, from its Started event to its Committed one. A
+// runner counts as free from the end of the body: what follows cannot wait,
+// and a task the Complete readies should find this runner rather than
+// start another.
+func (x *Exec) execute(tc *taskCtx, label string, body func(rt.TC), runner bool) error {
 	t := tc.t
-	pl := t.Payload.(*payload)
-	x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: tc.slot, Label: pl.label})
-	if err := x.eng.Start(t); err != nil {
-		x.fail(err)
-		x.freeRunner()
-		x.putSlot(tc.slot)
-		return
-	}
-	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: tc.slot, Label: pl.label})
-	x.runBody(tc, pl.body)
+	x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: tc.slot, Label: label})
+	x.runBody(tc, body)
 	x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID)})
-	x.freeRunner()
+	if runner {
+		x.runners.Free()
+	}
 	if err := x.eng.Complete(t); err != nil {
 		x.fail(err)
+		return err
 	}
 	x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(t.ID)})
 	x.tasksRun.Add(1)
-	x.putSlot(tc.slot)
-
-	x.mu.Lock()
-	x.liveUser--
-	x.mu.Unlock()
+	return nil
 }
 
 // ObjectValue implements rt.Exec.
@@ -398,10 +310,10 @@ func (tc *taskCtx) Machine() int { return tc.slot }
 // reacquires one after. While it waits, its claim on a slot is withdrawn,
 // so a queued task gets a runner for the slot it gave up.
 func (tc *taskCtx) yieldSlot(ch <-chan struct{}) {
-	tc.x.unclaim()
+	tc.x.runners.Yield()
 	tc.x.putSlot(tc.slot)
 	<-ch
-	tc.x.reclaim()
+	tc.x.runners.Resume()
 	tc.slot = tc.x.takeSlot()
 }
 
@@ -460,7 +372,6 @@ func (tc *taskCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 	pl := &payload{body: body, label: opts.Label}
 	tc.x.mu.Lock()
 	if tc.x.liveUser >= tc.x.opts.MaxLiveTasks {
-		pl.inline = true
 		pl.readyCh = make(chan struct{})
 	} else {
 		tc.x.liveUser++
@@ -469,7 +380,7 @@ func (tc *taskCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 
 	t, err := tc.x.eng.Create(tc.t, decls, pl)
 	if err != nil {
-		if !pl.inline {
+		if pl.readyCh == nil {
 			tc.x.mu.Lock()
 			tc.x.liveUser--
 			tc.x.mu.Unlock()
@@ -477,7 +388,7 @@ func (tc *taskCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 		return err
 	}
 	tc.x.record(trace.Event{Kind: trace.TaskCreated, Task: uint64(t.ID), Label: opts.Label})
-	if !pl.inline {
+	if pl.readyCh == nil {
 		return nil
 	}
 
@@ -495,21 +406,13 @@ func (tc *taskCtx) Create(decls []access.Decl, opts rt.TaskOpts, body func(rt.TC
 	}
 	child := &taskCtx{x: tc.x, t: t, slot: tc.slot}
 	tc.x.record(trace.Event{Kind: trace.TaskScheduled, Task: uint64(t.ID), Dst: tc.slot, Label: opts.Label})
-	tc.x.record(trace.Event{Kind: trace.TaskStarted, Task: uint64(t.ID), Dst: tc.slot, Label: opts.Label})
-	tc.x.runBody(child, body)
+	err = tc.x.execute(child, opts.Label, body, false)
 	// The child borrows the creator's slot, but if its body blocked it
 	// yielded that slot and reacquired a (possibly different) one. The
 	// creator must continue on the slot the child actually ends holding —
 	// otherwise it would later release a token it no longer owns.
 	tc.slot = child.slot
-	tc.x.record(trace.Event{Kind: trace.TaskCompleted, Task: uint64(t.ID)})
-	if err := tc.x.eng.Complete(t); err != nil {
-		tc.x.fail(err)
-		return err
-	}
-	tc.x.record(trace.Event{Kind: trace.TaskCommitted, Task: uint64(t.ID)})
-	tc.x.tasksRun.Add(1)
-	return nil
+	return err
 }
 
 // Alloc implements rt.TC.
@@ -521,7 +424,6 @@ func (tc *taskCtx) Alloc(initial any, label string) (access.ObjectID, error) {
 	id := tc.x.nextObj
 	tc.x.nextObj++
 	tc.x.store[id] = initial
-	tc.x.labels[id] = label
 	tc.x.mu.Unlock()
 	tc.x.eng.RegisterObject(tc.t, id)
 	return id, nil

@@ -43,6 +43,9 @@ var forbidden = []struct {
 	{from: "internal/obs", to: "internal/exec", why: "exporters read events, not executors"},
 	{from: "internal/profile", to: "internal/exec", why: "the profiler reads events, not executors"},
 	{from: "internal/rt", to: "internal/exec", why: "the executor contract sits below its implementations"},
+	{from: "internal/exec/pool", to: "internal/exec", why: "the runner pool sits below the executors that run on it"},
+	{from: "internal/exec/pool", to: "internal/core", why: "the runner pool runs items, not tasks: the engine is its hosts' business"},
+	{from: "internal/exec/pool", to: "jade", why: "the runner pool sits below the public API"},
 	{from: "internal", to: "jade",
 		// Jade programs and their harnesses are written against the public
 		// API, like any user's program.

@@ -33,13 +33,15 @@ var waits = map[string]bool{"rpc": true, "rpcAwait": true, "Recv": true, "Wait":
 
 // lockCheck finds what a piece of internal/exec/live can reach. Calls are
 // resolved by the type checker and followed into every function the package
-// itself declares; a call through an interface, or into another package, is
-// judged by its method name alone — except a call of a *core.Engine method,
-// which may fire the hooks the package handed the engine (core.Hooks) on
-// the calling goroutine, and so is followed into each of them. A function
-// literal is walked where it is written, and a function of the package
-// handed to a call as a value — a wake, a parked step — as if it were
-// called there: a continuation runs on whichever goroutine fires it.
+// itself declares, or the runner pool its worker runs task bodies on
+// (internal/exec/pool); a call through an interface, or into another
+// package, is judged by its method name alone — except a call of a
+// *core.Engine method, which may fire the hooks the package handed the
+// engine (core.Hooks) on the calling goroutine, and so is followed into
+// each of them. A function literal is walked where it is written, and a
+// function of the package handed to a call as a value — a wake, a parked
+// step — as if it were called there: a continuation runs on whichever
+// goroutine fires it.
 type lockCheck struct {
 	fset  *token.FileSet
 	info  *types.Info
@@ -59,25 +61,29 @@ type lockCheck struct {
 	goes bool
 }
 
-// loadLive parses and type-checks internal/exec/live and indexes its
-// functions and engine hooks. It returns the function declarations in
-// source order.
+// loadLive parses and type-checks internal/exec/live and the runner pool,
+// and indexes their functions and the live package's engine hooks. It
+// returns the live package's function declarations in source order.
 func loadLive(t *testing.T) (*lockCheck, []*ast.FuncDecl) {
 	t.Helper()
-	const dir = "internal/exec/live"
+	const dir, poolDir = "internal/exec/live", "internal/exec/pool"
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			files = append(files, file)
+	parse := func(dir string) []*ast.File {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var files []*ast.File
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				files = append(files, file)
+			}
+		}
+		return files
 	}
+	files, poolFiles := parse(dir), parse(poolDir)
 	c := &lockCheck{
 		fset: fset,
 		info: &types.Info{
@@ -98,17 +104,31 @@ func loadLive(t *testing.T) (*lockCheck, []*ast.FuncDecl) {
 		},
 	}
 	// Dependencies are type-checked from source: no export data needed, so
-	// the test runs wherever `go vet` does.
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	// the test runs wherever `go vet` does. The pool is checked first, into
+	// the same Info, and the live package imports that very package, so a
+	// call into the pool resolves to a declaration the walks can follow.
+	src := importer.ForCompiler(fset, "source", nil)
+	poolPkg, err := (&types.Config{Importer: src}).Check("repro/"+poolDir, fset, poolFiles, c.info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if path == poolPkg.Path() {
+			return poolPkg, nil
+		}
+		return src.Import(path)
+	})}
 	if _, err := conf.Check("repro/"+dir, fset, files, c.info); err != nil {
 		t.Fatal(err)
 	}
 	var decls []*ast.FuncDecl
-	for _, file := range files {
+	for i, file := range append(files, poolFiles...) {
 		for _, d := range file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				c.decls[c.info.Defs[fd.Name].(*types.Func)] = fd
-				decls = append(decls, fd)
+				if i < len(files) {
+					decls = append(decls, fd)
+				}
 			}
 		}
 	}
@@ -150,6 +170,11 @@ func loadLive(t *testing.T) (*lockCheck, []*ast.FuncDecl) {
 	}
 	return c, decls
 }
+
+// importerFunc is a types.Importer written as a function.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // isCore reports whether typ is repro/internal/core's type name, or a
 // pointer to it.
@@ -261,7 +286,7 @@ func (c *lockCheck) blocking(n ast.Node) []string {
 		found = append(found, fmt.Sprintf("%s: %s", c.fset.Position(n.Pos()), what))
 	}
 	follow := func(f *types.Func, via string) {
-		if fd := c.decls[f]; fd != nil {
+		if fd := c.decls[f.Origin()]; fd != nil { // a generic pool's method, as declared
 			for _, v := range c.reach(fd.Body) {
 				found = append(found, v+" <- "+via)
 			}
@@ -426,7 +451,9 @@ func TestNoWaitUnderCoherenceLock(t *testing.T) {
 // calls rpc, rpcAwait, Recv, Wait or awaitEpoch. The loop's own Recv is the
 // one wait allowed. The coordinator's loop may start no goroutine but a
 // membership event's (recoverWorker, completeDrain): a request that must
-// wait registers a continuation instead.
+// wait registers a continuation instead. The worker's loop queues dispatches
+// on its runner pool, and the walk follows it there: the runners that pool
+// starts are the only goroutines the worker's loop starts.
 func TestReceiveLoopsNeverWait(t *testing.T) {
 	c, decls := loadLive(t)
 	c.goes = true
@@ -466,10 +493,11 @@ func TestReceiveLoopsNeverWait(t *testing.T) {
 	}
 	// The walk must have gone where the continuations are: the dispatch of
 	// what a retirement readies (the Ready hook), a request's staging (a
-	// wake), a parked step, an inline child's start.
-	for _, name := range []string{"dispatch", "stageDispatch", "parkOnLoss", "startInline"} {
+	// wake), a parked step, an inline child's start; and into the runner
+	// pool a worker's dispatch is queued on.
+	for _, name := range []string{"dispatch", "stageDispatch", "parkOnLoss", "startInline", "spawnLocked"} {
 		walked := false
-		for _, fd := range decls {
+		for _, fd := range c.decls {
 			if fd.Name.Name == name {
 				_, walked = c.memo[fd.Body]
 			}

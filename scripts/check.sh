@@ -8,18 +8,19 @@
 # Stops at the first failing tier, prints wall time per tier, writes
 # nothing into the checkout. GOMAXPROCS is inherited by every go command,
 # so `GOMAXPROCS=1 scripts/check.sh race` races on one processor — except
-# core, exec/smp, trace, transport (its buffer pool), transport/mux,
+# core, exec/pool, exec/smp, trace, transport (its buffer pool), transport/mux,
 # transport/wire, transport/tcp and exec/live (with exec/live/tenant), which
 # the race tier always runs at both one P and four (-cpu 1,4): the trace
 # log's appends, label interning and snapshots share one lock, the engine's
 # queue summary and entry tables are checked from every task of the stress
-# programs while the others run, smp's runners pass ready tasks and slots
-# between goroutines that outlive the tasks, receive buffers go back to the
-# pool from whichever goroutine last reads them (a worker's runner, the
-# mux's demux loop, a session's reader), and check-ins and write-backs that
-# ride a task's frames, and dispatches made on the goroutine that readied
-# the task, take different paths when the peer runs in parallel. The
-# lock-discipline walks at the root run there too.
+# programs while the others run, the runner pool smp and the live worker
+# share passes queued items and slot claims between goroutines that outlive
+# the items (its model test drives random schedules), receive buffers go
+# back to the pool from whichever goroutine last reads them (a worker's
+# runner, the mux's demux loop, a session's reader), and check-ins and
+# write-backs that ride a task's frames, and dispatches made on the
+# goroutine that readied the task, take different paths when the peer runs
+# in parallel. The lock-discipline walks at the root run there too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,10 +45,11 @@ tier() {
 			./internal/exec/dist/... \
 			./internal/transport/inproc/... \
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
-		# ... and the engine, the smp runners, the trace log and the wire path
-		# with its buffer pool at one P and at four, whatever GOMAXPROCS says
+		# ... and the engine, the runner pool and its smp host, the trace log
+		# and the wire path with its buffer pool at one P and at four,
+		# whatever GOMAXPROCS says
 		go test -race -count=2 -cpu 1,4 \
-			./internal/core/... ./internal/exec/smp/... ./internal/trace/... \
+			./internal/core/... ./internal/exec/pool/... ./internal/exec/smp/... ./internal/trace/... \
 			./internal/transport ./internal/transport/mux/... \
 			./internal/transport/wire/... ./internal/transport/tcp/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
