@@ -185,8 +185,10 @@ func TestCholeskyStartsFewRunners(t *testing.T) {
 // frame is decoded into a value on its receiver's stack, a dispatch's
 // receive buffer goes back to the send pool, and a dispatch is encoded once,
 // riding its push without a copy. Each of those cost an allocation or more
-// a task, 42 in all. The race detector's
-// instrumentation allocates, so the count is only kept without it.
+// a task, 42 in all. Over tcp the bound is the same: the reader fills
+// pooled buffers and a connection borrows its read and batch buffers. The
+// race detector's instrumentation allocates, so the count is only kept
+// without it.
 func TestCholeskyMallocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -194,32 +196,34 @@ func TestCholeskyMallocsPerTask(t *testing.T) {
 	m := cholesky.Symbolic(cholesky.GridLaplacian(12))
 	oracle := m.Clone()
 	cholesky.FactorSerial(oracle)
-	var mallocs, tasks uint64
-	for op := 0; op < 4; op++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r, err := jade.NewLive(jade.LiveConfig{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
+	for _, transport := range []string{"inproc", "tcp"} {
+		var mallocs, tasks uint64
+		for op := 0; op < 4; op++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 4, Transport: transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jm *cholesky.JadeMatrix
+			if err := r.Run(func(tk *jade.Task) { jm = cholesky.ToJade(tk, m, 0); jm.Factor(tk) }); err != nil {
+				t.Fatal(err)
+			}
+			got := cholesky.FromJade(r, jm)
+			runtime.ReadMemStats(&after)
+			if !reflect.DeepEqual(got.Cols, oracle.Cols) {
+				t.Fatalf("%s: the factor differs from the serial oracle", transport)
+			}
+			if op > 0 { // the first op warms the pools up
+				mallocs += after.Mallocs - before.Mallocs
+				tasks += uint64(r.Report().Tasks.Run)
+			}
 		}
-		var jm *cholesky.JadeMatrix
-		if err := r.Run(func(tk *jade.Task) { jm = cholesky.ToJade(tk, m, 0); jm.Factor(tk) }); err != nil {
-			t.Fatal(err)
+		per := float64(mallocs) / float64(tasks)
+		t.Logf("%s: %.1f allocations a task over %d tasks", transport, per, tasks)
+		if per > 36 {
+			t.Errorf("%s: %.1f allocations a task, want ≤ 36", transport, per)
 		}
-		got := cholesky.FromJade(r, jm)
-		runtime.ReadMemStats(&after)
-		if !reflect.DeepEqual(got.Cols, oracle.Cols) {
-			t.Fatal("the factor differs from the serial oracle")
-		}
-		if op > 0 { // the first op warms the pools up
-			mallocs += after.Mallocs - before.Mallocs
-			tasks += uint64(r.Report().Tasks.Run)
-		}
-	}
-	per := float64(mallocs) / float64(tasks)
-	t.Logf("%.1f allocations a task over %d tasks", per, tasks)
-	if per > 36 {
-		t.Errorf("%.1f allocations a task, want ≤ 36", per)
 	}
 }
 

@@ -900,8 +900,15 @@ func (x *Exec) stageDispatch(t *core.Task, pl *payload, w *workerLink, df wire.F
 func (x *Exec) placeTask(t *core.Task, pl *payload) (*workerLink, error) {
 	// Locality snapshot for the placement tiebreak: how many of the task's
 	// declared objects each machine already holds. Gathered under coh
-	// before taking mu (lock order is coh → mu, never the reverse).
-	held := make([]int, x.machineCount()+1)
+	// before taking mu (lock order is coh → mu, never the reverse). The
+	// counts live on the stack for a fleet of up to 15 workers.
+	var onStack [16]int
+	held := onStack[:]
+	if n := x.machineCount() + 1; n <= len(held) {
+		held = held[:n]
+	} else {
+		held = make([]int, n)
+	}
 	x.coh.Lock()
 	for _, d := range t.ImmediateDecls() {
 		if dir := x.dir.Entry(d.Object); dir != nil {

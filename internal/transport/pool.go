@@ -18,7 +18,10 @@ import "sync"
 //     touch the slice afterwards. The substrate frees or recycles it when
 //     delivery bookkeeping no longer needs it.
 //   - Recv hands the returned slice to the receiver (the Conn contract),
-//     so a receiver that fully consumes a message may PutBuf it.
+//     and on every substrate it is a buffer for the pool: inproc passes
+//     on the one SendOwned handed over (or Send's copy), tcp's reader
+//     fills one from GetBuf, and a mux session routes its connection's.
+//     A receiver that fully consumes a message gives it back with PutBuf.
 
 // maxPooledBuf caps what PutBuf retains. Object images can reach
 // megabytes; keeping them alive in the pool would pin peak memory, so

@@ -7,6 +7,8 @@ import (
 	"io"
 	"sync"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 // TestSendRejectsOversized: the sender enforces maxFrame, so an oversized
@@ -150,8 +152,11 @@ func writeFrame(w io.Writer, typ byte, body []byte) error {
 }
 
 // readAll parses a byte stream as a train of wire frames, the way the
-// connection's reader consumes one batched Write from the peer.
-func readAll(data []byte) ([]frame, error) {
+// connection's reader consumes one batched Write from the peer. With
+// recycle, each frame is copied out and its buffer given back to the pool
+// at once, as a receiver does, so the frames after it are read into reused
+// buffers.
+func readAll(data []byte, recycle bool) ([]frame, error) {
 	br := bufio.NewReaderSize(bytes.NewReader(data), readBufSize)
 	var frames []frame
 	for {
@@ -161,6 +166,11 @@ func readAll(data []byte) ([]frame, error) {
 		}
 		if err != nil {
 			return frames, err
+		}
+		if recycle && msg != nil {
+			own := append([]byte(nil), msg...)
+			transport.PutBuf(msg)
+			msg = own
 		}
 		frames = append(frames, frame{typ, msg})
 	}
@@ -175,7 +185,7 @@ func TestReadBatchedFrames(t *testing.T) {
 	}
 	batch = appendWireFrame(batch, fHeartbeat, nil)
 
-	frames, err := readAll(batch)
+	frames, err := readAll(batch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +208,14 @@ func TestReadBatchedFrames(t *testing.T) {
 // way a batched Write arrives: many frames in one buffer. The reader
 // must never panic, and any stream it fully accepts must re-pack to the
 // identical bytes. Seeds cover the shapes the batching writer produces.
-func FuzzReadFrames(f *testing.F) {
+func FuzzReadFrames(f *testing.F) { fuzzReadFrames(f, false) }
+
+// FuzzReadFramesRecycled is FuzzReadFrames with every frame given back to
+// the pool once copied out, so each later frame is read into a buffer that
+// held an earlier one.
+func FuzzReadFramesRecycled(f *testing.F) { fuzzReadFrames(f, true) }
+
+func fuzzReadFrames(f *testing.F, recycle bool) {
 	// Single frames.
 	f.Add(appendWireFrame(nil, fHeartbeat, nil))
 	f.Add(appendWireFrame(nil, fFin, nil))
@@ -215,9 +232,13 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(batch[:len(batch)-3])
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, fData})
+	// A long frame, then short ones that land in its recycled buffer.
+	long := appendWireFrame(nil, fData, bytes.Repeat([]byte{0xAB}, 600))
+	long = appendWireFrame(long, fData, []byte{1, 2, 3})
+	f.Add(appendWireFrame(long, fData, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, err := readAll(data)
+		frames, err := readAll(data, recycle)
 		if err != nil {
 			return // rejected or truncated streams just must not panic
 		}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +58,11 @@ const maxBatch = 256 << 10
 // readBufSize is the reader's buffer: one socket read surfaces many
 // batched frames.
 const readBufSize = 64 << 10
+
+// readers holds the buffered readers of connections that have ended, so a
+// runtime that dials and drops connections op after op does not allocate
+// readBufSize for each.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
 
 // handshakeTimeout bounds the dial and the handshake exchange.
 const handshakeTimeout = 5 * time.Second
@@ -235,14 +241,16 @@ func (c *conn) Stats() transport.Stats {
 }
 
 // Fence implements transport.Fencer: drop the frames queued to send,
-// discard what the reader holds that Recv has not taken, and close the
-// socket. The application has declared the peer dead, so nothing more
-// of this connection is applied; a peer that is in fact alive must dial
-// a new connection, which makes it a new member.
+// give back to the pool what the reader holds that Recv has not taken,
+// and close the socket. The application has declared the peer dead, so
+// nothing more of this connection is applied; a peer that is in fact
+// alive must dial a new connection, which makes it a new member.
 func (c *conn) Fence() {
 	c.mu.Lock()
 	c.fenced = true
-	c.recvQ.Reset()
+	for c.recvQ.Len() > 0 {
+		transport.PutBuf(c.recvQ.Pop())
+	}
 	c.failLocked(ErrFenced)
 	c.mu.Unlock()
 	c.kill()
@@ -276,12 +284,14 @@ func (c *conn) failLocked(err error) {
 // one syscall for the burst. No timer sits between a frame and its write;
 // a heartbeat goes out only when the socket has been idle for an
 // interval. Each message's buffer goes back to the pool once it is
-// copied into the batch: nothing is kept for retransmission.
+// copied into the batch: nothing is kept for retransmission. The batch is
+// a pooled buffer too, grown as batches need and given back on exit.
 func (c *conn) writer() {
 	hb := time.NewTimer(c.cad.interval)
 	defer hb.Stop()
 	lastWrite := time.Now()
-	batch := make([]byte, 0, 32<<10)
+	batch := transport.GetBuf()
+	defer func() { transport.PutBuf(batch) }()
 	var frames [][]byte
 	idle := false // the idle timer fired: the peer must hear something
 	for {
@@ -372,9 +382,15 @@ func (r deadlineReader) Read(p []byte) (int, error) {
 // deadline expiring, the peer vanishing, a malformed frame — ends the
 // connection. The buffered reader is the receive half of batching: one
 // socket read surfaces a whole train of small frames, which then parse
-// without further syscalls.
+// without further syscalls. It is borrowed from readers for the life of
+// the connection.
 func (c *conn) reader() {
-	br := bufio.NewReaderSize(deadlineReader{c.raw, c.cad.deadline}, readBufSize)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(deadlineReader{c.raw, c.cad.deadline})
+	defer func() {
+		br.Reset(nil)
+		readers.Put(br)
+	}()
 	for {
 		typ, msg, err := readFrame(br)
 		if err != nil {
@@ -388,7 +404,9 @@ func (c *conn) reader() {
 		switch typ {
 		case fData:
 			c.mu.Lock()
-			if !c.fenced {
+			if c.fenced {
+				transport.PutBuf(msg)
+			} else {
 				c.recvQ.Push(msg)
 				if c.recvQ.Len() == 1 {
 					c.recvCond.Signal() // Recv waits only on an empty queue
@@ -429,9 +447,10 @@ func badFrame(format string, args ...any) error {
 // type — is parsed in place in the reader's buffer and checked before
 // anything is allocated: a control frame has no body, so only a data
 // frame's claimed length is ever believed, up to maxFrame, and its
-// message is then read straight into a buffer of its own (the one the
-// receiver will own). A peer that dies mid-frame surfaces as an io error
-// here — the partial frame is never delivered.
+// message is then read straight into a buffer from transport.GetBuf,
+// which the receiver owns and gives back with PutBuf. A peer that dies
+// mid-frame surfaces as an io error here — the partial frame is never
+// delivered, and its buffer goes back to the pool.
 func readFrame(br *bufio.Reader) (typ byte, msg []byte, err error) {
 	hdr, err := br.Peek(5)
 	if err != nil {
@@ -457,8 +476,9 @@ func readFrame(br *bufio.Reader) (typ byte, msg []byte, err error) {
 	if typ != fData {
 		return typ, nil, nil
 	}
-	msg = make([]byte, n-1)
+	msg = slices.Grow(transport.GetBuf(), int(n-1))[:n-1]
 	if _, err := io.ReadFull(br, msg); err != nil {
+		transport.PutBuf(msg)
 		return 0, nil, midFrame(err)
 	}
 	return typ, msg, nil

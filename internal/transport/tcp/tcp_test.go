@@ -283,7 +283,7 @@ func TestControlFrameSizeEnforced(t *testing.T) {
 		{"zero-length heartbeat", []byte{0, 0, 0, 0, fHeartbeat}},
 		{"zero-length data", []byte{0, 0, 0, 0, fData}},
 	} {
-		if _, err := readAll(tc.data); err == nil {
+		if _, err := readAll(tc.data, false); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

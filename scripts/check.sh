@@ -15,12 +15,13 @@
 # queue summary and entry tables are checked from every task of the stress
 # programs while the others run, the runner pool smp and the live worker
 # share passes queued items and slot claims between goroutines that outlive
-# the items (its model test drives random schedules), receive buffers go
-# back to the pool from whichever goroutine last reads them (a worker's
-# runner, the mux's demux loop, a session's reader), and check-ins and
-# write-backs that ride a task's frames, and dispatches made on the
-# goroutine that readied the task, take different paths when the peer runs
-# in parallel. The lock-discipline walks at the root run there too.
+# the items (its model test drives random schedules), receive buffers are
+# taken from the pool by the tcp reader and go back to it from whichever
+# goroutine last reads them (a worker's runner, the mux's demux loop, a
+# session's reader, the tcp reader or a fence discarding them), and
+# check-ins and write-backs that ride a task's frames, and dispatches made
+# on the goroutine that readied the task, take different paths when the
+# peer runs in parallel. The lock-discipline walks at the root run there too.
 set -eu
 cd "$(dirname "$0")/.."
 
