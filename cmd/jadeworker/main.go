@@ -14,10 +14,10 @@
 // serve as a remote memory/relay endpoint for closure-free protocols.
 //
 // With -multi the daemon joins a multi-tenant session service
-// (jade.NewService with AwaitExternal > 0) instead of a single run: it
-// hosts an isolated worker instance per announced session, sharing its
-// -slots capacity across every resident tenant under the service's
-// per-tenant quotas.
+// (jade.NewService with AwaitExternal > 0) instead of a single run: an
+// isolated worker instance per announced session, all sharing -slots under
+// the service's per-tenant quotas. A -multi daemon that dials after the
+// service has started is refused, like a late worker at a non-elastic run.
 //
 // Capability tags (-caps) drive §4.5 placement: tasks created with
 // jade.TaskOptions.RequireCap schedule only onto workers advertising

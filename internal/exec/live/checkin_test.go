@@ -55,7 +55,7 @@ func newTapped(t *testing.T, opts Options) (*Exec, *tapConn) {
 	a, b := inproc.Pipe()
 	tap := &tapConn{Conn: a}
 	go Serve(b, WorkerOptions{Name: "w1", Bodies: bodies})
-	opts.Peers = []Peer{{Conn: tap}}
+	opts.Peers = []transport.Conn{tap}
 	opts.Bodies = bodies
 	x, err := New(opts)
 	if err != nil {
@@ -267,7 +267,7 @@ func newScripted(t *testing.T, handle func(f *wire.Frame, send func(*wire.Frame)
 	a, b := inproc.Pipe()
 	t.Cleanup(func() { a.Close() }) // a run that dies leaves its worker waiting
 	go scriptedWorker(b, handle)
-	x, err := New(Options{Peers: []Peer{{Conn: a}}})
+	x, err := New(Options{Peers: []transport.Conn{a}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestLateFramesFromDeadMemberDropped(t *testing.T) {
 		b.Send(enc)
 	}}
 	bodies := NewBodyTable()
-	x, err := New(Options{Peers: []Peer{{Conn: tap}}, Bodies: bodies})
+	x, err := New(Options{Peers: []transport.Conn{tap}, Bodies: bodies})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,12 @@ import (
 func newFleet(t *testing.T, n int, opts live.Options, reqs *atomic.Int64) *live.Exec {
 	t.Helper()
 	bodies := live.NewBodyTable()
-	opts.Peers = make([]live.Peer, n)
+	opts.Peers = make([]transport.Conn, n)
 	for i := range opts.Peers {
 		a, b := inproc.Pipe()
-		opts.Peers[i] = live.Peer{Conn: a}
+		opts.Peers[i] = a
 		if reqs != nil {
-			opts.Peers[i].Conn = countingConn{a, reqs}
+			opts.Peers[i] = countingConn{a, reqs}
 		}
 		go live.Serve(b, live.WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
 	}

@@ -70,17 +70,11 @@ import (
 // back at Close.
 const ringCap = 1 << 12
 
-// Peer is one worker connection the coordinator will drive.
-type Peer struct {
-	// Conn is the established transport connection to a worker that is
-	// already running Serve.
-	Conn transport.Conn
-}
-
 // Options configure the coordinator.
 type Options struct {
-	// Peers are the connected workers, machines 1..len(Peers).
-	Peers []Peer
+	// Peers are the connections to workers already running Serve,
+	// machines 1..len(Peers).
+	Peers []transport.Conn
 	// Bodies is the body table shared with same-process workers. nil
 	// allocates a fresh table (fine when all workers are remote).
 	Bodies *BodyTable
@@ -552,8 +546,8 @@ func (x *Exec) Run(root func(rt.TC)) error {
 	// A peer that dies during its handshake is a member lost before the
 	// first task, not a reason to abandon the program: the run goes ahead on
 	// the others.
-	for _, p := range x.opts.Peers {
-		if _, err := x.admit(p.Conn, false); err != nil && !errors.Is(err, errWorkerLost) {
+	for _, c := range x.opts.Peers {
+		if _, err := x.admit(c, false); err != nil && !errors.Is(err, errWorkerLost) {
 			x.failFatal(err)
 			return x.firstError()
 		}

@@ -10,22 +10,26 @@ import (
 	"repro/internal/access"
 	"repro/internal/exec/exectest"
 	"repro/internal/rt"
+	"repro/internal/transport"
 	"repro/internal/transport/inproc"
-	"repro/internal/transport/tcp"
 )
 
-// newInproc builds a coordinator with n in-process workers connected by
-// goroutine pipes, all sharing one closure table.
-func newInproc(t *testing.T, n int, opts Options) *Exec {
+// newFleet builds a coordinator with n in-process workers on transport
+// tr, all sharing one closure table.
+func newFleet(t *testing.T, tr string, n int, opts Options) *Exec {
 	t.Helper()
 	bodies := NewBodyTable()
-	peers := make([]Peer, n)
-	for i := 0; i < n; i++ {
-		a, b := inproc.Pipe()
-		peers[i] = Peer{Conn: a}
-		go Serve(b, WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
+	f, conns, err := StartFleet(tr, "", n, 0, func(i int, c transport.Conn) func() error {
+		wopts := WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies}
+		return func() error { return Serve(c, wopts) }
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	opts.Peers = peers
+	// The run admits nobody else, and a listener outliving Run would read
+	// as a leak.
+	f.Close()
+	opts.Peers = conns
 	opts.Bodies = bodies
 	x, err := New(opts)
 	if err != nil {
@@ -34,41 +38,8 @@ func newInproc(t *testing.T, n int, opts Options) *Exec {
 	return x
 }
 
-// newTCP builds a coordinator with n in-process workers connected over
-// real loopback sockets.
-func newTCP(t *testing.T, n int, opts Options) *Exec {
-	t.Helper()
-	l, err := tcp.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Closed once the rendezvous below is complete: the run admits nobody
-	// else, and a listener outliving Run would read as a leak.
-	defer l.Close()
-	bodies := NewBodyTable()
-	for i := 0; i < n; i++ {
-		c, err := tcp.Dial(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		go Serve(c, WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
-	}
-	peers := make([]Peer, n)
-	for i := range peers {
-		c, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = Peer{Conn: c}
-	}
-	opts.Peers = peers
-	opts.Bodies = bodies
-	x, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
+func newInproc(t *testing.T, n int, opts Options) *Exec { return newFleet(t, "inproc", n, opts) }
+func newTCP(t *testing.T, n int, opts Options) *Exec    { return newFleet(t, "tcp", n, opts) }
 
 // conformanceSpecs is the generated-program matrix every executor must
 // match against the serial oracle.
@@ -231,7 +202,7 @@ func init() {
 func TestRemoteKindWorker(t *testing.T) {
 	a, b := inproc.Pipe()
 	go Serve(b, WorkerOptions{Name: "remote", Caps: []string{"gpu"}}) // nil Bodies: own process group
-	x, err := New(Options{Peers: []Peer{{Conn: a}}})
+	x, err := New(Options{Peers: []transport.Conn{a}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +239,7 @@ func TestRemoteKindWorker(t *testing.T) {
 func TestClosureCannotCrossProcess(t *testing.T) {
 	a, b := inproc.Pipe()
 	go Serve(b, WorkerOptions{Name: "remote"}) // own process group
-	x, err := New(Options{Peers: []Peer{{Conn: a}}})
+	x, err := New(Options{Peers: []transport.Conn{a}})
 	if err != nil {
 		t.Fatal(err)
 	}

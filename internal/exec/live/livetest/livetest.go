@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/exec/live"
 	"repro/internal/rt"
-	"repro/internal/transport/inproc"
+	"repro/internal/transport"
 )
 
 // Step is one scripted membership event. Exactly one of Kill, Drain, or
@@ -58,47 +58,36 @@ type Cluster struct {
 	// values from it.
 	X *live.Exec
 
-	bodies *live.BodyTable
-	slots  int
+	fleet *live.Fleet
 
 	// mu guards the script state and is held while a step is applied, so
 	// steps take effect one at a time, in script order.
 	mu     sync.Mutex
 	script []Step // sorted by AfterDone
 	cursor int
-	next   int // name counter for joined workers
 	errs   []error
 }
 
-// New builds the cluster and connects the initial workers over
+// New builds the cluster and starts the initial workers in process, over
 // goroutine pipes. The script is sorted by AfterDone; ties fire in the
 // order given.
 func New(opts Options) (*Cluster, error) {
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("livetest: need at least one initial worker")
-	}
-	c := &Cluster{
-		bodies: live.NewBodyTable(),
-		slots:  opts.Slots,
-		script: append([]Step(nil), opts.Script...),
-		next:   opts.Workers,
-	}
+	c := &Cluster{script: append([]Step(nil), opts.Script...)}
 	sort.SliceStable(c.script, func(i, j int) bool {
 		return c.script[i].AfterDone < c.script[j].AfterDone
 	})
-	peers := make([]live.Peer, opts.Workers)
-	for i := range peers {
-		a, b := inproc.Pipe()
-		peers[i] = live.Peer{Conn: a}
-		go live.Serve(b, live.WorkerOptions{
-			Name:   fmt.Sprintf("chaos-%d", i+1),
-			Bodies: c.bodies,
-			Slots:  opts.Slots,
-		})
+	bodies := live.NewBodyTable()
+	host := func(i int, conn transport.Conn) func() error {
+		wopts := live.WorkerOptions{Name: fmt.Sprintf("chaos-%d", i+1), Bodies: bodies, Slots: opts.Slots}
+		return func() error { return live.Serve(conn, wopts) }
+	}
+	fleet, conns, err := live.StartFleet("", "", opts.Workers, 0, host)
+	if err != nil {
+		return nil, err
 	}
 	x, err := live.New(live.Options{
-		Peers:        peers,
-		Bodies:       c.bodies,
+		Peers:        conns,
+		Bodies:       bodies,
 		MaxLiveTasks: opts.MaxLiveTasks,
 		Trace:        opts.Trace,
 		OnTaskDone:   c.onTaskDone,
@@ -106,6 +95,7 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.fleet = fleet
 	c.X = x
 	return c, nil
 }
@@ -167,11 +157,11 @@ func (c *Cluster) applyLocked(s Step) error {
 		}
 	}
 	for i := 0; i < s.Join; i++ {
-		c.next++
-		name := fmt.Sprintf("chaos-%d", c.next)
-		a, b := inproc.Pipe()
-		go live.Serve(b, live.WorkerOptions{Name: name, Bodies: c.bodies, Slots: c.slots})
-		if _, err := c.X.Admit(a); err != nil {
+		conn, err := c.fleet.Join()
+		if err == nil {
+			_, err = c.X.Admit(conn)
+		}
+		if err != nil {
 			return fmt.Errorf("livetest: step join: %w", err)
 		}
 	}

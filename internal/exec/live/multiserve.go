@@ -28,9 +28,10 @@ import (
 // creator's slot, so a held token always belongs to a task that is
 // actually burning CPU.
 type MultiServer struct {
-	mx   *mux.Mux
-	opts WorkerOptions
-	pool *tenantSlots
+	mx    *mux.Mux
+	opts  WorkerOptions
+	group uint64 // every session worker's process-group token
+	pool  *tenantSlots
 
 	mu       sync.Mutex
 	sessions map[uint64]*worker
@@ -48,13 +49,14 @@ const closedKept = 64
 
 // NewMultiServer wraps an established daemon connection. opts are the
 // per-daemon defaults: Slots is the machine's total concurrent task
-// capacity (shared by all sessions), Bodies/Kinds/Caps/Format/Group
-// apply to every session worker.
+// capacity (shared by all sessions), Bodies/Kinds/Caps/Format apply to
+// every session worker.
 func NewMultiServer(conn transport.Conn, opts WorkerOptions) *MultiServer {
-	opts = opts.normalized()
+	opts, group := opts.normalized()
 	return &MultiServer{
 		mx:       mux.New(conn),
 		opts:     opts,
+		group:    group,
 		pool:     newTenantSlots(opts.Slots),
 		sessions: map[uint64]*worker{},
 		closed:   map[uint64][]access.ObjectID{},
@@ -76,7 +78,7 @@ func (ms *MultiServer) Serve() error {
 		}
 		wopts := ms.opts
 		wopts.Name = fmt.Sprintf("%s/s%d", ms.opts.Name, s.ID)
-		w := newWorker(s.Conn, wopts, ms.pool.view(s.Tenant, s.SlotCap))
+		w := newWorker(s.Conn, wopts, ms.group, ms.pool.view(s.Tenant, s.SlotCap))
 		ms.mu.Lock()
 		ms.sessions[s.ID] = w
 		ms.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/netmodel"
 	"repro/internal/rt"
+	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 )
 
@@ -112,10 +113,10 @@ func TestKillMidBodyReexecutesOnlyTheUncommitted(t *testing.T) {
 func TestSupersededWaitNeverAnswers(t *testing.T) {
 	bodies := NewBodyTable()
 	caps := [][]string{nil, {"b"}, {"b"}}
-	peers := make([]Peer, len(caps))
+	peers := make([]transport.Conn, len(caps))
 	for i := range peers {
 		a, b := inproc.Pipe()
-		peers[i] = Peer{Conn: a}
+		peers[i] = a
 		go Serve(b, WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies, Caps: caps[i]})
 	}
 	x, err := New(Options{Peers: peers, Bodies: bodies})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/exec/live"
+	"repro/internal/transport"
 	"repro/internal/transport/tcp"
 )
 
@@ -100,13 +101,13 @@ func TestSeveredSocketIsAMemberDeath(t *testing.T) {
 		}
 		go live.Serve(c, live.WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
 	}
-	peers := make([]live.Peer, workers)
+	peers := make([]transport.Conn, workers)
 	for i := range peers {
 		c, err := l.Accept()
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[i] = live.Peer{Conn: c}
+		peers[i] = c
 	}
 	x, err := live.New(live.Options{
 		Peers:  peers,

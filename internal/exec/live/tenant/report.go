@@ -98,7 +98,6 @@ func (s *Service) Report() ServiceReport {
 	for _, sess := range s.active {
 		resident = append(resident, sess)
 	}
-	servers := append([]*live.MultiServer(nil), s.servers...)
 	s.mu.Unlock()
 
 	// Executor stats take the executor's own locks; gather them outside
@@ -136,7 +135,7 @@ func (s *Service) Report() ServiceReport {
 		r.Bytes += tr.Bytes
 		r.CrashesDetected += tr.Crashes
 	}
-	for i, ms := range servers {
+	for i, ms := range s.servers {
 		name := "daemon"
 		if i < len(s.daemons) {
 			name = s.daemons[i].name

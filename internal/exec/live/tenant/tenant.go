@@ -32,9 +32,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/transport/inproc"
 	"repro/internal/transport/mux"
-	"repro/internal/transport/tcp"
 )
 
 // ErrBusy is returned by OpenSession when the service is at its
@@ -101,9 +99,9 @@ type Service struct {
 	opts    Options
 	bodies  *live.BodyTable
 	daemons []*daemon
-	servers []*live.MultiServer // in-process daemons, for ledger inspection
+	servers []*live.MultiServer // in-process daemons, set at start; for ledger inspection
 	loads   []atomic.Int64      // per daemon: fleet-wide outstanding tasks
-	ln      transport.Listener  // tcp only
+	fleet   *live.Fleet
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -139,9 +137,6 @@ func NewService(opts Options) (*Service, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
-	if opts.Transport == "" {
-		opts.Transport = "inproc"
-	}
 	if opts.WorkerSlots <= 0 {
 		opts.WorkerSlots = 2
 	}
@@ -161,63 +156,23 @@ func NewService(opts Options) (*Service, error) {
 	for _, p := range opts.Profiles {
 		s.profiles[p.Name] = p
 	}
-	switch opts.Transport {
-	case "inproc":
-		for i := 0; i < opts.Workers; i++ {
-			a, b := inproc.Pipe()
-			name := fmt.Sprintf("fleet-%d", i+1)
-			ms := live.NewMultiServer(b, live.WorkerOptions{
-				Name: name, Bodies: s.bodies, Slots: opts.WorkerSlots,
-			})
-			go ms.Serve()
-			s.daemons = append(s.daemons, &daemon{name: name, mx: mux.New(a)})
-			s.servers = append(s.servers, ms)
-		}
-	case "tcp":
-		addr := opts.Listen
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		ln, err := tcp.Listen(addr)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: %w", err)
-		}
-		s.ln = ln
-		// Dial returns once the listener has answered, before anyone
-		// accepts, so the local daemons dial here and a failed dial is
-		// this call's error rather than an Accept that never returns.
-		conns := make([]transport.Conn, 0, opts.Workers)
-		for i := 0; i < opts.Workers; i++ {
-			c, err := tcp.Dial(ln.Addr())
-			if err != nil {
-				for _, c := range conns {
-					c.Close()
-				}
-				ln.Close()
-				return nil, fmt.Errorf("tenant: dialing daemon %d: %w", i+1, err)
-			}
-			conns = append(conns, c)
-		}
-		for i, c := range conns {
-			ms := live.NewMultiServer(c, live.WorkerOptions{
-				Name: fmt.Sprintf("fleet-%d", i+1), Bodies: s.bodies, Slots: opts.WorkerSlots,
-			})
-			s.servers = append(s.servers, ms)
-			go ms.Serve()
-		}
-		total := opts.Workers + opts.AwaitExternal
-		for i := 0; i < total; i++ {
-			c, err := ln.Accept()
-			if err != nil {
-				ln.Close()
-				return nil, fmt.Errorf("tenant: accepting daemon %d: %w", i+1, err)
-			}
-			s.daemons = append(s.daemons, &daemon{
-				name: fmt.Sprintf("fleet-%d", i+1), mx: mux.New(c),
-			})
-		}
-	default:
-		return nil, fmt.Errorf("tenant: unknown transport %q", opts.Transport)
+	host := func(i int, c transport.Conn) func() error {
+		ms := live.NewMultiServer(c, live.WorkerOptions{
+			Name: fmt.Sprintf("fleet-%d", i+1), Bodies: s.bodies, Slots: opts.WorkerSlots,
+		})
+		s.servers = append(s.servers, ms)
+		return ms.Serve
+	}
+	fleet, conns, err := live.StartFleet(opts.Transport, opts.Listen, opts.Workers, opts.AwaitExternal, host)
+	if err != nil {
+		return nil, fmt.Errorf("tenant: %w", err)
+	}
+	// Sessions open on the daemons present now; one that dials later would
+	// wait forever for a session, so it is turned away.
+	fleet.AnswerLate(nil)
+	s.fleet = fleet
+	for i, c := range conns {
+		s.daemons = append(s.daemons, &daemon{name: fmt.Sprintf("fleet-%d", i+1), mx: mux.New(c)})
 	}
 	s.loads = make([]atomic.Int64, len(s.daemons))
 	return s, nil
@@ -225,12 +180,7 @@ func NewService(opts Options) (*Service, error) {
 
 // Addr returns the tcp listen address external daemons should dial
 // ("" on inproc).
-func (s *Service) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr()
-}
+func (s *Service) Addr() string { return s.fleet.Addr() }
 
 // profileFor resolves a tenant name to its declared profile or the
 // implicit default.
@@ -334,7 +284,6 @@ func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile, trace
 		id: id, tenant: cfg.Tenant, svc: s, traced: traced,
 		base: access.ObjectID(id) << 32,
 	}
-	var peers []live.Peer
 	var dmap []int
 	for di, d := range s.daemons {
 		if d.dead.Load() {
@@ -344,15 +293,14 @@ func (s *Service) buildSession(id uint64, cfg SessionConfig, prof Profile, trace
 		if err != nil {
 			continue // daemon died while we were opening; skip it
 		}
-		peers = append(peers, live.Peer{Conn: c})
 		sess.conns = append(sess.conns, c)
 		dmap = append(dmap, di)
 	}
-	if len(peers) == 0 {
+	if len(sess.conns) == 0 {
 		return nil, fmt.Errorf("tenant: session %d: no live worker daemon", id)
 	}
 	x, err := live.New(live.Options{
-		Peers:         peers,
+		Peers:         sess.conns,
 		Bodies:        s.bodies,
 		MaxLiveTasks:  s.opts.MaxLiveTasks,
 		Trace:         traced,
@@ -428,13 +376,12 @@ func (s *Service) KillWorker(d int) error {
 // Servers exposes the in-process daemons for ledger and isolation
 // inspection (tests, reports).
 func (s *Service) Servers() []*live.MultiServer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]*live.MultiServer(nil), s.servers...)
 }
 
-// Close shuts the service down. Active sessions' connections die with
-// their daemons; callers should Close sessions first for a clean exit.
+// Close shuts the service down and returns once the in-process daemons
+// have stopped. Active sessions' connections die with their daemons;
+// callers should Close sessions first for a clean exit.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -444,12 +391,11 @@ func (s *Service) Close() error {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.fleet.Close()
 	for _, d := range s.daemons {
 		d.mx.Close()
 	}
-	if s.ln != nil {
-		s.ln.Close()
-	}
+	s.fleet.Wait()
 	return nil
 }
 

@@ -37,10 +37,6 @@ type WorkerOptions struct {
 	Bodies *BodyTable
 	// Kinds resolves named task kinds; nil uses the global registry.
 	Kinds *KindRegistry
-	// Group is the process-group token sent in the hello. Zero with a
-	// shared Bodies table means "the coordinator's process"; zero
-	// without one is replaced by a unique token.
-	Group uint64
 	// Slots is the number of tasks the worker executes concurrently
 	// (processor slots). 0 means 1.
 	Slots int
@@ -84,6 +80,7 @@ type syncBase struct {
 type worker struct {
 	conn    transport.Conn
 	opts    WorkerOptions
+	group   uint64               // process-group token sent in the hello
 	m       int                  // machine index assigned by the coordinator
 	slots   *tenantPool          // a daemon's slots, seen through the session's tenant, or the worker's own
 	runners *pool.Pool[dispatch] // run the dispatched task bodies
@@ -105,35 +102,37 @@ type worker struct {
 // coordinator says goodbye or the connection fails. It blocks for the
 // whole run; run it in a goroutine for in-process workers.
 func Serve(conn transport.Conn, opts WorkerOptions) error {
-	opts = opts.normalized()
-	return newWorker(conn, opts, newTenantSlots(opts.Slots).view("", 0)).serve()
+	opts, group := opts.normalized()
+	return newWorker(conn, opts, group, newTenantSlots(opts.Slots).view("", 0)).serve()
 }
 
-// normalized fills in opts' defaults.
-func (opts WorkerOptions) normalized() WorkerOptions {
+// normalized fills in opts' defaults and works out the worker's
+// process-group token: 0, the coordinator's process, with a shared body
+// table, and a token of its own otherwise.
+func (opts WorkerOptions) normalized() (WorkerOptions, uint64) {
 	if opts.Slots <= 0 {
 		opts.Slots = 1
 	}
 	if opts.Kinds == nil {
 		opts.Kinds = Kinds
 	}
+	var group uint64
 	if opts.Bodies == nil {
 		opts.Bodies = NewBodyTable()
-		if opts.Group == 0 {
-			opts.Group = uniqueGroup()
-		}
+		group = uniqueGroup()
 	}
-	return opts
+	return opts, group
 }
 
 // newWorker builds the endpoint state for normalized opts, its task bodies
 // gated by slots: its own, one uncapped tenant's (Serve), or a daemon's seen
 // through the session's tenant. Split from serve so the multi-tenant daemon
 // can hold the handle for inspection.
-func newWorker(conn transport.Conn, opts WorkerOptions, slots *tenantPool) *worker {
+func newWorker(conn transport.Conn, opts WorkerOptions, group uint64, slots *tenantPool) *worker {
 	w := &worker{
 		conn:    conn,
 		opts:    opts,
+		group:   group,
 		slots:   slots,
 		store:   map[access.ObjectID]any{},
 		bases:   map[access.ObjectID]syncBase{},
@@ -151,7 +150,7 @@ func (w *worker) serve() error {
 	if err := w.send(&wire.Frame{
 		Type: wire.THello, Label: opts.Name,
 		Aux: strings.Join(opts.Caps, ","),
-		A:   uint64(opts.Format), B: opts.Group, C: uint64(opts.Slots),
+		A:   uint64(opts.Format), B: w.group, C: uint64(opts.Slots),
 	}); err != nil {
 		return err
 	}

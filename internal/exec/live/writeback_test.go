@@ -40,11 +40,11 @@ func newTappedFleet(t *testing.T, n int, opts Options) (*Exec, []*sendTap) {
 	t.Helper()
 	bodies := NewBodyTable()
 	taps := make([]*sendTap, n)
-	opts.Peers = make([]Peer, n)
+	opts.Peers = make([]transport.Conn, n)
 	for i := range taps {
 		a, b := inproc.Pipe()
 		taps[i] = &sendTap{tapConn: tapConn{Conn: a}}
-		opts.Peers[i] = Peer{Conn: taps[i]}
+		opts.Peers[i] = taps[i]
 		go Serve(b, WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies})
 	}
 	opts.Bodies = bodies

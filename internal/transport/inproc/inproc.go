@@ -9,12 +9,7 @@
 // tcp substrate gets from its writer goroutine).
 package inproc
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // conn is one endpoint of a pipe.
 type conn struct {
@@ -62,69 +57,3 @@ var (
 	_ transport.Fencer      = (*conn)(nil)
 	_ transport.OwnedSender = (*conn)(nil)
 )
-
-// Name registry: Listen/Dial let code that only knows an address string
-// (e.g. cmd/jadeworker pointed at an inproc coordinator in tests) rendezvous
-// inside one process, mirroring the tcp Listen/Dial shape.
-
-var (
-	regMu    sync.Mutex
-	registry = map[string]*listener{}
-)
-
-type listener struct {
-	name    string
-	backlog chan transport.Conn
-	done    chan struct{}
-	once    sync.Once
-}
-
-// Listen registers name and returns a Listener accepting inproc dials.
-func Listen(name string) (transport.Listener, error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[name]; ok {
-		return nil, fmt.Errorf("inproc: name %q already in use", name)
-	}
-	l := &listener{name: name, backlog: make(chan transport.Conn, 16), done: make(chan struct{})}
-	registry[name] = l
-	return l, nil
-}
-
-// Dial connects to a registered listener by name.
-func Dial(name string) (transport.Conn, error) {
-	regMu.Lock()
-	l, ok := registry[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("inproc: no listener named %q", name)
-	}
-	local, remote := Pipe()
-	select {
-	case l.backlog <- remote:
-		return local, nil
-	case <-l.done:
-		return nil, transport.ErrClosed
-	}
-}
-
-func (l *listener) Accept() (transport.Conn, error) {
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.done:
-		return nil, transport.ErrClosed
-	}
-}
-
-func (l *listener) Addr() string { return l.name }
-
-func (l *listener) Close() error {
-	l.once.Do(func() {
-		close(l.done)
-		regMu.Lock()
-		delete(registry, l.name)
-		regMu.Unlock()
-	})
-	return nil
-}

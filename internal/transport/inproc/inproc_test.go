@@ -96,41 +96,6 @@ func TestClose(t *testing.T) {
 	}
 }
 
-// TestRegistry: Listen/Dial rendezvous by name.
-func TestRegistry(t *testing.T) {
-	l, err := Listen("coord")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := Listen("coord"); err == nil {
-		t.Fatal("duplicate Listen should fail")
-	}
-	if l.Addr() != "coord" {
-		t.Fatalf("Addr = %q", l.Addr())
-	}
-	go func() {
-		c, err := Dial("coord")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		c.Send([]byte("hi"))
-	}()
-	c, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := c.Recv()
-	if err != nil || string(msg) != "hi" {
-		t.Fatalf("Recv = %q, %v", msg, err)
-	}
-	l.Close()
-	if _, err := Dial("coord"); err == nil {
-		t.Fatal("Dial after Close should fail")
-	}
-}
-
 // TestSendOwnedTransfersOwnership: SendOwned must hand the very slice to
 // the receiver (no defensive copy), while Send must copy — the pooled
 // send path in the live executor depends on this distinction.

@@ -622,7 +622,7 @@ func (l *Listener) handshake(raw net.Conn) {
 	}
 }
 
-// Accept implements transport.Listener.
+// Accept returns the next inbound connection.
 func (l *Listener) Accept() (transport.Conn, error) {
 	select {
 	case c := <-l.backlog:
@@ -632,7 +632,7 @@ func (l *Listener) Accept() (transport.Conn, error) {
 	}
 }
 
-// Addr implements transport.Listener.
+// Addr returns the address workers dial ("host:port").
 func (l *Listener) Addr() string { return l.nl.Addr().String() }
 
 // Close stops accepting new connections. Existing connections live on
@@ -651,5 +651,4 @@ var (
 	_ transport.Statser     = (*conn)(nil)
 	_ transport.Fencer      = (*conn)(nil)
 	_ transport.OwnedSender = (*conn)(nil)
-	_ transport.Listener    = (*Listener)(nil)
 )

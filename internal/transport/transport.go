@@ -5,7 +5,7 @@
 // memory, on the iPSC/860, and on an Ethernet network of workstations;
 // what makes that portable is a runtime factored from the communication
 // substrate behind a narrow interface.  This package is that seam for the
-// repo: the live executor speaks only Conn/Listener, and the two concrete
+// repo: the live executor speaks only Conn, and the two concrete
 // substrates — inproc (goroutine channels) and tcp (length-prefixed
 // frames over one socket per connection, with heartbeats) — plug in
 // underneath without the executor changing.
@@ -46,17 +46,6 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Close tears the connection down.  Pending Recv calls return
 	// ErrClosed.
-	Close() error
-}
-
-// Listener accepts inbound connections for the coordinator side.
-type Listener interface {
-	// Accept blocks for the next inbound Conn.
-	Accept() (Conn, error)
-	// Addr returns the address workers should dial ("host:port" for tcp,
-	// the registered name for inproc).
-	Addr() string
-	// Close stops accepting; blocked Accept calls return ErrClosed.
 	Close() error
 }
 

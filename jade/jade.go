@@ -33,7 +33,6 @@ package jade
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/access"
@@ -49,7 +48,6 @@ import (
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/transport/inproc"
 	"repro/internal/transport/tcp"
 )
 
@@ -127,20 +125,11 @@ type Runtime struct {
 	traced    bool
 	wall      time.Duration
 	runStart  time.Time
-	liveAddr  string
 	obsSrv    *obs.Server
 
-	// Live-runtime elastic-membership state (nil/zero otherwise).
-	liveX      *live.Exec
-	liveBodies *live.BodyTable
-	liveSlots  int
-	// liveListener is the TCP rendezvous of a Transport "tcp" runtime. It
-	// stays open while the program runs (late dials are admitted when
-	// Elastic, turned away otherwise) and is closed when Run returns.
-	liveListener *tcp.Listener
-	liveElastic  bool
-	liveMu       sync.Mutex
-	liveNext     int // counter for naming joined in-process workers
+	// fleet is a live runtime's own workers and rendezvous (nil
+	// otherwise, and on a service session, whose fleet is the service's).
+	fleet *live.Fleet
 
 	// runWrap, when non-nil, brackets the executor run (service sessions
 	// use it to keep their lifecycle state truthful).
@@ -150,7 +139,7 @@ type Runtime struct {
 // ListenAddr returns the coordinator's bound TCP address for a live runtime
 // with Transport "tcp" (useful with Listen "127.0.0.1:0" to learn the
 // ephemeral port external jadeworkers should dial), or "" otherwise.
-func (r *Runtime) ListenAddr() string { return r.liveAddr }
+func (r *Runtime) ListenAddr() string { return r.fleet.Addr() }
 
 // Feature names a runtime optimization that SimConfig.Disable can turn off
 // for ablation experiments.
@@ -283,11 +272,13 @@ type LiveConfig struct {
 	// serving /metrics, /trace and /profile (nil = no endpoint). See
 	// ObsConfig.
 	Obs *ObsConfig
-	// Elastic keeps membership open after the run starts: workers may
-	// join mid-run (JoinWorkers, or — with Transport "tcp" — external
-	// jadeworkers dialing in late), drain out gracefully (DrainWorker),
-	// or be declared dead and recovered from (KillWorker injects such a
-	// death; real connection failures are detected the same way).
+	// Elastic keeps the rendezvous open after NewLive returns: with
+	// Transport "tcp", external jadeworkers dialing in late are admitted
+	// mid-run; without it they are turned away. Membership changes the
+	// program makes itself work either way: JoinWorkers adds in-process
+	// workers, DrainWorker retires one gracefully, and KillWorker injects
+	// a death the run recovers from (real connection failures are
+	// detected the same way).
 	Elastic bool
 	// OnTaskDone, when non-nil, is called synchronously each time a
 	// dispatched task retires, with the running total. Chaos and
@@ -300,121 +291,35 @@ type LiveConfig struct {
 // workers are started immediately; with AwaitExternal > 0 the call blocks
 // until every external worker has connected.
 func NewLive(cfg LiveConfig) (*Runtime, error) {
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("jade: LiveConfig.Workers = %d", cfg.Workers)
-	}
-	if cfg.Workers+cfg.AwaitExternal == 0 {
-		return nil, fmt.Errorf("jade: live runtime needs at least one worker")
-	}
 	bodies := live.NewBodyTable()
-	localWorker := func(i int) live.WorkerOptions {
-		var caps []string
+	host := func(i int, c transport.Conn) func() error {
+		opts := live.WorkerOptions{Name: fmt.Sprintf("local-%d", i+1), Bodies: bodies, Slots: cfg.WorkerSlots}
 		if i < len(cfg.WorkerCaps) {
-			caps = cfg.WorkerCaps[i]
+			opts.Caps = cfg.WorkerCaps[i]
 		}
-		return live.WorkerOptions{
-			Name:   fmt.Sprintf("local-%d", i+1),
-			Bodies: bodies,
-			Slots:  cfg.WorkerSlots,
-			Caps:   caps,
-		}
+		return func() error { return live.Serve(c, opts) }
 	}
-	var peers []live.Peer
-	var boundAddr string
-	var lateConns *tcp.Listener
-	switch cfg.Transport {
-	case "", "inproc":
-		if cfg.AwaitExternal > 0 {
-			return nil, fmt.Errorf("jade: AwaitExternal requires Transport \"tcp\"")
-		}
-		for i := 0; i < cfg.Workers; i++ {
-			a, b := inproc.Pipe()
-			go live.Serve(b, localWorker(i))
-			peers = append(peers, live.Peer{Conn: a})
-		}
-	case "tcp":
-		addr := cfg.Listen
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		l, err := tcp.Listen(addr)
-		if err != nil {
-			return nil, fmt.Errorf("jade: live listen: %w", err)
-		}
-		boundAddr = l.Addr()
-		// Dial returns once the listener has answered, before anyone
-		// accepts, so the local workers dial here and a failed dial is
-		// this call's error rather than an Accept that never returns.
-		conns := make([]transport.Conn, 0, cfg.Workers)
-		for i := 0; i < cfg.Workers; i++ {
-			c, err := tcp.Dial(l.Addr())
-			if err != nil {
-				for _, c := range conns {
-					c.Close()
-				}
-				l.Close()
-				return nil, fmt.Errorf("jade: live dial: %w", err)
-			}
-			conns = append(conns, c)
-		}
-		for i, c := range conns {
-			go live.Serve(c, localWorker(i))
-		}
-		for len(peers) < cfg.Workers+cfg.AwaitExternal {
-			c, err := l.Accept()
-			if err != nil {
-				l.Close()
-				return nil, fmt.Errorf("jade: live accept: %w", err)
-			}
-			peers = append(peers, live.Peer{Conn: c})
-		}
-		lateConns = l
-	default:
-		return nil, fmt.Errorf("jade: unknown live transport %q (known: inproc, tcp)", cfg.Transport)
+	fleet, conns, err := live.StartFleet(cfg.Transport, cfg.Listen, cfg.Workers, cfg.AwaitExternal, host)
+	if err != nil {
+		return nil, fmt.Errorf("jade: %w", err)
 	}
 	x, err := live.New(live.Options{
-		Peers:        peers,
+		Peers:        conns,
 		Bodies:       bodies,
 		MaxLiveTasks: cfg.MaxLiveTasks,
 		Trace:        cfg.Trace,
 		OnTaskDone:   cfg.OnTaskDone,
 	})
 	if err != nil {
+		fleet.Close()
 		return nil, err
 	}
-	if lateConns != nil {
-		if cfg.Elastic {
-			// Elastic membership: late dials (redialing evicted workers,
-			// fresh jadeworkers, JoinWorkers) are admitted mid-run.
-			go func() {
-				for {
-					c, err := lateConns.Accept()
-					if err != nil {
-						return
-					}
-					go x.Admit(c)
-				}
-			}()
-		} else {
-			// The rendezvous is complete; late connections are not part
-			// of this run.
-			go func() {
-				for {
-					c, err := lateConns.Accept()
-					if err != nil {
-						return
-					}
-					c.Close()
-				}
-			}()
-		}
+	late := x // an Elastic run admits late dials: redialing evicted workers, fresh jadeworkers
+	if !cfg.Elastic {
+		late = nil // any other run turns them away
 	}
-	r := &Runtime{
-		ex: x, traced: cfg.Trace, liveAddr: boundAddr,
-		liveX: x, liveBodies: bodies, liveSlots: cfg.WorkerSlots,
-		liveListener: lateConns, liveElastic: cfg.Elastic,
-		liveNext: cfg.Workers,
-	}
+	fleet.AnswerLate(late)
+	r := &Runtime{ex: x, traced: cfg.Trace, fleet: fleet}
 	if cfg.Obs != nil {
 		if err := r.startObs(*cfg.Obs); err != nil {
 			return nil, err
@@ -428,70 +333,43 @@ func NewLive(cfg LiveConfig) (*Runtime, error) {
 // in-flight tasks are re-executed elsewhere, and its directory state is
 // rebuilt — the run continues and produces bit-identical results.
 func (r *Runtime) KillWorker(m int) error {
-	if r.liveX == nil {
+	x, ok := r.ex.(*live.Exec)
+	if !ok {
 		return fmt.Errorf("jade: KillWorker requires a live runtime")
 	}
-	return r.liveX.KillWorker(m)
+	return x.KillWorker(m)
 }
 
 // DrainWorker gracefully retires worker machine m from a live runtime:
 // no new tasks are placed on it, in-flight tasks finish (bringing home
 // what they wrote), and the worker departs.
 func (r *Runtime) DrainWorker(m int) error {
-	if r.liveX == nil {
+	x, ok := r.ex.(*live.Exec)
+	if !ok {
 		return fmt.Errorf("jade: DrainWorker requires a live runtime")
 	}
-	return r.liveX.Drain(m)
+	return x.Drain(m)
 }
 
 // JoinWorkers adds n fresh in-process workers to a running live runtime
-// (elastic membership). Placement immediately rebalances onto the new
+// (elastic membership), on either transport and whether or not the
+// runtime is Elastic. Placement immediately rebalances onto the new
 // capacity. It returns after every new worker has completed the join
 // handshake.
 func (r *Runtime) JoinWorkers(n int) error {
-	if r.liveX == nil {
-		return fmt.Errorf("jade: JoinWorkers requires a live runtime")
+	if r.fleet == nil {
+		return fmt.Errorf("jade: JoinWorkers requires a live runtime with its own workers")
 	}
 	for i := 0; i < n; i++ {
-		r.liveMu.Lock()
-		r.liveNext++
-		name := fmt.Sprintf("local-%d", r.liveNext)
-		r.liveMu.Unlock()
-		opts := live.WorkerOptions{Name: name, Bodies: r.liveBodies, Slots: r.liveSlots}
-		if r.liveListener != nil {
-			if !r.liveElastic {
-				return fmt.Errorf("jade: JoinWorkers on a tcp runtime requires LiveConfig.Elastic")
-			}
-			want := r.activeMembers() + 1
-			c, err := tcp.Dial(r.liveAddr)
-			if err != nil {
-				return fmt.Errorf("jade: join dial: %w", err)
-			}
-			go live.Serve(c, opts)
-			// Admission happens in the listener's accept loop; wait for
-			// the member count to reflect it.
-			deadline := time.Now().Add(10 * time.Second)
-			for r.activeMembers() < want {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("jade: join of %s timed out", name)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		} else {
-			a, b := inproc.Pipe()
-			go live.Serve(b, opts)
-			if _, err := r.liveX.Admit(a); err != nil {
-				return fmt.Errorf("jade: join: %w", err)
-			}
+		c, err := r.fleet.Join()
+		if err == nil {
+			_, err = r.ex.(*live.Exec).Admit(c)
+		}
+		if err != nil {
+			return fmt.Errorf("jade: join: %w", err)
 		}
 	}
 	return nil
-}
-
-// activeMembers reports the live runtime's current active worker count.
-func (r *Runtime) activeMembers() int {
-	active, _, _, _ := r.liveX.Members()
-	return active
 }
 
 // WorkerConfig configures a jadeworker endpoint joining a live run from its
@@ -590,10 +468,10 @@ func (r *Runtime) Run(main func(t *Task)) error {
 		err = run()
 	}
 	r.wall = time.Since(start)
-	if r.liveListener != nil {
+	if r.fleet != nil {
 		// Run is once-only: nobody can join a finished run, and an open
 		// listener would keep its socket and two goroutines for good.
-		r.liveListener.Close()
+		r.fleet.Close()
 	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,5 +135,84 @@ func TestLiveExternalWorker(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("array = %v, want %v", got, want)
 		}
+	}
+}
+
+// activeWorkers counts the active members in a live runtime's report.
+func activeWorkers(r *jade.Runtime) int {
+	n := 0
+	for _, w := range r.Report().Workers {
+		if w.State == "active" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLiveExternalWorkerJoinsMidRun: an external worker that dials an
+// Elastic tcp runtime after the run has started is admitted, and a kind
+// task only it can run runs there.
+func TestLiveExternalWorkerJoinsMidRun(t *testing.T) {
+	r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp", Elastic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	var got []int64
+	err = r.Run(func(tk *jade.Task) {
+		go func() {
+			served <- jade.ServeWorker(jade.WorkerConfig{Addr: r.ListenAddr(), Name: "late", Caps: []string{"fpga"}})
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for activeWorkers(r) < 2 {
+			if time.Now().After(deadline) {
+				t.Error("the late worker was not admitted within 5s")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		a := jade.NewArrayFrom(tk, []int64{1, 2, 3}, "v")
+		a.Release(tk)
+		tk.WithOnlyOpts(jade.TaskOptions{
+			Label:      "double",
+			Kind:       "jadetest-double",
+			KindArgs:   binary.LittleEndian.AppendUint64(nil, a.ID()),
+			RequireCap: "fpga",
+		}, func(s *jade.Spec) { s.RdWr(a) }, nil)
+		got = append([]int64(nil), a.Read(tk)...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("late worker: %v", err)
+	}
+	if want := []int64{2, 4, 6}; !slices.Equal(got, want) {
+		t.Fatalf("array = %v, want %v", got, want)
+	}
+	if f := r.Report().Fault; f.WorkersJoined != 1 {
+		t.Fatalf("WorkersJoined = %d, want 1", f.WorkersJoined)
+	}
+}
+
+// TestJoinWorkersOnTCP: JoinWorkers admits on tcp as on inproc, Elastic or
+// not, and the new member is active by the time it returns.
+func TestJoinWorkersOnTCP(t *testing.T) {
+	r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after int
+	var joinErr error
+	runErr := r.Run(func(tk *jade.Task) {
+		before = activeWorkers(r)
+		joinErr = r.JoinWorkers(1)
+		after = activeWorkers(r)
+	})
+	if runErr != nil || joinErr != nil {
+		t.Fatalf("run: %v, join: %v", runErr, joinErr)
+	}
+	if after != before+1 {
+		t.Fatalf("active workers %d before JoinWorkers(1), %d after", before, after)
 	}
 }

@@ -215,7 +215,7 @@ func (s *Service) OpenSession(tenantName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{ex: ts.X, liveX: ts.X, traced: s.traced}
+	r := &Runtime{ex: ts.X, traced: s.traced}
 	r.runWrap = func(run func() error) error {
 		if err := ts.BeginRun(); err != nil {
 			return err

@@ -52,7 +52,16 @@ var forbidden = []struct {
 		except: []string{"internal/apps", "internal/experiments", "internal/integration"},
 		why:    "the runtime sits below the public API"},
 	{from: "", to: "bench", why: "the benchmark measures this module from outside"},
+	// The live fleet builder (internal/exec/live/fleet.go) is the one
+	// place that picks a transport; jade keeps tcp.Dial for ServeWorker.
+	{from: "jade", to: "internal/transport/inproc", why: fleetPicks},
+	{from: "internal/exec/live/tenant", to: "internal/transport/inproc", why: fleetPicks},
+	{from: "internal/exec/live/tenant", to: "internal/transport/tcp", why: fleetPicks},
+	{from: "internal/exec/live/livetest", to: "internal/transport/inproc", why: fleetPicks},
+	{from: "internal/exec/live/livetest", to: "internal/transport/tcp", why: fleetPicks},
 }
+
+const fleetPicks = "workers start through live.StartFleet, the one place that picks a transport"
 
 func TestImportLayering(t *testing.T) {
 	under := func(path, prefix string) bool {
