@@ -33,10 +33,13 @@ func AppendPack(dst []byte, base, val any, from, to format.ByteOrder) (out []byt
 }
 
 // Unpack decodes an AppendPack payload that arrived in byte order `order`
-// on a machine whose own order is native: a patch is applied to base
-// (which is not modified), an image is decoded on its own. words counts
-// the elements swapped when the sender could not convert for us
-// (order != native).
+// on a machine whose own order is native, into base — the receiver's
+// stale copy — and returns it: a patch, or an image of base's kind and
+// length, is written straight into base. Only with no base, or an image of
+// another shape, is a new value allocated. A payload that does not
+// validate leaves base as it was. The caller must own base: nothing else
+// may read it while it is overwritten. words counts the elements swapped
+// when the sender could not convert for us (order != native).
 func Unpack(base any, payload []byte, isPatch bool, order, native format.ByteOrder) (val any, words int, err error) {
 	if payload, words, err = reorder(payload, isPatch, order, native); err != nil {
 		return nil, 0, err
@@ -44,7 +47,7 @@ func Unpack(base any, payload []byte, isPatch bool, order, native format.ByteOrd
 	if isPatch {
 		val, err = format.ApplyPatch(base, payload, native)
 	} else {
-		val, err = format.Decode(payload, native)
+		val, err = format.DecodeInto(base, payload, native)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("unpack: %w", err)

@@ -296,19 +296,27 @@ func TestPackUnpack(t *testing.T) {
 					t.Fatalf("%s: patch swapped %d words, want the 2 dirty ones", name, words)
 				}
 				// Receiver in the order Pack targeted: nothing left to swap.
-				got, rwords, err := Unpack(c.base, payload, isPatch, to, to)
+				// Unpack writes into the base it is given, so it gets a
+				// copy of its own; a base of the payload's shape comes back
+				// holding the value.
+				base := own(c.base)
+				got, rwords, err := Unpack(base, payload, isPatch, to, to)
 				if err != nil || rwords != 0 {
 					t.Fatalf("%s: Unpack = (%d words, %v)", name, rwords, err)
 				}
 				if !reflect.DeepEqual(got, c.val) {
 					t.Fatalf("%s: round trip differs", name)
 				}
+				inPlace := format.KindOf(base) == format.KindOf(c.val) && format.Len(base) == format.Len(c.val)
+				if format.Same(got, base) != inPlace {
+					t.Fatalf("%s: Unpack wrote into its base = %v, want %v", name, !inPlace, inPlace)
+				}
 				// Sender that could not convert (a pull reply): the receiver does.
 				raw, _, _, err = AppendPack(nil, c.base, c.val, from, from)
 				if err != nil {
 					t.Fatalf("%s: AppendPack in own order: %v", name, err)
 				}
-				got, rwords, err = Unpack(c.base, raw, isPatch, from, to)
+				got, rwords, err = Unpack(own(c.base), raw, isPatch, from, to)
 				if err != nil || rwords != words {
 					t.Fatalf("%s: receiver-side conversion = (%d words, %v), want %d words", name, rwords, err, words)
 				}
@@ -338,4 +346,12 @@ func TestPackUnpack(t *testing.T) {
 	if _, _, err := Unpack(big, []byte{1, 2}, true, format.LittleEndian, format.LittleEndian); err == nil {
 		t.Fatal("Unpack of a truncated patch succeeded")
 	}
+}
+
+// own returns a copy of base for Unpack to write into (nil for no base).
+func own(base any) any {
+	if base == nil {
+		return nil
+	}
+	return format.Clone(base)
 }

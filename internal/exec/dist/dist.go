@@ -819,7 +819,14 @@ func (x *Exec) transfer(p *sim.Proc, t *core.Task, src, dst int, d *coherence.En
 		p.Sleep(time.Duration(words) * x.plat.ConvertPerWord)
 		x.record(trace.Event{Kind: trace.Converted, Object: uint64(obj), Src: src, Dst: dst, Bytes: words})
 	}
-	v, _, err := coherence.Unpack(base, payload, isPatch, dstFmt, dstFmt)
+	// A shadow is a slice the simulated machine's task bodies viewed, the
+	// main program's included, so the payload lands in storage of its
+	// own: a copy of the shadow for a patch, a new value for an image.
+	var into any
+	if isPatch {
+		into = format.Clone(base)
+	}
+	v, _, err := coherence.Unpack(into, payload, isPatch, dstFmt, dstFmt)
 	if err != nil {
 		x.fail(fmt.Errorf("object #%d: %w", obj, err))
 		return nil

@@ -1304,6 +1304,10 @@ func (x *Exec) applyWritebacksLocked(w *workerLink, t *core.Task, recs []byte) e
 		var nv any
 		var words int
 		if err == nil {
+			// The record lands in the cache's own storage: nothing else
+			// reads it, since invalidateLocked gave the holders of the
+			// generation it replaces a frozen copy of their own, and the
+			// writer's grant excluded every task that could view it here.
 			nv, words, err = coherence.Unpack(x.vals[obj], wb.Payload, wb.Patch, format.ByteOrder(wb.Order), x.opts.Format)
 		}
 		if err != nil {

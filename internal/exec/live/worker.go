@@ -69,11 +69,15 @@ func uniqueGroup() uint64 {
 // sides agree on: the diff base for patches in either direction. A push or
 // an invalidation sets it from the receive loop, a write-back from the
 // task that held the write — the only one that may touch the object then.
-// A base is never modified. It is the store's value itself until a write
-// grant needs that value: takeLocked then gives the base a copy to keep.
+// The base is the store's value itself until a write grant needs that
+// value: takeLocked then copies it into the spare, the private base the
+// previous write-back retired, or into a new clone when there is no spare
+// of its shape. A base is overwritten only where nothing else can reach it:
+// a push lands in the base of an object that has left the store.
 type syncBase struct {
-	val any
-	ver uint64
+	val   any
+	ver   uint64
+	spare any // a retired private base: never a stored value, never viewed
 }
 
 // worker is one worker endpoint's state.
@@ -330,35 +334,35 @@ func (w *worker) loop() error {
 }
 
 // applyPush installs a pushed object — a full image, or a patch that
-// advances the recorded sync base — and records the result as the new
-// sync base. The coordinator converts to this worker's byte order before
+// advances the recorded sync base — written into the recorded sync base
+// when it has the object's shape, and records the result as the new sync
+// base. The coordinator converts to this worker's byte order before
 // sending; Unpack's order handling is defensive. Decoding happens outside
 // w.mu (task goroutines look objects up under it): no task holds a write on
 // an object while a push of it is in flight, so nothing else replaces this
-// sync base meanwhile, and a base's value is never modified.
+// sync base meanwhile. The base is this worker's alone to overwrite: the
+// coordinator pushes only an object the worker does not hold, so its base
+// left the store at TInvalidate, and the engine granted the write that
+// invalidated it only after every earlier reader had released it.
 func (w *worker) applyPush(f *wire.Frame, isPatch bool) error {
 	obj := access.ObjectID(f.Obj)
-	var base any
-	if isPatch {
-		w.mu.Lock()
-		b, ok := w.bases[obj]
-		w.mu.Unlock()
-		if !ok || b.ver != f.C {
-			have := "none"
-			if ok {
-				have = fmt.Sprint(b.ver)
-			}
-			return fmt.Errorf("live worker %d: patch for object #%d against base %d, have %s", w.m, f.Obj, f.C, have)
+	w.mu.Lock()
+	b, ok := w.bases[obj]
+	w.mu.Unlock()
+	if isPatch && (!ok || b.ver != f.C) {
+		have := "none"
+		if ok {
+			have = fmt.Sprint(b.ver)
 		}
-		base = b.val
+		return fmt.Errorf("live worker %d: patch for object #%d against base %d, have %s", w.m, f.Obj, f.C, have)
 	}
-	v, _, err := coherence.Unpack(base, f.Payload, isPatch, format.ByteOrder(f.B), w.opts.Format)
+	v, _, err := coherence.Unpack(b.val, f.Payload, isPatch, format.ByteOrder(f.B), w.opts.Format)
 	if err != nil {
 		return fmt.Errorf("live worker %d: push of object #%d: %w", w.m, f.Obj, err)
 	}
 	w.mu.Lock()
 	w.store[obj] = v
-	w.bases[obj] = syncBase{val: v, ver: f.A} // shared until a write grant (takeLocked)
+	w.bases[obj] = syncBase{val: v, ver: f.A, spare: b.spare} // shared until a write grant (takeLocked)
 	w.storeCond.Broadcast()
 	w.mu.Unlock()
 	return nil
@@ -387,7 +391,7 @@ func (w *worker) applyInvalidate(f *wire.Frame) {
 	obj := access.ObjectID(f.Obj)
 	w.mu.Lock()
 	if v, ok := w.store[obj]; ok {
-		w.bases[obj] = syncBase{val: v, ver: f.A}
+		w.bases[obj] = syncBase{val: v, ver: f.A, spare: w.bases[obj].spare}
 		delete(w.store, obj)
 	}
 	w.mu.Unlock()
@@ -629,9 +633,16 @@ func (tc *workerTC) release(g writeGrant) {
 		Order: byte(w.opts.Format), Patch: isPatch})
 	tc.writebacks = rec
 	// The task's write ends here, so what it wrote becomes the base as it
-	// stands: the next write grant un-shares it (takeLocked).
+	// stands: the next write grant un-shares it (takeLocked), into the base
+	// it replaces, which retires as the spare. A grant the task never used
+	// left that base the stored value itself, which must never be a spare:
+	// the next writer would write into its own diff base.
+	spare := base.spare
+	if base.val != nil && !format.Same(base.val, v) {
+		spare = base.val
+	}
 	w.mu.Lock()
-	w.bases[obj] = syncBase{val: v, ver: g.gen}
+	w.bases[obj] = syncBase{val: v, ver: g.gen, spare: spare}
 	w.mu.Unlock()
 }
 
@@ -728,16 +739,17 @@ func (w *worker) awaitObject(obj access.ObjectID, m access.Mode) (any, error) {
 
 // takeLocked returns the store's copy of obj for an access in mode m.
 // Every write grant un-shares: a push or a write-back leaves the stored
-// value shared with the sync base, which must never be modified, so a
+// value shared with the sync base, which the writer must not modify, so a
 // write or commute access to a shared value first gives the base a copy of
-// its own. The store keeps the value, so views the task already holds see
-// what it writes. This is the one place a body gains write access to a
-// stored value. Requires w.mu.
+// its own, in the base's spare when it has one of the value's shape. The
+// store keeps the value, so views the task already holds see what it
+// writes. This is the one place a body gains write access to a stored
+// value. Requires w.mu.
 func (w *worker) takeLocked(obj access.ObjectID, m access.Mode) (any, bool) {
 	v, ok := w.store[obj]
 	if ok && m.HasAny(access.Write|access.Commute) {
 		if b, based := w.bases[obj]; based && format.Same(b.val, v) {
-			w.bases[obj] = syncBase{val: format.Clone(v), ver: b.ver}
+			w.bases[obj] = syncBase{val: format.CloneInto(b.spare, v), ver: b.ver}
 		}
 	}
 	return v, ok

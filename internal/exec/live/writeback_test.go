@@ -733,3 +733,106 @@ func TestSyncBaseNeverMutated(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncBaseSpareNeverAliasesStore: a write grant copies the stored
+// value into the base the previous write-back retired, so that spare must
+// be private. On one worker, in order: a write, a write grant the task
+// never uses (its write-back leaves the base the stored value itself), a
+// read and a write; then the main program writes, invalidating the
+// worker's copy, and two more writes there, the first pushed as a patch
+// into the worker's shadow. The coordinator cache matches a serial run
+// after every retirement. A spare that aliases the stored value makes the
+// last write on the worker diff the value against itself, and write back
+// nothing.
+func TestSyncBaseSpareNeverAliasesStore(t *testing.T) {
+	const n = 64
+	writes := []func(v []int64){
+		func(v []int64) { v[3] += 100 },
+		func(v []int64) { v[n-1] = v[3] * 2 },
+		func(v []int64) { v[10] = -5 }, // the main program's
+		func(v []int64) { v[11] += v[10] + v[n-1] },
+		func(v []int64) { v[12] = v[11] - 1 },
+	}
+	serial := [][]int64{make([]int64, n)} // the object before, and after each write
+	for i := range serial[0] {
+		serial[0][i] = int64(i)
+	}
+	for _, w := range writes {
+		next := slices.Clone(serial[len(serial)-1])
+		w(next)
+		serial = append(serial, next)
+	}
+
+	var x *Exec
+	var obj access.ObjectID
+	var mu sync.Mutex
+	var cached [][]int64 // the cache's copy at each retirement
+	x, taps := newTappedFleet(t, 1, Options{OnTaskDone: func(int) {
+		x.coh.Lock()
+		v := slices.Clone(x.vals[obj].([]int64))
+		x.coh.Unlock()
+		mu.Lock()
+		cached = append(cached, v)
+		mu.Unlock()
+	}})
+	var read []int64
+	err := x.Run(func(tc rt.TC) {
+		var err error
+		if obj, err = tc.Alloc(slices.Clone(serial[0]), "o"); err != nil {
+			panic(err)
+		}
+		rw := []access.Decl{{Object: obj, Mode: access.ReadWrite}}
+		write := func(label string, k int) {
+			mustCreate(tc, rw, onMachine(label, 1), func(b rt.TC) { writes[k](mustAccess(b, obj, access.ReadWrite)) })
+		}
+		write("first", 0)
+		mustCreate(tc, rw, onMachine("unused", 1), func(rt.TC) {})
+		mustCreate(tc, []access.Decl{{Object: obj, Mode: access.Read}}, onMachine("reader", 1), func(b rt.TC) {
+			read = slices.Clone(mustAccess(b, obj, access.Read))
+		})
+		write("second", 1)
+		writes[2](mustAccess(tc, obj, access.ReadWrite))
+		tc.ClearAccess(obj)
+		write("third", 3)
+		write("fourth", 4)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patches := 0
+	for _, f := range taps[0].sent {
+		if f.Type == wire.TObjPatch && access.ObjectID(f.Obj) == obj {
+			patches++
+		}
+	}
+	if patches != 1 {
+		t.Fatalf("the coordinator pushed %d patches of the object, want 1: the write after the main program's must re-fetch into the worker's shadow", patches)
+	}
+	if !slices.Equal(read, serial[1]) {
+		t.Errorf("the reader saw %v, want %v", read, serial[1])
+	}
+	want := [][]int64{serial[1], serial[1], serial[1], serial[2], serial[4], serial[5]}
+	if len(cached) != len(want) {
+		t.Fatalf("%d retirements, want %d", len(cached), len(want))
+	}
+	for k := range want {
+		if !slices.Equal(cached[k], want[k]) {
+			t.Errorf("retirement %d: the cache holds %v, a serial run %v", k+1, cached[k], want[k])
+		}
+	}
+
+	// The copy a write grant makes lands in the spare, which it uses up.
+	w := newWorker(nil, WorkerOptions{}, 0, newTenantSlots(1).view("", 0))
+	v, spare := []int64{1, 2, 3}, make([]int64, 3)
+	w.store[obj] = v
+	w.bases[obj] = syncBase{val: v, ver: 7, spare: spare}
+	w.takeLocked(obj, access.Read)
+	if b := w.bases[obj]; !format.Same(b.val, v) || b.spare == nil {
+		t.Fatal("a read grant un-shared the sync base")
+	}
+	w.takeLocked(obj, access.ReadWrite)
+	if b := w.bases[obj]; !format.Same(b.val, spare) || b.spare != nil || b.ver != 7 || !slices.Equal(spare, v) {
+		t.Fatalf("a write grant left the base %v (spare %v), want the spare holding %v", b.val, b.spare, v)
+	}
+	w.runners.Close()
+}

@@ -148,20 +148,34 @@ func Len(v any) int {
 
 // Clone returns a deep copy of a supported value. Unsupported values panic:
 // they cannot cross machine boundaries.
-func Clone(v any) any {
+func Clone(v any) any { return CloneInto(nil, v) }
+
+// CloneInto copies v into dst and returns dst when dst has v's kind and
+// length, and returns Clone(v) otherwise: a receiver that owns a retired
+// buffer of the right shape reuses it. dst must not be v itself, nor be
+// reachable by anything else that reads it.
+func CloneInto(dst, v any) any {
 	switch x := v.(type) {
 	case []byte:
-		return append([]byte(nil), x...)
+		return cloneInto(dst, x)
 	case []int32:
-		return append([]int32(nil), x...)
+		return cloneInto(dst, x)
 	case []int64:
-		return append([]int64(nil), x...)
+		return cloneInto(dst, x)
 	case []float32:
-		return append([]float32(nil), x...)
+		return cloneInto(dst, x)
 	case []float64:
-		return append([]float64(nil), x...)
+		return cloneInto(dst, x)
 	}
 	panic(fmt.Sprintf("format: cannot clone unsupported type %T", v))
+}
+
+func cloneInto[E any](dst any, x []E) any {
+	if d, ok := dst.([]E); ok && len(d) == len(x) {
+		copy(d, x)
+		return dst // as given: a slice turned into an interface again is a new allocation
+	}
+	return append([]E(nil), x...)
 }
 
 // Same reports whether a and b are one value: slices of the same kind and
@@ -249,7 +263,14 @@ func appendElems(dst []byte, v any, lo, hi int, ord ByteOrder) []byte {
 }
 
 // Decode reconstructs the value from a wire image in byte order ord.
-func Decode(data []byte, ord ByteOrder) (any, error) {
+func Decode(data []byte, ord ByteOrder) (any, error) { return DecodeInto(nil, data, ord) }
+
+// DecodeInto decodes a wire image in byte order ord into dst and returns
+// it when dst has the image's kind and length; otherwise it decodes into a
+// new value. The image is checked before the first element is written, so
+// a bad one leaves dst as it was. The caller must own dst: nothing else may
+// read it while it is overwritten.
+func DecodeInto(dst any, data []byte, ord ByteOrder) (any, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("format: truncated image (%d bytes)", len(data))
 	}
@@ -262,37 +283,37 @@ func Decode(data []byte, ord ByteOrder) (any, error) {
 	if len(data) != headerSize+n*es {
 		return nil, fmt.Errorf("format: image size %d does not match %v[%d]", len(data), k, n)
 	}
-	payload := data[headerSize:]
-	bo := ord.order()
-	switch k {
-	case KindBytes:
-		return append([]byte(nil), payload...), nil
-	case KindInt32s:
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(bo.Uint32(payload[i*4:]))
-		}
-		return out, nil
-	case KindInt64s:
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(bo.Uint64(payload[i*8:]))
-		}
-		return out, nil
-	case KindFloat32s:
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = math.Float32frombits(bo.Uint32(payload[i*4:]))
-		}
-		return out, nil
-	case KindFloat64s:
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(bo.Uint64(payload[i*8:]))
-		}
-		return out, nil
+	if KindOf(dst) != k || Len(dst) != n {
+		dst = Zero(k, n)
 	}
-	return nil, fmt.Errorf("format: invalid kind %d", data[0])
+	putElems(dst, 0, data[headerSize:], ord)
+	return dst, nil
+}
+
+// putElems overwrites the elements of v from off on with the encoded
+// elements of payload, in byte order ord.
+func putElems(v any, off int, payload []byte, ord ByteOrder) {
+	bo := ord.order()
+	switch x := v.(type) {
+	case []byte:
+		copy(x[off:], payload)
+	case []int32:
+		for i := range len(payload) / 4 {
+			x[off+i] = int32(bo.Uint32(payload[i*4:]))
+		}
+	case []int64:
+		for i := range len(payload) / 8 {
+			x[off+i] = int64(bo.Uint64(payload[i*8:]))
+		}
+	case []float32:
+		for i := range len(payload) / 4 {
+			x[off+i] = math.Float32frombits(bo.Uint32(payload[i*4:]))
+		}
+	case []float64:
+		for i := range len(payload) / 8 {
+			x[off+i] = math.Float64frombits(bo.Uint64(payload[i*8:]))
+		}
+	}
 }
 
 // Convert re-encodes a wire image from byte order `from` to byte order `to`,

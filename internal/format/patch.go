@@ -190,48 +190,26 @@ func patchHeader(patch []byte) (Kind, int, error) {
 	return KindInvalid, 0, fmt.Errorf("format: patch has invalid kind %d", patch[0])
 }
 
-// ApplyPatch reconstructs the new value from a base (the receiver's stale
-// shadow copy) and a patch whose run payloads are in byte order ord. The
-// base is not modified; a fresh value is returned. The patch header is
-// checked against the base before the base is copied, so a patch for
-// another shape costs no copy.
+// ApplyPatch patches base in place — base is the receiver's stale copy,
+// and becomes the new value — from a patch whose run payloads are in byte
+// order ord, and returns it. The whole patch is checked against base
+// before the first word is written, so a patch for another shape, or a
+// truncated or overrunning one, leaves base as it was. The caller must own
+// base: nothing else may read it while it is overwritten.
 func ApplyPatch(base any, patch []byte, ord ByteOrder) (any, error) {
-	pk, n, err := patchHeader(patch)
+	pk, n, err := parsePatch(patch, func(int, int, []byte) error { return nil })
 	if err != nil {
 		return nil, err
 	}
 	if k := KindOf(base); pk != k || n != Len(base) {
 		return nil, fmt.Errorf("format: patch %v[%d] does not match base %v[%d]", pk, n, k, Len(base))
 	}
-	out := Clone(base)
-	bo := ord.order()
-	apply := func(off, cnt int, payload []byte) error {
-		switch v := out.(type) {
-		case []byte:
-			copy(v[off:off+cnt], payload)
-		case []int32:
-			for i := 0; i < cnt; i++ {
-				v[off+i] = int32(bo.Uint32(payload[i*4:]))
-			}
-		case []int64:
-			for i := 0; i < cnt; i++ {
-				v[off+i] = int64(bo.Uint64(payload[i*8:]))
-			}
-		case []float32:
-			for i := 0; i < cnt; i++ {
-				v[off+i] = math.Float32frombits(bo.Uint32(payload[i*4:]))
-			}
-		case []float64:
-			for i := 0; i < cnt; i++ {
-				v[off+i] = math.Float64frombits(bo.Uint64(payload[i*8:]))
-			}
-		}
+	// The patch is valid, so this second walk writes every run.
+	parsePatch(patch, func(off, _ int, payload []byte) error {
+		putElems(base, off, payload, ord)
 		return nil
-	}
-	if _, _, err := parsePatch(patch, apply); err != nil {
-		return nil, err
-	}
-	return out, nil
+	})
+	return base, nil
 }
 
 // ConvertPatch re-encodes a patch's run payloads from byte order `from` to

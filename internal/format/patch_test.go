@@ -3,9 +3,11 @@ package format
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -32,16 +34,17 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		if patch == nil || len(patch) >= SizeOf(new_) {
 			t.Fatalf("%v: patch (%d bytes) should beat full image (%d)", ord, len(patch), SizeOf(new_))
 		}
-		got, err := ApplyPatch(old, patch, ord)
+		base := Clone(old)
+		got, err := ApplyPatch(base, patch, ord)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, new_) {
 			t.Fatalf("%v: patched value differs from new", ord)
 		}
-		// The base must not have been modified.
-		if old[10] != 10 {
-			t.Fatal("ApplyPatch modified its base")
+		// The patch lands in the base it was given.
+		if !Same(got, base) {
+			t.Fatal("ApplyPatch returned a new value instead of patching its base")
 		}
 	}
 }
@@ -222,7 +225,7 @@ func TestApplyPatchRejectsCorruptPatches(t *testing.T) {
 			t.Fatalf("patch of kind %v applied to an int64 base", k)
 		}
 	}
-	// A base that cannot be copied is refused before the copy is tried.
+	// A base of no supported kind is refused.
 	if _, err := ApplyPatch([]string{"a", "b", "c", "d"}, good, LittleEndian); err == nil {
 		t.Fatal("patch applied to an unsupported base")
 	}
@@ -364,6 +367,151 @@ func TestDiffPropertyMatchesImageCompare(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases", cases)
+}
+
+// TestPatchInPlaceProperty is the in-place contract ApplyPatch and
+// DecodeInto give a receiver, for every kind, both byte orders, and empty,
+// odd and larger lengths, over random bit patterns (NaNs included):
+//   - patching a copy of old with Diff(old, new) gives new bit for bit, in
+//     that copy;
+//   - decoding an image into a value of its shape gives what Decode gives,
+//     in that value;
+//   - a truncated, overrunning or shape-mismatched patch or image leaves the
+//     destination byte-identical (an image for another shape decodes into
+//     a new value instead).
+func TestPatchInPlaceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	random := func(k Kind, n int) any {
+		img := make([]byte, headerSize, headerSize+n*k.elemSize())
+		img[0] = byte(k)
+		binary.LittleEndian.PutUint32(img[1:], uint32(n))
+		for range n * k.elemSize() {
+			img = append(img, byte(rng.Intn(256)))
+		}
+		v, err := Decode(img, LittleEndian)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	bits := func(v any) []byte {
+		img, err := Encode(v, LittleEndian)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	// unchanged fails the test unless dst still holds the bytes want.
+	unchanged := func(what string, dst any, want []byte) {
+		t.Helper()
+		if !bytes.Equal(bits(dst), want) {
+			t.Fatalf("%s: the destination changed", what)
+		}
+	}
+	// other is a value of another shape than v: one longer, or another kind.
+	other := func(v any) any {
+		if rng.Intn(2) == 0 {
+			return Zero(KindOf(v), Len(v)+1)
+		}
+		if KindOf(v) == KindInt64s {
+			return Zero(KindFloat64s, Len(v))
+		}
+		return Zero(KindInt64s, Len(v))
+	}
+	kinds := []Kind{KindBytes, KindInt32s, KindInt64s, KindFloat32s, KindFloat64s}
+	patched := 0
+	for _, k := range kinds {
+		for _, n := range []int{0, 1, 2, 3, 7, 13, 31, 64, 127, 255} {
+			for trial := 0; trial < 8; trial++ {
+				old := random(k, n)
+				new := Clone(old)
+				if n > 0 {
+					// From one dirty element up to about all of them.
+					for d := 1 + rng.Intn(1+n>>(trial%4)); d > 0; d-- {
+						i := rng.Intn(n)
+						putElems(new, i, bits(random(k, 1))[headerSize:], LittleEndian)
+					}
+				}
+				for _, ord := range []ByteOrder{LittleEndian, BigEndian} {
+					name := fmt.Sprintf("%v[%d] trial %d %v", k, n, trial, ord)
+					// An image decodes into a destination of its shape.
+					img, _ := Encode(new, ord)
+					dst := Clone(old)
+					got, err := DecodeInto(dst, img, ord)
+					want, werr := Decode(img, ord)
+					if err != nil || werr != nil || !bytes.Equal(bits(got), bits(want)) || !bytes.Equal(bits(got), bits(new)) {
+						t.Fatalf("%s: DecodeInto = %v, %v; Decode = %v, %v", name, got, err, want, werr)
+					}
+					if n > 0 && !Same(got, dst) {
+						t.Fatalf("%s: DecodeInto allocated for a destination of the image's shape", name)
+					}
+					// A bad image leaves the destination as it was.
+					dst, before := Clone(old), bits(old)
+					cut := headerSize + rng.Intn(len(img)-headerSize+1) - 1
+					for _, bad := range [][]byte{img[:cut], append(slices.Clip(img), 0)} {
+						if _, err := DecodeInto(dst, bad, ord); err == nil {
+							t.Fatalf("%s: DecodeInto accepted a %d-byte image of %d", name, len(bad), len(img))
+						}
+						unchanged(name+": bad image", dst, before)
+					}
+					// An image of another shape decodes into a new value.
+					odst := other(new)
+					obefore := bits(odst)
+					if got, err := DecodeInto(odst, img, ord); err != nil || !bytes.Equal(bits(got), bits(new)) {
+						t.Fatalf("%s: DecodeInto into another shape = %v, %v", name, got, err)
+					}
+					unchanged(name+": image for another shape", odst, obefore)
+
+					patch, _, ok := Diff(old, new, ord)
+					if !ok {
+						continue
+					}
+					patched++
+					dst = Clone(old)
+					if got, err := ApplyPatch(dst, patch, ord); err != nil || !bytes.Equal(bits(got), bits(new)) || (n > 0 && !Same(got, dst)) {
+						t.Fatalf("%s: ApplyPatch = %v, %v; want %v in place", name, got, err, new)
+					}
+					// A bad patch — cut short, overrunning the value, one
+					// byte too long, or for another shape — is refused
+					// before a word is written.
+					bads := [][]byte{patch[:rng.Intn(len(patch))], append(slices.Clip(patch), 0)}
+					if runs := binary.LittleEndian.Uint32(patch[5:]); runs > 0 {
+						// The last run's count reaches one past the end, its
+						// payload stretched to match: every earlier run is
+						// sound, so only a check of the whole patch first
+						// keeps them out of the destination.
+						last, pos := 0, patchHeaderSize
+						for r := uint32(0); r < runs; r++ {
+							last = pos
+							pos += runHeaderSize + int(binary.LittleEndian.Uint32(patch[pos+4:]))*k.elemSize()
+						}
+						off := int(binary.LittleEndian.Uint32(patch[last:]))
+						over := slices.Clone(patch)
+						binary.LittleEndian.PutUint32(over[last+4:], uint32(n-off+1))
+						over = append(over, make([]byte, (n-off+1)*k.elemSize()-(len(patch)-last-runHeaderSize))...)
+						bads = append(bads, over)
+					}
+					for _, bad := range bads {
+						dst, before = Clone(old), bits(old)
+						if _, err := ApplyPatch(dst, bad, ord); err == nil {
+							t.Fatalf("%s: ApplyPatch accepted a bad %d-byte patch of %d", name, len(bad), len(patch))
+						}
+						unchanged(name+": bad patch", dst, before)
+					}
+					odst = other(new)
+					obefore = bits(odst)
+					if _, err := ApplyPatch(odst, patch, ord); err == nil {
+						t.Fatalf("%s: ApplyPatch applied to another shape", name)
+					}
+					unchanged(name+": patch for another shape", odst, obefore)
+				}
+			}
+		}
+	}
+	if patched == 0 {
+		t.Fatal("no trial produced a patch")
+	}
+	t.Logf("%d patches", patched)
 }
 
 // TestDiffAllocs: Diff of a 4 KiB []byte with 1% of its bytes dirty makes

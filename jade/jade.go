@@ -322,6 +322,12 @@ func NewLive(cfg LiveConfig) (*Runtime, error) {
 	r := &Runtime{ex: x, traced: cfg.Trace, fleet: fleet}
 	if cfg.Obs != nil {
 		if err := r.startObs(*cfg.Obs); err != nil {
+			// The executor has not run, so its connections are all it
+			// holds: closing them ends the workers waiting for a welcome.
+			for _, c := range conns {
+				c.Close()
+			}
+			fleet.Close()
 			return nil, err
 		}
 	}
@@ -423,9 +429,10 @@ func ServeWorker(cfg WorkerConfig) error {
 		return live.NewMultiServer(c, wopts).Serve()
 	}
 	err = live.Serve(c, wopts)
-	if err == transport.ErrClosed || errors.Is(err, live.ErrClosing) {
-		// The run ended — or ended before this worker's join was
-		// processed, which comes to the same thing for the worker.
+	if errors.Is(err, transport.ErrClosed) || errors.Is(err, live.ErrClosing) {
+		// The run ended, ended before this worker's join was processed,
+		// or turned the worker away (a run that admits no late member):
+		// all the same to the worker.
 		return nil
 	}
 	return err

@@ -216,3 +216,44 @@ func TestJoinWorkersOnTCP(t *testing.T) {
 		t.Fatalf("active workers %d before JoinWorkers(1), %d after", before, after)
 	}
 }
+
+// TestNewLiveObsFailureLeavesNoGoroutines: a tcp runtime whose obs
+// endpoint cannot start fails NewLive, and gives back the fleet it started
+// — the listener and the workers waiting for a welcome — with it.
+func TestNewLiveObsFailureLeavesNoGoroutines(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	before := runtime.NumGoroutine()
+	r, err := jade.NewLive(jade.LiveConfig{Workers: 2, Transport: "tcp", Obs: &jade.ObsConfig{Addr: taken.Addr().String()}})
+	if err == nil {
+		r.Run(func(*jade.Task) {})
+		t.Fatalf("NewLive served obs on %s, an address in use", taken.Addr())
+	}
+	if err := exectest.AwaitGoroutines(before, 5*time.Second); err != nil {
+		t.Fatalf("after NewLive failed: %v", err)
+	}
+}
+
+// TestServeWorkerTurnedAwayReturnsNil: a worker that a non-elastic tcp
+// runtime turns away returns nil, as a -multi daemon a service turns away
+// does.
+func TestServeWorkerTurnedAwayReturnsNil(t *testing.T) {
+	r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- jade.ServeWorker(jade.WorkerConfig{Addr: r.ListenAddr(), Name: "late"}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("turned-away worker: %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a late worker is still connected to a non-elastic runtime 5s after dialing")
+	}
+	runSum(t, r)
+}
