@@ -1,7 +1,8 @@
 // Command jadeworker is a standalone worker daemon for the live runtime: it
-// dials a coordinator started with jade.NewLive (Transport "tcp",
-// AwaitExternal > 0), advertises its capabilities and data format, and
-// executes dispatched tasks until the run ends.
+// dials a coordinator started with jade.NewLive, or a multi-tenant session
+// service started with jade.NewService (Transport "tcp", AwaitExternal > 0
+// either way), advertises its capabilities and data format, and executes
+// dispatched tasks until the run or the service ends.
 //
 //	jadeworker -addr host:7070 -name gpu1 -caps gpu,camera -slots 2
 //
@@ -13,11 +14,10 @@
 // this binary (or a copy of it) for real work; a stock jadeworker can still
 // serve as a remote memory/relay endpoint for closure-free protocols.
 //
-// With -multi the daemon joins a multi-tenant session service
-// (jade.NewService with AwaitExternal > 0) instead of a single run: an
-// isolated worker instance per announced session, all sharing -slots under
-// the service's per-tenant quotas. A -multi daemon that dials after the
-// service has started is refused, like a late worker at a non-elastic run.
+// A service hosts an isolated worker instance on the daemon per announced
+// session, all sharing -slots under its per-tenant quotas. A daemon that
+// dials a service after it has started is refused, like a late worker at
+// a non-elastic run.
 //
 // Capability tags (-caps) drive §4.5 placement: tasks created with
 // jade.TaskOptions.RequireCap schedule only onto workers advertising
@@ -42,6 +42,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -58,8 +59,7 @@ func main() {
 		addr  = flag.String("addr", "127.0.0.1:7070", "coordinator address to join")
 		name  = flag.String("name", "", "worker name in coordinator diagnostics (default host:pid)")
 		caps  = flag.String("caps", "", "comma-separated capability tags to advertise (e.g. gpu,camera)")
-		slots = flag.Int("slots", 1, "concurrent task slots (with -multi: machine total shared by all sessions)")
-		multi = flag.Bool("multi", false, "serve a multi-tenant session service (jade.NewService) instead of a single run")
+		slots = flag.Int("slots", 1, "concurrent task slots (serving a session service: machine total shared by all sessions)")
 		loop  = flag.Bool("loop", false, "serve runs forever: reconnect after each run ends")
 		retry = flag.Duration("retry", time.Second, "redial interval with -loop")
 	)
@@ -87,12 +87,12 @@ func main() {
 		os.Exit(1)
 	}()
 
-	cfg := jade.WorkerConfig{Addr: *addr, Name: wn, Caps: tags, Slots: *slots, Multi: *multi, Drain: drain}
+	cfg := jade.WorkerConfig{Addr: *addr, Name: wn, Caps: tags, Slots: *slots, Drain: drain}
 
 	for {
 		err := jade.ServeWorker(cfg)
 		switch {
-		case err == jade.ErrWorkerEvicted:
+		case errors.Is(err, jade.ErrWorkerEvicted):
 			// The coordinator fenced this session and declared it dead; any
 			// state it held has been rebuilt elsewhere. With -loop the next
 			// dial joins the run as a fresh member.

@@ -3,18 +3,15 @@ package live
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/transport"
 	"repro/internal/transport/inproc"
 	"repro/internal/transport/tcp"
 )
 
-// Host stands up the worker side of in-process worker i on conn and
-// returns the loop that serves it: Serve for one run, a MultiServer's
-// Serve for the session service. The fleet calls it synchronously and
-// runs the loop in a goroutine of its own.
-type Host func(i int, conn transport.Conn) (serve func() error)
+// Host returns the options in-process worker i serves with: the fleet runs
+// the one worker host (a MultiServer) on its connection.
+type Host func(i int) WorkerOptions
 
 // Fleet is the set of workers a coordinator starts in its own process,
 // plus the rendezvous through which workers in other processes reach it.
@@ -23,9 +20,11 @@ type Host func(i int, conn transport.Conn) (serve func() error)
 type Fleet struct {
 	host  Host
 	ln    *tcp.Listener // nil on inproc
-	next  atomic.Int64  // in-process workers started so far, joins included
 	hosts sync.WaitGroup
 	late  sync.WaitGroup // the loop answering late dials
+
+	mu      sync.Mutex
+	servers []*MultiServer // the in-process workers' hosts, joins included
 }
 
 // StartFleet starts local in-process workers on transport tr ("" means
@@ -90,14 +89,21 @@ func StartFleet(tr, listen string, local, external int, host Host) (*Fleet, []tr
 	return nil, nil, fmt.Errorf("live: unknown transport %q (known: inproc, tcp)", tr)
 }
 
-// start hands conn to the host as the next in-process worker.
+// start serves conn as the next in-process worker, in a goroutine.
 func (f *Fleet) start(conn transport.Conn) {
-	serve := f.host(int(f.next.Add(1)-1), conn)
+	f.mu.Lock()
+	ms := newMultiServer(conn, f.host(len(f.servers)))
+	f.servers = append(f.servers, ms)
+	f.mu.Unlock()
 	f.hosts.Add(1)
-	go func() {
-		defer f.hosts.Done()
-		serve()
-	}()
+	go func() { defer f.hosts.Done(); ms.Serve() }()
+}
+
+// Servers returns the in-process workers' hosts, in the order they started.
+func (f *Fleet) Servers() []*MultiServer {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*MultiServer(nil), f.servers...)
 }
 
 // AnswerLate answers the dials that reach the listener after the

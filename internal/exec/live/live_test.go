@@ -19,9 +19,8 @@ import (
 func newFleet(t *testing.T, tr string, n int, opts Options) *Exec {
 	t.Helper()
 	bodies := NewBodyTable()
-	f, conns, err := StartFleet(tr, "", n, 0, func(i int, c transport.Conn) func() error {
-		wopts := WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies}
-		return func() error { return Serve(c, wopts) }
+	f, conns, err := StartFleet(tr, "", n, 0, func(i int) WorkerOptions {
+		return WorkerOptions{Name: fmt.Sprintf("w%d", i+1), Bodies: bodies}
 	})
 	if err != nil {
 		t.Fatal(err)

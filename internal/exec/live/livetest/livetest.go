@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/exec/live"
 	"repro/internal/rt"
-	"repro/internal/transport"
 )
 
 // Step is one scripted membership event. Exactly one of Kill, Drain, or
@@ -77,9 +76,8 @@ func New(opts Options) (*Cluster, error) {
 		return c.script[i].AfterDone < c.script[j].AfterDone
 	})
 	bodies := live.NewBodyTable()
-	host := func(i int, conn transport.Conn) func() error {
-		wopts := live.WorkerOptions{Name: fmt.Sprintf("chaos-%d", i+1), Bodies: bodies, Slots: opts.Slots}
-		return func() error { return live.Serve(conn, wopts) }
+	host := func(i int) live.WorkerOptions {
+		return live.WorkerOptions{Name: fmt.Sprintf("chaos-%d", i+1), Bodies: bodies, Slots: opts.Slots}
 	}
 	fleet, conns, err := live.StartFleet("", "", opts.Workers, 0, host)
 	if err != nil {

@@ -135,7 +135,7 @@ func (s *Service) Report() ServiceReport {
 		r.Bytes += tr.Bytes
 		r.CrashesDetected += tr.Crashes
 	}
-	for i, ms := range s.servers {
+	for i, ms := range s.fleet.Servers() {
 		name := "daemon"
 		if i < len(s.daemons) {
 			name = s.daemons[i].name

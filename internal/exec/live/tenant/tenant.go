@@ -3,15 +3,17 @@
 // §4.15). It is the layer that turns the live executor — one main
 // program, one coordinator, one set of workers — into a backend.
 //
-// Shape: the service owns N worker daemons, each a live.MultiServer on
-// the far side of one physical connection wrapped in a session mux
-// (internal/transport/mux). Each admitted session gets its own
-// live.Exec — its own dependency engine, object directory, delta
-// shadows, and trace ring — driving virtual connections to every
-// daemon. Isolation is structural (per-session executors and worker
-// stores, disjoint object-id ranges of 2³² per session) and enforced on
-// the wire (frames route by session id; a fenced session's late frames
-// are dropped).
+// Shape: the service owns N worker daemons, each a worker host
+// (live.Serve, a live.MultiServer) on the far side of one physical
+// connection wrapped in a session mux (internal/transport/mux). The
+// service never speaks on a connection's session 0, the one a plain run
+// uses: it closes it, and the host goes on to serve the sessions opened.
+// Each admitted session gets its own live.Exec — its own dependency
+// engine, object directory, delta shadows, and trace ring — driving
+// virtual connections to every daemon. Isolation is structural
+// (per-session executors and worker stores, disjoint object-id ranges of
+// 2³² per session) and enforced on the wire (frames route by session id;
+// a fenced session's late frames are dropped).
 //
 // The SessionManager half follows the profiles/active registry shape of
 // codenerd's ShardManager: declared tenant profiles on one side, live
@@ -31,7 +33,6 @@ import (
 	"repro/internal/exec/live"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/transport/mux"
 )
 
@@ -64,7 +65,7 @@ type Options struct {
 	// Listen is the tcp listen address (default "127.0.0.1:0").
 	Listen string
 	// AwaitExternal makes the tcp service wait for this many external
-	// daemons (cmd/jadeworker -multi) on top of the in-process ones.
+	// daemons (cmd/jadeworker) on top of the in-process ones.
 	AwaitExternal int
 	// WorkerSlots is each daemon's total concurrent task capacity,
 	// shared across all resident sessions (default 2).
@@ -99,8 +100,7 @@ type Service struct {
 	opts    Options
 	bodies  *live.BodyTable
 	daemons []*daemon
-	servers []*live.MultiServer // in-process daemons, set at start; for ledger inspection
-	loads   []atomic.Int64      // per daemon: fleet-wide outstanding tasks
+	loads   []atomic.Int64 // per daemon: fleet-wide outstanding tasks
 	fleet   *live.Fleet
 
 	mu        sync.Mutex
@@ -156,12 +156,8 @@ func NewService(opts Options) (*Service, error) {
 	for _, p := range opts.Profiles {
 		s.profiles[p.Name] = p
 	}
-	host := func(i int, c transport.Conn) func() error {
-		ms := live.NewMultiServer(c, live.WorkerOptions{
-			Name: fmt.Sprintf("fleet-%d", i+1), Bodies: s.bodies, Slots: opts.WorkerSlots,
-		})
-		s.servers = append(s.servers, ms)
-		return ms.Serve
+	host := func(i int) live.WorkerOptions {
+		return live.WorkerOptions{Name: fmt.Sprintf("fleet-%d", i+1), Bodies: s.bodies, Slots: opts.WorkerSlots}
 	}
 	fleet, conns, err := live.StartFleet(opts.Transport, opts.Listen, opts.Workers, opts.AwaitExternal, host)
 	if err != nil {
@@ -172,7 +168,9 @@ func NewService(opts Options) (*Service, error) {
 	fleet.AnswerLate(nil)
 	s.fleet = fleet
 	for i, c := range conns {
-		s.daemons = append(s.daemons, &daemon{name: fmt.Sprintf("fleet-%d", i+1), mx: mux.New(c)})
+		mx := mux.New(c)
+		mx.Plain().Close() // no plain run here: the host serves the sessions opened
+		s.daemons = append(s.daemons, &daemon{name: fmt.Sprintf("fleet-%d", i+1), mx: mx})
 	}
 	s.loads = make([]atomic.Int64, len(s.daemons))
 	return s, nil
@@ -375,9 +373,7 @@ func (s *Service) KillWorker(d int) error {
 
 // Servers exposes the in-process daemons for ledger and isolation
 // inspection (tests, reports).
-func (s *Service) Servers() []*live.MultiServer {
-	return append([]*live.MultiServer(nil), s.servers...)
-}
+func (s *Service) Servers() []*live.MultiServer { return s.fleet.Servers() }
 
 // Close shuts the service down and returns once the in-process daemons
 // have stopped. Active sessions' connections die with their daemons;

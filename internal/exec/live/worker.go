@@ -86,7 +86,7 @@ type worker struct {
 	opts    WorkerOptions
 	group   uint64               // process-group token sent in the hello
 	m       int                  // machine index assigned by the coordinator
-	slots   *tenantPool          // a daemon's slots, seen through the session's tenant, or the worker's own
+	slots   *tenantPool          // the host's slots, seen through the session's tenant
 	runners *pool.Pool[dispatch] // run the dispatched task bodies
 
 	mu        sync.Mutex
@@ -102,36 +102,10 @@ type worker struct {
 	deadOnce sync.Once
 }
 
-// Serve runs a worker on an established connection until the
-// coordinator says goodbye or the connection fails. It blocks for the
-// whole run; run it in a goroutine for in-process workers.
-func Serve(conn transport.Conn, opts WorkerOptions) error {
-	opts, group := opts.normalized()
-	return newWorker(conn, opts, group, newTenantSlots(opts.Slots).view("", 0)).serve()
-}
-
-// normalized fills in opts' defaults and works out the worker's
-// process-group token: 0, the coordinator's process, with a shared body
-// table, and a token of its own otherwise.
-func (opts WorkerOptions) normalized() (WorkerOptions, uint64) {
-	if opts.Slots <= 0 {
-		opts.Slots = 1
-	}
-	if opts.Kinds == nil {
-		opts.Kinds = Kinds
-	}
-	var group uint64
-	if opts.Bodies == nil {
-		opts.Bodies = NewBodyTable()
-		group = uniqueGroup()
-	}
-	return opts, group
-}
-
-// newWorker builds the endpoint state for normalized opts, its task bodies
-// gated by slots: its own, one uncapped tenant's (Serve), or a daemon's seen
-// through the session's tenant. Split from serve so the multi-tenant daemon
-// can hold the handle for inspection.
+// newWorker builds the endpoint state of one session on a host, for
+// normalized opts, its task bodies gated by the host's slots seen through
+// the session's tenant. Split from serve so the host can hold the handle
+// for inspection.
 func newWorker(conn transport.Conn, opts WorkerOptions, group uint64, slots *tenantPool) *worker {
 	w := &worker{
 		conn:    conn,

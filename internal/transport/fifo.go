@@ -47,12 +47,15 @@ func (q *FIFO[T]) Reset() { q.items, q.head = nil, 0 }
 // Queue is one direction of message traffic a receiver blocks on: an
 // inproc pipe's, or one mux session's inbox. Put never blocks, so two
 // endpoints can flood each other without deadlock; Get waits for a
-// message, and after Close drains what was queued before it.
+// message, and after Close drains what was queued before it. A routed
+// queue hands each Put to its router under the queue's lock.
 type Queue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	msgs   FIFO[[]byte]
+	router Router
 	closed bool
+	err    error // what Get returns once closed and empty
 }
 
 // NewQueue returns an empty, open queue.
@@ -71,13 +74,31 @@ func (q *Queue) Put(msg []byte) error {
 	if q.closed {
 		return ErrClosed
 	}
+	if q.router != nil {
+		q.router.Deliver(msg)
+		return nil
+	}
 	q.msgs.Push(msg)
 	q.cond.Signal()
 	return nil
 }
 
+// Route implements Routable: what is queued, each later Put and the close
+// go to r.
+func (q *Queue) Route(r Router) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.msgs.Len() > 0 {
+		r.Deliver(q.msgs.Pop())
+	}
+	q.router = r
+	if q.closed {
+		r.End(q.err)
+	}
+}
+
 // Get removes and returns the oldest message, waiting for one. Once the
-// queue is closed and empty it returns ErrClosed.
+// queue is closed and empty it returns the error it was closed with.
 func (q *Queue) Get() ([]byte, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -85,7 +106,7 @@ func (q *Queue) Get() ([]byte, error) {
 		q.cond.Wait()
 	}
 	if q.msgs.Len() == 0 {
-		return nil, ErrClosed
+		return nil, q.err
 	}
 	return q.msgs.Pop(), nil
 }
@@ -97,20 +118,29 @@ func (q *Queue) Len() int {
 	return q.msgs.Len()
 }
 
-// Close ends the queue; messages already in it stay readable.
-func (q *Queue) Close() { q.close(false) }
+// Close ends the queue; messages already in it stay readable, then Get
+// returns ErrClosed.
+func (q *Queue) Close() { q.CloseWith(ErrClosed, false) }
 
-// CloseDiscard closes the queue and drops the messages in it: the fencing
-// teardown, where late frames from a declared-dead peer must never be
-// delivered.
-func (q *Queue) CloseDiscard() { q.close(true) }
+// CloseDiscard closes the queue and gives the messages in it back to the
+// buffer pool: the fencing teardown, where late frames from a
+// declared-dead peer must never be delivered.
+func (q *Queue) CloseDiscard() { q.CloseWith(ErrClosed, true) }
 
-func (q *Queue) close(discard bool) {
+// CloseWith ends the queue with err, which Get returns once what is queued
+// is read, or dropped with discard. The first close sets the error.
+func (q *Queue) CloseWith(err error, discard bool) {
 	q.mu.Lock()
-	q.closed = true
-	if discard {
-		q.msgs.Reset()
+	defer q.mu.Unlock()
+	for discard && q.msgs.Len() > 0 {
+		PutBuf(q.msgs.Pop())
 	}
+	if q.closed {
+		return
+	}
+	q.closed, q.err = true, err
 	q.cond.Broadcast()
-	q.mu.Unlock()
+	if q.router != nil {
+		q.router.End(err)
+	}
 }

@@ -34,6 +34,10 @@ func (c *conn) SendOwned(msg []byte) error { return c.send.Put(msg) }
 
 func (c *conn) Recv() ([]byte, error) { return c.recv.Get() }
 
+// Route implements transport.Routable: r takes the peer's sends in the
+// peer's goroutine.
+func (c *conn) Route(r transport.Router) { c.recv.Route(r) }
+
 func (c *conn) Close() error {
 	// Closing either endpoint tears down both directions, so a blocked
 	// peer Recv returns ErrClosed rather than hanging.
@@ -56,4 +60,5 @@ var (
 	_ transport.Conn        = (*conn)(nil)
 	_ transport.Fencer      = (*conn)(nil)
 	_ transport.OwnedSender = (*conn)(nil)
+	_ transport.Routable    = (*conn)(nil)
 )

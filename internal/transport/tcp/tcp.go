@@ -109,13 +109,13 @@ type conn struct {
 
 	heartbeats atomic.Uint64
 
+	recvQ *transport.Queue // the reader delivers here: to Recv, or to a router
+
 	mu       sync.Mutex
-	recvCond *sync.Cond
 	sendQ    [][]byte // queued for the writer, in order; owned buffers
-	recvQ    transport.FIFO[[]byte]
-	finDue   bool
-	closed   bool // local Close or terminal failure
-	fenced   bool // Fence was called: deliver nothing more
+	finDue   bool     // Close: the writer flushes, sends fin, closes the socket
+	fenceDue bool     // Fence: the writer flushes and closes the socket
+	closed   bool     // local Close or terminal failure: no more sends
 	peerFin  bool
 	err      error // terminal error, set once
 }
@@ -127,8 +127,7 @@ func start(raw net.Conn, cad cadence) *conn {
 	if tc, ok := raw.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	c := &conn{raw: raw, cad: cad, notify: make(chan struct{}, 1), dead: make(chan struct{})}
-	c.recvCond = sync.NewCond(&c.mu)
+	c := &conn{raw: raw, cad: cad, notify: make(chan struct{}, 1), dead: make(chan struct{}), recvQ: transport.NewQueue()}
 	go c.writer()
 	go c.reader()
 	return c
@@ -195,16 +194,25 @@ func (c *conn) enqueue(msg []byte) error {
 
 // Recv implements transport.Conn. Messages already delivered drain even
 // after a close or failure; then the terminal error is returned.
-func (c *conn) Recv() ([]byte, error) {
+func (c *conn) Recv() ([]byte, error) { return c.recvQ.Get() }
+
+// Route implements transport.Routable: the reader hands every data frame
+// to r instead of queuing it, what it queued before the call first.
+func (c *conn) Route(r transport.Router) { c.recvQ.Route(r) }
+
+// end refuses further sends and closes recvQ with the terminal error (the
+// first failure; a fin is none). A fence drops what recvQ holds and has
+// the writer close the socket after the frames already queued.
+func (c *conn) end(err error, fence bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.recvQ.Len() == 0 && !c.closed {
-		c.recvCond.Wait()
+	if c.err == nil && !c.peerFin {
+		c.err = err
 	}
-	if c.recvQ.Len() > 0 {
-		return c.recvQ.Pop(), nil
-	}
-	return nil, c.terminalErrLocked()
+	c.closed = true
+	c.fenceDue = c.fenceDue || fence
+	err = c.terminalErrLocked()
+	c.mu.Unlock()
+	c.recvQ.CloseWith(err, fence)
 }
 
 func (c *conn) terminalErrLocked() error {
@@ -222,10 +230,10 @@ func (c *conn) Close() error {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
 	c.finDue = true
-	c.recvCond.Broadcast()
+	c.closed = true
 	c.mu.Unlock()
+	c.recvQ.Close()
 	c.poke() // the writer flushes the queue, sends fin, and exits
 	select {
 	case <-c.dead:
@@ -240,41 +248,28 @@ func (c *conn) Stats() transport.Stats {
 	return transport.Stats{Heartbeats: c.heartbeats.Load()}
 }
 
-// Fence implements transport.Fencer: drop the frames queued to send,
-// give back to the pool what the reader holds that Recv has not taken,
-// and close the socket. The application has declared the peer dead, so
-// nothing more of this connection is applied; a peer that is in fact
-// alive must dial a new connection, which makes it a new member.
+// Fence implements transport.Fencer: drop what Recv has not taken, deliver
+// and accept nothing more, and have the writer close the socket once it
+// has written what was queued before — an eviction notice a peer that is
+// in fact alive must read, to dial again as a new member — within one
+// heartbeat interval.
 func (c *conn) Fence() {
-	c.mu.Lock()
-	c.fenced = true
-	for c.recvQ.Len() > 0 {
-		transport.PutBuf(c.recvQ.Pop())
-	}
-	c.failLocked(ErrFenced)
-	c.mu.Unlock()
-	c.kill()
+	c.end(ErrFenced, true)
+	c.raw.SetWriteDeadline(time.Now().Add(c.cad.interval))
+	c.poke()
 }
 
-// fail ends the connection with err (first failure wins).
+// fail ends the connection with err, dropping the frames queued to send.
 func (c *conn) fail(err error) {
+	c.end(err, false)
 	c.mu.Lock()
-	c.failLocked(err)
-	c.mu.Unlock()
-	c.kill()
-}
-
-func (c *conn) failLocked(err error) {
-	if c.err == nil && !c.peerFin {
-		c.err = err
-	}
-	c.closed = true
 	for _, msg := range c.sendQ {
 		transport.PutBuf(msg)
 	}
 	clear(c.sendQ)
 	c.sendQ = c.sendQ[:0]
-	c.recvCond.Broadcast()
+	c.mu.Unlock()
+	c.kill()
 }
 
 // writer drains the send queue onto the socket. Everything collected in
@@ -297,10 +292,10 @@ func (c *conn) writer() {
 	for {
 		c.mu.Lock()
 		// The two queue arrays alternate between conn and writer. Once
-		// Close has been called no new sends are accepted, so this batch
-		// drains the queue and the fin can follow it.
+		// Close or Fence has been called no new sends are accepted, so this
+		// batch drains the queue and the socket can close after it.
 		frames, c.sendQ = c.sendQ, frames
-		fin := c.finDue
+		fin, last := c.finDue, c.finDue || c.fenceDue
 		c.mu.Unlock()
 
 		wrote := false
@@ -324,8 +319,10 @@ func (c *conn) writer() {
 		}
 		clear(frames)
 		frames = frames[:0]
-		if err == nil && fin {
-			batch = appendWireFrame(batch, fFin, nil)
+		if err == nil && last {
+			if fin {
+				batch = appendWireFrame(batch, fFin, nil)
+			}
 			flush() // best-effort
 			c.kill()
 			return
@@ -403,24 +400,16 @@ func (c *conn) reader() {
 		}
 		switch typ {
 		case fData:
-			c.mu.Lock()
-			if c.fenced {
-				transport.PutBuf(msg)
-			} else {
-				c.recvQ.Push(msg)
-				if c.recvQ.Len() == 1 {
-					c.recvCond.Signal() // Recv waits only on an empty queue
-				}
+			if c.recvQ.Put(msg) != nil {
+				transport.PutBuf(msg) // fenced, or closed
 			}
-			c.mu.Unlock()
 		case fHeartbeat:
 			// Receipt alone resets the liveness deadline.
 		case fFin:
 			c.mu.Lock()
 			c.peerFin = true
-			c.closed = true
-			c.recvCond.Broadcast()
 			c.mu.Unlock()
+			c.end(nil, false)
 			c.kill()
 			return
 		}
@@ -651,4 +640,5 @@ var (
 	_ transport.Statser     = (*conn)(nil)
 	_ transport.Fencer      = (*conn)(nil)
 	_ transport.OwnedSender = (*conn)(nil)
+	_ transport.Routable    = (*conn)(nil)
 )

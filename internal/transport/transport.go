@@ -68,3 +68,18 @@ type Statser interface{ Stats() Stats }
 // member. On inproc the pipe is the connection, so Fence closes it and
 // discards what is queued.
 type Fencer interface{ Fence() }
+
+// Router takes a connection's messages in the goroutine that delivers
+// them — the tcp reader, or an inproc sender — under the connection's
+// delivery lock, so it must neither block nor call back into the
+// connection. Deliver takes ownership of msg; End reports the terminal
+// error, once, after the last delivery.
+type Router interface {
+	Deliver(msg []byte)
+	End(err error)
+}
+
+// Routable is the optional delivery hook of inproc and tcp conns: Route
+// hands r what Recv would have returned, queued messages first, and
+// nothing after a Fence. Recv must not be called afterwards.
+type Routable interface{ Route(r Router) }

@@ -31,7 +31,6 @@
 package jade
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -47,7 +46,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/rt"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/transport/tcp"
 )
 
@@ -292,12 +290,12 @@ type LiveConfig struct {
 // until every external worker has connected.
 func NewLive(cfg LiveConfig) (*Runtime, error) {
 	bodies := live.NewBodyTable()
-	host := func(i int, c transport.Conn) func() error {
+	host := func(i int) live.WorkerOptions {
 		opts := live.WorkerOptions{Name: fmt.Sprintf("local-%d", i+1), Bodies: bodies, Slots: cfg.WorkerSlots}
 		if i < len(cfg.WorkerCaps) {
 			opts.Caps = cfg.WorkerCaps[i]
 		}
-		return func() error { return live.Serve(c, opts) }
+		return opts
 	}
 	fleet, conns, err := live.StartFleet(cfg.Transport, cfg.Listen, cfg.Workers, cfg.AwaitExternal, host)
 	if err != nil {
@@ -387,14 +385,9 @@ type WorkerConfig struct {
 	Name string
 	// Caps are capability tags to advertise (TaskOptions.RequireCap).
 	Caps []string
-	// Slots is the number of concurrent task slots (0 = 1). On a Multi
-	// daemon this is the machine total shared by all resident sessions.
+	// Slots is the number of concurrent task slots (0 = 1): serving a
+	// session service, the machine total shared by all resident sessions.
 	Slots int
-	// Multi serves a multi-tenant session service (jade.NewService)
-	// instead of a single run: the daemon hosts a worker instance per
-	// announced session, with per-tenant slot quotas enforced against
-	// the shared Slots pool.
-	Multi bool
 	// Drain, when non-nil, requests a graceful departure when it becomes
 	// readable (e.g. on SIGTERM): the worker finishes its in-flight
 	// tasks and leaves the run.
@@ -407,9 +400,13 @@ type WorkerConfig struct {
 // elastic run as a brand-new member by calling ServeWorker again.
 var ErrWorkerEvicted = live.ErrEvicted
 
-// ServeWorker connects to a live coordinator and executes dispatched tasks
-// until the run ends. Task bodies are resolved through kinds registered
-// with RegisterKind. It blocks for the whole run.
+// ServeWorker connects to a live coordinator (NewLive) or a session
+// service (NewService) and executes dispatched tasks until the run or the
+// service ends. Task bodies are resolved through kinds registered with
+// RegisterKind. It blocks for the whole run. It returns nil when the run
+// or the service ended in order, or ended before this worker's join was
+// processed, or turned the worker away (one that admits no late member):
+// all the same to the worker.
 func ServeWorker(cfg WorkerConfig) error {
 	if cfg.Addr == "" {
 		return fmt.Errorf("jade: ServeWorker needs an address")
@@ -418,24 +415,12 @@ func ServeWorker(cfg WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	wopts := live.WorkerOptions{
+	return live.Serve(c, live.WorkerOptions{
 		Name:  cfg.Name,
 		Caps:  cfg.Caps,
 		Slots: cfg.Slots,
 		Leave: cfg.Drain,
-	}
-	if cfg.Multi {
-		return live.NewMultiServer(c, wopts).Serve()
-	}
-	err = live.Serve(c, wopts)
-	if errors.Is(err, transport.ErrClosed) || errors.Is(err, live.ErrClosing) {
-		// The run ended, ended before this worker's join was processed,
-		// or turned the worker away (a run that admits no late member):
-		// all the same to the worker.
-		return nil
-	}
-	return err
+	})
 }
 
 // KindFunc builds a task body from an opaque argument blob. Kinds are how

@@ -2,6 +2,7 @@ package jade_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"runtime"
 	"slices"
@@ -237,23 +238,164 @@ func TestNewLiveObsFailureLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestServeWorkerTurnedAwayReturnsNil: a worker that a non-elastic tcp
-// runtime turns away returns nil, as a -multi daemon a service turns away
-// does.
-func TestServeWorkerTurnedAwayReturnsNil(t *testing.T) {
-	r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp"})
+// errAny is a want of TestServeWorkerOutcomes: some error, whichever.
+var errAny = errors.New("any error")
+
+// TestServeWorkerOutcomes: what ServeWorker — the one worker entry point,
+// for a run and a session service alike — returns for each way its
+// connection can end, and that none of them leaves a goroutine behind.
+// Every row serves with the same configuration, on the address its peer
+// listens at.
+func TestServeWorkerOutcomes(t *testing.T) {
+	cfg := jade.WorkerConfig{Name: "ext", Caps: []string{"fpga"}, Slots: 2}
+	rows := []struct {
+		name string
+		want error // nil, an error ServeWorker's must match, or errAny
+		// run stands up the peer, serves it with cfg at its address, and
+		// returns what ServeWorker returned.
+		run func(t *testing.T, cfg jade.WorkerConfig) error
+	}{
+		{"plain_run", nil, func(t *testing.T, cfg jade.WorkerConfig) error {
+			cfg.Addr = freeAddr(t)
+			served := serveWhenUp(cfg)
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp", Listen: cfg.Addr, AwaitExternal: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			doubleOnFPGA(t, r.Run)
+			return await(t, served)
+		}},
+		{"late_to_a_run", nil, func(t *testing.T, cfg jade.WorkerConfig) error {
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Addr = r.ListenAddr()
+			err = await(t, serveWhenUp(cfg))
+			runSum(t, r)
+			return err
+		}},
+		{"late_to_a_service", nil, func(t *testing.T, cfg jade.WorkerConfig) error {
+			svc, err := jade.NewService(jade.ServiceConfig{Workers: 1, Transport: "tcp"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			cfg.Addr = svc.Addr()
+			return await(t, serveWhenUp(cfg))
+		}},
+		{"external_daemon_in_a_service", nil, func(t *testing.T, cfg jade.WorkerConfig) error {
+			cfg.Addr = freeAddr(t)
+			served := serveWhenUp(cfg)
+			svc, err := jade.NewService(jade.ServiceConfig{Workers: 1, Transport: "tcp", Listen: cfg.Addr, AwaitExternal: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := svc.OpenSession("t")
+			if err != nil {
+				svc.Close()
+				t.Fatal(err)
+			}
+			doubleOnFPGA(t, s.Run)
+			s.Close()
+			svc.Close()
+			return await(t, served)
+		}},
+		{"evicted", jade.ErrWorkerEvicted, func(t *testing.T, cfg jade.WorkerConfig) error {
+			cfg.Addr = freeAddr(t)
+			served := serveWhenUp(cfg)
+			r, err := jade.NewLive(jade.LiveConfig{Workers: 1, Transport: "tcp", Listen: cfg.Addr, AwaitExternal: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.Run(func(tk *jade.Task) {
+				for _, w := range r.Report().Workers {
+					if w.Name == cfg.Name {
+						if err := r.KillWorker(w.Machine); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return await(t, served)
+		}},
+		{"refused_dial", errAny, func(t *testing.T, cfg jade.WorkerConfig) error {
+			cfg.Addr = freeAddr(t)
+			return jade.ServeWorker(cfg)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			err := row.run(t, cfg)
+			switch {
+			case row.want == errAny && err == nil:
+				t.Errorf("ServeWorker returned nil, want an error")
+			case row.want != errAny && !errors.Is(err, row.want):
+				t.Errorf("ServeWorker returned %v, want %v", err, row.want)
+			}
+			if err := exectest.AwaitGoroutines(before, 5*time.Second); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// serveWhenUp serves cfg from a goroutine of its own, dialing again while
+// nothing listens at cfg.Addr yet, and reports what ServeWorker returned.
+func serveWhenUp(cfg jade.WorkerConfig) <-chan error {
+	served := make(chan error, 1)
+	go func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			err := jade.ServeWorker(cfg)
+			var op *net.OpError
+			if !errors.As(err, &op) || op.Op != "dial" || time.Now().After(deadline) {
+				served <- err
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	return served
+}
+
+// await returns what a served worker returned, failing the test if it is
+// still connected 5s on.
+func await(t *testing.T, served <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-served:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker is still connected 5s after its peer was done with it")
+		return nil
+	}
+}
+
+// doubleOnFPGA runs a program whose one task is a kind that only a worker
+// with the "fpga" tag may run, and checks what it computed.
+func doubleOnFPGA(t *testing.T, run func(func(*jade.Task)) error) {
+	t.Helper()
+	var got []int64
+	err := run(func(tk *jade.Task) {
+		a := jade.NewArrayFrom(tk, []int64{1, 2, 3}, "v")
+		a.Release(tk)
+		tk.WithOnlyOpts(jade.TaskOptions{
+			Label:      "double",
+			Kind:       "jadetest-double",
+			KindArgs:   binary.LittleEndian.AppendUint64(nil, a.ID()),
+			RequireCap: "fpga",
+		}, func(s *jade.Spec) { s.RdWr(a) }, nil)
+		got = append([]int64(nil), a.Read(tk)...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- jade.ServeWorker(jade.WorkerConfig{Addr: r.ListenAddr(), Name: "late"}) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("turned-away worker: %v, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("a late worker is still connected to a non-elastic runtime 5s after dialing")
+	if want := []int64{2, 4, 6}; !slices.Equal(got, want) {
+		t.Fatalf("array = %v, want %v", got, want)
 	}
-	runSum(t, r)
 }

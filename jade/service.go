@@ -29,7 +29,7 @@ type ServiceConfig struct {
 	// Transport is "inproc" (default) or "tcp".
 	Transport string
 	// Listen is the tcp listen address ("" = "127.0.0.1:0"). Give an
-	// explicit address to let external `jadeworker -multi` daemons join.
+	// explicit address to let external `jadeworker` daemons join.
 	Listen string
 	// AwaitExternal waits for this many external daemons on top of the
 	// in-process fleet (Transport "tcp" only).
@@ -238,8 +238,8 @@ func (s *Session) Tenant() string { return s.ts.Tenant() }
 // read after Close sees no events, all counted as dropped.
 func (s *Session) Close() error { return s.ts.Close() }
 
-// Addr returns the tcp address external `jadeworker -multi` daemons
-// should dial ("" on inproc).
+// Addr returns the tcp address external `jadeworker` daemons should
+// dial ("" on inproc).
 func (s *Service) Addr() string { return s.svc.Addr() }
 
 // KillWorker fences daemon d (0-based): every session with state there

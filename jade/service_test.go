@@ -170,27 +170,6 @@ func TestServiceSessionTraceLog(t *testing.T) {
 	}
 }
 
-// TestServiceRefusesLateDaemon: a daemon that dials a tcp service after it
-// has started is turned away, as a non-elastic live runtime turns away a
-// late worker, rather than left connected to a fleet no session opens on.
-func TestServiceRefusesLateDaemon(t *testing.T) {
-	svc, err := jade.NewService(jade.ServiceConfig{Workers: 1, Transport: "tcp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	done := make(chan error, 1)
-	go func() { done <- jade.ServeWorker(jade.WorkerConfig{Addr: svc.Addr(), Multi: true}) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("late daemon: %v, want a clean refusal", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a late daemon is still connected to the service 5s after dialing")
-	}
-}
-
 // TestServiceLeavesNoGoroutines: a closed service gives back everything it
 // started, the in-process daemons included, on both transports.
 func TestServiceLeavesNoGoroutines(t *testing.T) {

@@ -9,19 +9,22 @@
 # nothing into the checkout. GOMAXPROCS is inherited by every go command,
 # so `GOMAXPROCS=1 scripts/check.sh race` races on one processor — except
 # core, exec/pool, exec/smp, trace, transport (its buffer pool), transport/mux,
-# transport/wire, transport/tcp and exec/live (with exec/live/tenant), which
-# the race tier always runs at both one P and four (-cpu 1,4): the trace
-# log's appends, label interning and snapshots share one lock, the engine's
-# queue summary and entry tables are checked from every task of the stress
-# programs while the others run, the runner pool smp and the live worker
-# share passes queued items and slot claims between goroutines that outlive
-# the items (its model test drives random schedules), receive buffers are
-# taken from the pool by the tcp reader and go back to it from whichever
-# goroutine last reads them (a worker's runner, the mux's demux loop, a
-# session's reader, the tcp reader or a fence discarding them), and
-# check-ins and write-backs that ride a task's frames, and dispatches made
-# on the goroutine that readied the task, take different paths when the
-# peer runs in parallel. The lock-discipline walks at the root run there too.
+# transport/wire, transport/tcp, transport/inproc and exec/live (with
+# exec/live/tenant), which the race tier always runs at both one P and four
+# (-cpu 1,4): the trace log's appends, label interning and snapshots share
+# one lock, the engine's queue summary and entry tables are checked from
+# every task of the stress programs while the others run, the runner pool
+# smp and the live worker share passes queued items and slot claims between
+# goroutines that outlive the items (its model test drives random
+# schedules), frames are routed to their session where they are read — in
+# the tcp reader, or in whichever goroutine sends on an inproc pipe —
+# receive buffers are taken from the pool by the tcp reader and go back to
+# it from whichever goroutine last reads them (a worker's runner, a
+# session's reader, the tcp reader or an inproc sender routing them, or a
+# fence discarding them), and check-ins and write-backs that ride a task's
+# frames, and dispatches made on the goroutine that readied the task, take
+# different paths when the peer runs in parallel. The lock-discipline walks
+# at the root run there too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,7 +47,6 @@ tier() {
 	race) # everything that does real concurrency, under the race detector, twice
 		go test -race -count=2 ./internal/coherence/... \
 			./internal/exec/dist/... \
-			./internal/transport/inproc/... \
 			./internal/fault/... ./internal/obs/... ./internal/apps/serve/... ./jade/...
 		# ... and the engine, the runner pool and its smp host, the trace log
 		# and the wire path with its buffer pool at one P and at four,
@@ -53,6 +55,7 @@ tier() {
 			./internal/core/... ./internal/exec/pool/... ./internal/exec/smp/... ./internal/trace/... \
 			./internal/transport ./internal/transport/mux/... \
 			./internal/transport/wire/... ./internal/transport/tcp/... \
+			./internal/transport/inproc/... \
 			./internal/exec/live ./internal/exec/live/tenant/...
 		# ... and the walks that keep waits off the coherence lock and out of
 		# the receive loops (dispatch and every continuation run on them),
