@@ -141,6 +141,35 @@ func TestServiceSessionsConcurrent(t *testing.T) {
 	}
 }
 
+// TestServiceUnnamedTenantKeepsItsCap: a session of the tenant named ""
+// gets the default per-worker quota like any other tenant; the daemon's
+// plain-run slot bucket is no tenant's, so it cannot stand in for it.
+func TestServiceUnnamedTenantKeepsItsCap(t *testing.T) {
+	svc, err := tenant.NewService(tenant.Options{Workers: 1, WorkerSlots: 2, DefaultSlotsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s, err := svc.OpenSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	for k, v := range runSum(t, s, 2, n) {
+		if v != n*(n+1)/2 {
+			t.Fatalf("ctr%d = %d, want %d", k, v, n*(n+1)/2)
+		}
+	}
+	s.Close()
+	for _, w := range svc.Report().Workers {
+		u, ok := w.Ledger.PerTenant[""]
+		if !ok || u.Cap != 1 || u.Peak > 1 || w.Ledger.Violation != "" {
+			t.Fatalf("worker %s: tenant \"\" slot use %+v (listed %v), violation %q; want cap 1, peak ≤ 1",
+				w.Name, u, ok, w.Ledger.Violation)
+		}
+	}
+}
+
 // TestServiceAdmissionBlocks: at MaxSessions the next OpenSession call
 // queues until a running session closes; PeakActive never exceeds the
 // cap.
